@@ -55,9 +55,8 @@ from repro.core.records import SignalRecord  # noqa: E402
 from repro.embedding.bisage import BiSAGEConfig  # noqa: E402
 from repro.eval.reporting import format_table  # noqa: E402
 from repro.pipeline import ComponentSpec, PipelineSpec  # noqa: E402
-from repro.serve import ServingRuntime  # noqa: E402
+from repro.serve import ServingRuntime, shard_index  # noqa: E402
 from repro.serve.cluster import Router  # noqa: E402
-from repro.serve.runtime import shard_index  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,8 +126,7 @@ def run_scaling(args) -> dict:
 
     with tempfile.TemporaryDirectory() as scratch:
         seed_root = Path(scratch) / "seed"
-        with ServingRuntime(seed_root, num_shards=1,
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(seed_root, scheduler_interval=None) as runtime:
             for tenant in tenants:
                 runtime.provision(tenant, train[tenant], spec=spec())
 
@@ -150,8 +148,7 @@ def run_scaling(args) -> dict:
             serial_root = fresh_copy(f"serial-{repeat}")
             t0 = time.perf_counter()
             cpu0 = time.process_time()
-            with ServingRuntime(serial_root, num_shards=1,
-                                scheduler_interval=None) as runtime:
+            with ServingRuntime(serial_root, scheduler_interval=None) as runtime:
                 decisions = [d for batch in batches
                              for d in runtime.observe_many(batch)]
             serial_wall_repeats.append(time.perf_counter() - t0)
@@ -247,12 +244,11 @@ def run_obs_overhead(args) -> dict:
 
     with tempfile.TemporaryDirectory() as scratch:
         seed_root = Path(scratch) / "seed"
-        with ServingRuntime(seed_root, num_shards=1,
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(seed_root, scheduler_interval=None) as runtime:
             for tenant in tenants:
                 runtime.provision(tenant, train[tenant], spec=spec())
         shutil.copytree(seed_root, Path(scratch) / "serial")
-        with ServingRuntime(Path(scratch) / "serial", num_shards=1,
+        with ServingRuntime(Path(scratch) / "serial",
                             scheduler_interval=None) as runtime:
             reference = [d for batch in batches
                          for d in runtime.observe_many(batch)]
@@ -333,11 +329,9 @@ def run_failover(args) -> dict:
         # as the primary it replicated (both read serially, fresh probes).
         probe_items = [(tenant, record) for tenant in tenants
                        for record in probe[tenant]]
-        with ServingRuntime(primary, num_shards=1,
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(primary, scheduler_interval=None) as runtime:
             from_primary = runtime.observe_many(probe_items)
-        with ServingRuntime(standby, num_shards=1,
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(standby, scheduler_interval=None) as runtime:
             from_standby = runtime.observe_many(probe_items)
     return {"observations": len(items),
             "flushed_tenants": flushed,

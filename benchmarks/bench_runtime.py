@@ -1,18 +1,14 @@
-"""Serving-runtime benchmark: shard scaling + observe latency under
-background maintenance + incremental write-back accounting.
+"""Serving-runtime benchmark: observe latency under background
+maintenance, incremental write-back accounting, the batch data plane
+and observability overhead.
 
-Three questions about :class:`repro.serve.runtime.ServingRuntime`, the
-sharded daemon:
+Questions about :class:`repro.serve.runtime.ServingRuntime`, the
+serving daemon:
 
-* **Shard scaling** — concurrent observers hitting tenants spread
-  across 1/2/4 shards.  Each shard owns its own lock, so observes on
-  different shards never contend on fleet state; the GIL still
-  serialises pure-python bookkeeping, so this measures contention
-  removal, not linear CPU scaling.
 * **Observe latency during a background refresh** — the swap-on-commit
   fix's pinned claim.  A victim tenant is observed in a tight loop on
-  the *same shard* where the maintenance worker keeps refreshing a
-  large tenant.  Because the shard lock is released for the rebuild
+  the *same fleet* where the maintenance worker keeps refreshing a
+  large tenant.  Because the fleet lock is released for the rebuild
   (held only for the model copy and the pointer swap), the observer's
   p99 latency must stay far below the refresh duration — under the old
   inline refresh it would *equal* it.
@@ -44,7 +40,6 @@ import dataclasses
 import json
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -102,55 +97,7 @@ def percentile(samples: list[float], q: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Arm 1: shard scaling under concurrent observers
-# ----------------------------------------------------------------------
-def run_shard_scaling(args) -> dict:
-    threads = 4
-    tenants_per_thread = 2
-    seconds = args.seconds if args.seconds is not None else (0.8 if args.quick else 3.0)
-    tenant_ids = [f"scale-{i:02d}" for i in range(threads * tenants_per_thread)]
-    train = {t: make_records(40, 12, seed=i) for i, t in enumerate(tenant_ids)}
-    streams = {t: make_records(400, 12, seed=1000 + i)
-               for i, t in enumerate(tenant_ids)}
-
-    out = {}
-    for num_shards in (1, 2, 4):
-        with tempfile.TemporaryDirectory() as root:
-            with ServingRuntime(root, num_shards=num_shards, capacity=16,
-                                scheduler_interval=None) as runtime:
-                for tenant in tenant_ids:
-                    runtime.provision(tenant, train[tenant], spec=spec())
-                counts = [0] * threads
-                stop = time.perf_counter() + seconds
-                barrier = threading.Barrier(threads)
-
-                def worker(slot: int) -> None:
-                    mine = tenant_ids[slot * tenants_per_thread:
-                                      (slot + 1) * tenants_per_thread]
-                    barrier.wait()
-                    position = 0
-                    while time.perf_counter() < stop:
-                        tenant = mine[position % len(mine)]
-                        record = streams[tenant][position % 400]
-                        runtime.observe(tenant, record)
-                        counts[slot] += 1
-                        position += 1
-
-                pool = [threading.Thread(target=worker, args=(slot,))
-                        for slot in range(threads)]
-                t0 = time.perf_counter()
-                for thread in pool:
-                    thread.start()
-                for thread in pool:
-                    thread.join()
-                elapsed = time.perf_counter() - t0
-        out[str(num_shards)] = {"observations": sum(counts),
-                                "throughput_obs_per_s": sum(counts) / elapsed}
-    return out
-
-
-# ----------------------------------------------------------------------
-# Arm 2: observe latency while the daemon refreshes a neighbour
+# Arm 1: observe latency while the daemon refreshes a neighbour
 # ----------------------------------------------------------------------
 def run_latency_under_refresh(args) -> dict:
     heavy_train = 120 if args.quick else 600
@@ -162,7 +109,7 @@ def run_latency_under_refresh(args) -> dict:
     def measure(policy: MaintenancePolicy | None, interval: float | None) -> dict:
         latencies: list[float] = []
         with tempfile.TemporaryDirectory() as root:
-            with ServingRuntime(root, num_shards=1, capacity=8,
+            with ServingRuntime(root, capacity=8,
                                 policy=policy,
                                 scheduler_interval=interval) as runtime:
                 runtime.provision("victim", victim_train, spec=spec())
@@ -196,7 +143,7 @@ def run_latency_under_refresh(args) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Arm 3: write-back accounting on a thrashing LRU
+# Arm 2: write-back accounting on a thrashing LRU
 # ----------------------------------------------------------------------
 def run_writeback_accounting(args) -> dict:
     tenants = [f"wb-{i:02d}" for i in range(4 if args.quick else 12)]
@@ -207,7 +154,7 @@ def run_writeback_accounting(args) -> dict:
     out = {}
     for label, incremental in (("full_saves", False), ("incremental", True)):
         with tempfile.TemporaryDirectory() as root:
-            with ServingRuntime(root, num_shards=1, capacity=2,
+            with ServingRuntime(root, capacity=2,
                                 incremental=incremental,
                                 scheduler_interval=None) as runtime:
                 for tenant in tenants:
@@ -230,7 +177,7 @@ def run_writeback_accounting(args) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Arm 4: vectorized batch data plane vs the scalar observe loop
+# Arm 3: vectorized batch data plane vs the scalar observe loop
 # ----------------------------------------------------------------------
 def run_batch_throughput(args) -> dict:
     """``observe_many`` (BatchPlane fast path) vs per-record ``observe``.
@@ -291,7 +238,7 @@ def run_batch_throughput(args) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Arm 5: observability overhead on the observe path
+# Arm 4: observability overhead on the observe path
 # ----------------------------------------------------------------------
 def run_observability_overhead(args) -> dict:
     """Instrumented vs bare observe throughput, best-of-repeats.
@@ -307,7 +254,7 @@ def run_observability_overhead(args) -> dict:
 
     def one_run(observability: bool, dump_to: Path | None = None) -> float:
         with tempfile.TemporaryDirectory() as root:
-            with ServingRuntime(root, num_shards=1, capacity=4,
+            with ServingRuntime(root, capacity=4,
                                 scheduler_interval=None,
                                 observability=observability) as runtime:
                 runtime.provision("overhead", train, spec=spec())
@@ -340,19 +287,15 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     payload = {
         "meta": bench_metadata("runtime", args),
-        "shard_scaling": run_shard_scaling(args),
         "latency": run_latency_under_refresh(args),
         "writeback": run_writeback_accounting(args),
         "batchplane": run_batch_throughput(args),
         "observability": run_observability_overhead(args),
         "quick": args.quick,
     }
-    scaling = payload["shard_scaling"]
     latency = payload["latency"]
-    rows = [[f"{n} shard(s)", f"{scaling[n]['throughput_obs_per_s']:.0f} obs/s"]
-            for n in sorted(scaling)]
-    rows.append(["p99 observe (no maintenance)",
-                 f"{latency['baseline']['p99_ms']:.2f} ms"])
+    rows = [["p99 observe (no maintenance)",
+             f"{latency['baseline']['p99_ms']:.2f} ms"]]
     rows.append(["p99 observe (refresh in background)",
                  f"{latency['under_refresh']['p99_ms']:.2f} ms"])
     rows.append(["mean background refresh",
@@ -383,9 +326,7 @@ def main(argv=None) -> int:
         print(f"payload written to {args.out}")
 
     # Invariants (loose enough for noisy CI boxes, tight enough to catch
-    # a regression to inline refresh or broken sharding):
-    for n in ("1", "2", "4"):
-        assert scaling[n]["observations"] > 0
+    # a regression to inline refresh):
     under = latency["under_refresh"]
     assert under["refreshes"] > 0, "the background policy never fired"
     if under["mean_refresh_ms"] > 0:

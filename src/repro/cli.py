@@ -20,8 +20,8 @@ Subcommands
     Replay a JSONL event stream through a multi-tenant fleet rooted at
     a checkpoint registry; print one decision JSON per line.
 ``runtime`` (alias ``serve-daemon``)
-    The same replay through the sharded :class:`ServingRuntime` daemon:
-    tenants hash-partitioned across N shards, a background maintenance
+    The same replay through the :class:`ServingRuntime` daemon: one
+    fleet behind a decision bus, a background maintenance
     worker executing the given :class:`MaintenancePolicy` (coordinated
     refresh, escalation, flush, idle eviction) off the observe path,
     and incremental (delta) checkpoint write-backs.
@@ -141,13 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write decisions to this file instead of stdout")
 
     p = sub.add_parser("runtime", aliases=["serve-daemon"],
-                       help="replay a JSONL event stream through the sharded "
-                            "serving daemon (background maintenance)")
+                       help="replay a JSONL event stream through the serving "
+                            "daemon (one fleet, background maintenance)")
     p.add_argument("--registry", required=True, help="tenant registry root")
     p.add_argument("--events", required=True,
                    help='JSONL events: {"tenant": ..., "rss": {...}, "t": ...}')
-    p.add_argument("--shards", type=int, default=2, help="fleet shards")
-    p.add_argument("--capacity", type=int, default=8, help="LRU budget per shard")
+    p.add_argument("--capacity", type=int, default=8, help="LRU budget")
     p.add_argument("--policy", help="MaintenancePolicy JSON file applied to every "
                                     "tenant (default: no maintenance)")
     p.add_argument("--interval", type=float, default=0.05,
@@ -168,16 +167,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster",
                        help="replay a JSONL event stream through the "
-                            "multi-process router (optional warm standby)")
+                            "multi-process router (tenants partitioned across "
+                            "worker processes; optional warm standby)")
     p.add_argument("--registry", help="tenant registry root (omit with --quick "
                                       "for a temp registry)")
     p.add_argument("--events", help='JSONL events: {"tenant": ..., "rss": '
                                     '{...}, "t": ...} (generated with --quick)')
     p.add_argument("--workers", type=int, default=2, help="worker processes")
     p.add_argument("--capacity", type=int, default=8,
-                   help="LRU budget per worker shard")
-    p.add_argument("--worker-shards", type=int, default=1,
-                   help="runtime shards inside each worker")
+                   help="LRU budget per worker")
     p.add_argument("--policy", help="MaintenancePolicy JSON file applied to "
                                     "every tenant (default: no maintenance)")
     p.add_argument("--standby", metavar="DIR",
@@ -619,8 +617,7 @@ def _cmd_runtime(args) -> int:
     interval = args.interval if args.interval and args.interval > 0 else None
     out_handle = open(args.out, "w") if args.out else sys.stdout
     try:
-        runtime = ServingRuntime(args.registry, num_shards=args.shards,
-                                 capacity=args.capacity, policy=policy,
+        runtime = ServingRuntime(args.registry, capacity=args.capacity, policy=policy,
                                  incremental=not args.no_incremental,
                                  scheduler_interval=interval,
                                  sweep_every=args.sweep_every)
@@ -641,7 +638,7 @@ def _cmd_runtime(args) -> int:
             finally:
                 if dumper is not None:
                     # Stop inside the runtime context: the final snapshot
-                    # reads live shards, then close() can tear them down.
+                    # reads the live fleet, then close() can tear it down.
                     dumper.stop()
         # Report after close(): the final drain and flush write-backs
         # have happened, so the counters describe the whole replay.
@@ -650,8 +647,7 @@ def _cmd_runtime(args) -> int:
         if shutdown():
             print(f"{shutdown.signal_name}: stopped after {served} event(s); "
                   "scheduler drained, dirty tenants flushed", file=sys.stderr)
-        print(f"served {served} events from {events_path} across "
-              f"{args.shards} shard(s)", file=sys.stderr)
+        print(f"served {served} events from {events_path}", file=sys.stderr)
         totals = stats["totals"]
         print(f"maintenance: {len(actions)} action(s); "
               f"refreshes={totals['refreshes']} reprovisions={totals['reprovisions']} "
@@ -719,8 +715,7 @@ def _cmd_cluster(args) -> int:
                         incremental=not args.no_incremental,
                         policy=policy, standby=args.standby,
                         timeout=args.timeout,
-                        launcher=spawn_local_worker if args.local else None,
-                        worker_shards=args.worker_shards)
+                        launcher=spawn_local_worker if args.local else None)
         dumper = None
         if args.metrics_out:
             from repro.obs import MetricsDumper

@@ -1,14 +1,14 @@
 """Observability for the serving runtime: metrics, tracing, health.
 
-The data plane got sharded (PR 5) before it got observable: the only
+The serving runtime existed (PR 5) before it got observable: the only
 window into a running fleet was :class:`~repro.serve.telemetry.FleetTelemetry`'s
 plain counters.  This package adds the missing layer, designed to be
 near-free on the observe path and zero-dependency:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket latency histograms (streaming p50/p90/p99,
-  no samples stored) with labeled families (``shard``, ``tenant_class``,
-  ``op``);
+  no samples stored) with labeled families (``tenant_class``, ``op``,
+  ...; the cluster merge adds ``worker``);
 * :mod:`repro.obs.tracing` — :class:`Tracer` span API recording nested
   timings on the observe / write-back / refresh / compaction paths,
   with a bounded ring of recent slow traces;

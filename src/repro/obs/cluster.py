@@ -15,9 +15,9 @@ cluster protocol (no live objects cross a process boundary):
 * :func:`cluster_families` — the export form `Router.metrics()` serves:
   router-local families pass through, every worker family appears both
   aggregated (no ``worker`` label) and per-worker (``worker="0"`` ...),
-  because worker-local label values collide across workers (each worker
-  numbers its own shards from zero) and only the ``worker`` label keeps
-  them apart.  Worker ``repro_health_*`` gauges are dropped here — the
+  because worker-local label values collide across workers (every
+  worker reports ``op="observe"``, ``tenant_class="all"``, ...) and the
+  ``worker`` label — the only partition label — keeps them apart.  Worker ``repro_health_*`` gauges are dropped here — the
   rollup re-expresses health with ``(probe, worker)`` labels.
 * :func:`stitch_traces` — grafts worker slow traces under the router
   spans that caused them, matching the worker root's ``parent_id``

@@ -17,10 +17,10 @@ instead of rediscovering the postmortems:
   reservoir-fed can recover; this probe fires while AUC still looks
   merely bad, not yet flat.
 * ``scheduler_staleness`` — seconds since the maintenance worker last
-  pumped each shard (max across shards).  A wedged or fallen-behind
+  pumped the decision bus.  A wedged or fallen-behind
   scheduler means refresh storms queue invisibly; in serial mode the
   probe reports ok (the caller *is* the scheduler).
-* ``decision_bus_depth`` — pending decisions on the busiest shard's
+* ``decision_bus_depth`` — pending decisions on the runtime's decision
   bus.  Nothing bounds the bus if maintenance falls behind; depth is
   the backpressure signal a router should shed on.
 * ``quarantine_saturation`` — fill fraction of the fullest resident
@@ -36,7 +36,8 @@ instead of rediscovering the postmortems:
   runbook wires up.
 
 :class:`HealthMonitor` evaluates every probe its target supports — the
-four shard probes need ``shards``/``telemetry_totals()`` (a
+four runtime probes need ``controller``, ``fleet``,
+``pending_decisions`` and ``telemetry_totals()`` (a
 :class:`ServingRuntime`); the replication probe needs
 ``replication_lag()`` (a cluster :class:`Router`) — and mirrors each
 result into two gauges (``repro_health_value`` / ``repro_health_status``;
@@ -151,14 +152,14 @@ class HealthMonitor:
     def check(self, runtime) -> dict[str, ProbeResult]:
         """Evaluate every supported probe; returns ``{probe name: result}``.
 
-        ``runtime`` is duck-typed: the four shard probes run when it has
-        ``shards`` (controllers, pending queues, optional scheduler,
-        ``telemetry_totals()`` — a :class:`ServingRuntime`); the
-        replication probe runs when it has ``replication_lag()`` (a
-        cluster router with a warm standby).
+        ``runtime`` is duck-typed: the four runtime probes run when it
+        has a ``controller`` (plus ``fleet``, ``pending_decisions``, an
+        optional ``scheduler`` and ``telemetry_totals()`` — a
+        :class:`ServingRuntime`); the replication probe runs when it has
+        ``replication_lag()`` (a cluster router with a warm standby).
         """
         results: dict[str, ProbeResult] = {}
-        if hasattr(runtime, "shards"):
+        if hasattr(runtime, "controller"):
             results.update({
                 "stuck_refresh": self._check_stuck_refresh(runtime),
                 "reservoir_starvation": self._check_starvation(runtime),
@@ -167,8 +168,7 @@ class HealthMonitor:
             })
             # Like the replication probe, capability-gated: only fleets
             # that run a quarantine report its saturation.
-            if any(getattr(getattr(shard, "fleet", None), "quarantine_size", 0)
-                   for shard in runtime.shards):
+            if runtime.fleet.quarantine_size:
                 results["quarantine_saturation"] = self._check_quarantine(runtime)
         if hasattr(runtime, "replication_lag"):
             results["replication_lag"] = self._check_replication(runtime)
@@ -187,18 +187,13 @@ class HealthMonitor:
 
     def _check_stuck_refresh(self, runtime) -> ProbeResult:
         worst, who = 0, ""
-        for shard in runtime.shards:
-            controller = shard.controller
-            # stuck_streaks() folds in telemetry-triggered refreshes that
-            # ran but failed to clear their trigger — the starvation
-            # pattern where refreshes succeed mechanically on the stale
-            # anchor yet fix nothing.  Older controller stand-ins expose
-            # only the failed-refresh half.
-            getter = getattr(controller, "stuck_streaks", None) \
-                or controller.failed_refresh_streaks
-            for tenant_id, streak in getter().items():
-                if streak > worst:
-                    worst, who = streak, tenant_id
+        # stuck_streaks() folds in telemetry-triggered refreshes that ran
+        # but failed to clear their trigger — the starvation pattern
+        # where refreshes succeed mechanically on the stale anchor yet
+        # fix nothing.
+        for tenant_id, streak in runtime.controller.stuck_streaks().items():
+            if streak > worst:
+                worst, who = streak, tenant_id
         detail = (f"tenant {who!r} has {worst} consecutive stuck maintenance "
                   "rounds (failed, or triggered without clearing the trigger)"
                   if worst else "")
@@ -219,36 +214,29 @@ class HealthMonitor:
         if scheduler is None:
             return self._result("scheduler_staleness", 0.0,
                                 "serial mode: caller pumps synchronously")
-        ages = scheduler.last_pump_ages()
-        if not ages:
+        age = scheduler.last_pump_age()
+        if age is None:
             if scheduler.running:
                 # Started but yet to complete a first pump: age since start.
                 value = scheduler.stats()["uptime_seconds"]
                 return self._result("scheduler_staleness", value,
                                     "no pump completed yet")
             return self._result("scheduler_staleness", 0.0, "scheduler not started")
-        worst_shard = max(ages, key=ages.get)
-        return self._result("scheduler_staleness", ages[worst_shard],
-                            f"shard {worst_shard} last pumped "
-                            f"{ages[worst_shard]:.2f}s ago")
+        return self._result("scheduler_staleness", age,
+                            f"last pumped {age:.2f}s ago")
 
     def _check_bus_depth(self, runtime) -> ProbeResult:
-        depths = {shard.index: shard.pending_decisions for shard in runtime.shards}
-        worst_shard = max(depths, key=depths.get)
-        return self._result("decision_bus_depth", depths[worst_shard],
-                            f"shard {worst_shard} has {depths[worst_shard]} "
-                            "pending decisions")
+        depth = runtime.pending_decisions
+        return self._result("decision_bus_depth", depth,
+                            f"{depth} pending decisions")
 
     def _check_quarantine(self, runtime) -> ProbeResult:
         worst, who = 0.0, ""
-        for shard in runtime.shards:
-            fleet = getattr(shard, "fleet", None)
-            if fleet is None or not getattr(fleet, "quarantine_size", 0):
-                continue
-            for tenant_id, depth in fleet.quarantine_depths().items():
-                saturation = depth / fleet.quarantine_size
-                if saturation > worst:
-                    worst, who = saturation, tenant_id
+        fleet = runtime.fleet
+        for tenant_id, depth in fleet.quarantine_depths().items():
+            saturation = depth / fleet.quarantine_size
+            if saturation > worst:
+                worst, who = saturation, tenant_id
         detail = (f"tenant {who!r} quarantine {worst:.0%} full; a full buffer "
                   "only rotates evidence — approve or deny its recovery"
                   if worst else "")

@@ -3,19 +3,19 @@
 The serving runtime needs visibility without a price: the observe path
 is the hot path, so every primitive here is a plain python object whose
 update is a couple of dict-free attribute operations under a per-child
-lock (never a registry-wide one — observers on different shards touch
-different children and never contend).  Labeled *families*
-(``shard``, ``tenant_class``, ``op``, ...) resolve to child instances
-once; callers cache the child and pay only the increment afterwards.
+lock (never a registry-wide one — observers touching different children
+never contend).  Labeled *families* (``tenant_class``, ``op``, ...)
+resolve to child instances once; callers cache the child and pay only
+the increment afterwards.
 
 Latency percentiles are streamed, not stored: :class:`Histogram` keeps
 fixed cumulative-style buckets (counts per bucket + sum + count), and
 :meth:`Histogram.quantile` interpolates p50/p90/p99 from the bucket the
 target rank falls in — the same estimate Prometheus's
 ``histogram_quantile`` computes server-side, available here without an
-external scrape.  Per-shard histograms over the same bounds
+external scrape.  Per-worker histograms over the same bounds
 :meth:`~Histogram.merge` exactly (bucket counts are additive), so the
-runtime's cross-shard export is the histogram of the merged stream.
+cluster's merged export is the histogram of the merged stream.
 
 :meth:`MetricsRegistry.snapshot` is deterministic — families sorted by
 name, series sorted by label values, buckets rendered cumulatively with
@@ -213,7 +213,7 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class MetricFamily:
     """A named metric plus its labeled children.
 
-    ``labels(shard="0", op="observe")`` resolves (creating on first use)
+    ``labels(tenant_class="all", op="observe")`` resolves (creating on first use)
     the child for that label combination; the unlabeled family of an
     empty label set proxies ``inc``/``set``/``observe`` straight to its
     single child.
@@ -295,9 +295,9 @@ class MetricsRegistry:
 
     Registration is idempotent: asking for an existing name returns the
     existing family, provided kind and label names agree (a mismatch is
-    a programming error and raises).  One registry is shared by every
-    shard of a runtime; the ``shard`` label keeps their series apart, so
-    a cross-shard export needs no merge step.
+    a programming error and raises).  One registry serves a whole
+    runtime process; across processes the cluster router merges worker
+    snapshots (see :mod:`repro.obs.cluster`).
     """
 
     def __init__(self) -> None:
@@ -347,7 +347,7 @@ def merged_histogram(snapshots: Iterable[Mapping]) -> dict:
     """Merge snapshot-form histogram series (same bounds) into one.
 
     Operates on the serialised form (cumulative buckets) so exporters
-    can aggregate across label sets — e.g. one all-shards latency line —
+    can aggregate across label sets — e.g. one all-workers latency line —
     without reaching back into live objects.
     """
     merged_buckets: list[list] | None = None
@@ -377,7 +377,7 @@ def merged_family(families: Sequence[Mapping], gauge_mode: str = "sum") -> dict:
     lags, where adding process-local readings is meaningless), and
     histograms fold through :func:`merged_histogram`.  Label sets
     present in only some inputs pass through — a worker that never
-    touched a shard simply contributes nothing to that series.
+    touched a label set simply contributes nothing to that series.
 
     Folding a single family returns a snapshot identical to the input
     (same series order, same value types), which is what makes a

@@ -27,18 +27,17 @@ asset:
   home-anchored observations, from which
   :meth:`~repro.serve.fleet.GeofenceFleet.reprovision_from_quarantine`
   can re-anchor a tenant whose inlier reservoir has starved;
-* :mod:`repro.serve.runtime` / :mod:`repro.serve.shard` /
-  :mod:`repro.serve.scheduler` — the **serving daemon**:
-  :class:`~repro.serve.runtime.ServingRuntime` hash-partitions tenants
-  across :class:`~repro.serve.shard.FleetShard`\\ s (independent locks,
-  LRU slices and telemetry) and runs policy maintenance on a
-  :class:`~repro.serve.scheduler.MaintenanceScheduler` background
+* :mod:`repro.serve.runtime` / :mod:`repro.serve.scheduler` — the
+  **serving daemon**: :class:`~repro.serve.runtime.ServingRuntime`
+  serves one fleet through a decision bus and runs policy maintenance
+  on a :class:`~repro.serve.scheduler.MaintenanceScheduler` background
   worker, off the observe path, with incremental (delta) checkpoint
   write-backs;
-* :mod:`repro.serve.cluster` — the **scale-out layer**: a
-  :class:`~repro.serve.cluster.router.Router` hash-partitions tenants
-  across worker *processes* (each a serial runtime over its registry
-  slice, spoken to over a length-prefixed framing protocol) and
+* :mod:`repro.serve.cluster` — the **scale-out layer** and the only
+  tenant partition: a :class:`~repro.serve.cluster.router.Router`
+  hash-partitions tenants (:func:`shard_index`, CRC-32) across worker
+  *processes* (each a serial runtime over its registry slice, spoken
+  to over a length-prefixed framing protocol) and
   optionally delta-ships every committed checkpoint write to a warm
   standby registry a :class:`~repro.serve.cluster.replicate.Follower`
   can ``promote()`` for failover.
@@ -82,10 +81,11 @@ from repro.serve.quarantine import (
     home_anchor_macs,
 )
 from repro.serve.registry import ModelRegistry, validate_tenant_id
-from repro.serve.runtime import ServingRuntime, shard_index
+from repro.serve.runtime import ServingRuntime
 from repro.serve.scheduler import MaintenanceScheduler
-from repro.serve.shard import FleetShard
 from repro.serve.telemetry import FleetTelemetry, TenantStats
+# The cluster package imports the modules above; import it last.
+from repro.serve.cluster.worker import shard_index
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -95,7 +95,6 @@ __all__ = [
     "DEFAULT_QUARANTINE_SIZE",
     "DEFAULT_RESERVOIR_SIZE",
     "FleetController",
-    "FleetShard",
     "FleetTelemetry",
     "GeofenceFleet",
     "INCREMENTAL_VERSION",

@@ -42,7 +42,7 @@ change inference output invalidates it for free:
   (token changes → conservative rebuild next batch).
 
 Outcomes are counted per ``(arm, outcome)`` and mirrored to the metric
-family ``repro_batch_fastpath_total{shard, arm, outcome}`` when a
+family ``repro_batch_fastpath_total{arm, outcome}`` when a
 :class:`~repro.obs.metrics.MetricsRegistry` is attached.
 """
 
@@ -94,19 +94,18 @@ class BatchPlane:
     tenant's model, which also guards the kernel cache and counters.
     """
 
-    def __init__(self, metrics=None, shard: str = "0"):
+    def __init__(self, metrics=None):
         # model -> (token, kernel); weak keys let evicted/replaced
         # models drop their kernels without any explicit hook.
         self._kernels: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.counts: dict[tuple[str, str], int] = {}
         self._family = None
         self._children: dict[tuple[str, str], object] = {}
-        self._shard = str(shard)
         if metrics is not None:
             self._family = metrics.counter(
                 "repro_batch_fastpath_total",
                 help="observe_many batches by arm and fast-path outcome",
-                labels=("shard", "arm", "outcome"))
+                labels=("arm", "outcome"))
 
     def observe_batch(self, model, records) -> tuple[list, str]:
         """Route one tenant batch; returns ``(decisions, outcome)``.
@@ -140,8 +139,7 @@ class BatchPlane:
         if self._family is not None:
             child = self._children.get(key)
             if child is None:
-                child = self._family.labels(shard=self._shard, arm=arm,
-                                            outcome=outcome)
+                child = self._family.labels(arm=arm, outcome=outcome)
                 self._children[key] = child
             child.inc()
 

@@ -8,7 +8,7 @@ The scale-out layer above :class:`~repro.serve.runtime.ServingRuntime`:
   process (or in-process thread), serving its disjoint hash slice of
   the tenants;
 * :mod:`~repro.serve.cluster.router` — the front end: routes by the
-  same CRC-32 partition the runtime shards with, fans batches across
+  CRC-32 tenant partition (``shard_index``), fans batches across
   workers, maps remote errors back to local types, and detects dead
   workers instead of hanging;
 * :mod:`~repro.serve.cluster.replicate` — delta-shipped replication of

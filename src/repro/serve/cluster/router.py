@@ -4,9 +4,8 @@ The :class:`Router` is the front end of the multi-process serving
 cluster: it owns N workers (each a
 :class:`~repro.serve.cluster.worker.ClusterWorker` wrapping a serial
 :class:`~repro.serve.runtime.ServingRuntime`), routes every tenant to
-the worker ``shard_index(tenant_id, num_workers)`` selects — the same
-CRC-32 partition the runtime uses for threads, now one level up for
-processes — and speaks the length-prefixed protocol of
+the worker ``shard_index(tenant_id, num_workers)`` (CRC-32) selects —
+the process is the only tenant partition — and speaks the length-prefixed protocol of
 :mod:`repro.serve.cluster.protocol` over each worker's stdio pipes.
 
 Design notes
@@ -76,10 +75,10 @@ from repro.serve.cluster.protocol import (
     write_frame,
 )
 from repro.serve.cluster.replicate import Follower, ReplicationError, ShippedWrite
-from repro.serve.cluster.worker import WorkerConfig, spawn_local_worker
+from repro.serve.cluster.worker import (WorkerConfig, shard_index,
+                                        spawn_local_worker)
 from repro.serve.policy import MaintenancePolicy
 from repro.serve.registry import ModelRegistry
-from repro.serve.runtime import shard_index
 from repro.serve.telemetry import TenantStats
 
 __all__ = ["ClusterError", "Router", "SubprocessWorkerHandle", "WorkerDied",
@@ -215,11 +214,10 @@ class Router:
         disjoint hash slice of the tenants in it).
     num_workers:
         Worker processes to partition tenants across.
-    capacity / incremental / policy / worker_shards / quarantine_size:
+    capacity / incremental / policy / quarantine_size:
         Forwarded to each worker's :class:`ServingRuntime` (capacity is
-        per worker-shard, as it is per runtime-shard; ``quarantine_size``
-        arms per-tenant quarantine buffers for starvation recovery, 0 =
-        off).
+        the LRU budget per worker; ``quarantine_size`` arms per-tenant
+        quarantine buffers for starvation recovery, 0 = off).
     standby:
         Registry root (or :class:`ModelRegistry` / :class:`Follower`) to
         replicate committed writes into.  Enables delta shipping in
@@ -252,7 +250,6 @@ class Router:
                  standby: Follower | ModelRegistry | str | Path | None = None,
                  timeout: float = 30.0,
                  launcher: Callable[[WorkerConfig], object] | None = None,
-                 worker_shards: int = 1,
                  quarantine_size: int = 0,
                  observability: bool = True,
                  slow_trace_threshold: float = 0.1):
@@ -305,7 +302,7 @@ class Router:
                     num_workers=num_workers, capacity=capacity,
                     incremental=incremental,
                     replicate=self.follower is not None,
-                    policy=policy_dict, shards=worker_shards,
+                    policy=policy_dict,
                     quarantine_size=quarantine_size,
                     observability=observability,
                     slow_trace_threshold=slow_trace_threshold)
@@ -609,8 +606,8 @@ class Router:
             requests += stat["requests"]
             busy += stat["busy_seconds"]
             runtime = stat["runtime"]
-            resident += sum(runtime["resident"])
-            pending += sum(runtime["pending_decisions"])
+            resident += runtime["resident"]
+            pending += runtime["pending_decisions"]
             totals.merge(TenantStats(**runtime["totals"]))
         return {"live_workers": self.live_workers,
                 "unresponsive": sorted(failed),

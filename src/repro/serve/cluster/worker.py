@@ -1,9 +1,8 @@
 """Cluster worker: one :class:`ServingRuntime` behind a protocol link.
 
 A worker owns one registry partition — the disjoint slice of tenants the
-router hashes to it with the same CRC-32
-:func:`~repro.serve.runtime.shard_index` the runtime uses for in-process
-shards — and serves requests serially off its link.  Serial dispatch is
+router hashes to it with the CRC-32 :func:`shard_index` defined here —
+and serves requests serially off its link.  Serial dispatch is
 what makes cluster decisions bit-identical to the single-process
 runtime: within a worker there is no interleaving to order, and across
 workers tenants are disjoint, so the only coordination a request needs
@@ -33,6 +32,7 @@ import socket
 import sys
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 
 from repro.serve.cluster.protocol import (
@@ -47,10 +47,21 @@ from repro.serve.cluster.protocol import (
 from repro.obs.tracing import maybe_span
 from repro.serve.cluster.replicate import DeltaShipper
 from repro.serve.policy import MaintenancePolicy
-from repro.serve.runtime import ServingRuntime, shard_index
+from repro.serve.runtime import ServingRuntime
 
 __all__ = ["ClusterWorker", "LocalWorkerHandle", "WorkerConfig", "main",
-           "spawn_local_worker"]
+           "shard_index", "spawn_local_worker"]
+
+
+def shard_index(tenant_id: str, num_workers: int) -> int:
+    """Stable tenant → worker partition (CRC-32 of the id).
+
+    Python's own ``hash()`` is salted per process; CRC-32 keeps the
+    partition identical across runs, processes and machines, so a
+    tenant's checkpoint is always served by the same worker of any
+    equally-sized cluster.
+    """
+    return zlib.crc32(tenant_id.encode("utf-8")) % num_workers
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,6 @@ class WorkerConfig:
     incremental: bool = True
     replicate: bool = False
     policy: dict | None = None    # MaintenancePolicy.to_dict() form
-    shards: int = 1               # runtime shards inside this worker
     quarantine_size: int = 0      # per-tenant quarantine capacity (0 = off)
     observability: bool = True    # per-worker registry/tracer/probes
     slow_trace_threshold: float = 0.1
@@ -79,7 +89,7 @@ class WorkerConfig:
         return {"registry": self.registry, "index": self.index,
                 "num_workers": self.num_workers, "capacity": self.capacity,
                 "incremental": self.incremental, "replicate": self.replicate,
-                "policy": self.policy, "shards": self.shards,
+                "policy": self.policy,
                 "quarantine_size": self.quarantine_size,
                 "observability": self.observability,
                 "slow_trace_threshold": self.slow_trace_threshold}
@@ -93,7 +103,6 @@ class WorkerConfig:
                        incremental=bool(data.get("incremental", True)),
                        replicate=bool(data.get("replicate", False)),
                        policy=data.get("policy"),
-                       shards=int(data.get("shards", 1)),
                        quarantine_size=int(data.get("quarantine_size", 0)),
                        observability=bool(data.get("observability", True)),
                        slow_trace_threshold=float(
@@ -140,8 +149,8 @@ class ClusterWorker:
         # requests identically to a serial runtime — a background ticker
         # would reintroduce timing nondeterminism per worker.
         self.runtime = ServingRuntime(
-            config.registry, num_shards=config.shards,
-            capacity=config.capacity, incremental=config.incremental,
+            config.registry, capacity=config.capacity,
+            incremental=config.incremental,
             policy=policy, scheduler_interval=None,
             observability=config.observability,
             slow_trace_threshold=config.slow_trace_threshold,

@@ -69,28 +69,26 @@ class FleetController:
         default default is the no-op :class:`MaintenancePolicy()`.
     policies:
         Per-tenant overrides (tenant_id -> policy).
-    metrics / tracer / shard:
+    metrics / tracer:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` to count
         maintenance actions into
-        (``repro_maintenance_actions_total{shard, action}``), an
-        optional :class:`~repro.obs.tracing.Tracer` wrapping each
-        executed refresh/reprovision in a ``maintenance`` span, and the
-        ``shard`` label value for the counters.
+        (``repro_maintenance_actions_total{action}``), and an optional
+        :class:`~repro.obs.tracing.Tracer` wrapping each executed
+        refresh/reprovision in a ``maintenance`` span.
     """
 
     def __init__(self, fleet: GeofenceFleet, policy: MaintenancePolicy | None = None,
                  policies: dict[str, MaintenancePolicy] | None = None,
-                 metrics=None, tracer=None, shard: str = "0"):
+                 metrics=None, tracer=None):
         self.fleet = fleet
         self.policy = policy if policy is not None else MaintenancePolicy()
         self.policies = dict(policies or {})
         self.telemetry = FleetTelemetry()
         self.tracer = tracer
-        self._shard = str(shard)
         self._actions_family = metrics.counter(
             "repro_maintenance_actions_total",
             help="Maintenance actions executed by the control plane",
-            labels=("shard", "action")) if metrics is not None else None
+            labels=("action",)) if metrics is not None else None
         self._action_children: dict[str, object] = {}
         self._states: dict[str, TenantControlState] = {}
         # Pending recovery proposals (tenant_id -> arming evidence) for
@@ -388,17 +386,6 @@ class FleetController:
                 out[tenant_id] = streak
         return out
 
-    def failed_refresh_streaks(self) -> dict[str, int]:
-        """``{tenant_id: consecutive failed refresh/reprovision attempts}``.
-
-        Only tenants with a live streak appear; a success resets the
-        tenant's streak to zero.  This is the raw signal behind the
-        ``stuck_refresh`` health probe.
-        """
-        return {tenant_id: state.failed_refresh_streak
-                for tenant_id, state in self._states.items()
-                if state.failed_refresh_streak}
-
     def _log(self, tenant_id: str, actions: list[str]) -> None:
         self.actions.extend((tenant_id, action) for action in actions)
         if self._actions_family is not None:
@@ -409,7 +396,6 @@ class FleetController:
                 name = action.split(":", 1)[0]
                 child = self._action_children.get(name)
                 if child is None:
-                    child = self._actions_family.labels(shard=self._shard,
-                                                        action=name)
+                    child = self._actions_family.labels(action=name)
                     self._action_children[name] = child
                 child.inc()

@@ -208,8 +208,7 @@ class GeofenceFleet:
         # engaged/fallback outcomes, and caches inference kernels
         # between batches (invalidated by identity token on refresh
         # commit / reprovision / evict-reload).  Shares the fleet lock.
-        self.batchplane = BatchPlane(metrics=self.telemetry.metrics,
-                                     shard=self.telemetry.shard)
+        self.batchplane = BatchPlane(metrics=self.telemetry.metrics)
         self._lock = RLock()
 
     # ------------------------------------------------------------------

@@ -1,39 +1,42 @@
-"""`repro.serve.runtime` — the sharded serving daemon.
+"""`repro.serve.runtime` — the serving daemon.
 
 PR 4 left `repro.serve` a passive library: one fleet, one lock, and a
 controller that only acts when the caller remembers to call it.  The
-:class:`ServingRuntime` is the serving *process* the ROADMAP's
-millions-of-homes deployment needs:
+:class:`ServingRuntime` is the serving *process* around that library:
+one :class:`~repro.serve.fleet.GeofenceFleet`, one
+:class:`~repro.serve.controller.FleetController`, one decision bus and
+an optional maintenance worker.  Tenants are partitioned across
+processes by the cluster :class:`~repro.serve.cluster.router.Router`,
+never inside one: in-process thread shards measured slower as shards
+were added, so the process is the only partition unit.
 
-* **Sharding** — tenants are hash-partitioned across N
-  :class:`~repro.serve.shard.FleetShard`\\ s.  Each shard owns its own
-  lock, LRU slice and telemetry, so observations for tenants on
-  different shards never contend; the partition is a stable function of
-  the tenant id (CRC-32), so a tenant's shard — and therefore its LRU
-  behaviour — is deterministic across runs and processes.
+* **Decision bus** — the data plane appends each (tenant, decision)
+  pair to a lock-free queue instead of stepping the controller inline,
+  and :meth:`ServingRuntime.pump` drains the queue into the controller.
+  The controller's bookkeeping — and any refresh it decides to run —
+  stays off the observe path, while the controller itself stays
+  single-threaded (only the pump caller ever touches it).
 * **Background maintenance** — a
-  :class:`~repro.serve.scheduler.MaintenanceScheduler` worker drains
-  each shard's decision bus into its controller and executes policy
-  decisions (coordinated refresh, escalation to re-provision, flush,
-  idle eviction) off the observe path.  Refreshes run swap-on-commit:
-  the shard lock is held for the model copy and the pointer swap, not
-  for the rebuild in between.
-* **Incremental checkpoints** — shards default to the delta write-back
-  format (:func:`repro.serve.checkpoint.save_incremental`), cutting the
-  LRU's write-back amplification: an eviction whose state only grew
-  appends a tail instead of rewriting the model.
+  :class:`~repro.serve.scheduler.MaintenanceScheduler` worker pumps the
+  bus and sweeps the controller (coordinated refresh, escalation to
+  re-provision, flush, idle eviction) off the observe path.  Refreshes
+  run swap-on-commit: the fleet lock is held for the model copy and the
+  pointer swap, not for the rebuild in between.
+* **Incremental checkpoints** — the runtime defaults to the delta
+  write-back format (:func:`repro.serve.checkpoint.save_incremental`),
+  cutting the LRU's write-back amplification: an eviction whose state
+  only grew appends a tail instead of rewriting the model.
 
-Determinism contract: ``ServingRuntime(root, num_shards=1,
-scheduler_interval=None, incremental=False)`` is bit-identical to a
-bare :class:`~repro.serve.fleet.GeofenceFleet` — same decisions, same
+Determinism contract: ``ServingRuntime(root, scheduler_interval=None,
+incremental=False)`` is bit-identical to a bare
+:class:`~repro.serve.fleet.GeofenceFleet` — same decisions, same
 checkpoint state — and with ``incremental=True`` the *reconstructed*
 state is still identical; only the on-disk layout differs.
 """
 
 from __future__ import annotations
 
-import zlib
-from collections import OrderedDict
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from repro.core.protocols import GeofenceDecision, GeofenceModel
@@ -43,43 +46,28 @@ from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.pipeline import PipelineSpec
-from repro.serve.fleet import DEFAULT_RESERVOIR_SIZE
+from repro.serve.controller import FleetController
+from repro.serve.fleet import DEFAULT_RESERVOIR_SIZE, GeofenceFleet
 from repro.serve.policy import MaintenancePolicy
 from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import MaintenanceScheduler
-from repro.serve.shard import FleetShard
-from repro.serve.telemetry import TenantStats
+from repro.serve.telemetry import FleetTelemetry, TenantStats
 
-__all__ = ["ServingRuntime", "shard_index"]
-
-
-def shard_index(tenant_id: str, num_shards: int) -> int:
-    """Stable tenant → shard partition (CRC-32 of the id).
-
-    Python's own ``hash()`` is salted per process; CRC-32 keeps the
-    partition identical across runs, processes and machines, so a
-    tenant's checkpoint is always maintained by the same shard of any
-    equally-sized runtime.
-    """
-    return zlib.crc32(tenant_id.encode("utf-8")) % num_shards
+__all__ = ["ServingRuntime"]
 
 
 class ServingRuntime:
-    """Hash-sharded, background-maintained, multi-tenant geofence server.
+    """Background-maintained, multi-tenant geofence server.
 
     Parameters
     ----------
     registry:
-        Shared checkpoint store (or a path to root one at).  Shards
-        share the registry; they never share a tenant.
-    num_shards:
-        Fleet shards to partition tenants across.
+        Checkpoint store (or a path to root one at).
     capacity:
-        LRU budget *per shard* (each shard owns its slice outright; a
-        runtime holds at most ``num_shards * capacity`` resident models).
+        LRU budget: at most this many resident models.
     policy / policies:
-        Default and per-tenant maintenance policies, executed by each
-        shard's controller on the maintenance worker.
+        Default and per-tenant maintenance policies, executed by the
+        controller as decisions are pumped off the bus.
     scheduler_interval:
         Seconds between background maintenance ticks; ``None`` disables
         the worker entirely (serial mode — call :meth:`maintain` to pump
@@ -92,18 +80,18 @@ class ServingRuntime:
         (default on — this is the runtime's amplification fix; pass
         False for byte-layout compatibility with plain fleets).
     model_factory / reservoir_size / max_delta_chain / delta_max_fraction:
-        Forwarded to each shard's :class:`GeofenceFleet`.
+        Forwarded to the :class:`GeofenceFleet`.
     quarantine_size / quarantine_seed:
-        Forwarded to each shard's fleet: capacity (0 disables — the
-        default, keeping existing runtimes bit-identical) and sampling
-        seed of the per-tenant
-        :class:`~repro.serve.quarantine.QuarantineBuffer` that collects
-        admission-gated rejected evidence for starvation recovery.
+        Forwarded to the fleet: capacity (0 disables — the default,
+        keeping existing runtimes bit-identical) and sampling seed of
+        the per-tenant :class:`~repro.serve.quarantine.QuarantineBuffer`
+        that collects admission-gated rejected evidence for starvation
+        recovery.
     observability:
         Wire a :class:`~repro.obs.metrics.MetricsRegistry`, a
         :class:`~repro.obs.tracing.Tracer` and a
-        :class:`~repro.obs.health.HealthMonitor` through every shard,
-        controller and the scheduler (default on; the mirror is a few
+        :class:`~repro.obs.health.HealthMonitor` through the fleet,
+        controller and scheduler (default on; the mirror is a few
         cached-child counter bumps per operation and never changes a
         decision).  Read back via :meth:`metrics` /
         :meth:`export_prometheus`.  Pass False for a bare runtime — the
@@ -118,7 +106,7 @@ class ServingRuntime:
         :class:`~repro.obs.tracing.Tracer`).
     """
 
-    def __init__(self, registry: ModelRegistry | str, num_shards: int = 1,
+    def __init__(self, registry: ModelRegistry | str,
                  capacity: int = 8,
                  model_factory: Callable[[], GeofenceModel] | None = None,
                  reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
@@ -135,11 +123,8 @@ class ServingRuntime:
                  tenant_class_of: Callable[[str], str] | None = None,
                  slow_trace_threshold: float = 0.1,
                  slow_trace_ring: int = 64):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.registry = registry if isinstance(registry, ModelRegistry) \
             else ModelRegistry(registry)
-        self.num_shards = num_shards
         if observability:
             self.metrics_registry = MetricsRegistry()
             self.tracer = Tracer(slow_threshold=slow_trace_threshold,
@@ -147,67 +132,66 @@ class ServingRuntime:
             self.health = HealthMonitor(metrics=self.metrics_registry)
             # Pull-style gauges the runtime refreshes at snapshot time.
             self._queue_gauge = self.metrics_registry.gauge(
-                "repro_shard_queue_depth",
-                help="Pending decisions on each shard's bus",
-                labels=("shard",))
+                "repro_decision_bus_depth",
+                help="Pending decisions on the runtime's decision bus")
             self._pump_age_gauge = self.metrics_registry.gauge(
                 "repro_scheduler_last_pump_age_seconds",
-                help="Seconds since each shard's last completed pump",
-                labels=("shard",))
+                help="Seconds since the scheduler's last completed pump")
+            telemetry = FleetTelemetry(metrics=self.metrics_registry,
+                                       tenant_class_of=tenant_class_of)
         else:
             self.metrics_registry = None
             self.tracer = None
             self.health = None
+            telemetry = None
+        knobs = {}
+        if max_delta_chain is not None:
+            knobs["max_delta_chain"] = max_delta_chain
+        if delta_max_fraction is not None:
+            knobs["delta_max_fraction"] = delta_max_fraction
+        self.fleet = GeofenceFleet(self.registry, capacity=capacity,
+                                   model_factory=model_factory,
+                                   telemetry=telemetry,
+                                   reservoir_size=reservoir_size,
+                                   incremental=incremental,
+                                   quarantine_size=quarantine_size,
+                                   quarantine_seed=quarantine_seed,
+                                   tracer=self.tracer, **knobs)
+        self.controller = FleetController(self.fleet, policy, policies,
+                                          metrics=self.metrics_registry,
+                                          tracer=self.tracer)
         background = scheduler_interval is not None
         # Serial mode arms the decision bus at construction when a
         # configured policy could act (maintain() is the pump there); a
         # background runtime always starts disarmed and arms in start(),
         # so a constructed-but-never-started daemon cannot accumulate
-        # decisions nothing will ever pump.  `None` lets the shard
-        # derive the policy-could-act default in one place.
-        track = False if background else None
-        self.shards = [
-            FleetShard(index, self.registry, capacity=capacity,
-                       model_factory=model_factory,
-                       reservoir_size=reservoir_size,
-                       incremental=incremental,
-                       max_delta_chain=max_delta_chain,
-                       delta_max_fraction=delta_max_fraction,
-                       policy=policy, policies=policies,
-                       track_decisions=track,
-                       metrics=self.metrics_registry, tracer=self.tracer,
-                       tenant_class_of=tenant_class_of,
-                       quarantine_size=quarantine_size,
-                       quarantine_seed=quarantine_seed)
-            for index in range(num_shards)
-        ]
+        # decisions nothing will ever pump.
+        self.track_decisions = not background and (
+            (policy is not None and not policy.is_noop()) or bool(policies))
+        # The decision bus.  collections.deque appends/poplefts are
+        # atomic under the GIL, so the observe path pays one append and
+        # no lock; only the pump caller removes.
+        self._pending: "deque[tuple[str, GeofenceDecision]]" = deque()
+        # Decisions ever popped off the bus, counted as they are popped:
+        # a pump that raises mid-drain still accounts for what it took.
+        self.decisions_pumped = 0
         self.scheduler = MaintenanceScheduler(
-            self.shards, interval=scheduler_interval,
-            sweep_every=sweep_every,
+            self, interval=scheduler_interval, sweep_every=sweep_every,
             metrics=self.metrics_registry) if background else None
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def shard_for(self, tenant_id: str) -> FleetShard:
-        """The shard that owns ``tenant_id`` (stable across runs)."""
-        return self.shards[shard_index(tenant_id, self.num_shards)]
 
     # ------------------------------------------------------------------
     # Commit events
     # ------------------------------------------------------------------
     def on_commit(self, listener) -> Callable[[], None]:
         """Call ``listener(tenant_id, CommitInfo)`` after every committed
-        checkpoint write any shard performs (provision, flush, eviction
+        checkpoint write the fleet performs (provision, flush, eviction
         write-back, delta append, compaction).
 
         This is the replication hook: a
         :class:`~repro.serve.cluster.replicate.DeltaShipper` subscribes
         here to stream committed format-3 delta entries (and full saves)
-        to a standby registry.  Shards share one registry, so one
-        subscription covers the whole runtime; returns an unsubscribe
-        callable.
+        to a standby registry; returns an unsubscribe callable.
         """
         return self.registry.subscribe(listener)
 
@@ -217,26 +201,24 @@ class ServingRuntime:
     def start(self) -> "ServingRuntime":
         """Launch background maintenance (no-op in serial mode).
 
-        Also arms every shard's decision bus: per-tenant policies can
-        arrive via a tenant spec's ``maintenance`` block, which only the
-        controller can see, so a running daemon tracks everything.
-        Observations served before ``start()`` are not tracked.
+        Also arms the decision bus: per-tenant policies can arrive via a
+        tenant spec's ``maintenance`` block, which only the controller
+        can see, so a running daemon tracks everything.  Observations
+        served before ``start()`` are not tracked.
         """
         if self.scheduler is not None:
-            for shard in self.shards:
-                shard.track_decisions = True
+            self.track_decisions = True
             self.scheduler.start()
         return self
 
     def close(self) -> None:
-        """Stop maintenance (final drain included), flush and drop all shards."""
+        """Stop maintenance (final drain included), flush and drop the fleet."""
         if self._closed:
             return
         if self.scheduler is not None and (self.scheduler.running
-                                           or any(s.pending_decisions for s in self.shards)):
+                                           or self._pending):
             self.scheduler.stop()
-        for shard in self.shards:
-            shard.close()
+        self.fleet.close()
         self._closed = True
 
     def __enter__(self) -> "ServingRuntime":
@@ -246,33 +228,26 @@ class ServingRuntime:
         self.close()
 
     # ------------------------------------------------------------------
-    # Data plane
+    # Data plane (fleet + decision bus)
     # ------------------------------------------------------------------
     def observe(self, tenant_id: str, record: SignalRecord) -> GeofenceDecision:
-        """Algorithm-2 observation, routed to the owning shard."""
-        return self.shard_for(tenant_id).observe(tenant_id, record)
+        """Algorithm-2 observation; the decision also joins the bus."""
+        decision = self.fleet.observe(tenant_id, record)
+        if self.track_decisions:
+            self._pending.append((tenant_id, decision))
+        return decision
 
     def observe_many(self, items: Iterable[tuple[str, SignalRecord]]) -> list[GeofenceDecision]:
-        """Batched dispatch: split by shard, answer in input order.
-
-        Each shard keeps its own batched grouping (one model lookup per
-        tenant per batch), so a single-shard runtime is exactly
-        ``GeofenceFleet.observe_many``.
-        """
+        """Batched dispatch: exactly ``GeofenceFleet.observe_many``."""
         items = list(items)
-        by_shard: "OrderedDict[int, list[int]]" = OrderedDict()
-        for position, (tenant_id, _) in enumerate(items):
-            by_shard.setdefault(shard_index(tenant_id, self.num_shards),
-                                []).append(position)
-        decisions: list[GeofenceDecision | None] = [None] * len(items)
-        for index, positions in by_shard.items():
-            batch = self.shards[index].observe_many(items[p] for p in positions)
-            for position, decision in zip(positions, batch):
-                decisions[position] = decision
+        decisions = self.fleet.observe_many(items)
+        if self.track_decisions:
+            for (tenant_id, _), decision in zip(items, decisions):
+                self._pending.append((tenant_id, decision))
         return decisions
 
     def score(self, tenant_id: str, record: SignalRecord) -> float:
-        return self.shard_for(tenant_id).score(tenant_id, record)
+        return self.fleet.score(tenant_id, record)
 
     # ------------------------------------------------------------------
     # Tenant lifecycle / maintenance mechanics
@@ -280,57 +255,78 @@ class ServingRuntime:
     def provision(self, tenant_id: str, records: Sequence[SignalRecord],
                   metadata: dict | None = None,
                   spec: PipelineSpec | None = None) -> GeofenceModel:
-        return self.shard_for(tenant_id).provision(tenant_id, records,
-                                                   metadata=metadata, spec=spec)
+        return self.fleet.provision(tenant_id, records, metadata=metadata, spec=spec)
 
     def refresh(self, tenant_id: str, admit_new_macs_after: int | None = None) -> int:
-        return self.shard_for(tenant_id).refresh(
-            tenant_id, admit_new_macs_after=admit_new_macs_after)
+        return self.fleet.refresh(tenant_id, admit_new_macs_after=admit_new_macs_after)
 
     def reprovision(self, tenant_id: str) -> GeofenceModel:
-        return self.shard_for(tenant_id).reprovision(tenant_id)
+        return self.fleet.reprovision(tenant_id)
 
     def reprovision_from_quarantine(self, tenant_id: str,
                                     max_fpr: float | None = 0.5) -> GeofenceModel:
-        return self.shard_for(tenant_id).reprovision_from_quarantine(
-            tenant_id, max_fpr=max_fpr)
+        return self.fleet.reprovision_from_quarantine(tenant_id, max_fpr=max_fpr)
 
     def evict(self, tenant_id: str) -> bool:
-        return self.shard_for(tenant_id).evict(tenant_id)
+        return self.fleet.evict(tenant_id)
 
     def flush(self, tenant_id: str | None = None) -> int:
-        if tenant_id is not None:
-            return self.shard_for(tenant_id).flush(tenant_id)
-        return sum(shard.flush() for shard in self.shards)
+        return self.fleet.flush(tenant_id)
 
     def is_dirty(self, tenant_id: str) -> bool:
-        return self.shard_for(tenant_id).fleet.is_dirty(tenant_id)
+        return self.fleet.is_dirty(tenant_id)
 
     def reservoir(self, tenant_id: str) -> list[SignalRecord]:
-        return self.shard_for(tenant_id).fleet.reservoir(tenant_id)
+        return self.fleet.reservoir(tenant_id)
 
     def quarantine(self, tenant_id: str) -> list[SignalRecord]:
-        return self.shard_for(tenant_id).fleet.quarantine(tenant_id)
+        return self.fleet.quarantine(tenant_id)
 
     # ------------------------------------------------------------------
-    # Recovery proposals (operator surface, merged across shards)
+    # Recovery proposals (operator surface)
     # ------------------------------------------------------------------
     def pending_recoveries(self) -> dict[str, dict]:
-        """Pending quarantine-recovery proposals across every shard's
-        controller (tenants are shard-disjoint, so a plain merge)."""
-        out: dict[str, dict] = {}
-        for shard in self.shards:
-            out.update(shard.controller.pending_recoveries())
-        return out
+        """Pending quarantine-recovery proposals awaiting an operator."""
+        return self.controller.pending_recoveries()
 
     def approve_recovery(self, tenant_id: str) -> None:
-        self.shard_for(tenant_id).controller.approve_recovery(tenant_id)
+        self.controller.approve_recovery(tenant_id)
 
     def deny_recovery(self, tenant_id: str) -> bool:
-        return self.shard_for(tenant_id).controller.deny_recovery(tenant_id)
+        return self.controller.deny_recovery(tenant_id)
+
+    # ------------------------------------------------------------------
+    # Control plane (the pump caller only)
+    # ------------------------------------------------------------------
+    def pump(self) -> int:
+        """Drain queued decisions into the controller; returns the count.
+
+        Single-consumer: only the maintenance worker (or a serial
+        caller) may pump.  The controller evaluates its policies as the
+        decisions fold in, so scheduled/triggered refreshes execute
+        here — on the pump thread, never on the observe path.  A
+        refresh's heavy rebuild additionally drops the fleet lock (see
+        :meth:`GeofenceFleet.refresh`), so observes keep flowing even
+        *during* maintenance.  Each decision counts into
+        :attr:`decisions_pumped` as it is popped, before the controller
+        sees it, so a step that raises loses no count.
+        """
+        drained = 0
+        while True:
+            try:
+                tenant_id, decision = self._pending.popleft()
+            except IndexError:
+                return drained
+            drained += 1
+            self.decisions_pumped += 1
+            self.controller.step(tenant_id, decision)
+
+    def sweep(self) -> dict[str, list[str]]:
+        """One controller maintain() pass (flush / idle-evict clauses)."""
+        return self.controller.maintain()
 
     def maintain(self) -> int:
-        """One synchronous pump + sweep over every shard (serial mode).
+        """One synchronous pump + sweep (serial mode).
 
         With a live background scheduler this is unnecessary (and must
         not race it); it exists so a serial runtime — or a test — can
@@ -341,60 +337,42 @@ class ServingRuntime:
             raise RuntimeError("maintain() would race the running background "
                                "scheduler; call it only in serial mode or "
                                "after stop()")
-        drained = 0
-        for shard in self.shards:
-            drained += shard.pump()
-            shard.sweep()
+        drained = self.pump()
+        self.sweep()
         return drained
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def pending_decisions(self) -> int:
+        return len(self._pending)
+
+    @property
     def resident_tenants(self) -> list[str]:
-        """Resident tenants across shards (shard-major, LRU order within)."""
-        out: list[str] = []
-        for shard in self.shards:
-            out.extend(shard.resident_tenants)
-        return out
+        """Resident tenants, LRU order."""
+        return self.fleet.resident_tenants
 
     def telemetry_totals(self) -> TenantStats:
-        """Fleet-wide counters summed across every shard."""
-        total = TenantStats()
-        for shard in self.shards:
-            total.merge(shard.fleet.telemetry.totals())
-        return total
+        """Fleet-wide counters."""
+        return self.fleet.telemetry.totals()
 
     def telemetry_snapshot(self) -> dict:
-        """Merged per-tenant/fleet counters (tenants are shard-disjoint)."""
-        tenants: dict[str, dict] = {}
-        retired = TenantStats()
-        for shard in self.shards:
-            snapshot = shard.fleet.telemetry.snapshot()
-            tenants.update(snapshot["tenants"])
-            retired.merge(TenantStats(**snapshot["retired"]))
-        totals = TenantStats(**retired.as_dict())
-        for counters in tenants.values():
-            totals.merge(TenantStats(**counters))
-        return {"tenants": dict(sorted(tenants.items())),
-                "retired": retired.as_dict(), "totals": totals.as_dict()}
+        """Per-tenant / retired / total counters (see
+        :meth:`FleetTelemetry.snapshot`)."""
+        return self.fleet.telemetry.snapshot()
 
     def maintenance_actions(self) -> list[tuple[str, str]]:
-        """Controller action log across shards, shard-major order."""
-        out: list[tuple[str, str]] = []
-        for shard in self.shards:
-            out.extend(shard.controller.actions)
-        return out
+        """Controller action log, ``(tenant_id, action)`` in order."""
+        return list(self.controller.actions)
 
     def stats(self) -> dict:
-        """Operational summary: shards, residency, scheduler, telemetry."""
-        totals = self.telemetry_totals()
+        """Operational summary: residency, bus depth, scheduler, telemetry."""
         return {
-            "num_shards": self.num_shards,
-            "resident": [len(shard.resident_tenants) for shard in self.shards],
-            "pending_decisions": [shard.pending_decisions for shard in self.shards],
+            "resident": len(self.fleet.resident_tenants),
+            "pending_decisions": self.pending_decisions,
             "scheduler": self.scheduler.stats() if self.scheduler is not None else None,
-            "totals": totals.as_dict(),
+            "totals": self.telemetry_totals().as_dict(),
         }
 
     # ------------------------------------------------------------------
@@ -403,22 +381,21 @@ class ServingRuntime:
     def metrics(self) -> dict:
         """Full observability snapshot (requires ``observability=True``).
 
-        Refreshes the pull-style gauges (per-shard queue depth,
-        scheduler pump recency), evaluates every health probe, and
-        returns ``{"families", "health", "traces", "scheduler"}`` —
-        plain data, deterministic key order, safe to serialise with
+        Refreshes the pull-style gauges (decision bus depth, scheduler
+        pump recency), evaluates every health probe, and returns
+        ``{"families", "health", "traces", "scheduler"}`` — plain data,
+        deterministic key order, safe to serialise with
         :func:`repro.obs.export.snapshot_to_json` or render with
         :func:`~repro.obs.export.render_prometheus`.
         """
         if self.metrics_registry is None:
             raise RuntimeError("runtime was built with observability=False; "
                                "no metrics to snapshot")
-        for shard in self.shards:
-            self._queue_gauge.labels(shard=str(shard.index)).set(
-                shard.pending_decisions)
+        self._queue_gauge.set(self.pending_decisions)
         if self.scheduler is not None:
-            for index, age in self.scheduler.last_pump_ages().items():
-                self._pump_age_gauge.labels(shard=str(index)).set(age)
+            age = self.scheduler.last_pump_age()
+            if age is not None:
+                self._pump_age_gauge.set(age)
         health = self.health.check(self)
         return {
             "families": self.metrics_registry.snapshot(),

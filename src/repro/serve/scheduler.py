@@ -1,18 +1,19 @@
-"""Background maintenance worker for a sharded serving runtime.
+"""Background maintenance worker for a serving runtime.
 
 The :class:`MaintenanceScheduler` is the piece that turns the passive
 fleet library into a daemon: a single worker thread that periodically
-**pumps** each shard's decision bus into its controller (executing any
+**pumps** the runtime's decision bus into its controller (executing any
 scheduled or telemetry-triggered refreshes there, off the observe path)
-and, less often, runs the controllers' **sweep** clauses (flush, idle
-eviction).  One thread serves every shard — controllers are
-single-threaded by design, and maintenance is IO/compute the shards'
-own locks already order against the data plane.
+and, less often, runs the controller's **sweep** clauses (flush, idle
+eviction).  The controller is single-threaded by design, and
+maintenance is IO/compute the fleet lock already orders against the
+data plane.
 
 Failure containment: a maintenance exception (e.g. a refresh discarded
 because its tenant was evicted mid-rebuild) must not kill the daemon.
-Each tick catches per-shard errors into a bounded ``errors`` log and
-keeps going; inspect it (or ``stats()``) from operational code.
+Each tick catches errors into a bounded ``errors`` log and keeps going;
+inspect it (or ``stats()``) from operational code.  Decisions the
+failed pump had already popped still count as drained.
 
 Clean shutdown: :meth:`stop` wakes the worker, joins it, and runs one
 final synchronous drain so every decision observed before the stop is
@@ -25,7 +26,6 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Sequence
 
 __all__ = ["MaintenanceScheduler"]
 
@@ -33,35 +33,36 @@ _MAX_ERRORS = 64
 
 
 class MaintenanceScheduler:
-    """Periodic pump + sweep over a set of :class:`FleetShard`\\ s.
+    """Periodic pump + sweep of a :class:`~repro.serve.runtime.ServingRuntime`.
 
     Parameters
     ----------
-    shards:
-        The shards to maintain (the runtime passes its own).
+    runtime:
+        The runtime to maintain: anything with ``pump()``, ``sweep()``,
+        ``pending_decisions`` and a ``decisions_pumped`` count.
     interval:
-        Seconds between ticks.  Each tick drains every shard's decision
-        queue; refreshes the controllers decide on run inside the tick.
+        Seconds between ticks.  Each tick drains the decision bus;
+        refreshes the controller decides on run inside the tick.
     sweep_every:
-        Run the controllers' ``maintain()`` sweep every N ticks;
+        Run the controller's ``maintain()`` sweep every N ticks;
         0 disables sweeps (pump only).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; mirrors
-        ticks, drained decisions and errors into counters, and per-shard
-        pump recency into the ``repro_scheduler_last_pump_age_seconds``
+        ticks, drained decisions and errors into counters, and pump
+        recency into the ``repro_scheduler_last_pump_age_seconds``
         gauge (refreshed by the runtime's ``metrics()`` snapshot).
     """
 
-    def __init__(self, shards: Sequence, interval: float = 0.05,
+    def __init__(self, runtime, interval: float = 0.05,
                  sweep_every: int = 20, metrics=None):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
         if sweep_every < 0:
             raise ValueError(f"sweep_every must be >= 0, got {sweep_every}")
-        self.shards = list(shards)
+        self.runtime = runtime
         self.interval = interval
         self.sweep_every = sweep_every
-        self.errors: list[tuple[int, str]] = []   # (shard index, traceback tail)
+        self.errors: list[str] = []   # traceback tails, oldest first
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._ticks = 0
@@ -69,8 +70,8 @@ class MaintenanceScheduler:
         self._sweeps = 0
         self._errors_total = 0    # cumulative, unlike the bounded log
         self._started_at: float | None = None
-        # shard index -> monotonic time of its last completed pump.
-        self._last_pump: dict[int, float] = {}
+        # Monotonic time of the last completed pump (None: never).
+        self._last_pump: float | None = None
         self._metrics = metrics
         if metrics is not None:
             self._ticks_counter = metrics.counter(
@@ -78,7 +79,7 @@ class MaintenanceScheduler:
                 help="Maintenance ticks completed")
             self._drained_counter = metrics.counter(
                 "repro_scheduler_decisions_drained_total",
-                help="Decisions drained from shard buses into controllers")
+                help="Decisions drained from the decision bus into the controller")
             self._errors_counter = metrics.counter(
                 "repro_scheduler_errors_total",
                 help="Maintenance exceptions caught (daemon kept running)")
@@ -105,7 +106,7 @@ class MaintenanceScheduler:
         """Stop the worker and drain what it had not yet pumped.
 
         After this returns, every decision the data plane enqueued
-        before the call has been folded into its shard's controller.
+        before the call has been folded into the controller.
         """
         self._stop.set()
         thread = self._thread
@@ -127,23 +128,25 @@ class MaintenanceScheduler:
     # One iteration (public so serial-mode callers can pump by hand)
     # ------------------------------------------------------------------
     def tick(self, sweep: bool | None = None) -> int:
-        """Pump every shard once (and maybe sweep); returns decisions drained.
+        """Pump the runtime once (and maybe sweep); returns decisions drained.
 
         ``sweep=None`` follows the ``sweep_every`` cadence; True/False
-        force or suppress the sweep for this tick.
+        force or suppress the sweep for this tick.  A pump that raises
+        still reports every decision it popped before the error.
         """
-        drained = 0
+        runtime = self.runtime
         self._ticks += 1
         if sweep is None:
             sweep = bool(self.sweep_every) and self._ticks % self.sweep_every == 0
-        for shard in self.shards:
-            try:
-                drained += shard.pump()
-                self._last_pump[shard.index] = time.monotonic()
-                if sweep:
-                    shard.sweep()
-            except Exception:
-                self._record_error(shard.index)
+        before = runtime.decisions_pumped
+        try:
+            runtime.pump()
+            self._last_pump = time.monotonic()
+            if sweep:
+                runtime.sweep()
+        except Exception:
+            self._record_error()
+        drained = runtime.decisions_pumped - before
         self._drained += drained
         if sweep:
             self._sweeps += 1
@@ -153,10 +156,10 @@ class MaintenanceScheduler:
                 self._drained_counter.inc(drained)
         return drained
 
-    def _record_error(self, shard_index: int) -> None:
+    def _record_error(self) -> None:
         if len(self.errors) >= _MAX_ERRORS:
             del self.errors[: _MAX_ERRORS // 2]
-        self.errors.append((shard_index, traceback.format_exc(limit=4)))
+        self.errors.append(traceback.format_exc(limit=4))
         self._errors_total += 1
         if self._metrics is not None:
             self._errors_counter.inc()
@@ -170,21 +173,21 @@ class MaintenanceScheduler:
             "ticks": self._ticks,
             "decisions_drained": self._drained,
             "sweeps": self._sweeps,
-            "pending": sum(shard.pending_decisions for shard in self.shards),
+            "pending": self.runtime.pending_decisions,
             "errors": len(self.errors),
             "uptime_seconds": (time.monotonic() - self._started_at
                                if self._started_at is not None else 0.0),
         }
 
-    def last_pump_ages(self) -> dict[int, float]:
-        """Seconds since each shard's last completed pump.
+    def last_pump_age(self) -> float | None:
+        """Seconds since the last completed pump; None before the first.
 
-        Shards never pumped are absent; a shard whose pump keeps raising
-        therefore *ages* here, which is the scheduler-staleness health
-        signal.
+        A pump that keeps raising never completes, so the age grows:
+        that is the scheduler-staleness health signal.
         """
-        now = time.monotonic()
-        return {index: now - at for index, at in self._last_pump.items()}
+        if self._last_pump is None:
+            return None
+        return time.monotonic() - self._last_pump
 
     def snapshot(self, recent_errors: int = 8) -> dict:
         """Operational snapshot: :meth:`stats` plus the error log.
@@ -192,18 +195,14 @@ class MaintenanceScheduler:
         ``errors`` becomes a dict — ``count`` is the *cumulative* error
         total (the inline log is bounded and halves when full, so its
         length undercounts a long-lived daemon) and ``recent`` holds the
-        last ``recent_errors`` entries as ``{"shard", "error"}`` with
-        the traceback's final line (the exception message) as the error.
+        last ``recent_errors`` entries as ``{"error"}`` with the
+        traceback's final line (the exception message) as the error.
         """
         out = self.stats()
         out["errors"] = {
             "count": self._errors_total,
-            "recent": [
-                {"shard": index,
-                 "error": text.strip().rsplit("\n", 1)[-1].strip()}
-                for index, text in self.errors[-recent_errors:]
-            ],
+            "recent": [{"error": text.strip().rsplit("\n", 1)[-1].strip()}
+                       for text in self.errors[-recent_errors:]],
         }
-        out["last_pump_ages"] = {str(index): age
-                                 for index, age in self.last_pump_ages().items()}
+        out["last_pump_age"] = self.last_pump_age()
         return out

@@ -11,8 +11,8 @@ so the three sections describe the same instant (conservation: totals
 
 Optionally a telemetry instance is **backed by a**
 :class:`~repro.obs.metrics.MetricsRegistry`: every ``record_*`` call
-additionally feeds labeled counter/histogram families (``shard``,
-``tenant_class``, ``op``), which is how the sharded runtime gets
+additionally feeds labeled counter/histogram families (``tenant_class``,
+``op``, ...), which is how the serving runtime gets
 latency percentiles and a Prometheus export without touching the
 fleet's hot path twice.  The mirror is write-through with pre-resolved
 children — a handful of cheap per-child lock acquisitions per record —
@@ -70,10 +70,7 @@ class FleetTelemetry:
     ----------
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` to mirror
-        every recording into (shared across shards; the ``shard`` label
-        keeps series apart).
-    shard:
-        Value of the ``shard`` label on mirrored series.
+        every recording into.
     tenant_class_of:
         Optional ``tenant_id -> class label`` mapping for the
         ``tenant_class`` label on decision counters (cardinality
@@ -81,57 +78,52 @@ class FleetTelemetry:
         Defaults to the single class ``"all"``.
     """
 
-    def __init__(self, metrics=None, shard: str = "0",
+    def __init__(self, metrics=None,
                  tenant_class_of: Callable[[str], str] | None = None):
         self._stats: dict[str, TenantStats] = {}
         self._retired = TenantStats()
         self._lock = threading.Lock()
         self._metrics = metrics
-        self._shard = str(shard)
         self._tenant_class_of = tenant_class_of
         if metrics is not None:
             self._decisions = metrics.counter(
                 "repro_decisions_total",
                 help="Geofence decisions by outcome",
-                labels=("shard", "tenant_class", "result"))
+                labels=("tenant_class", "result"))
             self._unembeddable = metrics.counter(
                 "repro_unembeddable_total",
                 help="Records with no embeddable MAC overlap (score=+inf)",
-                labels=("shard", "tenant_class"))
+                labels=("tenant_class",))
             self._buffered = metrics.counter(
                 "repro_update_buffered_total",
-                help="Confident inliers entering the self-update buffer",
-                labels=("shard",)).labels(shard=self._shard)
+                help="Confident inliers entering the self-update buffer").labels()
             self._applied = metrics.counter(
                 "repro_updates_applied_total",
-                help="Batch self-updates flushed into detectors",
-                labels=("shard",)).labels(shard=self._shard)
+                help="Batch self-updates flushed into detectors").labels()
             self._op_seconds = metrics.histogram(
                 "repro_op_seconds",
                 help="Latency of serving and maintenance operations",
-                labels=("shard", "op"))
+                labels=("op",))
             self._lifecycle = metrics.counter(
                 "repro_lifecycle_total",
                 help="Model lifecycle events by operation",
-                labels=("shard", "op"))
+                labels=("op",))
             self._bytes = metrics.counter(
                 "repro_checkpoint_bytes_total",
                 help="Checkpoint bytes written, by save kind",
-                labels=("shard", "kind"))
+                labels=("kind",))
             self._chain = metrics.gauge(
                 "repro_delta_chain_length",
-                help="Delta-chain length after the most recent write-back",
-                labels=("shard",)).labels(shard=self._shard)
+                help="Delta-chain length after the most recent write-back").labels()
             self._quarantine_admissions = metrics.counter(
                 "repro_quarantine_admissions_total",
                 help="Quarantine admission decisions by outcome "
                      "(admitted / no-anchor / inconsistent / sampled-out)",
-                labels=("shard", "outcome"))
+                labels=("outcome",))
             self._quarantine_depth = metrics.gauge(
                 "repro_quarantine_depth",
-                help="Rejected-but-home-anchored records held across this "
-                     "shard's resident quarantine buffers",
-                labels=("shard",)).labels(shard=self._shard)
+                help="Rejected-but-home-anchored records held across the "
+                     "fleet's resident quarantine buffers").labels()
             # Outcome children resolved lazily (the set is closed but a
             # quarantine-off fleet should create no series at all).
             self._quarantine_children: dict[str, object] = {}
@@ -139,9 +131,9 @@ class FleetTelemetry:
             # closed set, so resolve once and index by op string).
             ops = ("observe", "load", "save", "delta_save", "evict",
                    "refresh", "reprovision")
-            self._op_children = {op: self._op_seconds.labels(shard=self._shard, op=op)
+            self._op_children = {op: self._op_seconds.labels(op=op)
                                  for op in ops}
-            self._lifecycle_children = {op: self._lifecycle.labels(shard=self._shard, op=op)
+            self._lifecycle_children = {op: self._lifecycle.labels(op=op)
                                         for op in ops}
             # (inside, outside, unembeddable) counter triples per class.
             self._class_children: dict[str, tuple] = {}
@@ -150,11 +142,6 @@ class FleetTelemetry:
     def metrics(self):
         """The backing MetricsRegistry (None when unmirrored)."""
         return self._metrics
-
-    @property
-    def shard(self) -> str:
-        """Value of the ``shard`` label on mirrored series."""
-        return self._shard
 
     def _tenant(self, tenant_id: str) -> TenantStats:
         stats = self._stats.get(tenant_id)
@@ -167,11 +154,11 @@ class FleetTelemetry:
         children = self._class_children.get(label)
         if children is None:
             children = (
-                self._decisions.labels(shard=self._shard, tenant_class=label,
+                self._decisions.labels(tenant_class=label,
                                        result="inside"),
-                self._decisions.labels(shard=self._shard, tenant_class=label,
+                self._decisions.labels(tenant_class=label,
                                        result="outside"),
-                self._unembeddable.labels(shard=self._shard, tenant_class=label),
+                self._unembeddable.labels(tenant_class=label),
             )
             self._class_children[label] = children
         return children
@@ -313,13 +300,12 @@ class FleetTelemetry:
             return
         child = self._quarantine_children.get(outcome)
         if child is None:
-            child = self._quarantine_admissions.labels(shard=self._shard,
-                                                       outcome=outcome)
+            child = self._quarantine_admissions.labels(outcome=outcome)
             self._quarantine_children[outcome] = child
         child.inc()
 
     def record_quarantine_depth(self, depth: int) -> None:
-        """Mirror the shard-wide resident quarantine depth."""
+        """Mirror the fleet-wide resident quarantine depth."""
         if self._metrics is None:
             return
         self._quarantine_depth.set(depth)
@@ -329,7 +315,7 @@ class FleetTelemetry:
         :class:`TenantStats` field changes shape for this)."""
         if self._metrics is None:
             return
-        self._bytes.labels(shard=self._shard, kind=kind).inc(nbytes)
+        self._bytes.labels(kind=kind).inc(nbytes)
         self._chain.set(chain_length)
 
     def retire(self, tenant_id: str) -> None:

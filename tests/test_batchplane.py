@@ -135,13 +135,13 @@ class TestFallbackMatrix:
 class TestFastpathMetrics:
     def test_counter_family_counts_by_arm_and_outcome(self):
         metrics = MetricsRegistry()
-        plane = BatchPlane(metrics=metrics, shard="3")
+        plane = BatchPlane(metrics=metrics)
         gem = fitted_gem()
         plane.observe_batch(gem, synthetic_records(4, seed=5))
         plane.observe_batch(gem, synthetic_records(4, seed=6))
         child = metrics.counter("repro_batch_fastpath_total",
-                                labels=("shard", "arm", "outcome")).labels(
-            shard="3", arm="gem", outcome="engaged")
+                                labels=("arm", "outcome")).labels(
+            arm="gem", outcome="engaged")
         assert child.value == 2.0
         assert plane.counts[("gem", "engaged")] == 2
         assert plane.engaged_total() == 2
@@ -150,14 +150,14 @@ class TestFastpathMetrics:
 
     def test_fleet_wires_plane_to_telemetry_metrics(self, tmp_path):
         metrics = MetricsRegistry()
-        telemetry = FleetTelemetry(metrics=metrics, shard="7")
+        telemetry = FleetTelemetry(metrics=metrics)
         fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,
                               telemetry=telemetry, reservoir_size=16)
         fleet.provision("t", synthetic_records(30, seed=0))
         fleet.observe_many([("t", r) for r in synthetic_records(4, seed=5)])
         child = metrics.counter("repro_batch_fastpath_total",
-                                labels=("shard", "arm", "outcome")).labels(
-            shard="7", arm="gem", outcome="engaged")
+                                labels=("arm", "outcome")).labels(
+            arm="gem", outcome="engaged")
         assert child.value == 1.0
         fleet.close()
 

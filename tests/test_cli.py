@@ -331,13 +331,13 @@ class TestRuntimeDaemon:
         policy_path.write_text('{"check_every": 4, "refresh_every": 8}\n')
         out_path = tmp_path / "decisions.jsonl"
         assert run("runtime", "--registry", str(registry_root),
-                   "--events", str(events), "--shards", "2",
+                   "--events", str(events),
                    "--policy", str(policy_path), "--interval", "0.01",
                    "-o", str(out_path)) == 0
         decisions = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(decisions) == 24
         err = capsys.readouterr().err
-        assert "across 2 shard(s)" in err
+        assert f"served 24 events from {events}" in err
         assert "scheduler:" in err and "drained" in err
 
     def test_serve_daemon_alias_serial_mode(self, tmp_path, served_world, capsys):
@@ -365,7 +365,7 @@ class TestRuntimeDaemon:
         assert run("serve", "--registry", str(registry_root),
                    "--events", str(events), "-o", str(serve_out)) == 0
         assert run("runtime", "--registry", str(runtime_root),
-                   "--events", str(events), "--shards", "1",
+                   "--events", str(events),
                    "--interval", "0", "--no-incremental",
                    "-o", str(runtime_out)) == 0
         assert runtime_out.read_text() == serve_out.read_text()
@@ -453,11 +453,13 @@ class TestObservabilityCLI:
     def snapshot_line(at, decisions, resident):
         return json.dumps({"at": at, "families": {
             "repro_decisions_total": {
-                "type": "counter", "help": "", "labels": ["shard"],
-                "series": [{"labels": {"shard": "0"}, "value": decisions}]},
+                "type": "counter", "help": "", "labels": ["tenant_class"],
+                "series": [{"labels": {"tenant_class": "all"},
+                            "value": decisions}]},
             "repro_tenants_resident": {
-                "type": "gauge", "help": "", "labels": ["shard"],
-                "series": [{"labels": {"shard": "0"}, "value": resident}]},
+                "type": "gauge", "help": "", "labels": ["tenant_class"],
+                "series": [{"labels": {"tenant_class": "all"},
+                            "value": resident}]},
         }}) + "\n"
 
     def test_obs_render_diff_two_files(self, tmp_path, capsys):
@@ -534,8 +536,7 @@ class TestClusterCLI:
         fast = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
         registry_root = tmp_path / "reg"
         tenants = ["smoke-a", "smoke-d"]    # shard_index(t, 2) = 0 and 1
-        with ServingRuntime(registry_root, num_shards=1,
-                            model_factory=lambda: GEM(fast),
+        with ServingRuntime(registry_root, model_factory=lambda: GEM(fast),
                             scheduler_interval=None) as runtime:
             for index, tenant in enumerate(tenants):
                 runtime.provision(tenant, synthetic_records(
@@ -632,8 +633,7 @@ class TestClusterCLI:
         snapshot = json.loads(metrics_path.read_text().splitlines()[-1])
         families = snapshot["families"]
         decisions = families["repro_decisions_total"]
-        assert decisions["labels"] == ["shard", "tenant_class", "result",
-                                       "worker"]
+        assert decisions["labels"] == ["tenant_class", "result", "worker"]
         aggregated = sum(e["value"] for e in decisions["series"]
                          if "worker" not in e["labels"])
         per_worker = sum(e["value"] for e in decisions["series"]

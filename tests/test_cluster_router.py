@@ -10,7 +10,7 @@ from conftest import synthetic_records
 from repro.core import GEM, GEMConfig
 from repro.embedding.bisage import BiSAGEConfig
 from repro.pipeline import ComponentSpec, PipelineSpec
-from repro.serve import CheckpointError, ServingRuntime
+from repro.serve import CheckpointError, ServingRuntime, shard_index
 from repro.serve.cluster import (Router, WorkerDied, WorkerTimeout,
                                  spawn_local_worker)
 from repro.serve.cluster.protocol import (hello_frame, read_frame, write_frame)
@@ -41,7 +41,7 @@ def interleaved_stream(n: int = 40):
 def seed_registry(tmp_path_factory):
     """Five provisioned tenants, built once and copied per test."""
     root = tmp_path_factory.mktemp("cluster-seed") / "registry"
-    with ServingRuntime(root, num_shards=1, model_factory=make_gem,
+    with ServingRuntime(root, model_factory=make_gem,
                         scheduler_interval=None) as runtime:
         for index, tenant in enumerate(TENANTS):
             runtime.provision(tenant, tenant_records(index))
@@ -66,7 +66,7 @@ class TestClusterServing:
         # produces exactly the serial runtime's decisions.
         stream = interleaved_stream()
         with ServingRuntime(fresh_copy(seed_registry, tmp_path, "serial"),
-                            num_shards=1, scheduler_interval=None) as runtime:
+                            scheduler_interval=None) as runtime:
             expected = [runtime.observe(t, r) for t, r in stream]
         with local_router(fresh_copy(seed_registry, tmp_path, "cluster")) as router:
             got = [router.observe(t, r) for t, r in stream]
@@ -168,6 +168,14 @@ def _handshake(reader, writer, config):
     write_frame(writer, hello_frame(worker=config.index, pid=None))
 
 
+class TestPartition:
+    def test_partition_is_stable_and_total(self):
+        for tenant in TENANTS:
+            index = shard_index(tenant, 4)
+            assert 0 <= index < 4
+            assert shard_index(tenant, 4) == index  # no per-process salt
+
+
 class TestFailureModes:
     def test_silent_worker_times_out_but_link_survives(self, tmp_path):
         def silent(reader, writer, config):
@@ -209,7 +217,6 @@ class TestFailureModes:
         # not own the tenant: the worker must refuse, not serve quietly.
         from repro.serve.cluster import WorkerConfig
         from repro.serve.cluster.protocol import encode_record
-        from repro.serve.runtime import shard_index
 
         tenant = TENANTS[0]
         wrong = (shard_index(tenant, 4) + 1) % 4
@@ -264,11 +271,9 @@ class TestObservabilityAndReplication:
             assert report.tenants == len(TENANTS)
             assert report.seconds > 0
         probe = interleaved_stream(15)
-        with ServingRuntime(primary, num_shards=1,
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(primary, scheduler_interval=None) as runtime:
             expected = [runtime.observe(t, r) for t, r in probe]
-        with ServingRuntime(standby, num_shards=1,
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(standby, scheduler_interval=None) as runtime:
             got = [runtime.observe(t, r) for t, r in probe]
         assert got == expected
 

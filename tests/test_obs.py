@@ -353,15 +353,12 @@ class FakeController:
     def __init__(self, streaks):
         self._streaks = streaks
 
-    def failed_refresh_streaks(self):
+    def stuck_streaks(self):
         return dict(self._streaks)
 
 
-class FakeShard:
-    def __init__(self, index, pending=0, streaks=()):
-        self.index = index
-        self.pending_decisions = pending
-        self.controller = FakeController(dict(streaks))
+class FakeFleet:
+    quarantine_size = 0
 
 
 class FakeTotals:
@@ -371,8 +368,10 @@ class FakeTotals:
 
 
 class FakeRuntime:
-    def __init__(self, shards, totals, scheduler=None):
-        self.shards = shards
+    def __init__(self, totals, pending=0, streaks=(), scheduler=None):
+        self.controller = FakeController(dict(streaks))
+        self.fleet = FakeFleet()
+        self.pending_decisions = pending
         self._totals = totals
         self.scheduler = scheduler
 
@@ -383,7 +382,7 @@ class FakeRuntime:
 class TestHealthMonitor:
     def test_all_ok_on_a_quiet_runtime(self):
         monitor = HealthMonitor()
-        runtime = FakeRuntime([FakeShard(0)], FakeTotals(10, 5))
+        runtime = FakeRuntime(FakeTotals(10, 5))
         results = monitor.check(runtime)
         assert set(results) == {"stuck_refresh", "reservoir_starvation",
                                 "scheduler_staleness", "decision_bus_depth"}
@@ -394,8 +393,8 @@ class TestHealthMonitor:
     def test_threshold_grading(self):
         assert ProbeResult("p", 1.0, "ok", 2.0, 4.0).level == 0
         monitor = HealthMonitor(stuck_refresh=(2, 4))
-        warn = FakeRuntime([FakeShard(0, streaks={"t": 2})], FakeTotals(0, 0))
-        critical = FakeRuntime([FakeShard(0, streaks={"t": 9})], FakeTotals(0, 0))
+        warn = FakeRuntime(FakeTotals(0, 0), streaks={"t": 2})
+        critical = FakeRuntime(FakeTotals(0, 0), streaks={"t": 9})
         assert monitor.check(warn)["stuck_refresh"].status == "warn"
         result = monitor.check(critical)["stuck_refresh"]
         assert result.status == "critical"
@@ -403,36 +402,34 @@ class TestHealthMonitor:
 
     def test_starvation_counts_since_last_inside(self):
         monitor = HealthMonitor(starvation_window=100)
-        shards = [FakeShard(0)]
         assert monitor.check(
-            FakeRuntime(shards, FakeTotals(50, 5)))["reservoir_starvation"].value == 0
+            FakeRuntime(FakeTotals(50, 5)))["reservoir_starvation"].value == 0
         # 150 more observations, no new inside decision: warn.
         result = monitor.check(
-            FakeRuntime(shards, FakeTotals(200, 5)))["reservoir_starvation"]
+            FakeRuntime(FakeTotals(200, 5)))["reservoir_starvation"]
         assert result.value == 150
         assert result.status == "warn"
         # Critical at twice the window.
         assert monitor.check(
-            FakeRuntime(shards, FakeTotals(450, 5)))["reservoir_starvation"] \
+            FakeRuntime(FakeTotals(450, 5)))["reservoir_starvation"] \
             .status == "critical"
         # One inside decision resets the window.
         assert monitor.check(
-            FakeRuntime(shards, FakeTotals(460, 6)))["reservoir_starvation"] \
+            FakeRuntime(FakeTotals(460, 6)))["reservoir_starvation"] \
             .status == "ok"
 
-    def test_bus_depth_reports_worst_shard(self):
+    def test_bus_depth_reports_pending_decisions(self):
         monitor = HealthMonitor(bus_depth=(10, 100))
-        runtime = FakeRuntime([FakeShard(0, pending=3), FakeShard(1, pending=40)],
-                              FakeTotals(0, 0))
+        runtime = FakeRuntime(FakeTotals(0, 0), pending=40)
         result = monitor.check(runtime)["decision_bus_depth"]
         assert result.value == 40
         assert result.status == "warn"
-        assert "shard 1" in result.detail
+        assert "40 pending decisions" in result.detail
 
     def test_results_mirror_into_gauges(self):
         reg = MetricsRegistry()
         monitor = HealthMonitor(metrics=reg, bus_depth=(10, 100))
-        monitor.check(FakeRuntime([FakeShard(0, pending=25)], FakeTotals(0, 0)))
+        monitor.check(FakeRuntime(FakeTotals(0, 0), pending=25))
         value = reg.get("repro_health_value").labels(probe="decision_bus_depth")
         status = reg.get("repro_health_status").labels(probe="decision_bus_depth")
         assert value.value == 25
@@ -440,6 +437,6 @@ class TestHealthMonitor:
 
     def test_as_dict_round_trips_through_json(self):
         result = HealthMonitor().check(
-            FakeRuntime([FakeShard(0)], FakeTotals(0, 0)))["decision_bus_depth"]
+            FakeRuntime(FakeTotals(0, 0)))["decision_bus_depth"]
         assert json.loads(json.dumps(result.as_dict()))["probe"] == \
             "decision_bus_depth"

@@ -46,7 +46,7 @@ def interleaved_stream(n: int = 40):
 @pytest.fixture(scope="module")
 def seed_registry(tmp_path_factory):
     root = tmp_path_factory.mktemp("obs-cluster-seed") / "registry"
-    with ServingRuntime(root, num_shards=1, model_factory=make_gem,
+    with ServingRuntime(root, model_factory=make_gem,
                         scheduler_interval=None) as runtime:
         for index, tenant in enumerate(TENANTS):
             runtime.provision(tenant, tenant_records(index))
@@ -68,13 +68,13 @@ def local_router(root, **kwargs) -> Router:
 # ----------------------------------------------------------------------
 # Helpers: build snapshot-form families without a live registry.
 # ----------------------------------------------------------------------
-def counter_family(values: dict[str, float], label: str = "shard") -> dict:
+def counter_family(values: dict[str, float], label: str = "tenant_class") -> dict:
     return {"type": "counter", "help": "t", "labels": [label],
             "series": [{"labels": {label: key}, "value": value}
                        for key, value in sorted(values.items())]}
 
 
-def gauge_family(values: dict[str, float], label: str = "shard") -> dict:
+def gauge_family(values: dict[str, float], label: str = "tenant_class") -> dict:
     family = counter_family(values, label)
     family["type"] = "gauge"
     return family
@@ -83,9 +83,9 @@ def gauge_family(values: dict[str, float], label: str = "shard") -> dict:
 def registry_with_histogram(samples, bounds=(0.01, 0.1, 1.0)):
     registry = MetricsRegistry()
     histogram = registry.histogram("repro_test_seconds", help="t",
-                                   labels=("shard",), buckets=bounds)
-    for shard, value in samples:
-        histogram.labels(shard=shard).observe(value)
+                                   labels=("tenant_class",), buckets=bounds)
+    for label, value in samples:
+        histogram.labels(tenant_class=label).observe(value)
     return registry.snapshot()["repro_test_seconds"]
 
 
@@ -115,8 +115,8 @@ class TestMergedFamily:
         # worker's snapshot — canonical JSON equality, not approx.
         registry = MetricsRegistry()
         counter = registry.counter("repro_test_total", help="t",
-                                   labels=("shard",))
-        counter.labels(shard="0").inc(3)
+                                   labels=("tenant_class",))
+        counter.labels(tenant_class="0").inc(3)
         histogram = registry.histogram("repro_test_seconds", help="t",
                                        labels=("op",))
         histogram.labels(op="observe").observe(0.25)
@@ -125,14 +125,14 @@ class TestMergedFamily:
         assert snapshot_to_json(merged) == snapshot_to_json(snapshot)
 
     def test_disjoint_label_children_union(self):
-        # Workers number their own shards; a shard only worker 1 served
-        # passes through untouched while shared keys sum.
+        # A label value only worker 1 served passes through untouched
+        # while shared keys sum.
         merged = merged_family([counter_family({"0": 2.0}),
                                 counter_family({"0": 3.0, "1": 7.0})])
-        series = {entry["labels"]["shard"]: entry["value"]
+        series = {entry["labels"]["tenant_class"]: entry["value"]
                   for entry in merged["series"]}
         assert series == {"0": 5.0, "1": 7.0}
-        assert [e["labels"]["shard"] for e in merged["series"]] == ["0", "1"]
+        assert [e["labels"]["tenant_class"] for e in merged["series"]] == ["0", "1"]
 
     def test_counter_totals_are_exact_sums(self):
         # Property: for any worker partition of the same event stream,
@@ -147,7 +147,7 @@ class TestMergedFamily:
             for key, value in values.items():
                 expected[key] = expected.get(key, 0.0) + value
         merged = merged_family(workers)
-        assert {entry["labels"]["shard"]: entry["value"]
+        assert {entry["labels"]["tenant_class"]: entry["value"]
                 for entry in merged["series"]} == expected
 
     def test_histograms_fold_through_merged_histogram(self):
@@ -199,12 +199,12 @@ class TestClusterFamilies:
             {0: {"repro_decisions_total": counter_family({"0": 2.0})},
              1: {"repro_decisions_total": counter_family({"0": 3.0})}})
         family = out["repro_decisions_total"]
-        assert family["labels"] == ["shard", "worker"]
+        assert family["labels"] == ["tenant_class", "worker"]
         rows = {tuple(sorted(e["labels"].items())): e["value"]
                 for e in family["series"]}
-        assert rows[(("shard", "0"),)] == 5.0                    # aggregate
-        assert rows[(("shard", "0"), ("worker", "0"))] == 2.0
-        assert rows[(("shard", "0"), ("worker", "1"))] == 3.0
+        assert rows[(("tenant_class", "0"),)] == 5.0                    # aggregate
+        assert rows[(("tenant_class", "0"), ("worker", "0"))] == 2.0
+        assert rows[(("tenant_class", "0"), ("worker", "1"))] == 3.0
         # Router-local families pass through untouched.
         assert out["repro_router_requests_total"]["labels"] == ["op"]
 

@@ -46,7 +46,7 @@ def stream(target, n: int = 45) -> list:
 # ----------------------------------------------------------------------
 class TestRuntimeMetrics:
     def test_export_covers_the_acceptance_surface(self, tmp_path):
-        with ServingRuntime(tmp_path / "reg", num_shards=2, capacity=8,
+        with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
@@ -56,14 +56,14 @@ class TestRuntimeMetrics:
             text = runtime.export_prometheus()
 
         families = snapshot["families"]
-        # Op latency histograms, with per-shard + per-op labels.
+        # Op latency histograms, with per-op labels.
         ops = {s["labels"]["op"] for s in families["repro_op_seconds"]["series"]}
         assert {"observe", "load", "save", "refresh"} <= ops
         assert families["repro_op_seconds"]["type"] == "histogram"
-        # Per-shard queue depth gauges exist for every shard.
-        shards = {s["labels"]["shard"]
-                  for s in families["repro_shard_queue_depth"]["series"]}
-        assert shards == {"0", "1"}
+        # The decision bus depth is one unlabelled gauge.
+        assert families["repro_decision_bus_depth"]["labels"] == []
+        assert families["repro_decision_bus_depth"]["series"] == [
+            {"labels": {}, "value": 0.0}]
         # Serial mode: no scheduler pumps, so the pump-age gauge has no
         # series — staleness is the health probe's job here.
         assert families["repro_scheduler_last_pump_age_seconds"]["series"] == []
@@ -81,11 +81,11 @@ class TestRuntimeMetrics:
         assert 'repro_op_seconds_bucket{' in text
         assert 'op="observe"' in text and 'le="+Inf"' in text
         assert "# TYPE repro_decisions_total counter" in text
-        assert 'repro_shard_queue_depth{shard="0"} 0' in text
+        assert "repro_decision_bus_depth 0" in text
         assert 'repro_health_status{probe="scheduler_staleness"} 0' in text
 
     def test_decision_counters_add_up(self, tmp_path):
-        with ServingRuntime(tmp_path / "reg", num_shards=2, capacity=8,
+        with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem,
                             scheduler_interval=None) as runtime:
             decisions = stream(provision_all(runtime) or runtime)
@@ -102,7 +102,7 @@ class TestRuntimeMetrics:
         assert observed == len(decisions)
 
     def test_checkpoint_bytes_and_chain_metrics_flow(self, tmp_path):
-        with ServingRuntime(tmp_path / "reg", num_shards=1, capacity=8,
+        with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem, incremental=True,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
@@ -118,8 +118,7 @@ class TestRuntimeMetrics:
         assert chain >= 1
 
     def test_observability_off_raises_and_costs_nothing(self, tmp_path):
-        runtime = ServingRuntime(tmp_path / "reg", num_shards=1,
-                                 model_factory=make_gem, observability=False,
+        runtime = ServingRuntime(tmp_path / "reg", model_factory=make_gem, observability=False,
                                  scheduler_interval=None)
         assert runtime.metrics_registry is None
         assert runtime.tracer is None
@@ -130,7 +129,7 @@ class TestRuntimeMetrics:
         runtime.close()
 
     def test_background_mode_reports_scheduler_and_pump_age(self, tmp_path):
-        with ServingRuntime(tmp_path / "reg", num_shards=1, capacity=8,
+        with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem,
                             policy=MaintenancePolicy(check_every=8,
                                                      refresh_every=16),
@@ -146,8 +145,10 @@ class TestRuntimeMetrics:
         scheduler = snapshot["scheduler"]
         assert scheduler["ticks"] >= 2
         assert isinstance(scheduler["errors"], dict)
-        assert scheduler["last_pump_ages"].keys() == {"0"}
-        assert scheduler["last_pump_ages"]["0"] < 60.0
+        assert 0.0 <= scheduler["last_pump_age"] < 60.0
+        age = snapshot["families"]["repro_scheduler_last_pump_age_seconds"]
+        assert age["labels"] == []
+        assert len(age["series"]) == 1
 
 
 class TestBitIdentity:
@@ -157,7 +158,7 @@ class TestBitIdentity:
         policy = MaintenancePolicy(check_every=8, refresh_every=16)
         decisions = {}
         for name, observability in (("on", True), ("off", False)):
-            with ServingRuntime(tmp_path / name, num_shards=1, capacity=2,
+            with ServingRuntime(tmp_path / name, capacity=2,
                                 model_factory=make_gem, policy=policy,
                                 observability=observability,
                                 scheduler_interval=None) as runtime:
@@ -242,7 +243,7 @@ class SweepBombPolicy:
 class TestSchedulerErrorLog:
     @pytest.fixture()
     def runtime(self, tmp_path):
-        with ServingRuntime(tmp_path / "reg", num_shards=1, capacity=8,
+        with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem,
                             policies={t: SweepBombPolicy() for t in TENANTS},
                             scheduler_interval=None) as runtime:
@@ -250,7 +251,7 @@ class TestSchedulerErrorLog:
             yield runtime
 
     def test_sweep_errors_are_visible_and_pumps_keep_draining(self, runtime):
-        scheduler = MaintenanceScheduler(runtime.shards, interval=0.01,
+        scheduler = MaintenanceScheduler(runtime, interval=0.01,
                                          metrics=runtime.metrics_registry)
         for round_no in range(1, 4):
             stream(runtime, n=6)
@@ -259,15 +260,14 @@ class TestSchedulerErrorLog:
             stats = scheduler.stats()
             assert stats["errors"] == round_no       # int, backward compat
             assert stats["decisions_drained"] == 6 * round_no
-            # The pump completed before the sweep blew up, so the shard
+            # The pump completed before the sweep blew up, so the bus
             # still counts as recently pumped.
-            assert 0 in scheduler.last_pump_ages()
+            assert scheduler.last_pump_age() is not None
 
         snapshot = scheduler.snapshot(recent_errors=2)
         assert snapshot["errors"]["count"] == 3      # cumulative
         assert len(snapshot["errors"]["recent"]) == 2  # bounded view
         entry = snapshot["errors"]["recent"][-1]
-        assert entry["shard"] == 0
         assert "policy exploded mid-sweep" in entry["error"]
         assert "\n" not in entry["error"]            # one line per entry
 
@@ -276,7 +276,7 @@ class TestSchedulerErrorLog:
         assert counter.value == 3
 
     def test_snapshot_recent_window_tracks_the_tail(self, runtime):
-        scheduler = MaintenanceScheduler(runtime.shards, interval=0.01)
+        scheduler = MaintenanceScheduler(runtime, interval=0.01)
         for _ in range(10):
             scheduler.tick(sweep=True)
         snapshot = scheduler.snapshot(recent_errors=4)
@@ -316,12 +316,12 @@ class TestFailedRefreshStreaks:
         controller = FleetController(FlakyFleet(failures=3),
                                      policies={"t1": policy})
         self.drive(controller, "t1", rounds=2)
-        assert controller.failed_refresh_streaks() == {"t1": 2}
+        assert controller.stuck_streaks() == {"t1": 2}
         self.drive(controller, "t1", rounds=1)
-        assert controller.failed_refresh_streaks() == {"t1": 3}
+        assert controller.stuck_streaks() == {"t1": 3}
         # Fourth attempt succeeds and clears the streak entirely.
         self.drive(controller, "t1", rounds=1)
-        assert controller.failed_refresh_streaks() == {}
+        assert controller.stuck_streaks() == {}
         failed = [a for _, a in controller.actions if a.startswith("refresh-failed")]
         assert len(failed) == 3
 
@@ -330,7 +330,7 @@ class TestFailedRefreshStreaks:
         policy = MaintenancePolicy(check_every=4, refresh_every=4)
         controller = FleetController(FlakyFleet(failures=2),
                                      policies={"t1": policy},
-                                     metrics=registry, shard="0")
+                                     metrics=registry)
         self.drive(controller, "t1", rounds=3)
         family = registry.get("repro_maintenance_actions_total")
         counts = {s["labels"]["action"]: s["value"]
@@ -344,7 +344,7 @@ class TestFailedRefreshStreaks:
         # reservoir_size=0 makes every coordinated refresh fail with the
         # empty-reservoir ValueError — the real-world stuck tenant.
         policy = MaintenancePolicy(check_every=5, refresh_every=5)
-        with ServingRuntime(tmp_path / "reg", num_shards=1, capacity=8,
+        with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem, reservoir_size=0,
                             policy=policy,
                             scheduler_interval=None) as runtime:
@@ -367,5 +367,5 @@ class TestFailedRefreshStreaks:
             assert probe()["status"] == "critical"
             text = runtime.export_prometheus()
             assert 'repro_health_status{probe="stuck_refresh"} 2' in text
-            streaks = runtime.shards[0].controller.failed_refresh_streaks()
+            streaks = runtime.controller.stuck_streaks()
             assert streaks[TENANTS[0]] >= 4

@@ -530,7 +530,7 @@ class TestControllerRecovery:
                                    min_window=4)
         controller = FleetController(fleet, policies={"t": policy})
         drive_outside(controller, "t", rounds=3)
-        assert controller.failed_refresh_streaks() == {}
+        assert controller.state("t").failed_refresh_streak == 0
         assert controller.stuck_streaks().get("t", 0) >= 2
 
     def test_proposal_path_and_approval(self):
@@ -579,8 +579,7 @@ class TestControllerRecovery:
 # ----------------------------------------------------------------------
 class TestRuntimeQuarantine:
     def build(self, tmp_path, quarantine_size, policy=None):
-        runtime = ServingRuntime(str(tmp_path / "reg"), num_shards=1,
-                                 model_factory=make_gem,
+        runtime = ServingRuntime(str(tmp_path / "reg"), model_factory=make_gem,
                                  scheduler_interval=None, policy=policy,
                                  quarantine_size=quarantine_size)
         runtime.provision("t", train_records())
@@ -615,7 +614,7 @@ class TestRuntimeQuarantine:
         policy = MaintenancePolicy(check_every=10, min_update_rate=0.05,
                                    min_window=10, recovery=recovery)
         runtime = self.build(tmp_path, quarantine_size=64, policy=policy)
-        runtime.shards[0].track_decisions = True
+        runtime.track_decisions = True
         home = home_anchor_macs(train_records())
         rng = np.random.default_rng(7)
         recovered = False
@@ -635,7 +634,7 @@ class TestRuntimeQuarantine:
         policy = MaintenancePolicy(check_every=10, min_update_rate=0.05,
                                    min_window=10, recovery=recovery)
         runtime = self.build(tmp_path, quarantine_size=64, policy=policy)
-        runtime.shards[0].track_decisions = True
+        runtime.track_decisions = True
         home = home_anchor_macs(train_records())
         rng = np.random.default_rng(7)
         for i in range(200):

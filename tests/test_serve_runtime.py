@@ -1,4 +1,4 @@
-"""ServingRuntime: sharding, bit-identity, scheduler-driven maintenance."""
+"""ServingRuntime: bit-identity, decision bus, scheduler-driven maintenance."""
 
 import time
 
@@ -8,8 +8,8 @@ import pytest
 from conftest import synthetic_records
 from repro.core import GEM, GEMConfig
 from repro.embedding.bisage import BiSAGEConfig
-from repro.serve import (GeofenceFleet, MaintenancePolicy, MaintenanceScheduler,
-                         ServingRuntime, shard_index)
+from repro.serve import (FleetController, GeofenceFleet, MaintenancePolicy,
+                         MaintenanceScheduler, ServingRuntime)
 from repro.serve.checkpoint import flatten_state, load_state
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
@@ -37,40 +37,13 @@ def interleaved_stream(n: int = 60):
     return [(TENANTS[i % len(TENANTS)], record) for i, record in enumerate(mixed)]
 
 
-class TestRouting:
-    def test_partition_is_stable_and_total(self):
-        for tenant in TENANTS:
-            index = shard_index(tenant, 4)
-            assert 0 <= index < 4
-            assert shard_index(tenant, 4) == index  # no per-process salt
-
-    def test_single_shard_routes_everything_to_shard_zero(self, tmp_path):
-        runtime = ServingRuntime(tmp_path / "m", num_shards=1,
-                                 scheduler_interval=None)
-        assert all(runtime.shard_for(t) is runtime.shards[0] for t in TENANTS)
-        runtime.close()
-
-    def test_tenants_land_on_their_hash_shard(self, tmp_path):
-        with ServingRuntime(tmp_path / "m", num_shards=3, capacity=8,
-                            model_factory=make_gem,
-                            scheduler_interval=None) as runtime:
-            provision_all(runtime)
-            for index, tenant in enumerate(TENANTS):
-                shard = runtime.shards[shard_index(tenant, 3)]
-                assert tenant in shard.resident_tenants
-
-    def test_bad_shard_count_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="num_shards"):
-            ServingRuntime(tmp_path / "m", num_shards=0)
-
-
 class TestSerialBitIdentity:
-    """The determinism contract: single-shard serial == bare fleet."""
+    """The determinism contract: serial runtime == bare fleet."""
 
     def test_decisions_and_checkpoints_match_plain_fleet(self, tmp_path):
         fleet = GeofenceFleet(tmp_path / "fleet", capacity=2,
                               model_factory=make_gem)
-        runtime = ServingRuntime(tmp_path / "runtime", num_shards=1, capacity=2,
+        runtime = ServingRuntime(tmp_path / "runtime", capacity=2,
                                  model_factory=make_gem, incremental=False,
                                  scheduler_interval=None)
         provision_all(fleet)
@@ -91,10 +64,10 @@ class TestSerialBitIdentity:
             assert leaves_a == leaves_b
 
     def test_incremental_layout_reconstructs_identical_state(self, tmp_path):
-        plain = ServingRuntime(tmp_path / "plain", num_shards=1, capacity=2,
+        plain = ServingRuntime(tmp_path / "plain", capacity=2,
                                model_factory=make_gem, incremental=False,
                                scheduler_interval=None)
-        delta = ServingRuntime(tmp_path / "delta", num_shards=1, capacity=2,
+        delta = ServingRuntime(tmp_path / "delta", capacity=2,
                                model_factory=make_gem, incremental=True,
                                scheduler_interval=None)
         provision_all(plain)
@@ -113,7 +86,7 @@ class TestSerialBitIdentity:
     def test_observe_many_matches_fleet_batching(self, tmp_path):
         fleet = GeofenceFleet(tmp_path / "fleet", capacity=2,
                               model_factory=make_gem)
-        runtime = ServingRuntime(tmp_path / "runtime", num_shards=1, capacity=2,
+        runtime = ServingRuntime(tmp_path / "runtime", capacity=2,
                                  model_factory=make_gem, incremental=False,
                                  scheduler_interval=None)
         provision_all(fleet)
@@ -124,21 +97,9 @@ class TestSerialBitIdentity:
         runtime.close()
 
 
-class TestShardedServing:
-    def test_observe_many_reassembles_input_order(self, tmp_path):
-        serial = ServingRuntime(tmp_path / "serial", num_shards=1, capacity=8,
-                                model_factory=make_gem, scheduler_interval=None)
-        sharded = ServingRuntime(tmp_path / "sharded", num_shards=3, capacity=8,
-                                 model_factory=make_gem, scheduler_interval=None)
-        provision_all(serial)
-        provision_all(sharded)
-        batch = interleaved_stream(40)
-        assert sharded.observe_many(batch) == serial.observe_many(batch)
-        serial.close()
-        sharded.close()
-
-    def test_telemetry_aggregates_across_shards(self, tmp_path):
-        with ServingRuntime(tmp_path / "m", num_shards=3, capacity=8,
+class TestServingSurface:
+    def test_telemetry_totals_and_snapshot(self, tmp_path):
+        with ServingRuntime(tmp_path / "m", capacity=8,
                             model_factory=make_gem,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
@@ -151,8 +112,8 @@ class TestShardedServing:
             assert sorted(snapshot["tenants"]) == sorted(TENANTS)
             assert snapshot["totals"]["observations"] == len(stream)
 
-    def test_score_and_dirty_and_flush_route(self, tmp_path):
-        with ServingRuntime(tmp_path / "m", num_shards=2, capacity=8,
+    def test_score_dirty_flush_and_evict(self, tmp_path):
+        with ServingRuntime(tmp_path / "m", capacity=8,
                             model_factory=make_gem,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
@@ -170,14 +131,13 @@ class TestShardedServing:
 class TestMaintenance:
     def test_serial_maintain_pumps_controller(self, tmp_path):
         policy = MaintenancePolicy(check_every=5, refresh_every=10)
-        with ServingRuntime(tmp_path / "m", num_shards=2, capacity=8,
+        with ServingRuntime(tmp_path / "m", capacity=8,
                             model_factory=make_gem, policy=policy,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
             for tenant, record in interleaved_stream(80):
                 runtime.observe(tenant, record)
-            pending = sum(s.pending_decisions for s in runtime.shards)
-            assert pending == 80
+            assert runtime.pending_decisions == 80
             drained = runtime.maintain()
             assert drained == 80
             assert any(action == "refresh"
@@ -186,7 +146,7 @@ class TestMaintenance:
 
     def test_background_scheduler_refreshes_off_the_observe_path(self, tmp_path):
         policy = MaintenancePolicy(check_every=5, refresh_every=10)
-        with ServingRuntime(tmp_path / "m", num_shards=2, capacity=8,
+        with ServingRuntime(tmp_path / "m", capacity=8,
                             model_factory=make_gem, policy=policy,
                             scheduler_interval=0.01) as runtime:
             provision_all(runtime)
@@ -200,13 +160,13 @@ class TestMaintenance:
             assert runtime.scheduler.running
         # close() stopped the worker and drained the queues.
         assert not runtime.scheduler.running
-        assert all(shard.pending_decisions == 0 for shard in runtime.shards)
+        assert runtime.pending_decisions == 0
         stats = runtime.scheduler.stats()
         assert stats["decisions_drained"] == 80
         assert stats["errors"] == 0
 
     def test_maintain_refuses_to_race_the_scheduler(self, tmp_path):
-        with ServingRuntime(tmp_path / "m", num_shards=1,
+        with ServingRuntime(tmp_path / "m",
                             model_factory=make_gem,
                             policy=MaintenancePolicy(check_every=4),
                             scheduler_interval=0.05) as runtime:
@@ -214,35 +174,35 @@ class TestMaintenance:
                 runtime.maintain()
 
     def test_noop_runtime_does_not_accumulate_decisions(self, tmp_path):
-        with ServingRuntime(tmp_path / "m", num_shards=1, capacity=8,
+        with ServingRuntime(tmp_path / "m", capacity=8,
                             model_factory=make_gem,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
             for tenant, record in interleaved_stream(30):
                 runtime.observe(tenant, record)
             # No policy, no scheduler: tracking is off, nothing queues.
-            assert all(shard.pending_decisions == 0 for shard in runtime.shards)
+            assert runtime.pending_decisions == 0
 
     def test_unstarted_background_runtime_does_not_queue(self, tmp_path):
         """Constructing a daemon without start()ing it must not leak
         decisions into queues nothing will ever pump; start() arms the
         bus (spec-block policies need it even without a default policy)."""
-        runtime = ServingRuntime(tmp_path / "m", num_shards=1, capacity=8,
+        runtime = ServingRuntime(tmp_path / "m", capacity=8,
                                  model_factory=make_gem,
                                  scheduler_interval=0.05)
         provision_all(runtime)
         for tenant, record in interleaved_stream(20):
             runtime.observe(tenant, record)
-        assert all(shard.pending_decisions == 0 for shard in runtime.shards)
-        assert not any(shard.track_decisions for shard in runtime.shards)
+        assert runtime.pending_decisions == 0
+        assert not runtime.track_decisions
         runtime.start()
-        assert all(shard.track_decisions for shard in runtime.shards)
+        assert runtime.track_decisions
         runtime.close()
 
 
 class TestScheduler:
     def test_start_stop_idempotent_and_stats(self, tmp_path):
-        runtime = ServingRuntime(tmp_path / "m", num_shards=1,
+        runtime = ServingRuntime(tmp_path / "m",
                                  model_factory=make_gem,
                                  policy=MaintenancePolicy(check_every=4),
                                  scheduler_interval=0.01)
@@ -259,14 +219,14 @@ class TestScheduler:
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError, match="interval"):
-            MaintenanceScheduler([], interval=0.0)
+            MaintenanceScheduler(None, interval=0.0)
         with pytest.raises(ValueError, match="sweep_every"):
-            MaintenanceScheduler([], interval=0.1, sweep_every=-1)
+            MaintenanceScheduler(None, interval=0.1, sweep_every=-1)
 
     def test_errors_are_contained_and_bounded(self, tmp_path):
-        class ExplodingShard:
-            index = 0
+        class ExplodingRuntime:
             pending_decisions = 0
+            decisions_pumped = 0
 
             def pump(self):
                 raise RuntimeError("boom")
@@ -274,9 +234,45 @@ class TestScheduler:
             def sweep(self):  # pragma: no cover - pump already raised
                 return {}
 
-        scheduler = MaintenanceScheduler([ExplodingShard()], interval=0.01)
+        scheduler = MaintenanceScheduler(ExplodingRuntime(), interval=0.01)
         for _ in range(3):
             scheduler.tick()
         assert len(scheduler.errors) == 3
-        assert "boom" in scheduler.errors[0][1]
+        assert "boom" in scheduler.errors[0]
         assert scheduler.stats()["errors"] == 3
+
+    def test_failed_pump_still_counts_drained_decisions(self, tmp_path):
+        """A controller step that raises mid-pump must not lose the count
+        of decisions already popped: decisions_drained stays equal to
+        what left the bus, in stats() and in the metrics counter."""
+
+        class RaisingController(FleetController):
+            calls = 0
+
+            def step(self, tenant_id, decision):
+                RaisingController.calls += 1
+                if RaisingController.calls == 3:
+                    raise RuntimeError("step failed")
+                return super().step(tenant_id, decision)
+
+        runtime = ServingRuntime(tmp_path / "m", capacity=8,
+                                 model_factory=make_gem,
+                                 policy=MaintenancePolicy(check_every=1000),
+                                 scheduler_interval=60.0)
+        runtime.controller = RaisingController(runtime.fleet,
+                                               runtime.controller.policy)
+        provision_all(runtime)
+        runtime.track_decisions = True
+        for tenant, record in interleaved_stream(10):
+            runtime.observe(tenant, record)
+        assert runtime.scheduler.tick(sweep=False) == 3
+        stats = runtime.scheduler.stats()
+        assert stats["decisions_drained"] == 3
+        assert stats["errors"] == 1
+        assert runtime.pending_decisions == 7
+        drained = runtime.metrics()["families"][
+            "repro_scheduler_decisions_drained_total"]["series"][0]["value"]
+        assert drained == 3
+        runtime.close()
+        # close() drained the rest: every decision is counted exactly once.
+        assert runtime.scheduler.stats()["decisions_drained"] == 10
