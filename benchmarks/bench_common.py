@@ -40,10 +40,10 @@ def churn_shock_schedules(scenario, shock_epoch: int, fraction: float,
     """The canonical churn-shock drift workload over ``scenario``.
 
     Shared between ``bench_drift.py`` (the headline coordinated-refresh
-    comparison) and ``bench_fleet_drift.py``'s admission / worst-case
-    arms so the two benches keep measuring the *same* world: gradual AP
-    churn + TX-power and device-gain drift, with a one-shot replacement
-    of ``fraction`` of the ambient APs at ``shock_epoch``.  The home's
+    comparison) and ``bench_fleet_drift.py``'s worst-case arm so the
+    two benches keep measuring the *same* world: gradual AP churn +
+    TX-power and device-gain drift, with a one-shot replacement of
+    ``fraction`` of the ambient APs at ``shock_epoch``.  The home's
     own APs are protected throughout.
     """
     from repro.rf.dynamics import (APChurn, ChurnShock, DeviceGainDrift,

@@ -21,13 +21,9 @@ also reports ``bytes_amplification`` (bytes actually written over the
 one-final-write floor) so a "cheap" delta that is secretly 90% of the
 model would show up.
 
-Two satellite arms ride along, both single-tenant drift trajectories
-through the same fleet + controller machinery:
+A satellite arm rides along: single-tenant drift trajectories through
+the same fleet + controller machinery.
 
-* ``admission``: after a churn shock, compares coordinated refresh with
-  per-MAC support-threshold admission (``admit_new_macs_after=N``)
-  against both extremes — never admit (strict trained universe) and
-  admit on first sight (N=1).
 * ``worst_case``: a mass ambient-AP replacement sweep (shock fractions
   0.4 / 0.7 / 0.85 / **1.0 — total replacement**), where beyond a cliff
   refresh alone cannot recover because the trained MAC universe is
@@ -94,7 +90,7 @@ def parse_args(argv=None):
                              "(the pre-incremental behaviour)")
     parser.add_argument("--skip-arms", action="store_true",
                         help="run only the amplification fleet, not the "
-                             "admission / worst-case drift arms")
+                             "worst-case drift arm")
     parser.add_argument("--out", help="also write the JSON payload to this path")
     return parser.parse_args(argv)
 
@@ -294,27 +290,6 @@ def summarise(result, shock_epoch: int) -> dict:
     }
 
 
-def run_admission_arm(args) -> dict:
-    """Support-threshold MAC admission vs both extremes after a shock."""
-    epochs = 5 if args.quick else 8
-    shock = 2 if args.quick else 3
-    spec = arm_spec()
-    per_epoch_obs = None
-    results = {}
-    for label, admit in (("never", 0), ("after-3", 3), ("first-sight", 1)):
-        harness = arm_harness(args.quick, epochs=epochs, shock_epoch=shock,
-                              fraction=0.3)
-        if per_epoch_obs is None:
-            per_epoch_obs = len(harness.epoch_records(0))
-        policy = MaintenancePolicy(check_every=max(per_epoch_obs // 4, 1),
-                                   refresh_every=max(per_epoch_obs // 2, 1),
-                                   admit_new_macs_after=admit)
-        result = run_policy_arm(harness, policy, label, spec)
-        results[label] = summarise(result, shock)
-    return {"shock_epoch": shock, "epochs": epochs,
-            "shock_fraction": 0.3, "policies": results}
-
-
 def run_worst_case_arm(args) -> dict:
     """Mass AP replacement: where does refresh stop working, and does
     the ``reprovision_after`` escalation rescue what refresh cannot?
@@ -381,7 +356,6 @@ def main(argv=None) -> int:
     payload = run_fleet_arm(args)
     payload["meta"] = bench_metadata("fleet_drift", args)
     if not args.skip_arms:
-        payload["admission"] = run_admission_arm(args)
         payload["worst_case"] = run_worst_case_arm(args)
     rows = [[key, f"{value:.2f}" if isinstance(value, float) else str(value)]
             for key, value in payload.items() if not isinstance(value, dict)]
@@ -442,13 +416,6 @@ def main(argv=None) -> int:
             assert below["refresh-only"]["recovery_epochs"] is not None, below
             assert below["refresh-only"]["final_auc"] >= \
                 below["escalate-2"]["final_auc"], below
-            # ...and strict trained-universe refresh beats (or ties) both
-            # MAC-admission relaxations after the shock.
-            admission = payload["admission"]["policies"]
-            assert admission["never"]["post_shock_mean_auc"] >= \
-                admission["after-3"]["post_shock_mean_auc"], admission
-            assert admission["never"]["post_shock_mean_auc"] >= \
-                admission["first-sight"]["post_shock_mean_auc"], admission
     return 0
 
 

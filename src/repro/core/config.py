@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.detection.histogram import HistogramConfig
@@ -26,28 +25,10 @@ class GEMConfig:
     weight_offset: float = 120.0
     self_update: bool = True
     batch_update_size: int = 1
-    # DEPRECATED. Rebuilding BiSAGE's per-layer caches mid-stream changes
-    # the embedding function under a detector whose histograms were fitted
-    # to the old one, so it is off by default (0) and PR-3 measured that
-    # enabling it actively *hurts* post-churn recovery.  Use the
-    # coordinated GEM.refresh(records) path (cache rebuild + detector
-    # refit in one atomic operation) or a serve-layer MaintenancePolicy
-    # instead; any value > 0 warns at construction and again when the
-    # uncoordinated rebuild actually fires.
-    refresh_cache_every: int = 0
 
     def __post_init__(self):
         check_positive(self.weight_offset, "weight_offset")
         check_positive_int(self.batch_update_size, "batch_update_size")
-        if self.refresh_cache_every < 0:
-            raise ValueError("refresh_cache_every must be >= 0")
-        if self.refresh_cache_every > 0:
-            warnings.warn(
-                "GEMConfig.refresh_cache_every is deprecated: it rebuilds the "
-                "embedding cache without refitting the detector, which hurts "
-                "post-churn recovery; use the coordinated GEM.refresh(records) "
-                "path or a fleet MaintenancePolicy instead",
-                DeprecationWarning, stacklevel=3)
 
     def with_dim(self, dim: int) -> "GEMConfig":
         """Convenience for the Fig. 13(a)/14(a) embedding-dimension sweeps."""

@@ -9,7 +9,6 @@ imputation, behind one interface.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -39,14 +38,10 @@ class _GraphEmbedderBase:
     # the shared persistence path can rebuild the right model on load.
     _model_class: type | None = None
 
-    def __init__(self, weight_offset: float = 120.0, refresh_every: int = 0):
-        if refresh_every < 0:
-            raise ValueError("refresh_every must be >= 0")
+    def __init__(self, weight_offset: float = 120.0):
         self.weight_offset = weight_offset
-        self.refresh_every = refresh_every
         self.graph = None
         self.model = None
-        self._observed_since_refresh = 0
 
     def _fit_graph(self, records: Sequence[SignalRecord]):
         if not records:
@@ -82,19 +77,6 @@ class _GraphEmbedderBase:
         if attach:
             index = self.graph.add_record(record)
             embedding = self.model.embed_record_node(index) if known else None
-            self._observed_since_refresh += 1
-            if self.refresh_every and self._observed_since_refresh >= self.refresh_every:
-                # The raw auto-refresh moves the embedding function under
-                # whatever detector sits downstream — the exact footgun
-                # the coordinated refresh() path exists to fix.
-                warnings.warn(
-                    "refresh_every fired: the embedding cache was rebuilt without "
-                    "refitting the downstream detector, which shifts the score "
-                    "scale it was calibrated on; use the coordinated "
-                    "EmbeddingGeofencer.refresh(records) (or a fleet "
-                    "MaintenancePolicy) instead", DeprecationWarning, stacklevel=3)
-                self.model.refresh_cache()
-                self._observed_since_refresh = 0
         else:
             embedding = self.model.embed_readings(record.readings) if known else None
         return embedding
@@ -103,15 +85,8 @@ class _GraphEmbedderBase:
     # Batched inference (vectorized data plane)
     # ------------------------------------------------------------------
     def supports_batch_inference(self) -> bool:
-        """Whether the batch data plane may replay this embedder's records.
-
-        Requires the coordinated-maintenance regime (``refresh_every ==
-        0``): the deprecated auto-refresh can rebuild caches *mid-stream*
-        at a record count the hoisted kernel cannot observe, so those
-        configurations stay on the scalar path.
-        """
-        return (self.refresh_every == 0 and self.model is not None
-                and hasattr(self.model, "batched_inference"))
+        """Whether the batch data plane may replay this embedder's records."""
+        return self.model is not None and hasattr(self.model, "batched_inference")
 
     def batched_inference(self):
         """Build the model's hoisted inference kernel (see nn/batch.py)."""
@@ -131,13 +106,11 @@ class _GraphEmbedderBase:
         own MACs), permanent attach, streaming counter — with the model
         maths left to the caller's kernel.  Returns None for the
         footnote-3 case (no sensed MAC known).  Callers must have
-        checked :meth:`supports_batch_inference`; the ``refresh_every``
-        warning path is deliberately absent here.
+        checked :meth:`supports_batch_inference`.
         """
         self._require_fitted()
         known = any(self.graph.mac_index(mac) is not None for mac in record.readings)
         index = self.graph.add_record(record)
-        self._observed_since_refresh += 1
         if not known:
             return None
         # The scalar path extends per embedded record; replicating that
@@ -147,25 +120,17 @@ class _GraphEmbedderBase:
         self.model._extend_mac_cache()
         return self.graph.neighbors(RECORD, index)
 
-    def refresh_cache(self, admit_new_macs_after: int | None = None) -> None:
-        """Rebuild per-layer caches over the grown graph, coordinated flavour.
+    def refresh_cache(self) -> None:
+        """Rebuild per-layer caches over the grown graph.
 
-        Two deliberate differences from the raw ``refresh_every`` path:
-        the trained aggregation universe is preserved (``admit_new_macs=
-        False`` — admitting post-training MACs under weights that never
-        saw them measurably collapses in/out separation), and the caller
-        must refit the downstream detector on re-embedded data in the
-        same operation, because every cached embedding still moves (see
-        :meth:`repro.core.gem.EmbeddingGeofencer.refresh`).
-
-        ``admit_new_macs_after=N`` relaxes the universe rule with
-        support-threshold admission: a post-training MAC joins
-        aggregation once at least N attached observations sense it.
+        The trained aggregation universe is preserved (see
+        :meth:`repro.embedding.bisage.BiSAGE.refresh_cache`), and the
+        caller must refit the downstream detector on re-embedded data
+        in the same operation, because every cached embedding still
+        moves (see :meth:`repro.core.gem.EmbeddingGeofencer.refresh`).
         """
         self._require_fitted()
-        self.model.refresh_cache(admit_new_macs=False,
-                                 admit_new_macs_after=admit_new_macs_after)
-        self._observed_since_refresh = 0
+        self.model.refresh_cache()
 
     def _require_fitted(self) -> None:
         if self.model is None or self.graph is None:
@@ -179,8 +144,6 @@ class _GraphEmbedderBase:
         self._require_fitted()
         return {
             "weight_offset": self.weight_offset,
-            "refresh_every": self.refresh_every,
-            "observed_since_refresh": self._observed_since_refresh,
             "num_training_records": self._num_training_records,
             "graph": self.graph.state_dict(),
             "model": self.model.state_dict(),
@@ -189,8 +152,6 @@ class _GraphEmbedderBase:
     def load_state_dict(self, state: dict):
         """Restore an embedder saved by :meth:`state_dict`."""
         self.weight_offset = float(state["weight_offset"])
-        self.refresh_every = int(state["refresh_every"])
-        self._observed_since_refresh = int(state["observed_since_refresh"])
         self.graph = WeightedBipartiteGraph.from_state_dict(state["graph"])
         self._num_training_records = int(state["num_training_records"])
         if self._num_training_records > self.graph.num_records:
@@ -206,8 +167,8 @@ class BiSAGEEmbedder(_GraphEmbedderBase):
     _model_class = BiSAGE
 
     def __init__(self, config: BiSAGEConfig = BiSAGEConfig(),
-                 weight_offset: float = 120.0, refresh_every: int = 0):
-        super().__init__(weight_offset, refresh_every)
+                 weight_offset: float = 120.0):
+        super().__init__(weight_offset)
         self.config = config
 
     def fit(self, records: Sequence[SignalRecord]) -> "BiSAGEEmbedder":
@@ -222,8 +183,8 @@ class GraphSAGEEmbedder(_GraphEmbedderBase):
     _model_class = GraphSAGE
 
     def __init__(self, config: GraphSAGEConfig = GraphSAGEConfig(),
-                 weight_offset: float = 120.0, refresh_every: int = 0):
-        super().__init__(weight_offset, refresh_every)
+                 weight_offset: float = 120.0):
+        super().__init__(weight_offset)
         self.config = config
 
     def fit(self, records: Sequence[SignalRecord]) -> "GraphSAGEEmbedder":

@@ -38,13 +38,11 @@ class RefreshJob:
     """
 
     def __init__(self, pipeline: "EmbeddingGeofencer", embedder, detector,
-                 records: list[SignalRecord],
-                 admit_new_macs_after: int | None):
+                 records: list[SignalRecord]):
         self.pipeline = pipeline
         self.embedder = embedder
         self.detector = detector
         self.records = records
-        self.admit_new_macs_after = admit_new_macs_after
         self.absorbed: int | None = None
         self.committed = False
 
@@ -55,10 +53,7 @@ class RefreshJob:
         it is safe to run without holding the pipeline's lock.  Returns
         the number of records the detector was refit on.
         """
-        if self.admit_new_macs_after is not None:
-            self.embedder.refresh_cache(admit_new_macs_after=self.admit_new_macs_after)
-        else:
-            self.embedder.refresh_cache()
+        self.embedder.refresh_cache()
         rows = [self.embedder.embed(record, attach=False) for record in self.records]
         rows = [row for row in rows if row is not None]
         if not rows:
@@ -164,9 +159,9 @@ class EmbeddingGeofencer:
     # ------------------------------------------------------------------
     def supports_batch_observe(self) -> bool:
         """True when both halves of the fused batch path are available:
-        a graph embedder exposing a hoisted inference kernel (in its
-        coordinated-maintenance regime) and a detector whose batch
-        scoring is bit-safe (``supports_batch_score``)."""
+        a graph embedder exposing a hoisted inference kernel and a
+        detector whose batch scoring is bit-safe
+        (``supports_batch_score``)."""
         return (hasattr(self.embedder, "supports_batch_inference")
                 and self.embedder.supports_batch_inference()
                 and hasattr(self.detector, "supports_batch_score")
@@ -300,30 +295,21 @@ class EmbeddingGeofencer:
         return (hasattr(self.embedder, "refresh_cache")
                 and hasattr(self.detector, "refit"))
 
-    def refresh(self, records: Sequence[SignalRecord],
-                admit_new_macs_after: int | None = None) -> int:
+    def refresh(self, records: Sequence[SignalRecord]) -> int:
         """Coordinated refresh: rebuild embedding caches *and* refit the
         detector on re-embedded recent inliers, as one atomic operation.
 
-        This is the drift-recovery primitive the raw ``refresh_cache_every``
-        flag got wrong twice over: rebuilding the caches alone moves the
-        embedding function under a detector calibrated to the old one,
-        and admitting never-trained MACs into aggregation collapses
-        separation outright.  Here the refreshed embedder recomputes its
-        caches over the grown graph *within the trained MAC universe*
-        (new MACs join at re-provision, when the weights retrain), then
-        re-embeds ``records`` (recent known-inlier records, e.g. a fleet
+        Rebuilding the caches alone would move the embedding function
+        under a detector calibrated to the old one, and admitting
+        never-trained MACs into aggregation collapses separation
+        outright.  So the refreshed embedder recomputes its caches over
+        the grown graph *within the trained MAC universe* (new MACs
+        join at re-provision, when the weights retrain), then re-embeds
+        ``records`` (recent known-inlier records, e.g. a fleet
         reservoir anchored on the training set) and the detector is
         refit on exactly those embeddings — score scale and embedding
         function move together.  Returns the number of records the
         detector was refit on.
-
-        ``admit_new_macs_after=N`` softens the trained-universe rule:
-        a MAC first seen after training joins inference-time aggregation
-        at this refresh once at least N attached observations sense it
-        (support-threshold admission — the middle ground between "never
-        admit until re-provision" and the legacy admit-everything
-        collapse).  ``None`` keeps the strict rule.
 
         Atomic: all work happens on copies; the live pipeline is only
         swapped at the end, so any mid-refresh failure (nothing
@@ -336,13 +322,12 @@ class EmbeddingGeofencer:
         :meth:`RefreshJob.build` (heavy rebuild, lock released) →
         :meth:`commit_refresh` (pointer swap, under the lock again).
         """
-        job = self.begin_refresh(records, admit_new_macs_after=admit_new_macs_after)
+        job = self.begin_refresh(records)
         absorbed = job.build()
         self.commit_refresh(job)
         return absorbed
 
-    def begin_refresh(self, records: Sequence[SignalRecord],
-                      admit_new_macs_after: int | None = None) -> RefreshJob:
+    def begin_refresh(self, records: Sequence[SignalRecord]) -> RefreshJob:
         """Copy phase of a staged refresh: validate and snapshot.
 
         Deep-copies the embedder and detector (call this while holding
@@ -358,16 +343,12 @@ class EmbeddingGeofencer:
             part = self.embedder if missing == "refresh_cache" else self.detector
             raise TypeError(f"{type(part).__name__} has no {missing}; this pipeline "
                             "does not support coordinated refresh")
-        if admit_new_macs_after is not None and admit_new_macs_after < 1:
-            raise ValueError(f"admit_new_macs_after must be >= 1 or None, "
-                             f"got {admit_new_macs_after}")
         records = [r for r in records if r.readings]
         if not records:
             raise ValueError("coordinated refresh needs at least one non-empty "
                              "recent-inlier record to refit the detector on")
         return RefreshJob(self, copy.deepcopy(self.embedder),
-                          copy.deepcopy(self.detector), records,
-                          admit_new_macs_after)
+                          copy.deepcopy(self.detector), records)
 
     def commit_refresh(self, job: RefreshJob) -> None:
         """Swap phase of a staged refresh: install the rebuilt copies.
@@ -462,9 +443,7 @@ class GEM(EmbeddingGeofencer):
 
     def __init__(self, config: GEMConfig = GEMConfig()):
         self.config = config
-        embedder = BiSAGEEmbedder(config.bisage,
-                                  weight_offset=config.weight_offset,
-                                  refresh_every=config.refresh_cache_every)
+        embedder = BiSAGEEmbedder(config.bisage, weight_offset=config.weight_offset)
         detector = HistogramDetector(config.histogram)
         super().__init__(embedder, detector,
                          self_update=config.self_update,
@@ -502,9 +481,7 @@ class GEM(EmbeddingGeofencer):
             raise ValueError("checkpoint config does not match this model's config; "
                              f"saved {saved_config}, constructed with {self.config}")
         config = self.config
-        embedder = BiSAGEEmbedder(config.bisage,
-                                  weight_offset=config.weight_offset,
-                                  refresh_every=config.refresh_cache_every)
+        embedder = BiSAGEEmbedder(config.bisage, weight_offset=config.weight_offset)
         embedder.load_state_dict(state["embedder"])
         detector = HistogramDetector(config.histogram).load_state_dict(state["detector"])
         buffer = np.asarray(state["update_buffer"], dtype=np.float64)

@@ -23,8 +23,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from repro.embedding.common import (
-    admitted_mask,
-    threshold_admissions,
     global_csr,
     initial_embedding_row,
     sampled_aggregation_matrix,
@@ -123,11 +121,6 @@ class BiSAGE:
         self._cache_hv: list[np.ndarray] = []
         self._cache_lv: list[np.ndarray] = []
         self._macs_aggregated = 0
-        # Optional support-threshold admissions: a boolean mask over MAC
-        # indices extending the aggregation universe beyond the trained
-        # boundary (see refresh_cache(admit_new_macs_after=...)); None
-        # means the boundary alone decides.
-        self._mac_admitted: np.ndarray | None = None
         self._rng = as_rng(config.seed)
 
     # ------------------------------------------------------------------
@@ -291,43 +284,20 @@ class BiSAGE:
         # aggregation pass; inference must not aggregate from them.
         self._macs_aggregated = num_v
 
-    def refresh_cache(self, admit_new_macs: bool = True,
-                      admit_new_macs_after: int | None = None) -> None:
+    def refresh_cache(self) -> None:
         """Recompute caches against the graph's *current* contents.
 
-        ``admit_new_macs=True`` (the raw, legacy behaviour) also admits
-        MACs first seen after training into inference-time aggregation.
-        Measured under churn, that *collapses* in/out separation: the
-        trained weight matrices never saw those nodes, and one refresh
-        after a churn shock drives both classes' scores to the ceiling.
-        The coordinated refresh path passes ``False`` — per-layer
-        embeddings are recomputed over the grown graph, but the
-        aggregation universe stays the trained one; new MACs join at
-        full re-provision, when the weights are retrained too.
-
-        ``admit_new_macs_after=N`` (with ``admit_new_macs=False``) is
-        the support-threshold middle ground: a post-training MAC joins
-        the aggregation universe once at least N attached observations
-        sense it.  Its per-layer cache rows come from this rebuild's
-        full aggregation pass, so admitted MACs carry aggregated — not
-        random-initial — embeddings.  Admission is monotone across
-        refreshes (degrees only grow).
+        Per-layer embeddings are recomputed over the grown graph, but
+        the aggregation universe stays the trained one: MACs first seen
+        after training stay out of inference-time aggregation.  Admitting
+        them under weight matrices that never saw those nodes measurably
+        *collapses* in/out separation after a churn shock; new MACs join
+        at full re-provision, when the weights are retrained too.
         """
-        if admit_new_macs_after is not None and admit_new_macs_after < 1:
-            # Validate before the (expensive) rebuild mutates the caches.
-            raise ValueError(f"admit_new_macs_after must be >= 1 or None, "
-                             f"got {admit_new_macs_after}")
         boundary = self._macs_aggregated
         graph = self._require_fitted()
         self._build_cache()
-        if admit_new_macs:
-            self._mac_admitted = None
-            return
         self._macs_aggregated = min(boundary, graph.num_macs)
-        # A strict (threshold-less) trained-universe refresh also forgets
-        # any earlier threshold admissions: the universe is the trained one.
-        self._mac_admitted = threshold_admissions(graph, self._macs_aggregated,
-                                                  admit_new_macs_after)
 
     def _extend_mac_cache(self) -> None:
         """Lazily append rows for MAC nodes added after the last cache build.
@@ -405,17 +375,12 @@ class BiSAGE:
         h = self._initial_row(side, index, "h")
         l = self._initial_row(side, index, "l")
         if side == RECORD and len(neighbors):
-            # MACs added to the graph after the last cache build carry only
-            # their random initial embedding — aggregating from them would
-            # inject pure noise (one strong unknown MAC could dominate the
-            # weighted mean).  They join the aggregation after the next
-            # refresh_cache() gives them real embeddings.
+            # MACs first seen after training stay outside the trained
+            # aggregation universe: until a refresh their cache rows are
+            # random initials (pure noise — one strong unknown MAC could
+            # dominate the weighted mean), and the weights never saw them.
+            # They join at re-provision, when the weights retrain.
             usable = neighbors < self._macs_aggregated
-            if self._mac_admitted is not None:
-                known = neighbors < len(self._mac_admitted)
-                extra = np.zeros(len(neighbors), dtype=bool)
-                extra[known] = self._mac_admitted[neighbors[known]]
-                usable |= extra
             neighbors, weights = neighbors[usable], weights[usable]
         if len(neighbors) == 0:
             return h
@@ -448,7 +413,6 @@ class BiSAGE:
             neighbor_caches=self._cache_lv,
             act=_ACTIVATIONS[self.config.activation][1],
             macs_aggregated=self._macs_aggregated,
-            mac_admitted=self._mac_admitted,
         )
 
     def inference_token(self) -> tuple:
@@ -466,7 +430,6 @@ class BiSAGE:
             tuple(id(w) for w in self.weights_h),
             id(self._cache_lv),
             self._macs_aggregated,
-            id(self._mac_admitted),
         )
 
     # ------------------------------------------------------------------
@@ -493,12 +456,6 @@ class BiSAGE:
             "loss_history": [float(x) for x in self.loss_history],
             "parameters": export_parameters(self.parameters()),
         }
-        if self._mac_admitted is not None:
-            # Threshold-admitted MAC indices (compact; omitted entirely
-            # when no admission is active so pre-admission checkpoints
-            # keep their exact key set).
-            state["macs_admitted"] = np.flatnonzero(
-                self._mac_admitted[self._macs_aggregated:]) + self._macs_aggregated
         for name in ("hu", "lu", "hv", "lv"):
             layers = getattr(self, f"_cache_{name}")
             state[f"cache_{name}"] = {str(k): layer.copy() for k, layer in enumerate(layers)}
@@ -533,8 +490,6 @@ class BiSAGE:
         self._macs_aggregated = int(state["macs_aggregated"])
         if self._macs_aggregated > graph.num_macs:
             raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
-        self._mac_admitted = admitted_mask(state.get("macs_admitted"),
-                                           self._macs_aggregated, graph.num_macs)
         self.loss_history = [float(x) for x in state.get("loss_history", [])]
         self.graph = graph
         return self

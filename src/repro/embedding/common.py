@@ -26,53 +26,7 @@ __all__ = [
     "sample_neighbors_batch",
     "initial_embeddings",
     "initial_embedding_row",
-    "admitted_mask",
-    "threshold_admissions",
 ]
-
-
-def threshold_admissions(graph, boundary: int,
-                         threshold: int | None) -> np.ndarray | None:
-    """Support-threshold MAC admission mask for a coordinated refresh.
-
-    Admits every trained MAC (index below ``boundary``) plus any
-    post-boundary MAC sensed by at least ``threshold`` attached
-    observations.  Returns ``None`` when no post-boundary MAC qualifies
-    (or ``threshold`` is ``None``) — the boundary alone then decides,
-    which keeps pre-admission checkpoints byte-identical.
-    """
-    if threshold is None:
-        return None
-    if threshold < 1:
-        raise ValueError(f"admit_new_macs_after must be >= 1 or None, "
-                         f"got {threshold}")
-    _, mac_degrees = graph.degrees()
-    mask = np.zeros(graph.num_macs, dtype=bool)
-    mask[:boundary] = True
-    mask[boundary:] = mac_degrees[boundary:] >= threshold
-    return mask if mask[boundary:].any() else None
-
-
-def admitted_mask(indices, boundary: int, num_macs: int) -> np.ndarray | None:
-    """Rebuild a support-threshold MAC admission mask from a checkpointed
-    index list (BiSAGE/GraphSAGE ``macs_admitted`` state).
-
-    ``None`` (or an empty list) means no threshold admissions are
-    active — the trained-universe ``boundary`` alone decides.  Indices
-    must name post-boundary MACs that exist in the bound graph.
-    """
-    if indices is None:
-        return None
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    if indices.size == 0:
-        return None
-    if indices.min() < boundary or indices.max() >= num_macs:
-        raise ValueError(f"macs_admitted indices must lie in [{boundary}, {num_macs}); "
-                         f"got range [{indices.min()}, {indices.max()}]")
-    mask = np.zeros(num_macs, dtype=bool)
-    mask[:boundary] = True
-    mask[indices] = True
-    return mask
 
 
 def global_csr(graph: WeightedBipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -66,14 +66,14 @@ class SageInferenceKernel:
         ``_cache_lv``; GraphSAGE: ``_cache_v``), held by reference.
     act:
         The numpy activation function (the scalar path's exact one).
-    macs_aggregated / mac_admitted:
-        The aggregation-universe filter state, snapshotted — both only
-        change on a cache rebuild, which invalidates the kernel.
+    macs_aggregated:
+        The trained aggregation-universe boundary, snapshotted — it only
+        changes on a cache rebuild, which invalidates the kernel.
     """
 
     def __init__(self, initial: np.ndarray, weights: list[np.ndarray],
                  neighbor_caches: list[np.ndarray], act,
-                 macs_aggregated: int, mac_admitted: np.ndarray | None):
+                 macs_aggregated: int):
         self.initial = np.asarray(initial, dtype=np.float64)
         self.weights = list(weights)
         if not self.weights:
@@ -81,7 +81,6 @@ class SageInferenceKernel:
         self.neighbor_caches = neighbor_caches
         self.act = act
         self.macs_aggregated = int(macs_aggregated)
-        self.mac_admitted = mac_admitted
         self._dim = self.initial.shape[0]
         self._buf = np.empty(2 * self._dim, dtype=np.float64)
 
@@ -89,11 +88,6 @@ class SageInferenceKernel:
         """Embedding row for one attached record — the scalar math, hoisted."""
         if len(neighbors):
             usable = neighbors < self.macs_aggregated
-            if self.mac_admitted is not None:
-                known = neighbors < len(self.mac_admitted)
-                extra = np.zeros(len(neighbors), dtype=bool)
-                extra[known] = self.mac_admitted[neighbors[known]]
-                usable |= extra
             neighbors, weights = neighbors[usable], weights[usable]
         if len(neighbors) == 0:
             return self.initial.copy()

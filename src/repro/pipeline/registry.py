@@ -158,16 +158,12 @@ def _config_params(config_class) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 def _make_bisage(**params):
     weight_offset = float(params.pop("weight_offset", 120.0))
-    refresh_every = int(params.pop("refresh_every", 0))
-    return BiSAGEEmbedder(BiSAGEConfig.from_dict(params),
-                          weight_offset=weight_offset, refresh_every=refresh_every)
+    return BiSAGEEmbedder(BiSAGEConfig.from_dict(params), weight_offset=weight_offset)
 
 
 def _make_graphsage(**params):
     weight_offset = float(params.pop("weight_offset", 120.0))
-    refresh_every = int(params.pop("refresh_every", 0))
-    return GraphSAGEEmbedder(GraphSAGEConfig.from_dict(params),
-                             weight_offset=weight_offset, refresh_every=refresh_every)
+    return GraphSAGEEmbedder(GraphSAGEConfig.from_dict(params), weight_offset=weight_offset)
 
 
 def _make_autoencoder(**params):
@@ -177,12 +173,12 @@ def _make_autoencoder(**params):
 
 register_component(
     "embedder", "bisage", _make_bisage,
-    _config_params(BiSAGEConfig) + ("weight_offset", "refresh_every"),
+    _config_params(BiSAGEConfig) + ("weight_offset",),
     supports_refresh=True,
     description="Weighted bipartite graph + BiSAGE GNN (the paper's embedder)")
 register_component(
     "embedder", "graphsage", _make_graphsage,
-    _config_params(GraphSAGEConfig) + ("weight_offset", "refresh_every"),
+    _config_params(GraphSAGEConfig) + ("weight_offset",),
     supports_refresh=True,
     description="Homogeneous GraphSAGE over the same bipartite graph")
 register_component(

@@ -125,6 +125,16 @@ _SAVE_ID_KEY = "__save_id__"
 # entry's delta_id or the pair is rejected as spliced.
 _DELTA_ID_KEY = "__delta_id__"
 
+# Options removed from the pipeline, by where earlier releases saved
+# them.  Those releases wrote them into every GEM/BiSAGE/GraphSAGE
+# checkpoint at their off value; ``read_manifest`` drops them, and
+# refuses a checkpoint that had one switched on, which would otherwise
+# load with different decisions than it was saved with.
+_REMOVED_SPEC_PARAMS = (("model", "refresh_cache_every"), ("embedder", "refresh_every"))
+_REMOVED_LEAVES = ("config/refresh_cache_every", "embedder/refresh_every")
+_REMOVED_COUNTER = "embedder/observed_since_refresh"
+_REMOVED_ADMISSIONS = "embedder/model/macs_admitted"
+
 
 class CheckpointError(RuntimeError):
     """A checkpoint is missing, torn, or structurally invalid."""
@@ -549,7 +559,47 @@ def read_manifest(directory: str | Path) -> dict:
         supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
         raise CheckpointError(f"{manifest_path}: format version {version!r} is not "
                               f"supported (this build reads versions {supported})")
+    _drop_removed_options(manifest, manifest_path)
     return manifest
+
+
+def _drop_removed_options(manifest: dict, manifest_path: Path) -> None:
+    """Normalise, in place, the keys of options this release removed.
+
+    The raw auto-refresh (``refresh_cache_every`` / ``refresh_every``)
+    and its streaming counter, and MAC admission at refresh (the
+    ``macs_admitted`` array written under ``admit_new_macs_after``).
+    Zero values are dropped; a switched-on option is refused.
+    """
+    def drop(mapping, key: str) -> None:
+        value = mapping.pop(key, 0) if isinstance(mapping, dict) else 0
+        if value:
+            raise CheckpointError(
+                f"{manifest_path}: saved with {key.rsplit(_SEP, 1)[-1]}={value!r}, "
+                "but the raw auto-refresh was removed; it would load with different "
+                "decisions (re-provision the tenant instead)")
+
+    spec = manifest.get("pipeline_spec")
+    for part, key in _REMOVED_SPEC_PARAMS:
+        component = spec.get(part) if isinstance(spec, dict) else None
+        drop(component.get("params") if isinstance(component, dict) else None, key)
+    deltas = [entry for entry in manifest.get("deltas", []) if isinstance(entry, dict)]
+    for leaves in [manifest.get("state")] + [entry.get("leaves") for entry in deltas]:
+        for key in _REMOVED_LEAVES:
+            drop(leaves, key)
+        if isinstance(leaves, dict):
+            leaves.pop(_REMOVED_COUNTER, None)
+    written = set(manifest.get("array_keys", []))
+    for entry in deltas:
+        written |= set(entry.get("append", [])) | set(entry.get("replace", []))
+    # Earlier releases wrote this array only when at least one MAC was
+    # admitted, so its presence means admission was switched on.
+    if _REMOVED_ADMISSIONS in written:
+        raise CheckpointError(
+            f"{manifest_path}: saved with MACs admitted past the trained universe "
+            "(macs_admitted, from admit_new_macs_after), but MAC admission was "
+            "removed; it would load with different decisions (re-provision the "
+            "tenant instead)")
 
 
 def _read_npz(directory: Path, name: str, what: str) -> dict[str, np.ndarray]:

@@ -364,36 +364,31 @@ class GeofenceFleet:
     # ------------------------------------------------------------------
     # Maintenance mechanics (driven by the control plane)
     # ------------------------------------------------------------------
-    def refresh(self, tenant_id: str,
-                admit_new_macs_after: int | None = None) -> int:
+    def refresh(self, tenant_id: str) -> int:
         """Coordinated refresh of one tenant from its inlier reservoir.
 
         Rebuilds the tenant model's embedding caches (trained MAC
-        universe preserved, unless ``admit_new_macs_after=N`` admits
-        post-training MACs with at least N attached observations) and
-        refits its detector on the re-embedded anchor + recent
-        reservoir, atomically (see
+        universe preserved) and refits its detector on the re-embedded
+        anchor + recent reservoir, atomically (see
         :meth:`repro.core.gem.EmbeddingGeofencer.refresh`): a failure
         leaves the tenant serving its pre-refresh state, un-dirtied by
         the attempt.  Returns the number of records the detector was
         refit on.
 
         The fleet lock is **not** held during the heavy rebuild: the
-        copy phase snapshots the model under the lock, the rebuild runs
-        on the copies with the lock released (observes on other — and
-        this — tenant keep flowing), and the commit re-takes the lock
-        only for the pointer swap.  If the tenant was evicted, reloaded
-        or re-provisioned while the rebuild ran — or a second refresh of
+        copy phase (``begin_refresh``) snapshots the model under the
+        lock, the rebuild runs on the copies with the lock released
+        (observes on other — and this — tenant keep flowing), and the
+        commit (``commit_refresh``) re-takes the lock only for the
+        pointer swap.  If the tenant was evicted, reloaded or
+        re-provisioned while the rebuild ran — or a second refresh of
         the same tenant overlapped this one — the commit is refused
-        (ValueError) rather than clobbering the newer model.  Models
-        exposing ``refresh`` but not the staged ``begin_refresh`` /
-        ``commit_refresh`` protocol are refreshed inline under the lock,
-        as before.
+        (ValueError) rather than clobbering the newer model.
         """
         with maybe_span(self.tracer, "refresh", tenant=tenant_id):
             with self._lock:
                 model = self._acquire(tenant_id)
-                if not hasattr(model, "refresh"):
+                if not hasattr(model, "begin_refresh"):
                     raise TypeError(f"tenant {tenant_id!r} runs {type(model).__name__}, "
                                     "which has no coordinated refresh capability")
                 records = self._reservoir_records(tenant_id)
@@ -402,35 +397,27 @@ class GeofenceFleet:
                                      "(reservoir_size=0, or no inliers observed yet); "
                                      "nothing to refit the detector on")
                 start = time.perf_counter()
-                staged = hasattr(model, "begin_refresh") and hasattr(model, "commit_refresh")
-                if staged:
-                    if tenant_id in self._refreshing:
-                        raise ValueError(
-                            f"tenant {tenant_id!r} already has a refresh rebuilding; "
-                            "overlapping refreshes would silently revert each other")
-                    job = model.begin_refresh(records,
-                                              admit_new_macs_after=admit_new_macs_after)
-                    self._refreshing.add(tenant_id)
-                else:
-                    absorbed = (model.refresh(records, admit_new_macs_after=admit_new_macs_after)
-                                if admit_new_macs_after is not None else model.refresh(records))
-                    self._dirty.add(tenant_id)
-            if staged:
-                try:
-                    # Heavy rebuild on the job's copies, fleet lock released.
-                    with maybe_span(self.tracer, "refresh.build", tenant=tenant_id):
-                        absorbed = job.build()
-                    with maybe_span(self.tracer, "refresh.commit", tenant=tenant_id):
-                        with self._lock:
-                            if self._cache.get(tenant_id) is not model:
-                                raise ValueError(
-                                    f"tenant {tenant_id!r} was evicted or replaced while its "
-                                    "refresh was rebuilding; the result was discarded")
-                            model.commit_refresh(job)
-                            self._dirty.add(tenant_id)
-                finally:
+                if tenant_id in self._refreshing:
+                    raise ValueError(
+                        f"tenant {tenant_id!r} already has a refresh rebuilding; "
+                        "overlapping refreshes would silently revert each other")
+                job = model.begin_refresh(records)
+                self._refreshing.add(tenant_id)
+            try:
+                # Heavy rebuild on the job's copies, fleet lock released.
+                with maybe_span(self.tracer, "refresh.build", tenant=tenant_id):
+                    absorbed = job.build()
+                with maybe_span(self.tracer, "refresh.commit", tenant=tenant_id):
                     with self._lock:
-                        self._refreshing.discard(tenant_id)
+                        if self._cache.get(tenant_id) is not model:
+                            raise ValueError(
+                                f"tenant {tenant_id!r} was evicted or replaced while its "
+                                "refresh was rebuilding; the result was discarded")
+                        model.commit_refresh(job)
+                        self._dirty.add(tenant_id)
+            finally:
+                with self._lock:
+                    self._refreshing.discard(tenant_id)
             self.telemetry.record_refresh(tenant_id, seconds=time.perf_counter() - start)
         return absorbed
 

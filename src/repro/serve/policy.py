@@ -181,14 +181,6 @@ class MaintenancePolicy:
     min_window:
         Observations the evaluation window must hold before rate
         triggers may fire (rates over a handful of records are noise).
-    admit_new_macs_after:
-        Support-threshold MAC admission at refresh: a MAC first seen
-        after training joins inference-time aggregation once at least
-        this many attached observations sense it (the middle ground
-        between "never admit until re-provision", which recovers slowly
-        after churn, and the legacy admit-everything behaviour, which
-        collapses separation).  ``0`` keeps the strict trained-universe
-        rule.
     reprovision_after:
         Escalation: after this many *consecutive* telemetry-triggered
         refreshes that failed to clear the trigger, re-provision (full
@@ -214,15 +206,14 @@ class MaintenancePolicy:
     max_unembeddable_rate: float | None = None
     min_update_rate: float | None = None
     min_window: int = 16
-    admit_new_macs_after: int = 0
     reprovision_after: int = 0
     flush_every: int = 0
     evict_idle_sweeps: int = 0
     recovery: RecoveryPolicy | None = None
 
     def __post_init__(self):
-        for name in ("check_every", "refresh_every", "admit_new_macs_after",
-                     "reprovision_after", "flush_every", "evict_idle_sweeps"):
+        for name in ("check_every", "refresh_every", "reprovision_after",
+                     "flush_every", "evict_idle_sweeps"):
             _check_count(getattr(self, name), name)
         _check_rate(self.max_unembeddable_rate, "max_unembeddable_rate")
         _check_rate(self.min_update_rate, "min_update_rate")
@@ -295,8 +286,6 @@ class MaintenancePolicy:
             clauses.append(f"refresh if unembeddable > {self.max_unembeddable_rate:g}")
         if self.min_update_rate is not None:
             clauses.append(f"refresh if update rate < {self.min_update_rate:g}")
-        if self.admit_new_macs_after:
-            clauses.append(f"admit new MACs after {self.admit_new_macs_after} obs")
         if self.reprovision_after:
             clauses.append(f"reprovision after {self.reprovision_after} stuck refreshes")
         if self.flush_every:

@@ -257,8 +257,8 @@ class ServingRuntime:
                   spec: PipelineSpec | None = None) -> GeofenceModel:
         return self.fleet.provision(tenant_id, records, metadata=metadata, spec=spec)
 
-    def refresh(self, tenant_id: str, admit_new_macs_after: int | None = None) -> int:
-        return self.fleet.refresh(tenant_id, admit_new_macs_after=admit_new_macs_after)
+    def refresh(self, tenant_id: str) -> int:
+        return self.fleet.refresh(tenant_id)
 
     def reprovision(self, tenant_id: str) -> GeofenceModel:
         return self.fleet.reprovision(tenant_id)

@@ -193,35 +193,6 @@ def test_unknown_macs_score_plus_inf_on_both_paths():
     assert math.isinf(batch.score) and not batch.inside
 
 
-def test_threshold_admissions_refresh_matches_scalar():
-    """After ``refresh(admit_new_macs_after=N)`` the embedder carries a
-    non-None admissions mask, so the kernel's admitted-MAC usable-filter
-    extension (not just the plain trained-universe cut) must reproduce
-    the scalar loop bit-for-bit."""
-    model = build_arm("GEM")
-    model.fit(synthetic_records(40, seed=3))
-    churn = synthetic_records(30, seed=13)
-    for i, record in enumerate(churn):
-        record.readings[f"post-train-mac-{i % 4}"] = -65.0 - (i % 4)
-    for record in churn:
-        model.observe(record)
-    model.refresh(synthetic_records(20, seed=14), admit_new_macs_after=2)
-    embedder = model.embedder.model
-    assert embedder._mac_admitted is not None
-    assert embedder._mac_admitted[embedder._macs_aggregated:].any(), \
-        "no post-boundary MAC was admitted; the test exercises nothing"
-
-    scalar_model = copy.deepcopy(model)
-    batch_model = copy.deepcopy(model)
-    probe = synthetic_records(16, seed=15)
-    for i, record in enumerate(probe):
-        record.readings[f"post-train-mac-{i % 4}"] = -66.0 - (i % 4)
-    scalar = [scalar_model.observe(r) for r in probe]
-    batch = batch_model.observe_many(probe)
-    assert_decisions_identical(scalar, batch)
-    assert_trees_identical(scalar_model.state_dict(), batch_model.state_dict())
-
-
 def test_update_flush_mid_batch_matches_scalar():
     """A detector update inside the batch must re-score the remainder:
     force confident inliers (training-like records) through a tiny

@@ -54,20 +54,6 @@ class TestGraphEmbedders:
         # The record (and its MAC) still joined the graph.
         assert embedder.graph.mac_index("unseen-mac") is not None
 
-    def test_refresh_every_triggers(self):
-        embedder = BiSAGEEmbedder(FAST_BISAGE, refresh_every=3)
-        embedder.fit(synthetic_records(20, seed=0))
-        macs_before = embedder.model._macs_aggregated
-        stream = synthetic_records(3, seed=5)
-        novel = SignalRecord({**stream[0].readings, "brand-new": -50.0})
-        embedder.embed(novel, attach=True)
-        embedder.embed(stream[1], attach=True)
-        # The raw auto-refresh still works (the naive baseline the
-        # coordinated path is benchmarked against) but is deprecated.
-        with pytest.warns(DeprecationWarning, match="without refitting"):
-            embedder.embed(stream[2], attach=True)  # refresh fires here
-        assert embedder.model._macs_aggregated > macs_before
-
     def test_graphsage_adapter(self):
         embedder = GraphSAGEEmbedder(FAST_SAGE).fit(synthetic_records(20, seed=0))
         assert embedder.training_embeddings().shape == (20, 8)

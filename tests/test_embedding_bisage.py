@@ -143,10 +143,26 @@ class TestInductiveInference:
 
     def test_refresh_cache_updates_new_macs(self, fitted):
         model, graph, records = fitted
-        before = model._cache_hv[-1].copy()
+        boundary = model._macs_aggregated
+        # A post-training MAC sensed many times before the refresh.
+        for i in range(6):
+            graph.add_record(SignalRecord({**records[i].readings, "newcomer": -50.0 - i}))
+        assert graph.mac_index("newcomer") >= boundary
         model.refresh_cache()
         after = model._cache_hv[-1]
         assert after.shape[0] == graph.num_macs
+        # The refresh keeps the trained aggregation universe: the
+        # newcomer has a cache row but no say in record embeddings,
+        # and a checkpoint round-trip keeps it that way.
+        assert model._macs_aggregated == boundary
+        probe = dict(records[0].readings)
+        sensed = {**probe, "newcomer": -45.0}
+        np.testing.assert_array_equal(model.embed_readings(sensed),
+                                      model.embed_readings(probe))
+        clone = BiSAGE(FAST).load_state_dict(model.state_dict(), graph)
+        assert clone._macs_aggregated == boundary
+        np.testing.assert_array_equal(clone.embed_readings(sensed),
+                                      model.embed_readings(sensed))
         # Layer-0 rows of original MACs are the deterministic initials.
         from repro.graph import MAC
         np.testing.assert_allclose(model._cache_hv[0][0],

@@ -491,23 +491,3 @@ class TestFleetMaintenance:
                 actions += controller.step("a", fleet.observe("a", record))
             assert "refresh" in actions
             assert fleet.telemetry.tenant("a").refreshes >= 1
-
-
-class TestDeprecatedRefreshFlag:
-    def test_gemconfig_warns(self):
-        with pytest.warns(DeprecationWarning, match="refresh_cache_every"):
-            GEMConfig(refresh_cache_every=50)
-
-    def test_auto_refresh_fire_warns(self, train_records):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1),
-                               refresh_cache_every=2)
-        from repro.core.gem import GEM
-        model = GEM(config)
-        model.fit(train_records)
-        stream = synthetic_records(3, seed=7, center=2.0)
-        with pytest.warns(DeprecationWarning, match="without refitting"):
-            for record in stream:
-                model.observe(record)

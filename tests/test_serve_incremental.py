@@ -321,3 +321,76 @@ class TestIncrementalFleet:
         assert totals.saves >= 2
         assert totals.saves + totals.delta_saves == 5
         fleet.close()
+
+
+def write_parent_format(directory, refresh_cache_every=0, refresh_every=0,
+                        macs_admitted=None) -> None:
+    """Rewrite a GEM checkpoint the way releases with the raw auto-refresh
+    and MAC admission saved it: ``refresh_cache_every`` in the spec and
+    config, the embedder's ``refresh_every`` and streaming counter in its
+    state (and in each delta), and optionally a ``macs_admitted`` array."""
+    manifest_path = directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["pipeline_spec"]["model"]["params"]["refresh_cache_every"] = \
+        refresh_cache_every
+    manifest["state"]["config/refresh_cache_every"] = refresh_cache_every
+    manifest["state"]["embedder/refresh_every"] = refresh_every
+    manifest["state"]["embedder/observed_since_refresh"] = 0
+    for step, entry in enumerate(manifest.get("deltas", []), start=1):
+        entry["leaves"]["embedder/observed_since_refresh"] = 5 * step
+    if macs_admitted is not None:
+        arrays_path = directory / manifest["arrays_file"]
+        with np.load(arrays_path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays["embedder/model/macs_admitted"] = np.asarray(macs_admitted, dtype=np.int64)
+        np.savez(arrays_path, **arrays)
+        manifest["array_keys"] = sorted(arrays)
+    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+
+class TestParentFormatCheckpoints:
+    """Checkpoints saved before the raw auto-refresh and MAC admission
+    were removed still carry those options at their off value."""
+
+    def _saved_tenant(self, root):
+        fleet = GeofenceFleet(root, capacity=1, model_factory=make_gem,
+                              reservoir_size=8, incremental=True)
+        fleet.provision("t", records(0))
+        for record in records(1, n=5):
+            fleet.observe("t", record)
+        fleet.close()  # delta write-back
+        assert read_manifest(root / "t").get("deltas")
+        return root / "t"
+
+    def _serve(self, root):
+        """Load, observe, delta write-back, reload, observe again."""
+        fleet = GeofenceFleet(root, capacity=1, model_factory=make_gem,
+                              reservoir_size=8, incremental=True)
+        before = [fleet.observe("t", record) for record in records(2, n=6)]
+        fleet.evict("t")
+        assert fleet.telemetry.totals().delta_saves == 1
+        after = [fleet.observe("t", record) for record in records(3, n=6)]
+        fleet.close()
+        return before + after
+
+    def test_off_values_load_and_write_back_identically(self, tmp_path):
+        current = self._saved_tenant(tmp_path / "current")
+        legacy = self._saved_tenant(tmp_path / "legacy")
+        write_parent_format(legacy)
+        assert_states_equal(load_checkpoint(current), load_checkpoint(legacy))
+        assert self._serve(tmp_path / "legacy") == self._serve(tmp_path / "current")
+        assert_states_equal(load_checkpoint(current), load_checkpoint(legacy))
+        # The write-back rewrote the manifest without the removed keys.
+        text = (legacy / MANIFEST_NAME).read_text()
+        assert "refresh_cache_every" not in text and "observed_since" not in text
+
+    @pytest.mark.parametrize("legacy, option", [
+        ({"refresh_cache_every": 5}, "refresh_cache_every=5"),
+        ({"refresh_every": 3}, "refresh_every=3"),
+        ({"macs_admitted": [10]}, "macs_admitted"),
+    ], ids=["refresh_cache_every", "refresh_every", "macs_admitted"])
+    def test_switched_on_options_are_refused(self, tmp_path, legacy, option):
+        directory = self._saved_tenant(tmp_path / "m")
+        write_parent_format(directory, **legacy)
+        with pytest.raises(CheckpointError, match=option):
+            load_checkpoint(directory)
