@@ -3,7 +3,7 @@
 Not a single paper figure: this runs the paper's temporal claims
 (Fig. 9/10 MAC churn, Sec. IV-C self-update) as *deployments* instead
 of one-shot ablations.  A dynamic world evolves over simulated days
-while one GEM serves it online (graph attach + self-update) and an
+while one GEM serves it online (embed + detector self-update) and an
 identically-trained frozen snapshot serves it statically.  Reported
 shapes to watch:
 
@@ -15,8 +15,8 @@ shapes to watch:
   MAC-removal ablation as a drift schedule) barely moves online GEM
   but steadily degrades the snapshot;
 * **coordinated refresh**: a fleet tenant whose controller runs the
-  coordinated refresh (cache rebuild within the trained MAC universe +
-  detector refit on the anchored inlier reservoir) recovers from the
+  coordinated refresh (detector refit on the anchored inlier reservoir,
+  re-embedded by the frozen embedder) recovers from the
   churn shock at least as fast as pure online self-update, and strictly
   beats the frozen snapshot.  This is the headline number the
   control-plane redesign exists for.

@@ -77,7 +77,12 @@ def spec(dim: int = 8) -> PipelineSpec:
 
 def make_records(n: int, num_macs: int, seed: int) -> list[SignalRecord]:
     """Cheap deterministic in-premises-looking scans (serving substrate
-    benchmark: the model's quality is irrelevant, its shape is not)."""
+    benchmark: the model's quality is irrelevant, its shape is not).
+
+    The MAC names do not depend on ``seed``, so a stream drawn with one
+    seed senses the APs a tenant was trained on with another; scans
+    sensing only MACs training never heard would all be unembeddable
+    (footnote 3) and skip the embed and score work being measured."""
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n):
@@ -85,9 +90,9 @@ def make_records(n: int, num_macs: int, seed: int) -> list[SignalRecord]:
         for m in range(num_macs):
             rss = -50.0 - 3.0 * (m % 7) + rng.normal(0.0, 2.0)
             if rng.random() < 0.8:
-                readings[f"mac-{seed}-{m:03d}"] = float(max(rss, -95.0))
+                readings[f"mac-{m:03d}"] = float(max(rss, -95.0))
         if not readings:
-            readings[f"mac-{seed}-000"] = -70.0
+            readings["mac-000"] = -70.0
         records.append(SignalRecord(readings, timestamp=float(i)))
     return records
 

@@ -40,9 +40,9 @@ Subcommands
     canonical JSON.
 ``maintain``
     Control-plane maintenance over a checkpoint registry: coordinated
-    refresh (embedding-cache rebuild + detector refit on each tenant's
-    persisted recent-inlier reservoir) or full re-provision, per tenant,
-    written back atomically.
+    refresh (detector refit on each tenant's persisted recent-inlier
+    reservoir, re-embedded by the frozen embedder) or full re-provision,
+    per tenant, written back atomically.
 ``drift``
     Evolve a synthetic world over simulated days (AP churn, a one-shot
     churn shock, power/device drift) and replay the multi-epoch stream
@@ -125,8 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "mid-stream evict/reload")
     p.add_argument("--maintain", type=int, metavar="N", default=0,
                    help="also replay through a fleet tenant whose controller "
-                        "runs a coordinated refresh (cache rebuild + detector "
-                        "refit on the inlier reservoir) every N observations")
+                        "runs a coordinated refresh (detector refit on the "
+                        "re-embedded inlier reservoir) every N observations")
     p.add_argument("--quick", action="store_true",
                    help="shrink the model's hyper-parameters (shorter GNN "
                         "training; the world and epochs are unchanged — "
@@ -239,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated tenant ids, or 'all'")
     p.add_argument("--action", choices=["refresh", "reprovision", "recover"],
                    default="refresh",
-                   help="refresh: rebuild embedding caches + refit the detector "
-                        "on the persisted recent-inlier reservoir (default); "
+                   help="refresh: refit the detector on the re-embedded "
+                        "persisted recent-inlier reservoir (default); "
                         "reprovision: full refit from the reservoir; "
                         "recover: full refit from the persisted quarantine "
                         "buffer, re-anchoring the trained MAC universe — the "

@@ -1,10 +1,16 @@
 """Adapters that expose each embedding algorithm as a RecordEmbedder.
 
 Each Table-I pipeline is "embedder + detector"; these adapters give the
-graph-based embedders (BiSAGE, GraphSAGE) their dynamic-graph plumbing
-(Algorithm 2 line 1: "connect r into G") and give the matrix-based
-embedders (autoencoder, MDS, raw imputed matrix) their fixed-universe
-imputation, behind one interface.
+graph-based embedders (BiSAGE, GraphSAGE) their graph plumbing and give
+the matrix-based embedders (autoencoder, MDS, raw imputed matrix) their
+fixed-universe imputation, behind one interface.
+
+The graph adapters deviate from Algorithm 2 line 1 ("connect r into
+G"): a streamed record is embedded from its edges into the training
+graph and the frozen per-layer caches, and is never connected in.  The
+inductive embedding (Sec. IV-A) reads nothing a connection would
+change, so decisions are the same while a tenant's graph, caches and
+checkpoint stay the size ``fit`` left them.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from repro.embedding.bisage import BiSAGE, BiSAGEConfig
 from repro.embedding.graphsage import GraphSAGE, GraphSAGEConfig
 from repro.embedding.matrix import DEFAULT_FILL_DBM, MatrixView
 from repro.embedding.mds import ClassicalMDS
-from repro.graph.bipartite import RECORD, WeightedBipartiteGraph
+from repro.graph.bipartite import WeightedBipartiteGraph
 from repro.graph.builder import build_graph
 
 __all__ = [
@@ -37,6 +43,9 @@ class _GraphEmbedderBase:
     # The trainable model class bound to the graph; subclasses set it so
     # the shared persistence path can rebuild the right model on load.
     _model_class: type | None = None
+    # Takes part in a coordinated refresh (see EmbeddingGeofencer.refresh);
+    # the registry's ``supports_refresh`` flag mirrors it.
+    refreshable = True
 
     def __init__(self, weight_offset: float = 120.0):
         self.weight_offset = weight_offset
@@ -47,7 +56,6 @@ class _GraphEmbedderBase:
         if not records:
             raise ValueError("cannot fit on an empty training set")
         self.graph = build_graph(records, weight_offset=self.weight_offset)
-        self._num_training_records = self.graph.num_records
         return self.graph
 
     def training_embeddings(self) -> np.ndarray:
@@ -62,24 +70,34 @@ class _GraphEmbedderBase:
         """
         self._require_fitted()
         return np.vstack([self.model.embed_record_node(i)
-                          for i in range(self._num_training_records)])
+                          for i in range(self.graph.num_records)])
 
-    def embed(self, record: SignalRecord, attach: bool = True) -> np.ndarray | None:
-        """Embed a streamed record (Sec. IV-A).
+    def embed(self, record: SignalRecord) -> np.ndarray | None:
+        """Embed a streamed record (Sec. IV-A), leaving the graph as it is.
 
-        With ``attach=True`` the record joins the graph permanently
-        (Algorithm 2 line 1).  Returns None when no sensed MAC is already
-        known to the graph — the footnote-3 case the caller must treat as
-        an outlier.
+        Returns None when no sensed MAC is in the training graph — the
+        footnote-3 case the caller must treat as an outlier.
         """
         self._require_fitted()
-        known = any(self.graph.mac_index(mac) is not None for mac in record.readings)
-        if attach:
-            index = self.graph.add_record(record)
-            embedding = self.model.embed_record_node(index) if known else None
-        else:
-            embedding = self.model.embed_readings(record.readings) if known else None
-        return embedding
+        return self.model.embed_readings(record.readings)
+
+    def prepare(self, record: SignalRecord) -> tuple[np.ndarray, np.ndarray] | None:
+        """The batch kernel's input: the record's ``(neighbors, weights)``.
+
+        The same read-only lookup :meth:`embed` makes
+        (:meth:`~repro.graph.bipartite.WeightedBipartiteGraph.edges_of`):
+        every reading's RSS validated, MACs outside the training graph
+        skipped.  None in the footnote-3 case.
+        """
+        self._require_fitted()
+        neighbors, weights = self.graph.edges_of(record.readings)
+        if not len(neighbors):
+            return None
+        return neighbors, weights
+
+    # Not called: the serving benchmark's layer tracer (perfbench/spans.py)
+    # patches this name and fails to start without it.
+    attach_prepared = prepare
 
     # ------------------------------------------------------------------
     # Batched inference (vectorized data plane)
@@ -98,40 +116,6 @@ class _GraphEmbedderBase:
         self._require_fitted()
         return self.model.inference_token()
 
-    def attach_prepared(self, record: SignalRecord):
-        """Attach one record and return its ``(neighbors, weights)`` arrays.
-
-        Exactly the graph-side half of ``embed(record, attach=True)`` —
-        known-check *before* the attach (attaching interns the record's
-        own MACs), permanent attach, streaming counter — with the model
-        maths left to the caller's kernel.  Returns None for the
-        footnote-3 case (no sensed MAC known).  Callers must have
-        checked :meth:`supports_batch_inference`.
-        """
-        self._require_fitted()
-        known = any(self.graph.mac_index(mac) is not None for mac in record.readings)
-        index = self.graph.add_record(record)
-        if not known:
-            return None
-        # The scalar path extends per embedded record; replicating that
-        # keeps the cache arrays byte-identical in post-stream
-        # state_dict() trees (their final size depends on which record
-        # was embedded last, not just on the batch's MAC universe).
-        self.model._extend_mac_cache()
-        return self.graph.neighbors(RECORD, index)
-
-    def refresh_cache(self) -> None:
-        """Rebuild per-layer caches over the grown graph.
-
-        The trained aggregation universe is preserved (see
-        :meth:`repro.embedding.bisage.BiSAGE.refresh_cache`), and the
-        caller must refit the downstream detector on re-embedded data
-        in the same operation, because every cached embedding still
-        moves (see :meth:`repro.core.gem.EmbeddingGeofencer.refresh`).
-        """
-        self._require_fitted()
-        self.model.refresh_cache()
-
     def _require_fitted(self) -> None:
         if self.model is None or self.graph is None:
             raise RuntimeError(f"{type(self).__name__} has not been fitted; call fit first")
@@ -140,25 +124,55 @@ class _GraphEmbedderBase:
     # Persistence (shared by every graph-based adapter)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Checkpointable state: graph + model + streaming bookkeeping."""
+        """Checkpointable state: the training graph + the model."""
         self._require_fitted()
         return {
             "weight_offset": self.weight_offset,
-            "num_training_records": self._num_training_records,
+            "num_training_records": self.graph.num_records,
             "graph": self.graph.state_dict(),
             "model": self.model.state_dict(),
         }
 
     def load_state_dict(self, state: dict):
-        """Restore an embedder saved by :meth:`state_dict`."""
+        """Restore an embedder saved by :meth:`state_dict`.
+
+        Checkpoints from releases that connected streamed records into
+        the graph also hold those records, the MACs they interned and
+        cache rows for both; no decision read any of it.  They load cut
+        down to the training graph: the first ``num_training_records``
+        records, the MACs the caches were built over, and the matching
+        cache rows.
+        """
         self.weight_offset = float(state["weight_offset"])
-        self.graph = WeightedBipartiteGraph.from_state_dict(state["graph"])
-        self._num_training_records = int(state["num_training_records"])
-        if self._num_training_records > self.graph.num_records:
-            raise ValueError(f"state claims {self._num_training_records} training records "
-                             f"but graph has only {self.graph.num_records}")
-        self.model = self._model_class(self.config).load_state_dict(state["model"], self.graph)
+        graph_state, model_state = _training_part(state)
+        self.graph = WeightedBipartiteGraph.from_state_dict(graph_state)
+        self.model = self._model_class(self.config).load_state_dict(model_state, self.graph)
         return self
+
+
+def _training_part(state: dict) -> tuple[dict, dict]:
+    """A graph adapter's ``(graph, model)`` states without streamed rows."""
+    graph, model = dict(state["graph"]), dict(state["model"])
+    records = int(state["num_training_records"])
+    macs = int(model.pop("macs_aggregated", len(graph["mac_names"])))
+    indptr = np.asarray(graph["record_indptr"], dtype=np.int64)
+    if not 0 <= records < len(indptr):
+        raise ValueError(f"state claims {records} training records "
+                         f"but graph has only {len(indptr) - 1}")
+    indptr = indptr[:records + 1]
+    edge_macs = np.asarray(graph["edge_macs"], dtype=np.int64)[:indptr[-1]]
+    if len(edge_macs) and edge_macs.max() >= macs:
+        raise ValueError(f"training records reference MAC {edge_macs.max()}, "
+                         f"past the {macs} MACs the caches were built over")
+    graph.update(record_indptr=indptr, edge_macs=edge_macs,
+                 edge_weights=np.asarray(graph["edge_weights"])[:indptr[-1]],
+                 mac_names=list(graph["mac_names"])[:macs])
+    for key, layers in model.items():
+        if key.startswith("cache_"):
+            # cache_u / cache_hu / cache_lu are record rows, *v MAC rows.
+            rows = records if key.endswith("u") else macs
+            model[key] = {k: np.asarray(layer)[:rows] for k, layer in layers.items()}
+    return graph, model
 
 
 class BiSAGEEmbedder(_GraphEmbedderBase):
@@ -258,7 +272,7 @@ class AutoencoderEmbedder(_MatrixEmbedderBase):
         self._training = self.model.embed(x)
         return self
 
-    def embed(self, record: SignalRecord, attach: bool = True) -> np.ndarray | None:
+    def embed(self, record: SignalRecord) -> np.ndarray | None:
         vector = self._vector(record)
         if vector is None:
             return None
@@ -297,7 +311,7 @@ class MDSEmbedder(_MatrixEmbedderBase):
         self._training = self.model.embedding_
         return self
 
-    def embed(self, record: SignalRecord, attach: bool = True) -> np.ndarray | None:
+    def embed(self, record: SignalRecord) -> np.ndarray | None:
         vector = self._vector(record)
         if vector is None:
             return None
@@ -335,7 +349,7 @@ class ImputedMatrixEmbedder(_MatrixEmbedderBase):
         self._training = self._fit_view(records)
         return self
 
-    def embed(self, record: SignalRecord, attach: bool = True) -> np.ndarray | None:
+    def embed(self, record: SignalRecord) -> np.ndarray | None:
         return self._vector(record)
 
     def state_dict(self) -> dict:

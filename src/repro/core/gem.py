@@ -27,14 +27,14 @@ __all__ = ["EmbeddingGeofencer", "GEM", "RefreshJob"]
 class RefreshJob:
     """A coordinated refresh staged in three phases.
 
-    ``begin_refresh`` (the *copy* phase) deep-copies the embedder and
-    detector while the caller holds whatever lock guards the live
-    pipeline; :meth:`build` (the *rebuild* phase) does all the heavy
-    work — cache rebuild, re-embedding, detector refit — purely on
-    those copies, so the caller may release its lock first;
-    ``commit_refresh`` (the *swap* phase) installs the result with two
-    pointer assignments.  ``EmbeddingGeofencer.refresh`` runs all three
-    back-to-back and is bit-identical to the pre-staged implementation.
+    ``begin_refresh`` (the *copy* phase) deep-copies the detector while
+    the caller holds whatever lock guards the live pipeline;
+    :meth:`build` (the *rebuild* phase) re-embeds the records through
+    the live embedder, which serving never mutates, and refits the
+    detector copy, so the caller may release its lock first;
+    ``commit_refresh`` (the *swap* phase) installs the refit detector
+    with one pointer assignment.  ``EmbeddingGeofencer.refresh`` runs
+    all three back-to-back.
     """
 
     def __init__(self, pipeline: "EmbeddingGeofencer", embedder, detector,
@@ -47,20 +47,18 @@ class RefreshJob:
         self.committed = False
 
     def build(self) -> int:
-        """Rebuild caches and refit the detector on the copies.
+        """Re-embed the records and refit the detector copy.
 
-        Touches only this job's copies — never the live pipeline — so
-        it is safe to run without holding the pipeline's lock.  Returns
-        the number of records the detector was refit on.
+        Only reads the embedder and writes only this job's detector
+        copy, so it is safe to run without holding the pipeline's lock.
+        Returns the number of records the detector was refit on.
         """
-        self.embedder.refresh_cache()
-        rows = [self.embedder.embed(record, attach=False) for record in self.records]
+        rows = [self.embedder.embed(record) for record in self.records]
         rows = [row for row in rows if row is not None]
         if not rows:
             raise ValueError("coordinated refresh aborted: none of the "
-                             f"{len(self.records)} recent-inlier records are embeddable "
-                             "after the cache rebuild; the pipeline keeps serving "
-                             "its pre-refresh state")
+                             f"{len(self.records)} recent-inlier records are embeddable; "
+                             "the pipeline keeps serving its pre-refresh state")
         self.detector.refit(np.vstack(rows))
         self.absorbed = len(rows)
         return self.absorbed
@@ -117,23 +115,28 @@ class EmbeddingGeofencer:
     # ------------------------------------------------------------------
     # Online inference (Algorithm 2)
     # ------------------------------------------------------------------
-    def score(self, record: SignalRecord, attach: bool = False) -> float:
+    def score(self, record: SignalRecord) -> float:
         """Outlier score of a record; +inf when it cannot be embedded."""
-        embedding = self._embed(record, attach)
+        embedding = self._embed(record)
         if embedding is None:
             return math.inf
         return float(self.detector.decision_scores(embedding[None, :])[0])
 
     def predict(self, record: SignalRecord) -> bool:
         """True iff the record is predicted in-premises (no state change)."""
-        embedding = self._embed(record, attach=False)
+        embedding = self._embed(record)
         if embedding is None:
             return False
         return not bool(self.detector.is_outlier(embedding[None, :])[0])
 
     def observe(self, record: SignalRecord) -> GeofenceDecision:
-        """Full Algorithm 2: attach, embed, decide, maybe self-update."""
-        embedding = self._embed(record, attach=True)
+        """Algorithm 2: embed, decide, maybe self-update.
+
+        Line 1 ("connect r into G") is left out: the embedding reads only
+        the record's edges and the frozen caches, so connecting it would
+        change no decision (see :mod:`repro.core.embedders`).
+        """
+        embedding = self._embed(record)
         if embedding is None:
             # Footnote 3: nothing recognisable — treat as an outlier.
             return GeofenceDecision(inside=False, score=math.inf)
@@ -203,16 +206,14 @@ class EmbeddingGeofencer:
         if kernel is None:
             kernel = self.embedder.batched_inference()
 
-        # Phase 1: attach + embed.  Graph mutations here are order-exact
-        # with the scalar loop (known-check before attach, per-embedded
-        # cache extension); empty-readings records never attach.
+        # Phase 1: embed, through the scalar path's read-only lookup.
         n = len(records)
         rows: list[np.ndarray | None] = [None] * n
         embedded: list[int] = []
         for i, record in enumerate(records):
             if not record.readings:
                 continue
-            prepared = self.embedder.attach_prepared(record)
+            prepared = self.embedder.prepare(record)
             if prepared is None:
                 continue
             rows[i] = kernel.embed(*prepared)
@@ -291,31 +292,27 @@ class EmbeddingGeofencer:
     # ------------------------------------------------------------------
     def supports_refresh(self) -> bool:
         """True when both halves of a coordinated refresh are available:
-        an embedder with ``refresh_cache`` and a detector with ``refit``."""
-        return (hasattr(self.embedder, "refresh_cache")
+        a ``refreshable`` (graph) embedder and a detector with ``refit``."""
+        return (getattr(self.embedder, "refreshable", False)
                 and hasattr(self.detector, "refit"))
 
     def refresh(self, records: Sequence[SignalRecord]) -> int:
-        """Coordinated refresh: rebuild embedding caches *and* refit the
-        detector on re-embedded recent inliers, as one atomic operation.
+        """Coordinated refresh: refit the detector on re-embedded recent
+        inliers.
 
-        Rebuilding the caches alone would move the embedding function
-        under a detector calibrated to the old one, and admitting
-        never-trained MACs into aggregation collapses separation
-        outright.  So the refreshed embedder recomputes its caches over
-        the grown graph *within the trained MAC universe* (new MACs
-        join at re-provision, when the weights retrain), then re-embeds
-        ``records`` (recent known-inlier records, e.g. a fleet
-        reservoir anchored on the training set) and the detector is
-        refit on exactly those embeddings — score scale and embedding
-        function move together.  Returns the number of records the
-        detector was refit on.
+        The embedder is frozen between fits, so a refresh is a detector
+        refit: ``records`` (recent known-inlier records, e.g. a fleet
+        reservoir anchored on the training set) are embedded by the
+        live embedder and a copy of the detector is refit on exactly
+        those embeddings.  MACs first seen after training stay out of
+        the embedding until a re-provision retrains the weights against
+        them.  Returns the number of records the detector was refit on.
 
-        Atomic: all work happens on copies; the live pipeline is only
-        swapped at the end, so any mid-refresh failure (nothing
-        embeddable, detector refit error) leaves it serving the
-        pre-refresh state.  The self-update buffer is cleared — buffered
-        embeddings were produced by the old embedding function.
+        Atomic: the refit happens on a copy that is swapped in at the
+        end, so any mid-refresh failure (nothing embeddable, detector
+        refit error) leaves the pipeline serving the pre-refresh state.
+        The self-update buffer is cleared — its embeddings were meant
+        for the replaced detector.
 
         Concurrency-minded callers can stage the same operation:
         :meth:`begin_refresh` (copy, under the caller's lock) →
@@ -330,36 +327,35 @@ class EmbeddingGeofencer:
     def begin_refresh(self, records: Sequence[SignalRecord]) -> RefreshJob:
         """Copy phase of a staged refresh: validate and snapshot.
 
-        Deep-copies the embedder and detector (call this while holding
-        whatever lock serialises access to the live pipeline) and
-        returns a :class:`RefreshJob` whose :meth:`~RefreshJob.build`
-        may then run without that lock.
+        Deep-copies the detector (call this while holding whatever lock
+        serialises access to the live pipeline) and returns a
+        :class:`RefreshJob` whose :meth:`~RefreshJob.build` may then run
+        without that lock.
         """
         if not self._fitted:
             raise RuntimeError("pipeline has not been fitted; call fit first")
         if not self.supports_refresh():
-            missing = ("refresh_cache" if not hasattr(self.embedder, "refresh_cache")
-                       else "refit")
-            part = self.embedder if missing == "refresh_cache" else self.detector
-            raise TypeError(f"{type(part).__name__} has no {missing}; this pipeline "
-                            "does not support coordinated refresh")
+            part = (self.detector if getattr(self.embedder, "refreshable", False)
+                    else self.embedder)
+            raise TypeError(f"{type(part).__name__} cannot take part in a coordinated "
+                            "refresh; this pipeline does not support it")
         records = [r for r in records if r.readings]
         if not records:
             raise ValueError("coordinated refresh needs at least one non-empty "
                              "recent-inlier record to refit the detector on")
-        return RefreshJob(self, copy.deepcopy(self.embedder),
-                          copy.deepcopy(self.detector), records)
+        return RefreshJob(self, self.embedder, copy.deepcopy(self.detector), records)
 
     def commit_refresh(self, job: RefreshJob) -> None:
-        """Swap phase of a staged refresh: install the rebuilt copies.
+        """Swap phase of a staged refresh: install the refit detector.
 
-        Two pointer assignments plus the update-buffer clear — buffered
-        embeddings were produced by the old embedding function.  Call
-        under the same lock :meth:`begin_refresh` was called under.
+        One pointer assignment plus the update-buffer clear.  Call under
+        the same lock :meth:`begin_refresh` was called under.
         Observations served between copy and commit keep their
-        decisions; their graph attachments live in the pre-refresh
-        embedder and are superseded by the swap (bounded staleness, one
-        refresh window deep — the serial path has no such window).
+        decisions; their detector self-updates live in the pre-refresh
+        detector and are superseded by the swap (bounded staleness, one
+        refresh window deep — the serial path has no such window).  A
+        job built against an embedder the pipeline has since replaced
+        (a load) is refused.
         """
         if job.pipeline is not self:
             raise ValueError("refresh job belongs to a different pipeline")
@@ -367,8 +363,10 @@ class EmbeddingGeofencer:
             raise RuntimeError("refresh job has not been built; call build() first")
         if job.committed:
             raise RuntimeError("refresh job was already committed")
+        if job.embedder is not self.embedder:
+            raise ValueError("the pipeline's embedder was replaced while the refresh "
+                             "built; its detector no longer matches")
         job.committed = True
-        self.embedder = job.embedder
         self.detector = job.detector
         self._update_buffer = []
 
@@ -430,12 +428,12 @@ class EmbeddingGeofencer:
             return bool(self.detector.is_confident_inlier(row)[0])
         return False
 
-    def _embed(self, record: SignalRecord, attach: bool) -> np.ndarray | None:
+    def _embed(self, record: SignalRecord) -> np.ndarray | None:
         if not self._fitted:
             raise RuntimeError("pipeline has not been fitted; call fit first")
         if not record.readings:
             return None
-        return self.embedder.embed(record, attach=attach)
+        return self.embedder.embed(record)
 
 
 class GEM(EmbeddingGeofencer):

@@ -40,7 +40,7 @@ class RecordEmbedder(Protocol):
 
     def training_embeddings(self) -> np.ndarray: ...
 
-    def embed(self, record: SignalRecord, attach: bool = True) -> np.ndarray | None: ...
+    def embed(self, record: SignalRecord) -> np.ndarray | None: ...
 
 
 @runtime_checkable

@@ -263,9 +263,9 @@ class HistogramDetector:
         """Re-baseline the detector on fresh embeddings (coordinated refresh).
 
         Unlike :meth:`update`, this *replaces* the absorbed training set
-        instead of appending to it — the embedding function changed under
-        us (e.g. a cache rebuild), so scores of old embeddings no longer
-        live on the same scale as new ones.  ``num_updates`` restarts at
+        instead of appending to it, so self-updates that drifted the
+        histograms away from the current world are dropped with the old
+        training set.  ``num_updates`` restarts at
         zero: the new histograms owe nothing to the old online updates.
         """
         self.fit(embeddings)

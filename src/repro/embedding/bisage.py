@@ -11,9 +11,11 @@ The algorithmic content of the paper's core contribution:
 * training minimises the skip-gram-style loss of Eq. 9 over consecutive
   nodes of weighted random walks, with ``K_N`` negative nodes drawn
   ``∝ degree^{3/4}``;
-* the model is **inductive**: a record streamed in later is attached to
-  the graph and embedded with the frozen weight matrices by aggregating
-  its neighbours' cached per-layer embeddings (Sec. IV-A).
+* the model is **inductive**: a record streamed in later is embedded
+  with the frozen weight matrices by aggregating its neighbours' cached
+  per-layer embeddings (Sec. IV-A).  That reads the record's own edges
+  and the caches only, so the record is never connected into the graph
+  (Algorithm 2 line 1): graph and caches change only at :meth:`BiSAGE.fit`.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class BiSAGEConfig:
 
 
 class BiSAGE:
-    """Trainable BiSAGE embedder bound to a (dynamic) bipartite graph."""
+    """Trainable BiSAGE embedder bound to its training bipartite graph."""
 
     def __init__(self, config: BiSAGEConfig = BiSAGEConfig()):
         self.config = config
@@ -114,13 +116,12 @@ class BiSAGE:
         self.weights_h: list[Parameter] = []
         self.weights_l: list[Parameter] = []
         self.loss_history: list[float] = []
-        # Per-layer caches, split per partition so indices stay stable as
-        # the graph grows: lists of (n, d) arrays, index 0 = layer 0.
+        # Per-layer caches, split per partition: lists of (n, d) arrays,
+        # index 0 = layer 0, one row per node of the training graph.
         self._cache_hu: list[np.ndarray] = []
         self._cache_lu: list[np.ndarray] = []
         self._cache_hv: list[np.ndarray] = []
         self._cache_lv: list[np.ndarray] = []
-        self._macs_aggregated = 0
         self._rng = as_rng(config.seed)
 
     # ------------------------------------------------------------------
@@ -134,10 +135,10 @@ class BiSAGE:
         return initial_embedding_row(self.config.dim, self.config.seed, salt,
                                      self._node_key(side, index))
 
-    def _initial_matrix(self, side: str, count: int, which: str, start: int = 0) -> np.ndarray:
+    def _initial_matrix(self, side: str, count: int, which: str) -> np.ndarray:
         out = np.empty((count, self.config.dim), dtype=np.float64)
         for i in range(count):
-            out[i] = self._initial_row(side, start + i, which)
+            out[i] = self._initial_row(side, i, which)
         return out
 
     # ------------------------------------------------------------------
@@ -248,7 +249,7 @@ class BiSAGE:
     # Inference caches
     # ------------------------------------------------------------------
     def _build_cache(self) -> None:
-        """Recompute per-layer embeddings for every current node.
+        """Compute per-layer embeddings for every node of the graph.
 
         Deterministic: uses full-neighbourhood aggregation (the sampled
         aggregator's expectation) so repeated calls agree.
@@ -280,41 +281,6 @@ class BiSAGE:
         self._cache_lu = [layer[:num_u].copy() for layer in layers_l]
         self._cache_hv = [layer[num_u:].copy() for layer in layers_h]
         self._cache_lv = [layer[num_u:].copy() for layer in layers_l]
-        # MAC nodes at index >= this have never been through an
-        # aggregation pass; inference must not aggregate from them.
-        self._macs_aggregated = num_v
-
-    def refresh_cache(self) -> None:
-        """Recompute caches against the graph's *current* contents.
-
-        Per-layer embeddings are recomputed over the grown graph, but
-        the aggregation universe stays the trained one: MACs first seen
-        after training stay out of inference-time aggregation.  Admitting
-        them under weight matrices that never saw those nodes measurably
-        *collapses* in/out separation after a churn shock; new MACs join
-        at full re-provision, when the weights are retrained too.
-        """
-        boundary = self._macs_aggregated
-        graph = self._require_fitted()
-        self._build_cache()
-        self._macs_aggregated = min(boundary, graph.num_macs)
-
-    def _extend_mac_cache(self) -> None:
-        """Lazily append rows for MAC nodes added after the last cache build.
-
-        New MACs enter at their (deterministic random) initial embedding
-        at every layer; a later :meth:`refresh_cache` gives them fully
-        aggregated embeddings.
-        """
-        graph = self._require_fitted()
-        have = self._cache_hv[0].shape[0] if self._cache_hv else 0
-        need = graph.num_macs
-        if need <= have:
-            return
-        extra_h = self._initial_matrix(MAC, need - have, "h", start=have)
-        extra_l = self._initial_matrix(MAC, need - have, "l", start=have)
-        self._cache_hv = [np.vstack([layer, extra_h]) for layer in self._cache_hv]
-        self._cache_lv = [np.vstack([layer, extra_l]) for layer in self._cache_lv]
 
     def _require_fitted(self) -> WeightedBipartiteGraph:
         if self.graph is None:
@@ -349,39 +315,30 @@ class BiSAGE:
         return self._embed_from_neighbors(RECORD, _INFERENCE_KEY, neighbors, weights)
 
     def embed_readings(self, readings: dict[str, float]) -> np.ndarray | None:
-        """Embed a record *without* mutating the graph.
+        """Embed a streamed record without touching the graph.
 
-        Only MACs already present in the graph contribute; returns None
-        when no sensed MAC is known (footnote 3: such records are treated
-        as outliers by the caller).
+        Only MACs of the training graph contribute (see
+        :meth:`~repro.graph.bipartite.WeightedBipartiteGraph.edges_of`);
+        returns None when no sensed MAC is one of them (footnote 3: such
+        records are treated as outliers by the caller).  MACs first seen
+        after training join at re-provision, when the weights retrain
+        against them.
         """
         graph = self._require_fitted()
-        known = [(graph.mac_index(mac), rss) for mac, rss in readings.items()
-                 if graph.mac_index(mac) is not None]
-        if not known:
+        neighbors, weights = graph.edges_of(readings)
+        if not len(neighbors):
             return None
-        neighbors = np.asarray([idx for idx, _ in known], dtype=np.int64)
-        weights = np.asarray([graph.edge_weight_of_rss(rss) for _, rss in known])
         return self._embed_from_neighbors(RECORD, _INFERENCE_KEY, neighbors, weights)
 
     def _embed_from_neighbors(self, side: str, index: int,
                               neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
         cfg = self.config
         act = _ACTIVATIONS[cfg.activation][1]
-        self._extend_mac_cache()
         neighbor_h = self._cache_hv if side == RECORD else self._cache_hu
         neighbor_l = self._cache_lv if side == RECORD else self._cache_lu
 
         h = self._initial_row(side, index, "h")
         l = self._initial_row(side, index, "l")
-        if side == RECORD and len(neighbors):
-            # MACs first seen after training stay outside the trained
-            # aggregation universe: until a refresh their cache rows are
-            # random initials (pure noise — one strong unknown MAC could
-            # dominate the weighted mean), and the weights never saw them.
-            # They join at re-provision, when the weights retrain.
-            usable = neighbors < self._macs_aggregated
-            neighbors, weights = neighbors[usable], weights[usable]
         if len(neighbors) == 0:
             return h
         probabilities = weights / weights.sum()
@@ -412,24 +369,20 @@ class BiSAGE:
             weights=[w.data for w in self.weights_h],
             neighbor_caches=self._cache_lv,
             act=_ACTIVATIONS[self.config.activation][1],
-            macs_aggregated=self._macs_aggregated,
         )
 
     def inference_token(self) -> tuple:
         """Identity fingerprint of everything a kernel captures.
 
-        Any event that could change inference output — refresh-commit
-        swapping the embedder, ``load_state_dict`` rebuilding weights
-        and caches, ``refresh_cache`` rebinding the cache lists, even a
-        mid-batch ``_extend_mac_cache`` rebind — produces new objects
-        here, so an ``id``-based tuple comparison catches them all
-        without hashing array contents.
+        Inference output changes only when :meth:`fit` or
+        ``load_state_dict`` rebuilds the graph, weights and caches; both
+        produce new objects here, so an ``id``-based tuple comparison
+        catches them without hashing array contents.
         """
         return (
             id(self.graph),
             tuple(id(w) for w in self.weights_h),
             id(self._cache_lv),
-            self._macs_aggregated,
         )
 
     # ------------------------------------------------------------------
@@ -444,15 +397,13 @@ class BiSAGE:
 
         The per-layer caches are saved verbatim (rather than rebuilt on
         load) so a restored model reproduces inductive embeddings —
-        and therefore geofence decisions — bit-for-bit, even when MACs
-        were appended to the graph after the last :meth:`refresh_cache`.
-        The bound graph is *not* included; the owner saves it separately
-        and passes it back to :meth:`load_state_dict`.
+        and therefore geofence decisions — bit-for-bit.  The bound graph
+        is *not* included; the owner saves it separately and passes it
+        back to :meth:`load_state_dict`.
         """
         self._require_fitted()
         state: dict = {
             "config": self.config.to_dict(),
-            "macs_aggregated": self._macs_aggregated,
             "loss_history": [float(x) for x in self.loss_history],
             "parameters": export_parameters(self.parameters()),
         }
@@ -465,7 +416,8 @@ class BiSAGE:
         """Restore a model saved by :meth:`state_dict` onto ``graph``.
 
         ``graph`` must be the graph the state was saved against (or a
-        reconstruction of it); cache shapes are validated against it.
+        reconstruction of it): every cache needs exactly one row per
+        node of its partition.
         """
         cfg = self.config
         saved_cfg = BiSAGEConfig.from_dict(state["config"])
@@ -483,13 +435,10 @@ class BiSAGE:
             for layer in layers:
                 if layer.shape[1] != cfg.dim:
                     raise ValueError(f"cache_{name} dimension {layer.shape[1]} != config dim {cfg.dim}")
+            nodes = graph.num_records if name.endswith("u") else graph.num_macs
+            if any(layer.shape[0] != nodes for layer in layers):
+                raise ValueError(f"cache_{name} rows do not match the graph's {nodes} nodes")
             setattr(self, f"_cache_{name}", layers)
-        num_u = self._cache_hu[0].shape[0]
-        if num_u > graph.num_records:
-            raise ValueError(f"cached {num_u} record nodes but graph has only {graph.num_records}")
-        self._macs_aggregated = int(state["macs_aggregated"])
-        if self._macs_aggregated > graph.num_macs:
-            raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
         self.loss_history = [float(x) for x in state.get("loss_history", [])]
         self.graph = graph
         return self

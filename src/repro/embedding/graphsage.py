@@ -92,7 +92,6 @@ class GraphSAGE:
         self.loss_history: list[float] = []
         self._cache_u: list[np.ndarray] = []
         self._cache_v: list[np.ndarray] = []
-        self._macs_aggregated = 0
         self._rng = as_rng(config.seed)
 
     def _node_key(self, side: str, index: int) -> int:
@@ -102,10 +101,10 @@ class GraphSAGE:
         return initial_embedding_row(self.config.dim, self.config.seed, 7,
                                      self._node_key(side, index))
 
-    def _initial_matrix(self, side: str, count: int, start: int = 0) -> np.ndarray:
+    def _initial_matrix(self, side: str, count: int) -> np.ndarray:
         out = np.empty((count, self.config.dim), dtype=np.float64)
         for i in range(count):
-            out[i] = self._initial_row(side, start + i)
+            out[i] = self._initial_row(side, i)
         return out
 
     def fit(self, graph: WeightedBipartiteGraph) -> "GraphSAGE":
@@ -201,24 +200,6 @@ class GraphSAGE:
             layers.append(_l2_rows(act(np.hstack([layers[-1], agg]) @ self.weights[k].data)))
         self._cache_u = [layer[:num_u].copy() for layer in layers]
         self._cache_v = [layer[num_u:].copy() for layer in layers]
-        self._macs_aggregated = num_v
-
-    def refresh_cache(self) -> None:
-        """Recompute caches inside the trained aggregation universe; see
-        :meth:`repro.embedding.bisage.BiSAGE.refresh_cache`."""
-        boundary = self._macs_aggregated
-        graph = self._require_fitted()
-        self._build_cache()
-        self._macs_aggregated = min(boundary, graph.num_macs)
-
-    def _extend_mac_cache(self) -> None:
-        graph = self._require_fitted()
-        have = self._cache_v[0].shape[0] if self._cache_v else 0
-        need = graph.num_macs
-        if need <= have:
-            return
-        extra = self._initial_matrix(MAC, need - have, start=have)
-        self._cache_v = [np.vstack([layer, extra]) for layer in self._cache_v]
 
     def _require_fitted(self) -> WeightedBipartiteGraph:
         if self.graph is None:
@@ -238,25 +219,19 @@ class GraphSAGE:
         return self._embed_from_neighbors(_INFERENCE_KEY, neighbors, weights)
 
     def embed_readings(self, readings: dict[str, float]) -> np.ndarray | None:
+        """Embed a streamed record read-only; see
+        :meth:`repro.embedding.bisage.BiSAGE.embed_readings`."""
         graph = self._require_fitted()
-        known = [(graph.mac_index(mac), rss) for mac, rss in readings.items()
-                 if graph.mac_index(mac) is not None]
-        if not known:
+        neighbors, weights = graph.edges_of(readings)
+        if not len(neighbors):
             return None
-        neighbors = np.asarray([idx for idx, _ in known], dtype=np.int64)
-        weights = np.asarray([graph.edge_weight_of_rss(rss) for _, rss in known])
         return self._embed_from_neighbors(_INFERENCE_KEY, neighbors, weights)
 
     def _embed_from_neighbors(self, index: int, neighbors: np.ndarray,
                               weights: np.ndarray) -> np.ndarray:
         cfg = self.config
         act = _ACTIVATIONS[cfg.activation][1]
-        self._extend_mac_cache()
         z = self._initial_row(RECORD, index)
-        if len(neighbors):
-            # Exclude MACs outside the trained universe (see BiSAGE).
-            usable = neighbors < self._macs_aggregated
-            neighbors, weights = neighbors[usable], weights[usable]
         if len(neighbors) == 0:
             return z
         probabilities = weights / weights.sum()
@@ -276,7 +251,6 @@ class GraphSAGE:
             weights=[w.data for w in self.weights],
             neighbor_caches=self._cache_v,
             act=_ACTIVATIONS[self.config.activation][1],
-            macs_aggregated=self._macs_aggregated,
         )
 
     def inference_token(self) -> tuple:
@@ -285,7 +259,6 @@ class GraphSAGE:
             id(self.graph),
             tuple(id(w) for w in self.weights),
             id(self._cache_v),
-            self._macs_aggregated,
         )
 
     # ------------------------------------------------------------------
@@ -306,7 +279,6 @@ class GraphSAGE:
         self._require_fitted()
         state: dict = {
             "config": self.config.to_dict(),
-            "macs_aggregated": self._macs_aggregated,
             "loss_history": [float(x) for x in self.loss_history],
             "parameters": export_parameters(self.parameters()),
         }
@@ -332,13 +304,10 @@ class GraphSAGE:
             for layer in layers:
                 if layer.shape[1] != cfg.dim:
                     raise ValueError(f"cache_{name} dimension {layer.shape[1]} != config dim {cfg.dim}")
+            nodes = graph.num_records if name == "u" else graph.num_macs
+            if any(layer.shape[0] != nodes for layer in layers):
+                raise ValueError(f"cache_{name} rows do not match the graph's {nodes} nodes")
             setattr(self, f"_cache_{name}", layers)
-        num_u = self._cache_u[0].shape[0]
-        if num_u > graph.num_records:
-            raise ValueError(f"cached {num_u} record nodes but graph has only {graph.num_records}")
-        self._macs_aggregated = int(state["macs_aggregated"])
-        if self._macs_aggregated > graph.num_macs:
-            raise ValueError(f"macs_aggregated={self._macs_aggregated} exceeds graph's {graph.num_macs} MACs")
         self.loss_history = [float(x) for x in state.get("loss_history", [])]
         self.graph = graph
         return self

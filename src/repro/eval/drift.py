@@ -16,7 +16,7 @@ observation sequence — comparisons measure the models, not the worlds.
 Two replay targets:
 
 * any fitted pipeline (``run``), online (``observe``, self-updates on)
-  or as a static snapshot (``predict``/``score`` without graph attach);
+  or as a static snapshot (``predict``/``score``, no self-update);
 * a :class:`~repro.serve.fleet.GeofenceFleet` tenant (``run_fleet``),
   which is force-evicted mid-epoch so the checkpoint save/load path is
   exercised under drift — a reloaded tenant must continue exactly where
@@ -240,8 +240,8 @@ class DriftHarness:
             fit: bool = True) -> DriftResult:
         """Replay every epoch through ``model``.
 
-        ``online=True`` uses ``observe`` (graph attach + self-update —
-        the deployed Algorithm 2); ``online=False`` freezes the trained
+        ``online=True`` uses ``observe`` (embed + self-update — the
+        deployed Algorithm 2); ``online=False`` freezes the trained
         snapshot and replays through side-effect-free ``predict``/
         ``score``, the static baseline the paper's drift claims are
         measured against.
@@ -262,8 +262,8 @@ class DriftHarness:
                 if online:
                     decision = model.observe(item.record)
                 else:
-                    # score() defaults to attach=False: no graph growth,
-                    # no self-update — a frozen snapshot of train time.
+                    # predict()/score() never self-update — a frozen
+                    # snapshot of train time.
                     decision = GeofenceDecision(
                         inside=model.predict(item.record),
                         score=model.score(item.record))

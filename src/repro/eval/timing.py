@@ -47,7 +47,7 @@ def measure_inference_breakdown(gem: GEM, records: list[SignalRecord],
     for _ in range(repeats):
         for record in records:
             t0 = time.perf_counter()
-            embedding = gem.embedder.embed(record, attach=True)
+            embedding = gem.embedder.embed(record)
             t1 = time.perf_counter()
             if embedding is None:
                 continue

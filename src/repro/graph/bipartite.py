@@ -1,10 +1,11 @@
 """A dynamic weighted bipartite graph of signal records and MACs.
 
 Partition ``U`` holds signal-record nodes, partition ``V`` holds sensed
-MAC-address nodes (Sec. III-A).  The graph supports the online regime of
-Sec. IV: new record nodes (and previously unseen MAC nodes) can be
-appended at any time, which is what makes BiSAGE's inductive embedding
-prediction possible.
+MAC-address nodes (Sec. III-A).  Nodes are appended while the training
+graph is built; a fitted model's graph is then read, never grown:
+:meth:`WeightedBipartiteGraph.edges_of` gives a streamed record's edges
+into it without adding a node, which is all BiSAGE's inductive
+embedding (Sec. IV-A) needs.
 
 Nodes are referred to by ``(side, index)`` pairs where ``side`` is
 :data:`RECORD` (``"U"``) or :data:`MAC` (``"V"``) and indices are dense
@@ -91,6 +92,23 @@ class WeightedBipartiteGraph:
 
     def add_records(self, records: Iterable[SignalRecord]) -> list[int]:
         return [self.add_record(record) for record in records]
+
+    def edges_of(self, readings: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+        """``(mac indices, edge weights)`` of a record's edges to known MACs.
+
+        Read-only: the record joins no partition.  Every reading's RSS is
+        validated, the unknown MACs' included, exactly as
+        :meth:`add_record` would; unknown MACs then contribute no edge.
+        """
+        neighbors = []
+        weights = []
+        for mac, rss in readings.items():
+            weight = self.edge_weight_of_rss(rss)
+            mac_idx = self._mac_index.get(mac)
+            if mac_idx is not None:
+                neighbors.append(mac_idx)
+                weights.append(weight)
+        return np.asarray(neighbors, dtype=np.int64), np.asarray(weights, dtype=np.float64)
 
     def _intern_mac(self, mac: str) -> int:
         idx = len(self._mac_names)

@@ -35,11 +35,14 @@ lookups, and one concat allocation per layer.  The big batch win —
 scoring the whole batch through the detector once — lives in
 :meth:`repro.detection.histogram.HistogramDetector.score_batch`.
 
-The kernel holds the neighbour cache *lists* by reference.  Mid-batch
-``_extend_mac_cache`` calls rebind the model's lists to longer arrays,
-but extension only appends rows for MACs past the aggregation boundary
-— never usable as neighbours until a refresh rebuilds the caches, at
-which point the owner's token check discards this kernel.
+The kernel holds the neighbour cache *lists* by reference.  Serving
+never writes them: a streamed record is embedded against the training
+graph without being connected into it, and its ``(neighbors,
+weights)`` come from the same read-only lookup the scalar path uses
+(:meth:`repro.graph.bipartite.WeightedBipartiteGraph.edges_of`), so
+every neighbour index has a cache row.  Only a re-fit or a load
+rebuilds the caches, and the owner's token check then discards this
+kernel.
 """
 
 from __future__ import annotations
@@ -66,31 +69,22 @@ class SageInferenceKernel:
         ``_cache_lv``; GraphSAGE: ``_cache_v``), held by reference.
     act:
         The numpy activation function (the scalar path's exact one).
-    macs_aggregated:
-        The trained aggregation-universe boundary, snapshotted — it only
-        changes on a cache rebuild, which invalidates the kernel.
     """
 
     def __init__(self, initial: np.ndarray, weights: list[np.ndarray],
-                 neighbor_caches: list[np.ndarray], act,
-                 macs_aggregated: int):
+                 neighbor_caches: list[np.ndarray], act):
         self.initial = np.asarray(initial, dtype=np.float64)
         self.weights = list(weights)
         if not self.weights:
             raise ValueError("SageInferenceKernel needs at least one layer")
         self.neighbor_caches = neighbor_caches
         self.act = act
-        self.macs_aggregated = int(macs_aggregated)
         self._dim = self.initial.shape[0]
         self._buf = np.empty(2 * self._dim, dtype=np.float64)
 
     def embed(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Embedding row for one attached record — the scalar math, hoisted."""
-        if len(neighbors):
-            usable = neighbors < self.macs_aggregated
-            neighbors, weights = neighbors[usable], weights[usable]
-        if len(neighbors) == 0:
-            return self.initial.copy()
+        """Embedding row for one record's (non-empty) edges — the scalar
+        math, hoisted."""
         probabilities = weights / weights.sum()
         act = self.act
         caches = self.neighbor_caches

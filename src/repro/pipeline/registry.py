@@ -75,7 +75,7 @@ class ComponentEntry:
     online self-update path; ``supports_state_dict`` marks components
     whose instances can be checkpointed and restored;
     ``supports_refresh`` marks components that can take part in a
-    coordinated refresh — embedders exposing ``refresh_cache``,
+    coordinated refresh — ``refreshable`` (graph) embedders,
     detectors exposing ``refit``, and standalone models exposing
     ``refresh(records)``.  ``supports_batch_score`` marks detectors
     (and models built on them) whose batch scoring is bit-identical per

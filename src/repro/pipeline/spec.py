@@ -249,8 +249,8 @@ class PipelineSpec:
 
     def supports_refresh(self) -> bool:
         """True when pipelines built from this spec can run a coordinated
-        refresh (embedder with ``refresh_cache`` + detector with
-        ``refit``, or a refresh-capable standalone model)."""
+        refresh (a graph embedder + detector with ``refit``, or a
+        refresh-capable standalone model)."""
         if self.model is not None:
             return self.model.resolve("model").supports_refresh
         return (self.embedder.resolve("embedder").supports_refresh

@@ -33,11 +33,13 @@ matches the one captured with it.  The token is built from object
 identities of everything the kernel reads, so every event that could
 change inference output invalidates it for free:
 
-* **refresh commit** swaps the embedder object entirely (weak key dies);
 * **reprovision / evict+reload** replace the whole model (weak key dies);
-* **load_state_dict** rebuilds weights, graph and caches (token changes);
-* **cache extension** for newly interned MACs rebinds the cache list
-  (token changes → conservative rebuild next batch).
+* **load_state_dict** or a re-``fit`` rebuilds weights, graph and caches
+  (token changes).
+
+Nothing else moves them: serving embeds records without connecting them
+into the graph, and a coordinated refresh refits only the detector, so
+a kernel stays valid across refreshes.
 
 Outcomes are counted per ``(arm, outcome)`` and mirrored to the metric
 family ``repro_batch_fastpath_total{arm, outcome}`` when a

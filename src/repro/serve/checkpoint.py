@@ -27,9 +27,11 @@ migration path that synthesises the GEM spec from the saved config.
 Format 3 (the **incremental** extension) is format 2 plus a ``deltas``
 chain in the manifest: each entry names a ``delta-<id>.npz`` file of
 append-tails / replacements / removals against the state the previous
-entry produced, so a write-back whose heavy arrays only *grew*
-(streamed records appended to the graph, lazily extended MAC caches)
-costs the tail, not the model.  A full save compacts the chain back to
+entry produced, so a write-back whose heavy arrays only *grew* (the
+histogram detector's training set, which every self-update appends to)
+costs the tail, not the model.  The graph and the embedding caches do
+not change between fits, so an observe-only delta carries no embedder
+array at all.  A full save compacts the chain back to
 a plain format-2 checkpoint; format-2 checkpoints load unchanged.
 
 Incremental crash safety extends the full-save story: the delta file is

@@ -6,9 +6,9 @@ the hot path, untouched by this module.  The **control plane** is a
 per-tenant telemetry windows (observation counts, unembeddable rate,
 self-update-buffer rate), and executes the clauses of a declarative
 :class:`~repro.serve.policy.MaintenancePolicy`: scheduled or
-telemetry-triggered **coordinated refresh** (embedding-cache rebuild +
-detector refit on the tenant's recent-inlier reservoir, one atomic
-operation), escalation to a full **re-provision**, periodic
+telemetry-triggered **coordinated refresh** (detector refit on the
+tenant's re-embedded recent-inlier reservoir, one atomic operation),
+escalation to a full **re-provision**, periodic
 **write-back**, **idle eviction** during :meth:`maintain` sweeps, and —
 when the policy carries a :class:`~repro.serve.policy.RecoveryPolicy` —
 quarantine-fed **recovery** from reservoir starvation, executed

@@ -22,7 +22,7 @@ keeps a bounded per-tenant reservoir of inlier *records* in two parts —
 a pinned **anchor** (the provision-time training records, replaced only
 at re-provision) plus a rolling window of **recent** in-premises scans —
 and exposes the maintenance *mechanics*: :meth:`refresh` (coordinated
-cache rebuild + detector refit on the re-embedded reservoir) and
+detector refit on the re-embedded reservoir) and
 :meth:`reprovision` (full refit from the reservoir), for a
 :class:`~repro.serve.controller.FleetController` to drive according to
 a :class:`~repro.serve.policy.MaintenancePolicy`.  The anchor matters:
@@ -303,9 +303,9 @@ class GeofenceFleet:
                 start = time.perf_counter()
                 decision = model.observe(record)
                 elapsed = time.perf_counter() - start
-                # observe() with attach=True mutates the graph even when no
-                # detector update fires — except for empty records, which
-                # return before touching anything.
+                # observe() leaves the embedder alone, but a non-empty
+                # record may move the detector or its update buffer, the
+                # reservoir or the quarantine; empty records touch nothing.
                 if record.readings:
                     self._dirty.add(tenant_id)
                     self._remember_inlier(tenant_id, record, decision)
@@ -367,17 +367,16 @@ class GeofenceFleet:
     def refresh(self, tenant_id: str) -> int:
         """Coordinated refresh of one tenant from its inlier reservoir.
 
-        Rebuilds the tenant model's embedding caches (trained MAC
-        universe preserved) and refits its detector on the re-embedded
-        anchor + recent reservoir, atomically (see
+        Refits the tenant model's detector on the anchor + recent
+        reservoir, re-embedded by its frozen embedder, atomically (see
         :meth:`repro.core.gem.EmbeddingGeofencer.refresh`): a failure
         leaves the tenant serving its pre-refresh state, un-dirtied by
         the attempt.  Returns the number of records the detector was
         refit on.
 
         The fleet lock is **not** held during the heavy rebuild: the
-        copy phase (``begin_refresh``) snapshots the model under the
-        lock, the rebuild runs on the copies with the lock released
+        copy phase (``begin_refresh``) copies the detector under the
+        lock, re-embedding and refit run with the lock released
         (observes on other — and this — tenant keep flowing), and the
         commit (``commit_refresh``) re-takes the lock only for the
         pointer swap.  If the tenant was evicted, reloaded or
@@ -404,7 +403,7 @@ class GeofenceFleet:
                 job = model.begin_refresh(records)
                 self._refreshing.add(tenant_id)
             try:
-                # Heavy rebuild on the job's copies, fleet lock released.
+                # Re-embed and refit the detector copy, fleet lock released.
                 with maybe_span(self.tracer, "refresh.build", tenant=tenant_id):
                     absorbed = job.build()
                 with maybe_span(self.tracer, "refresh.commit", tenant=tenant_id):

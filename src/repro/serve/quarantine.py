@@ -14,8 +14,8 @@ the scan.  Those are exactly the records a post-shock *inside* device
 produces — the home APs survive (they belong to the premises; churn and
 shock replace ambient infrastructure), while the ambient universe the
 model was trained on is gone.  Crucially the buffer is **never used for
-refresh**: a coordinated refresh refits only on the inlier reservoir,
-so an attacker parked outside the fence cannot teach the detector
+refresh**: a coordinated refresh refits the detector only on the
+inlier reservoir, so an attacker parked outside the fence cannot teach the detector
 through the quarantine.  Quarantined evidence is consumed only by the
 explicit, policy- or operator-approved full refit
 (:meth:`~repro.serve.fleet.GeofenceFleet.reprovision_from_quarantine`).
@@ -116,10 +116,10 @@ class ConsistencyGate:
     to.  Records that flip on any copy are boundary cases, not
     confident model-world mismatches, and make poor recovery evidence.
 
-    Scoring uses the model's ``predict`` (``_embed(attach=False)``
-    underneath), which never mutates the graph or the detector — the
-    gate is invisible to the decision stream, which is what keeps
-    quarantine-off and quarantine-on fleets bit-identical.
+    Scoring uses the model's ``predict``, which never mutates the
+    embedder or the detector — the gate is invisible to the decision
+    stream, which is what keeps quarantine-off and quarantine-on fleets
+    bit-identical.
     """
 
     passes: int = 3

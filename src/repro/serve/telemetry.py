@@ -43,7 +43,7 @@ class TenantStats:
     saves: int = 0             # full checkpoint write-backs
     delta_saves: int = 0       # incremental (delta) write-backs
     evictions: int = 0         # LRU evictions
-    refreshes: int = 0         # coordinated refreshes (cache rebuild + refit)
+    refreshes: int = 0         # coordinated refreshes (detector refits)
     reprovisions: int = 0      # full refits from the recent-inlier reservoir
     observe_seconds: float = 0.0
     load_seconds: float = 0.0

@@ -1,6 +1,6 @@
 """Unit tests for the batch data plane's serving pieces.
 
-Covers the kernel cache lifecycle (reuse, refresh-commit invalidation,
+Covers the kernel cache lifecycle (reuse, reuse across refreshes,
 ``load_state_dict`` invalidation, evict/reload weak-key drop,
 reprovision), the fallback matrix reasons, the
 ``repro_batch_fastpath_total`` metric family, the detector
@@ -47,19 +47,19 @@ class TestKernelCache:
         plane.observe_batch(gem, stream[6:])
         assert plane._kernels[gem][1] is first
 
-    def test_refresh_commit_invalidates_kernel(self):
-        """refresh() swaps the embedder inside the *same* model object —
-        the weak key survives, so the token comparison must catch it."""
+    def test_refresh_keeps_kernel_valid(self):
+        """refresh() refits only the detector: the embedder, and with it
+        the cached kernel, survive, and decisions match the scalar loop."""
         gem = fitted_gem()
         plane = BatchPlane()
         plane.observe_batch(gem, synthetic_records(6, seed=5))
-        stale = plane._kernels[gem][1]
+        kernel = plane._kernels[gem][1]
         gem.refresh(synthetic_records(20, seed=6))
         reference = copy.deepcopy(gem)
         probe = synthetic_records(8, seed=7)
         decisions, outcome = plane.observe_batch(gem, probe)
         assert outcome == "engaged"
-        assert plane._kernels[gem][1] is not stale
+        assert plane._kernels[gem][1] is kernel
         assert decisions == [reference.observe(r) for r in probe]
 
     def test_load_state_dict_invalidates_kernel(self):
@@ -71,18 +71,27 @@ class TestKernelCache:
         plane.observe_batch(gem, synthetic_records(6, seed=8))
         assert plane._kernels[gem][1] is not stale
 
-    def test_cache_extension_for_new_macs_invalidates_kernel(self):
-        """Interned-MAC cache extension rebinds the cache lists; the next
-        batch must rebuild rather than reuse the stale capture."""
-        gem = fitted_gem()
-        plane = BatchPlane()
-        plane.observe_batch(gem, synthetic_records(4, seed=5))
-        stale = plane._kernels[gem][1]
+    def test_fleet_refresh_keeps_kernel_reprovision_replaces_it(self, tmp_path):
+        """Records with never-trained MACs and a refresh leave the
+        tenant's kernel cached; a reprovision fits a new model, whose
+        kernel is built afresh."""
+        fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,
+                              reservoir_size=16)
+        fleet.provision("t", synthetic_records(30, seed=0))
         mixed = synthetic_records(4, seed=9)
-        mixed[1].readings["brand-new-mac"] = -70.0  # interns a new MAC
-        plane.observe_batch(gem, mixed)
-        plane.observe_batch(gem, synthetic_records(4, seed=10))
-        assert plane._kernels[gem][1] is not stale
+        mixed[1].readings["brand-new-mac"] = -70.0
+        fleet.observe_many([("t", r) for r in mixed])
+        model = fleet._cache["t"]
+        kernel = fleet.batchplane._kernels[model][1]
+        fleet.refresh("t")
+        fleet.observe_many([("t", r) for r in synthetic_records(4, seed=10)])
+        assert fleet.batchplane._kernels[model][1] is kernel
+        fleet.reprovision("t")
+        fleet.observe_many([("t", r) for r in synthetic_records(4, seed=11)])
+        fresh = fleet._cache["t"]
+        assert fresh is not model
+        assert fleet.batchplane._kernels[fresh][1] is not kernel
+        fleet.close()
 
     def test_evict_reload_round_trip_drops_kernel(self, tmp_path):
         fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,

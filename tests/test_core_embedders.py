@@ -28,36 +28,41 @@ class TestGraphEmbedders:
         assert embedder.training_embeddings().shape == (25, 8)
 
     def test_training_embeddings_stable_after_stream(self):
-        # Attaching streamed records must not change the reported
+        # Embedding streamed records must not change the reported
         # *training* embeddings count.
         records = synthetic_records(20, seed=0)
         embedder = BiSAGEEmbedder(FAST_BISAGE).fit(records)
-        embedder.embed(synthetic_records(1, seed=5)[0], attach=True)
+        embedder.embed(synthetic_records(1, seed=5)[0])
         assert embedder.training_embeddings().shape == (20, 8)
-
-    def test_attach_grows_graph(self):
-        embedder = BiSAGEEmbedder(FAST_BISAGE).fit(synthetic_records(20, seed=0))
-        before = embedder.graph.num_records
-        embedder.embed(synthetic_records(1, seed=5)[0], attach=True)
-        assert embedder.graph.num_records == before + 1
 
     def test_no_attach_leaves_graph(self):
         embedder = BiSAGEEmbedder(FAST_BISAGE).fit(synthetic_records(20, seed=0))
         before = embedder.graph.num_records
-        embedder.embed(synthetic_records(1, seed=5)[0], attach=False)
+        embedder.embed(synthetic_records(1, seed=5)[0])
         assert embedder.graph.num_records == before
 
-    def test_unknown_macs_return_none_but_attach(self):
-        embedder = BiSAGEEmbedder(FAST_BISAGE).fit(synthetic_records(20, seed=0))
+    @pytest.mark.parametrize("factory", [
+        lambda: BiSAGEEmbedder(FAST_BISAGE), lambda: GraphSAGEEmbedder(FAST_SAGE),
+    ], ids=["bisage", "graphsage"])
+    def test_unknown_macs_return_none_and_stay_unknown(self, factory):
+        embedder = factory().fit(synthetic_records(20, seed=0))
+        before = embedder.graph.state_dict()
         record = SignalRecord({"unseen-mac": -44.0})
-        assert embedder.embed(record, attach=True) is None
-        # The record (and its MAC) still joined the graph.
-        assert embedder.graph.mac_index("unseen-mac") is not None
+        assert embedder.embed(record) is None
+        assert embedder.prepare(record) is None
+        known = synthetic_records(1, seed=5)[0]
+        mixed = SignalRecord({**known.readings, "unseen-mac": -30.0})
+        np.testing.assert_array_equal(embedder.embed(mixed), embedder.embed(known))
+        assert embedder.graph.mac_index("unseen-mac") is None
+        after = embedder.graph.state_dict()
+        assert after["mac_names"] == before["mac_names"]
+        for key in ("record_indptr", "edge_macs", "edge_weights"):
+            np.testing.assert_array_equal(after[key], before[key])
 
     def test_graphsage_adapter(self):
         embedder = GraphSAGEEmbedder(FAST_SAGE).fit(synthetic_records(20, seed=0))
         assert embedder.training_embeddings().shape == (20, 8)
-        out = embedder.embed(synthetic_records(1, seed=6)[0], attach=True)
+        out = embedder.embed(synthetic_records(1, seed=6)[0])
         assert out.shape == (8,)
 
     def test_unfitted_raises(self):

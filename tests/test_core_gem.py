@@ -16,6 +16,8 @@ from repro.core import (
 )
 from repro.detection import HistogramConfig, HistogramDetector
 from repro.embedding.bisage import BiSAGEConfig
+from repro.serve import GeofenceFleet
+from repro.serve.checkpoint import flatten_state
 
 from conftest import synthetic_records
 
@@ -87,12 +89,57 @@ class TestObserve:
         assert not decision.inside
         assert decision.score == math.inf
 
-    def test_observe_attaches_to_graph(self):
+    def test_observe_leaves_embedder_state_as_fit_left_it(self):
+        """2k observed records — scalar and batch paths, MACs the
+        training set never heard included — leave the graph and every
+        embedder array exactly as ``fit`` left them."""
         gem = GEM(FAST_CONFIG)
         gem.fit(synthetic_records(30, seed=1))
-        before = gem.graph.num_records
-        gem.observe(synthetic_records(1, seed=2)[0])
-        assert gem.graph.num_records == before + 1
+        records, edges = gem.graph.num_records, gem.graph.num_edges
+        fitted_arrays, fitted_leaves = flatten_state(gem.state_dict())
+        stream = synthetic_records(2000, num_macs=12, seed=2, center=1.0)
+        for record in stream[:1000]:
+            gem.observe(record)
+        gem.observe_many(stream[1000:])
+        assert gem.detector.num_updates > 0
+        assert (gem.graph.num_records, gem.graph.num_edges) == (records, edges)
+        arrays, leaves = flatten_state(gem.state_dict())
+        embedder_keys = [key for key in fitted_arrays if key.startswith("embedder/")]
+        assert any("/cache_" in key for key in embedder_keys)
+        for key in embedder_keys:
+            np.testing.assert_array_equal(arrays[key], fitted_arrays[key], err_msg=key)
+        assert ({k: v for k, v in leaves.items() if k.startswith("embedder/")}
+                == {k: v for k, v in fitted_leaves.items() if k.startswith("embedder/")})
+
+    def test_post_training_macs_stay_unembeddable_on_every_sighting(self, tmp_path):
+        """Footnote 3 on every sighting: a record that senses only MACs
+        first heard after training is out with score +inf however often
+        it is observed, and the fleet counts each sighting unembeddable."""
+        record = SignalRecord({"late-ap-1": -50.0, "late-ap-2": -61.0})
+        out = GeofenceDecision(inside=False, score=math.inf)
+        gem = GEM(FAST_CONFIG).fit(synthetic_records(30, seed=1))
+        assert [gem.observe(record), gem.observe(record)] == [out, out]
+        assert gem.observe_many([record, record]) == [out, out]
+        with GeofenceFleet(tmp_path / "m", model_factory=lambda: GEM(FAST_CONFIG)) as fleet:
+            fleet.provision("t", synthetic_records(30, seed=1))
+            assert [fleet.observe("t", record), fleet.observe("t", record)] == [out, out]
+            assert fleet.observe_many([("t", record), ("t", record)]) == [out, out]
+            assert fleet.telemetry.tenant("t").unembeddable == 4
+
+    def test_rss_range_checked_for_unknown_macs(self):
+        """Every reading is validated, the MACs outside the training graph
+        included, on the scalar and the batch path alike."""
+        gem = GEM(FAST_CONFIG).fit(synthetic_records(30, seed=1))
+        known = synthetic_records(1, seed=2)[0]
+        record = SignalRecord({**known.readings, "unseen-mac": -130.0})
+        before = flatten_state(gem.state_dict())[0]
+        with pytest.raises(ValueError, match="non-positive weight"):
+            gem.observe(record)
+        with pytest.raises(ValueError, match="non-positive weight"):
+            gem.observe_many([known, record])
+        after = flatten_state(gem.state_dict())[0]
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
 
     def test_predict_does_not_attach(self):
         gem = GEM(FAST_CONFIG)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import GEM, GEMConfig
 from repro.core.records import SignalRecord
 from repro.embedding import BiSAGE, BiSAGEConfig
 from repro.graph import build_graph
@@ -112,14 +113,16 @@ class TestInductiveInference:
         embedding = model.embed_record_node(idx)
         assert embedding.shape == (FAST.dim,)
 
-    def test_attach_with_new_macs_extends_cache(self, fitted):
+    def test_new_macs_are_skipped_without_growing_caches(self, fitted):
         model, graph, records = fitted
+        macs, rows = graph.num_macs, model._cache_hv[0].shape[0]
         readings = dict(records[0].readings)
-        readings["brand-new-mac"] = -60.0
-        idx = graph.add_record(SignalRecord(readings))
-        embedding = model.embed_record_node(idx)
-        assert np.isfinite(embedding).all()
-        assert model._cache_hv[0].shape[0] == graph.num_macs
+        sensed = {**readings, "brand-new-mac": -60.0}
+        np.testing.assert_array_equal(model.embed_readings(sensed),
+                                      model.embed_readings(readings))
+        assert graph.mac_index("brand-new-mac") is None
+        assert graph.num_macs == macs == rows
+        assert all(layer.shape[0] == rows for layer in model._cache_hv + model._cache_lv)
 
     def test_identical_readings_identical_embeddings(self, fitted):
         model, graph, records = fitted
@@ -141,29 +144,29 @@ class TestInductiveInference:
         distance = np.linalg.norm(probe - train.mean(0))
         assert distance < spread * 4
 
-    def test_refresh_cache_updates_new_macs(self, fitted):
-        model, graph, records = fitted
-        boundary = model._macs_aggregated
-        # A post-training MAC sensed many times before the refresh.
+    def test_refresh_cache_updates_new_macs(self):
+        """Now driven through ``EmbeddingGeofencer.refresh``: a MAC first
+        sensed after training, many times before a refresh, gets no graph
+        node, no cache row and no say in record embeddings — before and
+        after a checkpoint round trip."""
+        records = synthetic_records(40, num_macs=10, seed=3)
+        gem = GEM(GEMConfig(bisage=FAST)).fit(records)
+        caches = {key: [layer.copy() for layer in layers]
+                  for key, layers in vars(gem.bisage).items() if key.startswith("_cache_")}
         for i in range(6):
-            graph.add_record(SignalRecord({**records[i].readings, "newcomer": -50.0 - i}))
-        assert graph.mac_index("newcomer") >= boundary
-        model.refresh_cache()
-        after = model._cache_hv[-1]
-        assert after.shape[0] == graph.num_macs
-        # The refresh keeps the trained aggregation universe: the
-        # newcomer has a cache row but no say in record embeddings,
-        # and a checkpoint round-trip keeps it that way.
-        assert model._macs_aggregated == boundary
-        probe = dict(records[0].readings)
-        sensed = {**probe, "newcomer": -45.0}
-        np.testing.assert_array_equal(model.embed_readings(sensed),
-                                      model.embed_readings(probe))
-        clone = BiSAGE(FAST).load_state_dict(model.state_dict(), graph)
-        assert clone._macs_aggregated == boundary
-        np.testing.assert_array_equal(clone.embed_readings(sensed),
-                                      model.embed_readings(sensed))
+            gem.observe(SignalRecord({**records[i].readings, "newcomer": -50.0 - i}))
+        assert gem.refresh(records[:20]) == 20
+        assert gem.graph.mac_index("newcomer") is None
+        for key, layers in caches.items():
+            for before, after in zip(layers, getattr(gem.bisage, key)):
+                np.testing.assert_array_equal(before, after)
+        probe = SignalRecord(dict(records[0].readings))
+        sensed = SignalRecord({**records[0].readings, "newcomer": -45.0})
+        np.testing.assert_array_equal(gem.embedder.embed(sensed), gem.embedder.embed(probe))
+        clone = GEM.from_state_dict(gem.state_dict())
+        np.testing.assert_array_equal(clone.embedder.embed(sensed), gem.embedder.embed(sensed))
+        assert clone.score(sensed) == gem.score(sensed)
         # Layer-0 rows of original MACs are the deterministic initials.
         from repro.graph import MAC
-        np.testing.assert_allclose(model._cache_hv[0][0],
-                                   model._initial_matrix(MAC, 1, "h")[0])
+        np.testing.assert_allclose(gem.bisage._cache_hv[0][0],
+                                   gem.bisage._initial_matrix(MAC, 1, "h")[0])

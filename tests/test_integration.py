@@ -38,10 +38,13 @@ class TestEndToEnd:
         assert result.num_updates > 0
         assert gem.detector.num_samples > len(world.train)
 
-    def test_graph_grows_with_stream(self, world):
+    def test_graph_stays_at_training_size(self, world):
+        fitted = GEM(FAST_GEM).fit(world.train)
         gem = GEM(FAST_GEM)
         evaluate_streaming(gem, world)
-        assert gem.graph.num_records == len(world.train) + len(world.test)
+        assert gem.graph.num_records == len(world.train)
+        assert (gem.graph.num_edges, gem.graph.num_macs) == \
+            (fitted.graph.num_edges, fitted.graph.num_macs)
 
     def test_all_arms_run_end_to_end(self, world):
         # Every comparison arm fits and streams without error on a real

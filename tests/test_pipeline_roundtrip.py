@@ -108,8 +108,8 @@ class TestEmbedderRoundTrip:
         np.testing.assert_array_equal(fitted.training_embeddings(),
                                       restored.training_embeddings())
         for record in synthetic_records(5, seed=9, center=3.0):
-            a = fitted.embed(record, attach=False)
-            b = restored.embed(record, attach=False)
+            a = fitted.embed(record)
+            b = restored.embed(record)
             if a is None:
                 assert b is None
             else:

@@ -124,13 +124,13 @@ class TestSwapOnCommitRefresh:
         assert fleet.telemetry.totals().refreshes == 2
         fleet.close()
 
-    def test_batch_fastpath_flows_during_refresh_and_rebuilds_kernel(
+    def test_batch_fastpath_flows_during_refresh_and_keeps_kernel(
             self, tmp_path, monkeypatch):
         """Race the vectorized plane against a parked rebuild: the batch
         must complete (fast path engaged, lock free) while the refresh is
-        mid-build, and after the commit swap the stale kernel must be
-        replaced — post-commit batch decisions equal a scalar loop over a
-        deepcopy of the post-refresh resident model."""
+        mid-build.  The commit swaps only the detector, so the cached
+        kernel stays valid — post-commit batch decisions equal a scalar
+        loop over a deepcopy of the post-refresh resident model."""
         fleet = GeofenceFleet(tmp_path / "m", capacity=4, model_factory=make_gem,
                               reservoir_size=16)
         fleet.provision("t", tenant_records(0))
@@ -154,12 +154,12 @@ class TestSwapOnCommitRefresh:
         thread.join(10.0)
         assert not thread.is_alive()
         assert result["absorbed"] > 0
-        # Post-commit: same model object, swapped embedder — the token
-        # check must rebuild the kernel and reproduce the scalar loop.
+        # Post-commit: same model object, same embedder — the kernel is
+        # reused and still reproduces the scalar loop.
         reference = copy.deepcopy(fleet._cache["t"])
         probe = tenant_records(0, n=8, seed_offset=11)
         decisions = fleet.observe_many([("t", r) for r in probe])
-        assert fleet.batchplane._kernels[fleet._cache["t"]][1] is not stale_kernel
+        assert fleet.batchplane._kernels[fleet._cache["t"]][1] is stale_kernel
         assert decisions == [reference.observe(r) for r in probe]
         fleet.close()
 
@@ -175,6 +175,16 @@ class TestSwapOnCommitRefresh:
         gem.commit_refresh(job)
         with pytest.raises(RuntimeError, match="already committed"):
             gem.commit_refresh(job)
+
+    def test_commit_refused_after_embedder_replaced(self):
+        gem = make_gem().fit(tenant_records(0))
+        job = gem.begin_refresh(tenant_records(0, n=5, seed_offset=3))
+        job.build()
+        gem.load_state_dict(make_gem().fit(tenant_records(1)).state_dict())
+        detector = gem.detector
+        with pytest.raises(ValueError, match="embedder was replaced"):
+            gem.commit_refresh(job)
+        assert gem.detector is detector
 
 
 @pytest.mark.slow

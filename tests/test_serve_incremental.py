@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_records
-from repro.core import GEM, GEMConfig
+from repro.core import GEM, GEMConfig, SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import (CheckpointError, GeofenceFleet, ModelRegistry,
                          load_checkpoint, load_checkpoint_with_baseline,
@@ -45,18 +45,22 @@ def fitted(tmp_path):
 
 
 class TestDeltaSaves:
-    def test_observe_only_change_writes_a_delta(self, fitted):
+    def test_observe_only_delta_carries_no_embedder_arrays(self, fitted):
         gem, directory, baseline = fitted
         for record in records(1, n=6):
             gem.observe(record)
+        assert gem.detector.num_updates > 0
         kind, baseline = save_incremental(gem, directory, baseline)
         assert kind == "delta"
         manifest = read_manifest(directory)
         assert manifest["format_version"] == INCREMENTAL_VERSION
         assert len(manifest["deltas"]) == 1
-        # The graph only grew: its edge arrays must travel as appends.
+        # Serving leaves the embedder as fit left it; only the detector's
+        # self-updated training set grew, and travels as an append.
         entry = manifest["deltas"][0]
-        assert any(key.startswith("embedder/graph/") for key in entry["append"])
+        written = entry["append"] + entry["replace"] + entry["remove"] + list(entry["leaves"])
+        assert not [key for key in written if key.startswith("embedder/")]
+        assert "detector/data" in entry["append"]
         assert_states_equal(gem, load_checkpoint(directory))
 
     def test_chained_deltas_reconstruct_exactly(self, fitted):
@@ -394,3 +398,92 @@ class TestParentFormatCheckpoints:
         write_parent_format(directory, **legacy)
         with pytest.raises(CheckpointError, match=option):
             load_checkpoint(directory)
+
+
+def write_streamed_graph(directory, streamed, macs_aggregated=None) -> None:
+    """Rewrite a full GEM checkpoint the way releases that connected
+    streamed records into the graph saved it: the records appended to
+    the graph arrays (interning MACs training never heard), cache rows
+    for those MACs and — as after a refresh over the grown graph — for
+    the records, and the ``macs_aggregated`` boundary leaf."""
+    manifest_path = directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    arrays_path = directory / manifest["arrays_file"]
+    with np.load(arrays_path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    names = list(manifest["state"]["embedder/graph/mac_names"])
+    trained = len(names)
+    indptr = list(arrays["embedder/graph/record_indptr"])
+    edge_macs = list(arrays["embedder/graph/edge_macs"])
+    edge_weights = list(arrays["embedder/graph/edge_weights"])
+    for record in streamed:
+        for mac, rss in record.readings.items():
+            if mac not in names:
+                names.append(mac)
+            edge_macs.append(names.index(mac))
+            edge_weights.append(rss + 120.0)
+        indptr.append(len(edge_macs))
+    arrays["embedder/graph/record_indptr"] = np.asarray(indptr, dtype=np.int64)
+    arrays["embedder/graph/edge_macs"] = np.asarray(edge_macs, dtype=np.int64)
+    arrays["embedder/graph/edge_weights"] = np.asarray(edge_weights, dtype=np.float64)
+    rng = np.random.default_rng(0)
+    for key in [key for key in arrays if key.startswith("embedder/model/cache_")]:
+        extra = len(streamed) if key.split("/")[2].endswith("u") else len(names) - trained
+        arrays[key] = np.vstack([arrays[key], rng.normal(size=(extra, arrays[key].shape[1]))])
+    np.savez(arrays_path, **arrays)
+    manifest["array_keys"] = sorted(arrays)
+    manifest["state"]["embedder/graph/mac_names"] = names
+    manifest["state"]["embedder/model/macs_aggregated"] = (
+        trained if macs_aggregated is None else macs_aggregated)
+    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+
+
+def streamed_records(n: int = 8):
+    """Streamed scans, every other one also hearing an AP training never heard."""
+    return [SignalRecord({**record.readings, **({f"late-ap-{i}": -55.0} if i % 2 else {})})
+            for i, record in enumerate(records(7, n=n))]
+
+
+class TestStreamedGraphCheckpoints:
+    """Checkpoints saved while streamed records were still connected into
+    the graph load cut down to the training graph."""
+
+    def test_loads_with_the_training_graph_and_identical_decisions(self, tmp_path):
+        gem = make_gem().fit(records(0))
+        save_checkpoint(gem, tmp_path / "legacy")
+        write_streamed_graph(tmp_path / "legacy", streamed_records())
+        assert len(load_state(tmp_path / "legacy")[0]["embedder"]["graph"]["record_indptr"]) == 34
+        loaded = load_checkpoint(tmp_path / "legacy")
+        assert loaded.graph.num_records == 25
+        assert loaded.graph.num_macs == gem.graph.num_macs
+        assert_states_equal(loaded, gem)
+        probe = streamed_records(12)
+        assert all(loaded.embedder.prepare(r) is not None for r in probe)
+        assert [loaded.score(r) for r in probe] == [gem.score(r) for r in probe]
+        assert loaded.observe_many(probe) == [gem.observe(r) for r in probe]
+
+    def test_write_back_leaves_the_streamed_rows_out(self, tmp_path):
+        with GeofenceFleet(tmp_path / "m", capacity=1, model_factory=make_gem,
+                           reservoir_size=8, incremental=True) as fleet:
+            fleet.provision("t", records(0))
+        write_streamed_graph(tmp_path / "m" / "t", streamed_records())
+        with GeofenceFleet(tmp_path / "m", capacity=1, model_factory=make_gem,
+                           reservoir_size=8, incremental=True) as fleet:
+            for record in records(2, n=6):
+                fleet.observe("t", record)
+        state, _ = load_state(tmp_path / "m" / "t")
+        graph = state["embedder"]["graph"]
+        assert len(graph["record_indptr"]) == 26
+        assert not [name for name in graph["mac_names"] if name.startswith("late-ap")]
+        assert "macs_aggregated" not in state["embedder"]["model"]
+        assert all(len(layer) == 25 for layer in state["embedder"]["model"]["cache_hu"].values())
+
+    def test_training_edges_past_the_boundary_are_refused(self, tmp_path):
+        gem = make_gem().fit(records(0))
+        save_checkpoint(gem, tmp_path / "bad")
+        write_streamed_graph(tmp_path / "bad", streamed_records(),
+                             macs_aggregated=gem.graph.num_macs - 1)
+        with pytest.raises(ValueError, match="past the"):
+            GEM.from_state_dict(load_state(tmp_path / "bad")[0])
+        with pytest.raises(CheckpointError, match="past the"):
+            load_checkpoint(tmp_path / "bad")
