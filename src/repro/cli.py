@@ -980,17 +980,20 @@ def _cmd_maintain(args) -> int:
 
     rows, payload = [], {}
     if args.dry_run:
+        from repro.core.io import records_from_columns
         from repro.serve.checkpoint import load_state, spec_from_manifest
         for tenant_id in targets:
             # load_state + spec_from_manifest instead of reading the
             # manifest key directly: format-1 checkpoints (no embedded
-            # spec) migrate through the same path the loader uses.
+            # spec) migrate through the same path the loader uses, and
+            # the record sets come back from the npz inside the metadata.
             state, manifest = load_state(registry.path_for(tenant_id))
             spec = spec_from_manifest(manifest, state)
-            reservoir = manifest.get("metadata", {}).get(RESERVOIR_METADATA_KEY) or {}
-            size = len(reservoir.get("anchor", ())) + len(reservoir.get("recent", ()))
-            quarantine = manifest.get("metadata", {}).get(QUARANTINE_METADATA_KEY) or {}
-            qsize = len(quarantine.get("records", ()))
+            reservoir = manifest["metadata"].get(RESERVOIR_METADATA_KEY) or {}
+            size = sum(len(records_from_columns(reservoir.get(part, ())))
+                       for part in ("anchor", "recent"))
+            quarantine = manifest["metadata"].get(QUARANTINE_METADATA_KEY) or {}
+            qsize = len(records_from_columns(quarantine.get("records", ())))
             capable = spec.supports_refresh()
             rows.append([tenant_id, spec.describe(),
                          "yes" if capable else "no", str(size), str(qsize)])

@@ -11,6 +11,11 @@ A checkpoint is a directory holding two files:
     the arrays file it commits, and every non-array leaf of the state
     under the same flattened keys.
 
+Numpy arrays inside the save ``metadata`` are stored in the npz too,
+under ``__metadata__/`` plus their key path, and come back in
+``manifest["metadata"]`` on load; the manifest keeps only the JSON
+leaves.
+
 The split keeps the format language-neutral and diffable: the manifest
 is plain JSON you can read with any tool, and the arrays are standard
 npz.  Saves are crash-safe: the arrays are written under a fresh
@@ -42,12 +47,16 @@ parent write — so a crash before the manifest commit leaves an orphan
 delta file the loader never reads (the torn tail), and a manually
 spliced or truncated chain is rejected as torn rather than replayed.
 
-User metadata rides the manifest rewrite of *every* save — full and
-delta alike — so sidecar state the fleet keeps there (the
-``fleet_reservoir`` inlier reservoir and the ``fleet_quarantine``
-recovery buffer, see :mod:`repro.serve.fleet` /
-:mod:`repro.serve.quarantine`) is always exactly as fresh as the commit
-point, with no separate persistence path to tear against the model.
+User metadata is committed by *every* save — full and delta alike —
+so sidecar state the fleet keeps there (the ``fleet_reservoir`` inlier
+reservoir and the ``fleet_quarantine`` recovery buffer, see
+:mod:`repro.serve.fleet` / :mod:`repro.serve.quarantine`) is always
+exactly as fresh as the commit point, with no separate persistence path
+to tear against the model.  Its record sets are columnar arrays
+(:func:`repro.core.io.records_to_columns`), diffed with the state like
+any other array: a delta carries the grown tail of the recent window,
+never the unchanged anchor.  The JSON leaves (counters, home MACs, user
+keys) are rewritten with the manifest on every save.
 """
 
 from __future__ import annotations
@@ -126,6 +135,8 @@ _SAVE_ID_KEY = "__save_id__"
 # Same role for delta files: the npz nonce must match the manifest
 # entry's delta_id or the pair is rejected as spliced.
 _DELTA_ID_KEY = "__delta_id__"
+# Npz key prefix of the arrays found inside save metadata.
+_METADATA_PREFIX = "__metadata__" + _SEP
 
 # Options removed from the pipeline, by where earlier releases saved
 # them.  Those releases wrote them into every GEM/BiSAGE/GraphSAGE
@@ -246,6 +257,60 @@ def unflatten_state(arrays: dict[str, np.ndarray], leaves: dict[str, Any]) -> di
             if not isinstance(node, dict):
                 raise CheckpointError(f"key {path!r} descends through a non-dict entry")
         node[parts[-1]] = value
+    return state
+
+
+def _split_metadata(metadata: dict, prefix: str = _METADATA_PREFIX
+                    ) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(json_metadata, arrays)``: numpy arrays anywhere in the nested
+    dicts of save metadata become npz entries keyed ``prefix`` + key path.
+
+    A dict left empty by the move is dropped from the JSON side, so the
+    manifest never shows skeletons of what the npz holds.
+    """
+    leaves: dict = {}
+    arrays: dict[str, np.ndarray] = {}
+    for key, value in metadata.items():
+        key = str(key)
+        if isinstance(value, dict):
+            sub_leaves, sub_arrays = _split_metadata(value, prefix + key + _SEP)
+            if sub_leaves or not sub_arrays:
+                leaves[key] = sub_leaves
+        elif isinstance(value, np.ndarray):
+            if value.dtype.hasobject:
+                raise ValueError(f"metadata array {key!r} has object dtype")
+            sub_arrays = {prefix + key: value}
+        else:
+            leaves[key] = _json_safe(value)
+            continue
+        if sub_arrays and _SEP in key:
+            raise ValueError(f"metadata keys holding arrays must not contain "
+                             f"{_SEP!r}: {key!r}")
+        arrays.update(sub_arrays)
+    return leaves, arrays
+
+
+def _attach_metadata(manifest: dict, arrays: dict[str, np.ndarray]
+                     ) -> dict[str, np.ndarray]:
+    """Inverse of :func:`_split_metadata` on a loaded checkpoint.
+
+    Moves the metadata arrays into ``manifest["metadata"]`` in place and
+    returns the remaining (state) arrays.
+    """
+    metadata = manifest.setdefault("metadata", {})
+    state: dict[str, np.ndarray] = {}
+    for key, value in arrays.items():
+        if not key.startswith(_METADATA_PREFIX):
+            state[key] = value
+            continue
+        *parents, name = key[len(_METADATA_PREFIX):].split(_SEP)
+        node = metadata
+        for part in parents:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise CheckpointError(f"metadata array {key!r} descends through a "
+                                  "non-dict entry")
+        node[name] = value
     return state
 
 
@@ -387,20 +452,23 @@ def _replace_into(directory: Path, name: str, writer) -> None:
         raise
 
 
-def _flatten_model(model, spec: PipelineSpec | None):
-    """Shared save-path preamble: spec + flattened, validated state."""
+def _flatten_model(model, spec: PipelineSpec | None, metadata: dict | None):
+    """Shared save-path preamble: spec, flattened and validated state
+    (metadata arrays included), and the JSON side of the metadata."""
     spec = spec if spec is not None else infer_spec(model)
     spec.require_state_dict()
     arrays, leaves = flatten_state(model.state_dict())
-    if _SAVE_ID_KEY in arrays or _DELTA_ID_KEY in arrays:
+    if _SAVE_ID_KEY in arrays or _DELTA_ID_KEY in arrays \
+            or any(key.startswith(_METADATA_PREFIX) for key in arrays):
         raise ValueError(f"state must not use the reserved keys "
-                         f"{_SAVE_ID_KEY!r} / {_DELTA_ID_KEY!r}")
-    return spec, arrays, leaves
+                         f"{_SAVE_ID_KEY!r} / {_DELTA_ID_KEY!r} / {_METADATA_PREFIX!r}")
+    metadata, metadata_arrays = _split_metadata(metadata or {})
+    arrays.update(metadata_arrays)
+    return spec, arrays, leaves, metadata
 
 
 def _write_full(model, directory: Path, arrays: dict[str, np.ndarray],
-                leaves: dict[str, Any], spec: PipelineSpec,
-                metadata: dict | None) -> str:
+                leaves: dict[str, Any], spec: PipelineSpec, metadata: dict) -> str:
     """Commit a full (compacting) save; returns its save_id."""
     save_id = uuid.uuid4().hex
     arrays = dict(arrays)
@@ -415,12 +483,12 @@ def _write_full(model, directory: Path, arrays: dict[str, np.ndarray],
         "save_id": save_id,
         "arrays_file": arrays_name,
         "array_keys": sorted(arrays),
-        "metadata": _json_safe(metadata or {}),
+        "metadata": metadata,
         "state": leaves,
     }
     _replace_into(directory, arrays_name, lambda h: np.savez(h, **arrays))
     _replace_into(directory, MANIFEST_NAME,
-                  lambda h: h.write(json.dumps(manifest, indent=1, sort_keys=True).encode()))
+                  lambda h: h.write(json.dumps(manifest, sort_keys=True).encode()))
     _note_write("full", (directory / arrays_name).stat().st_size
                 + (directory / MANIFEST_NAME).stat().st_size, 0)
     _note_commit(CommitInfo(kind="full", directory=str(directory),
@@ -450,8 +518,9 @@ def save_checkpoint(model, directory: str | Path, metadata: dict | None = None,
     model's :class:`~repro.pipeline.spec.PipelineSpec` (the one stamped
     by ``build_pipeline``, the explicit ``spec=`` argument, or one
     inferred for the hand-constructed built-ins) so loading can rebuild
-    the exact arm without knowing its class.  Returns the checkpoint
-    directory.  Overwriting an existing checkpoint never destroys it:
+    the exact arm without knowing its class.  ``metadata`` is JSON
+    leaves plus, anywhere in its nested dicts, numpy arrays, which are
+    stored in the npz.  Returns the checkpoint directory.  Overwriting an existing checkpoint never destroys it:
     the new arrays land under a fresh name, the manifest swap is the
     atomic commit, and the superseded arrays (and any delta chain this
     save compacts) are only deleted after the commit — a crash anywhere
@@ -459,7 +528,7 @@ def save_checkpoint(model, directory: str | Path, metadata: dict | None = None,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    spec, arrays, leaves = _flatten_model(model, spec)
+    spec, arrays, leaves, metadata = _flatten_model(model, spec, metadata)
     _write_full(model, directory, arrays, leaves, spec, metadata)
     return directory
 
@@ -487,7 +556,7 @@ def save_incremental(model, directory: str | Path, baseline: StateBaseline | Non
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    spec, arrays, leaves = _flatten_model(model, spec)
+    spec, arrays, leaves, metadata = _flatten_model(model, spec, metadata)
 
     def full() -> tuple[str, StateBaseline]:
         save_id = _write_full(model, directory, arrays, leaves, spec, metadata)
@@ -524,14 +593,14 @@ def save_incremental(model, directory: str | Path, baseline: StateBaseline | Non
                   "saved_at": time.time()})
     manifest["deltas"] = deltas + [entry]
     manifest["format_version"] = INCREMENTAL_VERSION
-    manifest["metadata"] = _json_safe(metadata or {})
+    manifest["metadata"] = metadata
     manifest["saved_at"] = entry["saved_at"]
     # Delta file first, manifest second: the manifest rewrite is the
     # commit point, so a crash in between leaves an orphan delta file
     # the loader never reads (cleaned up at the next full save).
     _replace_into(directory, delta_name, lambda h: np.savez(h, **stored))
     _replace_into(directory, MANIFEST_NAME,
-                  lambda h: h.write(json.dumps(manifest, indent=1, sort_keys=True).encode()))
+                  lambda h: h.write(json.dumps(manifest, sort_keys=True).encode()))
     _note_write("delta", (directory / delta_name).stat().st_size
                 + (directory / MANIFEST_NAME).stat().st_size,
                 len(manifest["deltas"]))
@@ -722,10 +791,11 @@ def load_state(directory: str | Path, _retries: int = 2) -> tuple[dict, dict]:
 
     Any committed delta chain is replayed onto the base save, so the
     state returned is exactly what the last ``save_incremental`` (or
-    full save) captured.
+    full save) captured.  Metadata arrays are back inside
+    ``manifest["metadata"]``.
     """
     arrays, leaves, manifest, _ = _load_flat(Path(directory), _retries=_retries)
-    return unflatten_state(arrays, leaves), manifest
+    return unflatten_state(_attach_metadata(manifest, arrays), leaves), manifest
 
 
 def spec_from_manifest(manifest: dict, state: dict) -> PipelineSpec:
@@ -792,7 +862,7 @@ def load_checkpoint_with_baseline(directory: str | Path) -> tuple:
     """
     directory = Path(directory)
     arrays, leaves, manifest, tip = _load_flat(directory)
-    state = unflatten_state(arrays, leaves)
+    state = unflatten_state(_attach_metadata(manifest, arrays), leaves)
     spec = spec_from_manifest(manifest, state)
     try:
         model = build_pipeline(spec)

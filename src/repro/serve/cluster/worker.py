@@ -27,6 +27,7 @@ standby has already been offered every write that response implies.
 
 from __future__ import annotations
 
+import gc
 import os
 import socket
 import sys
@@ -394,6 +395,11 @@ def main() -> int:
     writer = sys.stdout.buffer
     sys.stdout = sys.stderr
     worker = ClusterWorker(reader, writer)
+    # Everything imported so far lives as long as the process.  Moving it
+    # to the permanent generation keeps each full collection from
+    # rescanning it: about 20 ms per pass on a 2-CPU host, a pause that
+    # otherwise lands inside whichever request happens to trigger it.
+    gc.freeze()
     try:
         worker.run()
     except (ProtocolError, OSError) as error:

@@ -31,8 +31,9 @@ normalisation every refresh (recent inliers are a self-selected tight
 cluster) until ordinary records clip to the ceiling and the reservoir
 starves — the anchor keeps the full breadth of the training
 distribution in every refit.  Reservoirs travel inside the checkpoint
-metadata, so an evicted (or offline-maintained) tenant refreshes from
-exactly the records a resident one would have used.
+metadata, as columnar arrays the checkpoint stores in its npz, so an
+evicted (or offline-maintained) tenant refreshes from exactly the
+records a resident one would have used.
 
 When the reservoir itself starves (every decision outside — the
 measured >45 % AP-replacement wall), a fleet with ``quarantine_size >
@@ -59,7 +60,7 @@ from threading import RLock
 from typing import Callable, Iterable, Sequence
 
 from repro.core.gem import GEM
-from repro.core.io import record_from_dict, record_to_dict
+from repro.core.io import records_from_columns, records_to_columns
 from repro.core.protocols import GeofenceDecision, GeofenceModel
 from repro.core.records import SignalRecord
 from repro.obs.tracing import maybe_span
@@ -661,21 +662,31 @@ class GeofenceFleet:
             # cached metadata, untouched, for a future recovering fleet.
             serialized_quarantine = metadata.pop(QUARANTINE_METADATA_KEY, None) \
                 if self.quarantine_size else None
+            # Decode before touching any fleet state, so a corrupt
+            # reservoir or quarantine fails the load cleanly.
+            try:
+                if serialized_quarantine is not None and tenant_id not in self._quarantine:
+                    buffer = QuarantineBuffer.from_state(
+                        serialized_quarantine, capacity=self.quarantine_size,
+                        seed=self.quarantine_seed, tenant_key=tenant_id,
+                        gate=self.quarantine_gate)
+                else:
+                    buffer = None
+                if serialized is not None and tenant_id not in self._anchors:
+                    anchor = records_from_columns(serialized.get("anchor", ()))
+                    recent = records_from_columns(serialized.get("recent", ()))
+                else:
+                    anchor = recent = None
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                raise CheckpointError(f"tenant {tenant_id!r} has a corrupt persisted "
+                                      f"reservoir or quarantine: {error}") from error
             self._metadata.setdefault(tenant_id, metadata)
-            if serialized_quarantine is not None and tenant_id not in self._quarantine:
-                self._quarantine[tenant_id] = QuarantineBuffer.from_state(
-                    serialized_quarantine, capacity=self.quarantine_size,
-                    seed=self.quarantine_seed, tenant_key=tenant_id,
-                    gate=self.quarantine_gate)
+            if buffer is not None:
+                self._quarantine[tenant_id] = buffer
                 self._sync_quarantine_gauge()
-            if serialized is not None and tenant_id not in self._anchors:
-                self._anchors[tenant_id] = [
-                    record_from_dict(item)
-                    for item in serialized.get("anchor", ())][-self.reservoir_size:]
-                recent: "deque[SignalRecord]" = deque(maxlen=self.reservoir_size)
-                recent.extend(record_from_dict(item)
-                              for item in serialized.get("recent", ()))
-                self._recent[tenant_id] = recent
+            if anchor is not None:
+                self._anchors[tenant_id] = anchor[-self.reservoir_size:]
+                self._recent[tenant_id] = deque(recent, maxlen=self.reservoir_size)
             self.telemetry.record_load(tenant_id, seconds=time.perf_counter() - start)
             self._cache[tenant_id] = model
             self._shrink(keep=tenant_id)
@@ -731,8 +742,8 @@ class GeofenceFleet:
             recent = self._recent.get(tenant_id, ())
             if anchor or recent:
                 metadata[RESERVOIR_METADATA_KEY] = {
-                    "anchor": [record_to_dict(r) for r in anchor],
-                    "recent": [record_to_dict(r) for r in recent],
+                    "anchor": records_to_columns(anchor),
+                    "recent": records_to_columns(recent),
                 }
             buffer = self._quarantine.get(tenant_id)
             if buffer is not None and not buffer.dormant:

@@ -45,9 +45,10 @@ semi-supervised RF fingerprinting (arxiv 2304.14795):
 The buffer travels inside checkpoint metadata (next to the fleet's
 ``fleet_reservoir`` key, stripped from user metadata the same way — see
 :mod:`repro.serve.registry`), so an evicted or offline tenant keeps its
-evidence.  The *when to recover* policy lives in
-:class:`~repro.serve.policy.RecoveryPolicy`; the arming logic (stuck
-refreshes + reservoir starvation, the two health probes) lives in
+evidence: its records as columnar arrays in the checkpoint's npz, its
+counters and home MACs in the manifest.  The *when to recover* policy
+lives in :class:`~repro.serve.policy.RecoveryPolicy`; the arming logic
+(stuck refreshes + reservoir starvation, the two health probes) lives in
 :class:`~repro.serve.controller.FleetController`.
 """
 
@@ -59,7 +60,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.io import record_from_dict, record_to_dict
+from repro.core.io import records_from_columns, records_to_columns
 from repro.core.records import SignalRecord
 
 __all__ = [
@@ -273,9 +274,10 @@ class QuarantineBuffer:
     # Persistence (checkpoint metadata)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """JSON-safe state for checkpoint metadata."""
+        """State for checkpoint metadata: the records as columnar arrays
+        (:func:`~repro.core.io.records_to_columns`), the rest JSON-safe."""
         return {
-            "records": [record_to_dict(record) for record in self.records],
+            "records": records_to_columns(self.records),
             "seen": self.seen,
             "offered": self.offered,
             "home": sorted(self.home_macs),
@@ -288,6 +290,7 @@ class QuarantineBuffer:
                    min_anchor_fraction: float = 0.6) -> "QuarantineBuffer":
         """Rebuild from :meth:`state_dict` output.
 
+        Records in the JSON form earlier releases persisted load too.
         The *fleet's* capacity/seed/gate win over whatever wrote the
         state (config is not data); a shrunk capacity keeps the first
         ``capacity`` persisted records deterministically.
@@ -295,8 +298,7 @@ class QuarantineBuffer:
         buffer = cls(capacity, seed=seed, tenant_key=tenant_key, gate=gate,
                      anchor_margin_db=anchor_margin_db,
                      min_anchor_fraction=min_anchor_fraction)
-        buffer.records = [record_from_dict(item)
-                          for item in state.get("records", ())][:capacity]
+        buffer.records = records_from_columns(state.get("records", ()))[:capacity]
         buffer.seen = int(state.get("seen", len(buffer.records)))
         buffer.offered = int(state.get("offered", buffer.seen))
         buffer.set_home(state.get("home", ()))

@@ -35,10 +35,11 @@ __all__ = ["ModelRegistry", "QUARANTINE_METADATA_KEY", "RESERVOIR_METADATA_KEY",
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 
-# Checkpoint-metadata key the fleet stores its per-tenant recent-inlier
-# reservoir under.  Serve-internal: :meth:`ModelRegistry.metadata`
-# strips it so user metadata round-trips clean; read the raw manifest to
-# see it.
+# Checkpoint-metadata key the fleet stores its per-tenant inlier
+# reservoir under, as columnar record arrays the checkpoint keeps in its
+# npz.  Serve-internal: :meth:`ModelRegistry.metadata` strips it so user
+# metadata round-trips clean; :meth:`ModelRegistry.load_with_manifest`
+# returns it.
 RESERVOIR_METADATA_KEY = "fleet_reservoir"
 
 # Same contract for the quarantine buffer (rejected-but-home-anchored
@@ -169,8 +170,10 @@ class ModelRegistry:
         """Just the *user* metadata stored with the tenant's checkpoint.
 
         Serve-internal keys (the fleet's inlier reservoir and quarantine
-        buffer) are stripped; :meth:`manifest` exposes the raw stored
-        mapping.
+        buffer) are stripped.  Read from the manifest alone: numpy
+        arrays saved in the metadata (such as the fleet's record sets)
+        live in the npz and are not here; :meth:`load_with_manifest`
+        returns the whole mapping.  :meth:`manifest` exposes the raw JSON.
         """
         metadata = dict(self.manifest(tenant_id).get("metadata", {}))
         metadata.pop(RESERVOIR_METADATA_KEY, None)

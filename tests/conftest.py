@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.core.io import record_to_dict, records_from_columns
 from repro.core.records import SignalRecord
+from repro.serve.checkpoint import MANIFEST_NAME, load_state
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -56,3 +60,30 @@ def synthetic_records(n: int, num_macs: int = 8, seed: int = 0,
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def write_json_form(directory) -> None:
+    """Rewrite a checkpoint the way releases before the columnar form
+    saved it: reservoir and quarantine records as ``record_to_dict``
+    lists in the manifest metadata, none of them in the npz files."""
+    _, loaded = load_state(directory)
+
+    def as_json(value):
+        if isinstance(value, dict) and "edges" in value:
+            return [record_to_dict(r) for r in records_from_columns(value)]
+        if isinstance(value, dict):
+            return {key: as_json(item) for key, item in value.items()}
+        return value
+
+    manifest_path = directory / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["metadata"] = as_json(loaded["metadata"])
+    kept = lambda keys: [key for key in keys if not key.startswith("__metadata__/")]
+    for name in [manifest["arrays_file"]] + [e["file"] for e in manifest.get("deltas", [])]:
+        with np.load(directory / name) as archive:
+            arrays = {key: archive[key] for key in kept(archive.files)}
+        np.savez(directory / name, **arrays)
+    manifest["array_keys"] = kept(manifest["array_keys"])
+    for entry in manifest.get("deltas", []):
+        entry["append"], entry["replace"] = kept(entry["append"]), kept(entry["replace"])
+    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import synthetic_records
+from conftest import synthetic_records, write_json_form
 from repro.cli import main
 from repro.core.io import record_to_dict, save_records
 from repro.serve import ModelRegistry, load_checkpoint
@@ -110,13 +110,41 @@ class TestMaintain:
                        "--registry", str(root), "--tenant", tenant) == 0
         return root
 
-    def test_dry_run_reports_capability_and_reservoir(self, registry_root, capsys):
+    def test_dry_run_reports_capability_and_reservoir(self, registry_root, tmp_path, capsys):
         assert run("maintain", "--registry", str(registry_root), "--dry-run") == 0
         out = capsys.readouterr().out
         assert "t1" in out and "t2" in out
         assert "model gem" in out
         assert "yes" in out          # refresh-capable
         assert "30" in out           # reservoir seeded from training records
+        # The counts are what a fleet restores, from the columnar form and
+        # from the JSON form earlier releases wrote.
+        from repro.core import SignalRecord
+        from repro.serve import GeofenceFleet
+        from repro.serve.quarantine import home_anchor_macs
+        with GeofenceFleet(registry_root, capacity=1, quarantine_size=32) as fleet:
+            home = sorted(home_anchor_macs(fleet.reservoir("t1")))[:3]
+            for i in range(40):
+                fleet.observe("t1", SignalRecord(
+                    {**{mac: -50.0 - i % 3 for mac in home},
+                     **{f"new{k}": -55.0 - 4 * k for k in range(5)}}, timestamp=100.0 + i))
+            for record in synthetic_records(6, seed=0, center=2.0):
+                fleet.observe("t2", record)
+            expected = {tenant: {"reservoir": len(fleet.reservoir(tenant)),
+                                 "quarantine": len(fleet.quarantine(tenant))}
+                        for tenant in ("t1", "t2")}
+        assert expected["t1"]["quarantine"] > 0
+        assert expected["t2"]["reservoir"] > 30
+        report = tmp_path / "dry.json"
+        for form in ("columns", "json"):
+            if form == "json":
+                for tenant in ("t1", "t2"):
+                    write_json_form(registry_root / tenant)
+            assert run("maintain", "--registry", str(registry_root), "--dry-run",
+                       "--json", str(report)) == 0
+            payload = json.loads(report.read_text())
+            assert {tenant: {key: payload[tenant][key] for key in ("reservoir", "quarantine")}
+                    for tenant in payload} == expected, form
 
     def test_refresh_all_tenants(self, registry_root, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_records
-from repro.core import GEM, GEMConfig
+from repro.core import GEM, GEMConfig, SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
-from repro.serve import ModelRegistry, load_checkpoint, read_manifest
+from repro.serve import GeofenceFleet, ModelRegistry, load_checkpoint, read_manifest
 from repro.serve.checkpoint import flatten_state
 from repro.serve.cluster import DeltaShipper, Follower, ReplicationError
 from repro.serve.cluster.replicate import manifest_has_deltas
+from repro.serve.quarantine import home_anchor_macs
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 TENANT = "rep-tenant"
@@ -193,3 +194,36 @@ class TestPromotion:
         report = follower.promote()
         assert report.compacted == 0
         assert report.chain_lengths == {TENANT: 0}
+
+    def test_promote_keeps_fleet_reservoir_and_quarantine(self, tmp_path):
+        """Promotion rewrites mid-chain tenants from the loaded metadata,
+        which carries the fleet's record sets."""
+        config = dict(capacity=1, model_factory=make_gem, reservoir_size=8,
+                      quarantine_size=8, incremental=True)
+        registry = ModelRegistry(tmp_path / "primary")
+        shipper = DeltaShipper().attach(registry)
+        fleet = GeofenceFleet(registry, **config)
+        fleet.provision(TENANT, records(0))
+        home = sorted(home_anchor_macs(records(0)))[:3]
+        for step in range(2):
+            for i in range(30):
+                fleet.observe(TENANT, SignalRecord(
+                    {**{mac: -50.0 - i % 3 for mac in home},
+                     **{f"new{k}": -55.0 - 4 * k for k in range(5)}},
+                    timestamp=100.0 * step + i))
+            for record in records(10 + step, n=5):
+                fleet.observe(TENANT, record)
+            assert fleet.flush(TENANT) == 1
+        reservoir, quarantine = fleet.reservoir(TENANT), fleet.quarantine(TENANT)
+        assert reservoir and quarantine
+        fleet.close()
+        shipper.detach()
+        follower = Follower(standby := tmp_path / "standby")
+        writes = shipper.drain()
+        assert [w.kind for w in writes] == ["full", "delta", "delta"]
+        for write in writes:
+            follower.apply(write)
+        assert follower.promote().compacted == 1
+        with GeofenceFleet(standby, **config) as promoted:
+            assert promoted.reservoir(TENANT) == reservoir
+            assert promoted.quarantine(TENANT) == quarantine

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.io import (
@@ -9,6 +10,8 @@ from repro.core.io import (
     load_records,
     record_from_dict,
     record_to_dict,
+    records_from_columns,
+    records_to_columns,
     save_labeled_records,
     save_records,
 )
@@ -38,6 +41,81 @@ class TestRecordDicts:
     def test_missing_rss_rejected(self):
         with pytest.raises(ValueError, match="rss"):
             record_from_dict({"t": 1.0})
+
+    @pytest.mark.parametrize("pos", [["a", 1.0], "xy", [None]])
+    def test_non_numeric_position_rejected(self, pos):
+        with pytest.raises(ValueError, match="pos"):
+            record_from_dict({"t": 1.0, "rss": {"a": -50.0}, "pos": pos})
+
+
+class TestRecordColumns:
+    def records(self):
+        return sample_records() + [
+            SignalRecord({"bb": -40.25, "aa": -90}, timestamp=4.5, position=(1.0, 2.0)),
+            SignalRecord({"dd": -55.0}, timestamp=-1.0, position=()),
+        ]
+
+    def test_roundtrip_is_exact(self):
+        records = self.records()
+        columns = records_to_columns(records)
+        assert columns["macs"].tolist() == ["aa", "bb", "cc", "dd"]
+        assert columns["edges"]["rss"].tolist() == [-50.0, -61.5, -70.0, -90.0, -40.25, -55.0]
+        back = records_from_columns(columns)
+        assert back == records
+        # Readings come back in sorted MAC order, as from the JSON form.
+        assert [list(r.readings) for r in back] == [sorted(r.readings) for r in records]
+        assert [r.position for r in back] == [(2.0, 3.0, 0.0), None, None, (1.0, 2.0), ()]
+
+    def test_empty_set(self):
+        columns = records_to_columns([])
+        assert [len(array) for array in columns.values()] == [0, 0, 0]
+        assert records_from_columns(columns) == []
+
+    def test_reading_order_does_not_change_the_columns(self):
+        """A reloaded set (readings in sorted order) re-encodes to the
+        very arrays it was loaded from, so a delta stays an append."""
+        records = self.records()
+        shuffled = [SignalRecord(dict(reversed(list(r.readings.items()))),
+                                 timestamp=r.timestamp, position=r.position) for r in records]
+        columns = records_to_columns(records)
+        for again in (records_to_columns(shuffled),
+                      records_to_columns(records_from_columns(columns))):
+            assert all(np.array_equal(again[key], columns[key]) for key in columns)
+
+    def test_appending_records_appends_rows(self):
+        records = self.records()
+        head = records_to_columns(records[:2])
+        full = records_to_columns(records)
+        for key, array in head.items():
+            assert np.array_equal(full[key][:len(array)], array), key
+
+    def test_json_form_accepted(self):
+        records = self.records()
+        assert records_from_columns([record_to_dict(r) for r in records]) == records
+        assert records_from_columns(()) == []
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda c: c.pop("edges"), "missing"),
+        (lambda c: c.__setitem__("macs", np.arange(3)), "string table"),
+        (lambda c: c.__setitem__("edges", c["edges"]["rss"]), "edges must be"),
+        (lambda c: c.__setitem__("records", c["records"][["stop", "t"]]), "records must be"),
+        (lambda c: c["records"].__setitem__("stop", [3, 1, 3, 5, 6]), "monotone"),
+        (lambda c: c["records"].__setitem__("stop", [-1, 3, 3, 5, 6]), "monotone"),
+        (lambda c: c.__setitem__("edges", c["edges"][:-1]), "monotone"),
+        (lambda c: c["edges"]["mac"].__setitem__(0, 4), "outside"),
+        (lambda c: c["edges"]["mac"].__setitem__(0, -1), "outside"),
+        (lambda c: c["edges"]["mac"].__setitem__(1, 0), "repeats"),
+        (lambda c: c["records"]["pos_len"].__setitem__(0, 4), "position length"),
+        (lambda c: c["edges"]["rss"].__setitem__(0, np.inf), "finite"),
+        (lambda c: c.__setitem__("macs", np.array(["", "bb", "cc", "dd"])), "non-empty"),
+    ], ids=["missing", "macs-dtype", "edges-dtype", "records-dtype", "non-monotone",
+            "negative-offset", "short-edges", "mac-past-table", "mac-negative",
+            "repeated-mac", "position-length", "non-finite-rss", "empty-mac"])
+    def test_corrupt_columns_rejected(self, corrupt, match):
+        columns = records_to_columns(self.records())
+        corrupt(columns)
+        with pytest.raises(ValueError, match=match):
+            records_from_columns(columns)
 
 
 class TestRecordFiles:

@@ -269,6 +269,7 @@ class TestRuntimeStress:
         fleet.provision("t", tenant_records(0, n=40))
         stream = tenant_records(0, n=120, seed_offset=7)
         stop = threading.Event()
+        committed = threading.Event()
         outcomes = {"refreshes": 0, "stale": 0}
         errors: list[BaseException] = []
 
@@ -278,6 +279,7 @@ class TestRuntimeStress:
                     try:
                         fleet.refresh("t")
                         outcomes["refreshes"] += 1
+                        committed.set()
                     except ValueError:
                         outcomes["stale"] += 1  # evicted/replaced mid-rebuild
             except BaseException as error:  # noqa: BLE001
@@ -290,6 +292,9 @@ class TestRuntimeStress:
             decisions.append(fleet.observe("t", record))
             if index % 30 == 29:
                 fleet.evict("t")
+        # On a loaded host every refresh can lose its race against the
+        # evictions above; once the stream is done one must commit.
+        committed.wait(30.0)
         stop.set()
         thread.join(30.0)
         assert not thread.is_alive()

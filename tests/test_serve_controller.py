@@ -425,12 +425,15 @@ class TestFleetMaintenance:
             resident = [r.readings for r in fleet.reservoir("a")]
             fleet.evict("a")
             assert "a" not in fleet._anchors and "a" not in fleet._recent
-            # Reload restores the reservoir from the checkpoint manifest.
+            # Reload restores the reservoir from the checkpoint.
             reloaded = [r.readings for r in fleet.reservoir("a")]
             assert reloaded == resident
             # ...and user-facing metadata stays clean of the internal key.
             assert RESERVOIR_METADATA_KEY not in registry.metadata("a")
-            assert RESERVOIR_METADATA_KEY in registry.manifest("a")["metadata"]
+            # The records live in the npz, not in the manifest JSON.
+            assert RESERVOIR_METADATA_KEY not in registry.manifest("a")["metadata"]
+            _, manifest = registry.load_with_manifest("a")
+            assert set(manifest["metadata"][RESERVOIR_METADATA_KEY]) == {"anchor", "recent"}
 
     def test_outside_and_unembeddable_records_never_enter_reservoir(
             self, tmp_path, train_records):

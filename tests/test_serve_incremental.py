@@ -10,7 +10,8 @@ from repro.core import GEM, GEMConfig, SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import (CheckpointError, GeofenceFleet, ModelRegistry,
                          load_checkpoint, load_checkpoint_with_baseline,
-                         read_manifest, save_checkpoint, save_incremental)
+                         load_checkpoint_with_manifest, read_manifest,
+                         save_checkpoint, save_incremental)
 from repro.serve.checkpoint import (CHECKPOINT_VERSION, INCREMENTAL_VERSION,
                                     MANIFEST_NAME, flatten_state, load_state)
 
@@ -161,6 +162,67 @@ class TestDeltaSaves:
         model, manifest, baseline = load_checkpoint_with_baseline(directory)
         assert baseline.chain_length == 0
         assert_states_equal(gem, model)
+
+
+class TestMetadataArrays:
+    """Numpy arrays inside save metadata travel in the npz, diffed with
+    the state, and come back inside ``manifest["metadata"]``."""
+
+    def metadata(self, tail=()):
+        return {"user": {"note": "lab", "empty": {}},
+                "sets": {"pinned": {"rows": np.arange(6.0)},
+                         "window": {"rows": np.array([1.5, *tail])}},
+                "count": len(tail)}
+
+    def test_full_save_round_trip(self, tmp_path):
+        gem = make_gem().fit(records(0))
+        save_checkpoint(gem, tmp_path / "c", metadata=self.metadata())
+        manifest = read_manifest(tmp_path / "c")
+        # Only JSON leaves in the manifest; an all-array dict leaves no trace.
+        assert manifest["metadata"] == {"user": {"note": "lab", "empty": {}}, "count": 0}
+        assert "__metadata__/sets/pinned/rows" in manifest["array_keys"]
+        _, loaded = load_checkpoint_with_manifest(tmp_path / "c")
+        assert loaded["metadata"]["user"] == {"note": "lab", "empty": {}}
+        assert np.array_equal(loaded["metadata"]["sets"]["pinned"]["rows"], np.arange(6.0))
+        assert np.array_equal(load_state(tmp_path / "c")[1]["metadata"]["sets"]["window"]["rows"],
+                              [1.5])
+
+    def test_deltas_carry_only_changed_metadata_arrays(self, fitted):
+        gem, directory, baseline = fitted
+        kind, baseline = save_incremental(gem, directory, baseline, metadata=self.metadata())
+        kind, baseline = save_incremental(gem, directory, baseline,
+                                          metadata=self.metadata(tail=(2.5, 3.5)))
+        assert kind == "delta"
+        entry = read_manifest(directory)["deltas"][-1]
+        assert entry["append"] == ["__metadata__/sets/window/rows"]
+        assert entry["replace"] == [] and entry["leaves"] == {}
+        _, manifest, _ = load_checkpoint_with_baseline(directory)
+        assert manifest["metadata"]["count"] == 2
+        assert manifest["metadata"]["sets"]["window"]["rows"].tolist() == [1.5, 2.5, 3.5]
+        # Dropping a metadata array is a removal like any other.
+        save_incremental(gem, directory, baseline, metadata={"count": 0})
+        assert load_state(directory)[1]["metadata"] == {"count": 0}
+
+    @pytest.mark.parametrize("metadata, match", [
+        ({"bad/key": np.zeros(2)}, "must not contain"),
+        ({"bad/key": {"rows": np.zeros(2)}}, "must not contain"),
+        ({"rows": np.array([object()])}, "object dtype"),
+    ], ids=["array-key", "dict-key", "object-dtype"])
+    def test_unstorable_metadata_arrays_rejected(self, tmp_path, metadata, match):
+        gem = make_gem().fit(records(0))
+        with pytest.raises(ValueError, match=match):
+            save_checkpoint(gem, tmp_path / "c", metadata=metadata)
+        assert not (tmp_path / "c" / MANIFEST_NAME).exists()
+
+    def test_array_under_a_json_leaf_is_torn(self, tmp_path):
+        gem = make_gem().fit(records(0))
+        save_checkpoint(gem, tmp_path / "c", metadata={"sets": {"rows": np.zeros(2)}})
+        path = tmp_path / "c" / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["metadata"]["sets"] = [1, 2]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="non-dict"):
+            load_checkpoint(tmp_path / "c")
 
 
 class TestDeltaCrashSafety:

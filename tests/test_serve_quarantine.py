@@ -6,14 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from conftest import synthetic_records
+from conftest import synthetic_records, write_json_form
 from repro.core import GEM, GEMConfig
+from repro.core.io import record_to_dict
 from repro.core.protocols import GeofenceDecision
 from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     QUARANTINE_METADATA_KEY,
+    RESERVOIR_METADATA_KEY,
+    CheckpointError,
     ConsistencyGate,
     FleetController,
     GeofenceFleet,
@@ -24,6 +27,7 @@ from repro.serve import (
     ServingRuntime,
     home_anchor_macs,
 )
+from repro.serve.checkpoint import load_state, read_manifest
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 
@@ -231,12 +235,17 @@ class TestQuarantineBuffer:
         buffer.set_home({"home", "other"})
         for i in range(20):
             buffer.consider(RejectAll(), anchored_record(i))
-        state = json.loads(json.dumps(buffer.state_dict()))   # JSON-safe
-        same = QuarantineBuffer.from_state(state, capacity=8, seed=1,
-                                           tenant_key="t")
-        assert [r.readings for r in same.records] \
-            == [r.readings for r in buffer.records]
-        assert same.home_macs == buffer.home_macs
+        state = buffer.state_dict()
+        assert isinstance(state["records"]["edges"], np.ndarray)   # columnar
+        # The JSON form earlier releases persisted still loads.
+        legacy = json.loads(json.dumps({**state, "records": [
+            record_to_dict(record) for record in buffer.records]}))
+        for persisted in (state, legacy):
+            same = QuarantineBuffer.from_state(persisted, capacity=8, seed=1,
+                                               tenant_key="t")
+            assert same.records == buffer.records
+            assert same.home_macs == buffer.home_macs
+            assert (same.seen, same.offered) == (buffer.seen, buffer.offered)
         smaller = QuarantineBuffer.from_state(state, capacity=3, seed=1,
                                               tenant_key="t")
         assert smaller.depth == 3
@@ -387,8 +396,13 @@ class TestFleetQuarantine:
         drive_new_world(fleet, "t", home, n=40)
         fleet.flush("t")
         assert registry.metadata("t") == {}
+        # Counters and home MACs stay in the manifest JSON; the records
+        # are columnar arrays in the npz.
         manifest = json.loads((registry.path_for("t") / "manifest.json").read_text())
-        assert QUARANTINE_METADATA_KEY in manifest["metadata"]
+        assert set(manifest["metadata"][QUARANTINE_METADATA_KEY]) == {"seen", "offered", "home"}
+        _, manifest = registry.load_with_manifest("t")
+        records = manifest["metadata"][QUARANTINE_METADATA_KEY]["records"]
+        assert len(records["records"]) == fleet.quarantine_depth("t")
 
     def test_disabled_fleet_carries_metadata_forward(self, registry):
         """A quarantine_size=0 fleet must neither consume nor drop the
@@ -442,6 +456,97 @@ class TestFleetQuarantine:
                               quarantine_size=32)
         with pytest.raises(ValueError, match="empty quarantine"):
             armed.reprovision_from_quarantine("t")
+
+
+# ----------------------------------------------------------------------
+# Checkpoint forms of the reservoir and quarantine records
+# ----------------------------------------------------------------------
+def holds_record_dicts(directory) -> bool:
+    metadata = read_manifest(directory)["metadata"]
+    return RESERVOIR_METADATA_KEY in metadata \
+        or "records" in metadata.get(QUARANTINE_METADATA_KEY, {})
+
+
+class TestJSONFormCheckpoints:
+    """Checkpoints saved while the reservoir and quarantine records were
+    JSON dicts inside the manifest."""
+
+    FLEET = dict(capacity=1, model_factory=make_gem, reservoir_size=8, quarantine_size=8)
+
+    def _saved_tenant(self, root, incremental):
+        fleet = GeofenceFleet(root, incremental=incremental, **self.FLEET)
+        fleet.provision("t", train_records())
+        drive_new_world(fleet, "t", home_anchor_macs(train_records()), n=40)
+        for record in train_records(6):
+            fleet.observe("t", record)
+        fleet.close()  # a delta write-back when incremental
+        assert bool(read_manifest(root / "t").get("deltas")) == incremental
+        return root / "t"
+
+    def _serve(self, root, incremental):
+        """Reservoir and quarantine on load, then decisions across an
+        evict/reload, then both again."""
+        fleet = GeofenceFleet(root, incremental=incremental, **self.FLEET)
+        state = [fleet.reservoir("t"), fleet.quarantine("t")]
+        home = home_anchor_macs(train_records())
+        rng = np.random.default_rng(11)
+        decisions = [fleet.observe("t", new_world_record(100 + i, home, rng)) for i in range(10)]
+        fleet.evict("t")
+        decisions += [fleet.observe("t", record) for record in train_records(8)]
+        state += [fleet.reservoir("t"), fleet.quarantine("t")]
+        fleet.close()
+        return state, decisions
+
+    @pytest.mark.parametrize("incremental", [False, True], ids=["full", "mid-chain"])
+    def test_loads_identically_and_is_rewritten_as_columns(self, tmp_path, incremental):
+        current = self._saved_tenant(tmp_path / "current", incremental)
+        legacy = self._saved_tenant(tmp_path / "legacy", incremental)
+        write_json_form(legacy)
+        assert holds_record_dicts(legacy) and not holds_record_dicts(current)
+        assert not [key for key in read_manifest(legacy)["array_keys"]
+                    if key.startswith("__metadata__/")]
+        served = self._serve(tmp_path / "legacy", incremental)
+        assert served == self._serve(tmp_path / "current", incremental)
+        assert served[0][1], "the quarantine must hold evidence"
+        assert not holds_record_dicts(legacy)
+        _, manifest = load_state(legacy)
+        assert set(manifest["metadata"][RESERVOIR_METADATA_KEY]) == {"anchor", "recent"}
+
+    @pytest.mark.parametrize("form", ["columns", "json"])
+    def test_disabled_fleets_carry_both_forms_forward(self, tmp_path, form):
+        directory = self._saved_tenant(tmp_path / "m", incremental=True)
+        if form == "json":
+            write_json_form(directory)
+        with GeofenceFleet(tmp_path / "m", **self.FLEET) as fleet:
+            before = fleet.reservoir("t"), fleet.quarantine("t")
+        with GeofenceFleet(tmp_path / "m", capacity=1, model_factory=make_gem,
+                           reservoir_size=0, quarantine_size=0, incremental=True) as plain:
+            for record in train_records(5):
+                plain.observe("t", record)
+        assert read_manifest(directory).get("deltas"), "the disabled fleet wrote back"
+        assert holds_record_dicts(directory) == (form == "json")
+        with GeofenceFleet(tmp_path / "m", **self.FLEET) as fleet:
+            assert (fleet.reservoir("t"), fleet.quarantine("t")) == before
+
+    @pytest.mark.parametrize("key, corrupt, match", [
+        ("fleet_reservoir/anchor/records",
+         lambda rows: rows.__setitem__("stop", rows["stop"][::-1]), "monotone"),
+        ("fleet_reservoir/recent/edges",
+         lambda edges: edges["mac"].__setitem__(0, 10_000), "outside"),
+        ("fleet_quarantine/records/edges",
+         lambda edges: edges["rss"].__setitem__(0, np.nan), "finite"),
+    ], ids=["anchor-offsets", "recent-mac-index", "quarantine-rss"])
+    def test_corrupt_columns_fail_the_load(self, tmp_path, key, corrupt, match):
+        directory = self._saved_tenant(tmp_path / "m", incremental=False)
+        path = directory / read_manifest(directory)["arrays_file"]
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        corrupt(arrays["__metadata__/" + key])
+        np.savez(path, **arrays)
+        fleet = GeofenceFleet(tmp_path / "m", **self.FLEET)
+        with pytest.raises(CheckpointError, match=match):
+            fleet.reservoir("t")
+        assert fleet.resident_tenants == [] and fleet.quarantine_depths() == {}
 
 
 # ----------------------------------------------------------------------
