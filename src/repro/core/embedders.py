@@ -25,7 +25,7 @@ from repro.embedding.bisage import BiSAGE, BiSAGEConfig
 from repro.embedding.graphsage import GraphSAGE, GraphSAGEConfig
 from repro.embedding.matrix import DEFAULT_FILL_DBM, MatrixView
 from repro.embedding.mds import ClassicalMDS
-from repro.graph.bipartite import WeightedBipartiteGraph
+from repro.graph.bipartite import RECORD, WeightedBipartiteGraph
 from repro.graph.builder import build_graph
 
 __all__ = [
@@ -66,11 +66,19 @@ class _GraphEmbedderBase:
         training cache: the detector's histograms must describe the same
         distribution its inference-time queries come from, otherwise the
         per-node random initial embeddings of training nodes shift the
-        score scale.
+        score scale.  Every row goes through the hoisted inference
+        kernel, bit-identical to ``model.embed_record_node`` (see
+        :mod:`repro.nn.batch`); a record without edges keeps the scalar
+        path, which returns the shared initial row.
         """
         self._require_fitted()
-        return np.vstack([self.model.embed_record_node(i)
-                          for i in range(self.graph.num_records)])
+        kernel = self.batched_inference()
+        rows = []
+        for i in range(self.graph.num_records):
+            neighbors, weights = self.graph.neighbors(RECORD, i)
+            rows.append(kernel.embed(neighbors, weights) if len(neighbors)
+                        else self.model.embed_record_node(i))
+        return np.vstack(rows)
 
     def embed(self, record: SignalRecord) -> np.ndarray | None:
         """Embed a streamed record (Sec. IV-A), leaving the graph as it is.

@@ -21,7 +21,7 @@ from repro.core.protocols import Detector, GeofenceDecision, RecordEmbedder
 from repro.core.records import SignalRecord
 from repro.detection.histogram import HistogramDetector
 
-__all__ = ["EmbeddingGeofencer", "GEM", "RefreshJob"]
+__all__ = ["EmbeddingGeofencer", "GEM", "RefreshJob", "embed_records"]
 
 
 class RefreshJob:
@@ -53,8 +53,8 @@ class RefreshJob:
         copy, so it is safe to run without holding the pipeline's lock.
         Returns the number of records the detector was refit on.
         """
-        rows = [self.embedder.embed(record) for record in self.records]
-        rows = [row for row in rows if row is not None]
+        rows = [row for row in embed_records(self.embedder, self.records)
+                if row is not None]
         if not rows:
             raise ValueError("coordinated refresh aborted: none of the "
                              f"{len(self.records)} recent-inlier records are embeddable; "
@@ -62,6 +62,28 @@ class RefreshJob:
         self.detector.refit(np.vstack(rows))
         self.absorbed = len(rows)
         return self.absorbed
+
+
+def embed_records(embedder, records: Sequence[SignalRecord],
+                  kernel=None) -> list[np.ndarray | None]:
+    """Embedding row per record; None where a record is not embeddable.
+
+    Graph embedders run every record through one hoisted inference
+    kernel (``kernel``, or one built here), which is bit-identical to
+    their scalar ``embed`` (see :mod:`repro.nn.batch`); any other
+    embedder embeds record by record.
+    """
+    if not (hasattr(embedder, "supports_batch_inference")
+            and embedder.supports_batch_inference()):
+        return [embedder.embed(record) if record.readings else None
+                for record in records]
+    if kernel is None:
+        kernel = embedder.batched_inference()
+    rows: list[np.ndarray | None] = []
+    for record in records:
+        prepared = embedder.prepare(record) if record.readings else None
+        rows.append(None if prepared is None else kernel.embed(*prepared))
+    return rows
 
 
 class EmbeddingGeofencer:
@@ -124,10 +146,34 @@ class EmbeddingGeofencer:
 
     def predict(self, record: SignalRecord) -> bool:
         """True iff the record is predicted in-premises (no state change)."""
-        embedding = self._embed(record)
-        if embedding is None:
-            return False
-        return not bool(self.detector.is_outlier(embedding[None, :])[0])
+        return bool(self.predict_many([record])[0])
+
+    def predict_many(self, records: Sequence[SignalRecord], kernel=None) -> np.ndarray:
+        """``[self.predict(r) for r in records]`` as one boolean array.
+
+        No state changes.  The records are embedded through one
+        inference kernel (``kernel`` may be a serving layer's cached
+        one, valid for the embedder's current ``batch_token()``) and the
+        embedded rows are scored in one ``score_batch`` call; both are
+        bit-identical to the per-record path.  Embedders or detectors
+        without batch support embed or score row by row instead.
+        """
+        records = list(records)
+        inside = np.zeros(len(records), dtype=bool)
+        if not records:
+            return inside
+        if not self._fitted:
+            raise RuntimeError("pipeline has not been fitted; call fit first")
+        rows = embed_records(self.embedder, records, kernel)
+        embedded = [i for i, row in enumerate(rows) if row is not None]
+        if not embedded:
+            return inside
+        if self._batch_scoring():
+            outliers = self.detector.score_batch(np.vstack([rows[i] for i in embedded])).outliers
+        else:
+            outliers = [bool(self.detector.is_outlier(rows[i][None, :])[0]) for i in embedded]
+        inside[embedded] = np.logical_not(outliers)
+        return inside
 
     def observe(self, record: SignalRecord) -> GeofenceDecision:
         """Algorithm 2: embed, decide, maybe self-update.
@@ -140,12 +186,9 @@ class EmbeddingGeofencer:
         if embedding is None:
             # Footnote 3: nothing recognisable — treat as an outlier.
             return GeofenceDecision(inside=False, score=math.inf)
-        row = embedding[None, :]
-        score = float(self.detector.decision_scores(row)[0])
-        outlier = bool(self.detector.is_outlier(row)[0])
+        score, outlier, confident = self._verdict(embedding[None, :])
         if outlier:
             return GeofenceDecision(inside=False, score=score)
-        confident = bool(self._confident(row))
         buffered = False
         updated = False
         if confident and self.self_update and hasattr(self.detector, "update"):
@@ -167,7 +210,10 @@ class EmbeddingGeofencer:
         (``supports_batch_score``)."""
         return (hasattr(self.embedder, "supports_batch_inference")
                 and self.embedder.supports_batch_inference()
-                and hasattr(self.detector, "supports_batch_score")
+                and self._batch_scoring())
+
+    def _batch_scoring(self) -> bool:
+        return (hasattr(self.detector, "supports_batch_score")
                 and self.detector.supports_batch_score())
 
     # Verdicts are computed this many embedded rows ahead; a detector
@@ -203,21 +249,11 @@ class EmbeddingGeofencer:
             raise RuntimeError("pipeline has not been fitted; call fit first")
         if not self.supports_batch_observe():
             return [self.observe(record) for record in records]
-        if kernel is None:
-            kernel = self.embedder.batched_inference()
 
         # Phase 1: embed, through the scalar path's read-only lookup.
         n = len(records)
-        rows: list[np.ndarray | None] = [None] * n
-        embedded: list[int] = []
-        for i, record in enumerate(records):
-            if not record.readings:
-                continue
-            prepared = self.embedder.prepare(record)
-            if prepared is None:
-                continue
-            rows[i] = kernel.embed(*prepared)
-            embedded.append(i)
+        rows = embed_records(self.embedder, records, kernel)
+        embedded = [i for i, row in enumerate(rows) if row is not None]
 
         # Phase 2: chunked verdict walk.  [seg_start, seg_end) over
         # `embedded` is the window whose precomputed verdicts are still
@@ -423,10 +459,20 @@ class EmbeddingGeofencer:
         self._fitted = True
         return self
 
-    def _confident(self, row: np.ndarray) -> bool:
-        if hasattr(self.detector, "is_confident_inlier"):
-            return bool(self.detector.is_confident_inlier(row)[0])
-        return False
+    def _verdict(self, row: np.ndarray) -> tuple[float, bool, bool]:
+        """``(score, outlier, confident inlier)`` of one ``(1, d)`` row.
+
+        One ``score_batch`` pass when the detector has one (bit-identical
+        to the three scalar calls, see :mod:`repro.detection.batch`).
+        """
+        if self._batch_scoring():
+            scores, outliers, confident = self.detector.score_batch(row)
+            return float(scores[0]), bool(outliers[0]), bool(confident[0])
+        score = float(self.detector.decision_scores(row)[0])
+        outlier = bool(self.detector.is_outlier(row)[0])
+        confident = (not outlier and hasattr(self.detector, "is_confident_inlier")
+                     and bool(self.detector.is_confident_inlier(row)[0]))
+        return score, outlier, confident
 
     def _embed(self, record: SignalRecord) -> np.ndarray | None:
         if not self._fitted:

@@ -32,6 +32,10 @@ from repro.utils.validation import check_positive, check_positive_int, check_pro
 
 __all__ = ["HistogramConfig", "HistogramDetector"]
 
+# Comparison cells per row block when locating bins: bounds the
+# temporary, so scoring memory stays flat at any row count.
+_BIN_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class HistogramConfig:
@@ -120,9 +124,17 @@ class HistogramDetector:
         lows = np.where(flat, lows - 0.5, lows)
         highs = np.where(flat, highs + 0.5, highs)
         self._edges = np.linspace(lows, highs, m + 1, axis=1)  # (d, m+1)
-        counts = np.empty((d, m), dtype=np.float64)
-        for j in range(d):
-            counts[j], _ = np.histogram(data[:, j], bins=self._edges[j])
+        # Every stored row lies inside its dimension's edges (linspace
+        # hits both endpoints exactly), so each row lands in bin
+        # min(position, m - 1): the same half-open bins with a closed
+        # last bin that np.histogram counts.  One bincount over
+        # ``bin + m·j`` per row block counts all d histograms at once.
+        offsets = m * np.arange(d)
+        counts = np.zeros(d * m, dtype=np.int64)
+        for block in self._row_blocks(data):
+            bins = np.minimum(self._bin_positions(block), m - 1) + offsets
+            counts += np.bincount(bins.ravel(), minlength=d * m)
+        counts = counts.reshape(d, m).astype(np.float64)
         # Binomial smoothing across adjacent bins: with n ~ hundreds of
         # samples spread over m bins per dimension, raw counts are noisy
         # and a normal sample that lands one bin over from the training
@@ -146,19 +158,26 @@ class HistogramDetector:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _bin_counts(self, embeddings: np.ndarray) -> np.ndarray:
-        """Per-sample per-dimension frequency counts hist_j(h_j)."""
-        d, m = self._counts.shape
-        out = np.empty(embeddings.shape, dtype=np.float64)
-        for j in range(d):
-            edges = self._edges[j]
-            positions = np.searchsorted(edges, embeddings[:, j], side="right") - 1
-            in_range = (embeddings[:, j] >= edges[0]) & (embeddings[:, j] <= edges[-1])
-            positions = np.clip(positions, 0, m - 1)
-            counts = self._counts[j][positions]
-            counts[~in_range] = 0.0
-            out[:, j] = counts
-        return out
+    def _row_blocks(self, embeddings: np.ndarray):
+        """Row slices of ``embeddings`` whose bin search fits one block
+        of ``_BIN_BLOCK_CELLS`` comparisons, so scoring and rebuild
+        memory stays flat at any row count."""
+        step = max(1, _BIN_BLOCK_CELLS // self._edges.size)
+        for start in range(0, len(embeddings), step):
+            yield embeddings[start:start + step]
+
+    def _bin_positions(self, block: np.ndarray) -> np.ndarray:
+        """Bin position of every value of a row block, all dimensions at once.
+
+        Entry ``[i, j]`` is the number of dimension-``j`` edges at or
+        below ``block[i, j]``, minus one: exactly
+        ``searchsorted(edges[j], x, side="right") - 1``, as integer
+        counting over the sorted edges.  -1 means below the first edge
+        (or NaN), ``m`` at or above the last.
+        """
+        edge_rows = self._edges.T[:, None, :]  # (m+1, 1, d)
+        count_dtype = np.int16 if len(edge_rows) <= np.iinfo(np.int16).max else np.intp
+        return (block >= edge_rows).sum(axis=0, dtype=count_dtype) - 1
 
     def _raw_scores(self, embeddings: np.ndarray) -> np.ndarray:
         """Eq. 10, gathered from the precomputed log-density surface.
@@ -167,17 +186,16 @@ class HistogramDetector:
         ``_log_density``; out-of-range samples take ``_oor_score``
         (the empty-bin penalty) exactly as a zero count would have.
         """
-        d, m = self._counts.shape
-        out = np.empty(embeddings.shape, dtype=np.float64)
-        for j in range(d):
-            edges = self._edges[j]
-            col = embeddings[:, j]
-            positions = np.searchsorted(edges, col, side="right") - 1
-            in_range = (col >= edges[0]) & (col <= edges[-1])
-            values = self._log_density[j][np.clip(positions, 0, m - 1)]
-            values[~in_range] = self._oor_score
-            out[:, j] = values
-        return out.sum(axis=1)
+        d, m = self._log_density.shape
+        columns = np.arange(d)
+        highs = self._edges[:, -1]
+        scores = []
+        for block in self._row_blocks(embeddings):
+            positions = self._bin_positions(block)
+            values = self._log_density[columns, np.clip(positions, 0, m - 1)]
+            values[(positions < 0) | (block > highs)] = self._oor_score
+            scores.append(values.sum(axis=1))
+        return np.concatenate(scores) if scores else np.zeros(0)
 
     def normalized_scores(self, embeddings: np.ndarray) -> np.ndarray:
         """Min–max normalised H̄ scores in [0, 1] (higher = more outlying)."""

@@ -8,6 +8,22 @@ captured once per batch (or cached across batches by
 :class:`repro.serve.batchplane.BatchPlane`) instead of being re-derived
 record by record.
 
+Callers
+-------
+Every graph-embedder path that embeds more than a one-off record runs
+through a kernel (all but the last via
+:func:`repro.core.gem.embed_records`):
+
+* ``EmbeddingGeofencer.observe_many`` — the batch plane;
+* ``EmbeddingGeofencer.predict_many`` (and ``predict``, which delegates
+  to it) — the quarantine's consistency gate, with the fleet's cached
+  kernel, and the recovery ``max_fpr`` check;
+* ``RefreshJob.build`` — the coordinated refresh's re-embed;
+* ``_GraphEmbedderBase.training_embeddings`` — the detector's fit rows.
+
+Scalar ``observe`` and ``score`` still embed through the model's
+``embed_readings``.
+
 Bit-identity contract
 ---------------------
 Every operation here must reproduce the scalar path's floats **bit for

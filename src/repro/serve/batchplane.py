@@ -117,16 +117,26 @@ class BatchPlane:
             decisions = [model.observe(record) for record in records]
         else:
             outcome = "engaged"
-            decisions = model.observe_many(records, kernel=self._kernel_for(model))
+            decisions = model.observe_many(records, kernel=self.kernel_for(model))
         self._count(arm_label(model), outcome)
         return decisions, outcome
 
-    def _kernel_for(self, model):
-        token = model.embedder.batch_token()
+    def kernel_for(self, model):
+        """The cached inference kernel for ``model``'s embedder, or None
+        when the embedder has none (matrix embedders, standalone models).
+
+        Also serves the fleet's off-batch callers (the quarantine's
+        consistency gate), so they replay the same kernel as the batch.
+        """
+        embedder = getattr(model, "embedder", None)
+        if not (hasattr(embedder, "supports_batch_inference")
+                and embedder.supports_batch_inference()):
+            return None
+        token = embedder.batch_token()
         cached = self._kernels.get(model)
         if cached is not None and cached[0] == token:
             return cached[1]
-        kernel = model.embedder.batched_inference()
+        kernel = embedder.batched_inference()
         self._kernels[model] = (token, kernel)
         return kernel
 

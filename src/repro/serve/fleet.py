@@ -77,6 +77,7 @@ from repro.serve.quarantine import (
     ConsistencyGate,
     QuarantineBuffer,
     home_anchor_macs,
+    predict_records,
 )
 from repro.serve.registry import (
     QUARANTINE_METADATA_KEY,
@@ -508,8 +509,7 @@ class GeofenceFleet:
             fresh = build_pipeline(infer_spec(model))
             fresh.fit(records)
             if max_fpr is not None and hasattr(fresh, "predict"):
-                rejected = sum(1 for record in records
-                               if not fresh.predict(record))
+                rejected = len(records) - int(predict_records(fresh, records).sum())
                 fpr = rejected / len(records)
                 if fpr > max_fpr:
                     raise ValueError(
@@ -598,7 +598,8 @@ class GeofenceFleet:
         unembeddable (+inf) decisions, i.e. exactly what the reservoir
         refuses.  The buffer's own gates (home-AP anchor, consistency
         under augmentation, reservoir draw) decide admission; scoring
-        augmented copies uses the model's side-effect-free ``predict``,
+        augmented copies uses the model's side-effect-free
+        ``predict_many`` with the batch plane's cached inference kernel,
         so the decision stream is untouched whether or not quarantine
         runs.  Call with the lock held.
         """
@@ -613,7 +614,7 @@ class GeofenceFleet:
             buffer.set_home(home_anchor_macs(self._anchors.get(tenant_id, ()),
                                              buffer.min_anchor_fraction))
             self._quarantine[tenant_id] = buffer
-        outcome = buffer.consider(model, record)
+        outcome = buffer.consider(model, record, self.batchplane.kernel_for(model))
         self.telemetry.record_quarantine(outcome)
         if outcome == "admitted":
             self._sync_quarantine_gauge()

@@ -30,8 +30,8 @@ semi-supervised RF fingerprinting (arxiv 2304.14795):
 2. **Consistency gate** — the rejection must be *stable under RSS
    augmentation*: a :class:`ConsistencyGate` re-scores ``passes``
    augmented copies (AP dropout + one clamped global gain offset per
-   copy, mirroring :class:`~repro.rf.dynamics.DeviceGainDrift`) through
-   the model's side-effect-free ``predict``; a record whose decision
+   copy, mirroring :class:`~repro.rf.dynamics.DeviceGainDrift`) in one
+   side-effect-free ``predict_many`` call; a record whose decision
    flips on any copy sits on the decision boundary and is discarded —
    only confident, augmentation-stable model-world mismatches qualify
    as recovery evidence.
@@ -68,6 +68,7 @@ __all__ = [
     "DEFAULT_QUARANTINE_SIZE",
     "QuarantineBuffer",
     "home_anchor_macs",
+    "predict_records",
 ]
 
 # Default buffer capacity when quarantine is switched on (fleets default
@@ -101,6 +102,18 @@ def home_anchor_macs(records: Sequence[SignalRecord],
     return frozenset(mac for mac, n in counts.items() if n >= floor)
 
 
+def predict_records(model, records: Sequence[SignalRecord], kernel=None) -> np.ndarray:
+    """The model's in-premises verdict per record, as a boolean array.
+
+    One ``predict_many`` pass when the model has one (``kernel``: a
+    cached inference kernel valid for its embedder), else ``predict``
+    per record; both leave the model untouched.
+    """
+    if hasattr(model, "predict_many"):
+        return model.predict_many(records, kernel=kernel)
+    return np.array([model.predict(record) for record in records], dtype=bool)
+
+
 @dataclass(frozen=True)
 class ConsistencyGate:
     """Decision-stability filter under RSS augmentation.
@@ -117,10 +130,13 @@ class ConsistencyGate:
     to.  Records that flip on any copy are boundary cases, not
     confident model-world mismatches, and make poor recovery evidence.
 
-    Scoring uses the model's ``predict``, which never mutates the
-    embedder or the detector — the gate is invisible to the decision
-    stream, which is what keeps quarantine-off and quarantine-on fleets
-    bit-identical.
+    Scoring uses the model's side-effect-free ``predict_many`` (one
+    inference-kernel embed per copy and one ``score_batch`` over all
+    copies, with the fleet's cached
+    :class:`~repro.serve.batchplane.BatchPlane` kernel), or ``predict``
+    per copy for models without it.  Neither mutates the embedder or
+    the detector — the gate is invisible to the decision stream, which
+    is what keeps quarantine-off and quarantine-on fleets bit-identical.
     """
 
     passes: int = 3
@@ -152,10 +168,16 @@ class ConsistencyGate:
                             position=record.position)
 
     def stable_rejection(self, model, record: SignalRecord,
-                         rng: np.random.Generator) -> bool:
-        """True when the model rejects all ``passes`` augmented copies."""
-        return all(not model.predict(self.augment(record, rng))
-                   for _ in range(self.passes))
+                         rng: np.random.Generator, kernel=None) -> bool:
+        """True when the model rejects all ``passes`` augmented copies.
+
+        All copies are drawn before any is scored, then scored in one
+        :func:`predict_records` call.  ``rng`` is the candidate's own
+        generator and is discarded afterwards, so drawing the copies a
+        short-circuit would have skipped changes no admission.
+        """
+        copies = [self.augment(record, rng) for _ in range(self.passes)]
+        return not predict_records(model, copies, kernel).any()
 
 
 class QuarantineBuffer:
@@ -207,8 +229,11 @@ class QuarantineBuffer:
         return any(record.readings.get(mac, -float("inf")) >= floor
                    for mac in self.home_macs)
 
-    def consider(self, model, record: SignalRecord) -> str:
+    def consider(self, model, record: SignalRecord, kernel=None) -> str:
         """Offer one rejected record; returns the admission outcome.
+
+        ``kernel`` is passed to the gate (see
+        :meth:`ConsistencyGate.stable_rejection`).
 
         Outcomes (the ``outcome`` label on
         ``repro_quarantine_admissions_total``): ``"admitted"`` (in the
@@ -221,7 +246,7 @@ class QuarantineBuffer:
         rng = self._candidate_rng(self.offered)
         self.offered += 1
         if self.gate is not None and hasattr(model, "predict") \
-                and not self.gate.stable_rejection(model, record, rng):
+                and not self.gate.stable_rejection(model, record, rng, kernel):
             return "inconsistent"
         index = self.seen
         self.seen += 1

@@ -8,12 +8,18 @@ byte-identical post-stream ``state_dict()`` trees.  Arms without batch
 support must come out identical too (the plane falls back to the same
 scalar loop), so the whole fallback matrix is exercised, not just the
 fast path.
+
+The off-batch callers of the inference kernel are held to the same
+standard: ``predict_many``, the quarantine's consistency gate on a
+shocked stream, a coordinated refresh and the detector's training
+embeddings must match the per-record scalar embed and ``is_outlier``.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from repro.embedding.bisage import BiSAGEConfig
 from repro.eval.algorithms import ALGORITHM_NAMES, arm_accepts, arm_spec
 from repro.pipeline import build_pipeline
 from repro.serve.batchplane import BatchPlane, fastpath_reason
+from repro.serve.quarantine import ConsistencyGate, QuarantineBuffer, home_anchor_macs
 
 # The outcome the batch plane must report per arm: only graph-embedder +
 # histogram compositions may engage; everything else names its reason.
@@ -209,3 +216,108 @@ def test_update_flush_mid_batch_matches_scalar():
     assert any(d.updated for d in scalar), "stream never flushed an update"
     assert_decisions_identical(scalar, batch)
     assert_trees_identical(scalar_model.state_dict(), batch_model.state_dict())
+
+
+# ----------------------------------------------------------------------
+# Off-batch callers of the kernel: predict, the gate, refresh, fit
+# ----------------------------------------------------------------------
+PREDICT_ARMS = [arm for arm in ALGORITHM_NAMES
+                if EXPECTED_OUTCOME[arm] != "fallback_model"]
+
+
+def scalar_predict(model, record) -> bool:
+    """The per-record reference: scalar embed, then ``is_outlier``."""
+    if not record.readings:
+        return False
+    row = model.embedder.embed(record)
+    return row is not None and not bool(model.detector.is_outlier(row[None, :])[0])
+
+
+@dataclass(frozen=True)
+class ScalarGate(ConsistencyGate):
+    """The gate scoring one copy at a time and stopping at the first
+    accepted copy, through :func:`scalar_predict`."""
+
+    def stable_rejection(self, model, record, rng, kernel=None):
+        return all(not scalar_predict(model, self.augment(record, rng))
+                   for _ in range(self.passes))
+
+
+def shocked_stream(train, n: int = 120, seed: int = 21) -> list[SignalRecord]:
+    """Home APs kept, a growing share of the ambient APs replaced, with
+    some records pulled away from the training centre."""
+    home = home_anchor_macs(train)
+    rng = np.random.default_rng(seed)
+    base = synthetic_records(n, seed=seed, center=0.0)
+    stream = []
+    for i, record in enumerate(base):
+        share = (i % 5) / 4.0
+        shift = 6.0 * rng.random() if i % 3 == 0 else 0.0
+        readings = {}
+        for mac, rss in record.readings.items():
+            if mac not in home and rng.random() < share:
+                mac = f"shk{mac}"
+            readings[mac] = rss - shift
+        stream.append(SignalRecord(readings, timestamp=record.timestamp))
+    return stream
+
+
+@pytest.mark.parametrize("arm", PREDICT_ARMS)
+def test_predict_many_matches_scalar_predict(arm):
+    model = build_arm(arm)
+    model.fit(synthetic_records(60, seed=3))
+    stream = adversarial_stream()
+    expected = [scalar_predict(model, record) for record in stream]
+    batch = model.predict_many(stream, kernel=BatchPlane().kernel_for(model))
+    assert batch.dtype == bool and batch.tolist() == expected
+    assert [model.predict(record) for record in stream] == expected
+    assert model.predict_many([]).tolist() == []
+
+
+@pytest.mark.parametrize("arm", ["GEM", "GraphSAGE+OD", "BiSAGE+LOF", "GEM(no-BiSAGE)"])
+def test_consistency_gate_on_shocked_stream_matches_scalar(arm):
+    model = build_arm(arm)
+    train = synthetic_records(60, seed=3)
+    model.fit(train)
+    state = copy.deepcopy(model.state_dict()) if hasattr(model, "state_dict") else None
+    home = home_anchor_macs(train)
+    scalar = QuarantineBuffer(4, seed=5, tenant_key="t", gate=ScalarGate(passes=3))
+    batched = QuarantineBuffer(4, seed=5, tenant_key="t", gate=ConsistencyGate(passes=3))
+    scalar.set_home(home)
+    batched.set_home(home)
+    kernel = BatchPlane().kernel_for(model)
+    stream = shocked_stream(train)
+    scalar_outcomes = [scalar.consider(model, record) for record in stream]
+    batched_outcomes = [batched.consider(model, record, kernel) for record in stream]
+
+    assert batched_outcomes == scalar_outcomes
+    assert {"admitted", "inconsistent", "sampled-out"} <= set(scalar_outcomes)
+    assert [id(r) for r in batched.records] == [id(r) for r in scalar.records]
+    assert (batched.seen, batched.offered) == (scalar.seen, scalar.offered)
+    if state is not None:  # the gate never touches the model
+        assert_trees_identical(state, model.state_dict())
+
+
+@pytest.mark.parametrize("arm", ["GEM", "GraphSAGE+OD"])
+def test_training_embeddings_match_scalar_embed(arm):
+    model = build_arm(arm)
+    # An empty training record is an isolated node: the scalar path
+    # returns the shared initial row for it.
+    model.fit(synthetic_records(60, seed=3) + [SignalRecord({}, timestamp=99.0)])
+    embedder = model.embedder
+    expected = np.vstack([embedder.model.embed_record_node(i)
+                          for i in range(embedder.graph.num_records)])
+    assert_trees_identical(expected, embedder.training_embeddings())
+
+
+@pytest.mark.parametrize("arm", ["GEM", "GraphSAGE+OD", "GEM(plain-HBOS)"])
+def test_refresh_matches_scalar_embed(arm):
+    model = build_arm(arm)
+    model.fit(synthetic_records(60, seed=3))
+    records = [r for r in adversarial_stream() if r.readings]
+    rows = [model.embedder.embed(record) for record in records]
+    expected = copy.deepcopy(model.detector).refit(
+        np.vstack([row for row in rows if row is not None]))
+    absorbed = model.refresh(records)
+    assert absorbed == sum(row is not None for row in rows)
+    assert_trees_identical(expected.state_dict(), model.detector.state_dict())

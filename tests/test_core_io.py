@@ -66,6 +66,16 @@ class TestRecordColumns:
         assert [list(r.readings) for r in back] == [sorted(r.readings) for r in records]
         assert [r.position for r in back] == [(2.0, 3.0, 0.0), None, None, (1.0, 2.0), ()]
 
+    def test_mac_ending_in_nul_is_refused(self):
+        """numpy str tables drop trailing NULs: "ab\\0" would reload as "ab"."""
+        assert np.array(["ab\0"], dtype=str).tolist() == ["ab"]
+        records = self.records() + [SignalRecord({"ab\0": -50.0, "ab": -60.0})]
+        with pytest.raises(ValueError, match="NUL"):
+            records_to_columns(records)
+        # A NUL inside a MAC survives the table, so it is stored as is.
+        inner = [SignalRecord({"a\0b": -50.0})]
+        assert records_from_columns(records_to_columns(inner)) == inner
+
     def test_empty_set(self):
         columns = records_to_columns([])
         assert [len(array) for array in columns.values()] == [0, 0, 0]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.detection import HistogramConfig, HistogramDetector
+from repro.detection import histogram as histogram_module
 
 
 def gaussian_blob(n=200, d=4, seed=0, center=0.0, scale=1.0):
@@ -167,6 +168,118 @@ class TestSmoothing:
         config = HistogramConfig(smoothing_passes=0)
         detector = HistogramDetector(config).fit(gaussian_blob(n=50))
         assert np.allclose(detector._counts, np.round(detector._counts))
+
+
+def reference_positions(detector, x):
+    """Per-dimension bin search, one searchsorted per dimension."""
+    return np.stack([np.searchsorted(detector._edges[j], x[:, j], side="right") - 1
+                     for j in range(x.shape[1])], axis=1)
+
+
+def reference_raw_scores(detector, x):
+    """Eq. 10 one dimension at a time: searchsorted, clip, gather."""
+    d, m = detector._log_density.shape
+    out = np.empty(x.shape, dtype=np.float64)
+    for j in range(d):
+        edges = detector._edges[j]
+        col = x[:, j]
+        positions = np.searchsorted(edges, col, side="right") - 1
+        in_range = (col >= edges[0]) & (col <= edges[-1])
+        values = detector._log_density[j][np.clip(positions, 0, m - 1)]
+        values[~in_range] = detector._oor_score
+        out[:, j] = values
+    return out.sum(axis=1)
+
+
+def boundary_rows(detector):
+    """Rows on every edge, at the highs, past both ends, and non-finite."""
+    edges = detector._edges
+    rows = [edges[:, k] for k in range(edges.shape[1])]
+    rows += [edges[:, 0] - 1.0, edges[:, -1] + 1.0,
+             np.nextafter(edges[:, -1], np.inf), np.nextafter(edges[:, 0], -np.inf),
+             np.full(len(edges), np.inf), np.full(len(edges), -np.inf),
+             np.full(len(edges), np.nan)]
+    mixed = edges[:, -1].copy()
+    mixed[::2] = edges[::2, 0] - 2.0  # out of range in some dimensions only
+    rows.append(mixed)
+    return np.vstack(rows)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelDifferential:
+    """The all-dimensions bin kernel against per-dimension loops."""
+
+    @staticmethod
+    def fitted(data, **config):
+        return HistogramDetector(HistogramConfig(**config)).fit(data)
+
+    def training_data(self, n=300, d=6, seed=0):
+        data = gaussian_blob(n=n, d=d, seed=seed)
+        data[:, 2] = 1.25   # flat (degenerate) dimension
+        data[:, 4] = np.round(data[:, 4], 1)  # many values exactly on edges
+        return data
+
+    @pytest.mark.parametrize("smoothing", [0, 1])
+    def test_scores_match_reference(self, smoothing):
+        data = self.training_data()
+        detector = self.fitted(data, smoothing_passes=smoothing)
+        rng = np.random.default_rng(1)
+        for x in (data, rng.normal(0, 2.0, size=(97, 6)), boundary_rows(detector),
+                  data[:1], boundary_rows(detector)[-3:-2]):
+            # NaN sorts last for searchsorted but counts no edge here;
+            # both are out of range, so only the scores must agree.
+            known = ~np.isnan(x)
+            expected = reference_positions(detector, x)
+            assert (detector._bin_positions(x)[known] == expected[known]).all()
+            assert_bits_equal(detector._raw_scores(x), reference_raw_scores(detector, x))
+
+    def test_no_rows(self):
+        detector = self.fitted(self.training_data())
+        empty = np.empty((0, 6))
+        assert_bits_equal(detector._raw_scores(empty), reference_raw_scores(detector, empty))
+
+    def test_counts_equal_np_histogram(self):
+        data = self.training_data()
+        detector = self.fitted(data, smoothing_passes=0)
+        expected = np.stack([np.histogram(data[:, j], bins=detector._edges[j])[0]
+                             for j in range(data.shape[1])]).astype(np.float64)
+        assert_bits_equal(detector._counts, expected)
+        assert detector._normalizer.low == reference_raw_scores(detector, data).min()
+        assert detector._normalizer.high == reference_raw_scores(detector, data).max()
+
+    def test_single_row_and_single_sample_fit(self):
+        data = self.training_data(n=1)
+        detector = self.fitted(data, smoothing_passes=0)
+        assert detector._counts.sum() == data.shape[1]
+        x = boundary_rows(detector)
+        for row in x:
+            assert_bits_equal(detector._raw_scores(row[None, :]),
+                              reference_raw_scores(detector, row[None, :]))
+
+    @pytest.mark.parametrize("cells", [1, 50, 1000])
+    def test_rows_across_block_boundaries(self, monkeypatch, cells):
+        monkeypatch.setattr(histogram_module, "_BIN_BLOCK_CELLS", cells)
+        data = self.training_data(n=200)
+        detector = self.fitted(data, smoothing_passes=0)
+        expected = np.stack([np.histogram(data[:, j], bins=detector._edges[j])[0]
+                             for j in range(data.shape[1])]).astype(np.float64)
+        assert_bits_equal(detector._counts, expected)
+        step = max(1, cells // detector._edges.size)
+        x = np.random.default_rng(2).normal(0, 1.5, size=(3 * step + 1, 6))
+        for n in (step - 1, step, step + 1, 3 * step + 1):
+            if n:
+                assert_bits_equal(detector._raw_scores(x[:n]),
+                                  reference_raw_scores(detector, x[:n]))
+
+    def test_rows_across_the_default_block(self):
+        detector = self.fitted(self.training_data(), smoothing_passes=1)
+        step = histogram_module._BIN_BLOCK_CELLS // detector._edges.size
+        x = np.random.default_rng(3).normal(0, 1.5, size=(step + 1, 6))
+        assert_bits_equal(detector._raw_scores(x), reference_raw_scores(detector, x))
+        assert_bits_equal(detector._raw_scores(x[-1:]), reference_raw_scores(detector, x[-1:]))
 
 
 @settings(max_examples=20, deadline=None)
