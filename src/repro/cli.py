@@ -983,12 +983,11 @@ def _cmd_maintain(args) -> int:
         from repro.core.io import records_from_columns
         from repro.serve.checkpoint import load_state, spec_from_manifest
         for tenant_id in targets:
-            # load_state + spec_from_manifest instead of reading the
-            # manifest key directly: format-1 checkpoints (no embedded
-            # spec) migrate through the same path the loader uses, and
-            # the record sets come back from the npz inside the metadata.
-            state, manifest = load_state(registry.path_for(tenant_id))
-            spec = spec_from_manifest(manifest, state)
+            # load_state, not read_manifest: the record sets come back
+            # from the npz inside the metadata.  An unreadable checkpoint
+            # (e.g. an unsupported format version) raises CheckpointError.
+            _, manifest = load_state(registry.path_for(tenant_id))
+            spec = spec_from_manifest(manifest)
             reservoir = manifest["metadata"].get(RESERVOIR_METADATA_KEY) or {}
             size = sum(len(records_from_columns(reservoir.get(part, ())))
                        for part in ("anchor", "recent"))

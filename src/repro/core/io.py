@@ -93,19 +93,14 @@ def records_to_columns(records: Iterable[SignalRecord]) -> dict[str, np.ndarray]
 
     Appending records appends rows to every array (new MACs extend the
     table), so a checkpoint delta of a grown set stores only the tail.
-
-    A MAC ending in a NUL character raises ValueError: a numpy str
-    table drops trailing NULs, so it would reload as a different MAC.
+    (A numpy str table drops trailing NULs; :class:`SignalRecord`
+    refuses a MAC ending in one, so none reaches the table.)
     """
     records = list(records)
     table: dict[str, int] = {}
     edges = np.empty(sum(len(record.readings) for record in records), dtype=_EDGE_DTYPE)
     edges["mac"] = [table.setdefault(mac, len(table))
                     for record in records for mac in record.readings]
-    for mac in table:
-        if mac.endswith("\0"):
-            raise ValueError(f"MAC {mac!r} ends in a NUL character, which the "
-                             "columnar form cannot store")
     edges["rss"] = [value for record in records for value in record.readings.values()]
     macs = np.array(list(table), dtype=str)
     lengths = [len(record.readings) for record in records]

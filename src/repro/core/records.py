@@ -42,6 +42,10 @@ class SignalRecord:
         for mac, rss in self.readings.items():
             if not isinstance(mac, str) or not mac:
                 raise ValueError(f"MAC addresses must be non-empty strings, got {mac!r}")
+            if mac[-1] == "\0":
+                # numpy str arrays (the checkpoint's columnar record
+                # form) drop trailing NULs: it would reload as another MAC.
+                raise ValueError(f"MAC {mac!r} ends in a NUL character")
             if not math.isfinite(rss):
                 raise ValueError(f"RSS for {mac} must be finite, got {rss!r}")
         object.__setattr__(self, "readings", dict(self.readings))

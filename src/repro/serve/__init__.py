@@ -13,7 +13,8 @@ asset:
   write-back, batched dispatch, heterogeneous per-tenant arms and a
   bounded recent-inlier reservoir per tenant (the **data plane**, plus
   the maintenance mechanics);
-* :mod:`repro.serve.telemetry` — per-tenant / fleet-wide counters;
+* :mod:`repro.serve.telemetry` — fleet-wide serving counters, kept in
+  the metrics registry;
 * :mod:`repro.serve.policy` — declarative
   :class:`~repro.serve.policy.MaintenancePolicy` (JSON round trip,
   embeddable in a :class:`~repro.pipeline.spec.PipelineSpec`);

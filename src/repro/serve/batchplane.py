@@ -41,14 +41,17 @@ Nothing else moves them: serving embeds records without connecting them
 into the graph, and a coordinated refresh refits only the detector, so
 a kernel stays valid across refreshes.
 
-Outcomes are counted per ``(arm, outcome)`` and mirrored to the metric
-family ``repro_batch_fastpath_total{arm, outcome}`` when a
-:class:`~repro.obs.metrics.MetricsRegistry` is attached.
+Outcomes are counted per ``(arm, outcome)`` in the metric family
+``repro_batch_fastpath_total{arm, outcome}`` of the fleet's
+:class:`~repro.obs.metrics.MetricsRegistry` (a private one when none is
+given).
 """
 
 from __future__ import annotations
 
 import weakref
+
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["BatchPlane", "fastpath_reason", "arm_label"]
 
@@ -88,21 +91,20 @@ class BatchPlane:
 
     Not internally locked: the owning fleet calls :meth:`observe_batch`
     under the same lock that serialises every other mutation of the
-    tenant's model, which also guards the kernel cache and counters.
+    tenant's model, which also guards the kernel cache.
     """
 
-    def __init__(self, metrics=None):
+    def __init__(self, metrics: MetricsRegistry | None = None):
         # model -> (token, kernel); weak keys let evicted/replaced
         # models drop their kernels without any explicit hook.
         self._kernels: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self.counts: dict[tuple[str, str], int] = {}
-        self._family = None
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._family = metrics.counter(
+            "repro_batch_fastpath_total",
+            help="observe_many batches by arm and fast-path outcome",
+            labels=("arm", "outcome"))
         self._children: dict[tuple[str, str], object] = {}
-        if metrics is not None:
-            self._family = metrics.counter(
-                "repro_batch_fastpath_total",
-                help="observe_many batches by arm and fast-path outcome",
-                labels=("arm", "outcome"))
 
     def observe_batch(self, model, records) -> tuple[list, str]:
         """Route one tenant batch; returns ``(decisions, outcome)``.
@@ -142,15 +144,13 @@ class BatchPlane:
 
     def _count(self, arm: str, outcome: str) -> None:
         key = (arm, outcome)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        if self._family is not None:
-            child = self._children.get(key)
-            if child is None:
-                child = self._family.labels(arm=arm, outcome=outcome)
-                self._children[key] = child
-            child.inc()
+        child = self._children.get(key)
+        if child is None:
+            child = self._family.labels(arm=arm, outcome=outcome)
+            self._children[key] = child
+        child.inc()
 
     def engaged_total(self) -> int:
         """Batches that took the fast path (any arm)."""
-        return sum(count for (_, outcome), count in self.counts.items()
-                   if outcome == "engaged")
+        return int(sum(child.value for labels, child in self._family.series()
+                       if labels["outcome"] == "engaged"))

@@ -25,12 +25,12 @@ files deleted.  A crash at any step leaves the previous complete
 checkpoint loadable; both files also carry the save nonce so a
 manually mixed pair is rejected as torn.
 
-Version history: format 1 (PR 1) only ever held :class:`GEM` models and
-carried no spec; format 2 embeds the ``pipeline_spec`` so *any*
-registered arm round-trips.  Format-1 checkpoints still load through a
-migration path that synthesises the GEM spec from the saved config.
-Format 3 (the **incremental** extension) is format 2 plus a ``deltas``
-chain in the manifest: each entry names a ``delta-<id>.npz`` file of
+Version history: format 1 only ever held :class:`GEM` models and
+carried no spec; it is no longer read (loading one raises
+:class:`CheckpointError` naming the version).  Format 2 embeds the
+``pipeline_spec`` so *any* registered arm round-trips.  Format 3 (the
+**incremental** extension) is format 2 plus a ``deltas`` chain in the
+manifest: each entry names a ``delta-<id>.npz`` file of
 append-tails / replacements / removals against the state the previous
 entry produced, so a write-back whose heavy arrays only *grew* (the
 histogram detector's training set, which every self-update appends to)
@@ -74,7 +74,7 @@ from typing import Any
 import numpy as np
 
 from repro import __version__
-from repro.pipeline import ComponentSpec, PipelineSpec, build_pipeline, infer_spec
+from repro.pipeline import PipelineSpec, build_pipeline, infer_spec
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -111,7 +111,7 @@ CHECKPOINT_VERSION = 2
 # that predate the incremental format refuse version 3 outright instead
 # of silently serving the base state without its deltas.
 INCREMENTAL_VERSION = 3
-SUPPORTED_VERSIONS = (1, CHECKPOINT_VERSION, INCREMENTAL_VERSION)
+SUPPORTED_VERSIONS = (CHECKPOINT_VERSION, INCREMENTAL_VERSION)
 MANIFEST_NAME = "manifest.json"
 ARRAYS_PREFIX = "arrays-"
 ARRAYS_SUFFIX = ".npz"
@@ -798,49 +798,30 @@ def load_state(directory: str | Path, _retries: int = 2) -> tuple[dict, dict]:
     return unflatten_state(_attach_metadata(manifest, arrays), leaves), manifest
 
 
-def spec_from_manifest(manifest: dict, state: dict) -> PipelineSpec:
-    """The pipeline spec a checkpoint was saved with (migrating format 1).
-
-    Format-2 manifests carry the spec verbatim.  Format-1 checkpoints
-    (PR 1) only ever held :class:`~repro.core.gem.GEM` models, whose
-    config lives in the state tree — the migration synthesises the
-    equivalent ``gem`` model spec from it, so old checkpoints keep
-    loading through the same registry path as new ones.
-    """
+def spec_from_manifest(manifest: dict) -> PipelineSpec:
+    """The pipeline spec a checkpoint was saved with (its ``pipeline_spec``)."""
     raw = manifest.get("pipeline_spec")
-    if raw is not None:
-        try:
-            return PipelineSpec.from_dict(raw)
-        except (TypeError, ValueError) as error:
-            raise CheckpointError(f"checkpoint has an invalid pipeline_spec: {error}") from error
-    model_class = manifest.get("model_class")
-    if model_class != "GEM":
+    if raw is None:
         raise CheckpointError(
-            f"format-{manifest.get('format_version')} checkpoint holds a "
-            f"{model_class!r} model but carries no pipeline_spec; only GEM "
-            "checkpoints predate the spec format")
-    config = state.get("config")
-    if not isinstance(config, dict):
-        raise CheckpointError("legacy GEM checkpoint is missing its config state; "
-                              "cannot migrate it to a pipeline spec")
+            f"format-{manifest.get('format_version')} checkpoint carries no "
+            "pipeline_spec")
     try:
-        return PipelineSpec(model=ComponentSpec("gem", config))
+        return PipelineSpec.from_dict(raw)
     except (TypeError, ValueError) as error:
-        raise CheckpointError(f"legacy GEM checkpoint has an unmigratable config: "
-                              f"{error}") from error
+        raise CheckpointError(f"checkpoint has an invalid pipeline_spec: {error}") from error
 
 
 def load_checkpoint_with_manifest(directory: str | Path) -> tuple:
     """Reconstruct a fitted pipeline plus the manifest it came from.
 
-    The pipeline is rebuilt from the manifest's embedded spec (or the
-    format-1 GEM migration) and restored all-or-nothing from the saved
-    state; any registered arm loads through this one path.  One disk
-    read serves model and metadata, so the pair is guaranteed to belong
-    to the same save even with a concurrent writer.
+    The pipeline is rebuilt from the manifest's embedded spec and
+    restored all-or-nothing from the saved state; any registered arm
+    loads through this one path.  One disk read serves model and
+    metadata, so the pair is guaranteed to belong to the same save even
+    with a concurrent writer.
     """
     state, manifest = load_state(directory)
-    spec = spec_from_manifest(manifest, state)
+    spec = spec_from_manifest(manifest)
     try:
         model = build_pipeline(spec)
         model.load_state_dict(state)
@@ -863,7 +844,7 @@ def load_checkpoint_with_baseline(directory: str | Path) -> tuple:
     directory = Path(directory)
     arrays, leaves, manifest, tip = _load_flat(directory)
     state = unflatten_state(_attach_metadata(manifest, arrays), leaves)
-    spec = spec_from_manifest(manifest, state)
+    spec = spec_from_manifest(manifest)
     try:
         model = build_pipeline(spec)
         model.load_state_dict(state)

@@ -404,10 +404,9 @@ class Follower:
             if chain == 0:
                 continue
             model, manifest = load_checkpoint_with_manifest(directory)
-            state = model.state_dict()
             save_checkpoint(model, directory,
                             metadata=manifest.get("metadata", {}),
-                            spec=spec_from_manifest(manifest, state))
+                            spec=spec_from_manifest(manifest))
             compacted += 1
         return PromotionReport(tenants=len(tenants), compacted=compacted,
                                seconds=time.perf_counter() - start,

@@ -14,13 +14,14 @@ when the policy carries a :class:`~repro.serve.policy.RecoveryPolicy` —
 quarantine-fed **recovery** from reservoir starvation, executed
 autonomously or surfaced as a pending proposal for operator approval.
 
-The controller deliberately keeps its own telemetry rather than reading
-``fleet.telemetry``: the fleet folds an evicted tenant's counters into a
-retired aggregate (memory bounding), which would reset the controller's
-cadence arithmetic every eviction.  Control decisions are therefore a
-pure function of the decision stream — deterministic replay produces
-deterministic maintenance, which is what makes refresh policies
-*measurable* in the drift harness.
+The controller counts each tenant's decisions itself
+(:class:`TenantControlState`) rather than reading ``fleet.telemetry``:
+the fleet's counters are fleet-wide families labeled by tenant class,
+while the cadence arithmetic needs per-tenant counts that survive an
+eviction and reload.  Control decisions are therefore a pure function
+of the decision stream — deterministic replay produces deterministic
+maintenance, which is what makes refresh policies *measurable* in the
+drift harness.
 
 Per-tenant policy resolution, most specific wins: an explicit
 ``policies[tenant_id]`` entry, else the ``maintenance`` block of the
@@ -30,26 +31,35 @@ controller's default policy (a no-op unless configured otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.core.protocols import GeofenceDecision
 from repro.obs.health import grade
 from repro.obs.tracing import maybe_span
 from repro.serve.fleet import GeofenceFleet
 from repro.serve.policy import MaintenancePolicy, RecoveryPolicy
-from repro.serve.telemetry import FleetTelemetry, TenantStats
 
 __all__ = ["FleetController", "TenantControlState"]
 
 
 @dataclass
 class TenantControlState:
-    """Controller-side bookkeeping for one tenant (all observation counts)."""
+    """Controller-side bookkeeping for one tenant.
 
+    The tenant's own decision counts, and the positions below, are all
+    in observations of this tenant since the controller started.
+    """
+
+    observations: int = 0        # decisions folded in
+    unembeddable: int = 0        # of which footnote-3 records (score = +inf)
+    buffered: int = 0            # of which entered the self-update buffer
+    window_observations: int = 0  # the three counts at the rate window's start
+    window_unembeddable: int = 0
+    window_buffered: int = 0
     checked_at: int = 0          # observations at the last policy evaluation
     refreshed_at: int = 0        # observations at the last refresh/reprovision
     flushed_at: int = 0          # observations at the last policy-driven flush
-    window: TenantStats = field(default_factory=TenantStats)  # counters at last eval
     trigger_streak: int = 0      # consecutive telemetry-triggered refreshes
     idle_sweeps: int = 0         # consecutive maintain() sweeps with no traffic
     swept_at: int = 0            # observations at the last maintain() sweep
@@ -83,7 +93,6 @@ class FleetController:
         self.fleet = fleet
         self.policy = policy if policy is not None else MaintenancePolicy()
         self.policies = dict(policies or {})
-        self.telemetry = FleetTelemetry()
         self.tracer = tracer
         self._actions_family = metrics.counter(
             "repro_maintenance_actions_total",
@@ -130,21 +139,24 @@ class FleetController:
         model, so a controlled replay is bit-identical to an
         uncontrolled one.
         """
-        self.telemetry.record_observation(tenant_id, decision)
+        state = self.state(tenant_id)
+        state.observations += 1
+        if math.isinf(decision.score):
+            state.unembeddable += 1
+        if decision.buffered:
+            state.buffered += 1
         policy = self.policy_for(tenant_id)
         if policy.check_every <= 0:
             return []
-        stats = self.telemetry.tenant(tenant_id)
-        state = self.state(tenant_id)
         if decision.inside:
             # Per-tenant mirror of the fleet-wide reservoir_starvation
             # probe: observations since the last inside decision is what
             # recovery arming grades against the policy's window.
-            state.last_inside_at = stats.observations
-        if stats.observations - state.checked_at < policy.check_every:
+            state.last_inside_at = state.observations
+        if state.observations - state.checked_at < policy.check_every:
             return []
-        actions = self._evaluate(tenant_id, policy, stats, state)
-        state.checked_at = stats.observations
+        actions = self._evaluate(tenant_id, policy, state)
+        state.checked_at = state.observations
         return actions
 
     def observe(self, tenant_id: str, record) -> GeofenceDecision:
@@ -168,11 +180,10 @@ class FleetController:
         for tenant_id in list(self.fleet.resident_tenants):
             policy = self.policy_for(tenant_id)
             state = self.state(tenant_id)
-            stats = self.telemetry.tenant(tenant_id)
             actions: list[str] = []
-            idle = stats.observations == state.swept_at
+            idle = state.observations == state.swept_at
             state.idle_sweeps = state.idle_sweeps + 1 if idle else 0
-            state.swept_at = stats.observations
+            state.swept_at = state.observations
             if policy.evict_idle_sweeps and state.idle_sweeps >= policy.evict_idle_sweeps:
                 if self.fleet.evict(tenant_id):
                     actions.append("evict-idle")
@@ -189,14 +200,14 @@ class FleetController:
     # Internals
     # ------------------------------------------------------------------
     def _evaluate(self, tenant_id: str, policy: MaintenancePolicy,
-                  stats: TenantStats, state: TenantControlState) -> list[str]:
+                  state: TenantControlState) -> list[str]:
         actions: list[str] = []
         has_rate_triggers = (policy.max_unembeddable_rate is not None
                              or policy.min_update_rate is not None)
-        window_obs = stats.observations - state.window.observations
-        unembeddable_rate = ((stats.unembeddable - state.window.unembeddable) / window_obs
+        window_obs = state.observations - state.window_observations
+        unembeddable_rate = ((state.unembeddable - state.window_unembeddable) / window_obs
                              if window_obs else 0.0)
-        update_rate = ((stats.buffered - state.window.buffered) / window_obs
+        update_rate = ((state.buffered - state.window_buffered) / window_obs
                        if window_obs else 0.0)
         # The window accumulates across evaluations until it is large
         # enough to trust its rates, then resets — otherwise a
@@ -204,21 +215,23 @@ class FleetController:
         # silently unreachable (the window could never grow past one
         # check interval).
         if not has_rate_triggers or window_obs >= policy.min_window:
-            state.window = stats
+            state.window_observations = state.observations
+            state.window_unembeddable = state.unembeddable
+            state.window_buffered = state.buffered
         scheduled = bool(policy.refresh_every) and \
-            stats.observations - state.refreshed_at >= policy.refresh_every
+            state.observations - state.refreshed_at >= policy.refresh_every
         triggered = window_obs >= policy.min_window and (
             (policy.max_unembeddable_rate is not None
              and unembeddable_rate > policy.max_unembeddable_rate)
             or (policy.min_update_rate is not None
                 and update_rate < policy.min_update_rate))
-        recovered = self._maybe_recover(tenant_id, policy, stats, state, actions)
+        recovered = self._maybe_recover(tenant_id, policy, state, actions)
         if recovered:
             # A recovery (or its failed attempt) *is* this round's
             # maintenance; stacking a reservoir-fed refresh on top would
             # refit the world the recovery just replaced (or, on
             # failure, spin on the same starved reservoir).
-            state.refreshed_at = stats.observations
+            state.refreshed_at = state.observations
         elif scheduled or triggered:
             escalate = (triggered and policy.reprovision_after
                         and state.trigger_streak >= policy.reprovision_after)
@@ -250,23 +263,22 @@ class FleetController:
                 state.failed_refresh_streak += 1
                 if triggered and not escalate:
                     state.trigger_streak += 1
-            state.refreshed_at = stats.observations
+            state.refreshed_at = state.observations
         elif window_obs >= policy.min_window:
             # A clean window clears the escalation streak.
             state.trigger_streak = 0
         if policy.flush_every and \
-                stats.observations - state.flushed_at >= policy.flush_every:
+                state.observations - state.flushed_at >= policy.flush_every:
             if self.fleet.is_dirty(tenant_id):
                 self.fleet.flush(tenant_id)
                 actions.append("flush")
-            state.flushed_at = stats.observations
+            state.flushed_at = state.observations
         if actions:
             self._log(tenant_id, actions)
         return actions
 
     def _maybe_recover(self, tenant_id: str, policy: MaintenancePolicy,
-                       stats: TenantStats, state: TenantControlState,
-                       actions: list[str]) -> bool:
+                       state: TenantControlState, actions: list[str]) -> bool:
         """Arm (and maybe execute) quarantine recovery for one tenant.
 
         Arms when the two health-probe signals fire together — the
@@ -284,7 +296,7 @@ class FleetController:
         if recovery is None:
             return False
         stuck = max(state.failed_refresh_streak, state.trigger_streak)
-        starvation = stats.observations - state.last_inside_at
+        starvation = state.observations - state.last_inside_at
         starving = grade(starvation, recovery.starvation_window,
                          2 * recovery.starvation_window) != "ok"
         if stuck < recovery.after_stuck or not starving:
@@ -295,7 +307,7 @@ class FleetController:
         if not recovery.auto:
             if tenant_id not in self._proposals:
                 self._proposals[tenant_id] = {
-                    "armed_at": stats.observations, "stuck_streak": stuck,
+                    "armed_at": state.observations, "stuck_streak": stuck,
                     "starvation": starvation, "quarantine_depth": depth,
                 }
                 actions.append("recover-proposed")
@@ -308,7 +320,7 @@ class FleetController:
             actions.append("recover")
             state.trigger_streak = 0
             state.failed_refresh_streak = 0
-            state.last_inside_at = stats.observations
+            state.last_inside_at = state.observations
         except (TypeError, ValueError) as error:
             # Operational, like a failed refresh: a rolled-back refit
             # (post-recovery FPR above the guard) or a fleet stand-in
@@ -347,11 +359,10 @@ class FleetController:
             self.fleet.reprovision_from_quarantine(tenant_id,
                                                    max_fpr=recovery.max_fpr)
         state = self.state(tenant_id)
-        stats = self.telemetry.tenant(tenant_id)
         state.trigger_streak = 0
         state.failed_refresh_streak = 0
-        state.last_inside_at = stats.observations
-        state.refreshed_at = stats.observations
+        state.last_inside_at = state.observations
+        state.refreshed_at = state.observations
         self._log(tenant_id, ["recover"])
 
     def deny_recovery(self, tenant_id: str) -> bool:

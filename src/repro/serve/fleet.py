@@ -66,12 +66,7 @@ from repro.core.records import SignalRecord
 from repro.obs.tracing import maybe_span
 from repro.pipeline import PipelineSpec, build_pipeline
 from repro.pipeline.build import infer_spec
-from repro.serve.checkpoint import (
-    DEFAULT_DELTA_MAX_FRACTION,
-    DEFAULT_MAX_DELTA_CHAIN,
-    CheckpointError,
-    last_write,
-)
+from repro.serve.checkpoint import CheckpointError, last_write
 from repro.serve.batchplane import BatchPlane
 from repro.serve.quarantine import (
     ConsistencyGate,
@@ -110,7 +105,8 @@ class GeofenceFleet:
         :meth:`provision` calls that pass no spec; defaults to ``GEM()``
         with paper defaults.
     telemetry:
-        Counter sink; a fresh :class:`FleetTelemetry` by default.
+        Counter sink; a fresh :class:`FleetTelemetry` (counting into a
+        private metrics registry) by default.
     reservoir_size:
         Bound on *each half* of the per-tenant inlier reservoir: at most
         this many pinned anchor (training) records plus this many recent
@@ -124,11 +120,10 @@ class GeofenceFleet:
         checkpoint (see :func:`repro.serve.checkpoint.save_incremental`).
         Off by default — the on-disk layout then matches earlier
         releases byte-for-byte in structure; the *reconstructed state*
-        is identical either way.
-    max_delta_chain / delta_max_fraction:
-        Incremental-mode knobs: compact with a full save after this many
-        chained deltas, and whenever a delta would store more than this
-        fraction of the full state's array bytes.
+        is identical either way.  A delta chain is compacted by a full
+        save at the checkpoint layer's fixed cadence
+        (:data:`~repro.serve.checkpoint.DEFAULT_MAX_DELTA_CHAIN`,
+        :data:`~repro.serve.checkpoint.DEFAULT_DELTA_MAX_FRACTION`).
     quarantine_size:
         Bound on the per-tenant quarantine buffer of
         rejected-but-home-anchored records (recovery evidence — see
@@ -149,8 +144,6 @@ class GeofenceFleet:
                  telemetry: FleetTelemetry | None = None,
                  reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
                  incremental: bool = False,
-                 max_delta_chain: int = DEFAULT_MAX_DELTA_CHAIN,
-                 delta_max_fraction: float = DEFAULT_DELTA_MAX_FRACTION,
                  tracer=None,
                  quarantine_size: int = 0,
                  quarantine_seed: int = 0,
@@ -159,10 +152,6 @@ class GeofenceFleet:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if reservoir_size < 0:
             raise ValueError(f"reservoir_size must be >= 0, got {reservoir_size}")
-        if max_delta_chain < 1:
-            raise ValueError(f"max_delta_chain must be >= 1, got {max_delta_chain}")
-        if not 0.0 <= delta_max_fraction <= 1.0:
-            raise ValueError(f"delta_max_fraction must be in [0, 1], got {delta_max_fraction}")
         if quarantine_size < 0:
             raise ValueError(f"quarantine_size must be >= 0, got {quarantine_size}")
         self.registry = registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
@@ -175,8 +164,6 @@ class GeofenceFleet:
         self.tracer = tracer
         self.reservoir_size = reservoir_size
         self.incremental = incremental
-        self.max_delta_chain = max_delta_chain
-        self.delta_max_fraction = delta_max_fraction
         self.quarantine_size = quarantine_size
         self.quarantine_seed = quarantine_seed
         self.quarantine_gate = quarantine_gate if quarantine_gate is not None \
@@ -723,9 +710,6 @@ class GeofenceFleet:
             self._sync_quarantine_gauge()
         self._baselines.pop(tenant_id, None)
         self.telemetry.record_eviction(tenant_id)
-        # Bound telemetry memory the same way: fold the evicted tenant's
-        # counters into the retired aggregate.
-        self.telemetry.retire(tenant_id)
 
     def _write_back(self, tenant_id: str, model) -> None:
         if tenant_id not in self._dirty:
@@ -752,8 +736,7 @@ class GeofenceFleet:
             if self.incremental:
                 kind, baseline = self.registry.save_incremental(
                     tenant_id, model, self._baselines.get(tenant_id),
-                    metadata=metadata, max_chain=self.max_delta_chain,
-                    max_fraction=self.delta_max_fraction)
+                    metadata=metadata)
                 self._baselines[tenant_id] = baseline
                 elapsed = time.perf_counter() - start
                 if kind == "delta":

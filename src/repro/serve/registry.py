@@ -16,8 +16,6 @@ import shutil
 from pathlib import Path
 
 from repro.serve.checkpoint import (
-    DEFAULT_DELTA_MAX_FRACTION,
-    DEFAULT_MAX_DELTA_CHAIN,
     MANIFEST_NAME,
     CheckpointError,
     CommitInfo,
@@ -115,8 +113,6 @@ class ModelRegistry:
     def save_incremental(self, tenant_id: str, model,
                          baseline: StateBaseline | None,
                          metadata: dict | None = None,
-                         max_chain: int = DEFAULT_MAX_DELTA_CHAIN,
-                         max_fraction: float = DEFAULT_DELTA_MAX_FRACTION,
                          ) -> tuple[str, StateBaseline]:
         """Write-back via the incremental format when a delta suffices.
 
@@ -124,8 +120,7 @@ class ModelRegistry:
         :func:`repro.serve.checkpoint.save_incremental`.
         """
         result = save_incremental(model, self.path_for(tenant_id), baseline,
-                                  metadata=metadata, max_chain=max_chain,
-                                  max_fraction=max_fraction)
+                                  metadata=metadata)
         self._notify(tenant_id)
         return result
 

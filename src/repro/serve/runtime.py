@@ -79,7 +79,7 @@ class ServingRuntime:
         Use the incremental checkpoint format for write-backs
         (default on — this is the runtime's amplification fix; pass
         False for byte-layout compatibility with plain fleets).
-    model_factory / reservoir_size / max_delta_chain / delta_max_fraction:
+    model_factory / reservoir_size:
         Forwarded to the :class:`GeofenceFleet`.
     quarantine_size / quarantine_seed:
         Forwarded to the fleet: capacity (0 disables — the default,
@@ -94,8 +94,10 @@ class ServingRuntime:
         controller and scheduler (default on; the mirror is a few
         cached-child counter bumps per operation and never changes a
         decision).  Read back via :meth:`metrics` /
-        :meth:`export_prometheus`.  Pass False for a bare runtime — the
-        overhead benchmark's control arm.
+        :meth:`export_prometheus`.  Pass False for a runtime without
+        tracing, health probes or a readable registry — the overhead
+        benchmark's control arm.  Its fleet and scheduler still count
+        into private registries: :meth:`telemetry_totals` reads them.
     tenant_class_of:
         Optional ``tenant_id -> class label`` mapping for the
         ``tenant_class`` metric label (cardinality control; defaults to
@@ -111,8 +113,6 @@ class ServingRuntime:
                  model_factory: Callable[[], GeofenceModel] | None = None,
                  reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
                  incremental: bool = True,
-                 max_delta_chain: int | None = None,
-                 delta_max_fraction: float | None = None,
                  policy: MaintenancePolicy | None = None,
                  policies: dict[str, MaintenancePolicy] | None = None,
                  scheduler_interval: float | None = 0.05,
@@ -137,18 +137,12 @@ class ServingRuntime:
             self._pump_age_gauge = self.metrics_registry.gauge(
                 "repro_scheduler_last_pump_age_seconds",
                 help="Seconds since the scheduler's last completed pump")
-            telemetry = FleetTelemetry(metrics=self.metrics_registry,
-                                       tenant_class_of=tenant_class_of)
         else:
             self.metrics_registry = None
             self.tracer = None
             self.health = None
-            telemetry = None
-        knobs = {}
-        if max_delta_chain is not None:
-            knobs["max_delta_chain"] = max_delta_chain
-        if delta_max_fraction is not None:
-            knobs["delta_max_fraction"] = delta_max_fraction
+        telemetry = FleetTelemetry(metrics=self.metrics_registry,
+                                   tenant_class_of=tenant_class_of)
         self.fleet = GeofenceFleet(self.registry, capacity=capacity,
                                    model_factory=model_factory,
                                    telemetry=telemetry,
@@ -156,7 +150,7 @@ class ServingRuntime:
                                    incremental=incremental,
                                    quarantine_size=quarantine_size,
                                    quarantine_seed=quarantine_seed,
-                                   tracer=self.tracer, **knobs)
+                                   tracer=self.tracer)
         self.controller = FleetController(self.fleet, policy, policies,
                                           metrics=self.metrics_registry,
                                           tracer=self.tracer)
@@ -354,13 +348,8 @@ class ServingRuntime:
         return self.fleet.resident_tenants
 
     def telemetry_totals(self) -> TenantStats:
-        """Fleet-wide counters."""
+        """Fleet-wide counters, a view over the metric families."""
         return self.fleet.telemetry.totals()
-
-    def telemetry_snapshot(self) -> dict:
-        """Per-tenant / retired / total counters (see
-        :meth:`FleetTelemetry.snapshot`)."""
-        return self.fleet.telemetry.snapshot()
 
     def maintenance_actions(self) -> list[tuple[str, str]]:
         """Controller action log, ``(tenant_id, action)`` in order."""

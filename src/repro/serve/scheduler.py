@@ -17,7 +17,7 @@ failed pump had already popped still count as drained.
 
 Clean shutdown: :meth:`stop` wakes the worker, joins it, and runs one
 final synchronous drain so every decision observed before the stop is
-folded into controller telemetry — the conservation property the
+folded into the controller — the conservation property the
 concurrency tests pin.
 """
 
@@ -27,9 +27,16 @@ import threading
 import time
 import traceback
 
+from repro.obs.metrics import MetricsRegistry
+
 __all__ = ["MaintenanceScheduler"]
 
 _MAX_ERRORS = 64
+
+
+def _count(family) -> int:
+    """An unlabeled counter family's value; reading never creates its series."""
+    return int(sum(child.value for _, child in family.series()))
 
 
 class MaintenanceScheduler:
@@ -47,10 +54,12 @@ class MaintenanceScheduler:
         Run the controller's ``maintain()`` sweep every N ticks;
         0 disables sweeps (pump only).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; mirrors
-        ticks, drained decisions and errors into counters, and pump
-        recency into the ``repro_scheduler_last_pump_age_seconds``
-        gauge (refreshed by the runtime's ``metrics()`` snapshot).
+        The :class:`~repro.obs.metrics.MetricsRegistry` holding the
+        ticks, drained decisions and errors counters (a private one when
+        None; one scheduler per registry).  :meth:`stats` reads them
+        back.  Pump recency goes to the runtime's
+        ``repro_scheduler_last_pump_age_seconds`` gauge, refreshed by
+        its ``metrics()`` snapshot.
     """
 
     def __init__(self, runtime, interval: float = 0.05,
@@ -65,24 +74,21 @@ class MaintenanceScheduler:
         self.errors: list[str] = []   # traceback tails, oldest first
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
-        self._ticks = 0
-        self._drained = 0
-        self._sweeps = 0
-        self._errors_total = 0    # cumulative, unlike the bounded log
         self._started_at: float | None = None
         # Monotonic time of the last completed pump (None: never).
         self._last_pump: float | None = None
-        self._metrics = metrics
-        if metrics is not None:
-            self._ticks_counter = metrics.counter(
-                "repro_scheduler_ticks_total",
-                help="Maintenance ticks completed")
-            self._drained_counter = metrics.counter(
-                "repro_scheduler_decisions_drained_total",
-                help="Decisions drained from the decision bus into the controller")
-            self._errors_counter = metrics.counter(
-                "repro_scheduler_errors_total",
-                help="Maintenance exceptions caught (daemon kept running)")
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._ticks_counter = metrics.counter(
+            "repro_scheduler_ticks_total",
+            help="Maintenance ticks completed")
+        self._drained_counter = metrics.counter(
+            "repro_scheduler_decisions_drained_total",
+            help="Decisions drained from the decision bus into the controller")
+        # Cumulative, unlike the bounded error log.
+        self._errors_counter = metrics.counter(
+            "repro_scheduler_errors_total",
+            help="Maintenance exceptions caught (daemon kept running)")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -135,9 +141,10 @@ class MaintenanceScheduler:
         still reports every decision it popped before the error.
         """
         runtime = self.runtime
-        self._ticks += 1
+        self._ticks_counter.inc()
         if sweep is None:
-            sweep = bool(self.sweep_every) and self._ticks % self.sweep_every == 0
+            sweep = bool(self.sweep_every) and \
+                _count(self._ticks_counter) % self.sweep_every == 0
         before = runtime.decisions_pumped
         try:
             runtime.pump()
@@ -147,22 +154,15 @@ class MaintenanceScheduler:
         except Exception:
             self._record_error()
         drained = runtime.decisions_pumped - before
-        self._drained += drained
-        if sweep:
-            self._sweeps += 1
-        if self._metrics is not None:
-            self._ticks_counter.inc()
-            if drained:
-                self._drained_counter.inc(drained)
+        if drained:
+            self._drained_counter.inc(drained)
         return drained
 
     def _record_error(self) -> None:
         if len(self.errors) >= _MAX_ERRORS:
             del self.errors[: _MAX_ERRORS // 2]
         self.errors.append(traceback.format_exc(limit=4))
-        self._errors_total += 1
-        if self._metrics is not None:
-            self._errors_counter.inc()
+        self._errors_counter.inc()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -170,9 +170,8 @@ class MaintenanceScheduler:
     def stats(self) -> dict:
         return {
             "running": self.running,
-            "ticks": self._ticks,
-            "decisions_drained": self._drained,
-            "sweeps": self._sweeps,
+            "ticks": _count(self._ticks_counter),
+            "decisions_drained": _count(self._drained_counter),
             "pending": self.runtime.pending_decisions,
             "errors": len(self.errors),
             "uptime_seconds": (time.monotonic() - self._started_at
@@ -200,7 +199,7 @@ class MaintenanceScheduler:
         """
         out = self.stats()
         out["errors"] = {
-            "count": self._errors_total,
+            "count": _count(self._errors_counter),
             "recent": [{"error": text.strip().rsplit("\n", 1)[-1].strip()}
                        for text in self.errors[-recent_errors:]],
         }

@@ -1,37 +1,39 @@
-"""Serving telemetry: per-tenant and fleet-wide counters.
+"""Serving telemetry: fleet-wide counters, kept in one metrics registry.
 
 The fleet records every observation outcome and every model lifecycle
-event (load, save, eviction) against the tenant it belongs to.
-Counters are plain integers plus a few seconds-accumulators, guarded by
-one lock so concurrent observers aggregate safely; :meth:`snapshot`
-returns deep copies that are safe to serialise or diff, with tenants,
-retired aggregate and totals all read under a single lock acquisition
-so the three sections describe the same instant (conservation: totals
-== sum(tenants) + retired, always).
+event (load, save, eviction, refresh) here.  The counts live only in the
+labeled counter and histogram families of a
+:class:`~repro.obs.metrics.MetricsRegistry` — the serving runtime's own
+when observability is on, else a private one — so the Prometheus
+export, the health probes and :meth:`FleetTelemetry.totals` read one
+source.  Families are labeled by tenant *class* (``tenant_class``,
+``op``, ...), never by tenant id, so their cardinality stays bounded
+however many tenants the fleet ever serves.
 
-Optionally a telemetry instance is **backed by a**
-:class:`~repro.obs.metrics.MetricsRegistry`: every ``record_*`` call
-additionally feeds labeled counter/histogram families (``tenant_class``,
-``op``, ...), which is how the serving runtime gets
-latency percentiles and a Prometheus export without touching the
-fleet's hot path twice.  The mirror is write-through with pre-resolved
-children — a handful of cheap per-child lock acquisitions per record —
-and the classic :meth:`snapshot` shape is unchanged either way.
+:class:`TenantStats` is the fleet-wide totals view over those families.
+Per-tenant counts that must outlive an eviction (the control plane's
+refresh cadence) are kept by the controller itself; see
+:mod:`repro.serve.controller`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 from typing import Callable
 
+from repro.obs.metrics import MetricsRegistry
+
 __all__ = ["TenantStats", "FleetTelemetry"]
+
+# The lifecycle ops (the ``op`` label of ``repro_lifecycle_total`` and
+# ``repro_op_seconds``), a closed set resolved once.
+_OPS = ("observe", "load", "save", "delta_save", "evict", "refresh", "reprovision")
 
 
 @dataclass
 class TenantStats:
-    """Cumulative counters for one tenant."""
+    """Cumulative serving counters (the fleet-wide totals view)."""
 
     observations: int = 0
     inside: int = 0
@@ -59,18 +61,17 @@ class TenantStats:
 
 
 class FleetTelemetry:
-    """Thread-safe registry of :class:`TenantStats`, one per tenant.
+    """The fleet's counter sink: write-through to metric families.
 
-    Per-tenant entries are bounded: when the fleet evicts a tenant it
-    calls :meth:`retire`, folding the counters into one ``retired``
-    aggregate so fleet-wide totals stay exact while memory stays
-    proportional to the *resident* set, not every tenant ever served.
+    Each ``record_*`` call increments pre-resolved family children (a
+    per-child lock each, no telemetry-wide lock), so concurrent
+    observers aggregate safely.
 
     Parameters
     ----------
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` to mirror
-        every recording into.
+        The :class:`~repro.obs.metrics.MetricsRegistry` to count into;
+        a private one when None.
     tenant_class_of:
         Optional ``tenant_id -> class label`` mapping for the
         ``tenant_class`` label on decision counters (cardinality
@@ -78,76 +79,62 @@ class FleetTelemetry:
         Defaults to the single class ``"all"``.
     """
 
-    def __init__(self, metrics=None,
+    def __init__(self, metrics: MetricsRegistry | None = None,
                  tenant_class_of: Callable[[str], str] | None = None):
-        self._stats: dict[str, TenantStats] = {}
-        self._retired = TenantStats()
-        self._lock = threading.Lock()
+        if metrics is None:
+            metrics = MetricsRegistry()
         self._metrics = metrics
         self._tenant_class_of = tenant_class_of
-        if metrics is not None:
-            self._decisions = metrics.counter(
-                "repro_decisions_total",
-                help="Geofence decisions by outcome",
-                labels=("tenant_class", "result"))
-            self._unembeddable = metrics.counter(
-                "repro_unembeddable_total",
-                help="Records with no embeddable MAC overlap (score=+inf)",
-                labels=("tenant_class",))
-            self._buffered = metrics.counter(
-                "repro_update_buffered_total",
-                help="Confident inliers entering the self-update buffer").labels()
-            self._applied = metrics.counter(
-                "repro_updates_applied_total",
-                help="Batch self-updates flushed into detectors").labels()
-            self._op_seconds = metrics.histogram(
-                "repro_op_seconds",
-                help="Latency of serving and maintenance operations",
-                labels=("op",))
-            self._lifecycle = metrics.counter(
-                "repro_lifecycle_total",
-                help="Model lifecycle events by operation",
-                labels=("op",))
-            self._bytes = metrics.counter(
-                "repro_checkpoint_bytes_total",
-                help="Checkpoint bytes written, by save kind",
-                labels=("kind",))
-            self._chain = metrics.gauge(
-                "repro_delta_chain_length",
-                help="Delta-chain length after the most recent write-back").labels()
-            self._quarantine_admissions = metrics.counter(
-                "repro_quarantine_admissions_total",
-                help="Quarantine admission decisions by outcome "
-                     "(admitted / no-anchor / inconsistent / sampled-out)",
-                labels=("outcome",))
-            self._quarantine_depth = metrics.gauge(
-                "repro_quarantine_depth",
-                help="Rejected-but-home-anchored records held across the "
-                     "fleet's resident quarantine buffers").labels()
-            # Outcome children resolved lazily (the set is closed but a
-            # quarantine-off fleet should create no series at all).
-            self._quarantine_children: dict[str, object] = {}
-            # Pre-resolved histogram/lifecycle children (op label is a
-            # closed set, so resolve once and index by op string).
-            ops = ("observe", "load", "save", "delta_save", "evict",
-                   "refresh", "reprovision")
-            self._op_children = {op: self._op_seconds.labels(op=op)
-                                 for op in ops}
-            self._lifecycle_children = {op: self._lifecycle.labels(op=op)
-                                        for op in ops}
-            # (inside, outside, unembeddable) counter triples per class.
-            self._class_children: dict[str, tuple] = {}
+        self._decisions = metrics.counter(
+            "repro_decisions_total",
+            help="Geofence decisions by outcome",
+            labels=("tenant_class", "result"))
+        self._unembeddable = metrics.counter(
+            "repro_unembeddable_total",
+            help="Records with no embeddable MAC overlap (score=+inf)",
+            labels=("tenant_class",))
+        self._buffered = metrics.counter(
+            "repro_update_buffered_total",
+            help="Confident inliers entering the self-update buffer").labels()
+        self._applied = metrics.counter(
+            "repro_updates_applied_total",
+            help="Batch self-updates flushed into detectors").labels()
+        op_seconds = metrics.histogram(
+            "repro_op_seconds",
+            help="Latency of serving and maintenance operations",
+            labels=("op",))
+        lifecycle = metrics.counter(
+            "repro_lifecycle_total",
+            help="Model lifecycle events by operation",
+            labels=("op",))
+        self._bytes = metrics.counter(
+            "repro_checkpoint_bytes_total",
+            help="Checkpoint bytes written, by save kind",
+            labels=("kind",))
+        self._chain = metrics.gauge(
+            "repro_delta_chain_length",
+            help="Delta-chain length after the most recent write-back").labels()
+        self._quarantine_admissions = metrics.counter(
+            "repro_quarantine_admissions_total",
+            help="Quarantine admission decisions by outcome "
+                 "(admitted / no-anchor / inconsistent / sampled-out)",
+            labels=("outcome",))
+        self._quarantine_depth = metrics.gauge(
+            "repro_quarantine_depth",
+            help="Rejected-but-home-anchored records held across the "
+                 "fleet's resident quarantine buffers").labels()
+        # Outcome children resolved lazily (the set is closed but a
+        # quarantine-off fleet should create no series at all).
+        self._quarantine_children: dict[str, object] = {}
+        self._op_children = {op: op_seconds.labels(op=op) for op in _OPS}
+        self._lifecycle_children = {op: lifecycle.labels(op=op) for op in _OPS}
+        # (inside, outside, unembeddable) counter triples per class.
+        self._class_children: dict[str, tuple] = {}
 
     @property
-    def metrics(self):
-        """The backing MetricsRegistry (None when unmirrored)."""
+    def metrics(self) -> MetricsRegistry:
+        """The registry every count lives in (given or private)."""
         return self._metrics
-
-    def _tenant(self, tenant_id: str) -> TenantStats:
-        stats = self._stats.get(tenant_id)
-        if stats is None:
-            stats = self._stats.setdefault(tenant_id, TenantStats())
-        return stats
 
     def _decision_children(self, tenant_id: str) -> tuple:
         label = self._tenant_class_of(tenant_id) if self._tenant_class_of else "all"
@@ -167,48 +154,29 @@ class FleetTelemetry:
     # Recording
     # ------------------------------------------------------------------
     def record_observation(self, tenant_id: str, decision, seconds: float = 0.0) -> None:
-        """Fold one GeofenceDecision into the tenant's counters."""
-        with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.observations += 1
-            if decision.inside:
-                stats.inside += 1
-            else:
-                stats.outside += 1
-            if math.isinf(decision.score):
-                stats.unembeddable += 1
-            if decision.buffered:
-                stats.buffered += 1
-            if decision.updated:
-                stats.updates_applied += 1
-            stats.observe_seconds += seconds
-        if self._metrics is not None:
-            inside, outside, unembeddable = self._decision_children(tenant_id)
-            (inside if decision.inside else outside).inc()
-            if math.isinf(decision.score):
-                unembeddable.inc()
-            if decision.buffered:
-                self._buffered.inc()
-            if decision.updated:
-                self._applied.inc()
-            self._op_children["observe"].observe(seconds)
+        """Count one GeofenceDecision."""
+        inside, outside, unembeddable = self._decision_children(tenant_id)
+        (inside if decision.inside else outside).inc()
+        if math.isinf(decision.score):
+            unembeddable.inc()
+        if decision.buffered:
+            self._buffered.inc()
+        if decision.updated:
+            self._applied.inc()
+        self._op_children["observe"].observe(seconds)
 
     def record_observations(self, tenant_id: str, decisions,
                             seconds: float = 0.0) -> None:
-        """Fold a whole batch of decisions for one tenant.
+        """Count a whole batch of decisions for one tenant.
 
         Equivalent to ``record_observation`` per decision with the
-        per-record share of ``seconds`` (total batch seconds), but one
-        lock acquisition covers the tenant counters — on the batch data
-        plane the per-record locking would otherwise rival the scoring
-        work it measures.
+        per-record share of ``seconds`` (total batch seconds), but each
+        child is incremented once by the batch's tally: per-decision
+        ``inc()`` calls would acquire ~3N child locks per batch and
+        rival the scoring work they measure.
         """
         if not decisions:
             return
-        each = seconds / len(decisions)
-        # Tally outside any lock, then apply each total in one locked
-        # update — per-decision child.inc() calls would acquire ~3N
-        # metric locks per batch and rival the scoring work itself.
         inside = unembeddable = buffered = updated = 0
         for decision in decisions:
             if decision.inside:
@@ -220,84 +188,48 @@ class FleetTelemetry:
             if decision.updated:
                 updated += 1
         outside = len(decisions) - inside
-        with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.observations += len(decisions)
-            stats.inside += inside
-            stats.outside += outside
-            stats.unembeddable += unembeddable
-            stats.buffered += buffered
-            stats.updates_applied += updated
-            stats.observe_seconds += seconds
-        if self._metrics is not None:
-            inside_child, outside_child, unembeddable_child = \
-                self._decision_children(tenant_id)
-            if inside:
-                inside_child.inc(inside)
-            if outside:
-                outside_child.inc(outside)
-            if unembeddable:
-                unembeddable_child.inc(unembeddable)
-            if buffered:
-                self._buffered.inc(buffered)
-            if updated:
-                self._applied.inc(updated)
-            self._op_children["observe"].observe_repeated(each, len(decisions))
+        inside_child, outside_child, unembeddable_child = \
+            self._decision_children(tenant_id)
+        if inside:
+            inside_child.inc(inside)
+        if outside:
+            outside_child.inc(outside)
+        if unembeddable:
+            unembeddable_child.inc(unembeddable)
+        if buffered:
+            self._buffered.inc(buffered)
+        if updated:
+            self._applied.inc(updated)
+        self._op_children["observe"].observe_repeated(seconds / len(decisions),
+                                                      len(decisions))
 
     def _record_op(self, op: str, seconds: float | None = None) -> None:
-        """Mirror one lifecycle event (and optionally its latency)."""
-        if self._metrics is None:
-            return
+        """Count one lifecycle event (and optionally its latency)."""
         self._lifecycle_children[op].inc()
         if seconds is not None:
             self._op_children[op].observe(seconds)
 
     def record_load(self, tenant_id: str, seconds: float = 0.0) -> None:
-        with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.loads += 1
-            stats.load_seconds += seconds
         self._record_op("load", seconds)
 
     def record_save(self, tenant_id: str, seconds: float = 0.0) -> None:
-        with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.saves += 1
-            stats.save_seconds += seconds
         self._record_op("save", seconds)
 
     def record_delta_save(self, tenant_id: str, seconds: float = 0.0) -> None:
-        with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.delta_saves += 1
-            stats.save_seconds += seconds
         self._record_op("delta_save", seconds)
 
     def record_eviction(self, tenant_id: str) -> None:
-        with self._lock:
-            self._tenant(tenant_id).evictions += 1
         self._record_op("evict")
 
     def record_refresh(self, tenant_id: str, seconds: float = 0.0) -> None:
-        with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.refreshes += 1
-            stats.refresh_seconds += seconds
         self._record_op("refresh", seconds)
 
     def record_reprovision(self, tenant_id: str, seconds: float = 0.0) -> None:
-        with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.reprovisions += 1
-            stats.refresh_seconds += seconds
         self._record_op("reprovision", seconds)
 
     def record_quarantine(self, outcome: str) -> None:
-        """Mirror one quarantine admission decision (metrics-only: the
-        buffer itself is the source of truth for depth, and
-        :class:`TenantStats` keeps its shape)."""
-        if self._metrics is None:
-            return
+        """Count one quarantine admission decision (the buffer itself is
+        the source of truth for depth)."""
         child = self._quarantine_children.get(outcome)
         if child is None:
             child = self._quarantine_admissions.labels(outcome=outcome)
@@ -305,58 +237,38 @@ class FleetTelemetry:
         child.inc()
 
     def record_quarantine_depth(self, depth: int) -> None:
-        """Mirror the fleet-wide resident quarantine depth."""
-        if self._metrics is None:
-            return
+        """Set the fleet-wide resident quarantine depth."""
         self._quarantine_depth.set(depth)
 
     def record_write_stats(self, kind: str, nbytes: int, chain_length: int) -> None:
-        """Mirror checkpoint write accounting (metrics-only; no
-        :class:`TenantStats` field changes shape for this)."""
-        if self._metrics is None:
-            return
+        """Count checkpoint bytes written and the delta-chain length."""
         self._bytes.labels(kind=kind).inc(nbytes)
         self._chain.set(chain_length)
-
-    def retire(self, tenant_id: str) -> None:
-        """Fold a no-longer-resident tenant's counters into the aggregate."""
-        with self._lock:
-            stats = self._stats.pop(tenant_id, None)
-            if stats is not None:
-                self._retired.merge(stats)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def tenant(self, tenant_id: str) -> TenantStats:
-        """Copy of one tenant's counters (zeros if never seen)."""
-        with self._lock:
-            stats = self._stats.get(tenant_id, TenantStats())
-            return TenantStats(**stats.as_dict())
-
     def totals(self) -> TenantStats:
-        """Fleet-wide counters: every tracked tenant plus the retired sum."""
-        with self._lock:
-            total = TenantStats(**self._retired.as_dict())
-            for stats in self._stats.values():
-                total.merge(stats)
-            return total
+        """Fleet-wide counters, read from the families.
 
-    def snapshot(self) -> dict:
-        """``{"tenants", "retired", "totals"}`` counters, deep-copied.
-
-        ``tenants`` holds per-tenant counters for tenants not yet
-        retired; ``retired`` is the folded aggregate of evicted ones;
-        ``totals`` is their exact fleet-wide sum.  All three come from
-        one lock acquisition, so a snapshot taken mid-stream is
-        internally consistent: a concurrent ``record_observation`` or
-        ``retire`` lands entirely in this snapshot or entirely in the
-        next, never half in each.
+        Decision counts sum over every tenant class; save seconds cover
+        full and delta saves, refresh seconds refreshes and reprovisions.
         """
-        with self._lock:
-            tenants = {tid: stats.as_dict() for tid, stats in sorted(self._stats.items())}
-            retired = self._retired.as_dict()
-            total = TenantStats(**self._retired.as_dict())
-            for stats in self._stats.values():
-                total.merge(stats)
-            return {"tenants": tenants, "retired": retired, "totals": total.as_dict()}
+        decisions = {"inside": 0.0, "outside": 0.0}
+        for labels, child in self._decisions.series():
+            decisions[labels["result"]] += child.value
+        unembeddable = sum(child.value for _, child in self._unembeddable.series())
+        count = {op: int(child.value) for op, child in self._lifecycle_children.items()}
+        seconds = {op: child.sum for op, child in self._op_children.items()}
+        inside, outside = int(decisions["inside"]), int(decisions["outside"])
+        return TenantStats(
+            observations=inside + outside, inside=inside, outside=outside,
+            unembeddable=int(unembeddable),
+            buffered=int(self._buffered.value),
+            updates_applied=int(self._applied.value),
+            loads=count["load"], saves=count["save"],
+            delta_saves=count["delta_save"], evictions=count["evict"],
+            refreshes=count["refresh"], reprovisions=count["reprovision"],
+            observe_seconds=seconds["observe"], load_seconds=seconds["load"],
+            save_seconds=seconds["save"] + seconds["delta_save"],
+            refresh_seconds=seconds["refresh"] + seconds["reprovision"])

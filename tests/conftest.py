@@ -29,6 +29,35 @@ def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def totals_from_families(families: dict) -> dict:
+    """The ``TenantStats`` fields, computed from a metrics snapshot's
+    family values (``MetricsRegistry.snapshot()`` form)."""
+    def total(name: str, key: str = "value", **match) -> float:
+        return sum(entry[key] for entry in families[name]["series"]
+                   if all(entry["labels"][k] == v for k, v in match.items()))
+
+    def count(op: str) -> int:
+        return int(total("repro_lifecycle_total", op=op))
+
+    def seconds(*ops: str) -> float:
+        return sum(total("repro_op_seconds", "sum", op=op) for op in ops)
+
+    inside = int(total("repro_decisions_total", result="inside"))
+    outside = int(total("repro_decisions_total", result="outside"))
+    return {
+        "observations": inside + outside, "inside": inside, "outside": outside,
+        "unembeddable": int(total("repro_unembeddable_total")),
+        "buffered": int(total("repro_update_buffered_total")),
+        "updates_applied": int(total("repro_updates_applied_total")),
+        "loads": count("load"), "saves": count("save"),
+        "delta_saves": count("delta_save"), "evictions": count("evict"),
+        "refreshes": count("refresh"), "reprovisions": count("reprovision"),
+        "observe_seconds": seconds("observe"), "load_seconds": seconds("load"),
+        "save_seconds": seconds("save", "delta_save"),
+        "refresh_seconds": seconds("refresh", "reprovision"),
+    }
+
+
 def make_record(macs_rss: dict[str, float] | None = None, t: float = 0.0) -> SignalRecord:
     """A small deterministic record for unit tests."""
     readings = macs_rss if macs_rss is not None else {"aa": -50.0, "bb": -60.0, "cc": -70.0}

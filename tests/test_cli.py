@@ -183,8 +183,9 @@ class TestMaintain:
         out = capsys.readouterr().out
         assert "skipped" in out
 
-    def test_dry_run_handles_format1_checkpoint(self, tmp_path, capsys):
-        """Format-1 manifests (no embedded spec) migrate in the report."""
+    def test_dry_run_refuses_format1_checkpoint(self, tmp_path, capsys):
+        """Format 1 is no longer read: one error line naming the
+        version, exit code 2, no traceback."""
         from repro.core.config import GEMConfig
         from repro.core.gem import GEM
         from repro.embedding.bisage import BiSAGEConfig
@@ -199,9 +200,10 @@ class TestMaintain:
         manifest["format_version"] = 1
         del manifest["pipeline_spec"]
         manifest_path.write_text(json.dumps(manifest))
-        assert run("maintain", "--registry", str(root), "--dry-run") == 0
-        out = capsys.readouterr().out
-        assert "legacy" in out and "model gem" in out
+        assert run("maintain", "--registry", str(root), "--dry-run") == 2
+        err = capsys.readouterr().err
+        assert "format version 1 is not supported" in err
+        assert "Traceback" not in err
 
     def test_unknown_tenant_exits_two(self, registry_root, capsys):
         assert run("maintain", "--registry", str(registry_root),

@@ -126,6 +126,12 @@ class TestCodecs:
         assert back.readings == record.readings
         assert back.timestamp == record.timestamp
 
+    def test_record_with_mac_ending_in_nul_is_refused(self):
+        with pytest.raises(ValueError, match="NUL"):
+            decode_record({"t": 0.0, "rss": {"aa": -50.0, "ab\0": -61.0}})
+        inner = decode_record({"t": 0.0, "rss": {"a\0b": -50.0}})
+        assert inner.readings == {"a\0b": -50.0}
+
     def test_decision_roundtrip_is_bit_exact(self):
         decision = GeofenceDecision(inside=True, score=0.1 + 0.2,  # 0.30000000000000004
                                     confident=False, buffered=True, updated=False)

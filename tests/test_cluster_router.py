@@ -3,6 +3,7 @@
 import shutil
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -133,6 +134,24 @@ class TestRemoteErrors:
         with local_router(fresh_copy(seed_registry, tmp_path, "f")) as router:
             with pytest.raises(ValueError, match="invalid tenant id"):
                 router.observe("BAD TENANT!!", tenant_records(0)[0])
+
+    def test_mac_ending_in_nul_is_a_per_request_error(self, seed_registry,
+                                                      tmp_path):
+        """The worker's codec refuses the record; the request fails, the
+        link and the tenant keep serving."""
+        # A client-side SignalRecord cannot hold such a MAC, so send the
+        # wire form of one directly.
+        bad = SimpleNamespace(readings={"mac-0\0": -50.0}, timestamp=0.0,
+                              position=None)
+        good = tenant_records(0)[0]
+        with local_router(fresh_copy(seed_registry, tmp_path, "n")) as router:
+            with pytest.raises(ValueError, match="NUL"):
+                router.observe(TENANTS[0], bad)
+            with pytest.raises(ValueError, match="NUL"):
+                router.observe_many([(TENANTS[0], good), (TENANTS[0], bad)])
+            assert router.observe(TENANTS[0], good) is not None
+            assert router.flush() >= 1
+            assert router.live_workers == 3
 
 
 def _stub_launcher(serve):

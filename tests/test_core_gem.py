@@ -124,7 +124,7 @@ class TestObserve:
             fleet.provision("t", synthetic_records(30, seed=1))
             assert [fleet.observe("t", record), fleet.observe("t", record)] == [out, out]
             assert fleet.observe_many([("t", record), ("t", record)]) == [out, out]
-            assert fleet.telemetry.tenant("t").unembeddable == 4
+            assert fleet.telemetry.totals().unembeddable == 4
 
     def test_rss_range_checked_for_unknown_macs(self):
         """Every reading is validated, the MACs outside the training graph

@@ -141,8 +141,8 @@ class TestFleetReplay:
         assert controller.actions == []
         assert controlled.meta["maintenance"] == {}
         # The control plane still saw every decision go by.
-        totals = controller.telemetry.totals()
-        assert totals.observations == sum(m.num_records for m in plain.epochs)
+        assert controller.state("tenant-a").observations == \
+            sum(m.num_records for m in plain.epochs)
 
     def test_refresh_policy_executes_and_is_recorded(self, tmp_path):
         """A scheduled-refresh controller acts mid-replay and survives the

@@ -39,6 +39,13 @@ class TestSignalRecord:
         with pytest.raises(ValueError):
             SignalRecord({"aa": math.nan})
 
+    def test_rejects_mac_ending_in_nul(self):
+        """numpy str tables (the checkpoint's record columns) drop a
+        trailing NUL, so such a MAC is refused where records are made."""
+        with pytest.raises(ValueError, match="NUL"):
+            SignalRecord({"aa": -50.0, "ab\0": -60.0})
+        assert SignalRecord({"a\0b": -50.0}).rss("a\0b") == -50.0
+
     def test_macs_frozenset(self):
         record = SignalRecord({"aa": -50.0, "bb": -60.0})
         assert record.macs == frozenset({"aa", "bb"})

@@ -413,7 +413,7 @@ class TestFleetMaintenance:
             assert len(fleet.reservoir("a")) == 16        # last 16 training records
             absorbed = fleet.refresh("a")
             assert absorbed == 16
-            assert fleet.telemetry.tenant("a").refreshes == 1
+            assert fleet.telemetry.totals().refreshes == 1
             assert fleet.is_dirty("a")
 
     def test_reservoir_survives_evict_reload(self, tmp_path, train_records, drift_records):
@@ -454,7 +454,7 @@ class TestFleetMaintenance:
             fresh = fleet.reprovision("a")
             assert fresh is not old
             assert fleet.resident("a") is fresh
-            assert fleet.telemetry.tenant("a").reprovisions == 1
+            assert fleet.telemetry.totals().reprovisions == 1
             # The replacement serves immediately and is persisted on evict.
             record = synthetic_records(1, seed=2, center=2.0)[0]
             fleet.observe("a", record)
@@ -493,4 +493,25 @@ class TestFleetMaintenance:
             for record in stream:
                 actions += controller.step("a", fleet.observe("a", record))
             assert "refresh" in actions
-            assert fleet.telemetry.tenant("a").refreshes >= 1
+            assert fleet.telemetry.totals().refreshes >= 1
+
+    def test_scheduled_refresh_cadence_survives_eviction(self, tmp_path, train_records):
+        """A scheduled refresh fires at the same per-tenant observation
+        counts whether or not the tenant is evicted and reloaded between
+        checks: the controller's counts outlive the resident model."""
+        policy = MaintenancePolicy(check_every=3, refresh_every=6)
+        stream = synthetic_records(20, seed=5, center=2.0)
+        fired = {}
+        for evicting in (False, True):
+            root = tmp_path / f"reg-{evicting}"
+            with GeofenceFleet(root, capacity=2, reservoir_size=16) as fleet:
+                fleet.provision("a", train_records, spec=small_gem_spec())
+                controller = FleetController(fleet, policy)
+                fired[evicting] = []
+                for index, record in enumerate(stream):
+                    if "refresh" in controller.step("a", fleet.observe("a", record)):
+                        fired[evicting].append(controller.state("a").observations)
+                    if evicting and index % 2:
+                        fleet.evict("a")
+                assert fleet.telemetry.totals().evictions == (10 if evicting else 0)
+        assert fired[True] == fired[False] == [6, 12, 18]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import synthetic_records
+from conftest import synthetic_records, totals_from_families
 from repro.core import GEM, GEMConfig
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import CheckpointError, GeofenceFleet, ModelRegistry, validate_tenant_id
@@ -112,7 +112,7 @@ class TestFleetServing:
         reference = make_gem().fit(tenant_records(0))
         reference.observe(record)
         assert fleet2.observe("solo", next_record) == reference.observe(next_record)
-        assert fleet2.telemetry.tenant("solo").loads == 1
+        assert fleet2.telemetry.totals().loads == 1
 
     def test_dirty_write_back_persists_updates(self, registry):
         fleet = GeofenceFleet(registry, capacity=1, model_factory=make_gem)
@@ -236,26 +236,49 @@ class TestFleetServing:
 
 class TestTelemetry:
     def test_snapshot_shape(self, registry):
+        """The counters are metric families in the fleet's own registry,
+        labeled by tenant class and op, never by tenant id."""
         fleet = GeofenceFleet(registry, capacity=2, model_factory=make_gem)
         fleet.provision("a", tenant_records(0))
         fleet.observe("a", tenant_records(0, n=1, seed_offset=9)[0])
-        snap = fleet.telemetry.snapshot()
-        assert set(snap) == {"tenants", "retired", "totals"}
-        assert snap["tenants"]["a"]["observations"] == 1
-        assert snap["totals"]["observations"] == 1
-        assert snap["totals"]["saves"] >= 1
-        assert snap["tenants"]["a"]["observe_seconds"] > 0
+        families = fleet.telemetry.metrics.snapshot()
+        assert families["repro_decisions_total"]["labels"] == ["tenant_class", "result"]
+        assert families["repro_lifecycle_total"]["labels"] == ["op"]
+        totals = fleet.telemetry.totals()
+        assert totals.observations == 1
+        assert totals.saves >= 1
+        assert totals.observe_seconds > 0
 
-    def test_eviction_retires_counters_without_losing_totals(self, registry):
-        # Per-tenant telemetry is bounded by the resident set; totals
-        # stay exact via the retired aggregate.
+    def test_totals_survive_eviction(self, registry):
         fleet = GeofenceFleet(registry, capacity=1, model_factory=make_gem)
         fleet.provision("a", tenant_records(0))
         fleet.observe("a", tenant_records(0, n=1, seed_offset=1)[0])
-        fleet.provision("b", tenant_records(1))   # evicts + retires a
-        snap = fleet.telemetry.snapshot()
-        assert "a" not in snap["tenants"]
-        assert snap["retired"]["observations"] == 1
-        assert snap["retired"]["evictions"] == 1
-        assert snap["totals"]["observations"] == 1
-        assert fleet.telemetry.totals().evictions == 1
+        fleet.provision("b", tenant_records(1))   # evicts a
+        totals = fleet.telemetry.totals()
+        assert totals.observations == 1
+        assert totals.evictions == 1
+
+    def test_totals_equal_the_metric_families(self, registry):
+        """One source: after loads, evictions, delta and full saves,
+        refreshes and reprovisions, the totals view reads exactly the
+        family values of the metrics snapshot."""
+        fleet = GeofenceFleet(registry, capacity=1, model_factory=make_gem,
+                              incremental=True)
+        for tenant in (0, 1):
+            fleet.provision(f"t{tenant}", tenant_records(tenant))
+        for step in range(3):
+            for tenant in (0, 1):
+                batch = tenant_records(tenant, n=4, seed_offset=10 + step)
+                fleet.observe_many([(f"t{tenant}", record) for record in batch])
+        fleet.observe("t0", synthetic_records(1, num_macs=3, seed=99,
+                                              center=40.0)[0])
+        fleet.refresh("t0")
+        fleet.reprovision("t1")
+        fleet.flush()
+        totals = fleet.telemetry.totals()
+        for name in ("loads", "saves", "delta_saves", "evictions",
+                     "refreshes", "reprovisions", "inside", "outside"):
+            assert getattr(totals, name) > 0, name
+        assert totals.as_dict() == \
+            totals_from_families(fleet.telemetry.metrics.snapshot())
+        fleet.close()

@@ -12,8 +12,9 @@ from repro.serve import (CheckpointError, GeofenceFleet, ModelRegistry,
                          load_checkpoint, load_checkpoint_with_baseline,
                          load_checkpoint_with_manifest, read_manifest,
                          save_checkpoint, save_incremental)
-from repro.serve.checkpoint import (CHECKPOINT_VERSION, INCREMENTAL_VERSION,
-                                    MANIFEST_NAME, flatten_state, load_state)
+from repro.serve.checkpoint import (CHECKPOINT_VERSION, DEFAULT_MAX_DELTA_CHAIN,
+                                    INCREMENTAL_VERSION, MANIFEST_NAME,
+                                    flatten_state, load_state)
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 
@@ -374,18 +375,19 @@ class TestIncrementalFleet:
 
     def test_telemetry_counts_full_and_delta_saves(self, tmp_path):
         fleet = GeofenceFleet(tmp_path / "m", capacity=1, model_factory=make_gem,
-                              reservoir_size=8, incremental=True,
-                              max_delta_chain=2)
+                              reservoir_size=8, incremental=True)
         fleet.provision("t", records(0))
-        for step in range(4):
+        # One write-back more than a chain holds forces a compaction.
+        steps = DEFAULT_MAX_DELTA_CHAIN + 1
+        for step in range(steps):
             for record in records(step + 1, n=3):
                 fleet.observe("t", record)
             fleet.evict("t")
         totals = fleet.telemetry.totals()
-        # provision (full) + chain-capped compactions + deltas = 5 writes
+        # provision (full) + chain-capped compactions + deltas
         assert totals.delta_saves >= 2
         assert totals.saves >= 2
-        assert totals.saves + totals.delta_saves == 5
+        assert totals.saves + totals.delta_saves == steps + 1
         fleet.close()
 
 

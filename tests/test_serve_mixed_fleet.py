@@ -106,7 +106,7 @@ class TestMixedFleet:
 
 class TestFormatMigration:
     def make_v1_checkpoint(self, tmp_path):
-        """Rewrite a fresh checkpoint into the exact PR-1 (v1) shape."""
+        """Rewrite a fresh checkpoint into the format-1 shape (no spec)."""
         model = GEM(FAST_CONFIG).fit(TRAIN)
         directory = save_checkpoint(model, tmp_path / "legacy")
         manifest_path = directory / MANIFEST_NAME
@@ -116,23 +116,13 @@ class TestFormatMigration:
         manifest_path.write_text(json.dumps(manifest))
         return model, directory
 
-    def test_v1_gem_checkpoint_loads_via_migration(self, tmp_path):
-        model, directory = self.make_v1_checkpoint(tmp_path)
-        assert read_manifest(directory)["format_version"] == 1
-        loaded = load_checkpoint(directory)
-        assert isinstance(loaded, GEM)
-        assert loaded.config == model.config
-        assert scores_of(loaded) == scores_of(model)
-        # The migrated spec is the GEM model spec with the saved config.
-        assert loaded.spec.model.name == "gem"
-
-    def test_v1_resave_upgrades_to_current_format(self, tmp_path):
+    def test_v1_gem_checkpoint_is_refused(self, tmp_path):
+        """Format 1 is no longer read: loading names the version."""
         _, directory = self.make_v1_checkpoint(tmp_path)
-        loaded = load_checkpoint(directory)
-        save_checkpoint(loaded, directory)
-        manifest = read_manifest(directory)
-        assert manifest["format_version"] == CHECKPOINT_VERSION
-        assert "pipeline_spec" in manifest
+        with pytest.raises(CheckpointError, match="format version 1 is not supported"):
+            load_checkpoint(directory)
+        with pytest.raises(CheckpointError, match="format version 1"):
+            read_manifest(directory)
 
     def test_v1_non_gem_rejected(self, tmp_path):
         _, directory = self.make_v1_checkpoint(tmp_path)
@@ -140,7 +130,7 @@ class TestFormatMigration:
         manifest = json.loads(manifest_path.read_text())
         manifest["model_class"] = "Mystery"
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="pipeline_spec"):
+        with pytest.raises(CheckpointError, match="format version 1"):
             load_checkpoint(directory)
 
     def test_future_version_rejected(self, tmp_path):
@@ -155,14 +145,14 @@ class TestFormatMigration:
 
     def test_bad_embedded_spec_is_a_checkpoint_error(self):
         with pytest.raises(CheckpointError, match="pipeline_spec"):
-            spec_from_manifest({"format_version": 2, "pipeline_spec": {"bogus": 1}}, {})
+            spec_from_manifest({"format_version": 2, "pipeline_spec": {"bogus": 1}})
 
     def test_corrupt_v1_config_is_a_checkpoint_error(self):
-        # A non-JSON-safe leaf inside a legacy config must surface as a
-        # CheckpointError (the documented contract), not a raw TypeError.
+        # A manifest without a spec (format 1's shape) must surface as a
+        # CheckpointError (the documented contract), not a raw KeyError.
         manifest = {"format_version": 1, "model_class": "GEM"}
-        with pytest.raises(CheckpointError, match="unmigratable"):
-            spec_from_manifest(manifest, {"config": {"bisage": object()}})
+        with pytest.raises(CheckpointError, match="no pipeline_spec"):
+            spec_from_manifest(manifest)
 
 
 class TestSaveRequiresSpec:

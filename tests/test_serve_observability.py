@@ -6,6 +6,7 @@ the telemetry conservation invariant under concurrency, the
 scheduler's bounded error log, and the stuck-refresh health signal.
 """
 
+import sys
 import threading
 
 import pytest
@@ -173,51 +174,37 @@ class TestBitIdentity:
 # Satellite: telemetry conservation under concurrency
 # ----------------------------------------------------------------------
 class TestTelemetryConservation:
-    def test_snapshot_totals_are_internally_consistent_under_load(self):
-        """totals == sum(tenants) + retired in *every* snapshot.
-
-        The historical bug: totals were computed outside the lock, so a
-        concurrent retire() could move a tenant's counters into
-        ``retired`` between the two reads and the identity broke.
-        """
+    def test_concurrent_recording_loses_no_count(self):
+        """N threads recording M decisions each: totals count N * M."""
         telemetry = FleetTelemetry()
-        decision = GeofenceDecision(inside=True, score=0.1)
-        stop = threading.Event()
-        violations: list[dict] = []
+        decision = GeofenceDecision(inside=True, score=0.1, confident=True,
+                                    buffered=True)
+        threads, per_thread = 4, 500
+        start = threading.Barrier(threads)
 
         def hammer(worker: int) -> None:
-            i = 0
-            while not stop.is_set():
+            start.wait()
+            for i in range(per_thread):
                 tenant = f"t{worker}-{i % 7}"
-                telemetry.record_observation(tenant, decision)
-                if i % 13 == 0:
-                    telemetry.retire(tenant)
-                i += 1
+                if i % 2:
+                    telemetry.record_observation(tenant, decision)
+                else:
+                    telemetry.record_observations(tenant, [decision])
 
-        def audit() -> None:
-            while not stop.is_set():
-                snap = telemetry.snapshot()
-                expected = dict(snap["retired"])
-                for stats in snap["tenants"].values():
-                    for key, value in stats.items():
-                        expected[key] += value
-                if expected != snap["totals"]:
-                    violations.append({"expected": expected,
-                                      "got": snap["totals"]})
-
-        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(3)]
-        threads.append(threading.Thread(target=audit))
-        for thread in threads:
-            thread.start()
-        threading.Event().wait(0.4)
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert violations == []
-        # And the final state balances exactly.
-        final = telemetry.snapshot()
-        assert final["totals"]["observations"] == \
-            telemetry.totals().observations > 0
+        pool = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # switch threads as often as possible
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        totals = telemetry.totals()
+        assert totals.observations == totals.inside == threads * per_thread
+        assert totals.buffered == threads * per_thread
 
 
 # ----------------------------------------------------------------------

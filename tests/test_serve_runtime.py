@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import synthetic_records
+from conftest import synthetic_records, totals_from_families
 from repro.core import GEM, GEMConfig
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import (FleetController, GeofenceFleet, MaintenancePolicy,
@@ -108,9 +108,10 @@ class TestServingSurface:
                 runtime.observe(tenant, record)
             totals = runtime.telemetry_totals()
             assert totals.observations == len(stream)
-            snapshot = runtime.telemetry_snapshot()
-            assert sorted(snapshot["tenants"]) == sorted(TENANTS)
-            assert snapshot["totals"]["observations"] == len(stream)
+            # The totals are a view over the exported families.
+            families = runtime.metrics()["families"]
+            assert totals.as_dict() == totals_from_families(families)
+            assert runtime.stats()["totals"] == totals.as_dict()
 
     def test_score_dirty_flush_and_evict(self, tmp_path):
         with ServingRuntime(tmp_path / "m", capacity=8,
