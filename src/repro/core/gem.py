@@ -304,7 +304,7 @@ class EmbeddingGeofencer:
         ``flush=False`` to keep the partial buffer pending, e.g. when the
         same pipeline will continue on another stream.
         """
-        decisions = [self.observe(record) for record in records]
+        decisions = self.observe_many(records)
         if flush:
             self.flush_updates()
         return decisions

@@ -14,14 +14,18 @@ Every graph-embedder path that embeds more than a one-off record runs
 through a kernel (all but the last via
 :func:`repro.core.gem.embed_records`):
 
-* ``EmbeddingGeofencer.observe_many`` — the batch plane;
+* ``EmbeddingGeofencer.observe_many`` — the batch plane, which every
+  serving layer above the model (fleet, runtime, router, worker) also
+  uses for a single observation, as a batch of one;
 * ``EmbeddingGeofencer.predict_many`` (and ``predict``, which delegates
   to it) — the quarantine's consistency gate, with the fleet's cached
   kernel, and the recovery ``max_fpr`` check;
 * ``RefreshJob.build`` — the coordinated refresh's re-embed;
 * ``_GraphEmbedderBase.training_embeddings`` — the detector's fit rows.
 
-Scalar ``observe`` and ``score`` still embed through the model's
+Only ``EmbeddingGeofencer.observe`` and ``score`` — the scalar
+reference the differential harness compares against, and the
+per-record eval path — still embed through the model's
 ``embed_readings``.
 
 Bit-identity contract

@@ -1,11 +1,12 @@
 """The fleet's vectorized batch data plane.
 
-``GeofenceFleet.observe_many`` used to decay into a per-record python
-loop through the embedder and detector.  :class:`BatchPlane` routes a
-tenant's whole batch through ``EmbeddingGeofencer.observe_many``
-instead — one hoisted inference kernel, chunked detector scoring —
-while caching the kernel *across* batches, keyed by the embedder's
-``batch_token()`` identity fingerprint.
+Every observation the fleet serves goes through :class:`BatchPlane`:
+``GeofenceFleet.observe_many`` hands it each tenant's group, and
+``GeofenceFleet.observe`` is a batch of one.  The plane routes the
+group through ``EmbeddingGeofencer.observe_many`` — one hoisted
+inference kernel, chunked detector scoring — while caching the kernel
+*across* batches, keyed by the embedder's ``batch_token()`` identity
+fingerprint.
 
 Eligibility and fallback
 ------------------------

@@ -38,7 +38,10 @@ Message types
     health, slow traces; ``None`` when the worker runs with
     observability off) and ``health`` (the worker's probe results as
     ``ProbeResult.as_dict()`` mappings) — both read-only and safe to
-    fan out while requests are in flight.
+    fan out while requests are in flight.  Version 3 drops the
+    single-record ``observe`` op: a single observation travels as an
+    ``observe_many`` request with one item, so the worker has one
+    observe path.
 ``replicate``
     Worker -> router, unsolicited: one committed checkpoint write
     (see :class:`~repro.serve.cluster.replicate.ShippedWrite`), the
@@ -73,10 +76,11 @@ __all__ = [
 ]
 
 # Version 2: obs_snapshot/health ops + optional request trace context.
-# The handshake requires exact equality (no downgrade), so a v1 worker
-# binary behind a v2 router fails loudly at hello, not quietly at the
-# first obs_snapshot it cannot answer.
-PROTOCOL_VERSION = 2
+# Version 3: no single-record ``observe`` op (``observe_many`` only).
+# The handshake requires exact equality (no downgrade), so a mixed
+# router/worker pair fails loudly at hello, not quietly at the first
+# request the other side cannot answer.
+PROTOCOL_VERSION = 3
 
 # A header larger than this is garbage (a desynchronised stream, or a
 # peer speaking something else entirely): fail fast instead of trying to

@@ -507,15 +507,15 @@ class Router:
     # Data plane
     # ------------------------------------------------------------------
     def observe(self, tenant_id: str, record: SignalRecord) -> GeofenceDecision:
-        result = self._request(self._link_for(tenant_id), "observe",
-                               {"tenant": tenant_id,
-                                "record": encode_record(record)})
-        return decode_decision(result)
+        """One observation: a batch of one."""
+        return self.observe_many([(tenant_id, record)])[0]
 
     def observe_many(self, items: Iterable[tuple[str, SignalRecord]]
                      ) -> list[GeofenceDecision]:
         """Batched dispatch: split by worker, all workers in flight at
-        once, answers reassembled in input order."""
+        once, answers reassembled in input order.  One
+        ``repro_router_request_seconds{op="observe_many"}`` sample per
+        call, from the first send to the last answer."""
         items = list(items)
         by_worker: dict[int, list[int]] = {}
         for position, (tenant_id, _) in enumerate(items):
@@ -524,6 +524,7 @@ class Router:
         with maybe_span(self.tracer, "cluster.observe_many",
                         items=len(items), workers=len(by_worker)) as span:
             trace = self.tracer.inject(span) if span is not None else None
+            started = time.perf_counter()
             sent: list[tuple[_WorkerLink, _Pending, list[int]]] = []
             for index, positions in by_worker.items():
                 link = self._links[index]
@@ -533,10 +534,14 @@ class Router:
                                               trace=trace),
                              positions))
             decisions: list[GeofenceDecision | None] = [None] * len(items)
-            for link, entry, positions in sent:
-                batch = self._wait(link, entry, "observe_many", None)
-                for position, data in zip(positions, batch):
-                    decisions[position] = decode_decision(data)
+            try:
+                for link, entry, positions in sent:
+                    batch = self._wait(link, entry, "observe_many", None)
+                    for position, data in zip(positions, batch):
+                        decisions[position] = decode_decision(data)
+            finally:
+                self._request_seconds.labels(op="observe_many").observe(
+                    time.perf_counter() - started)
             return decisions
 
     def score(self, tenant_id: str, record: SignalRecord) -> float:

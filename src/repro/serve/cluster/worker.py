@@ -243,10 +243,6 @@ class ClusterWorker:
     def _dispatch(self, header: dict):
         op = header.get("op")
         runtime = self.runtime
-        if op == "observe":
-            tenant = self._check_owner(str(header["tenant"]))
-            decision = runtime.observe(tenant, decode_record(header["record"]))
-            return encode_decision(decision)
         if op == "observe_many":
             items = [(self._check_owner(str(tenant)), decode_record(record))
                      for tenant, record in header["items"]]

@@ -17,7 +17,10 @@ whatever arm the tenant's checkpoint embeds — one fleet serves a GEM
 home next to a BiSAGE+LOF lab next to an INOA mall.
 
 Data plane vs control plane: ``observe``/``observe_many``/``score`` are
-the hot path and never initiate maintenance.  The fleet additionally
+the hot path and never initiate maintenance.  There is one observe
+path: ``observe`` is ``observe_many`` over a batch of one, so every
+record goes through the :class:`~repro.serve.batchplane.BatchPlane`
+and its cached inference kernel.  The fleet additionally
 keeps a bounded per-tenant reservoir of inlier *records* in two parts —
 a pinned **anchor** (the provision-time training records, replaced only
 at re-provision) plus a rolling window of **recent** in-premises scans —
@@ -90,6 +93,10 @@ __all__ = ["DEFAULT_RESERVOIR_SIZE", "GeofenceFleet", "QUARANTINE_METADATA_KEY",
 # carry the same anchor a fleet.provision would seed.
 DEFAULT_RESERVOIR_SIZE = 256
 
+# The admission gate every quarantine buffer of every fleet applies
+# (frozen, so one instance serves them all).
+_QUARANTINE_GATE = ConsistencyGate()
+
 
 class GeofenceFleet:
     """LRU-cached, write-back, multi-tenant geofence server.
@@ -131,12 +138,10 @@ class GeofenceFleet:
         quarantine entirely: no buffer is fed, persisted or consumable,
         and decisions are bit-identical to earlier releases.  Even
         enabled, the quarantine never touches the decision path — the
-        admission gate scores side-effect-free augmented copies.
-    quarantine_seed / quarantine_gate:
-        Determinism seed for the buffer's reservoir sampling and
-        augmentation draws, and the admission
-        :class:`~repro.serve.quarantine.ConsistencyGate` (a default
-        gate when None and quarantine is enabled).
+        admission gate (a default
+        :class:`~repro.serve.quarantine.ConsistencyGate`) scores
+        side-effect-free augmented copies; the buffer's sampling seed
+        is 0.
     """
 
     def __init__(self, registry: ModelRegistry | str, capacity: int = 8,
@@ -145,9 +150,7 @@ class GeofenceFleet:
                  reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
                  incremental: bool = False,
                  tracer=None,
-                 quarantine_size: int = 0,
-                 quarantine_seed: int = 0,
-                 quarantine_gate: ConsistencyGate | None = None):
+                 quarantine_size: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if reservoir_size < 0:
@@ -165,9 +168,6 @@ class GeofenceFleet:
         self.reservoir_size = reservoir_size
         self.incremental = incremental
         self.quarantine_size = quarantine_size
-        self.quarantine_seed = quarantine_seed
-        self.quarantine_gate = quarantine_gate if quarantine_gate is not None \
-            else (ConsistencyGate() if quarantine_size else None)
         # tenant_id -> QuarantineBuffer, resident tenants only (like the
         # reservoir: persisted in checkpoint metadata on write-back).
         self._quarantine: dict[str, QuarantineBuffer] = {}
@@ -285,22 +285,8 @@ class GeofenceFleet:
     # Serving
     # ------------------------------------------------------------------
     def observe(self, tenant_id: str, record: SignalRecord) -> GeofenceDecision:
-        """Algorithm-2 observation against one tenant's model."""
-        with maybe_span(self.tracer, "observe", tenant=tenant_id):
-            with self._lock:
-                model = self._acquire(tenant_id)
-                start = time.perf_counter()
-                decision = model.observe(record)
-                elapsed = time.perf_counter() - start
-                # observe() leaves the embedder alone, but a non-empty
-                # record may move the detector or its update buffer, the
-                # reservoir or the quarantine; empty records touch nothing.
-                if record.readings:
-                    self._dirty.add(tenant_id)
-                    self._remember_inlier(tenant_id, record, decision)
-                    self._consider_quarantine(tenant_id, model, record, decision)
-            self.telemetry.record_observation(tenant_id, decision, seconds=elapsed)
-        return decision
+        """Algorithm-2 observation against one tenant's model: a batch of one."""
+        return self.observe_many([(tenant_id, record)])[0]
 
     def observe_many(self, items: Iterable[tuple[str, SignalRecord]]) -> list[GeofenceDecision]:
         """Batched dispatch: group by tenant, answer in input order.
@@ -320,29 +306,31 @@ class GeofenceFleet:
         by_tenant: "OrderedDict[str, list[int]]" = OrderedDict()
         for position, (tenant_id, _) in enumerate(items):
             by_tenant.setdefault(tenant_id, []).append(position)
-        with self._lock:
-            for tenant_id in by_tenant:
-                if tenant_id not in self._cache and not self.registry.exists(tenant_id):
-                    raise CheckpointError(f"tenant {tenant_id!r} has no checkpoint under "
-                                          f"{self.registry.root}; batch rejected untouched")
-        decisions: list[GeofenceDecision | None] = [None] * len(items)
-        for tenant_id, positions in by_tenant.items():
+        with maybe_span(self.tracer, "observe", items=len(items), tenants=len(by_tenant)):
             with self._lock:
-                model = self._acquire(tenant_id)
-                start = time.perf_counter()
-                batch, _ = self.batchplane.observe_batch(
-                    model, [items[p][1] for p in positions])
-                elapsed = time.perf_counter() - start
-                if any(items[p][1].readings for p in positions):
-                    self._dirty.add(tenant_id)
-                for position, decision in zip(positions, batch):
-                    if items[position][1].readings:
-                        self._remember_inlier(tenant_id, items[position][1], decision)
-                        self._consider_quarantine(tenant_id, model,
-                                                  items[position][1], decision)
-            for position, decision in zip(positions, batch):
-                decisions[position] = decision
-            self.telemetry.record_observations(tenant_id, batch, seconds=elapsed)
+                for tenant_id in by_tenant:
+                    if tenant_id not in self._cache and not self.registry.exists(tenant_id):
+                        raise CheckpointError(f"tenant {tenant_id!r} has no checkpoint under "
+                                              f"{self.registry.root}; batch rejected untouched")
+            decisions: list[GeofenceDecision | None] = [None] * len(items)
+            for tenant_id, positions in by_tenant.items():
+                with self._lock:
+                    model = self._acquire(tenant_id)
+                    start = time.perf_counter()
+                    batch, _ = self.batchplane.observe_batch(
+                        model, [items[p][1] for p in positions])
+                    elapsed = time.perf_counter() - start
+                    for position, decision in zip(positions, batch):
+                        decisions[position] = decision
+                        record = items[position][1]
+                        # A non-empty record may move the detector or its
+                        # update buffer, the reservoir or the quarantine;
+                        # an empty one touches nothing.
+                        if record.readings:
+                            self._dirty.add(tenant_id)
+                            self._remember_inlier(tenant_id, record, decision)
+                            self._consider_quarantine(tenant_id, model, record, decision)
+                self.telemetry.record_observations(tenant_id, batch, seconds=elapsed)
         return decisions
 
     def score(self, tenant_id: str, record: SignalRecord) -> float:
@@ -594,10 +582,8 @@ class GeofenceFleet:
             return
         buffer = self._quarantine.get(tenant_id)
         if buffer is None:
-            buffer = QuarantineBuffer(self.quarantine_size,
-                                      seed=self.quarantine_seed,
-                                      tenant_key=tenant_id,
-                                      gate=self.quarantine_gate)
+            buffer = QuarantineBuffer(self.quarantine_size, tenant_key=tenant_id,
+                                      gate=_QUARANTINE_GATE)
             buffer.set_home(home_anchor_macs(self._anchors.get(tenant_id, ()),
                                              buffer.min_anchor_fraction))
             self._quarantine[tenant_id] = buffer
@@ -656,8 +642,7 @@ class GeofenceFleet:
                 if serialized_quarantine is not None and tenant_id not in self._quarantine:
                     buffer = QuarantineBuffer.from_state(
                         serialized_quarantine, capacity=self.quarantine_size,
-                        seed=self.quarantine_seed, tenant_key=tenant_id,
-                        gate=self.quarantine_gate)
+                        tenant_key=tenant_id, gate=_QUARANTINE_GATE)
                 else:
                     buffer = None
                 if serialized is not None and tenant_id not in self._anchors:

@@ -50,7 +50,7 @@ from repro.serve.controller import FleetController
 from repro.serve.fleet import DEFAULT_RESERVOIR_SIZE, GeofenceFleet
 from repro.serve.policy import MaintenancePolicy
 from repro.serve.registry import ModelRegistry
-from repro.serve.scheduler import MaintenanceScheduler
+from repro.serve.scheduler import MaintenanceScheduler, drained_counter
 from repro.serve.telemetry import FleetTelemetry, TenantStats
 
 __all__ = ["ServingRuntime"]
@@ -81,12 +81,11 @@ class ServingRuntime:
         False for byte-layout compatibility with plain fleets).
     model_factory / reservoir_size:
         Forwarded to the :class:`GeofenceFleet`.
-    quarantine_size / quarantine_seed:
+    quarantine_size:
         Forwarded to the fleet: capacity (0 disables — the default,
-        keeping existing runtimes bit-identical) and sampling seed of
-        the per-tenant :class:`~repro.serve.quarantine.QuarantineBuffer`
-        that collects admission-gated rejected evidence for starvation
-        recovery.
+        keeping existing runtimes bit-identical) of the per-tenant
+        :class:`~repro.serve.quarantine.QuarantineBuffer` that collects
+        admission-gated rejected evidence for starvation recovery.
     observability:
         Wire a :class:`~repro.obs.metrics.MetricsRegistry`, a
         :class:`~repro.obs.tracing.Tracer` and a
@@ -96,13 +95,14 @@ class ServingRuntime:
         decision).  Read back via :meth:`metrics` /
         :meth:`export_prometheus`.  Pass False for a runtime without
         tracing, health probes or a readable registry — the overhead
-        benchmark's control arm.  Its fleet and scheduler still count
-        into private registries: :meth:`telemetry_totals` reads them.
+        benchmark's control arm.  Its fleet, pump and scheduler still
+        count into private registries: :meth:`telemetry_totals` and the
+        scheduler's ``stats()`` read them.
     tenant_class_of:
         Optional ``tenant_id -> class label`` mapping for the
         ``tenant_class`` metric label (cardinality control; defaults to
         one ``"all"`` class).
-    slow_trace_threshold / slow_trace_ring:
+    slow_trace_threshold:
         Root spans at least this many seconds long enter the tracer's
         bounded ring of recent slow traces (see
         :class:`~repro.obs.tracing.Tracer`).
@@ -118,17 +118,14 @@ class ServingRuntime:
                  scheduler_interval: float | None = 0.05,
                  sweep_every: int = 20,
                  quarantine_size: int = 0,
-                 quarantine_seed: int = 0,
                  observability: bool = True,
                  tenant_class_of: Callable[[str], str] | None = None,
-                 slow_trace_threshold: float = 0.1,
-                 slow_trace_ring: int = 64):
+                 slow_trace_threshold: float = 0.1):
         self.registry = registry if isinstance(registry, ModelRegistry) \
             else ModelRegistry(registry)
         if observability:
             self.metrics_registry = MetricsRegistry()
-            self.tracer = Tracer(slow_threshold=slow_trace_threshold,
-                                 ring_size=slow_trace_ring)
+            self.tracer = Tracer(slow_threshold=slow_trace_threshold)
             self.health = HealthMonitor(metrics=self.metrics_registry)
             # Pull-style gauges the runtime refreshes at snapshot time.
             self._queue_gauge = self.metrics_registry.gauge(
@@ -149,7 +146,6 @@ class ServingRuntime:
                                    reservoir_size=reservoir_size,
                                    incremental=incremental,
                                    quarantine_size=quarantine_size,
-                                   quarantine_seed=quarantine_seed,
                                    tracer=self.tracer)
         self.controller = FleetController(self.fleet, policy, policies,
                                           metrics=self.metrics_registry,
@@ -166,12 +162,13 @@ class ServingRuntime:
         # atomic under the GIL, so the observe path pays one append and
         # no lock; only the pump caller removes.
         self._pending: "deque[tuple[str, GeofenceDecision]]" = deque()
-        # Decisions ever popped off the bus, counted as they are popped:
-        # a pump that raises mid-drain still accounts for what it took.
-        self.decisions_pumped = 0
+        # pump() counts what it pops into this family; the scheduler
+        # reads it from the same registry.
+        counters = self.metrics_registry if observability else MetricsRegistry()
+        self._drained = drained_counter(counters)
         self.scheduler = MaintenanceScheduler(
             self, interval=scheduler_interval, sweep_every=sweep_every,
-            metrics=self.metrics_registry) if background else None
+            metrics=counters) if background else None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -225,14 +222,12 @@ class ServingRuntime:
     # Data plane (fleet + decision bus)
     # ------------------------------------------------------------------
     def observe(self, tenant_id: str, record: SignalRecord) -> GeofenceDecision:
-        """Algorithm-2 observation; the decision also joins the bus."""
-        decision = self.fleet.observe(tenant_id, record)
-        if self.track_decisions:
-            self._pending.append((tenant_id, decision))
-        return decision
+        """Algorithm-2 observation: a batch of one."""
+        return self.observe_many([(tenant_id, record)])[0]
 
     def observe_many(self, items: Iterable[tuple[str, SignalRecord]]) -> list[GeofenceDecision]:
-        """Batched dispatch: exactly ``GeofenceFleet.observe_many``."""
+        """Batched dispatch: exactly ``GeofenceFleet.observe_many``; each
+        decision also joins the bus."""
         items = list(items)
         decisions = self.fleet.observe_many(items)
         if self.track_decisions:
@@ -301,19 +296,22 @@ class ServingRuntime:
         here — on the pump thread, never on the observe path.  A
         refresh's heavy rebuild additionally drops the fleet lock (see
         :meth:`GeofenceFleet.refresh`), so observes keep flowing even
-        *during* maintenance.  Each decision counts into
-        :attr:`decisions_pumped` as it is popped, before the controller
-        sees it, so a step that raises loses no count.
+        *during* maintenance.  What the call popped is added to
+        ``repro_scheduler_decisions_drained_total`` once, on the way
+        out, so a step that raises still counts every decision popped.
         """
         drained = 0
-        while True:
-            try:
-                tenant_id, decision = self._pending.popleft()
-            except IndexError:
-                return drained
-            drained += 1
-            self.decisions_pumped += 1
-            self.controller.step(tenant_id, decision)
+        try:
+            while True:
+                try:
+                    tenant_id, decision = self._pending.popleft()
+                except IndexError:
+                    return drained
+                drained += 1
+                self.controller.step(tenant_id, decision)
+        finally:
+            if drained:
+                self._drained.inc(drained)
 
     def sweep(self) -> dict[str, list[str]]:
         """One controller maintain() pass (flush / idle-evict clauses)."""

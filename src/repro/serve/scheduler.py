@@ -29,7 +29,7 @@ import traceback
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["MaintenanceScheduler"]
+__all__ = ["MaintenanceScheduler", "drained_counter"]
 
 _MAX_ERRORS = 64
 
@@ -39,14 +39,23 @@ def _count(family) -> int:
     return int(sum(child.value for _, child in family.series()))
 
 
+def drained_counter(metrics: MetricsRegistry):
+    """The decisions-drained family: the runtime's pump counts into it,
+    a scheduler on the same registry reads it."""
+    return metrics.counter(
+        "repro_scheduler_decisions_drained_total",
+        help="Decisions drained from the decision bus into the controller")
+
+
 class MaintenanceScheduler:
     """Periodic pump + sweep of a :class:`~repro.serve.runtime.ServingRuntime`.
 
     Parameters
     ----------
     runtime:
-        The runtime to maintain: anything with ``pump()``, ``sweep()``,
-        ``pending_decisions`` and a ``decisions_pumped`` count.
+        The runtime to maintain: anything with ``pump()``, ``sweep()``
+        and ``pending_decisions``, whose pump counts into
+        :func:`drained_counter` of the same ``metrics``.
     interval:
         Seconds between ticks.  Each tick drains the decision bus;
         refreshes the controller decides on run inside the tick.
@@ -57,7 +66,8 @@ class MaintenanceScheduler:
         The :class:`~repro.obs.metrics.MetricsRegistry` holding the
         ticks, drained decisions and errors counters (a private one when
         None; one scheduler per registry).  :meth:`stats` reads them
-        back.  Pump recency goes to the runtime's
+        back; the drained count is the runtime pump's own.  Pump
+        recency goes to the runtime's
         ``repro_scheduler_last_pump_age_seconds`` gauge, refreshed by
         its ``metrics()`` snapshot.
     """
@@ -82,9 +92,7 @@ class MaintenanceScheduler:
         self._ticks_counter = metrics.counter(
             "repro_scheduler_ticks_total",
             help="Maintenance ticks completed")
-        self._drained_counter = metrics.counter(
-            "repro_scheduler_decisions_drained_total",
-            help="Decisions drained from the decision bus into the controller")
+        self._drained_counter = drained_counter(metrics)
         # Cumulative, unlike the bounded error log.
         self._errors_counter = metrics.counter(
             "repro_scheduler_errors_total",
@@ -145,7 +153,7 @@ class MaintenanceScheduler:
         if sweep is None:
             sweep = bool(self.sweep_every) and \
                 _count(self._ticks_counter) % self.sweep_every == 0
-        before = runtime.decisions_pumped
+        before = _count(self._drained_counter)
         try:
             runtime.pump()
             self._last_pump = time.monotonic()
@@ -153,10 +161,7 @@ class MaintenanceScheduler:
                 runtime.sweep()
         except Exception:
             self._record_error()
-        drained = runtime.decisions_pumped - before
-        if drained:
-            self._drained_counter.inc(drained)
-        return drained
+        return _count(self._drained_counter) - before
 
     def _record_error(self) -> None:
         if len(self.errors) >= _MAX_ERRORS:

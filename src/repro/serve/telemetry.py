@@ -1,7 +1,9 @@
 """Serving telemetry: fleet-wide counters, kept in one metrics registry.
 
 The fleet records every observation outcome and every model lifecycle
-event (load, save, eviction, refresh) here.  The counts live only in the
+event (load, save, eviction, refresh) here.  Observations are booked
+per tenant batch through :meth:`FleetTelemetry.record_observations`
+(a single observe is a batch of one).  The counts live only in the
 labeled counter and histogram families of a
 :class:`~repro.obs.metrics.MetricsRegistry` — the serving runtime's own
 when observability is on, else a private one — so the Prometheus
@@ -153,24 +155,12 @@ class FleetTelemetry:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_observation(self, tenant_id: str, decision, seconds: float = 0.0) -> None:
-        """Count one GeofenceDecision."""
-        inside, outside, unembeddable = self._decision_children(tenant_id)
-        (inside if decision.inside else outside).inc()
-        if math.isinf(decision.score):
-            unembeddable.inc()
-        if decision.buffered:
-            self._buffered.inc()
-        if decision.updated:
-            self._applied.inc()
-        self._op_children["observe"].observe(seconds)
-
     def record_observations(self, tenant_id: str, decisions,
                             seconds: float = 0.0) -> None:
-        """Count a whole batch of decisions for one tenant.
+        """Count a batch of decisions for one tenant.
 
-        Equivalent to ``record_observation`` per decision with the
-        per-record share of ``seconds`` (total batch seconds), but each
+        Each decision adds the per-record share of ``seconds`` (total
+        batch seconds) to the ``observe`` latency histogram, and each
         child is incremented once by the batch's tally: per-decision
         ``inc()`` calls would acquire ~3N child locks per batch and
         rival the scoring work they measure.

@@ -7,7 +7,8 @@ for **every registry arm**, asserting bit-identical decisions and
 byte-identical post-stream ``state_dict()`` trees.  Arms without batch
 support must come out identical too (the plane falls back to the same
 scalar loop), so the whole fallback matrix is exercised, not just the
-fast path.
+fast path.  One level up, the fleet's single ``observe`` (a batch of
+one) must match its ``observe_many`` over a whole stream.
 
 The off-batch callers of the inference kernel are held to the same
 standard: ``predict_many``, the quarantine's consistency gate on a
@@ -19,19 +20,22 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_records
 from repro.core.config import GEMConfig
+from repro.core.io import records_to_columns
 from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.eval.algorithms import ALGORITHM_NAMES, arm_accepts, arm_spec
 from repro.pipeline import build_pipeline
-from repro.serve.batchplane import BatchPlane, fastpath_reason
+from repro.serve import GeofenceFleet, ModelRegistry
+from repro.serve.batchplane import BatchPlane, arm_label, fastpath_reason
 from repro.serve.quarantine import ConsistencyGate, QuarantineBuffer, home_anchor_macs
+from repro.serve.telemetry import TenantStats
 
 # The outcome the batch plane must report per arm: only graph-embedder +
 # histogram compositions may engage; everything else names its reason.
@@ -54,10 +58,13 @@ def small_gem_config() -> GEMConfig:
     return GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1), batch_update_size=4)
 
 
-def build_arm(name: str):
+def small_arm_spec(name: str):
     dim = 8 if arm_accepts(name, "dim") else 32
-    spec = arm_spec(name, dim=dim, gem_config=small_gem_config())
-    return build_pipeline(spec)
+    return arm_spec(name, dim=dim, gem_config=small_gem_config())
+
+
+def build_arm(name: str):
+    return build_pipeline(small_arm_spec(name))
 
 
 def adversarial_stream(n: int = 48, seed: int = 7) -> list[SignalRecord]:
@@ -161,6 +168,63 @@ def test_batch_size_one_vs_n_splits(arm):
     assert_decisions_identical(at_once, by_ragged)
     assert_trees_identical(whole.state_dict(), one.state_dict())
     assert_trees_identical(whole.state_dict(), ragged.state_dict())
+
+
+def fastpath_counts(fleet) -> dict[tuple[str, str], float]:
+    family = fleet.telemetry.metrics.snapshot()["repro_batch_fastpath_total"]
+    return {(series["labels"]["arm"], series["labels"]["outcome"]): series["value"]
+            for series in family["series"]}
+
+
+@pytest.mark.parametrize("arm,quarantine_size", [("GEM", 64), ("INOA", 0)])
+def test_fleet_observe_is_a_batch_of_one(arm, quarantine_size, tmp_path):
+    """``GeofenceFleet.observe`` record by record equals one
+    ``observe_many`` over the whole stream: decisions, model state,
+    reservoir and the telemetry totals.  Its quarantine equals the
+    per-record reference loop.  Each single observe is one batch of the
+    plane (engaged, or the per-record fallback for models without
+    ``observe_many``)."""
+    train = synthetic_records(60, seed=3)
+    stream = adversarial_stream(96)
+    fleets = {}
+    for mode in ("single", "whole"):
+        fleet = GeofenceFleet(ModelRegistry(tmp_path / mode), capacity=2,
+                              quarantine_size=quarantine_size)
+        fleet.provision("t", train, spec=small_arm_spec(arm))
+        fleets[mode] = fleet
+    single, whole = fleets["single"], fleets["whole"]
+    by_one = [single.observe("t", record) for record in stream]
+    at_once = whole.observe_many([("t", record) for record in stream])
+
+    assert_decisions_identical(at_once, by_one)
+    assert_trees_identical(whole.resident("t").state_dict(),
+                           single.resident("t").state_dict())
+    assert_trees_identical(records_to_columns(whole.reservoir("t")),
+                           records_to_columns(single.reservoir("t")))
+    if quarantine_size:
+        # observe_many gates a group's rejected records after the whole
+        # group is observed, so a detector self-update later in the
+        # group can change a whole-stream quarantine.  A single observe
+        # gates with the detector that rejected the record, as the
+        # per-record loop below does.
+        reference = build_arm(arm).fit(train)
+        buffer = QuarantineBuffer(quarantine_size, tenant_key="t",
+                                  gate=ConsistencyGate())
+        buffer.set_home(home_anchor_macs(train, buffer.min_anchor_fraction))
+        for record in stream:
+            decision = reference.observe(record)
+            if record.readings and not decision.inside:
+                buffer.consider(reference, record)
+        assert buffer.records, "stream admitted no quarantine evidence"
+        assert_trees_identical(single._quarantine["t"].state_dict(),
+                               buffer.state_dict())
+    untimed = [f.name for f in fields(TenantStats) if not f.name.endswith("_seconds")]
+    assert ({name: getattr(whole.telemetry.totals(), name) for name in untimed}
+            == {name: getattr(single.telemetry.totals(), name) for name in untimed})
+    label = arm_label(single.resident("t"))
+    outcome = EXPECTED_OUTCOME[arm]
+    assert fastpath_counts(single) == {(label, outcome): len(stream)}
+    assert fastpath_counts(whole) == {(label, outcome): 1}
 
 
 def test_empty_batch_is_a_no_op():

@@ -197,7 +197,7 @@ class TestBatchedTelemetry:
         one = FleetTelemetry()
         many = FleetTelemetry()
         for decision in decisions:
-            one.record_observation("t", decision, seconds=0.25)
+            one.record_observations("t", [decision], seconds=0.25)
         many.record_observations("t", decisions, seconds=1.0)
         assert one.metrics.snapshot() == many.metrics.snapshot()
         assert one.totals() == many.totals()

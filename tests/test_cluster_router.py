@@ -246,13 +246,60 @@ class TestFailureModes:
             write_frame(handle.writer, hello_frame(config=config.to_dict()))
             read_frame(handle.reader)    # worker hello
             write_frame(handle.writer,
-                        {"type": "request", "id": 1, "op": "observe",
-                         "tenant": tenant,
-                         "record": encode_record(tenant_records(0)[0])})
+                        {"type": "request", "id": 1, "op": "observe_many",
+                         "items": [[tenant,
+                                    encode_record(tenant_records(0)[0])]]})
             header, _ = read_frame(handle.reader)
             assert header["ok"] is False
             assert header["error"]["kind"] == "ValueError"
             assert "misrouted" in header["error"]["message"]
+        finally:
+            handle.close()
+
+    def test_single_record_observe_op_is_refused_per_request(
+            self, seed_registry, tmp_path):
+        """Protocol 3 has no ``observe`` op: a raw one fails as one
+        request, and the link keeps serving."""
+        from repro.serve.cluster import WorkerConfig
+        from repro.serve.cluster.protocol import decode_decision, encode_record
+
+        tenant = TENANTS[0]
+        record = encode_record(tenant_records(0)[0])
+        handle = spawn_local_worker(None)
+        try:
+            config = WorkerConfig(registry=str(seed_registry),
+                                  index=shard_index(tenant, 1), num_workers=1)
+            write_frame(handle.writer, hello_frame(config=config.to_dict()))
+            read_frame(handle.reader)    # worker hello
+            write_frame(handle.writer,
+                        {"type": "request", "id": 1, "op": "observe",
+                         "tenant": tenant, "record": record})
+            header, _ = read_frame(handle.reader)
+            assert (header["id"], header["ok"]) == (1, False)
+            assert header["error"]["kind"] == "ValueError"
+            assert "unknown cluster op 'observe'" in header["error"]["message"]
+            write_frame(handle.writer,
+                        {"type": "request", "id": 2, "op": "observe_many",
+                         "items": [[tenant, record]]})
+            header, _ = read_frame(handle.reader)
+            assert (header["id"], header["ok"]) == (2, True)
+            assert decode_decision(header["result"][0]).inside in (True, False)
+        finally:
+            handle.close()
+
+    def test_version_2_hello_is_refused(self, seed_registry):
+        """A protocol-2 router (which still sends ``observe``) is turned
+        away at the handshake, before any request."""
+        from repro.serve.cluster import WorkerConfig
+
+        config = WorkerConfig(registry=str(seed_registry), index=0,
+                              num_workers=1)
+        handle = spawn_local_worker(None)
+        try:
+            hello = hello_frame(config=config.to_dict())
+            hello["version"] = 2
+            write_frame(handle.writer, hello)
+            assert read_frame(handle.reader) is None   # closed, no hello back
         finally:
             handle.close()
 
@@ -270,6 +317,17 @@ class TestObservabilityAndReplication:
             text = router.export_prometheus()
             assert "repro_router_requests_total" in text
             assert "repro_replication_lag" in text
+
+    def test_observe_many_books_one_latency_sample_per_call(
+            self, seed_registry, tmp_path):
+        with local_router(fresh_copy(seed_registry, tmp_path, "l")) as router:
+            for _ in range(3):
+                router.observe_many(interleaved_stream(10))
+            router.observe(*interleaved_stream(1)[0])   # a batch of one
+            family = router.metrics_registry.get("repro_router_request_seconds")
+            counts = {labels["op"]: child.count
+                      for labels, child in family.series()}
+        assert counts == {"observe_many": 4}
 
     def test_replicated_cluster_fails_over_to_identical_standby(
             self, seed_registry, tmp_path):

@@ -472,13 +472,14 @@ class TestRouterObservability:
                           slow_trace_threshold=0.0) as router:
             router.observe(*interleaved_stream(1)[0])
             traces = router.metrics()["traces"]
+        # A single observe travels as an observe_many of one item.
         roots = [t for t in traces["slow_traces"]
-                 if t["name"] == "cluster.observe"]
+                 if t["name"] == "cluster.observe_many"]
         assert roots, "router roots missing from stitched traces"
         root = roots[0]
         assert root["trace_id"].startswith("router-")
         children = [c for c in root.get("children", ())
-                    if c["name"] == "worker.observe"]
+                    if c["name"] == "worker.observe_many"]
         assert children and children[0]["trace_id"] == root["trace_id"]
         assert children[0]["parent_id"] == root["span_id"]
 

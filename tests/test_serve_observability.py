@@ -185,11 +185,7 @@ class TestTelemetryConservation:
         def hammer(worker: int) -> None:
             start.wait()
             for i in range(per_thread):
-                tenant = f"t{worker}-{i % 7}"
-                if i % 2:
-                    telemetry.record_observation(tenant, decision)
-                else:
-                    telemetry.record_observations(tenant, [decision])
+                telemetry.record_observations(f"t{worker}-{i % 7}", [decision])
 
         pool = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
         interval = sys.getswitchinterval()

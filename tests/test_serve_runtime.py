@@ -37,6 +37,12 @@ def interleaved_stream(n: int = 60):
     return [(TENANTS[i % len(TENANTS)], record) for i, record in enumerate(mixed)]
 
 
+def drained_total(runtime) -> int:
+    """The exported ``repro_scheduler_decisions_drained_total`` value."""
+    family = runtime.metrics()["families"]["repro_scheduler_decisions_drained_total"]
+    return int(sum(series["value"] for series in family["series"]))
+
+
 class TestSerialBitIdentity:
     """The determinism contract: serial runtime == bare fleet."""
 
@@ -144,6 +150,9 @@ class TestMaintenance:
             assert any(action == "refresh"
                        for _, action in runtime.maintenance_actions())
             assert runtime.telemetry_totals().refreshes > 0
+            # Serial mode has no scheduler; the pump exports the count.
+            assert runtime.scheduler is None
+            assert drained_total(runtime) == 80
 
     def test_background_scheduler_refreshes_off_the_observe_path(self, tmp_path):
         policy = MaintenancePolicy(check_every=5, refresh_every=10)
@@ -227,7 +236,6 @@ class TestScheduler:
     def test_errors_are_contained_and_bounded(self, tmp_path):
         class ExplodingRuntime:
             pending_decisions = 0
-            decisions_pumped = 0
 
             def pump(self):
                 raise RuntimeError("boom")
@@ -277,3 +285,30 @@ class TestScheduler:
         runtime.close()
         # close() drained the rest: every decision is counted exactly once.
         assert runtime.scheduler.stats()["decisions_drained"] == 10
+
+    def test_pump_whose_step_raises_counts_every_popped_decision(self, tmp_path):
+        """Serial mode: the pump itself books what it popped, even when
+        the controller raises mid-drain."""
+
+        class RaisingController(FleetController):
+            calls = 0
+
+            def step(self, tenant_id, decision):
+                RaisingController.calls += 1
+                if RaisingController.calls == 4:
+                    raise RuntimeError("step failed")
+                return super().step(tenant_id, decision)
+
+        with ServingRuntime(tmp_path / "m", capacity=8, model_factory=make_gem,
+                            policy=MaintenancePolicy(check_every=1000),
+                            scheduler_interval=None) as runtime:
+            runtime.controller = RaisingController(runtime.fleet,
+                                                   runtime.controller.policy)
+            provision_all(runtime)
+            runtime.observe_many(interleaved_stream(10))
+            with pytest.raises(RuntimeError, match="step failed"):
+                runtime.pump()
+            assert runtime.pending_decisions == 6
+            assert drained_total(runtime) == 4
+            assert runtime.pump() == 6
+            assert drained_total(runtime) == 10
