@@ -27,9 +27,10 @@ Three claims about :mod:`repro.serve.cluster` get pinned here:
   standby, time the promotion, and require a runtime over the promoted
   registry to produce decisions bit-identical to one over the primary.
 
-Results land in ``benchmarks/results/cluster.{txt,json}`` and the
-repo-root ``BENCH_cluster.json``.  Runs standalone; ``--quick`` is the
-CI smoke scale.
+Results land in ``benchmarks/results/cluster.{txt,json}`` (and
+``--out`` if given); only a full-scale run also rewrites the committed
+repo-root ``BENCH_cluster.json``, so a ``--quick`` smoke leaves the
+checkout clean.  Runs standalone; ``--quick`` is the CI smoke scale.
 """
 
 from __future__ import annotations
@@ -402,8 +403,10 @@ def main(argv=None) -> int:
     write_result("cluster", format_table(["metric", "value"], rows,
                                          title="Cluster scaling + failover"))
     write_json_result("cluster", payload)
-    (REPO_ROOT / "BENCH_cluster.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    if not args.quick:
+        # Only a full-scale run re-pins the committed numbers.
+        (REPO_ROOT / "BENCH_cluster.json").write_text(
+            json.dumps(payload, indent=1, sort_keys=True) + "\n")
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         print(f"payload written to {args.out}")

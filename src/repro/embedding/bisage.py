@@ -24,12 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from repro.embedding.common import (
-    global_csr,
-    initial_embedding_row,
-    sampled_aggregation_matrix,
-)
-from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph
+from repro.embedding.common import NeighborSampler, initial_embedding_row
+from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph, global_csr
 from repro.graph.sampling import NegativeSampler
 from repro.graph.walks import RandomWalker, WalkConfig, walk_pairs
 from repro.nn import (Adam, Parameter, Tensor, export_parameters, init,
@@ -122,7 +118,6 @@ class BiSAGE:
         self._cache_lu: list[np.ndarray] = []
         self._cache_hv: list[np.ndarray] = []
         self._cache_lv: list[np.ndarray] = []
-        self._rng = as_rng(config.seed)
 
     # ------------------------------------------------------------------
     # Initial embeddings (deterministic per node identity)
@@ -141,6 +136,12 @@ class BiSAGE:
             out[i] = self._initial_row(side, i, which)
         return out
 
+    def _initial_embeddings(self, which: str) -> np.ndarray:
+        """``h^0`` or ``l^0`` for every node of the graph, records first."""
+        graph = self._require_fitted()
+        return np.vstack([self._initial_matrix(RECORD, graph.num_records, which),
+                          self._initial_matrix(MAC, graph.num_macs, which)])
+
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
@@ -150,13 +151,9 @@ class BiSAGE:
             raise ValueError("cannot fit BiSAGE on a graph with no record nodes")
         cfg = self.config
         self.graph = graph
-        num_u, num_v = graph.num_records, graph.num_macs
-        num_nodes = num_u + num_v
-
-        h0 = np.vstack([self._initial_matrix(RECORD, num_u, "h"),
-                        self._initial_matrix(MAC, num_v, "h")]) if num_v else self._initial_matrix(RECORD, num_u, "h")
-        l0 = np.vstack([self._initial_matrix(RECORD, num_u, "l"),
-                        self._initial_matrix(MAC, num_v, "l")]) if num_v else self._initial_matrix(RECORD, num_u, "l")
+        num_u = graph.num_records
+        h0 = self._initial_embeddings("h")
+        l0 = self._initial_embeddings("l")
 
         param_rng = as_rng(cfg.seed + 1)
         self.weights_h = [Parameter(init.xavier_uniform((2 * cfg.dim, cfg.dim), param_rng))
@@ -164,17 +161,13 @@ class BiSAGE:
         self.weights_l = [Parameter(init.xavier_uniform((2 * cfg.dim, cfg.dim), param_rng))
                           for _ in range(cfg.num_layers)]
 
-        indptr, indices, edge_weights = global_csr(graph)
+        sampler = NeighborSampler(*global_csr(graph), cfg.sample_size)
         walker = RandomWalker(graph, cfg.walk, rng=as_rng(cfg.seed + 2))
-        pairs = walk_pairs(walker.corpus(), window=cfg.walk.window)
-        if not pairs:
+        pair_ids = walk_pairs(walker.corpus(), window=cfg.walk.window)
+        if not len(pair_ids):
             # Degenerate graph (all nodes isolated): keep random weights.
-            self._build_cache()
+            self._build_cache(h0, l0, sampler.full)
             return self
-        pair_ids = np.asarray(
-            [[self._global_id(x, num_u), self._global_id(y, num_u)] for x, y in pairs],
-            dtype=np.int64,
-        )
         negative_sampler = NegativeSampler(graph, power=cfg.negative_power,
                                            rng=as_rng(cfg.seed + 3))
 
@@ -191,11 +184,7 @@ class BiSAGE:
             for start in range(0, len(order), cfg.batch_pairs):
                 batch = pair_ids[order[start:start + cfg.batch_pairs]]
                 if aggregators is None or step % cfg.resample_every == 0:
-                    aggregators = [
-                        sampled_aggregation_matrix(indptr, indices, edge_weights,
-                                                   num_nodes, cfg.sample_size, sample_rng)
-                        for _ in range(cfg.num_layers)
-                    ]
+                    aggregators = [sampler.matrix(sample_rng) for _ in range(cfg.num_layers)]
                 h_final, l_final = self._forward(h0, l0, aggregators, activation)
                 loss = self._loss(h_final, l_final, batch, negative_sampler, num_u)
                 optimizer.zero_grad()
@@ -204,13 +193,8 @@ class BiSAGE:
                 self.loss_history.append(loss.item())
                 step += 1
 
-        self._build_cache()
+        self._build_cache(h0, l0, sampler.full)
         return self
-
-    @staticmethod
-    def _global_id(node: tuple[str, int], num_records: int) -> int:
-        side, index = node
-        return index if side == RECORD else num_records + index
 
     def _forward(self, h0: np.ndarray, l0: np.ndarray, aggregators, activation):
         """K rounds of Algorithm 1 over the whole (snapshot) graph."""
@@ -248,25 +232,17 @@ class BiSAGE:
     # ------------------------------------------------------------------
     # Inference caches
     # ------------------------------------------------------------------
-    def _build_cache(self) -> None:
+    def _build_cache(self, h: np.ndarray, l: np.ndarray, matrix) -> None:
         """Compute per-layer embeddings for every node of the graph.
 
-        Deterministic: uses full-neighbourhood aggregation (the sampled
-        aggregator's expectation) so repeated calls agree.
+        ``h`` and ``l`` are the initial embeddings and ``matrix`` the
+        full-neighbourhood aggregator (the sampled aggregator's
+        expectation), so the caches are deterministic.
         """
         graph = self._require_fitted()
         cfg = self.config
-        num_u, num_v = graph.num_records, graph.num_macs
-        num_nodes = num_u + num_v
+        num_u = graph.num_records
         act = _ACTIVATIONS[cfg.activation][1]
-
-        h = np.vstack([self._initial_matrix(RECORD, num_u, "h"),
-                       self._initial_matrix(MAC, num_v, "h")]) if num_v else self._initial_matrix(RECORD, num_u, "h")
-        l = np.vstack([self._initial_matrix(RECORD, num_u, "l"),
-                       self._initial_matrix(MAC, num_v, "l")]) if num_v else self._initial_matrix(RECORD, num_u, "l")
-
-        indptr, indices, edge_weights = global_csr(graph)
-        matrix = sampled_aggregation_matrix(indptr, indices, edge_weights, num_nodes, None, self._rng)
 
         layers_h, layers_l = [h], [l]
         for k in range(cfg.num_layers):

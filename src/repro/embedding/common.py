@@ -2,12 +2,18 @@
 
 Both BiSAGE and the homogeneous GraphSAGE baseline view the bipartite
 graph through a *global* node numbering — record ``i`` is node ``i`` and
-MAC ``j`` is node ``num_records + j`` — and aggregate neighbourhoods via
-row-stochastic sparse matrices.  This module builds those matrices,
-performs vectorised weighted neighbour sampling, and generates the
-deterministic random initial embeddings (``h^0``/``l^0`` "chosen
-randomly", Sec. III-B) so that a node's initial embedding is a pure
-function of (seed, salt, node id) and is reproducible as the graph grows.
+MAC ``j`` is node ``num_records + j`` (:func:`~repro.graph.global_csr`)
+— and aggregate neighbourhoods via row-stochastic sparse matrices.  This
+module builds those matrices with a per-fit weighted neighbour sampler,
+and generates the deterministic random initial embeddings
+(``h^0``/``l^0`` "chosen randomly", Sec. III-B) so that a node's initial
+embedding is a pure function of (seed, salt, node id) and is
+reproducible as the graph grows.
+
+RNG contract: :meth:`NeighborSampler.matrix` makes one
+``rng.random((n_big, sample_size))`` draw per aggregation matrix, where
+``n_big`` counts the nodes whose degree exceeds ``sample_size``, and no
+draw at all when there are none or ``sample_size`` is None.
 """
 
 from __future__ import annotations
@@ -15,52 +21,15 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from repro.graph.bipartite import WeightedBipartiteGraph
 from repro.nn.sparse import row_normalized_csr
-from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive_int
 
 __all__ = [
-    "global_csr",
+    "NeighborSampler",
     "full_aggregation_matrix",
-    "sampled_aggregation_matrix",
-    "sample_neighbors_batch",
     "initial_embeddings",
     "initial_embedding_row",
 ]
-
-
-def global_csr(graph: WeightedBipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the bipartite adjacency into global-id CSR arrays.
-
-    Returns ``(indptr, indices, weights)`` over ``N = num_records +
-    num_macs`` rows; record rows come first.  Neighbour indices are
-    global ids in the opposite partition.
-    """
-    num_records = graph.num_records
-    num_macs = graph.num_macs
-    rows_u, cols_v, weights_uv = graph.record_adjacency()
-
-    indptr = np.zeros(num_records + num_macs + 1, dtype=np.int64)
-    # Degrees per row.
-    if len(rows_u):
-        np.add.at(indptr, rows_u + 1, 1)
-        np.add.at(indptr, num_records + cols_v + 1, 1)
-    np.cumsum(indptr, out=indptr)
-
-    indices = np.empty(2 * len(rows_u), dtype=np.int64)
-    weights = np.empty(2 * len(rows_u), dtype=np.float64)
-    cursor = indptr[:-1].copy()
-    # Record rows point at MAC nodes (offset), MAC rows point back.
-    for u, v, w in zip(rows_u, cols_v, weights_uv):
-        pos = cursor[u]
-        indices[pos] = num_records + v
-        weights[pos] = w
-        cursor[u] += 1
-        pos = cursor[num_records + v]
-        indices[pos] = u
-        weights[pos] = w
-        cursor[num_records + v] += 1
-    return indptr, indices, weights
 
 
 def full_aggregation_matrix(indptr, indices, weights, num_nodes: int) -> sp.csr_matrix:
@@ -74,70 +43,76 @@ def full_aggregation_matrix(indptr, indices, weights, num_nodes: int) -> sp.csr_
     return row_normalized_csr(rows, indices, weights, shape=(num_nodes, num_nodes))
 
 
-def sample_neighbors_batch(indptr, indices, weights, sample_size: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised weighted sampling of ``sample_size`` neighbours per node.
+class NeighborSampler:
+    """Weighted neighbour sampling (Eq. 8), with its tables built once per fit.
 
-    Nodes whose degree is at most ``sample_size`` keep their full
-    neighbourhood (sampling with replacement would only add variance).
-    Returns COO triples (rows, cols, edge weights).
+    Takes the global CSR arrays of one graph.  Nodes whose degree is at
+    most ``sample_size`` keep their full neighbourhood (sampling with
+    replacement would only add variance); every other node draws
+    ``sample_size`` neighbours with replacement, proportionally to edge
+    weight.  Each draw inverts one CDF shared by all sampled nodes: node
+    ``rank``'s cumulative weights are mapped into ``[rank, rank + 1)`` and
+    every draw is answered by one ``searchsorted``.  With
+    ``sample_size=None`` every matrix is the full-neighbourhood one.
     """
-    rng = as_rng(rng)
-    num_nodes = len(indptr) - 1
-    degrees = np.diff(indptr)
 
-    small = degrees <= sample_size
-    # Full neighbourhoods for small-degree nodes.
-    rows_small = np.repeat(np.arange(num_nodes)[small], degrees[small])
-    if len(rows_small):
-        keep_mask = np.zeros(len(indices), dtype=bool)
-        for node in np.nonzero(small)[0]:
-            keep_mask[indptr[node]:indptr[node + 1]] = True
-        cols_small = indices[keep_mask]
-        weights_small = weights[keep_mask]
-    else:
-        cols_small = np.empty(0, dtype=np.int64)
-        weights_small = np.empty(0, dtype=np.float64)
+    def __init__(self, indptr, indices, weights, sample_size: int | None):
+        if sample_size is not None:
+            check_positive_int(sample_size, "sample_size")
+        self.indices = indices
+        self.weights = weights
+        self.num_nodes = len(indptr) - 1
+        self.sample_size = sample_size
+        self.full = full_aggregation_matrix(indptr, indices, weights, self.num_nodes)
+        if sample_size is None:
+            return
+        degrees = np.diff(indptr)
+        small = degrees <= sample_size
+        keep = np.repeat(small, degrees)
+        self._rows_small = np.repeat(np.arange(self.num_nodes)[small], degrees[small])
+        self._cols_small = indices[keep]
+        self._weights_small = weights[keep]
 
-    big_nodes = np.nonzero(~small & (degrees > 0))[0]
-    if len(big_nodes) == 0:
-        return rows_small, cols_small, weights_small
+        big = np.flatnonzero(~small)
+        segments = [rank + _cdf(weights[indptr[node]:indptr[node + 1]])
+                    for rank, node in enumerate(big)]
+        self._cdf = np.concatenate(segments) if segments else np.empty(0)
+        ranks = np.repeat(np.arange(len(big)), sample_size)
+        seg_offsets = np.concatenate([[0], np.cumsum(degrees[big])])
+        self._ranks = np.arange(len(big))[:, None]
+        self._seg_starts = seg_offsets[ranks]
+        self._max_local = degrees[big][ranks] - 1
+        self._bases = indptr[big][ranks]
+        self._rows_big = np.repeat(big, sample_size)
 
-    # Inverse-CDF trick shared across rows: map each row's cumulative
-    # weights into the interval [row_rank, row_rank + 1) and answer all
-    # draws with one searchsorted over the concatenation.
-    segments = []
-    for rank, node in enumerate(big_nodes):
-        w = weights[indptr[node]:indptr[node + 1]]
-        cdf = np.cumsum(w)
-        segments.append(rank + cdf / cdf[-1])
-    global_cdf = np.concatenate(segments)
-    seg_offsets = np.cumsum([0] + [degrees[node] for node in big_nodes])
+    def sample(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One draw of sampled neighbourhoods as COO ``(rows, cols, edge weights)``.
 
-    draws = rng.random((len(big_nodes), sample_size)) + np.arange(len(big_nodes))[:, None]
-    positions = np.searchsorted(global_cdf, draws.ravel(), side="right")
-    positions = np.minimum(positions, len(global_cdf) - 1)
-    # Convert flat segment positions back into adjacency positions.
-    ranks = np.repeat(np.arange(len(big_nodes)), sample_size)
-    local = positions - seg_offsets[ranks]
-    local = np.clip(local, 0, degrees[big_nodes][ranks] - 1)
-    adjacency_pos = indptr[big_nodes][ranks] + local
+        Needs a ``sample_size``.  Rows of full neighbourhoods come first,
+        then ``sample_size`` rows per sampled node.
+        """
+        if not len(self._ranks):
+            return self._rows_small, self._cols_small, self._weights_small
+        draws = rng.random((len(self._ranks), self.sample_size)) + self._ranks
+        positions = np.searchsorted(self._cdf, draws.ravel(), side="right")
+        positions = np.minimum(positions, len(self._cdf) - 1)
+        local = np.clip(positions - self._seg_starts, 0, self._max_local)
+        adjacency = self._bases + local
+        return (np.concatenate([self._rows_small, self._rows_big]),
+                np.concatenate([self._cols_small, self.indices[adjacency]]),
+                np.concatenate([self._weights_small, self.weights[adjacency]]))
 
-    rows_big = np.repeat(big_nodes, sample_size)
-    cols_big = indices[adjacency_pos]
-    weights_big = weights[adjacency_pos]
-
-    return (np.concatenate([rows_small, rows_big]),
-            np.concatenate([cols_small, cols_big]),
-            np.concatenate([weights_small, weights_big]))
+    def matrix(self, rng) -> sp.csr_matrix:
+        """A row-stochastic aggregation matrix over freshly sampled neighbourhoods."""
+        if self.sample_size is None:
+            return self.full
+        rows, cols, weights = self.sample(rng)
+        return row_normalized_csr(rows, cols, weights, shape=(self.num_nodes, self.num_nodes))
 
 
-def sampled_aggregation_matrix(indptr, indices, weights, num_nodes: int,
-                               sample_size: int | None, rng) -> sp.csr_matrix:
-    """Aggregation matrix with weighted neighbour sampling (Eq. 8)."""
-    if sample_size is None:
-        return full_aggregation_matrix(indptr, indices, weights, num_nodes)
-    rows, cols, w = sample_neighbors_batch(indptr, indices, weights, sample_size, rng)
-    return row_normalized_csr(rows, cols, w, shape=(num_nodes, num_nodes))
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(weights)
+    return cdf / cdf[-1]
 
 
 def initial_embedding_row(dim: int, seed: int, salt: int, node_id: int) -> np.ndarray:

@@ -14,12 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.embedding.common import (
-    global_csr,
-    initial_embedding_row,
-    sampled_aggregation_matrix,
-)
-from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph
+from repro.embedding.common import NeighborSampler, initial_embedding_row
+from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph, global_csr
 from repro.graph.sampling import NegativeSampler
 from repro.graph.walks import RandomWalker, WalkConfig, walk_pairs
 from repro.nn import (Adam, Parameter, Tensor, export_parameters, init,
@@ -92,7 +88,6 @@ class GraphSAGE:
         self.loss_history: list[float] = []
         self._cache_u: list[np.ndarray] = []
         self._cache_v: list[np.ndarray] = []
-        self._rng = as_rng(config.seed)
 
     def _node_key(self, side: str, index: int) -> int:
         return 2 * index if side == RECORD else 2 * index + 1
@@ -112,26 +107,19 @@ class GraphSAGE:
             raise ValueError("cannot fit GraphSAGE on a graph with no record nodes")
         cfg = self.config
         self.graph = graph
-        num_u, num_v = graph.num_records, graph.num_macs
-        num_nodes = num_u + num_v
-
-        z0 = np.vstack([self._initial_matrix(RECORD, num_u),
-                        self._initial_matrix(MAC, num_v)]) if num_v else self._initial_matrix(RECORD, num_u)
+        z0 = np.vstack([self._initial_matrix(RECORD, graph.num_records),
+                        self._initial_matrix(MAC, graph.num_macs)])
 
         param_rng = as_rng(cfg.seed + 1)
         self.weights = [Parameter(init.xavier_uniform((2 * cfg.dim, cfg.dim), param_rng))
                         for _ in range(cfg.num_layers)]
 
-        indptr, indices, edge_weights = global_csr(graph)
+        sampler = NeighborSampler(*global_csr(graph), cfg.sample_size)
         walker = RandomWalker(graph, cfg.walk, rng=as_rng(cfg.seed + 2))
-        pairs = walk_pairs(walker.corpus(), window=cfg.walk.window)
-        if not pairs:
-            self._build_cache()
+        pair_ids = walk_pairs(walker.corpus(), window=cfg.walk.window)
+        if not len(pair_ids):
+            self._build_cache(z0, sampler.full)
             return self
-        pair_ids = np.asarray(
-            [[i if s == RECORD else num_u + i for s, i in (x, y)] for x, y in pairs],
-            dtype=np.int64,
-        )
         negative_sampler = NegativeSampler(graph, power=cfg.negative_power,
                                            rng=as_rng(cfg.seed + 3))
         optimizer = Adam(self.weights, lr=cfg.learning_rate)
@@ -147,11 +135,7 @@ class GraphSAGE:
             for start in range(0, len(order), cfg.batch_pairs):
                 batch = pair_ids[order[start:start + cfg.batch_pairs]]
                 if aggregators is None or step % cfg.resample_every == 0:
-                    aggregators = [
-                        sampled_aggregation_matrix(indptr, indices, edge_weights,
-                                                   num_nodes, cfg.sample_size, sample_rng)
-                        for _ in range(cfg.num_layers)
-                    ]
+                    aggregators = [sampler.matrix(sample_rng) for _ in range(cfg.num_layers)]
                 z = self._forward(z0, aggregators, activation)
                 loss = self._loss(z, batch, negative_sampler)
                 optimizer.zero_grad()
@@ -160,7 +144,7 @@ class GraphSAGE:
                 self.loss_history.append(loss.item())
                 step += 1
 
-        self._build_cache()
+        self._build_cache(z0, sampler.full)
         return self
 
     def _forward(self, z0: np.ndarray, aggregators, activation) -> Tensor:
@@ -184,16 +168,13 @@ class GraphSAGE:
     # ------------------------------------------------------------------
     # Caches and inference
     # ------------------------------------------------------------------
-    def _build_cache(self) -> None:
+    def _build_cache(self, z: np.ndarray, matrix) -> None:
+        """Per-layer embeddings of every node from initial ``z`` and the
+        full-neighbourhood aggregator ``matrix``."""
         graph = self._require_fitted()
         cfg = self.config
-        num_u, num_v = graph.num_records, graph.num_macs
+        num_u = graph.num_records
         act = _ACTIVATIONS[cfg.activation][1]
-        z = np.vstack([self._initial_matrix(RECORD, num_u),
-                       self._initial_matrix(MAC, num_v)]) if num_v else self._initial_matrix(RECORD, num_u)
-        indptr, indices, edge_weights = global_csr(graph)
-        matrix = sampled_aggregation_matrix(indptr, indices, edge_weights,
-                                            num_u + num_v, None, self._rng)
         layers = [z]
         for k in range(cfg.num_layers):
             agg = matrix @ layers[-1]

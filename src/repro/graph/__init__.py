@@ -1,18 +1,18 @@
 """Dynamic weighted bipartite graph substrate (Sec. III-A)."""
 
-from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph
+from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph, global_csr
 from repro.graph.builder import build_graph
-from repro.graph.sampling import AliasTable, NegativeSampler, WeightedNeighborSampler
+from repro.graph.sampling import AliasTable, NegativeSampler
 from repro.graph.walks import RandomWalker, WalkConfig, walk_pairs
 
 __all__ = [
     "MAC",
     "RECORD",
     "WeightedBipartiteGraph",
+    "global_csr",
     "build_graph",
     "AliasTable",
     "NegativeSampler",
-    "WeightedNeighborSampler",
     "RandomWalker",
     "WalkConfig",
     "walk_pairs",

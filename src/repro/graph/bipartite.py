@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.records import SignalRecord
 
-__all__ = ["RECORD", "MAC", "NodeRef", "WeightedBipartiteGraph"]
+__all__ = ["RECORD", "MAC", "NodeRef", "WeightedBipartiteGraph", "global_csr"]
 
 RECORD = "U"
 MAC = "V"
@@ -252,3 +252,27 @@ class WeightedBipartiteGraph:
             assert len(neighbors) == len(weights), f"record {u} has mismatched arrays"
             assert (weights > 0).all(), f"record {u} has non-positive edge weight"
             assert (neighbors < self.num_macs).all(), f"record {u} references unknown MAC"
+
+
+def global_csr(graph: WeightedBipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten the bipartite adjacency into global-id CSR arrays.
+
+    Returns ``(indptr, indices, weights)`` over ``N = num_records +
+    num_macs`` rows: record ``i`` is node ``i`` and MAC ``j`` is node
+    ``num_records + j``, so record rows come first.  Neighbour indices
+    are global ids in the opposite partition, in the order of
+    :meth:`WeightedBipartiteGraph.neighbors`: a record's MACs as it
+    sensed them, a MAC's records by index.
+    """
+    num_records = graph.num_records
+    num_nodes = num_records + graph.num_macs
+    rows_u, cols_v, weights_uv = graph.record_adjacency()
+    # Every edge appears in its record's row and in its MAC's row.  A
+    # stable sort by row keeps the record-major edge order inside each.
+    rows = np.concatenate([rows_u, num_records + cols_v])
+    order = np.argsort(rows, kind="stable")
+    indices = np.concatenate([num_records + cols_v, rows_u])[order]
+    weights = np.concatenate([weights_uv, weights_uv])[order]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, indices, weights

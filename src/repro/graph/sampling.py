@@ -1,16 +1,10 @@
-"""Weighted neighbour sampling and degree-biased negative sampling.
+"""Degree-biased negative sampling (Sec. III-B).
 
-Two sampling primitives drive BiSAGE (Sec. III-B):
-
-* **neighbour sampling** — when aggregating towards a target node, each
-  neighbour is drawn with probability proportional to its edge weight
-  (``Pr(v) = w_uv / sum w_uv'``), implementing the paper's "attention by
-  edge weight";
-* **negative sampling** — the loss (Eq. 9) draws contrast nodes from the
-  whole graph with ``Pr(z) ∝ deg(z)^{3/4}`` (word2vec convention).
-
-An alias table gives O(1) categorical draws; it is rebuilt lazily when
-the graph has grown.
+The loss (Eq. 9) draws contrast nodes from the whole graph with
+``Pr(z) ∝ deg(z)^{3/4}`` (word2vec convention).  An alias table gives
+O(1) categorical draws; it is rebuilt lazily when the graph has grown.
+Weighted *neighbour* sampling (Eq. 8) lives with the aggregators, in
+:class:`repro.embedding.common.NeighborSampler`.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ import numpy as np
 from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph
 from repro.utils.rng import as_rng
 
-__all__ = ["AliasTable", "WeightedNeighborSampler", "NegativeSampler"]
+__all__ = ["AliasTable", "NegativeSampler"]
 
 
 class AliasTable:
@@ -66,34 +60,6 @@ class AliasTable:
         accepted = coins < self._accept[columns]
         out = np.where(accepted, columns, self._alias[columns])
         return int(out[0]) if size is None else out
-
-
-class WeightedNeighborSampler:
-    """Sample ``N_s(i)`` neighbourhoods proportional to edge weight.
-
-    Sampling is with replacement (as in GraphSAGE); a node with fewer
-    neighbours than the sample size simply contributes repeats, which the
-    weighted-mean aggregator (Eq. 8) then de-duplicates by construction.
-    """
-
-    def __init__(self, graph: WeightedBipartiteGraph, sample_size: int, rng=None):
-        if sample_size <= 0:
-            raise ValueError(f"sample_size must be positive, got {sample_size}")
-        self.graph = graph
-        self.sample_size = sample_size
-        self.rng = as_rng(rng)
-
-    def sample(self, side: str, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled (neighbor indices, edge weights); empty if isolated."""
-        neighbors, weights = self.graph.neighbors(side, index)
-        if len(neighbors) == 0:
-            return neighbors, weights
-        if len(neighbors) <= self.sample_size:
-            return neighbors, weights
-        probabilities = weights / weights.sum()
-        chosen = self.rng.choice(len(neighbors), size=self.sample_size,
-                                 replace=True, p=probabilities)
-        return neighbors[chosen], weights[chosen]
 
 
 class NegativeSampler:

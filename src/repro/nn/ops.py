@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor, as_tensor, scatter_rows
 
 __all__ = [
     "concat",
@@ -150,9 +150,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 
     def backward(grad):
         if x.requires_grad:
-            full = np.zeros_like(x.data)
-            np.add.at(full, idx, grad)
-            x._accumulate(full)
+            x._accumulate(scatter_rows(idx, grad, x.data.shape))
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "scatter_rows"]
 
 _GRAD_ENABLED = True
 
@@ -52,6 +52,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def scatter_rows(index, grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Adjoint of ``x[index]`` for an integer ``index`` into the first axis.
+
+    Returns an array of ``shape`` with each row of ``grad`` added into
+    the row it was read from.  One weighted ``bincount`` over the flat
+    target positions adds every element's contributions to 0.0 in index
+    order, which is the order ``np.add.at(zeros, index, grad)`` uses, so
+    the result equals it bit for bit, signed zeros included.
+    """
+    index = np.asarray(index, dtype=np.int64).ravel()
+    num_rows = shape[0]
+    row_size = int(np.prod(shape[1:], dtype=np.int64))
+    index = np.where(index < 0, index + num_rows, index)
+    targets = index[:, None] * row_size + np.arange(row_size)
+    out = np.bincount(targets.ravel(), weights=np.ravel(grad), minlength=num_rows * row_size)
+    return out.reshape(shape)
 
 
 class Tensor:
@@ -320,9 +338,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                full = np.zeros(shape, dtype=np.float64)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
+                # Flat source position of every selected element.
+                positions = np.arange(self.data.size).reshape(shape)[index]
+                self._accumulate(scatter_rows(positions, grad, (self.data.size,)).reshape(shape))
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core.records import SignalRecord
 from repro.embedding.common import (
+    NeighborSampler,
     full_aggregation_matrix,
-    global_csr,
     initial_embedding_row,
     initial_embeddings,
-    sample_neighbors_batch,
-    sampled_aggregation_matrix,
 )
-from repro.graph import WeightedBipartiteGraph, build_graph
+from repro.graph import WeightedBipartiteGraph, build_graph, global_csr
 
 from conftest import synthetic_records
 
@@ -78,8 +76,7 @@ class TestAggregationMatrices:
         graph = build_graph(synthetic_records(8, seed=1))
         indptr, indices, weights = global_csr(graph)
         n = graph.num_records + graph.num_macs
-        matrix = sampled_aggregation_matrix(indptr, indices, weights, n, 3,
-                                            np.random.default_rng(0))
+        matrix = NeighborSampler(indptr, indices, weights, 3).matrix(np.random.default_rng(0))
         sums = np.asarray(matrix.sum(axis=1)).ravel()
         assert ((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0)).all()
 
@@ -87,18 +84,20 @@ class TestAggregationMatrices:
         graph = build_graph(synthetic_records(5, seed=2))
         indptr, indices, weights = global_csr(graph)
         n = graph.num_records + graph.num_macs
-        a = sampled_aggregation_matrix(indptr, indices, weights, n, None,
-                                       np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        a = NeighborSampler(indptr, indices, weights, None).matrix(rng)
         b = full_aggregation_matrix(indptr, indices, weights, n)
         assert (a != b).nnz == 0
+        # Full neighbourhoods draw nothing from the stream.
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestBatchSampling:
     def test_small_degree_kept_whole(self):
         graph = small_graph()
         indptr, indices, weights = global_csr(graph)
-        rows, cols, w = sample_neighbors_batch(indptr, indices, weights, 10,
-                                               np.random.default_rng(0))
+        rows, cols, w = NeighborSampler(indptr, indices, weights, 10).sample(
+            np.random.default_rng(0))
         # Every node has degree <= 10: full adjacency returned.
         assert len(rows) == len(indices)
 
@@ -106,16 +105,16 @@ class TestBatchSampling:
         graph = WeightedBipartiteGraph()
         graph.add_record(SignalRecord({f"m{i}": -50.0 for i in range(40)}))
         indptr, indices, weights = global_csr(graph)
-        rows, cols, w = sample_neighbors_batch(indptr, indices, weights, 5,
-                                               np.random.default_rng(0))
+        rows, cols, w = NeighborSampler(indptr, indices, weights, 5).sample(
+            np.random.default_rng(0))
         assert (rows == 0).sum() == 5  # the record node was subsampled
 
     def test_sampled_cols_are_neighbors(self):
         graph = WeightedBipartiteGraph()
         graph.add_record(SignalRecord({f"m{i}": -40.0 - i for i in range(30)}))
         indptr, indices, weights = global_csr(graph)
-        rows, cols, _ = sample_neighbors_batch(indptr, indices, weights, 4,
-                                               np.random.default_rng(1))
+        rows, cols, _ = NeighborSampler(indptr, indices, weights, 4).sample(
+            np.random.default_rng(1))
         true_neighbors = set(indices[indptr[0]:indptr[1]].tolist())
         assert set(cols[rows == 0].tolist()) <= true_neighbors
 
@@ -124,8 +123,8 @@ class TestBatchSampling:
     def test_property_weights_positive(self, sample_size):
         graph = build_graph(synthetic_records(6, seed=4))
         indptr, indices, weights = global_csr(graph)
-        _, _, w = sample_neighbors_batch(indptr, indices, weights, sample_size,
-                                         np.random.default_rng(2))
+        _, _, w = NeighborSampler(indptr, indices, weights, sample_size).sample(
+            np.random.default_rng(2))
         assert (w > 0).all()
 
 

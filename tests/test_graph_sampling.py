@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import SignalRecord
+from repro.embedding.common import NeighborSampler
 from repro.graph import (
     MAC,
     RECORD,
@@ -14,7 +15,7 @@ from repro.graph import (
     RandomWalker,
     WalkConfig,
     WeightedBipartiteGraph,
-    WeightedNeighborSampler,
+    global_csr,
     walk_pairs,
 )
 
@@ -68,17 +69,25 @@ class TestAliasTable:
 
 
 class TestWeightedNeighborSampler:
+    """Eq. 8 neighbour sampling, as the per-fit :class:`NeighborSampler` does it."""
+
+    @staticmethod
+    def sampled(graph, sample_size, node, rng):
+        rows, cols, weights = NeighborSampler(*global_csr(graph), sample_size).sample(rng)
+        return cols[rows == node], weights[rows == node]
+
     def test_small_degree_returns_full_neighborhood(self):
+        # Record 0 has degree 2: kept whole at or below the sample size.
         graph = chain_graph()
-        sampler = WeightedNeighborSampler(graph, sample_size=10, rng=0)
-        neighbors, weights = sampler.sample(RECORD, 0)
-        assert len(neighbors) == 2
+        for sample_size in (2, 10):
+            neighbors, weights = self.sampled(graph, sample_size, 0, np.random.default_rng(0))
+            assert len(neighbors) == 2
+            np.testing.assert_array_equal(weights, graph.neighbors(RECORD, 0)[1])
 
     def test_large_degree_subsamples(self):
         graph = WeightedBipartiteGraph()
         graph.add_record(SignalRecord({f"m{i}": -50.0 for i in range(30)}))
-        sampler = WeightedNeighborSampler(graph, sample_size=5, rng=0)
-        neighbors, _ = sampler.sample(RECORD, 0)
+        neighbors, _ = self.sampled(graph, 5, 0, np.random.default_rng(0))
         assert len(neighbors) == 5
 
     def test_weight_bias(self):
@@ -88,26 +97,26 @@ class TestWeightedNeighborSampler:
         readings = {f"weak{i}": -110.0 for i in range(5)}
         readings["strong"] = -30.0
         graph.add_record(SignalRecord(readings))
-        sampler = WeightedNeighborSampler(graph, sample_size=2, rng=0)
-        strong_idx = graph.mac_index("strong")
+        sampler = NeighborSampler(*global_csr(graph), 2)
+        strong = graph.num_records + graph.mac_index("strong")
+        rng = np.random.default_rng(0)
         hits = 0
         total = 0
         for _ in range(300):
-            sampled, _ = sampler.sample(RECORD, 0)
-            hits += (sampled == strong_idx).sum()
-            total += len(sampled)
+            rows, cols, _ = sampler.sample(rng)
+            hits += (cols[rows == 0] == strong).sum()
+            total += (rows == 0).sum()
         assert hits / total > 0.5  # 90/140 ≈ 0.64 expected vs 0.167 uniform
 
     def test_isolated_node_empty(self):
         graph = chain_graph()
         idx = graph.add_record(SignalRecord({}))
-        sampler = WeightedNeighborSampler(graph, sample_size=5, rng=0)
-        neighbors, weights = sampler.sample(RECORD, idx)
+        neighbors, _ = self.sampled(graph, 5, idx, np.random.default_rng(0))
         assert len(neighbors) == 0
 
     def test_invalid_sample_size(self):
         with pytest.raises(ValueError):
-            WeightedNeighborSampler(chain_graph(), sample_size=0)
+            NeighborSampler(*global_csr(chain_graph()), 0)
 
 
 class TestNegativeSampler:
@@ -157,20 +166,21 @@ class TestNegativeSampler:
 
 class TestRandomWalks:
     def test_walk_alternates_partitions(self):
-        walker = RandomWalker(chain_graph(), WalkConfig(walk_length=5), rng=0)
-        walk = walker.walk_from(RECORD, 0)
-        for (side_a, _), (side_b, _) in zip(walk[:-1], walk[1:]):
-            assert side_a != side_b
+        graph = chain_graph()
+        walks = RandomWalker(graph, WalkConfig(walk_length=5), rng=0).corpus()
+        is_record = walks < graph.num_records
+        assert (is_record[:, 1:] != is_record[:, :-1]).all()
 
     def test_walk_respects_length(self):
-        walker = RandomWalker(chain_graph(), WalkConfig(walk_length=4), rng=0)
-        assert len(walker.walk_from(RECORD, 0)) == 4
+        walks = RandomWalker(chain_graph(), WalkConfig(walk_length=4), rng=0).corpus()
+        assert walks.shape[1] == 4
 
     def test_walk_stops_at_isolated_node(self):
+        # No walk starts at, or steps onto, an isolated node.
         graph = chain_graph()
         idx = graph.add_record(SignalRecord({}))
-        walker = RandomWalker(graph, WalkConfig(walk_length=5), rng=0)
-        assert walker.walk_from(RECORD, idx) == [(RECORD, idx)]
+        walks = RandomWalker(graph, WalkConfig(walk_length=5), rng=0).corpus()
+        assert len(walks) and not (walks == idx).any()
 
     def test_corpus_skips_isolated_nodes(self):
         graph = chain_graph()
@@ -183,20 +193,20 @@ class TestRandomWalks:
     def test_walk_weight_bias(self):
         graph = WeightedBipartiteGraph()
         graph.add_record(SignalRecord({"strong": -25.0, "weak": -115.0}))
-        walker = RandomWalker(graph, WalkConfig(walk_length=2), rng=0)
-        strong = graph.mac_index("strong")
-        hits = sum(walker.walk_from(RECORD, 0)[1] == (MAC, strong) for _ in range(200))
-        assert hits > 160
+        walker = RandomWalker(graph, WalkConfig(walk_length=2, walks_per_node=200), rng=0)
+        walks = walker.corpus()
+        strong = graph.num_records + graph.mac_index("strong")
+        from_record = walks[walks[:, 0] == 0]
+        assert len(from_record) == 200
+        assert (from_record[:, 1] == strong).sum() > 160
 
     def test_walk_pairs_window_one(self):
-        walk = [(RECORD, 0), (MAC, 1), (RECORD, 2)]
-        pairs = walk_pairs([walk], window=1)
-        assert pairs == [((RECORD, 0), (MAC, 1)), ((MAC, 1), (RECORD, 2))]
+        pairs = walk_pairs(np.array([[0, 3, 2]]), window=1)
+        assert pairs.tolist() == [[0, 3], [3, 2]]
 
     def test_walk_pairs_window_two(self):
-        walk = [(RECORD, 0), (MAC, 1), (RECORD, 2)]
-        pairs = walk_pairs([walk], window=2)
-        assert ((RECORD, 0), (RECORD, 2)) in pairs
+        pairs = walk_pairs(np.array([[0, 3, 2]]), window=2)
+        assert [0, 2] in pairs.tolist()
         assert len(pairs) == 3
 
     def test_walk_pairs_invalid_window(self):
