@@ -7,8 +7,7 @@ MAC ``j`` is node ``num_records + j`` (:func:`~repro.graph.global_csr`)
 module builds those matrices with a per-fit weighted neighbour sampler,
 and generates the deterministic random initial embeddings
 (``h^0``/``l^0`` "chosen randomly", Sec. III-B) so that a node's initial
-embedding is a pure function of (seed, salt, node id) and is
-reproducible as the graph grows.
+embedding is a pure function of (seed, salt, node id).
 
 RNG contract: :meth:`NeighborSampler.matrix` makes one
 ``rng.random((n_big, sample_size))`` draw per aggregation matrix, where

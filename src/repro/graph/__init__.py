@@ -1,4 +1,4 @@
-"""Dynamic weighted bipartite graph substrate (Sec. III-A)."""
+"""The weighted bipartite graph (Sec. III-A), built once per fit, and its samplers."""
 
 from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph, global_csr
 from repro.graph.builder import build_graph

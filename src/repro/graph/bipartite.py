@@ -1,26 +1,27 @@
-"""A dynamic weighted bipartite graph of signal records and MACs.
+"""The weighted bipartite graph of signal records and MACs (Sec. III-A).
 
 Partition ``U`` holds signal-record nodes, partition ``V`` holds sensed
-MAC-address nodes (Sec. III-A).  Nodes are appended while the training
-graph is built; a fitted model's graph is then read, never grown:
-:meth:`WeightedBipartiteGraph.edges_of` gives a streamed record's edges
-into it without adding a node, which is all BiSAGE's inductive
-embedding (Sec. IV-A) needs.
+MAC-address nodes.  The graph is built once, from a batch of training
+records (:func:`~repro.graph.build_graph`) or from saved arrays
+(:meth:`WeightedBipartiteGraph.from_state_dict`), and is read-only
+afterwards: :meth:`WeightedBipartiteGraph.edges_of` gives a streamed
+record's edges into it without adding a node, which is all BiSAGE's
+inductive embedding (Sec. IV-A) needs.
 
 Nodes are referred to by ``(side, index)`` pairs where ``side`` is
 :data:`RECORD` (``"U"``) or :data:`MAC` (``"V"``) and indices are dense
-per-partition integers assigned in insertion order.
+per-partition integers: records in build order, MACs in first-seen
+order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.records import SignalRecord
-
-__all__ = ["RECORD", "MAC", "NodeRef", "WeightedBipartiteGraph", "global_csr"]
+__all__ = ["RECORD", "MAC", "NodeRef", "WeightedBipartiteGraph", "edge_weight_of_rss",
+           "global_csr"]
 
 RECORD = "U"
 MAC = "V"
@@ -28,102 +29,117 @@ MAC = "V"
 NodeRef = tuple  # (side, index)
 
 
+def edge_weight_of_rss(rss: float, weight_offset: float) -> float:
+    """Eq. 1–2: ``w = f(RSS) = RSS + c``, validated positive."""
+    weight = rss + weight_offset
+    if weight <= 0:
+        raise ValueError(
+            f"RSS {rss} with offset {weight_offset} gives non-positive weight; "
+            "increase weight_offset (paper: c > max |RSS|)"
+        )
+    return weight
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class WeightedBipartiteGraph:
-    """Adjacency-list weighted bipartite graph.
+    """Immutable weighted bipartite graph, held as CSR in both directions.
+
+    The record side is ``(record_indptr, edge_macs, edge_weights)``:
+    record ``u``'s edges occupy ``record_indptr[u]:record_indptr[u+1]``,
+    its MACs in sensed order.  The MAC side is the same edges, stably
+    sorted by MAC, so a MAC's records come by index.  Every query is a
+    view over these read-only arrays.
 
     Parameters
     ----------
     weight_offset:
         The constant ``c`` of Eq. 2; edge weight is ``RSS + c`` and must
         come out strictly positive (the paper uses c = 120 dBm).
+    mac_names:
+        The MAC node names; MAC ``j`` is ``mac_names[j]``.
+    record_indptr, edge_macs, edge_weights:
+        The record-major edge arrays, as :meth:`state_dict` saves them.
+
+    Raises ``ValueError`` when the arrays do not describe a graph: edge
+    arrays of mismatched length, a decreasing ``record_indptr``, a MAC
+    index outside the name table, duplicate MAC names, a MAC repeated
+    within one record, or an edge weight that is not finite and positive.
     """
 
-    def __init__(self, weight_offset: float = 120.0):
+    def __init__(self, weight_offset: float, mac_names: Sequence[str],
+                 record_indptr, edge_macs, edge_weights):
         if weight_offset <= 0:
             raise ValueError(f"weight_offset must be positive, got {weight_offset}")
         self.weight_offset = float(weight_offset)
-        self._mac_index: dict[str, int] = {}
-        self._mac_names: list[str] = []
-        # adjacency: per record node, parallel arrays of mac indices / weights
-        self._record_neighbors: list[np.ndarray] = []
-        self._record_weights: list[np.ndarray] = []
-        # reverse adjacency built incrementally as python lists
-        self._mac_neighbors: list[list[int]] = []
-        self._mac_weights: list[list[float]] = []
-        self._num_edges = 0
+        self._mac_names = [str(mac) for mac in mac_names]
+        self._mac_index = {mac: j for j, mac in enumerate(self._mac_names)}
+        if len(self._mac_index) != len(self._mac_names):
+            raise ValueError("graph has duplicate MAC names")
+        # Copies: the graph owns its arrays, so read-only flags stay ours.
+        indptr = _readonly(np.array(record_indptr, dtype=np.int64))
+        macs = _readonly(np.array(edge_macs, dtype=np.int64))
+        weights = _readonly(np.array(edge_weights, dtype=np.float64))
+        if (indptr.ndim != 1 or macs.ndim != 1 or len(macs) != len(weights)
+                or len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(macs)
+                or (np.diff(indptr) < 0).any()):
+            raise ValueError("graph state has inconsistent edge arrays")
+        num_macs = len(self._mac_names)
+        if len(macs) and (macs.min() < 0 or macs.max() >= num_macs):
+            raise ValueError("graph state references a MAC index outside the name table")
+        if not (np.isfinite(weights) & (weights > 0)).all():
+            raise ValueError("graph has an edge weight that is not finite and positive")
+        records = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+        # The MAC side: a stable sort keeps each MAC's records by index,
+        # so a MAC repeated within one record shows as an adjacent pair.
+        order = np.argsort(macs, kind="stable")
+        sorted_macs, sorted_records = macs[order], records[order]
+        if ((sorted_macs[1:] == sorted_macs[:-1])
+                & (sorted_records[1:] == sorted_records[:-1])).any():
+            raise ValueError("graph has a MAC repeated within one record")
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def edge_weight_of_rss(self, rss: float) -> float:
-        """Eq. 1–2: ``w = f(RSS) = RSS + c``, validated positive."""
-        weight = rss + self.weight_offset
-        if weight <= 0:
-            raise ValueError(
-                f"RSS {rss} with offset {self.weight_offset} gives non-positive weight; "
-                "increase weight_offset (paper: c > max |RSS|)"
-            )
-        return weight
+        self._record_indptr, self._edge_records = indptr, _readonly(records)
+        self._edge_macs, self._edge_weights = macs, weights
+        mac_indptr = np.zeros(num_macs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(macs, minlength=num_macs), out=mac_indptr[1:])
+        self._mac_indptr = _readonly(mac_indptr)
+        self._mac_records = _readonly(sorted_records)
+        self._mac_weights = _readonly(weights[order])
+        self._global_csr = self._build_global_csr()
 
-    def add_record(self, record: SignalRecord) -> int:
-        """Append a record node with edges to its sensed MACs.
-
-        Unseen MAC addresses are added as new ``V`` nodes (the dynamic
-        behaviour of Sec. III-A/IV-A).  Returns the new record index.
-        Empty records are allowed as isolated nodes; GEM treats them as
-        outliers upstream.
-        """
-        record_idx = len(self._record_neighbors)
-        mac_indices = []
-        weights = []
-        for mac, rss in record.readings.items():
-            mac_idx = self._mac_index.get(mac)
-            if mac_idx is None:
-                mac_idx = self._intern_mac(mac)
-            weight = self.edge_weight_of_rss(rss)
-            mac_indices.append(mac_idx)
-            weights.append(weight)
-            self._mac_neighbors[mac_idx].append(record_idx)
-            self._mac_weights[mac_idx].append(weight)
-        self._record_neighbors.append(np.asarray(mac_indices, dtype=np.int64))
-        self._record_weights.append(np.asarray(weights, dtype=np.float64))
-        self._num_edges += len(mac_indices)
-        return record_idx
-
-    def add_records(self, records: Iterable[SignalRecord]) -> list[int]:
-        return [self.add_record(record) for record in records]
+    def _build_global_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        num_records, num_edges = self.num_records, self.num_edges
+        indptr = np.concatenate([self._record_indptr, num_edges + self._mac_indptr[1:]])
+        indices = np.concatenate([num_records + self._edge_macs, self._mac_records])
+        weights = np.concatenate([self._edge_weights, self._mac_weights])
+        return _readonly(indptr), _readonly(indices), _readonly(weights)
 
     def edges_of(self, readings: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
         """``(mac indices, edge weights)`` of a record's edges to known MACs.
 
         Read-only: the record joins no partition.  Every reading's RSS is
-        validated, the unknown MACs' included, exactly as
-        :meth:`add_record` would; unknown MACs then contribute no edge.
+        validated, the unknown MACs' included, exactly as at build;
+        unknown MACs then contribute no edge.
         """
         neighbors = []
         weights = []
         for mac, rss in readings.items():
-            weight = self.edge_weight_of_rss(rss)
+            weight = edge_weight_of_rss(rss, self.weight_offset)
             mac_idx = self._mac_index.get(mac)
             if mac_idx is not None:
                 neighbors.append(mac_idx)
                 weights.append(weight)
         return np.asarray(neighbors, dtype=np.int64), np.asarray(weights, dtype=np.float64)
 
-    def _intern_mac(self, mac: str) -> int:
-        idx = len(self._mac_names)
-        self._mac_index[mac] = idx
-        self._mac_names.append(mac)
-        self._mac_neighbors.append([])
-        self._mac_weights.append([])
-        return idx
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def num_records(self) -> int:
-        return len(self._record_neighbors)
+        return len(self._record_indptr) - 1
 
     @property
     def num_macs(self) -> int:
@@ -131,7 +147,7 @@ class WeightedBipartiteGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return len(self._edge_macs)
 
     def mac_name(self, index: int) -> str:
         return self._mac_names[index]
@@ -146,19 +162,19 @@ class WeightedBipartiteGraph:
     def neighbors(self, side: str, index: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor indices in the other partition, edge weights)."""
         if side == RECORD:
-            return self._record_neighbors[index], self._record_weights[index]
-        if side == MAC:
-            return (np.asarray(self._mac_neighbors[index], dtype=np.int64),
-                    np.asarray(self._mac_weights[index], dtype=np.float64))
-        raise ValueError(f"side must be {RECORD!r} or {MAC!r}, got {side!r}")
+            indptr, targets, weights = self._record_indptr, self._edge_macs, self._edge_weights
+        elif side == MAC:
+            indptr, targets, weights = self._mac_indptr, self._mac_records, self._mac_weights
+        else:
+            raise ValueError(f"side must be {RECORD!r} or {MAC!r}, got {side!r}")
+        if not 0 <= index < len(indptr) - 1:
+            raise IndexError(f"no node {index} on side {side!r}")
+        lo, hi = indptr[index], indptr[index + 1]
+        return targets[lo:hi], weights[lo:hi]
 
     def degree(self, side: str, index: int) -> int:
         neighbors, _ = self.neighbors(side, index)
         return len(neighbors)
-
-    def weighted_degree(self, side: str, index: int) -> float:
-        _, weights = self.neighbors(side, index)
-        return float(weights.sum()) if len(weights) else 0.0
 
     def nodes(self) -> Iterator[NodeRef]:
         """All nodes, records first then MACs."""
@@ -169,93 +185,38 @@ class WeightedBipartiteGraph:
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """(record degrees, MAC degrees) as arrays."""
-        record_deg = np.asarray([len(n) for n in self._record_neighbors], dtype=np.int64)
-        mac_deg = np.asarray([len(n) for n in self._mac_neighbors], dtype=np.int64)
-        return record_deg, mac_deg
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """All (record index, mac index, weight) triples."""
-        for u, (neighbors, weights) in enumerate(zip(self._record_neighbors, self._record_weights)):
-            for v, w in zip(neighbors, weights):
-                yield u, int(v), float(w)
+        return np.diff(self._record_indptr), np.diff(self._mac_indptr)
 
     def record_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat COO arrays (record_rows, mac_cols, weights) over all edges."""
-        if self._num_edges == 0:
-            empty = np.empty(0)
-            return empty.astype(np.int64), empty.astype(np.int64), empty
-        rows = np.concatenate([
-            np.full(len(neigh), u, dtype=np.int64)
-            for u, neigh in enumerate(self._record_neighbors) if len(neigh)
-        ]) if any(len(n) for n in self._record_neighbors) else np.empty(0, dtype=np.int64)
-        cols = np.concatenate([n for n in self._record_neighbors if len(n)])
-        weights = np.concatenate([w for w in self._record_weights if len(w)])
-        return rows, cols, weights
+        return self._edge_records, self._edge_macs, self._edge_weights
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Checkpointable state: flat edge arrays + the MAC name table.
+        """Checkpointable state: the record-side CSR + the MAC name table.
 
-        Edges are stored record-major as ``(record_indptr, edge_macs,
-        edge_weights)`` — record ``u``'s edges occupy the slice
-        ``record_indptr[u]:record_indptr[u+1]``.  The reverse (MAC-side)
-        adjacency is derived, so it is rebuilt on load rather than saved.
+        The MAC side is derived, so it is rebuilt on load rather than
+        saved.
         """
-        record_deg, _ = self.degrees()
-        indptr = np.zeros(self.num_records + 1, dtype=np.int64)
-        np.cumsum(record_deg, out=indptr[1:])
-        _, edge_macs, edge_weights = self.record_adjacency()
         return {
             "weight_offset": self.weight_offset,
             "mac_names": list(self._mac_names),
-            "record_indptr": indptr,
-            "edge_macs": edge_macs,
-            "edge_weights": edge_weights,
+            "record_indptr": self._record_indptr,
+            "edge_macs": self._edge_macs,
+            "edge_weights": self._edge_weights,
         }
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "WeightedBipartiteGraph":
         """Rebuild a graph saved by :meth:`state_dict`."""
-        graph = cls(weight_offset=float(state["weight_offset"]))
-        for mac in state["mac_names"]:
-            graph._intern_mac(str(mac))
-        indptr = np.asarray(state["record_indptr"], dtype=np.int64)
-        edge_macs = np.asarray(state["edge_macs"], dtype=np.int64)
-        edge_weights = np.asarray(state["edge_weights"], dtype=np.float64)
-        if (len(edge_macs) != len(edge_weights)
-                or len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(edge_macs)
-                or (np.diff(indptr) < 0).any()):
-            raise ValueError("graph state has inconsistent edge arrays")
-        if len(edge_macs) and (edge_macs.min() < 0 or edge_macs.max() >= graph.num_macs):
-            raise ValueError("graph state references a MAC index outside the name table")
-        for u in range(len(indptr) - 1):
-            lo, hi = indptr[u], indptr[u + 1]
-            macs = edge_macs[lo:hi].copy()
-            weights = edge_weights[lo:hi].copy()
-            graph._record_neighbors.append(macs)
-            graph._record_weights.append(weights)
-            for mac_idx, weight in zip(macs, weights):
-                graph._mac_neighbors[mac_idx].append(u)
-                graph._mac_weights[mac_idx].append(float(weight))
-            graph._num_edges += len(macs)
-        graph.validate()
-        return graph
-
-    def validate(self) -> None:
-        """Check structural invariants; raises AssertionError on violation."""
-        forward = sum(len(n) for n in self._record_neighbors)
-        backward = sum(len(n) for n in self._mac_neighbors)
-        assert forward == backward == self._num_edges, "edge bookkeeping out of sync"
-        for u, (neighbors, weights) in enumerate(zip(self._record_neighbors, self._record_weights)):
-            assert len(neighbors) == len(weights), f"record {u} has mismatched arrays"
-            assert (weights > 0).all(), f"record {u} has non-positive edge weight"
-            assert (neighbors < self.num_macs).all(), f"record {u} references unknown MAC"
+        return cls(state["weight_offset"], state["mac_names"], state["record_indptr"],
+                   state["edge_macs"], state["edge_weights"])
 
 
 def global_csr(graph: WeightedBipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the bipartite adjacency into global-id CSR arrays.
+    """The bipartite adjacency as global-id CSR arrays, built once per graph.
 
     Returns ``(indptr, indices, weights)`` over ``N = num_records +
     num_macs`` rows: record ``i`` is node ``i`` and MAC ``j`` is node
@@ -264,15 +225,4 @@ def global_csr(graph: WeightedBipartiteGraph) -> tuple[np.ndarray, np.ndarray, n
     :meth:`WeightedBipartiteGraph.neighbors`: a record's MACs as it
     sensed them, a MAC's records by index.
     """
-    num_records = graph.num_records
-    num_nodes = num_records + graph.num_macs
-    rows_u, cols_v, weights_uv = graph.record_adjacency()
-    # Every edge appears in its record's row and in its MAC's row.  A
-    # stable sort by row keeps the record-major edge order inside each.
-    rows = np.concatenate([rows_u, num_records + cols_v])
-    order = np.argsort(rows, kind="stable")
-    indices = np.concatenate([num_records + cols_v, rows_u])[order]
-    weights = np.concatenate([weights_uv, weights_uv])[order]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-    return indptr, indices, weights
+    return graph._global_csr

@@ -2,7 +2,7 @@
 
 The loss (Eq. 9) draws contrast nodes from the whole graph with
 ``Pr(z) ∝ deg(z)^{3/4}`` (word2vec convention).  An alias table gives
-O(1) categorical draws; it is rebuilt lazily when the graph has grown.
+O(1) categorical draws; it is built once per (read-only) graph.
 Weighted *neighbour* sampling (Eq. 8) lives with the aggregators, in
 :class:`repro.embedding.common.NeighborSampler`.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph
+from repro.graph.bipartite import WeightedBipartiteGraph
 from repro.utils.rng import as_rng
 
 __all__ = ["AliasTable", "NegativeSampler"]
@@ -66,44 +66,20 @@ class NegativeSampler:
     """Draw contrast nodes with probability ∝ degree^power over U ∪ V.
 
     Nodes are encoded globally: record ``i`` ↦ ``i`` and MAC ``j`` ↦
-    ``num_records + j`` at build time.  The table is rebuilt whenever the
-    graph has grown since the last build.
+    ``num_records + j``.  The alias table is built once, from the
+    graph's degrees; building it draws no random numbers.
     """
 
     def __init__(self, graph: WeightedBipartiteGraph, power: float = 0.75, rng=None):
         if power < 0:
             raise ValueError(f"power must be non-negative, got {power}")
-        self.graph = graph
         self.power = power
         self.rng = as_rng(rng)
-        self._table: AliasTable | None = None
-        self._built_for: tuple[int, int] = (-1, -1)
-
-    def _ensure_table(self) -> AliasTable:
-        current = (self.graph.num_records, self.graph.num_macs)
-        if self._table is None or current != self._built_for:
-            record_deg, mac_deg = self.graph.degrees()
-            degrees = np.concatenate([record_deg, mac_deg]).astype(np.float64)
-            # Isolated nodes get a tiny weight so the table stays valid.
-            weights = np.maximum(degrees, 1e-12) ** self.power
-            self._table = AliasTable(weights)
-            self._built_for = current
-        return self._table
-
-    def sample(self, size: int) -> list[tuple[str, int]]:
-        """Draw ``size`` nodes as (side, index) references."""
-        table = self._ensure_table()
-        raw = np.atleast_1d(table.sample(self.rng, size=size))
-        num_records = self._built_for[0]
-        out = []
-        for value in raw:
-            if value < num_records:
-                out.append((RECORD, int(value)))
-            else:
-                out.append((MAC, int(value - num_records)))
-        return out
+        record_deg, mac_deg = graph.degrees()
+        degrees = np.concatenate([record_deg, mac_deg]).astype(np.float64)
+        # Isolated nodes get a tiny weight so the table stays valid.
+        self._table = AliasTable(np.maximum(degrees, 1e-12) ** power)
 
     def sample_global(self, size: int) -> np.ndarray:
         """Draw ``size`` nodes as global integer ids (records then MACs)."""
-        table = self._ensure_table()
-        return np.atleast_1d(table.sample(self.rng, size=size))
+        return np.atleast_1d(self._table.sample(self.rng, size=size))

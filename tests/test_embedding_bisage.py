@@ -20,6 +20,15 @@ def fitted():
     return BiSAGE(FAST).fit(graph), graph, records
 
 
+@pytest.fixture(scope="module")
+def fitted_with_copies(fitted):
+    """A model over the ``fitted`` records plus copies of records 2, 3 and 3
+    at the end, and the index of the first copy."""
+    _, _, records = fitted
+    copies = [SignalRecord(dict(records[i].readings)) for i in (2, 3, 3)]
+    return BiSAGE(FAST).fit(build_graph(records + copies)), len(records)
+
+
 class TestConfig:
     def test_defaults_match_paper(self):
         config = BiSAGEConfig()
@@ -107,10 +116,9 @@ class TestInductiveInference:
         np.testing.assert_allclose(model.embed_readings(readings),
                                    model.embed_readings(readings))
 
-    def test_embed_record_node_after_attach(self, fitted):
-        model, graph, records = fitted
-        idx = graph.add_record(SignalRecord(dict(records[2].readings)))
-        embedding = model.embed_record_node(idx)
+    def test_embed_record_node_after_attach(self, fitted_with_copies):
+        model, first_copy = fitted_with_copies
+        embedding = model.embed_record_node(first_copy)
         assert embedding.shape == (FAST.dim,)
 
     def test_new_macs_are_skipped_without_growing_caches(self, fitted):
@@ -124,13 +132,10 @@ class TestInductiveInference:
         assert graph.num_macs == macs == rows
         assert all(layer.shape[0] == rows for layer in model._cache_hv + model._cache_lv)
 
-    def test_identical_readings_identical_embeddings(self, fitted):
-        model, graph, records = fitted
-        readings = dict(records[3].readings)
-        i1 = graph.add_record(SignalRecord(readings))
-        i2 = graph.add_record(SignalRecord(readings))
-        np.testing.assert_allclose(model.embed_record_node(i1),
-                                   model.embed_record_node(i2))
+    def test_identical_readings_identical_embeddings(self, fitted_with_copies):
+        model, first_copy = fitted_with_copies
+        np.testing.assert_allclose(model.embed_record_node(first_copy + 1),
+                                   model.embed_record_node(first_copy + 2))
 
     def test_inductive_close_to_training_distribution(self):
         records = synthetic_records(40, num_macs=10, seed=6)

@@ -12,16 +12,14 @@ from repro.embedding.common import (
     initial_embedding_row,
     initial_embeddings,
 )
-from repro.graph import WeightedBipartiteGraph, build_graph, global_csr
+from repro.graph import build_graph, global_csr
 
 from conftest import synthetic_records
 
 
 def small_graph():
-    graph = WeightedBipartiteGraph()
-    graph.add_record(SignalRecord({"a": -50.0, "b": -60.0}))
-    graph.add_record(SignalRecord({"b": -55.0, "c": -70.0}))
-    return graph
+    return build_graph([SignalRecord({"a": -50.0, "b": -60.0}),
+                        SignalRecord({"b": -55.0, "c": -70.0})])
 
 
 class TestGlobalCsr:
@@ -102,16 +100,14 @@ class TestBatchSampling:
         assert len(rows) == len(indices)
 
     def test_large_degree_capped(self):
-        graph = WeightedBipartiteGraph()
-        graph.add_record(SignalRecord({f"m{i}": -50.0 for i in range(40)}))
+        graph = build_graph([SignalRecord({f"m{i}": -50.0 for i in range(40)})])
         indptr, indices, weights = global_csr(graph)
         rows, cols, w = NeighborSampler(indptr, indices, weights, 5).sample(
             np.random.default_rng(0))
         assert (rows == 0).sum() == 5  # the record node was subsampled
 
     def test_sampled_cols_are_neighbors(self):
-        graph = WeightedBipartiteGraph()
-        graph.add_record(SignalRecord({f"m{i}": -40.0 - i for i in range(30)}))
+        graph = build_graph([SignalRecord({f"m{i}": -40.0 - i for i in range(30)})])
         indptr, indices, weights = global_csr(graph)
         rows, cols, _ = NeighborSampler(indptr, indices, weights, 4).sample(
             np.random.default_rng(1))

@@ -206,10 +206,8 @@ def plain_graph(seed: int = 0):
 
 def isolated_graph(seed: int = 0):
     """An isolated record, and a MAC of degree one."""
-    graph = plain_graph(seed)
-    graph.add_record(SignalRecord({}))
-    graph.add_record(SignalRecord({"mac00": -60.0, "lonely": -70.0}))
-    return graph
+    return build_graph(synthetic_records(24, num_macs=12, seed=seed)
+                       + [SignalRecord({}), SignalRecord({"mac00": -60.0, "lonely": -70.0})])
 
 
 GRAPHS = {"plain": plain_graph, "isolated": isolated_graph}

@@ -8,24 +8,23 @@ from hypothesis import strategies as st
 from repro.core.records import SignalRecord
 from repro.embedding.common import NeighborSampler
 from repro.graph import (
-    MAC,
     RECORD,
     AliasTable,
     NegativeSampler,
     RandomWalker,
     WalkConfig,
-    WeightedBipartiteGraph,
+    build_graph,
     global_csr,
     walk_pairs,
 )
 
 
-def chain_graph():
-    """r0 - {a,b}, r1 - {b,c}: a 5-node path in bipartite form."""
-    graph = WeightedBipartiteGraph()
-    graph.add_record(SignalRecord({"a": -50.0, "b": -60.0}))
-    graph.add_record(SignalRecord({"b": -55.0, "c": -70.0}))
-    return graph
+CHAIN = [SignalRecord({"a": -50.0, "b": -60.0}), SignalRecord({"b": -55.0, "c": -70.0})]
+
+
+def chain_graph(*extra):
+    """r0 - {a,b}, r1 - {b,c}: a 5-node path in bipartite form, then ``extra``."""
+    return build_graph(CHAIN + list(extra))
 
 
 class TestAliasTable:
@@ -85,18 +84,16 @@ class TestWeightedNeighborSampler:
             np.testing.assert_array_equal(weights, graph.neighbors(RECORD, 0)[1])
 
     def test_large_degree_subsamples(self):
-        graph = WeightedBipartiteGraph()
-        graph.add_record(SignalRecord({f"m{i}": -50.0 for i in range(30)}))
+        graph = build_graph([SignalRecord({f"m{i}": -50.0 for i in range(30)})])
         neighbors, _ = self.sampled(graph, 5, 0, np.random.default_rng(0))
         assert len(neighbors) == 5
 
     def test_weight_bias(self):
         # Degree (6) exceeds the sample size (2) so true sampling happens;
         # 'strong' (w=90) should dominate the five weak MACs (w=10 each).
-        graph = WeightedBipartiteGraph()
         readings = {f"weak{i}": -110.0 for i in range(5)}
         readings["strong"] = -30.0
-        graph.add_record(SignalRecord(readings))
+        graph = build_graph([SignalRecord(readings)])
         sampler = NeighborSampler(*global_csr(graph), 2)
         strong = graph.num_records + graph.mac_index("strong")
         rng = np.random.default_rng(0)
@@ -109,9 +106,8 @@ class TestWeightedNeighborSampler:
         assert hits / total > 0.5  # 90/140 ≈ 0.64 expected vs 0.167 uniform
 
     def test_isolated_node_empty(self):
-        graph = chain_graph()
-        idx = graph.add_record(SignalRecord({}))
-        neighbors, _ = self.sampled(graph, 5, idx, np.random.default_rng(0))
+        graph = chain_graph(SignalRecord({}))
+        neighbors, _ = self.sampled(graph, 5, 2, np.random.default_rng(0))
         assert len(neighbors) == 0
 
     def test_invalid_sample_size(self):
@@ -122,36 +118,23 @@ class TestWeightedNeighborSampler:
 class TestNegativeSampler:
     def test_returns_requested_count(self):
         sampler = NegativeSampler(chain_graph(), rng=0)
-        assert len(sampler.sample(7)) == 7
+        ids = sampler.sample_global(7)
+        assert ids.shape == (7,) and ids.dtype == np.int64
 
     def test_refs_are_valid(self):
-        graph = chain_graph()
-        sampler = NegativeSampler(graph, rng=0)
-        for side, index in sampler.sample(50):
-            if side == RECORD:
-                assert 0 <= index < graph.num_records
-            else:
-                assert side == MAC and 0 <= index < graph.num_macs
+        # Every node, the isolated record's included, can be drawn.
+        graph = chain_graph(SignalRecord({}))
+        ids = NegativeSampler(graph, power=0.0, rng=0).sample_global(500)
+        assert set(ids.tolist()) == set(range(graph.num_records + graph.num_macs))
 
     def test_degree_bias(self):
         # MAC 'b' has degree 2, others degree 1: it should be sampled most
         # among MAC nodes under deg^{3/4}.
         graph = chain_graph()
         sampler = NegativeSampler(graph, power=0.75, rng=0)
-        counts = {}
-        for side, index in sampler.sample(6000):
-            if side == MAC:
-                counts[index] = counts.get(index, 0) + 1
-        b = graph.mac_index("b")
-        assert counts[b] == max(counts.values())
-
-    def test_rebuilds_after_growth(self):
-        graph = chain_graph()
-        sampler = NegativeSampler(graph, rng=0)
-        sampler.sample(5)
-        graph.add_record(SignalRecord({"zz": -40.0}))
-        refs = sampler.sample(200)
-        assert any(side == MAC and index == graph.mac_index("zz") for side, index in refs)
+        macs = sampler.sample_global(6000) - graph.num_records
+        counts = np.bincount(macs[macs >= 0], minlength=graph.num_macs)
+        assert counts.argmax() == graph.mac_index("b")
 
     def test_sample_global_range(self):
         graph = chain_graph()
@@ -177,22 +160,19 @@ class TestRandomWalks:
 
     def test_walk_stops_at_isolated_node(self):
         # No walk starts at, or steps onto, an isolated node.
-        graph = chain_graph()
-        idx = graph.add_record(SignalRecord({}))
+        graph = chain_graph(SignalRecord({}))
         walks = RandomWalker(graph, WalkConfig(walk_length=5), rng=0).corpus()
-        assert len(walks) and not (walks == idx).any()
+        assert len(walks) and not (walks == 2).any()
 
     def test_corpus_skips_isolated_nodes(self):
-        graph = chain_graph()
-        graph.add_record(SignalRecord({}))
+        graph = chain_graph(SignalRecord({}))
         walker = RandomWalker(graph, WalkConfig(walk_length=3, walks_per_node=2), rng=0)
         corpus = walker.corpus()
         # 5 connected nodes x 2 walks (isolated record excluded)
         assert len(corpus) == 10
 
     def test_walk_weight_bias(self):
-        graph = WeightedBipartiteGraph()
-        graph.add_record(SignalRecord({"strong": -25.0, "weak": -115.0}))
+        graph = build_graph([SignalRecord({"strong": -25.0, "weak": -115.0})])
         walker = RandomWalker(graph, WalkConfig(walk_length=2, walks_per_node=200), rng=0)
         walks = walker.corpus()
         strong = graph.num_records + graph.mac_index("strong")

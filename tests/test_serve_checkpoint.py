@@ -66,7 +66,8 @@ class TestGraphState:
         assert clone.num_macs == graph.num_macs
         assert clone.num_edges == graph.num_edges
         assert clone.known_macs() == graph.known_macs()
-        assert list(clone.edges()) == list(graph.edges())
+        for ours, theirs in zip(graph.record_adjacency(), clone.record_adjacency()):
+            np.testing.assert_array_equal(ours, theirs)
         for j in range(graph.num_macs):
             ours, theirs = graph.neighbors("V", j), clone.neighbors("V", j)
             np.testing.assert_array_equal(ours[0], theirs[0])
@@ -98,6 +99,43 @@ class TestGraphState:
         state["edge_macs"][0] = -1
         with pytest.raises(ValueError, match="MAC"):
             WeightedBipartiteGraph.from_state_dict(state)
+
+    @pytest.mark.parametrize("weight", [0.0, -5.0, np.nan, np.inf])
+    def test_bad_edge_weight_rejected(self, weight):
+        state = build_graph(synthetic_records(5, seed=0)).state_dict()
+        state["edge_weights"] = state["edge_weights"].copy()
+        state["edge_weights"][3] = weight
+        with pytest.raises(ValueError, match="finite and positive"):
+            WeightedBipartiteGraph.from_state_dict(state)
+
+    def test_duplicate_mac_names_rejected(self):
+        state = build_graph(synthetic_records(5, seed=0)).state_dict()
+        state["mac_names"][1] = state["mac_names"][0]
+        with pytest.raises(ValueError, match="duplicate MAC names"):
+            WeightedBipartiteGraph.from_state_dict(state)
+
+    def test_mac_repeated_within_record_rejected(self):
+        state = build_graph(synthetic_records(5, seed=0)).state_dict()
+        assert state["record_indptr"][1] >= 2
+        state["edge_macs"] = state["edge_macs"].copy()
+        state["edge_macs"][1] = state["edge_macs"][0]
+        with pytest.raises(ValueError, match="repeated within one record"):
+            WeightedBipartiteGraph.from_state_dict(state)
+
+    def test_corrupt_graph_fails_load_checkpoint(self, tmp_path):
+        # Graph validation raises ValueError, which the loader maps to
+        # CheckpointError (an AssertionError would escape it).
+        save_checkpoint(fitted_gem(), tmp_path / "ckpt")
+        path = arrays_path(tmp_path / "ckpt")
+        with np.load(path) as stored:
+            arrays = dict(stored)
+        [key] = [k for k in arrays if k.endswith("graph/edge_weights")]
+        arrays[key] = arrays[key].copy()
+        arrays[key][0] = np.nan
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(CheckpointError, match="finite and positive"):
+            load_checkpoint(tmp_path / "ckpt")
 
 
 class TestBiSAGEState:
