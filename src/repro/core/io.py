@@ -14,6 +14,13 @@ quarantine buffer) use a columnar form instead, see
 :func:`records_to_columns`: a scan is a variable-length set of
 (AP, RSS) edges (Sec. III-A), so a sequence of scans packs into one
 CSR block of numpy arrays that the checkpoint stores in its npz.
+The columns are a complete stand-in for the records:
+:func:`check_record_columns` validates them with array checks alone
+(refusing whatever building the records would refuse) and puts them in
+the one canonical form :func:`records_to_columns` writes, and
+:func:`join_record_columns` appends and trims canonical sets without
+decoding them.  A fleet keeps a resident tenant's reservoir this way
+and builds :class:`SignalRecord` objects only when a refit reads them.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ __all__ = [
     "record_from_dict",
     "records_to_columns",
     "records_from_columns",
+    "check_record_columns",
+    "join_record_columns",
     "save_records",
     "load_records",
     "save_labeled_records",
@@ -133,16 +142,41 @@ def records_to_columns(records: Iterable[SignalRecord]) -> dict[str, np.ndarray]
 
 def records_from_columns(columns: Mapping[str, np.ndarray] | Sequence[dict]
                          ) -> list[SignalRecord]:
-    """Inverse of :func:`records_to_columns`; validates the layout.
+    """Inverse of :func:`records_to_columns`; validates the layout first.
 
     Also accepts a sequence of :func:`record_to_dict` dicts, the form
     checkpoints held before the columnar one.  Raises ValueError on
-    inconsistent columns (edge offsets not monotone or out of range, a
-    MAC index past the table, lengths that disagree, a MAC repeated
-    within one record) and on records :class:`SignalRecord` refuses.
+    columns :func:`check_record_columns` refuses.
     """
     if not isinstance(columns, Mapping):
         return [record_from_dict(item) for item in columns]
+    macs, edges, rows, _ = _validated(columns)
+    return _decode(macs, edges, rows)
+
+
+def check_record_columns(columns: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Validate a columnar record set and return it in canonical form.
+
+    Refuses (ValueError) whatever a decode would refuse, with array
+    checks only: a missing or mistyped array, edge offsets not monotone
+    or out of range, a MAC index past the table, a position length out
+    of range, a non-finite RSS, an empty or repeated MAC name in the
+    table, a MAC repeated within one record.  Valid columns that
+    :func:`records_to_columns` would not have written (edges out of MAC
+    order, a table not in first-use order or wider than its longest
+    MAC, a position block wider than the longest position or padded
+    with non-zeros) are re-encoded once; canonical ones come back as
+    the same arrays, so holding them is as good as holding the records.
+    """
+    macs, edges, rows, canonical = _validated(columns)
+    if not canonical:
+        return records_to_columns(_decode(macs, edges, rows))
+    return {"macs": macs, "edges": edges, "records": rows}
+
+
+def _validated(columns: Mapping[str, np.ndarray]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """``(macs, edges, records, canonical)`` of valid columns, else ValueError."""
     missing = {"macs", "edges", "records"} - set(columns)
     if missing:
         raise ValueError(f"record columns missing {sorted(missing)}")
@@ -159,27 +193,135 @@ def records_from_columns(columns: Mapping[str, np.ndarray] | Sequence[dict]
         raise ValueError(f"record columns: records must be 1-D rows of "
                          f"{_RECORD_FIELDS}, not {rows.dtype} {rows.shape}")
     stops = rows["stop"]
-    if np.any(np.diff(stops, prepend=0) < 0) or (stops[-1] if len(stops) else 0) != len(edges):
+    lengths = stops.copy()
+    lengths[1:] -= stops[:-1]
+    if np.any(lengths < 0) or (stops[-1] if len(stops) else 0) != len(edges):
         raise ValueError(f"record columns: edge offsets are not monotone over "
                          f"{len(edges)} edges")
-    if len(edges) and (edges["mac"].min() < 0 or edges["mac"].max() >= len(macs)):
+    index = edges["mac"]
+    if len(edges) and (index.min() < 0 or index.max() >= len(macs)):
         raise ValueError(f"record columns: MAC index outside the {len(macs)}-entry table")
-    if np.any((rows["pos_len"] < -1) | (rows["pos_len"] > width)):
+    pos_len = rows["pos_len"]
+    if np.any((pos_len < -1) | (pos_len > width)):
         raise ValueError("record columns: position length out of range")
+    if not np.isfinite(edges["rss"]).all():
+        raise ValueError("record columns: every RSS must be finite")
+    name_length = np.strings.str_len(macs) if len(macs) else np.zeros(0, dtype=np.int64)
+    if np.any(name_length == 0):
+        raise ValueError("record columns: MAC addresses must be non-empty strings")
+    by_name = np.argsort(macs, kind="stable")
+    repeated = np.flatnonzero(macs[by_name][1:] == macs[by_name][:-1])
+    if len(repeated):
+        raise ValueError(f"record columns: the MAC table stores "
+                         f"{macs[by_name][repeated[0]]!r} twice")
+    # Each record's edges, ranked by MAC name: strictly increasing runs
+    # are the canonical order; an equal neighbour after sorting a run is
+    # a MAC the record repeats.
+    rank = np.empty(len(macs), dtype=np.int64)
+    rank[by_name] = np.arange(len(macs))
+    ranked = rank[index]
+    rising = ranked[1:] > ranked[:-1]
+    starts = stops[:-1]
+    rising[starts[(starts > 0) & (starts < len(edges))] - 1] = True  # across records
+    in_order = bool(rising.all())
+    if not in_order:
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        order = np.lexsort((ranked, owner))
+        twice = (ranked[order][1:] == ranked[order][:-1]) \
+            & (owner[order][1:] == owner[order][:-1])
+        if np.any(twice):
+            raise ValueError(f"record columns: record {owner[order][1:][twice][0]} "
+                             "repeats a MAC")
+    canonical = in_order and _canonical_table(macs, index, name_length) \
+        and _canonical_positions(rows, width)
+    return macs, edges, rows, canonical
+
+
+def _canonical_table(macs: np.ndarray, index: np.ndarray, name_length: np.ndarray) -> bool:
+    """Is the table exactly the used MACs, numbered by first use, at the
+    width of its longest name (``<U1`` when empty)?"""
+    if not len(index):
+        return not len(macs) and macs.dtype == np.dtype("<U1")
+    seen = np.maximum.accumulate(index)
+    return (index[0] == 0 and seen[-1] == len(macs) - 1
+            and bool(np.all(index[1:] <= seen[:-1] + 1))
+            and macs.dtype == np.dtype(f"<U{name_length.max()}"))
+
+
+def _canonical_positions(rows: np.ndarray, width: int) -> bool:
+    """Is the position block as wide as the longest position and padded
+    with +0.0 (bitwise) past each record's length?"""
+    if width != rows["pos_len"].max(initial=0):
+        return False
+    padding = rows["pos"][np.arange(width) >= rows["pos_len"][:, None]]
+    return not padding.view(np.int64).any()
+
+
+def _decode(macs: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> list[SignalRecord]:
+    """Records of validated columns, readings in stored edge order."""
     table = macs.tolist()
     names = [table[index] for index in edges["mac"].tolist()]
     values = edges["rss"].tolist()
     out = []
     start = 0
-    for stop, stamp, length, position in zip(stops.tolist(), rows["t"].tolist(),
+    for stop, stamp, length, position in zip(rows["stop"].tolist(), rows["t"].tolist(),
                                              rows["pos_len"].tolist(), rows["pos"].tolist()):
-        readings = dict(zip(names[start:stop], values[start:stop]))
-        if len(readings) != stop - start:
-            raise ValueError(f"record columns: record {len(out)} repeats a MAC")
-        out.append(SignalRecord(readings, timestamp=stamp,
+        out.append(SignalRecord(dict(zip(names[start:stop], values[start:stop])),
+                                timestamp=stamp,
                                 position=None if length < 0 else tuple(position[:length])))
         start = stop
     return out
+
+
+def join_record_columns(parts: Iterable[Mapping[str, np.ndarray]],
+                        keep: int) -> dict[str, np.ndarray]:
+    """Canonical columns of the concatenated record sets, last ``keep`` kept.
+
+    For canonical parts (what :func:`records_to_columns` and
+    :func:`check_record_columns` return) this equals, bit for bit,
+    ``records_to_columns((A + B + ...)[-keep:])`` over the parts'
+    records (``keep >= 1``), without building a
+    record: the kept rows and edges are sliced and concatenated, the
+    MAC tables are merged by name and renumbered by first use, and the
+    table and position widths shrink to what the kept records use.
+    """
+    parts = list(parts)
+    drop = max(sum(len(part["records"]) for part in parts) - keep, 0)
+    names, indices, edge_runs, row_runs = [], [], [], []
+    for part in parts:
+        rows = part["records"]
+        skip = min(drop, len(rows))
+        drop -= skip
+        first = int(rows["stop"][skip - 1]) if skip else 0
+        edge_runs.append(part["edges"][first:])
+        row_runs.append((rows[skip:], first))
+        indices.append(edge_runs[-1]["mac"] + sum(map(len, names)))
+        names.append(part["macs"])
+    edges = np.concatenate(edge_runs)
+    # One id per distinct name across the parts' tables, then the ids
+    # the kept edges use, renumbered in order of first use.
+    table, by_name = np.unique(np.concatenate(names), return_inverse=True)
+    named = by_name[np.concatenate(indices)]
+    used, first_use = np.unique(named, return_index=True)
+    order = used[np.argsort(first_use)]
+    renumber = np.empty(len(table), dtype=np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    edges["mac"] = renumber[named]
+    table = table[order]
+    macs = table.astype(f"<U{np.strings.str_len(table).max() if len(table) else 1}")
+    width = max(int(rows["pos_len"].max(initial=0)) for rows, _ in row_runs)
+    out = np.zeros(sum(len(rows) for rows, _ in row_runs), dtype=_record_dtype(width))
+    at = base = 0
+    for (rows, first), run in zip(row_runs, edge_runs):
+        block = out[at:at + len(rows)]
+        block["stop"] = rows["stop"] - first + base
+        block["t"] = rows["t"]
+        block["pos_len"] = rows["pos_len"]
+        shared = min(width, rows.dtype["pos"].shape[0])
+        block["pos"][:, :shared] = rows["pos"][:, :shared]
+        at += len(rows)
+        base += len(run)
+    return {"macs": macs, "edges": edges, "records": out}
 
 
 def save_records(records: Iterable[SignalRecord], path: str | Path) -> int:

@@ -57,16 +57,26 @@ to tear against the model.  Its record sets are columnar arrays
 any other array: a delta carries the grown tail of the recent window,
 never the unchanged anchor.  The JSON leaves (counters, home MACs, user
 keys) are rewritten with the manifest on every save.
+
+Every npz (arrays file, delta file, a standby's shipped file) is read by
+:func:`read_npz`, which makes the checks ``np.load`` makes without its
+per-member ``ast.literal_eval`` of the header.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import io
 import json
+import math
 import os
+import re
 import tempfile
 import threading
 import time
 import uuid
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -102,6 +112,7 @@ __all__ = [
     "load_checkpoint_with_baseline",
     "load_state",
     "read_manifest",
+    "read_npz",
     "spec_from_manifest",
 ]
 
@@ -673,17 +684,110 @@ def _drop_removed_options(manifest: dict, manifest_path: Path) -> None:
             "tenant instead)")
 
 
+def read_npz(source) -> dict[str, np.ndarray]:
+    """Every array of one ``.npz`` archive (a path or a binary file).
+
+    The checkpoint's one npz reader.  Equal to ``np.load`` with
+    ``allow_pickle=False`` in dtype, shape, values and writability, and
+    refuses (ValueError, or ``zipfile.BadZipFile`` for a corrupt
+    archive or a member failing its CRC) whatever it refuses: bad
+    magic or version, a malformed header, an object dtype, a member
+    shorter than its shape.  What it saves is the header parse: numpy
+    runs ``ast.literal_eval`` on every member header, this reads the
+    headers ``np.save`` writes with one regular expression, parses the
+    shape as a strict integer tuple and looks the dtype up in a small
+    cache keyed on the header without its shape (row counts change at
+    every save, dtypes do not).  Any header it does not recognise goes
+    to numpy's own reader.
+    """
+    arrays: dict[str, np.ndarray] = {}
+    with zipfile.ZipFile(source) as archive:
+        for info in archive.infolist():
+            if not info.filename.endswith(".npy"):
+                raise ValueError(f"member {info.filename!r} is not a .npy array")
+            arrays[info.filename[:-4]] = _npy_array(archive.read(info))
+    return arrays
+
+
+# A v1.0 header exactly as ``np.save`` writes it (keys in sorted order,
+# space padding, newline), split into the dtype text and the shape.
+_NPY_HEADER = re.compile(r"\{'descr': (?P<descr>.+), 'fortran_order': (?P<fortran>True|False), "
+                         r"'shape': \((?P<shape>[0-9, ]*)\), \} *\n")
+# Distinct dtypes a reader meets (a handful per model arm); the bound
+# only caps what odd archives can add.
+_HEADER_CACHE_SIZE = 256
+# np.load's default ``max_header_size``: a longer header is left to
+# numpy, which refuses it rather than literal_eval it.
+_MAX_HEADER_SIZE = 10_000
+
+
+def _npy_array(data: bytes) -> np.ndarray:
+    """One ``.npy`` member's array (see :func:`read_npz`)."""
+    header = _npy_header(data)
+    if header is None:
+        return np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    dtype, fortran_order, shape, offset = header
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    count = math.prod(shape)
+    if len(data) - offset < count * dtype.itemsize:
+        raise ValueError(f"EOF: reading array data, expected {count * dtype.itemsize} "
+                         f"bytes got {len(data) - offset}")
+    flat = np.frombuffer(data, dtype=dtype, count=count, offset=offset).copy()
+    return flat.reshape(shape[::-1]).transpose() if fortran_order else flat.reshape(shape)
+
+
+def _npy_header(data: bytes) -> tuple[np.dtype, bool, tuple[int, ...], int] | None:
+    """``(dtype, fortran_order, shape, data offset)`` of a version 1.0
+    header as ``np.save`` writes it, else None."""
+    if data[:8] != np.lib.format.MAGIC_PREFIX + b"\x01\x00" or len(data) < 10:
+        return None
+    offset = 10 + int.from_bytes(data[8:10], "little")
+    match = _NPY_HEADER.fullmatch(data[10:offset].decode("latin1")) \
+        if offset <= min(len(data), 10 + _MAX_HEADER_SIZE) else None
+    if match is None:
+        return None
+    dtype, shape = _npy_dtype(match["descr"]), _npy_shape(match["shape"])
+    if dtype is None or shape is None or not dtype.itemsize:
+        return None
+    return dtype, match["fortran"] == "True", shape, offset
+
+
+@functools.lru_cache(maxsize=_HEADER_CACHE_SIZE)
+def _npy_dtype(descr: str) -> np.dtype | None:
+    """The dtype a header's ``descr`` text names; None sends the member
+    to numpy's reader (text that is not a plain str or list literal, or
+    names no valid dtype)."""
+    try:
+        value = ast.literal_eval(descr)
+        return np.lib.format.descr_to_dtype(value) if isinstance(value, (str, list)) else None
+    except (SyntaxError, TypeError, ValueError):
+        return None
+
+
+def _npy_shape(text: str) -> tuple[int, ...] | None:
+    """A header's shape tuple, or None for anything but decimal integers
+    in tuple syntax (``()``, ``(3,)``, ``(3, 4)``)."""
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) == 1:
+        return () if not parts[0] else None
+    if not parts[-1]:
+        parts.pop()
+    if not all(part and (part == "0" or part[0] != "0") and part.isdigit() for part in parts):
+        return None
+    return tuple(map(int, parts))
+
+
 def _read_npz(directory: Path, name: str, what: str) -> dict[str, np.ndarray]:
-    """Read every array of one committed npz file, mapping IO failures
-    to :class:`CheckpointError` (FileNotFoundError passes through for
-    the caller's concurrent-writer retry)."""
+    """Every array of one committed npz file (:func:`read_npz`), mapping
+    IO failures to :class:`CheckpointError` (FileNotFoundError passes
+    through for the caller's concurrent-writer retry)."""
     path = directory / name
     try:
-        with np.load(path) as archive:
-            return {key: archive[key] for key in archive.files}
+        return read_npz(path)
     except FileNotFoundError:
         raise
-    except Exception as error:  # truncated/corrupt zip, bad pickle header, ...
+    except Exception as error:  # truncated/corrupt zip, bad CRC, bad header, ...
         raise CheckpointError(f"{path}: corrupt {what} archive: {error}") from error
 
 

@@ -41,8 +41,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.serve.checkpoint import (
     ARRAYS_PREFIX,
     ARRAYS_SUFFIX,
@@ -54,6 +52,7 @@ from repro.serve.checkpoint import (
     _replace_into,
     load_checkpoint_with_manifest,
     read_manifest,
+    read_npz,
     save_checkpoint,
     spec_from_manifest,
 )
@@ -285,16 +284,22 @@ class Follower:
         return deltas[-1]["delta_id"] if deltas else manifest.get("save_id")
 
     def _nonce(self, write: ShippedWrite, key: str) -> str:
-        """The nonce stored inside the shipped npz bytes (torn detection)."""
+        """The nonce stored inside the shipped npz bytes (torn detection).
+
+        Every member is read (:func:`~repro.serve.checkpoint.read_npz`),
+        so a member failing its CRC refuses the write here rather than
+        at the standby's first load.
+        """
         try:
-            with np.load(io.BytesIO(write.file_bytes)) as archive:
-                if key not in archive.files:
-                    raise ReplicationError(
-                        f"shipped file {write.file_name} carries no {key} nonce")
-                return bytes(archive[key]).decode("ascii")
+            arrays = read_npz(io.BytesIO(write.file_bytes))
+            nonce = arrays.get(key)
+            if nonce is None:
+                raise ReplicationError(
+                    f"shipped file {write.file_name} carries no {key} nonce")
+            return bytes(nonce).decode("ascii")
         except ReplicationError:
             raise
-        except Exception as error:  # truncated/corrupt zip, bad header, ...
+        except Exception as error:  # truncated/corrupt zip, bad CRC, bad header, ...
             raise ReplicationError(
                 f"shipped file {write.file_name} is torn or truncated: "
                 f"{error}") from error

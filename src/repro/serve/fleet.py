@@ -36,7 +36,11 @@ starves — the anchor keeps the full breadth of the training
 distribution in every refit.  Reservoirs travel inside the checkpoint
 metadata, as columnar arrays the checkpoint stores in its npz, so an
 evicted (or offline-maintained) tenant refreshes from exactly the
-records a resident one would have used.
+records a resident one would have used.  A loaded reservoir stays in
+that columnar form while the tenant is resident: a tenant load
+validates the arrays and a save joins the new inliers onto them, and
+only a refresh, a re-provision or the quarantine's home-AP set decodes
+them into records.
 
 When the reservoir itself starves (every decision outside — the
 measured >45 % AP-replacement wall), a fleet with ``quarantine_size >
@@ -60,10 +64,15 @@ import math
 import time
 from collections import OrderedDict, deque
 from threading import RLock
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.gem import GEM
-from repro.core.io import records_from_columns, records_to_columns
+from repro.core.io import (
+    check_record_columns,
+    join_record_columns,
+    records_from_columns,
+    records_to_columns,
+)
 from repro.core.protocols import GeofenceDecision, GeofenceModel
 from repro.core.records import SignalRecord
 from repro.obs.tracing import maybe_span
@@ -97,6 +106,87 @@ DEFAULT_RESERVOIR_SIZE = 256
 # (frozen, so one instance serves them all).
 _QUARANTINE_GATE = ConsistencyGate()
 
+# The columns of an empty record set (read-only: shared by every tenant).
+_NO_RECORDS = records_to_columns(())
+for _array in _NO_RECORDS.values():
+    _array.setflags(write=False)
+
+
+class _Reservoir:
+    """One resident tenant's inlier reservoir: a pinned anchor plus a
+    rolling window of at most ``size`` recent inliers.
+
+    Both halves stay in the columnar form they were loaded or last saved
+    in (:func:`~repro.core.io.records_to_columns`) and are decoded to
+    records only when a refit or the quarantine's home-AP set reads
+    them; new inliers wait in ``pending`` until a save joins them onto
+    the recent columns (:func:`~repro.core.io.join_record_columns`), so
+    a save encodes only them.  The saved arrays are bit for bit what
+    ``records_to_columns`` of the decoded record lists would write.
+    """
+
+    def __init__(self, size: int, anchor: Sequence[SignalRecord] = ()):
+        self.size = size
+        self._anchor: list[SignalRecord] | None = list(anchor)[-size:]
+        self._anchor_columns: dict | None = None
+        self._recent_columns = _NO_RECORDS
+        self._recent: list[SignalRecord] | None = []  # decoded, once needed
+        self.pending: "deque[SignalRecord]" = deque(maxlen=size)
+
+    @classmethod
+    def from_state(cls, size: int, state) -> "_Reservoir":
+        """Rebuild from persisted metadata, each half trimmed to ``size``.
+
+        Columns are validated (ValueError) and kept; a half in the JSON
+        form earlier releases wrote is decoded now and written back as
+        columns at the next save.
+        """
+        reservoir = cls(size)
+        anchor, recent = state.get("anchor", ()), state.get("recent", ())
+        if isinstance(anchor, Mapping):
+            reservoir._anchor, reservoir._anchor_columns = None, _last(anchor, size)
+        else:
+            reservoir._anchor = records_from_columns(anchor)[-size:]
+        if isinstance(recent, Mapping):
+            reservoir._recent, reservoir._recent_columns = None, _last(recent, size)
+        else:
+            reservoir.pending.extend(records_from_columns(recent))
+        return reservoir
+
+    def anchor(self) -> list[SignalRecord]:
+        """The anchor records (decoded on first use; do not mutate)."""
+        if self._anchor is None:
+            self._anchor = records_from_columns(self._anchor_columns)
+        return self._anchor
+
+    def records(self) -> list[SignalRecord]:
+        """Anchor then recent, the refit set."""
+        if self._recent is None:
+            self._recent = records_from_columns(self._recent_columns)
+        return self.anchor() + (self._recent + list(self.pending))[-self.size:]
+
+    def columns(self) -> dict[str, dict] | None:
+        """``{"anchor": columns, "recent": columns}``, or None when empty."""
+        if self.pending:
+            self._recent_columns = join_record_columns(
+                [self._recent_columns, records_to_columns(self.pending)], keep=self.size)
+            if self._recent is not None:
+                self._recent = (self._recent + list(self.pending))[-self.size:]
+            self.pending.clear()
+        if self._anchor_columns is None:
+            self._anchor_columns = records_to_columns(self._anchor)
+        if not len(self._anchor_columns["records"]) and not len(self._recent_columns["records"]):
+            return None
+        return {"anchor": self._anchor_columns, "recent": self._recent_columns}
+
+
+def _last(columns, size: int) -> dict:
+    """Validated canonical columns of the last ``size`` records."""
+    columns = check_record_columns(columns)
+    if len(columns["records"]) > size:
+        columns = join_record_columns([columns], keep=size)
+    return columns
+
 
 class GeofenceFleet:
     """LRU-cached, write-back, multi-tenant geofence server.
@@ -119,7 +209,10 @@ class GeofenceFleet:
         this many pinned anchor (training) records plus this many recent
         in-premises records.  The reservoir is what coordinated refresh
         refits the detector on; 0 disables it (and with it,
-        refresh/reprovision).
+        refresh/reprovision).  A reservoir loaded from a checkpoint is
+        held as the checkpoint's columns and decoded to records only
+        when a refit reads it; a write-back then encodes only the
+        inliers observed since the last save.
     incremental:
         Write evictions/flushes through the incremental checkpoint
         format: a write-back whose state only grew since the last
@@ -181,13 +274,11 @@ class GeofenceFleet:
         # Checkpoint metadata, cached so write-backs don't re-read the
         # manifest from disk on the serving path.
         self._metadata: dict[str, dict] = {}
-        # tenant_id -> pinned anchor records (training set; replaced only
-        # at re-provision) and rolling recent inliers, oldest first.
-        # Kept only for resident tenants; persisted inside checkpoint
-        # metadata on write-back and restored on load, so eviction loses
-        # nothing.
-        self._anchors: dict[str, list[SignalRecord]] = {}
-        self._recent: dict[str, "deque[SignalRecord]"] = {}
+        # tenant_id -> inlier reservoir (pinned anchor, replaced only at
+        # re-provision, plus rolling recent inliers).  Kept only for
+        # resident tenants; persisted inside checkpoint metadata on
+        # write-back and restored on load, so eviction loses nothing.
+        self._reservoirs: dict[str, _Reservoir] = {}
         # Tenants with a staged refresh mid-rebuild: the cache-identity
         # check at commit cannot see a *second* refresh of the same
         # model object, so overlapping refreshes are refused up front.
@@ -225,9 +316,7 @@ class GeofenceFleet:
             # Training records are inliers by definition (semi-supervised
             # setup): they become the pinned anchor, so the very first
             # refresh already refits on the full training breadth.
-            usable = [r for r in records if r.readings]
-            self._anchors[tenant_id] = usable[-self.reservoir_size:] if self.reservoir_size else []
-            self._recent[tenant_id] = deque(maxlen=self.reservoir_size)
+            self._reset_reservoir(tenant_id, [r for r in records if r.readings])
             # A fresh provision starts with a clean slate of evidence:
             # whatever a previous incarnation quarantined described a
             # model that no longer exists.
@@ -270,8 +359,7 @@ class GeofenceFleet:
             self._cache.clear()
             self._dirty.clear()
             self._metadata.clear()
-            self._anchors.clear()
-            self._recent.clear()
+            self._reservoirs.clear()
             self._quarantine.clear()
             self._baselines.clear()
 
@@ -427,14 +515,13 @@ class GeofenceFleet:
             # save rather than computing a delta that cannot win.
             self._cache[tenant_id] = fresh
             self._cache.move_to_end(tenant_id)
-            self._anchors[tenant_id] = records[-self.reservoir_size:]
-            self._recent[tenant_id] = deque(maxlen=self.reservoir_size)
+            self._reset_reservoir(tenant_id, records)
             # The anchor just moved; quarantined evidence keeps its place
             # (same world, newer refit) but the home-AP anchor set must
             # follow the new anchor records.
             buffer = self._quarantine.get(tenant_id)
             if buffer is not None:
-                buffer.set_home(home_anchor_macs(self._anchors[tenant_id],
+                buffer.set_home(home_anchor_macs(self._anchor_records(tenant_id),
                                                  buffer.min_anchor_fraction))
             self._dirty.add(tenant_id)
             self._baselines.pop(tenant_id, None)
@@ -495,9 +582,7 @@ class GeofenceFleet:
             elapsed = time.perf_counter() - start
             self._cache[tenant_id] = fresh
             self._cache.move_to_end(tenant_id)
-            self._anchors[tenant_id] = records[-self.reservoir_size:] \
-                if self.reservoir_size else []
-            self._recent[tenant_id] = deque(maxlen=self.reservoir_size)
+            self._reset_reservoir(tenant_id, records)
             buffer.clear()
             buffer.set_home(home_anchor_macs(records,
                                              buffer.min_anchor_fraction))
@@ -544,8 +629,21 @@ class GeofenceFleet:
 
     def _reservoir_records(self, tenant_id: str) -> list[SignalRecord]:
         """Anchor + recent, the refit set.  Call with the lock held."""
-        return (list(self._anchors.get(tenant_id, ()))
-                + list(self._recent.get(tenant_id, ())))
+        reservoir = self._reservoirs.get(tenant_id)
+        return reservoir.records() if reservoir is not None else []
+
+    def _anchor_records(self, tenant_id: str) -> list[SignalRecord]:
+        """The pinned anchor records.  Call with the lock held."""
+        reservoir = self._reservoirs.get(tenant_id)
+        return reservoir.anchor() if reservoir is not None else []
+
+    def _reset_reservoir(self, tenant_id: str, anchor: Sequence[SignalRecord]) -> None:
+        """Pin a new anchor (its last ``reservoir_size`` records) and
+        restart the recent window.  Call with the lock held."""
+        if self.reservoir_size:
+            self._reservoirs[tenant_id] = _Reservoir(self.reservoir_size, anchor)
+        else:
+            self._reservoirs.pop(tenant_id, None)
 
     def _remember_inlier(self, tenant_id: str, record: SignalRecord,
                          decision: GeofenceDecision) -> None:
@@ -558,11 +656,10 @@ class GeofenceFleet:
         it the breach.  Call with the lock held.
         """
         if self.reservoir_size and decision.inside and math.isfinite(decision.score):
-            recent = self._recent.get(tenant_id)
-            if recent is None:
-                recent = deque(maxlen=self.reservoir_size)
-                self._recent[tenant_id] = recent
-            recent.append(record)
+            reservoir = self._reservoirs.get(tenant_id)
+            if reservoir is None:
+                reservoir = self._reservoirs[tenant_id] = _Reservoir(self.reservoir_size)
+            reservoir.pending.append(record)
 
     def _consider_quarantine(self, tenant_id: str, model,
                              record: SignalRecord,
@@ -584,7 +681,7 @@ class GeofenceFleet:
         if buffer is None:
             buffer = QuarantineBuffer(self.quarantine_size, tenant_key=tenant_id,
                                       gate=_QUARANTINE_GATE)
-            buffer.set_home(home_anchor_macs(self._anchors.get(tenant_id, ()),
+            buffer.set_home(home_anchor_macs(self._anchor_records(tenant_id),
                                              buffer.min_anchor_fraction))
             self._quarantine[tenant_id] = buffer
         outcome = buffer.consider(model, record, self.batchplane.kernel_for(model))
@@ -636,8 +733,9 @@ class GeofenceFleet:
             # cached metadata, untouched, for a future recovering fleet.
             serialized_quarantine = metadata.pop(QUARANTINE_METADATA_KEY, None) \
                 if self.quarantine_size else None
-            # Decode before touching any fleet state, so a corrupt
-            # reservoir or quarantine fails the load cleanly.
+            # Validate before touching any fleet state, so a corrupt
+            # reservoir or quarantine fails the load cleanly.  The
+            # reservoir stays columnar until something reads its records.
             try:
                 if serialized_quarantine is not None and tenant_id not in self._quarantine:
                     buffer = QuarantineBuffer.from_state(
@@ -645,11 +743,10 @@ class GeofenceFleet:
                         tenant_key=tenant_id, gate=_QUARANTINE_GATE)
                 else:
                     buffer = None
-                if serialized is not None and tenant_id not in self._anchors:
-                    anchor = records_from_columns(serialized.get("anchor", ()))
-                    recent = records_from_columns(serialized.get("recent", ()))
+                if serialized is not None and tenant_id not in self._reservoirs:
+                    reservoir = _Reservoir.from_state(self.reservoir_size, serialized)
                 else:
-                    anchor = recent = None
+                    reservoir = None
             except (AttributeError, KeyError, TypeError, ValueError) as error:
                 raise CheckpointError(f"tenant {tenant_id!r} has a corrupt persisted "
                                       f"reservoir or quarantine: {error}") from error
@@ -657,9 +754,8 @@ class GeofenceFleet:
             if buffer is not None:
                 self._quarantine[tenant_id] = buffer
                 self._sync_quarantine_gauge()
-            if anchor is not None:
-                self._anchors[tenant_id] = anchor[-self.reservoir_size:]
-                self._recent[tenant_id] = deque(recent, maxlen=self.reservoir_size)
+            if reservoir is not None:
+                self._reservoirs[tenant_id] = reservoir
             self.telemetry.record_load(tenant_id, seconds=time.perf_counter() - start)
             self._cache[tenant_id] = model
             self._shrink(keep=tenant_id)
@@ -689,8 +785,7 @@ class GeofenceFleet:
         # dirtied); the next load restores it from the manifest.  The
         # baseline leaves with the model: a reload rebuilds it from the
         # committed chain, which is exactly what it would describe.
-        self._anchors.pop(tenant_id, None)
-        self._recent.pop(tenant_id, None)
+        self._reservoirs.pop(tenant_id, None)
         if self._quarantine.pop(tenant_id, None) is not None:
             self._sync_quarantine_gauge()
         self._baselines.pop(tenant_id, None)
@@ -708,13 +803,10 @@ class GeofenceFleet:
         with maybe_span(self.tracer, "write_back", tenant=tenant_id) as span:
             start = time.perf_counter()
             metadata = dict(self._metadata.get(tenant_id, {}))
-            anchor = self._anchors.get(tenant_id, ())
-            recent = self._recent.get(tenant_id, ())
-            if anchor or recent:
-                metadata[RESERVOIR_METADATA_KEY] = {
-                    "anchor": records_to_columns(anchor),
-                    "recent": records_to_columns(recent),
-                }
+            reservoir = self._reservoirs.get(tenant_id)
+            columns = reservoir.columns() if reservoir is not None else None
+            if columns is not None:
+                metadata[RESERVOIR_METADATA_KEY] = columns
             buffer = self._quarantine.get(tenant_id)
             if buffer is not None and not buffer.dormant:
                 metadata[QUARANTINE_METADATA_KEY] = buffer.state_dict()

@@ -1,6 +1,8 @@
 """Delta-shipped replication: shipper capture, follower apply, promotion."""
 
 import dataclasses
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -138,6 +140,29 @@ class TestFollowerApply:
         assert_states_equal(before, load_checkpoint(standby / TENANT))
         # The intact original still applies afterwards.
         assert follower.apply(writes[2]) == "applied"
+
+    @pytest.mark.parametrize("member", [None, "__save_id__", "embedder/graph/edge_weights"],
+                             ids=["truncated", "crc-nonce", "crc-other-member"])
+    def test_torn_full_write_rejected(self, chain, member):
+        """A truncated shipped arrays file, or one with a member failing
+        its CRC (the nonce or any other), never reaches the standby."""
+        gem, writes, tmp_path = chain
+        data = writes[0].file_bytes
+        if member is None:
+            data = data[:len(data) // 2]
+        else:
+            with zipfile.ZipFile(io.BytesIO(data)) as archive:
+                info = archive.getinfo(member + ".npy")
+            local = data[info.header_offset:]   # local header, then the member
+            end = (info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+                   + int.from_bytes(local[28:30], "little") + info.compress_size)
+            data = data[:end - 1] + bytes([data[end - 1] ^ 0xFF]) + data[end:]
+        follower = Follower(standby := tmp_path / "standby")
+        with pytest.raises(ReplicationError, match="torn or truncated"):
+            follower.apply(dataclasses.replace(writes[0], file_bytes=data))
+        assert not (standby / TENANT).exists()
+        assert follower.apply(writes[0]) == "applied"
+        assert follower.apply(writes[1]) == "applied"
 
     def test_gap_in_the_chain_rejected(self, chain):
         _, writes, tmp_path = chain

@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.io import (
+    check_record_columns,
+    join_record_columns,
     load_labeled_records,
     load_records,
     record_from_dict,
@@ -128,6 +132,94 @@ class TestRecordColumns:
         corrupt(columns)
         with pytest.raises(ValueError, match=match):
             records_from_columns(columns)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda c: c["edges"]["rss"].__setitem__(2, np.nan), "finite"),
+        (lambda c: c["edges"]["rss"].__setitem__(2, -np.inf), "finite"),
+        (lambda c: c.__setitem__("macs", np.array(["aa", "bb", "", "dd"])), "non-empty"),
+        (lambda c: c["edges"]["mac"].__setitem__(4, 0), "repeats"),
+        (lambda c: c.__setitem__("macs", np.array(["aa", "bb", "cc", "aa"])), "twice"),
+        (lambda c: c.__setitem__("macs", np.array(["aa", "bb", "cc", "cc"])), "twice"),
+        (lambda c: c["records"]["pos_len"].__setitem__(3, -2), "position length"),
+    ], ids=["nan-rss", "infinite-rss", "empty-mac-in-use", "repeat-across-run",
+            "name-twice-across-records", "name-twice-in-one-record", "position-length-low"])
+    def test_array_checks_match_record_checks(self, corrupt, match):
+        """What a SignalRecord or a dict would refuse on decode, the array
+        validator refuses up front: a resident reservoir is never decoded
+        on the serving path, so it must not rely on the decode."""
+        columns = records_to_columns(self.records())
+        corrupt(columns)
+        with pytest.raises(ValueError, match=match):
+            check_record_columns(columns)
+        with pytest.raises(ValueError, match=match):
+            records_from_columns(columns)
+
+    def test_canonical_columns_come_back_as_the_same_arrays(self):
+        columns = records_to_columns(self.records())
+        checked = check_record_columns(columns)
+        assert all(checked[key] is columns[key] for key in columns)
+        empty = records_to_columns([])
+        assert all(check_record_columns(empty)[key] is empty[key] for key in empty)
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda c: c["edges"].__setitem__(slice(0, 2), c["edges"][[1, 0]]),
+        lambda c: c.__setitem__("macs", c["macs"].astype("<U9")),
+        lambda c: c.__setitem__("macs", np.append(c["macs"], "unused")),
+        lambda c: (c.__setitem__("macs", c["macs"][[1, 0, 2, 3]]),
+                   c["edges"]["mac"].__setitem__(slice(None), [1, 0, 2, 1, 0, 3])),
+        lambda c: c.__setitem__("records", widened(c["records"], 5)),
+        lambda c: c["records"]["pos"].__setitem__((1, 0), -0.0),
+        lambda c: c["records"]["pos"].__setitem__((3, 2), 7.0),
+    ], ids=["edges-out-of-mac-order", "wide-table", "unused-table-entry",
+            "table-not-in-first-use-order", "wide-positions", "negative-zero-padding",
+            "non-zero-padding"])
+    def test_valid_non_canonical_columns_are_canonicalised(self, rewrite):
+        records = self.records()
+        columns = records_to_columns(records)
+        rewrite(columns)
+        assert records_from_columns(columns) == records
+        canonical = check_record_columns(columns)
+        expected = records_to_columns(records)
+        for key in expected:
+            assert canonical[key].dtype == expected[key].dtype
+            assert canonical[key].tobytes() == expected[key].tobytes(), key
+
+
+def widened(rows: np.ndarray, width: int) -> np.ndarray:
+    """The same record rows with the position block zero-padded to ``width``."""
+    out = np.zeros(len(rows), dtype=[("stop", "<i8"), ("t", "<f8"), ("pos_len", "<i8"),
+                                     ("pos", "<f8", (width,))])
+    for name in ("stop", "t", "pos_len"):
+        out[name] = rows[name]
+    out["pos"][:, :rows.dtype["pos"].shape[0]] = rows["pos"]
+    return out
+
+
+# Records with MACs of different lengths (one shared with the other
+# draws), possibly no readings, and positions of width 0, 2 or 3.
+_records = st.lists(st.builds(
+    SignalRecord,
+    st.dictionaries(st.sampled_from(["a", "bb", "cc:dd", "ee:ff:00:11", "mac07", "z"]),
+                    st.floats(-100.0, -20.0, allow_nan=False), max_size=4),
+    timestamp=st.floats(-1e3, 1e3, allow_nan=False),
+    position=st.one_of(st.none(), st.sampled_from([0, 2, 3]).flatmap(
+        lambda width: st.tuples(*[st.floats(-50.0, 50.0)] * width)))), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records, _records, st.data())
+def test_property_join_equals_encoding_the_joined_records(head, tail, data):
+    """``join(cols(A), cols(B), keep) == cols((A + B)[-keep:])`` bit for bit:
+    edges sorted by MAC, table renumbered by first use, table and position
+    widths taken from the kept records."""
+    keep = data.draw(st.integers(1, len(head) + len(tail) + 2), label="keep")
+    joined = join_record_columns([records_to_columns(head), records_to_columns(tail)], keep)
+    expected = records_to_columns((head + tail)[-keep:])
+    for key in expected:
+        assert joined[key].dtype == expected[key].dtype, key
+        assert joined[key].shape == expected[key].shape, key
+        assert joined[key].tobytes() == expected[key].tobytes(), key
+    assert records_from_columns(joined) == (head + tail)[-keep:]
 
 
 class TestRecordFiles:

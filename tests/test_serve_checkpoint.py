@@ -1,12 +1,15 @@
 """Checkpoint format: round-trip identity, versioning, failure modes."""
 
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
 from conftest import synthetic_records
-from repro.core import GEM, GEMConfig
+from repro.core import GEM, GEMConfig, SignalRecord
+from repro.core.io import records_to_columns
 from repro.detection.histogram import HistogramConfig, HistogramDetector
 from repro.embedding.bisage import BiSAGE, BiSAGEConfig
 from repro.graph.bipartite import WeightedBipartiteGraph
@@ -17,9 +20,12 @@ from repro.serve.checkpoint import (
     CHECKPOINT_VERSION,
     MANIFEST_NAME,
     CheckpointError,
+    _HEADER_CACHE_SIZE,
+    _npy_dtype,
     flatten_state,
     load_checkpoint,
     read_manifest,
+    read_npz,
     save_checkpoint,
     unflatten_state,
 )
@@ -311,3 +317,149 @@ class TestGEMCheckpoint:
         with pytest.raises(ValueError):
             gem.load_state_dict(state)
         assert [gem.score(r) for r in held] == before
+
+
+def npz_bytes(**arrays) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def zip_of(members: dict[str, bytes]) -> bytes:
+    """An npz-shaped zip holding the given raw member bytes."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buffer.getvalue()
+
+
+def npy_bytes(array, version=None) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=version)
+    return buffer.getvalue()
+
+
+def np_load_all(data: bytes) -> dict:
+    with np.load(io.BytesIO(data)) as archive:
+        return {key: archive[key] for key in archive.files}
+
+
+def positioned_columns(width: int):
+    records = [SignalRecord({"aa:01": -50.0, "b": -61.5}, timestamp=1.0,
+                            position=tuple(float(i) for i in range(width))),
+               SignalRecord({}, timestamp=2.0)]
+    return records_to_columns(records)
+
+
+class TestNpzReader:
+    """The checkpoint's one npz reader against ``np.load``."""
+
+    def checkpoint_arrays(self, tmp_path) -> bytes:
+        gem = fitted_gem()
+        metadata = {"reservoir": {"anchor": positioned_columns(3),
+                                  "recent": positioned_columns(2),
+                                  "empty": records_to_columns([])}}
+        save_checkpoint(gem, tmp_path / "ck", metadata=metadata)
+        return arrays_path(tmp_path / "ck").read_bytes()
+
+    def assert_same_as_np_load(self, data: bytes) -> None:
+        got, expected = read_npz(io.BytesIO(data)), np_load_all(data)
+        assert list(got) == list(expected)
+        for key, want in expected.items():
+            array = got[key]
+            assert array.dtype == want.dtype and array.shape == want.shape, key
+            assert array.tobytes() == want.tobytes(), key
+            assert array.flags.writeable and want.flags.writeable, key
+            assert array.flags.c_contiguous == want.flags.c_contiguous, key
+            assert array.flags.f_contiguous == want.flags.f_contiguous, key
+
+    def test_every_array_a_checkpoint_writes(self, tmp_path):
+        data = self.checkpoint_arrays(tmp_path)
+        self.assert_same_as_np_load(data)
+        names = np_load_all(data)
+        assert names["__save_id__"].dtype == np.uint8
+        assert names["__metadata__/reservoir/anchor/records"].dtype["pos"].shape == (3,)
+        assert names["__metadata__/reservoir/empty/macs"].shape == (0,)
+
+    def test_odd_dtypes_and_shapes(self):
+        self.assert_same_as_np_load(npz_bytes(
+            rows=positioned_columns(2)["records"], no_pos=positioned_columns(0)["records"],
+            table=np.array(["aa:01", "b"]), empty_table=np.array([], dtype=str),
+            scalar=np.float64(3.5), flag=np.array(True), empty=np.zeros(0),
+            empty_rows=np.zeros((4, 0)), nonce=np.frombuffer(b"0123abcd", dtype=np.uint8),
+            fortran=np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            big_endian=np.arange(6, dtype=">i2").reshape(2, 3),
+            record0d=np.zeros((), dtype=[("x", "<i4"), ("y", "<f8", (2,))])))
+
+    @pytest.mark.parametrize("member", [
+        npy_bytes(np.arange(5.0), version=(2, 0)),
+        npy_bytes(np.arange(5.0), version=(3, 0)),
+        b"\x93NUMPY\x01\x00" + (lambda h: len(h).to_bytes(2, "little") + h)(
+            b"{'shape': (5,), 'fortran_order': False, 'descr': '<f8'}".ljust(117) + b"\n")
+        + np.arange(5.0).tobytes(),
+    ], ids=["version-2", "version-3", "keys-out-of-order"])
+    def test_headers_it_does_not_parse_go_to_numpy(self, member):
+        self.assert_same_as_np_load(zip_of({"a.npy": member}))
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: npz_bytes(objects=np.array([{"a": 1}], dtype=object)), "Object arrays"),
+        (lambda: zip_of({"a.npy": npy_bytes(np.arange(8.0))[:-8]}), "EOF"),
+        (lambda: zip_of({"a.npy": npy_bytes(np.arange(3.0)).replace(b"(3,), }", b"(3), } ")}),
+         "shape"),
+        (lambda: zip_of({"a.npy": npy_bytes(np.arange(3.0)).replace(b"(3,), } ", b"(03,), }")}),
+         "header"),
+        (lambda: flip_payload_byte(npz_bytes(a=np.arange(64.0))), "CRC"),
+        (lambda: npz_bytes(a=np.zeros(2, dtype=[(f"field{i:04d}", "<f8") for i in range(600)])),
+         "large"),
+    ], ids=["object-dtype", "short-member", "shape-not-a-tuple", "shape-leading-zero", "crc",
+            "header-too-long"])
+    def test_refuses_what_np_load_refuses(self, make, match):
+        data = make()
+        with pytest.raises((ValueError, zipfile.BadZipFile)):
+            np_load_all(data)
+        with pytest.raises((ValueError, zipfile.BadZipFile), match=match):
+            read_npz(io.BytesIO(data))
+
+    def test_refuses_a_member_that_is_not_an_npy_array(self):
+        # np.load hands such a member back as raw bytes, which no
+        # checkpoint array can be; the reader refuses it outright.
+        data = zip_of({"a.npy": b"\x93NUMPX" + npy_bytes(np.arange(3.0))[6:]})
+        assert isinstance(np_load_all(data)["a"], bytes)
+        with pytest.raises(ValueError, match="magic"):
+            read_npz(io.BytesIO(data))
+        data = zip_of({"a.npy": npy_bytes(np.arange(3.0)), "notes.txt": b"not an array"})
+        assert isinstance(np_load_all(data)["notes.txt"], bytes)
+        with pytest.raises(ValueError, match="not a .npy array"):
+            read_npz(io.BytesIO(data))
+
+    def test_a_crc_mismatch_fails_the_load(self, tmp_path):
+        save_checkpoint(fitted_gem(), tmp_path / "ck")
+        path = arrays_path(tmp_path / "ck")
+        path.write_bytes(flip_payload_byte(path.read_bytes()))
+        with pytest.raises(CheckpointError, match="CRC"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_header_cache_stays_bounded(self):
+        """Row counts change at every save; the cache is keyed on the
+        header without its shape, so it holds one entry per dtype."""
+        _npy_dtype.cache_clear()
+        for rows in range(1, 1001):
+            columns = records_to_columns(
+                [SignalRecord({"aa:01": -50.0 - i % 7}, timestamp=float(i))
+                 for i in range(rows % 50)])
+            read_npz(io.BytesIO(npz_bytes(data=np.zeros((rows, 8)), **columns)))
+        # data, macs (<U5, and <U1 for the empty sets), edges, records
+        assert _npy_dtype.cache_info().currsize == 5 < _HEADER_CACHE_SIZE
+
+
+def flip_payload_byte(data: bytes) -> bytes:
+    """``data`` with the last payload byte of its first member flipped:
+    the headers still parse, the member fails its CRC."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        info = archive.infolist()[0]
+    local = data[info.header_offset:]
+    start = (info.header_offset + 30 + int.from_bytes(local[26:28], "little")
+             + int.from_bytes(local[28:30], "little"))
+    at = start + info.compress_size - 1
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]

@@ -424,7 +424,7 @@ class TestFleetMaintenance:
                 fleet.observe("a", record)
             resident = [r.readings for r in fleet.reservoir("a")]
             fleet.evict("a")
-            assert "a" not in fleet._anchors and "a" not in fleet._recent
+            assert "a" not in fleet._reservoirs
             # Reload restores the reservoir from the checkpoint.
             reloaded = [r.readings for r in fleet.reservoir("a")]
             assert reloaded == resident

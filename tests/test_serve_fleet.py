@@ -1,11 +1,18 @@
 """Registry + fleet serving: LRU eviction, write-back, telemetry."""
 
+import math
+from collections import deque
+
+import numpy as np
 import pytest
 
 from conftest import synthetic_records, totals_from_families
-from repro.core import GEM, GEMConfig
+from repro.core import GEM, GEMConfig, SignalRecord
+from repro.core.io import records_from_columns, records_to_columns
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import CheckpointError, GeofenceFleet, ModelRegistry, validate_tenant_id
+from repro.serve.checkpoint import flatten_state, load_state
+from repro.serve.fleet import RESERVOIR_METADATA_KEY
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 
@@ -282,3 +289,87 @@ class TestTelemetry:
         assert totals.as_dict() == \
             totals_from_families(fleet.telemetry.metrics.snapshot())
         fleet.close()
+
+
+def positioned(records):
+    """The records with positions of width 0 (none), 2 and 3 in turn."""
+    return [SignalRecord(r.readings, timestamp=r.timestamp,
+                         position=(None, (1.0, -float(i)), (2.5, float(i), 1.0))[i % 3])
+            for i, r in enumerate(records)]
+
+
+def assert_columns_identical(got, expected):
+    assert set(got) == set(expected)
+    for key in expected:
+        assert got[key].dtype == expected[key].dtype, key
+        assert got[key].shape == expected[key].shape, key
+        assert got[key].tobytes() == expected[key].tobytes(), key
+
+
+def committed_reservoir(directory):
+    return load_state(directory)[1]["metadata"][RESERVOIR_METADATA_KEY]
+
+
+class TestColumnarReservoir:
+    """A loaded reservoir stays columnar; every save must still commit what
+    encoding the record lists (the eager path) commits."""
+
+    @pytest.mark.parametrize("incremental", [False, True], ids=["full", "delta"])
+    @pytest.mark.parametrize("size", [6, 40], ids=["smaller-than-anchor", "larger-than-anchor"])
+    def test_committed_reservoir_matches_the_eager_path(self, tmp_path, size, incremental):
+        train = positioned(tenant_records(0))
+        stream = positioned(tenant_records(0, n=80, seed_offset=50))
+        fleets = [GeofenceFleet(tmp_path / name, capacity=2, model_factory=make_gem,
+                                reservoir_size=size, incremental=incremental)
+                  for name in ("churned", "resident")]
+        churned, resident = fleets
+        for fleet in fleets:
+            fleet.provision("t", train)
+        # The eager reference: record lists, decoded at every load and
+        # appended to per inlier, encoded whole at every save.
+        anchor, recent = train[-size:], deque(maxlen=size)
+        inliers = 0
+
+        def serve(records):
+            nonlocal inliers
+            batch = [("t", record) for record in records]
+            decisions = churned.observe_many(batch)
+            assert decisions == resident.observe_many(batch)
+            kept = [record for record, decision in zip(records, decisions)
+                    if decision.inside and math.isfinite(decision.score)]
+            recent.extend(kept)
+            inliers += len(kept)
+
+        for cycle in range(8):
+            serve(stream[cycle * 10:cycle * 10 + 8])
+            if cycle % 3 == 1:
+                # Decoded mid-life, saved while resident, then served on:
+                # both forms must keep moving together.
+                assert churned.reservoir("t") == anchor + list(recent)
+                assert churned.flush("t") == 1
+            serve(stream[cycle * 10 + 8:cycle * 10 + 10])
+            assert churned.reservoir("t") == resident.reservoir("t") == anchor + list(recent)
+            churned.evict("t")
+            committed = committed_reservoir(tmp_path / "churned" / "t")
+            assert_columns_identical(committed["anchor"], records_to_columns(anchor))
+            assert_columns_identical(committed["recent"], records_to_columns(recent))
+            anchor = records_from_columns(committed["anchor"])[-size:]
+            recent = deque(records_from_columns(committed["recent"]), maxlen=size)
+        assert inliers > size, "the recent window must have rolled over"
+        assert churned.reservoir("t") == resident.reservoir("t") == anchor + list(recent)
+        arrays, leaves = flatten_state(churned.resident("t").state_dict())
+        expected_arrays, expected_leaves = flatten_state(resident.resident("t").state_dict())
+        assert leaves == expected_leaves and set(arrays) == set(expected_arrays)
+        for key in arrays:
+            assert np.array_equal(arrays[key], expected_arrays[key]), key
+
+        # A fleet with a smaller bound trims both halves at load and
+        # commits the trimmed lists' encoding at its next save.
+        churned.close()
+        with GeofenceFleet(tmp_path / "churned", capacity=1, model_factory=make_gem,
+                           reservoir_size=3, incremental=incremental) as smaller:
+            assert smaller.reservoir("t") == anchor[-3:] + list(recent)[-3:]
+            smaller.observe("t", SignalRecord({"unheard": -60.0}))  # dirties, never an inlier
+        committed = committed_reservoir(tmp_path / "churned" / "t")
+        assert_columns_identical(committed["anchor"], records_to_columns(anchor[-3:]))
+        assert_columns_identical(committed["recent"], records_to_columns(list(recent)[-3:]))

@@ -528,6 +528,13 @@ class TestJSONFormCheckpoints:
         with GeofenceFleet(tmp_path / "m", **self.FLEET) as fleet:
             assert (fleet.reservoir("t"), fleet.quarantine("t")) == before
 
+    def _rewrite_arrays(self, directory, change) -> None:
+        path = directory / read_manifest(directory)["arrays_file"]
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        change(arrays)
+        np.savez(path, **arrays)
+
     @pytest.mark.parametrize("key, corrupt, match", [
         ("fleet_reservoir/anchor/records",
          lambda rows: rows.__setitem__("stop", rows["stop"][::-1]), "monotone"),
@@ -535,18 +542,60 @@ class TestJSONFormCheckpoints:
          lambda edges: edges["mac"].__setitem__(0, 10_000), "outside"),
         ("fleet_quarantine/records/edges",
          lambda edges: edges["rss"].__setitem__(0, np.nan), "finite"),
-    ], ids=["anchor-offsets", "recent-mac-index", "quarantine-rss"])
+        ("fleet_reservoir/anchor/edges",
+         lambda edges: edges["rss"].__setitem__(3, np.nan), "finite"),
+        ("fleet_reservoir/recent/macs", lambda macs: macs.__setitem__(1, ""), "non-empty"),
+        ("fleet_reservoir/anchor/edges",
+         lambda edges: edges["mac"].__setitem__(1, edges["mac"][0]), "repeats"),
+        ("fleet_reservoir/recent/macs", lambda macs: macs.__setitem__(1, macs[0]), "twice"),
+        ("fleet_reservoir/recent/records",
+         lambda rows: rows["pos_len"].__setitem__(0, 1), "position length"),
+    ], ids=["anchor-offsets", "recent-mac-index", "quarantine-rss", "anchor-rss",
+            "recent-empty-mac", "anchor-mac-repeated-in-record", "recent-mac-stored-twice",
+            "recent-position-length"])
     def test_corrupt_columns_fail_the_load(self, tmp_path, key, corrupt, match):
+        """At load, not at the first refresh: a stateless score, which never
+        reads the reservoir, already refuses the tenant."""
         directory = self._saved_tenant(tmp_path / "m", incremental=False)
-        path = directory / read_manifest(directory)["arrays_file"]
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        corrupt(arrays["__metadata__/" + key])
-        np.savez(path, **arrays)
+        self._rewrite_arrays(directory, lambda arrays: corrupt(arrays["__metadata__/" + key]))
         fleet = GeofenceFleet(tmp_path / "m", **self.FLEET)
+        with pytest.raises(CheckpointError, match=match):
+            fleet.score("t", train_records(1)[0])
         with pytest.raises(CheckpointError, match=match):
             fleet.reservoir("t")
         assert fleet.resident_tenants == [] and fleet.quarantine_depths() == {}
+
+    def test_valid_non_canonical_columns_load_and_are_rewritten_canonical(self, tmp_path):
+        """Columns no release wrote but that hold valid records (a wider,
+        reordered MAC table with an unused entry; edges out of MAC order)
+        are accepted as the same reservoir and written back canonical."""
+        canonical = self._saved_tenant(tmp_path / "canonical", incremental=False)
+        rewritten = self._saved_tenant(tmp_path / "rewritten", incremental=False)
+
+        def scramble(arrays):
+            for half in ("anchor", "recent"):
+                prefix = f"__metadata__/fleet_reservoir/{half}/"
+                macs, edges = arrays[prefix + "macs"], arrays[prefix + "edges"]
+                table = np.append(macs[::-1], "zz:unused").astype("<U40")
+                edges["mac"] = len(macs) - 1 - edges["mac"]
+                stops = arrays[prefix + "records"]["stop"]
+                for start, stop in zip(np.concatenate([[0], stops[:-1]]), stops):
+                    edges[start:stop] = edges[start:stop][::-1].copy()
+                arrays[prefix + "macs"] = table
+
+        self._rewrite_arrays(rewritten, scramble)
+        served = []
+        for root in (canonical, rewritten):
+            with GeofenceFleet(root.parent, **self.FLEET) as fleet:
+                served.append(fleet.reservoir("t"))
+                fleet.observe("t", train_records(3)[-1])
+        assert served[0] == served[1] and served[0]
+        expected, got = (load_state(root)[1]["metadata"]["fleet_reservoir"]
+                         for root in (canonical, rewritten))
+        for half in ("anchor", "recent"):
+            for key, array in expected[half].items():
+                assert got[half][key].dtype == array.dtype
+                assert got[half][key].tobytes() == array.tobytes(), (half, key)
 
 
 # ----------------------------------------------------------------------
