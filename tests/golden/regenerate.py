@@ -13,14 +13,28 @@ when the underlying model maths deliberately changes.
 
 Scores are serialised with ``float.hex()``: bit-exact round-trips, no
 repr-precision ambiguity.
+
+``fit_fingerprint.json`` pins the *training* side the same way: digests
+of ``loss_history``, every parameter, every inference-cache layer and
+the flattened ``state_dict`` of BiSAGE and GraphSAGE fitted over each
+``FIT_CASES`` entry of ``tests/test_fit_differential.py``
+(``tests/test_fit_fingerprint.py`` checks it).  The per-step references
+in ``test_fit_differential.py`` call the models' own forward, loss and
+cache code, so only a frozen fixture catches a change in code the two
+models share.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
+
 GOLDEN_DIR = Path(__file__).resolve().parent
+FINGERPRINT_FILE = "fit_fingerprint.json"
 
 # One entry per fixture: (filename, arm name). "GEM" is the paper's
 # tuned BiSAGE + enhanced-histogram system; "GEM(plain-HBOS)" is the
@@ -73,7 +87,61 @@ def decision_lines(decisions) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _digest(array) -> str:
+    array = np.ascontiguousarray(array)
+    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+
+def _flatten(tree, prefix: str = ""):
+    """``(key, dtype, shape, digest)`` per array leaf, JSON per other leaf,
+    in the tree's own key order."""
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _flatten(value, path + "/")
+        elif isinstance(value, np.ndarray):
+            yield [path, value.dtype.str, list(value.shape), _digest(value)]
+        else:
+            yield [path, json.dumps(value, sort_keys=True)]
+
+
+def fit_fingerprint(model) -> dict:
+    """Digests of everything a fit leaves behind in ``model``."""
+    state = model.state_dict()
+    caches = {key: [_digest(layer) for layer in layers.values()]
+              for key, layers in state.items() if key.startswith("cache_")}
+    return {
+        "loss_history": _digest(np.asarray(model.loss_history, dtype=np.float64)),
+        "parameters": [_digest(p.data) for p in model.parameters()],
+        "caches": caches,
+        "state_dict": list(_flatten(state)),
+    }
+
+
+def fit_fingerprints() -> dict:
+    """``{case id: {"bisage": ..., "graphsage": ...}}`` over ``FIT_CASES``."""
+    sys.path.insert(0, str(GOLDEN_DIR.parent))
+    from test_fit_differential import FIT_CASES, GRAPHS, case_id, fit_configs
+
+    from repro.embedding.bisage import BiSAGE
+    from repro.embedding.graphsage import GraphSAGE
+
+    out = {}
+    for case in FIT_CASES:
+        graph_name, seed, *params = case
+        bisage_config, graphsage_config = fit_configs(seed, *params)
+        out[case_id(case)] = {
+            "bisage": fit_fingerprint(BiSAGE(bisage_config).fit(GRAPHS[graph_name](seed))),
+            "graphsage": fit_fingerprint(
+                GraphSAGE(graphsage_config).fit(GRAPHS[graph_name](seed))),
+        }
+    return out
+
+
 def main() -> None:
+    path = GOLDEN_DIR / FINGERPRINT_FILE
+    path.write_text(json.dumps(fit_fingerprints(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path.name}")
     train, stream = lab_stream()
     for filename, arm in FIXTURES:
         model = build_model(arm)

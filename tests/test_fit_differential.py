@@ -356,7 +356,11 @@ def fit_configs(seed, dim, sample_size, window, walks_per_node, resample_every):
     return BiSAGEConfig(**common), GraphSAGEConfig(**common)
 
 
-@pytest.mark.parametrize("case", FIT_CASES, ids=lambda case: "-".join(map(str, case)))
+def case_id(case) -> str:
+    return "-".join(map(str, case))
+
+
+@pytest.mark.parametrize("case", FIT_CASES, ids=case_id)
 def test_fits_match_per_step_reference(case, monkeypatch):
     graph_name, seed, *params = case
     bisage_config, graphsage_config = fit_configs(seed, *params)
