@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.core.records import SignalRecord
 from repro.embedding.autoencoder import AutoencoderConfig, ConvAutoencoder
-from repro.embedding.bisage import BiSAGE, BiSAGEConfig
-from repro.embedding.graphsage import GraphSAGE, GraphSAGEConfig
+from repro.embedding.bisage import BiSAGE
+from repro.embedding.graphsage import GraphSAGE
 from repro.embedding.matrix import DEFAULT_FILL_DBM, MatrixView
 from repro.embedding.mds import ClassicalMDS
 from repro.graph.bipartite import RECORD, WeightedBipartiteGraph
@@ -41,22 +41,24 @@ class _GraphEmbedderBase:
     """Shared graph-owning behaviour for BiSAGE/GraphSAGE adapters."""
 
     # The trainable model class bound to the graph; subclasses set it so
-    # the shared persistence path can rebuild the right model on load.
+    # fit and the shared persistence path build the right model.
     _model_class: type | None = None
     # Takes part in a coordinated refresh (see EmbeddingGeofencer.refresh);
     # the registry's ``supports_refresh`` flag mirrors it.
     refreshable = True
 
-    def __init__(self, weight_offset: float = 120.0):
+    def __init__(self, config=None, weight_offset: float = 120.0):
+        self.config = self._model_class.config_class() if config is None else config
         self.weight_offset = weight_offset
         self.graph = None
         self.model = None
 
-    def _fit_graph(self, records: Sequence[SignalRecord]):
+    def fit(self, records: Sequence[SignalRecord]):
         if not records:
             raise ValueError("cannot fit on an empty training set")
         self.graph = build_graph(records, weight_offset=self.weight_offset)
-        return self.graph
+        self.model = self._model_class(self.config).fit(self.graph)
+        return self
 
     def training_embeddings(self) -> np.ndarray:
         """Training-record embeddings for fitting the detector.
@@ -188,31 +190,11 @@ class BiSAGEEmbedder(_GraphEmbedderBase):
 
     _model_class = BiSAGE
 
-    def __init__(self, config: BiSAGEConfig = BiSAGEConfig(),
-                 weight_offset: float = 120.0):
-        super().__init__(weight_offset)
-        self.config = config
-
-    def fit(self, records: Sequence[SignalRecord]) -> "BiSAGEEmbedder":
-        graph = self._fit_graph(records)
-        self.model = BiSAGE(self.config).fit(graph)
-        return self
-
 
 class GraphSAGEEmbedder(_GraphEmbedderBase):
     """Homogeneous GraphSAGE on the same bipartite graph (Table I row)."""
 
     _model_class = GraphSAGE
-
-    def __init__(self, config: GraphSAGEConfig = GraphSAGEConfig(),
-                 weight_offset: float = 120.0):
-        super().__init__(weight_offset)
-        self.config = config
-
-    def fit(self, records: Sequence[SignalRecord]) -> "GraphSAGEEmbedder":
-        graph = self._fit_graph(records)
-        self.model = GraphSAGE(self.config).fit(graph)
-        return self
 
 
 class _MatrixEmbedderBase:

@@ -1,13 +1,22 @@
-"""Shared machinery for the SAGE-family embedders.
+"""The SAGE core BiSAGE and the homogeneous GraphSAGE baseline share.
 
-Both BiSAGE and the homogeneous GraphSAGE baseline view the bipartite
-graph through a *global* node numbering — record ``i`` is node ``i`` and
-MAC ``j`` is node ``num_records + j`` (:func:`~repro.graph.global_csr`)
-— and aggregate neighbourhoods via row-stochastic sparse matrices.  This
-module builds those matrices with a per-fit weighted neighbour sampler,
-and generates the deterministic random initial embeddings
-(``h^0``/``l^0`` "chosen randomly", Sec. III-B) so that a node's initial
-embedding is a pure function of (seed, salt, node id).
+Both models view the bipartite graph through a *global* node numbering
+— record ``i`` is node ``i`` and MAC ``j`` is node ``num_records + j``
+(:func:`~repro.graph.global_csr`) — and aggregate neighbourhoods via
+row-stochastic sparse matrices built by a per-fit weighted neighbour
+sampler (Eq. 8).  A node's deterministic random initial embedding
+(``h^0``/``l^0`` "chosen randomly", Sec. III-B) is a pure function of
+(seed, salt, node id).
+
+:class:`SAGE` is everything else the two models share, written once:
+the config and its validation, the fit loop (walk pairs, sampler,
+negative sampler, Adam and the RNG streams ``seed+1 … seed+5``), the
+full-neighbourhood cache build, the inductive record embedding with its
+batch kernel and inference token, and ``state_dict``/``load_state_dict``.
+A model declares only its *streams* (:class:`Stream`: which stream each
+one aggregates, its initial-row salt, and the attribute names of its
+weights and caches) and its Eq. 9 loss; the first stream is the one a
+record's embedding is served from.
 
 RNG contract: :meth:`NeighborSampler.matrix` makes one
 ``rng.random((n_big, sample_size))`` draw per aggregation matrix, where
@@ -17,18 +26,45 @@ draw at all when there are none or ``sample_size`` is None.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
+
 import numpy as np
 from scipy import sparse as sp
 
+from repro.graph.bipartite import MAC, RECORD, WeightedBipartiteGraph, global_csr
+from repro.graph.sampling import NegativeSampler
+from repro.graph.walks import RandomWalker, WalkConfig, walk_pairs
+from repro.nn import (Adam, Parameter, Tensor, export_parameters, init,
+                      load_parameters, ops, spmm)
+from repro.nn.batch import SageInferenceKernel, l2_rows
 from repro.nn.sparse import row_normalized_csr
-from repro.utils.validation import check_positive_int
+from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = [
     "NeighborSampler",
+    "SAGE",
+    "SAGEConfig",
+    "Stream",
     "full_aggregation_matrix",
     "initial_embeddings",
     "initial_embedding_row",
 ]
+
+# Node identity used for the initial embedding of *inference-time* record
+# nodes.  Training nodes keep per-node random initial embeddings (as the
+# paper specifies); streamed records all share this one so that their
+# embedding — and therefore the in/out decision — is deterministic in the
+# record's readings.
+_INFERENCE_KEY = -1
+
+# name -> (Tensor op for training, numpy function for caches and inference)
+_ACTIVATIONS = {
+    "tanh": (ops.tanh, np.tanh),
+    "relu": (ops.relu, lambda x: np.maximum(x, 0.0)),
+    "sigmoid": (ops.sigmoid, lambda x: 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))),
+}
 
 
 def full_aggregation_matrix(indptr, indices, weights, num_nodes: int) -> sp.csr_matrix:
@@ -138,3 +174,380 @@ def initial_embeddings(num_nodes: int, dim: int, seed: int, salt: int,
     for i in range(num_nodes):
         out[i] = initial_embedding_row(dim, seed, salt, start + i)
     return out
+
+
+@dataclass(frozen=True)
+class SAGEConfig:
+    """Hyper-parameters of a SAGE-family model (paper defaults from Sec. V).
+
+    ``sample_size=None`` aggregates over full neighbourhoods with Eq. 8
+    weights (the sampled aggregator's expectation) — deterministic and
+    faster for small graphs.
+    """
+
+    dim: int = 32
+    num_layers: int = 2
+    sample_size: int | None = 10
+    activation: str = "tanh"
+    learning_rate: float = 0.003
+    epochs: int = 5
+    batch_pairs: int = 256
+    negative_samples: int = 4
+    negative_power: float = 0.75
+    resample_every: int = 1
+    walk: WalkConfig = field(default_factory=WalkConfig)
+    seed: int = 0
+
+    def __post_init__(self):
+        check_positive_int(self.dim, "dim")
+        check_positive_int(self.num_layers, "num_layers")
+        if self.sample_size is not None:
+            check_positive_int(self.sample_size, "sample_size")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {sorted(_ACTIVATIONS)}, got {self.activation!r}")
+        check_positive(self.learning_rate, "learning_rate")
+        check_positive_int(self.epochs, "epochs")
+        check_positive_int(self.batch_pairs, "batch_pairs")
+        check_positive_int(self.negative_samples, "negative_samples")
+        if self.negative_power < 0:
+            raise ValueError("negative_power must be non-negative")
+        check_positive_int(self.resample_every, "resample_every")
+
+    def with_dim(self, dim: int) -> "SAGEConfig":
+        return replace(self, dim=dim)
+
+    def to_dict(self) -> dict:
+        """JSON-safe dict (nested WalkConfig included); see :meth:`from_dict`."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SAGEConfig":
+        data = dict(data)
+        walk = data.pop("walk", None)
+        if walk is not None:
+            data["walk"] = WalkConfig.from_dict(walk)
+        return cls(**data)
+
+
+class Stream(NamedTuple):
+    """One embedding stream of a SAGE model.
+
+    Each layer updates the stream from its own previous row and the
+    weighted mean of its neighbours' rows of stream ``reads``, through
+    its own weight matrix (Eq. 3–7).
+    """
+
+    reads: str      # the stream whose neighbour rows it aggregates
+    salt: int       # initial-embedding salt (see initial_embedding_row)
+    weights: str    # attribute holding its per-layer weight stack
+    cache: str      # caches live in _cache_{cache}u (records) and _cache_{cache}v (MACs)
+
+
+class SAGE:
+    """A sample-and-aggregate embedder bound to its training bipartite graph.
+
+    Subclasses set :attr:`streams` (ordered; the first is served),
+    :attr:`config_class` and :meth:`_loss`.
+    """
+
+    streams: dict[str, Stream] = {}
+    config_class: type = SAGEConfig
+
+    def __init__(self, config: SAGEConfig | None = None):
+        self.config = self.config_class() if config is None else config
+        self.graph: WeightedBipartiteGraph | None = None
+        self.loss_history: list[float] = []
+        for stream in self.streams.values():
+            setattr(self, stream.weights, [])
+        # Per-layer caches, split per partition: lists of (n, d) arrays,
+        # index 0 = layer 0, one row per node of the training graph.
+        for name in self._cache_names():
+            setattr(self, f"_cache_{name}", [])
+
+    # ------------------------------------------------------------------
+    # Initial embeddings (deterministic per node identity)
+    # ------------------------------------------------------------------
+    def _initial_row(self, side: str, index: int, stream: str) -> np.ndarray:
+        node_key = 2 * index if side == RECORD else 2 * index + 1
+        return initial_embedding_row(self.config.dim, self.config.seed,
+                                     self.streams[stream].salt, node_key)
+
+    def _initial_matrix(self, side: str, count: int, stream: str) -> np.ndarray:
+        out = np.empty((count, self.config.dim), dtype=np.float64)
+        for i in range(count):
+            out[i] = self._initial_row(side, i, stream)
+        return out
+
+    def _initial_embeddings(self) -> dict[str, np.ndarray]:
+        """Layer 0 of every stream for every node of the graph, records first."""
+        graph = self._require_fitted()
+        return {name: np.vstack([self._initial_matrix(RECORD, graph.num_records, name),
+                                 self._initial_matrix(MAC, graph.num_macs, name)])
+                for name in self.streams}
+
+    # ------------------------------------------------------------------
+    # Training
+    # ------------------------------------------------------------------
+    def fit(self, graph: WeightedBipartiteGraph):
+        """Train weight matrices on ``graph`` and build inference caches."""
+        if graph.num_records == 0:
+            raise ValueError(f"cannot fit {type(self).__name__} on a graph with no record nodes")
+        cfg = self.config
+        self.graph = graph
+        self.loss_history = []
+        initial = self._initial_embeddings()
+
+        param_rng = as_rng(cfg.seed + 1)
+        for stream in self.streams.values():
+            setattr(self, stream.weights,
+                    [Parameter(init.xavier_uniform((2 * cfg.dim, cfg.dim), param_rng))
+                     for _ in range(cfg.num_layers)])
+
+        sampler = NeighborSampler(*global_csr(graph), cfg.sample_size)
+        walker = RandomWalker(graph, cfg.walk, rng=as_rng(cfg.seed + 2))
+        pair_ids = walk_pairs(walker.corpus(), window=cfg.walk.window)
+        if not len(pair_ids):
+            # Degenerate graph (all nodes isolated): keep random weights.
+            self._build_cache(initial, sampler.full)
+            return self
+        negative_sampler = NegativeSampler(graph, power=cfg.negative_power,
+                                           rng=as_rng(cfg.seed + 3))
+
+        optimizer = Adam(self.parameters(), lr=cfg.learning_rate)
+        activation = _ACTIVATIONS[cfg.activation][0]
+        sample_rng = as_rng(cfg.seed + 4)
+        shuffle_rng = as_rng(cfg.seed + 5)
+
+        aggregators = None
+        step = 0
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(pair_ids))
+            for start in range(0, len(order), cfg.batch_pairs):
+                batch = pair_ids[order[start:start + cfg.batch_pairs]]
+                if aggregators is None or step % cfg.resample_every == 0:
+                    aggregators = [sampler.matrix(sample_rng) for _ in range(cfg.num_layers)]
+                final = self._forward(initial, aggregators, activation)
+                loss = self._loss(final, batch, negative_sampler)
+                optimizer.zero_grad()
+                loss.backward()
+                optimizer.step()
+                self.loss_history.append(loss.item())
+                step += 1
+
+        self._build_cache(initial, sampler.full)
+        return self
+
+    def _forward(self, initial: dict[str, np.ndarray], aggregators,
+                 activation) -> dict[str, Tensor]:
+        """K rounds of Algorithm 1 over the whole (snapshot) graph."""
+        z = {name: Tensor(rows) for name, rows in initial.items()}
+        for k, matrix in enumerate(aggregators):
+            agg = {name: spmm(matrix, z[stream.reads])                  # Eq. 3 / 5
+                   for name, stream in self.streams.items()}
+            new = {name: activation(ops.concat([z[name], agg[name]], axis=1)
+                                    @ getattr(self, stream.weights)[k])  # Eq. 4 / 6
+                   for name, stream in self.streams.items()}
+            z = {name: ops.l2_normalize_rows(rows) for name, rows in new.items()}  # Eq. 7
+        return z
+
+    def _loss(self, final: dict[str, Tensor], batch: np.ndarray,
+              negative_sampler: NegativeSampler) -> Tensor:
+        """Eq. 9 over a batch of walk pairs plus K_N negatives per pair."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Inference caches
+    # ------------------------------------------------------------------
+    def _build_cache(self, initial: dict[str, np.ndarray], matrix) -> None:
+        """Compute per-layer embeddings for every node of the graph.
+
+        ``initial`` holds the layer-0 rows and ``matrix`` is the
+        full-neighbourhood aggregator (the sampled aggregator's
+        expectation), so the caches are deterministic.
+        """
+        graph = self._require_fitted()
+        num_u = graph.num_records
+        act = _ACTIVATIONS[self.config.activation][1]
+
+        layers = {name: [rows] for name, rows in initial.items()}
+        for k in range(self.config.num_layers):
+            agg = {name: matrix @ layers[stream.reads][-1]
+                   for name, stream in self.streams.items()}
+            new = {name: act(np.hstack([layers[name][-1], agg[name]])
+                             @ getattr(self, stream.weights)[k].data)
+                   for name, stream in self.streams.items()}
+            for name, rows in new.items():
+                layers[name].append(l2_rows(rows))
+
+        for name, stream in self.streams.items():
+            setattr(self, f"_cache_{stream.cache}u", [layer[:num_u].copy() for layer in layers[name]])
+            setattr(self, f"_cache_{stream.cache}v", [layer[num_u:].copy() for layer in layers[name]])
+
+    def _require_fitted(self) -> WeightedBipartiteGraph:
+        if self.graph is None:
+            raise RuntimeError(f"{type(self).__name__} has not been fitted; call fit(graph) first")
+        return self.graph
+
+    # ------------------------------------------------------------------
+    # Public embedding queries
+    # ------------------------------------------------------------------
+    def _cache(self, stream: str, side: str) -> list[np.ndarray]:
+        """``stream``'s per-layer cache over records (``"u"``) or MACs (``"v"``)."""
+        return getattr(self, f"_cache_{self.streams[stream].cache}{side}")
+
+    def _served(self) -> tuple[str, list[Parameter], list[np.ndarray]]:
+        """The served stream's name, its weight stack, and the MAC caches
+        a record's embedding aggregates (Eq. 3 + Eq. 8)."""
+        name = next(iter(self.streams))
+        stream = self.streams[name]
+        return name, getattr(self, stream.weights), self._cache(stream.reads, "v")
+
+    def record_embeddings(self) -> np.ndarray:
+        """Final served embeddings of all cached record nodes (n_U, d)."""
+        self._require_fitted()
+        return self._cache(next(iter(self.streams)), "u")[-1]
+
+    def mac_embeddings(self) -> np.ndarray:
+        """Final served embeddings of all cached MAC nodes (n_V, d)."""
+        self._require_fitted()
+        return self._cache(next(iter(self.streams)), "v")[-1]
+
+    def embed_record_node(self, index: int) -> np.ndarray:
+        """Inductive embedding of record node ``index`` (Sec. IV-A).
+
+        Runs K aggregation rounds for this single node against the cached
+        per-layer MAC embeddings, leaving neighbours untouched.  All
+        inference-time nodes share one fixed initial embedding (see
+        ``_INFERENCE_KEY``) so the prediction is a deterministic function
+        of the record's readings; per-node random initialisation would
+        inject irreducible score noise into every streamed decision.
+        """
+        graph = self._require_fitted()
+        return self._embed_from_neighbors(*graph.neighbors(RECORD, index))
+
+    def embed_readings(self, readings: dict[str, float]) -> np.ndarray | None:
+        """Embed a streamed record without touching the graph.
+
+        Only MACs of the training graph contribute (see
+        :meth:`~repro.graph.bipartite.WeightedBipartiteGraph.edges_of`);
+        returns None when no sensed MAC is one of them (footnote 3: such
+        records are treated as outliers by the caller).  MACs first seen
+        after training join at re-provision, when the weights retrain
+        against them.
+        """
+        graph = self._require_fitted()
+        neighbors, weights = graph.edges_of(readings)
+        if not len(neighbors):
+            return None
+        return self._embed_from_neighbors(neighbors, weights)
+
+    def _embed_from_neighbors(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The scalar reference of :class:`~repro.nn.batch.SageInferenceKernel`.
+
+        Computes the served stream only: no stream reads a record's own
+        row of another stream, so the others could not change it.
+        """
+        name, stack, neighbor_caches = self._served()
+        z = self._initial_row(RECORD, _INFERENCE_KEY, name)
+        if len(neighbors) == 0:
+            return z
+        act = _ACTIVATIONS[self.config.activation][1]
+        probabilities = weights / weights.sum()
+        for k, w in enumerate(stack):
+            agg = probabilities @ neighbor_caches[k][neighbors]     # Eq. 3 + Eq. 8
+            z = l2_rows(act(np.concatenate([z, agg]) @ w.data))
+        return z
+
+    # ------------------------------------------------------------------
+    # Batched inference (vectorized data plane)
+    # ------------------------------------------------------------------
+    def batched_inference(self) -> SageInferenceKernel:
+        """Hoisted record-inference kernel for the batch data plane.
+
+        Captures exactly what :meth:`embed_record_node` reads: the shared
+        ``_INFERENCE_KEY`` initial row of the served stream, its weight
+        stack and the MAC caches it aggregates.  Valid until
+        :meth:`inference_token` changes.
+        """
+        self._require_fitted()
+        name, stack, neighbor_caches = self._served()
+        return SageInferenceKernel(
+            initial=self._initial_row(RECORD, _INFERENCE_KEY, name),
+            weights=[w.data for w in stack],
+            neighbor_caches=neighbor_caches,
+            act=_ACTIVATIONS[self.config.activation][1],
+        )
+
+    def inference_token(self) -> tuple:
+        """Identity fingerprint of everything a kernel captures.
+
+        Inference output changes only when :meth:`fit` or
+        ``load_state_dict`` rebuilds the graph, weights and caches; both
+        produce new objects here, so an ``id``-based tuple comparison
+        catches them without hashing array contents.
+        """
+        _, stack, neighbor_caches = self._served()
+        return (id(self.graph), tuple(id(w) for w in stack), id(neighbor_caches))
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+    def parameters(self) -> list[Parameter]:
+        """All trainable parameters, stream by stream."""
+        return [p for stream in self.streams.values() for p in getattr(self, stream.weights)]
+
+    def _cache_names(self) -> list[str]:
+        """Cache names in checkpoint order: every record cache, then every MAC cache."""
+        return [f"{stream.cache}{side}" for side in "uv" for stream in self.streams.values()]
+
+    def state_dict(self) -> dict:
+        """Checkpointable state: config, weights and inference caches.
+
+        The per-layer caches are saved verbatim (rather than rebuilt on
+        load) so a restored model reproduces inductive embeddings —
+        and therefore geofence decisions — bit-for-bit.  The bound graph
+        is *not* included; the owner saves it separately and passes it
+        back to :meth:`load_state_dict`.
+        """
+        self._require_fitted()
+        state: dict = {
+            "config": self.config.to_dict(),
+            "loss_history": [float(x) for x in self.loss_history],
+            "parameters": export_parameters(self.parameters()),
+        }
+        for name in self._cache_names():
+            layers = getattr(self, f"_cache_{name}")
+            state[f"cache_{name}"] = {str(k): layer.copy() for k, layer in enumerate(layers)}
+        return state
+
+    def load_state_dict(self, state: dict, graph: WeightedBipartiteGraph):
+        """Restore a model saved by :meth:`state_dict` onto ``graph``.
+
+        ``graph`` must be the graph the state was saved against (or a
+        reconstruction of it): every cache needs exactly one row per
+        node of its partition.
+        """
+        cfg = self.config
+        saved_cfg = self.config_class.from_dict(state["config"])
+        if saved_cfg != cfg:
+            raise ValueError("checkpoint config does not match this model's config; "
+                             f"saved {saved_cfg}, constructed with {cfg}")
+        for stream in self.streams.values():
+            setattr(self, stream.weights, [Parameter(np.zeros((2 * cfg.dim, cfg.dim)))
+                                           for _ in range(cfg.num_layers)])
+        load_parameters(self.parameters(), state["parameters"])
+        for name in self._cache_names():
+            saved = state[f"cache_{name}"]
+            layers = [np.asarray(saved[str(k)], dtype=np.float64) for k in range(len(saved))]
+            if len(layers) != cfg.num_layers + 1:
+                raise ValueError(f"cache_{name} has {len(layers)} layers, expected {cfg.num_layers + 1}")
+            for layer in layers:
+                if layer.shape[1] != cfg.dim:
+                    raise ValueError(f"cache_{name} dimension {layer.shape[1]} != config dim {cfg.dim}")
+            nodes = graph.num_records if name.endswith("u") else graph.num_macs
+            if any(layer.shape[0] != nodes for layer in layers):
+                raise ValueError(f"cache_{name} rows do not match the graph's {nodes} nodes")
+            setattr(self, f"_cache_{name}", layers)
+        self.loss_history = [float(x) for x in state.get("loss_history", [])]
+        self.graph = graph
+        return self

@@ -1,10 +1,11 @@
 """Fused inference kernels for the vectorized batch data plane.
 
 A :class:`SageInferenceKernel` is the hoisted, allocation-lean form of
-the per-record inductive embedding step shared by BiSAGE and GraphSAGE
-(``_embed_from_neighbors``): the constant inference-node initial row,
-the per-layer weight matrices and the live neighbour cache lists are
-captured once per batch (or cached across batches by
+the per-record inductive embedding step BiSAGE and GraphSAGE share
+(:meth:`repro.embedding.common.SAGE._embed_from_neighbors`, written
+once for both): the constant inference-node initial row of the served
+stream, its per-layer weight matrices and the live MAC cache lists it
+aggregates are captured once per batch (or cached across batches by
 :class:`repro.serve.batchplane.BatchPlane`) instead of being re-derived
 record by record.
 
@@ -47,13 +48,13 @@ enforces it.  Two consequences shape the implementation:
   GEMV, so the result is unchanged while the per-layer allocation is
   not.
 
-What the kernel *does* save per record: four ``initial_embedding_row``
-recomputations (the inference key is constant, so the rows are too),
-the dead auxiliary stream (BiSAGE's scalar path updates ``l`` each
-layer but the returned primary ``h`` never reads it), attribute-chain
-lookups, and one concat allocation per layer.  The big batch win —
-scoring the whole batch through the detector once — lives in
-:meth:`repro.detection.histogram.HistogramDetector.score_batch`.
+What the kernel *does* save per record: the ``initial_embedding_row``
+recomputation (the inference key is constant, so the row is too),
+attribute-chain lookups, and one concat allocation per layer.  The big
+batch win — scoring the whole batch through the detector once — lives
+in :meth:`repro.detection.histogram.HistogramDetector.score_batch`.
+Neither form computes BiSAGE's auxiliary ``l`` stream for the record:
+no layer of the served ``h`` reads the record's own ``l``.
 
 The kernel holds the neighbour cache *lists* by reference.  Serving
 never writes them: a streamed record is embedded against the training
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SageInferenceKernel"]
+__all__ = ["SageInferenceKernel", "l2_rows"]
 
 
 class SageInferenceKernel:
@@ -84,9 +85,10 @@ class SageInferenceKernel:
         Per-layer dense weight matrices ``(2d, d)`` (raw arrays, not
         Parameters).
     neighbor_caches:
-        The live list of per-layer neighbour cache arrays the scalar
-        path gathers from (BiSAGE: the auxiliary MAC caches
-        ``_cache_lv``; GraphSAGE: ``_cache_v``), held by reference.
+        The live list of per-layer MAC cache arrays the scalar path
+        gathers from — those of the stream the served one reads
+        (BiSAGE: the auxiliary ``_cache_lv``; GraphSAGE: ``_cache_v``) —
+        held by reference.
     act:
         The numpy activation function (the scalar path's exact one).
     """
@@ -115,11 +117,18 @@ class SageInferenceKernel:
             agg = probabilities @ caches[k][neighbors]
             buf[:dim] = z
             buf[dim:] = agg
-            z = _l2_vec(act(buf @ w))
+            z = l2_rows(act(buf @ w))
         return z
 
 
-def _l2_vec(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    # Must match the embedders' _l2_rows 1-D branch exactly (same
-    # expression, same eps) — it is part of the bit-identity contract.
-    return x / np.sqrt((x * x).sum() + eps)
+def l2_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Eq. 7 on a vector or on each row of a matrix.
+
+    The one numpy form of the normalisation: the SAGE caches, the scalar
+    inductive embed and this kernel all call it, which is part of the
+    bit-identity contract.
+    """
+    if x.ndim == 1:
+        return x / np.sqrt((x * x).sum() + eps)
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True) + eps)
+    return x / norms

@@ -463,6 +463,17 @@ def _replace_into(directory: Path, name: str, writer) -> None:
         raise
 
 
+def _write_manifest(directory: Path, manifest: dict) -> None:
+    """Commit ``manifest`` as the directory's manifest: compact, keys sorted.
+
+    The one manifest encoder: the writer and a replication standby both
+    commit through it, so a standby's manifest is byte-equal to the
+    primary's.
+    """
+    _replace_into(directory, MANIFEST_NAME,
+                  lambda h: h.write(json.dumps(manifest, sort_keys=True).encode()))
+
+
 def _flatten_model(model, spec: PipelineSpec | None, metadata: dict | None):
     """Shared save-path preamble: spec, flattened and validated state
     (metadata arrays included), and the JSON side of the metadata."""
@@ -498,8 +509,7 @@ def _write_full(model, directory: Path, arrays: dict[str, np.ndarray],
         "state": leaves,
     }
     _replace_into(directory, arrays_name, lambda h: np.savez(h, **arrays))
-    _replace_into(directory, MANIFEST_NAME,
-                  lambda h: h.write(json.dumps(manifest, sort_keys=True).encode()))
+    _write_manifest(directory, manifest)
     _note_write("full", (directory / arrays_name).stat().st_size
                 + (directory / MANIFEST_NAME).stat().st_size, 0)
     _note_commit(CommitInfo(kind="full", directory=str(directory),
@@ -610,8 +620,7 @@ def save_incremental(model, directory: str | Path, baseline: StateBaseline | Non
     # commit point, so a crash in between leaves an orphan delta file
     # the loader never reads (cleaned up at the next full save).
     _replace_into(directory, delta_name, lambda h: np.savez(h, **stored))
-    _replace_into(directory, MANIFEST_NAME,
-                  lambda h: h.write(json.dumps(manifest, sort_keys=True).encode()))
+    _write_manifest(directory, manifest)
     _note_write("delta", (directory / delta_name).stat().st_size
                 + (directory / MANIFEST_NAME).stat().st_size,
                 len(manifest["deltas"]))

@@ -50,6 +50,7 @@ from repro.serve.checkpoint import (
     CheckpointError,
     CommitInfo,
     _replace_into,
+    _write_manifest,
     load_checkpoint_with_manifest,
     read_manifest,
     read_npz,
@@ -328,9 +329,7 @@ class Follower:
         # second (the commit point), superseded files deleted last.
         _replace_into(directory, write.file_name,
                       lambda handle: handle.write(write.file_bytes))
-        _replace_into(directory, MANIFEST_NAME,
-                      lambda handle: handle.write(
-                          json.dumps(manifest, indent=1, sort_keys=True).encode()))
+        _write_manifest(directory, manifest)
         for stale in directory.glob(f"{ARRAYS_PREFIX}*{ARRAYS_SUFFIX}"):
             if stale.name != write.file_name:
                 stale.unlink(missing_ok=True)
@@ -378,9 +377,7 @@ class Follower:
                 "come from different writes (nonce mismatch)")
         _replace_into(directory, write.file_name,
                       lambda handle: handle.write(write.file_bytes))
-        _replace_into(directory, MANIFEST_NAME,
-                      lambda handle: handle.write(
-                          json.dumps(manifest, indent=1, sort_keys=True).encode()))
+        _write_manifest(directory, manifest)
         return "applied"
 
     # ------------------------------------------------------------------

@@ -133,8 +133,9 @@ class FleetController:
     def step(self, tenant_id: str, decision: GeofenceDecision) -> list[str]:
         """Fold one data-plane decision in; maybe act.  Returns actions.
 
-        Call after every ``fleet.observe`` whose maintenance this
-        controller owns (or use :meth:`observe`).  With the no-op
+        Call once per decision of every ``fleet.observe_many`` batch
+        whose maintenance this controller owns, in stream order (as
+        :class:`~repro.serve.runtime.ServingRuntime` does).  With the no-op
         policy this only increments counters — it never touches the
         model, so a controlled replay is bit-identical to an
         uncontrolled one.
@@ -158,12 +159,6 @@ class FleetController:
         actions = self._evaluate(tenant_id, policy, state)
         state.checked_at = state.observations
         return actions
-
-    def observe(self, tenant_id: str, record) -> GeofenceDecision:
-        """Data-plane observe + control-plane step, one call."""
-        decision = self.fleet.observe(tenant_id, record)
-        self.step(tenant_id, decision)
-        return decision
 
     # ------------------------------------------------------------------
     # Sweeps (periodic / CLI)

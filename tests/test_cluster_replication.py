@@ -11,7 +11,7 @@ from conftest import synthetic_records
 from repro.core import GEM, GEMConfig, SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import GeofenceFleet, ModelRegistry, load_checkpoint, read_manifest
-from repro.serve.checkpoint import flatten_state
+from repro.serve.checkpoint import MANIFEST_NAME, flatten_state
 from repro.serve.cluster import DeltaShipper, Follower, ReplicationError
 from repro.serve.cluster.replicate import manifest_has_deltas
 from repro.serve.quarantine import home_anchor_macs
@@ -100,6 +100,26 @@ class TestFollowerApply:
         assert stats["last_lag_seconds"] >= 0
         assert stats["max_lag_seconds"] >= stats["last_lag_seconds"]
         assert_states_equal(gem, load_checkpoint(tmp_path / "standby" / TENANT))
+
+    def test_standby_manifest_is_byte_equal_to_the_primary(self, tmp_path):
+        # Equal as dicts is not enough: both sides commit through one
+        # manifest encoder, so the bytes match after a full and a delta.
+        registry = ModelRegistry(tmp_path / "primary")
+        shipper = DeltaShipper().attach(registry)
+        follower = Follower(tmp_path / "standby")
+        gem = make_gem().fit(records(0))
+        baseline = None
+        for step, expected_kind in enumerate(["full", "delta", "delta"]):
+            for record in records(100 + step, n=5 * step):
+                gem.observe(record)
+            kind, baseline = registry.save_incremental(TENANT, gem, baseline)
+            assert kind == expected_kind
+            (write,) = shipper.drain()
+            assert follower.apply(write) == "applied"
+            primary = (tmp_path / "primary" / TENANT / MANIFEST_NAME).read_bytes()
+            standby = (tmp_path / "standby" / TENANT / MANIFEST_NAME).read_bytes()
+            assert standby == primary, f"after the {kind} write"
+        shipper.detach()
 
     def test_replay_is_idempotent(self, chain):
         _, writes, tmp_path = chain

@@ -6,15 +6,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import SignalRecord
+from repro.embedding.bisage import BiSAGEConfig
 from repro.embedding.common import (
     NeighborSampler,
     full_aggregation_matrix,
     initial_embedding_row,
     initial_embeddings,
 )
+from repro.embedding.graphsage import GraphSAGEConfig
 from repro.graph import build_graph, global_csr
+from repro.pipeline import ComponentSpec, PipelineSpec, build_pipeline
 
 from conftest import synthetic_records
+
+
+def graphsage_pipeline(**params):
+    return build_pipeline(PipelineSpec(embedder=ComponentSpec("graphsage", params),
+                                       detector=ComponentSpec("histogram")))
+
+
+class TestSAGEConfigValidation:
+    """Both models share one config validation, reached from a spec too."""
+
+    BUILDERS = {"bisage": BiSAGEConfig, "graphsage": GraphSAGEConfig,
+                "graphsage-spec": graphsage_pipeline}
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize("params", [{"resample_every": 0}, {"resample_every": -2},
+                                        {"negative_power": -1.0}, {"activation": "swish"},
+                                        {"dim": 0}, {"sample_size": 0}],
+                             ids=lambda params: "-".join(f"{k}={v}" for k, v in params.items()))
+    def test_invalid_values_refused_up_front(self, builder, params):
+        with pytest.raises(ValueError):
+            self.BUILDERS[builder](**params)
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_shared_activations_accepted(self, builder):
+        for activation in ("tanh", "relu", "sigmoid"):
+            self.BUILDERS[builder](activation=activation)
 
 
 def small_graph():

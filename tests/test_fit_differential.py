@@ -20,10 +20,9 @@ import pytest
 
 from conftest import synthetic_records
 from repro.core.records import SignalRecord
-from repro.embedding import bisage as bisage_module
-from repro.embedding import graphsage as graphsage_module
 from repro.embedding.bisage import BiSAGE, BiSAGEConfig
-from repro.embedding.common import NeighborSampler, full_aggregation_matrix
+from repro.embedding.common import (_ACTIVATIONS, NeighborSampler,
+                                    full_aggregation_matrix)
 from repro.embedding.graphsage import GraphSAGE, GraphSAGEConfig
 from repro.graph import (MAC, RECORD, RandomWalker, WalkConfig, build_graph,
                          global_csr, walk_pairs)
@@ -143,33 +142,26 @@ def add_at_gather_rows(x, indices):
 def reference_fit(model, graph):
     """``fit`` as a per-step loop over the references above."""
     cfg = model.config
-    is_bisage = isinstance(model, BiSAGE)
-    module = bisage_module if is_bisage else graphsage_module
     model.graph = graph
     num_u, num_v = graph.num_records, graph.num_macs
-    if is_bisage:
-        initial = [np.vstack([model._initial_matrix(RECORD, num_u, which),
-                              model._initial_matrix(MAC, num_v, which)]) for which in "hl"]
-    else:
-        initial = [np.vstack([model._initial_matrix(RECORD, num_u),
-                              model._initial_matrix(MAC, num_v)])]
+    initial = {name: np.vstack([model._initial_matrix(RECORD, num_u, name),
+                                model._initial_matrix(MAC, num_v, name)])
+               for name in model.streams}
     param_rng = as_rng(cfg.seed + 1)
     stacks = [[Parameter(init.xavier_uniform((2 * cfg.dim, cfg.dim), param_rng))
                for _ in range(cfg.num_layers)] for _ in initial]
-    if is_bisage:
-        model.weights_h, model.weights_l = stacks
-    else:
-        (model.weights,) = stacks
+    for stream, stack in zip(model.streams.values(), stacks):
+        setattr(model, stream.weights, stack)
     csr = reference_global_csr(graph)
     walks = reference_corpus(graph, cfg.walk, as_rng(cfg.seed + 2))
     pair_ids = reference_pair_ids(graph, walks, cfg.walk.window)
     full = reference_matrix(csr, None, None)
     if not len(pair_ids):
-        model._build_cache(*initial, full)
+        model._build_cache(initial, full)
         return model
     negative_sampler = NegativeSampler(graph, power=cfg.negative_power, rng=as_rng(cfg.seed + 3))
     optimizer = Adam([p for stack in stacks for p in stack], lr=cfg.learning_rate)
-    activation = module._ACTIVATIONS[cfg.activation][0]
+    activation = _ACTIVATIONS[cfg.activation][0]
     sample_rng = as_rng(cfg.seed + 4)
     shuffle_rng = as_rng(cfg.seed + 5)
     model.loss_history = []
@@ -182,18 +174,14 @@ def reference_fit(model, graph):
             if aggregators is None or step % cfg.resample_every == 0:
                 aggregators = [reference_matrix(csr, cfg.sample_size, sample_rng)
                                for _ in range(cfg.num_layers)]
-            if is_bisage:
-                h, l = model._forward(*initial, aggregators, activation)
-                loss = model._loss(h, l, batch, negative_sampler, num_u)
-            else:
-                z = model._forward(*initial, aggregators, activation)
-                loss = model._loss(z, batch, negative_sampler)
+            final = model._forward(initial, aggregators, activation)
+            loss = model._loss(final, batch, negative_sampler)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             model.loss_history.append(loss.item())
             step += 1
-    model._build_cache(*initial, full)
+    model._build_cache(initial, full)
     return model
 
 
