@@ -109,22 +109,10 @@ class _GraphEmbedderBase:
     # patches this name and fails to start without it.
     attach_prepared = prepare
 
-    # ------------------------------------------------------------------
-    # Batched inference (vectorized data plane)
-    # ------------------------------------------------------------------
-    def supports_batch_inference(self) -> bool:
-        """Whether the batch data plane may replay this embedder's records."""
-        return self.model is not None and hasattr(self.model, "batched_inference")
-
     def batched_inference(self):
-        """Build the model's hoisted inference kernel (see nn/batch.py)."""
+        """The fitted model's hoisted inference kernel (see nn/batch.py)."""
         self._require_fitted()
         return self.model.batched_inference()
-
-    def batch_token(self) -> tuple:
-        """Kernel-validity fingerprint; changes whenever inference would."""
-        self._require_fitted()
-        return self.model.inference_token()
 
     def _require_fitted(self) -> None:
         if self.model is None or self.graph is None:

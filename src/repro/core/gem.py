@@ -19,6 +19,7 @@ from repro.core.config import GEMConfig
 from repro.core.embedders import BiSAGEEmbedder
 from repro.core.protocols import Detector, GeofenceDecision, RecordEmbedder
 from repro.core.records import SignalRecord
+from repro.detection.batch import BatchScores
 from repro.detection.histogram import HistogramDetector
 
 __all__ = ["EmbeddingGeofencer", "GEM", "RefreshJob", "embed_records"]
@@ -64,21 +65,18 @@ class RefreshJob:
         return self.absorbed
 
 
-def embed_records(embedder, records: Sequence[SignalRecord],
-                  kernel=None) -> list[np.ndarray | None]:
+def embed_records(embedder, records: Sequence[SignalRecord]) -> list[np.ndarray | None]:
     """Embedding row per record; None where a record is not embeddable.
 
-    Graph embedders run every record through one hoisted inference
-    kernel (``kernel``, or one built here), which is bit-identical to
-    their scalar ``embed`` (see :mod:`repro.nn.batch`); any other
-    embedder embeds record by record.
+    Graph embedders run every record through their fitted model's
+    hoisted inference kernel, which is bit-identical to their scalar
+    ``embed`` (see :mod:`repro.nn.batch`); any other embedder embeds
+    record by record.
     """
-    if not (hasattr(embedder, "supports_batch_inference")
-            and embedder.supports_batch_inference()):
+    if not hasattr(embedder, "batched_inference"):
         return [embedder.embed(record) if record.readings else None
                 for record in records]
-    if kernel is None:
-        kernel = embedder.batched_inference()
+    kernel = embedder.batched_inference()
     rows: list[np.ndarray | None] = []
     for record in records:
         prepared = embedder.prepare(record) if record.readings else None
@@ -148,15 +146,13 @@ class EmbeddingGeofencer:
         """True iff the record is predicted in-premises (no state change)."""
         return bool(self.predict_many([record])[0])
 
-    def predict_many(self, records: Sequence[SignalRecord], kernel=None) -> np.ndarray:
+    def predict_many(self, records: Sequence[SignalRecord]) -> np.ndarray:
         """``[self.predict(r) for r in records]`` as one boolean array.
 
-        No state changes.  The records are embedded through one
-        inference kernel (``kernel`` may be a serving layer's cached
-        one, valid for the embedder's current ``batch_token()``) and the
-        embedded rows are scored in one ``score_batch`` call; both are
-        bit-identical to the per-record path.  Embedders or detectors
-        without batch support embed or score row by row instead.
+        No state changes.  The records are embedded through
+        :func:`embed_records` and the embedded rows are scored in one
+        :meth:`_score_rows` call; both are bit-identical to the
+        per-record path.
         """
         records = list(records)
         inside = np.zeros(len(records), dtype=bool)
@@ -164,15 +160,11 @@ class EmbeddingGeofencer:
             return inside
         if not self._fitted:
             raise RuntimeError("pipeline has not been fitted; call fit first")
-        rows = embed_records(self.embedder, records, kernel)
+        rows = embed_records(self.embedder, records)
         embedded = [i for i, row in enumerate(rows) if row is not None]
-        if not embedded:
-            return inside
-        if self._batch_scoring():
-            outliers = self.detector.score_batch(np.vstack([rows[i] for i in embedded])).outliers
-        else:
-            outliers = [bool(self.detector.is_outlier(rows[i][None, :])[0]) for i in embedded]
-        inside[embedded] = np.logical_not(outliers)
+        if embedded:
+            outliers = self._score_rows(np.vstack([rows[i] for i in embedded])).outliers
+            inside[embedded] = np.logical_not(outliers)
         return inside
 
     def observe(self, record: SignalRecord) -> GeofenceDecision:
@@ -186,13 +178,19 @@ class EmbeddingGeofencer:
         if embedding is None:
             # Footnote 3: nothing recognisable — treat as an outlier.
             return GeofenceDecision(inside=False, score=math.inf)
-        score, outlier, confident = self._verdict(embedding[None, :])
+        scores, outliers, confident = self._score_rows(embedding[None, :])
+        return self._decide(embedding, scores[0], outliers[0], confident[0])
+
+    def _decide(self, row: np.ndarray, score, outlier, confident) -> GeofenceDecision:
+        """Algorithm 2 lines 3–7 for one embedded row and its verdict:
+        decide, and buffer (maybe apply) a confident inlier's update."""
+        score = float(score)
         if outlier:
             return GeofenceDecision(inside=False, score=score)
-        buffered = False
-        updated = False
+        confident = bool(confident)
+        buffered = updated = False
         if confident and self.self_update and hasattr(self.detector, "update"):
-            self._update_buffer.append(embedding)
+            self._update_buffer.append(row)
             buffered = True
             if len(self._update_buffer) >= self.batch_update_size:
                 self.flush_updates()
@@ -200,66 +198,71 @@ class EmbeddingGeofencer:
         return GeofenceDecision(inside=True, score=score, confident=confident,
                                 buffered=buffered, updated=updated)
 
-    # ------------------------------------------------------------------
-    # Vectorized batch observation (the batch data plane)
-    # ------------------------------------------------------------------
-    def supports_batch_observe(self) -> bool:
-        """True when both halves of the fused batch path are available:
-        a graph embedder exposing a hoisted inference kernel and a
-        detector whose batch scoring is bit-safe
-        (``supports_batch_score``)."""
-        return (hasattr(self.embedder, "supports_batch_inference")
-                and self.embedder.supports_batch_inference()
-                and self._batch_scoring())
+    def _score_rows(self, matrix: np.ndarray) -> BatchScores:
+        """``(scores, outliers, confident)`` per row of a ``(B, d)`` matrix.
 
-    def _batch_scoring(self) -> bool:
-        return (hasattr(self.detector, "supports_batch_score")
-                and self.detector.supports_batch_score())
+        One ``score_batch`` pass when the detector has one (bit-identical
+        per row to the three scalar calls, see
+        :mod:`repro.detection.batch`); otherwise the scalar calls, row by
+        row.  Each row is scored as its own fresh ``(1, d)`` array, the
+        operand a one-record call would pass, because a detector's dense
+        kernels need not give the same bits on a row view at another
+        offset.
+        """
+        detector = self.detector
+        if hasattr(detector, "score_batch"):
+            return detector.score_batch(matrix)
+        scores = np.empty(len(matrix), dtype=np.float64)
+        outliers = np.zeros(len(matrix), dtype=bool)
+        confident = np.zeros(len(matrix), dtype=bool)
+        can_confide = hasattr(detector, "is_confident_inlier")
+        for i in range(len(matrix)):
+            row = matrix[i:i + 1].copy()
+            scores[i] = detector.decision_scores(row)[0]
+            outliers[i] = detector.is_outlier(row)[0]
+            if can_confide and not outliers[i]:
+                confident[i] = detector.is_confident_inlier(row)[0]
+        return BatchScores(scores=scores, outliers=outliers, confident=confident)
 
+    # ------------------------------------------------------------------
+    # Batch observation (the one served path)
+    # ------------------------------------------------------------------
     # Verdicts are computed this many embedded rows ahead; a detector
     # update invalidates the unconsumed remainder, so the chunk bounds
     # wasted re-scoring under update-heavy streams while amortising the
     # per-call scoring overhead everywhere else.
     _SCORE_CHUNK = 64
 
-    def observe_many(self, records: Sequence[SignalRecord],
-                     kernel=None) -> list[GeofenceDecision]:
-        """Observe a batch through the fused data plane.
+    def observe_many(self, records: Sequence[SignalRecord]) -> list[GeofenceDecision]:
+        """Observe a batch: the served path of every embedder × detector.
 
         Semantically ``[self.observe(r) for r in records]`` — decisions,
         self-update behaviour and post-batch state are bit-identical to
         that scalar loop (the differential harness enforces it) — but
-        the per-record pipeline is restructured: one hoisted inference
-        kernel embeds every record, and the detector scores embedded
-        rows in chunks via :meth:`score_batch` instead of three scalar
-        evaluations per record.  A mid-batch detector update (confident
+        the per-record pipeline is restructured: :func:`embed_records`
+        embeds every record (a graph embedder through its model's
+        hoisted inference kernel), and :meth:`_score_rows` scores the
+        embedded rows in chunks (one ``score_batch`` call per chunk when
+        the detector has it).  A mid-batch detector update (confident
         inliers filling ``batch_update_size``) discards the unconsumed
         chunk, so later records are always scored by the detector state
         the scalar loop would have shown them.
-
-        ``kernel`` lets a serving layer pass a cached kernel (see
-        :class:`repro.serve.batchplane.BatchPlane`); it must be valid
-        for the embedder's current ``batch_token()``.  Configurations
-        without batch support fall back to the scalar loop.
         """
         records = list(records)
         if not records:
             return []
         if not self._fitted:
             raise RuntimeError("pipeline has not been fitted; call fit first")
-        if not self.supports_batch_observe():
-            return [self.observe(record) for record in records]
 
         # Phase 1: embed, through the scalar path's read-only lookup.
         n = len(records)
-        rows = embed_records(self.embedder, records, kernel)
+        rows = embed_records(self.embedder, records)
         embedded = [i for i, row in enumerate(rows) if row is not None]
 
         # Phase 2: chunked verdict walk.  [seg_start, seg_end) over
         # `embedded` is the window whose precomputed verdicts are still
         # valid against the current detector state.
         decisions: list[GeofenceDecision | None] = [None] * n
-        can_update = self.self_update and hasattr(self.detector, "update")
         scores = outliers = confident = None
         seg_start = seg_end = 0
         k = 0
@@ -272,25 +275,12 @@ class EmbeddingGeofencer:
                 seg_start = k
                 seg_end = min(k + self._SCORE_CHUNK, len(embedded))
                 matrix = np.vstack([rows[j] for j in embedded[seg_start:seg_end]])
-                scores, outliers, confident = self.detector.score_batch(matrix)
+                scores, outliers, confident = self._score_rows(matrix)
             p = k - seg_start
             k += 1
-            score = float(scores[p])
-            if outliers[p]:
-                decisions[i] = GeofenceDecision(inside=False, score=score)
-                continue
-            conf = bool(confident[p])
-            buffered = False
-            updated = False
-            if conf and can_update:
-                self._update_buffer.append(rows[i])
-                buffered = True
-                if len(self._update_buffer) >= self.batch_update_size:
-                    self.flush_updates()
-                    updated = True
-                    seg_end = k  # detector moved: unconsumed verdicts are stale
-            decisions[i] = GeofenceDecision(inside=True, score=score, confident=conf,
-                                            buffered=buffered, updated=updated)
+            decisions[i] = self._decide(rows[i], scores[p], outliers[p], confident[p])
+            if decisions[i].updated:
+                seg_end = k  # detector moved: unconsumed verdicts are stale
         return decisions
 
     def observe_stream(self, records: Iterable[SignalRecord],
@@ -449,30 +439,26 @@ class EmbeddingGeofencer:
         embedder.load_state_dict(state["embedder"])
         detector = copy.deepcopy(self.detector)
         detector.load_state_dict(state["detector"])
+        return self._commit_loaded(embedder, detector, state)
+
+    def _commit_loaded(self, embedder, detector, state: dict) -> "EmbeddingGeofencer":
+        """The commit step of a load: install the loaded ``embedder`` and
+        ``detector`` and the pipeline fields of ``state``.
+
+        Parses every field before the first assignment, so a bad field
+        leaves the pipeline as it was.
+        """
         buffer = np.asarray(state["update_buffer"], dtype=np.float64)
+        self_update = bool(state["self_update"])
+        batch_update_size = int(state["batch_update_size"])
         # Commit point: nothing above mutated self.
         self.embedder = embedder
         self.detector = detector
-        self.self_update = bool(state["self_update"])
-        self.batch_update_size = int(state["batch_update_size"])
+        self.self_update = self_update
+        self.batch_update_size = batch_update_size
         self._update_buffer = [row for row in buffer] if buffer.size else []
         self._fitted = True
         return self
-
-    def _verdict(self, row: np.ndarray) -> tuple[float, bool, bool]:
-        """``(score, outlier, confident inlier)`` of one ``(1, d)`` row.
-
-        One ``score_batch`` pass when the detector has one (bit-identical
-        to the three scalar calls, see :mod:`repro.detection.batch`).
-        """
-        if self._batch_scoring():
-            scores, outliers, confident = self.detector.score_batch(row)
-            return float(scores[0]), bool(outliers[0]), bool(confident[0])
-        score = float(self.detector.decision_scores(row)[0])
-        outlier = bool(self.detector.is_outlier(row)[0])
-        confident = (not outlier and hasattr(self.detector, "is_confident_inlier")
-                     and bool(self.detector.is_confident_inlier(row)[0]))
-        return score, outlier, confident
 
     def _embed(self, record: SignalRecord) -> np.ndarray | None:
         if not self._fitted:
@@ -528,15 +514,7 @@ class GEM(EmbeddingGeofencer):
         embedder = BiSAGEEmbedder(config.bisage, weight_offset=config.weight_offset)
         embedder.load_state_dict(state["embedder"])
         detector = HistogramDetector(config.histogram).load_state_dict(state["detector"])
-        buffer = np.asarray(state["update_buffer"], dtype=np.float64)
-        # Commit point: nothing above mutated self.
-        self.embedder = embedder
-        self.detector = detector
-        self.self_update = bool(state["self_update"])
-        self.batch_update_size = int(state["batch_update_size"])
-        self._update_buffer = [row for row in buffer] if buffer.size else []
-        self._fitted = True
-        return self
+        return self._commit_loaded(embedder, detector, state)
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "GEM":

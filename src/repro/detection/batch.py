@@ -1,8 +1,7 @@
-"""Batch-scoring contract for detectors on the vectorized data plane.
+"""Batch-scoring contract for detectors on the batch data plane.
 
-A detector opts into the fast path by exposing::
+A detector may expose::
 
-    def supports_batch_score(self) -> bool: ...
     def score_batch(self, embeddings: np.ndarray) -> BatchScores: ...
 
 ``score_batch`` receives a C-contiguous ``(B, d)`` float64 matrix of
@@ -14,15 +13,18 @@ embedding rows and must return, per row, exactly what one scalar
 * ``outliers[i]`` — ``bool(is_outlier(row_i[None, :])[0])``
 * ``confident[i]``— ``bool(is_confident_inlier(row_i[None, :])[0])``
 
-bit for bit.  Detectors whose batch math cannot honour that (pairwise
-or ensemble scorers whose dense kernels depend on the batch size, e.g.
-LOF / iForest / feature bagging) must simply not define the hooks; the
-serving layer then falls back to the scalar loop via the registry's
-``supports_batch_score`` flag.
+bit for bit.  Every detector is served through the same batch path,
+``EmbeddingGeofencer._score_rows``, which calls the hook when it exists
+and otherwise makes those three scalar calls row by row.  Detectors
+whose batch math cannot honour the contract (pairwise or ensemble
+scorers whose dense kernels depend on the batch size, e.g. LOF /
+iForest / feature bagging) therefore simply do not define the hook;
+the registry's ``supports_batch_score`` flag records which detectors
+have it.
 
 The caller owns update semantics: ``score_batch`` must not mutate the
 detector, and scores it returned become stale the moment the caller
-applies an ``update`` — the batch plane re-scores the remainder of the
+applies an ``update`` — ``observe_many`` re-scores the remainder of the
 batch after every flush for exactly that reason.
 """
 

@@ -235,10 +235,6 @@ class HistogramDetector:
     # ------------------------------------------------------------------
     # Batch scoring (vectorized data plane)
     # ------------------------------------------------------------------
-    def supports_batch_score(self) -> bool:
-        """Histogram scoring is row-separable, so batching is bit-safe."""
-        return True
-
     def score_batch(self, embeddings: np.ndarray) -> BatchScores:
         """Score a whole ``(B, d)`` batch in one pass — see
         :mod:`repro.detection.batch` for the bit-identity contract.

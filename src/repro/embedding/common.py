@@ -11,8 +11,8 @@ sampler (Eq. 8).  A node's deterministic random initial embedding
 :class:`SAGE` is everything else the two models share, written once:
 the config and its validation, the fit loop (walk pairs, sampler,
 negative sampler, Adam and the RNG streams ``seed+1 … seed+5``), the
-full-neighbourhood cache build, the inductive record embedding with its
-batch kernel and inference token, and ``state_dict``/``load_state_dict``.
+full-neighbourhood cache build, the inductive record embedding with the
+batch kernel the model owns, and ``state_dict``/``load_state_dict``.
 A model declares only its *streams* (:class:`Stream`: which stream each
 one aggregates, its initial-row salt, and the attribute names of its
 weights and caches) and its Eq. 9 loss; the first stream is the one a
@@ -48,7 +48,6 @@ __all__ = [
     "SAGEConfig",
     "Stream",
     "full_aggregation_matrix",
-    "initial_embeddings",
     "initial_embedding_row",
 ]
 
@@ -163,19 +162,6 @@ def initial_embedding_row(dim: int, seed: int, salt: int, node_id: int) -> np.nd
     return row / norm if norm > 0 else row
 
 
-def initial_embeddings(num_nodes: int, dim: int, seed: int, salt: int,
-                       start: int = 0) -> np.ndarray:
-    """Deterministic initial embeddings for nodes ``start .. start+num-1``.
-
-    Row ``i`` depends only on (seed, salt, start + i), so appending nodes
-    later reproduces exactly the same earlier rows.
-    """
-    out = np.empty((num_nodes, dim), dtype=np.float64)
-    for i in range(num_nodes):
-        out[i] = initial_embedding_row(dim, seed, salt, start + i)
-    return out
-
-
 @dataclass(frozen=True)
 class SAGEConfig:
     """Hyper-parameters of a SAGE-family model (paper defaults from Sec. V).
@@ -263,6 +249,9 @@ class SAGE:
         # index 0 = layer 0, one row per node of the training graph.
         for name in self._cache_names():
             setattr(self, f"_cache_{name}", [])
+        # The inference kernel over the current weights and caches: built
+        # on first use, dropped by fit and load_state_dict.
+        self._kernel: SageInferenceKernel | None = None
 
     # ------------------------------------------------------------------
     # Initial embeddings (deterministic per node identity)
@@ -295,6 +284,7 @@ class SAGE:
         cfg = self.config
         self.graph = graph
         self.loss_history = []
+        self._kernel = None
         initial = self._initial_embeddings()
 
         param_rng = as_rng(cfg.seed + 1)
@@ -462,32 +452,26 @@ class SAGE:
     # Batched inference (vectorized data plane)
     # ------------------------------------------------------------------
     def batched_inference(self) -> SageInferenceKernel:
-        """Hoisted record-inference kernel for the batch data plane.
+        """The model's hoisted record-inference kernel (see nn/batch.py).
 
         Captures exactly what :meth:`embed_record_node` reads: the shared
         ``_INFERENCE_KEY`` initial row of the served stream, its weight
-        stack and the MAC caches it aggregates.  Valid until
-        :meth:`inference_token` changes.
+        stack and the MAC caches it aggregates.  Built on first use and
+        kept until :meth:`fit` or :meth:`load_state_dict` rebuilds those,
+        the only two places they change.  Two threads that race to build
+        it each get a valid kernel.
         """
-        self._require_fitted()
-        name, stack, neighbor_caches = self._served()
-        return SageInferenceKernel(
-            initial=self._initial_row(RECORD, _INFERENCE_KEY, name),
-            weights=[w.data for w in stack],
-            neighbor_caches=neighbor_caches,
-            act=_ACTIVATIONS[self.config.activation][1],
-        )
-
-    def inference_token(self) -> tuple:
-        """Identity fingerprint of everything a kernel captures.
-
-        Inference output changes only when :meth:`fit` or
-        ``load_state_dict`` rebuilds the graph, weights and caches; both
-        produce new objects here, so an ``id``-based tuple comparison
-        catches them without hashing array contents.
-        """
-        _, stack, neighbor_caches = self._served()
-        return (id(self.graph), tuple(id(w) for w in stack), id(neighbor_caches))
+        kernel = self._kernel
+        if kernel is None:
+            self._require_fitted()
+            name, stack, neighbor_caches = self._served()
+            kernel = self._kernel = SageInferenceKernel(
+                initial=self._initial_row(RECORD, _INFERENCE_KEY, name),
+                weights=[w.data for w in stack],
+                neighbor_caches=neighbor_caches,
+                act=_ACTIVATIONS[self.config.activation][1],
+            )
+        return kernel
 
     # ------------------------------------------------------------------
     # Persistence
@@ -532,6 +516,7 @@ class SAGE:
         if saved_cfg != cfg:
             raise ValueError("checkpoint config does not match this model's config; "
                              f"saved {saved_cfg}, constructed with {cfg}")
+        self._kernel = None
         for stream in self.streams.values():
             setattr(self, stream.weights, [Parameter(np.zeros((2 * cfg.dim, cfg.dim)))
                                            for _ in range(cfg.num_layers)])

@@ -4,24 +4,27 @@ A :class:`SageInferenceKernel` is the hoisted, allocation-lean form of
 the per-record inductive embedding step BiSAGE and GraphSAGE share
 (:meth:`repro.embedding.common.SAGE._embed_from_neighbors`, written
 once for both): the constant inference-node initial row of the served
-stream, its per-layer weight matrices and the live MAC cache lists it
-aggregates are captured once per batch (or cached across batches by
-:class:`repro.serve.batchplane.BatchPlane`) instead of being re-derived
-record by record.
+stream, its per-layer weight matrices and the MAC cache lists it
+aggregates are captured once instead of being re-derived record by
+record.  The fitted model owns one kernel
+(:meth:`repro.embedding.common.SAGE.batched_inference`), built on first
+use and dropped when ``fit`` or ``load_state_dict`` rebuilds what it
+captured.
 
 Callers
 -------
 Every graph-embedder path that embeds more than a one-off record runs
-through a kernel (all but the last via
+through the model's kernel (all but the last via
 :func:`repro.core.gem.embed_records`):
 
-* ``EmbeddingGeofencer.observe_many`` — the batch plane, which every
-  serving layer above the model (fleet, runtime, router, worker) also
-  uses for a single observation, as a batch of one;
+* ``EmbeddingGeofencer.observe_many`` — the one served path, which every
+  serving layer above the model (batch plane, fleet, runtime, router,
+  worker) also uses for a single observation, as a batch of one;
 * ``EmbeddingGeofencer.predict_many`` (and ``predict``, which delegates
-  to it) — the quarantine's consistency gate, with the fleet's cached
-  kernel, and the recovery ``max_fpr`` check;
-* ``RefreshJob.build`` — the coordinated refresh's re-embed;
+  to it) — the quarantine's consistency gate and the recovery
+  ``max_fpr`` check;
+* ``RefreshJob.build`` — the coordinated refresh's re-embed, which runs
+  with the fleet lock released;
 * ``_GraphEmbedderBase.training_embeddings`` — the detector's fit rows.
 
 Only ``EmbeddingGeofencer.observe`` and ``score`` — the scalar
@@ -42,28 +45,31 @@ enforces it.  Two consequences shape the implementation:
   both scalar-vs-vectorized identity and batch-size-1-vs-N identity.
   The gathers, weighted means and GEMVs below are exactly the scalar
   ops on exactly the scalar operands.
-* The concat buffer is a layout trick only: filling a preallocated
-  ``(2d,)`` buffer with the same values ``np.concatenate`` would
-  produce feeds the identical contiguous operand to the identical
-  GEMV, so the result is unchanged while the per-layer allocation is
-  not.
+* The concat buffer is a layout trick only: filling a ``(2d,)`` buffer
+  with the same values ``np.concatenate`` would produce feeds the
+  identical contiguous operand to the identical GEMV, so the result is
+  unchanged while the per-layer allocation is not.  The buffer is
+  allocated once per :meth:`~SageInferenceKernel.embed` call, never
+  kept on the kernel.
 
 What the kernel *does* save per record: the ``initial_embedding_row``
 recomputation (the inference key is constant, so the row is too),
-attribute-chain lookups, and one concat allocation per layer.  The big
-batch win — scoring the whole batch through the detector once — lives
-in :meth:`repro.detection.histogram.HistogramDetector.score_batch`.
+attribute-chain lookups, and all but one of the K concat allocations.  The big batch win — scoring the whole batch through the
+detector once — lives in
+:meth:`repro.detection.histogram.HistogramDetector.score_batch`.
 Neither form computes BiSAGE's auxiliary ``l`` stream for the record:
 no layer of the served ``h`` reads the record's own ``l``.
 
-The kernel holds the neighbour cache *lists* by reference.  Serving
-never writes them: a streamed record is embedded against the training
-graph without being connected into it, and its ``(neighbors,
-weights)`` come from the same read-only lookup the scalar path uses
+Thread safety: the kernel holds no mutable state of its own, so several
+threads may embed through one kernel at once (a serving batch and a
+refresh re-embed do).  It holds the neighbour cache *lists* by
+reference, and nothing writes them while the model serves: a streamed
+record is embedded against the training graph without being connected
+into it, and its ``(neighbors, weights)`` come from the same read-only
+lookup the scalar path uses
 (:meth:`repro.graph.bipartite.WeightedBipartiteGraph.edges_of`), so
 every neighbour index has a cache row.  Only a re-fit or a load
-rebuilds the caches, and the owner's token check then discards this
-kernel.
+rebuilds the caches, and both drop the model's kernel with them.
 """
 
 from __future__ import annotations
@@ -102,7 +108,6 @@ class SageInferenceKernel:
         self.neighbor_caches = neighbor_caches
         self.act = act
         self._dim = self.initial.shape[0]
-        self._buf = np.empty(2 * self._dim, dtype=np.float64)
 
     def embed(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Embedding row for one record's (non-empty) edges — the scalar
@@ -110,8 +115,8 @@ class SageInferenceKernel:
         probabilities = weights / weights.sum()
         act = self.act
         caches = self.neighbor_caches
-        buf = self._buf
         dim = self._dim
+        buf = np.empty(2 * dim, dtype=np.float64)
         z = self.initial
         for k, w in enumerate(self.weights):
             agg = probabilities @ caches[k][neighbors]

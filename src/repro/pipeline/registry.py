@@ -77,12 +77,13 @@ class ComponentEntry:
     ``supports_refresh`` marks components that can take part in a
     coordinated refresh — ``refreshable`` (graph) embedders,
     detectors exposing ``refit``, and standalone models exposing
-    ``refresh(records)``.  ``supports_batch_score`` marks detectors
-    (and models built on them) whose batch scoring is bit-identical per
-    row to scalar scoring, making them eligible for the vectorized
-    batch data plane (:mod:`repro.serve.batchplane`); row-coupled
-    scorers like LOF/iForest must leave it False and stay on the scalar
-    path.
+    ``refresh(records)``.  ``supports_batch_score`` describes detectors
+    (and models built on them) with a ``score_batch`` hook that scores a
+    whole matrix at once, bit-identically per row (see
+    :mod:`repro.detection.batch`); row-coupled scorers like LOF/iForest
+    leave it False.  It is a description for ``repro components``: the
+    served path asks the detector itself, and scores detectors without
+    the hook row by row.
     """
 
     name: str

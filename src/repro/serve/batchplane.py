@@ -1,46 +1,34 @@
-"""The fleet's vectorized batch data plane.
+"""The fleet's batch data plane.
 
 Every observation the fleet serves goes through :class:`BatchPlane`:
 ``GeofenceFleet.observe_many`` hands it each tenant's group, and
 ``GeofenceFleet.observe`` is a batch of one.  The plane routes the
-group through ``EmbeddingGeofencer.observe_many`` — one hoisted
-inference kernel, chunked detector scoring — while caching the kernel
-*across* batches, keyed by the embedder's ``batch_token()`` identity
-fingerprint.
+group through ``EmbeddingGeofencer.observe_many``, the one served path
+of every embedder × detector arm: a graph embedder embeds through its
+fitted model's inference kernel (:mod:`repro.nn.batch`), and the
+detector scores the embedded rows in chunks (``score_batch`` where the
+detector has it, row by row otherwise; see :mod:`repro.detection.batch`).
 
-Eligibility and fallback
-------------------------
-``fastpath_reason`` names why a model cannot take the fast path:
+Outcomes
+--------
 
-========================  ====================================================
-reason                    what falls back
-========================  ====================================================
-``model``                 standalone models (SignatureHome, INOA) and anything
-                          without ``observe_many`` (no batch contract at all)
-``embedder``              matrix embedders (autoencoder / MDS / imputed
-                          matrix) — no hoisted inference kernel
-``detector``              LOF / iForest / feature bagging — their dense
-                          kernels are batch-size-dependent, so batch scores
-                          would not be bit-identical (see the registry's
-                          ``supports_batch_score`` flag)
-========================  ====================================================
+==================  =======================================================
+outcome             when
+==================  =======================================================
+``engaged``         the model has ``observe_many``: every pipeline arm
+``fallback_model``  standalone models (SignatureHome, INOA), which have no
+                    ``observe_many``: ``model.observe`` per record
+==================  =======================================================
 
-Fallback means exactly the old behaviour: ``model.observe`` per record.
+Either way the decisions and the model's post-batch state are exactly
+what the scalar per-record loop would have produced.
 
-Cache invalidation
-------------------
-A cached kernel is reused only while the embedder's ``batch_token()``
-matches the one captured with it.  The token is built from object
-identities of everything the kernel reads, so every event that could
-change inference output invalidates it for free:
-
-* **reprovision / evict+reload** replace the whole model (weak key dies);
-* **load_state_dict** or a re-``fit`` rebuilds weights, graph and caches
-  (token changes).
-
-Nothing else moves them: serving embeds records without connecting them
-into the graph, and a coordinated refresh refits only the detector, so
-a kernel stays valid across refreshes.
+The plane caches nothing.  The inference kernel belongs to the fitted
+model: built on first use, and dropped when a re-``fit`` or
+``load_state_dict`` rebuilds what it captured.  A reprovision or an
+evict/reload brings a new model and with it a new kernel, and a
+coordinated refresh refits only the detector, so the kernel outlives
+refreshes.
 
 Outcomes are counted per ``(arm, outcome)`` in the metric family
 ``repro_batch_fastpath_total{arm, outcome}`` of the fleet's
@@ -50,26 +38,9 @@ given).
 
 from __future__ import annotations
 
-import weakref
-
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["BatchPlane", "fastpath_reason", "arm_label"]
-
-
-def fastpath_reason(model) -> str | None:
-    """None when the fast path may engage, else the fallback reason."""
-    if not hasattr(model, "observe_many") or not hasattr(model, "embedder"):
-        return "model"
-    embedder = model.embedder
-    if not (hasattr(embedder, "supports_batch_inference")
-            and embedder.supports_batch_inference()):
-        return "embedder"
-    detector = model.detector
-    if not (hasattr(detector, "supports_batch_score")
-            and detector.supports_batch_score()):
-        return "detector"
-    return None
+__all__ = ["BatchPlane", "arm_label"]
 
 
 def arm_label(model) -> str:
@@ -88,17 +59,14 @@ def arm_label(model) -> str:
 
 
 class BatchPlane:
-    """Per-fleet batch router with a kernel cache and outcome counters.
+    """Per-fleet batch router with outcome counters.
 
     Not internally locked: the owning fleet calls :meth:`observe_batch`
     under the same lock that serialises every other mutation of the
-    tenant's model, which also guards the kernel cache.
+    tenant's model.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None):
-        # model -> (token, kernel); weak keys let evicted/replaced
-        # models drop their kernels without any explicit hook.
-        self._kernels: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         if metrics is None:
             metrics = MetricsRegistry()
         self._family = metrics.counter(
@@ -110,38 +78,17 @@ class BatchPlane:
     def observe_batch(self, model, records) -> tuple[list, str]:
         """Route one tenant batch; returns ``(decisions, outcome)``.
 
-        ``outcome`` is ``"engaged"`` or ``"fallback_<reason>"``; either
-        way the decisions (and the model's post-batch state) are exactly
-        what the scalar per-record loop would have produced.
+        ``outcome`` is ``"engaged"`` or ``"fallback_model"`` (see the
+        module docstring).
         """
-        reason = fastpath_reason(model)
-        if reason is not None:
-            outcome = f"fallback_{reason}"
-            decisions = [model.observe(record) for record in records]
-        else:
+        if hasattr(model, "observe_many"):
             outcome = "engaged"
-            decisions = model.observe_many(records, kernel=self.kernel_for(model))
+            decisions = model.observe_many(records)
+        else:
+            outcome = "fallback_model"
+            decisions = [model.observe(record) for record in records]
         self._count(arm_label(model), outcome)
         return decisions, outcome
-
-    def kernel_for(self, model):
-        """The cached inference kernel for ``model``'s embedder, or None
-        when the embedder has none (matrix embedders, standalone models).
-
-        Also serves the fleet's off-batch callers (the quarantine's
-        consistency gate), so they replay the same kernel as the batch.
-        """
-        embedder = getattr(model, "embedder", None)
-        if not (hasattr(embedder, "supports_batch_inference")
-                and embedder.supports_batch_inference()):
-            return None
-        token = embedder.batch_token()
-        cached = self._kernels.get(model)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        kernel = embedder.batched_inference()
-        self._kernels[model] = (token, kernel)
-        return kernel
 
     def _count(self, arm: str, outcome: str) -> None:
         key = (arm, outcome)

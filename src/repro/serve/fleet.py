@@ -20,7 +20,7 @@ Data plane vs control plane: ``observe``/``observe_many``/``score`` are
 the hot path and never initiate maintenance.  There is one observe
 path: ``observe`` is ``observe_many`` over a batch of one, so every
 record goes through the :class:`~repro.serve.batchplane.BatchPlane`
-and its cached inference kernel.  The fleet additionally
+into the model's own ``observe_many``.  The fleet additionally
 keeps a bounded per-tenant reservoir of inlier *records* in two parts —
 a pinned **anchor** (the provision-time training records, replaced only
 at re-provision) plus a rolling window of **recent** in-premises scans —
@@ -283,11 +283,9 @@ class GeofenceFleet:
         # check at commit cannot see a *second* refresh of the same
         # model object, so overlapping refreshes are refused up front.
         self._refreshing: set[str] = set()
-        # The vectorized batch data plane: routes observe_many groups
-        # through the fused fast path where the arm allows, counts
-        # engaged/fallback outcomes, and caches inference kernels
-        # between batches (invalidated by identity token on refresh
-        # commit / reprovision / evict-reload).  Shares the fleet lock.
+        # The batch data plane: routes each tenant's observe_many group
+        # into the model's observe_many (standalone models: per record)
+        # and counts engaged/fallback outcomes.  Shares the fleet lock.
         self.batchplane = BatchPlane(metrics=self.telemetry.metrics)
         self._lock = RLock()
 
@@ -671,9 +669,8 @@ class GeofenceFleet:
         refuses.  The buffer's own gates (home-AP anchor, consistency
         under augmentation, reservoir draw) decide admission; scoring
         augmented copies uses the model's side-effect-free
-        ``predict_many`` with the batch plane's cached inference kernel,
-        so the decision stream is untouched whether or not quarantine
-        runs.  Call with the lock held.
+        ``predict_many``, so the decision stream is untouched whether or
+        not quarantine runs.  Call with the lock held.
         """
         if not self.quarantine_size or decision.inside:
             return
@@ -684,7 +681,7 @@ class GeofenceFleet:
             buffer.set_home(home_anchor_macs(self._anchor_records(tenant_id),
                                              buffer.min_anchor_fraction))
             self._quarantine[tenant_id] = buffer
-        outcome = buffer.consider(model, record, self.batchplane.kernel_for(model))
+        outcome = buffer.consider(model, record)
         self.telemetry.record_quarantine(outcome)
         if outcome == "admitted":
             self._sync_quarantine_gauge()

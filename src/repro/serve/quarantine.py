@@ -102,15 +102,14 @@ def home_anchor_macs(records: Sequence[SignalRecord],
     return frozenset(mac for mac, n in counts.items() if n >= floor)
 
 
-def predict_records(model, records: Sequence[SignalRecord], kernel=None) -> np.ndarray:
+def predict_records(model, records: Sequence[SignalRecord]) -> np.ndarray:
     """The model's in-premises verdict per record, as a boolean array.
 
-    One ``predict_many`` pass when the model has one (``kernel``: a
-    cached inference kernel valid for its embedder), else ``predict``
+    One ``predict_many`` pass when the model has one, else ``predict``
     per record; both leave the model untouched.
     """
     if hasattr(model, "predict_many"):
-        return model.predict_many(records, kernel=kernel)
+        return model.predict_many(records)
     return np.array([model.predict(record) for record in records], dtype=bool)
 
 
@@ -130,13 +129,13 @@ class ConsistencyGate:
     to.  Records that flip on any copy are boundary cases, not
     confident model-world mismatches, and make poor recovery evidence.
 
-    Scoring uses the model's side-effect-free ``predict_many`` (one
-    inference-kernel embed per copy and one ``score_batch`` over all
-    copies, with the fleet's cached
-    :class:`~repro.serve.batchplane.BatchPlane` kernel), or ``predict``
-    per copy for models without it.  Neither mutates the embedder or
-    the detector — the gate is invisible to the decision stream, which
-    is what keeps quarantine-off and quarantine-on fleets bit-identical.
+    Scoring uses the model's side-effect-free ``predict_many`` (the
+    same embed and score the served ``observe_many`` runs: for a graph
+    embedder one embed per copy through the model's own inference
+    kernel, and one scoring pass over all copies), or ``predict`` per
+    copy for models without it.  Neither mutates the embedder or the
+    detector — the gate is invisible to the decision stream, which is
+    what keeps quarantine-off and quarantine-on fleets bit-identical.
     """
 
     passes: int = 3
@@ -168,7 +167,7 @@ class ConsistencyGate:
                             position=record.position)
 
     def stable_rejection(self, model, record: SignalRecord,
-                         rng: np.random.Generator, kernel=None) -> bool:
+                         rng: np.random.Generator) -> bool:
         """True when the model rejects all ``passes`` augmented copies.
 
         All copies are drawn before any is scored, then scored in one
@@ -177,7 +176,7 @@ class ConsistencyGate:
         short-circuit would have skipped changes no admission.
         """
         copies = [self.augment(record, rng) for _ in range(self.passes)]
-        return not predict_records(model, copies, kernel).any()
+        return not predict_records(model, copies).any()
 
 
 class QuarantineBuffer:
@@ -229,11 +228,8 @@ class QuarantineBuffer:
         return any(record.readings.get(mac, -float("inf")) >= floor
                    for mac in self.home_macs)
 
-    def consider(self, model, record: SignalRecord, kernel=None) -> str:
+    def consider(self, model, record: SignalRecord) -> str:
         """Offer one rejected record; returns the admission outcome.
-
-        ``kernel`` is passed to the gate (see
-        :meth:`ConsistencyGate.stable_rejection`).
 
         Outcomes (the ``outcome`` label on
         ``repro_quarantine_admissions_total``): ``"admitted"`` (in the
@@ -246,7 +242,7 @@ class QuarantineBuffer:
         rng = self._candidate_rng(self.offered)
         self.offered += 1
         if self.gate is not None and hasattr(model, "predict") \
-                and not self.gate.stable_rejection(model, record, rng, kernel):
+                and not self.gate.stable_rejection(model, record, rng):
             return "inconsistent"
         index = self.seen
         self.seen += 1

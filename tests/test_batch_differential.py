@@ -4,11 +4,12 @@ Replays identical record streams — drift epochs, unknown-MAC records,
 empty-reading records (+inf scores), empty batches, batch-size 1 vs N
 splits — through the scalar per-record loop and through the batch plane
 for **every registry arm**, asserting bit-identical decisions and
-byte-identical post-stream ``state_dict()`` trees.  Arms without batch
-support must come out identical too (the plane falls back to the same
-scalar loop), so the whole fallback matrix is exercised, not just the
-fast path.  One level up, the fleet's single ``observe`` (a batch of
-one) must match its ``observe_many`` over a whole stream.
+byte-identical post-stream ``state_dict()`` trees.  Every pipeline arm
+takes the one served path, ``observe_many`` (graph and matrix
+embedders, detectors with and without ``score_batch``); standalone
+models take the plane's per-record loop and must come out identical
+too.  One level up, the fleet's single ``observe`` (a batch of one)
+must match its ``observe_many`` over a whole stream.
 
 The off-batch callers of the inference kernel are held to the same
 standard: ``predict_many``, the quarantine's consistency gate on a
@@ -33,25 +34,26 @@ from repro.embedding.bisage import BiSAGEConfig
 from repro.eval.algorithms import ALGORITHM_NAMES, arm_accepts, arm_spec
 from repro.pipeline import build_pipeline
 from repro.serve import GeofenceFleet, ModelRegistry
-from repro.serve.batchplane import BatchPlane, arm_label, fastpath_reason
+from repro.serve.batchplane import BatchPlane, arm_label
 from repro.serve.quarantine import ConsistencyGate, QuarantineBuffer, home_anchor_macs
 from repro.serve.telemetry import TenantStats
 
-# The outcome the batch plane must report per arm: only graph-embedder +
-# histogram compositions may engage; everything else names its reason.
+# The outcome the batch plane must report per arm: every embedder +
+# detector pipeline engages; standalone models have no observe_many.
 EXPECTED_OUTCOME = {
     "GEM": "engaged",
     "GraphSAGE+OD": "engaged",
     "GEM(plain-HBOS)": "engaged",
     "SignatureHome": "fallback_model",
     "INOA": "fallback_model",
-    "Autoencoder+OD": "fallback_embedder",
-    "MDS+OD": "fallback_embedder",
-    "GEM(no-BiSAGE)": "fallback_embedder",
-    "BiSAGE+FeatureBagging": "fallback_detector",
-    "BiSAGE+iForest": "fallback_detector",
-    "BiSAGE+LOF": "fallback_detector",
+    "Autoencoder+OD": "engaged",
+    "MDS+OD": "engaged",
+    "GEM(no-BiSAGE)": "engaged",
+    "BiSAGE+FeatureBagging": "engaged",
+    "BiSAGE+iForest": "engaged",
+    "BiSAGE+LOF": "engaged",
 }
+PIPELINE_ARMS = [arm for arm in ALGORITHM_NAMES if EXPECTED_OUTCOME[arm] == "engaged"]
 
 
 def small_gem_config() -> GEMConfig:
@@ -135,13 +137,11 @@ def test_scalar_vs_batch_bit_identity(arm):
         outcomes.add(outcome)
 
     assert outcomes == {EXPECTED_OUTCOME[arm]}
-    assert fastpath_reason(model) == (None if EXPECTED_OUTCOME[arm] == "engaged"
-                                      else EXPECTED_OUTCOME[arm].removeprefix("fallback_"))
     assert_decisions_identical(scalar, batch)
     assert_trees_identical(scalar_model.state_dict(), batch_model.state_dict())
 
 
-@pytest.mark.parametrize("arm", ["GEM", "GraphSAGE+OD", "GEM(plain-HBOS)"])
+@pytest.mark.parametrize("arm", PIPELINE_ARMS)
 def test_batch_size_one_vs_n_splits(arm):
     """Every split of the same stream yields the same decisions + state."""
     model = build_arm(arm)
@@ -285,10 +285,6 @@ def test_update_flush_mid_batch_matches_scalar():
 # ----------------------------------------------------------------------
 # Off-batch callers of the kernel: predict, the gate, refresh, fit
 # ----------------------------------------------------------------------
-PREDICT_ARMS = [arm for arm in ALGORITHM_NAMES
-                if EXPECTED_OUTCOME[arm] != "fallback_model"]
-
-
 def scalar_predict(model, record) -> bool:
     """The per-record reference: scalar embed, then ``is_outlier``."""
     if not record.readings:
@@ -302,7 +298,7 @@ class ScalarGate(ConsistencyGate):
     """The gate scoring one copy at a time and stopping at the first
     accepted copy, through :func:`scalar_predict`."""
 
-    def stable_rejection(self, model, record, rng, kernel=None):
+    def stable_rejection(self, model, record, rng):
         return all(not scalar_predict(model, self.augment(record, rng))
                    for _ in range(self.passes))
 
@@ -326,13 +322,13 @@ def shocked_stream(train, n: int = 120, seed: int = 21) -> list[SignalRecord]:
     return stream
 
 
-@pytest.mark.parametrize("arm", PREDICT_ARMS)
+@pytest.mark.parametrize("arm", PIPELINE_ARMS)
 def test_predict_many_matches_scalar_predict(arm):
     model = build_arm(arm)
     model.fit(synthetic_records(60, seed=3))
     stream = adversarial_stream()
     expected = [scalar_predict(model, record) for record in stream]
-    batch = model.predict_many(stream, kernel=BatchPlane().kernel_for(model))
+    batch = model.predict_many(stream)
     assert batch.dtype == bool and batch.tolist() == expected
     assert [model.predict(record) for record in stream] == expected
     assert model.predict_many([]).tolist() == []
@@ -349,10 +345,9 @@ def test_consistency_gate_on_shocked_stream_matches_scalar(arm):
     batched = QuarantineBuffer(4, seed=5, tenant_key="t", gate=ConsistencyGate(passes=3))
     scalar.set_home(home)
     batched.set_home(home)
-    kernel = BatchPlane().kernel_for(model)
     stream = shocked_stream(train)
     scalar_outcomes = [scalar.consider(model, record) for record in stream]
-    batched_outcomes = [batched.consider(model, record, kernel) for record in stream]
+    batched_outcomes = [batched.consider(model, record) for record in stream]
 
     assert batched_outcomes == scalar_outcomes
     assert {"admitted", "inconsistent", "sampled-out"} <= set(scalar_outcomes)

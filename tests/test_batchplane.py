@@ -1,8 +1,9 @@
 """Unit tests for the batch data plane's serving pieces.
 
-Covers the kernel cache lifecycle (reuse, reuse across refreshes,
-``load_state_dict`` invalidation, evict/reload weak-key drop,
-reprovision), the fallback matrix reasons, the
+Covers the lifecycle of the inference kernel the fitted model owns
+(reused across batches and refreshes; replaced by ``fit``,
+``load_state_dict``, reprovision and evict/reload), one kernel shared
+by concurrent embedding threads, the plane's two outcomes, the
 ``repro_batch_fastpath_total`` metric family, the detector
 ``score_batch`` contract, and the batched telemetry recorder.
 """
@@ -10,6 +11,8 @@ reprovision), the fallback matrix reasons, the
 from __future__ import annotations
 
 import copy
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -37,43 +40,63 @@ def fitted_gem(**overrides) -> GEM:
     return make_gem(**overrides).fit(synthetic_records(40, seed=0))
 
 
+def kernel_of(model):
+    """The kernel the model's SAGE holds now (None until first use)."""
+    return model.embedder.model._kernel
+
+
 class TestKernelCache:
     def test_kernel_reused_across_batches_on_stable_state(self):
         gem = fitted_gem()
         plane = BatchPlane()
-        stream = synthetic_records(12, seed=5)  # same MAC universe: no rebind
+        stream = synthetic_records(12, seed=5)
         plane.observe_batch(gem, stream[:6])
-        first = plane._kernels[gem][1]
+        first = kernel_of(gem)
+        assert first is not None
         plane.observe_batch(gem, stream[6:])
-        assert plane._kernels[gem][1] is first
+        assert kernel_of(gem) is first
+        assert gem.embedder.batched_inference() is first
 
     def test_refresh_keeps_kernel_valid(self):
         """refresh() refits only the detector: the embedder, and with it
-        the cached kernel, survive, and decisions match the scalar loop."""
+        the model's kernel, survive, and decisions match the scalar loop."""
         gem = fitted_gem()
         plane = BatchPlane()
         plane.observe_batch(gem, synthetic_records(6, seed=5))
-        kernel = plane._kernels[gem][1]
+        kernel = kernel_of(gem)
         gem.refresh(synthetic_records(20, seed=6))
         reference = copy.deepcopy(gem)
         probe = synthetic_records(8, seed=7)
         decisions, outcome = plane.observe_batch(gem, probe)
         assert outcome == "engaged"
-        assert plane._kernels[gem][1] is kernel
+        assert kernel_of(gem) is kernel
         assert decisions == [reference.observe(r) for r in probe]
 
     def test_load_state_dict_invalidates_kernel(self):
+        """A load brings a new model whose kernel is built afresh, and
+        loading into a SAGE model drops the kernel it held; so does a
+        re-fit."""
         gem = fitted_gem()
         plane = BatchPlane()
         plane.observe_batch(gem, synthetic_records(6, seed=5))
-        stale = plane._kernels[gem][1]
+        stale = kernel_of(gem)
         gem.load_state_dict(fitted_gem().state_dict())
         plane.observe_batch(gem, synthetic_records(6, seed=8))
-        assert plane._kernels[gem][1] is not stale
+        assert kernel_of(gem) is not None and kernel_of(gem) is not stale
+
+        sage = gem.embedder.model
+        held = kernel_of(gem)
+        sage.load_state_dict(sage.state_dict(), sage.graph)
+        assert sage._kernel is None
+        assert sage.batched_inference() is not held
+        held = sage._kernel
+        sage.fit(sage.graph)
+        assert sage._kernel is None
+        assert sage.batched_inference() is not held
 
     def test_fleet_refresh_keeps_kernel_reprovision_replaces_it(self, tmp_path):
         """Records with never-trained MACs and a refresh leave the
-        tenant's kernel cached; a reprovision fits a new model, whose
+        tenant's kernel in place; a reprovision fits a new model, whose
         kernel is built afresh."""
         fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,
                               reservoir_size=16)
@@ -82,15 +105,16 @@ class TestKernelCache:
         mixed[1].readings["brand-new-mac"] = -70.0
         fleet.observe_many([("t", r) for r in mixed])
         model = fleet._cache["t"]
-        kernel = fleet.batchplane._kernels[model][1]
+        kernel = kernel_of(model)
         fleet.refresh("t")
         fleet.observe_many([("t", r) for r in synthetic_records(4, seed=10)])
-        assert fleet.batchplane._kernels[model][1] is kernel
+        assert fleet._cache["t"] is model
+        assert kernel_of(model) is kernel
         fleet.reprovision("t")
         fleet.observe_many([("t", r) for r in synthetic_records(4, seed=11)])
         fresh = fleet._cache["t"]
         assert fresh is not model
-        assert fleet.batchplane._kernels[fresh][1] is not kernel
+        assert kernel_of(fresh) is not None and kernel_of(fresh) is not kernel
         fleet.close()
 
     def test_evict_reload_round_trip_drops_kernel(self, tmp_path):
@@ -98,14 +122,16 @@ class TestKernelCache:
                               reservoir_size=16)
         fleet.provision("t", synthetic_records(30, seed=0))
         fleet.observe_many([("t", r) for r in synthetic_records(6, seed=5)])
-        assert len(fleet.batchplane._kernels) == 1
+        kernel = kernel_of(fleet._cache["t"])
         fleet.evict("t")
-        assert len(fleet.batchplane._kernels) == 0  # weak key died with the model
+        assert "t" not in fleet._cache
         # The reloaded model gets a fresh kernel and identical decisions.
         reloaded_ref = copy.deepcopy(fleet.registry.load("t"))
         probe = synthetic_records(6, seed=11)
         decisions = fleet.observe_many([("t", r) for r in probe])
         assert decisions == [reloaded_ref.observe(r) for r in probe]
+        reloaded = kernel_of(fleet._cache["t"])
+        assert reloaded is not None and reloaded is not kernel
         fleet.close()
 
     def test_reprovision_swaps_model_and_kernel(self, tmp_path):
@@ -120,13 +146,45 @@ class TestKernelCache:
         assert decisions == [reference.observe(r) for r in probe]
         fleet.close()
 
+    def test_threads_embed_through_one_kernel(self):
+        """Two threads embedding different records through the model's
+        one kernel each get their serial rows byte for byte."""
+        gem = fitted_gem()
+        kernel = gem.embedder.batched_inference()
+        inputs = [[gem.embedder.prepare(r) for r in synthetic_records(40, seed=seed)]
+                  for seed in (21, 22)]
+        expected = [[kernel.embed(*p).tobytes() for p in part] for part in inputs]
+        got: list = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait()
+            got[i] = [[kernel.embed(*p).tobytes() for p in inputs[i]]
+                      for _ in range(25)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert expected[0] != expected[1]
+        for i in range(2):
+            assert all(rows == expected[i] for rows in got[i])
+
 
 class TestFallbackMatrix:
     def test_registry_flag_matches_live_capability(self):
-        assert get_component("detector", "histogram").supports_batch_score
         assert get_component("model", "gem").supports_batch_score
-        for name in ("lof", "iforest", "feature-bagging"):
-            assert not get_component("detector", name).supports_batch_score
+        for name in ("histogram", "lof", "iforest", "feature-bagging"):
+            entry = get_component("detector", name)
+            assert entry.supports_batch_score == hasattr(entry.factory(), "score_batch")
+        assert get_component("detector", "histogram").supports_batch_score
 
     def test_arm_label_without_spec_uses_type_name(self):
         assert arm_label(fitted_gem()) == "gem"
@@ -175,7 +233,6 @@ class TestScoreBatchContract:
                 np.float64(detector.decision_scores(one)[0]).tobytes()
             assert bool(outliers[i]) == bool(detector.is_outlier(one)[0])
             assert bool(confident[i]) == bool(detector.is_confident_inlier(one)[0])
-        assert detector.supports_batch_score()
         if not enhanced:
             assert not confident.any()
 

@@ -3,7 +3,7 @@
 The fixtures under ``tests/golden/`` were generated by the **scalar**
 reference loop (``tests/golden/regenerate.py``); here the same pinned
 lab-world stream runs through ``observe_many`` — via the fleet's
-:class:`~repro.serve.batchplane.BatchPlane`, kernel cache included —
+:class:`~repro.serve.batchplane.BatchPlane`, the model's kernel included —
 and the re-serialised decisions are compared against the committed
 files as exact text.  Any divergence, down to one mantissa bit of one
 score, fails the byte comparison.

@@ -126,11 +126,12 @@ class TestSwapOnCommitRefresh:
 
     def test_batch_fastpath_flows_during_refresh_and_keeps_kernel(
             self, tmp_path, monkeypatch):
-        """Race the vectorized plane against a parked rebuild: the batch
-        must complete (fast path engaged, lock free) while the refresh is
-        mid-build.  The commit swaps only the detector, so the cached
-        kernel stays valid — post-commit batch decisions equal a scalar
-        loop over a deepcopy of the post-refresh resident model."""
+        """Race the batch plane against a parked rebuild: the batch must
+        complete (engaged, lock free) while the refresh is mid-build.
+        The rebuild re-embeds through the same kernel the model owns,
+        and the commit swaps only the detector, so the kernel stays the
+        model's — post-commit batch decisions equal a scalar loop over a
+        deepcopy of the post-refresh resident model."""
         fleet = GeofenceFleet(tmp_path / "m", capacity=4, model_factory=make_gem,
                               reservoir_size=16)
         fleet.provision("t", tenant_records(0))
@@ -149,17 +150,19 @@ class TestSwapOnCommitRefresh:
         assert len(mid) == 8 and all(d is not None for d in mid)
         assert fleet.batchplane.engaged_total() >= 1
         model = fleet._cache["t"]
-        stale_kernel = fleet.batchplane._kernels[model][1]
+        kernel = model.embedder.model._kernel
+        assert kernel is not None
         gate.release.set()
         thread.join(10.0)
         assert not thread.is_alive()
         assert result["absorbed"] > 0
         # Post-commit: same model object, same embedder — the kernel is
         # reused and still reproduces the scalar loop.
-        reference = copy.deepcopy(fleet._cache["t"])
+        assert fleet._cache["t"] is model
+        reference = copy.deepcopy(model)
         probe = tenant_records(0, n=8, seed_offset=11)
         decisions = fleet.observe_many([("t", r) for r in probe])
-        assert fleet.batchplane._kernels[fleet._cache["t"]][1] is stale_kernel
+        assert model.embedder.model._kernel is kernel
         assert decisions == [reference.observe(r) for r in probe]
         fleet.close()
 
