@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.detection.batch import row_wise_score_batch
 from repro.detection.lof import LocalOutlierFactor
 from repro.detection.threshold import contamination_threshold
 from repro.utils.rng import as_rng
@@ -66,6 +67,8 @@ class FeatureBagging:
 
     def is_outlier(self, x: np.ndarray) -> np.ndarray:
         return self.decision_scores(x) > self.threshold_
+
+    score_batch = row_wise_score_batch
 
     def refit(self, x: np.ndarray) -> "FeatureBagging":
         """Re-baseline on fresh embeddings (coordinated refresh).

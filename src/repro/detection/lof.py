@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.detection.batch import row_wise_score_batch
 from repro.detection.threshold import contamination_threshold
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -65,6 +66,8 @@ class LocalOutlierFactor:
 
     def is_outlier(self, x: np.ndarray) -> np.ndarray:
         return self.decision_scores(x) > self.threshold_
+
+    score_batch = row_wise_score_batch
 
     def refit(self, x: np.ndarray) -> "LocalOutlierFactor":
         """Re-baseline on fresh embeddings (coordinated refresh).

@@ -79,11 +79,11 @@ class ComponentEntry:
     detectors exposing ``refit``, and standalone models exposing
     ``refresh(records)``.  ``supports_batch_score`` describes detectors
     (and models built on them) with a ``score_batch`` hook that scores a
-    whole matrix at once, bit-identically per row (see
-    :mod:`repro.detection.batch`); row-coupled scorers like LOF/iForest
-    leave it False.  It is a description for ``repro components``: the
-    served path asks the detector itself, and scores detectors without
-    the hook row by row.
+    whole matrix, bit-identically per row (see
+    :mod:`repro.detection.batch`; LOF, iForest and feature bagging bind
+    the row-wise hook, which scores each row once).  It is a
+    description for ``repro components``: the served path asks the
+    detector itself, and scores detectors without the hook row by row.
     """
 
     name: str
@@ -207,17 +207,17 @@ register_component(
     description="Enhanced histogram OD (HBOS + softmax enhancement + update)")
 register_component(
     "detector", "lof", LocalOutlierFactor, ("n_neighbors", "contamination"),
-    supports_refresh=True,
+    supports_refresh=True, supports_batch_score=True,
     description="Local outlier factor with out-of-sample queries")
 register_component(
     "detector", "iforest", IsolationForest,
     ("n_trees", "subsample_size", "contamination", "seed"),
-    supports_refresh=True,
+    supports_refresh=True, supports_batch_score=True,
     description="Isolation forest over embedding vectors")
 register_component(
     "detector", "feature-bagging", FeatureBagging,
     ("n_estimators", "n_neighbors", "contamination", "seed"),
-    supports_refresh=True,
+    supports_refresh=True, supports_batch_score=True,
     description="Cumulative-sum feature-bagged LOF ensemble")
 
 

@@ -16,6 +16,15 @@ embedder x detector arm, or a standalone baseline), and reloads rebuild
 whatever arm the tenant's checkpoint embeds — one fleet serves a GEM
 home next to a BiSAGE+LOF lab next to an INOA mall.
 
+A resident tenant is one record in one LRU map: its model, checkpoint
+metadata, inlier reservoir, quarantine buffer, incremental-save
+baseline and dirty flag, loaded, provisioned and evicted as one unit.
+Loads and provisions are all or nothing: a record enters the LRU only
+once its persisted reservoir and quarantine have passed validation, or
+once its provision save has committed, so a failed load
+(:class:`~repro.serve.checkpoint.CheckpointError`) or provision leaves
+the tenant's prior state, resident or on disk, untouched.
+
 Data plane vs control plane: ``observe``/``observe_many``/``score`` are
 the hot path and never initiate maintenance.  There is one observe
 path: ``observe`` is ``observe_many`` over a batch of one, so every
@@ -36,11 +45,7 @@ starves — the anchor keeps the full breadth of the training
 distribution in every refit.  Reservoirs travel inside the checkpoint
 metadata, as columnar arrays the checkpoint stores in its npz, so an
 evicted (or offline-maintained) tenant refreshes from exactly the
-records a resident one would have used.  A loaded reservoir stays in
-that columnar form while the tenant is resident: a tenant load
-validates the arrays and a save joins the new inliers onto them, and
-only a refresh, a re-provision or the quarantine's home-AP set decodes
-them into records.
+records a resident one would have used.
 
 When the reservoir itself starves (every decision outside — the
 measured >45 % AP-replacement wall), a fleet with ``quarantine_size >
@@ -63,6 +68,7 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 from threading import RLock
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -188,6 +194,41 @@ def _last(columns, size: int) -> dict:
     return columns
 
 
+@dataclass(eq=False, slots=True)
+class _Tenant:
+    """One resident tenant's serving state, held and dropped as one unit.
+
+    ``metadata`` is the user-facing checkpoint metadata (cached so a
+    write-back need not re-read the manifest); ``quarantine`` is None
+    until the tenant first offers evidence or loads a persisted buffer;
+    ``baseline`` is the image of the last committed write an incremental
+    save diffs against (None: the next save is full).
+    """
+
+    model: GeofenceModel
+    metadata: dict
+    reservoir: _Reservoir
+    quarantine: QuarantineBuffer | None = None
+    baseline: object = None
+    dirty: bool = False
+
+    def refit(self, model: GeofenceModel, anchor: Sequence[SignalRecord],
+              size: int) -> None:
+        """Swap in a model refit from scratch on ``anchor``: re-pin the
+        anchor, restart the recent window, and make the next write-back
+        a full save (every array changed; no delta can win)."""
+        self.model = model
+        self.reservoir = _Reservoir(size, anchor)
+        self.baseline = None
+        self.dirty = True
+
+    def rehome(self, anchor: Sequence[SignalRecord]) -> None:
+        """Point the quarantine's home-AP set at ``anchor`` (no buffer: no-op)."""
+        if self.quarantine is not None:
+            self.quarantine.set_home(home_anchor_macs(
+                anchor, self.quarantine.min_anchor_fraction))
+
+
 class GeofenceFleet:
     """LRU-cached, write-back, multi-tenant geofence server.
 
@@ -207,12 +248,11 @@ class GeofenceFleet:
     reservoir_size:
         Bound on *each half* of the per-tenant inlier reservoir: at most
         this many pinned anchor (training) records plus this many recent
-        in-premises records.  The reservoir is what coordinated refresh
-        refits the detector on; 0 disables it (and with it,
-        refresh/reprovision).  A reservoir loaded from a checkpoint is
-        held as the checkpoint's columns and decoded to records only
-        when a refit reads it; a write-back then encodes only the
-        inliers observed since the last save.
+        in-premises records; at least 1.  The reservoir is what
+        coordinated refresh and re-provision refit on.  A reservoir
+        loaded from a checkpoint is held as the checkpoint's columns and
+        decoded to records only when a refit reads it; a write-back then
+        encodes only the inliers observed since the last save.
     incremental:
         Write evictions/flushes through the incremental checkpoint
         format: a write-back whose state only grew since the last
@@ -246,8 +286,8 @@ class GeofenceFleet:
                  quarantine_size: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if reservoir_size < 0:
-            raise ValueError(f"reservoir_size must be >= 0, got {reservoir_size}")
+        if reservoir_size < 1:
+            raise ValueError(f"reservoir_size must be >= 1, got {reservoir_size}")
         if quarantine_size < 0:
             raise ValueError(f"quarantine_size must be >= 0, got {quarantine_size}")
         self.registry = registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
@@ -261,27 +301,11 @@ class GeofenceFleet:
         self.reservoir_size = reservoir_size
         self.incremental = incremental
         self.quarantine_size = quarantine_size
-        # tenant_id -> QuarantineBuffer, resident tenants only (like the
-        # reservoir: persisted in checkpoint metadata on write-back).
-        self._quarantine: dict[str, QuarantineBuffer] = {}
-        # tenant_id -> StateBaseline (incremental mode only): the image
-        # of the tenant's last committed write, diffed against at the
-        # next write-back.
-        self._baselines: dict[str, object] = {}
-        # tenant_id -> model, most-recently-used last.
-        self._cache: "OrderedDict[str, GeofenceModel]" = OrderedDict()
-        self._dirty: set[str] = set()
-        # Checkpoint metadata, cached so write-backs don't re-read the
-        # manifest from disk on the serving path.
-        self._metadata: dict[str, dict] = {}
-        # tenant_id -> inlier reservoir (pinned anchor, replaced only at
-        # re-provision, plus rolling recent inliers).  Kept only for
-        # resident tenants; persisted inside checkpoint metadata on
-        # write-back and restored on load, so eviction loses nothing.
-        self._reservoirs: dict[str, _Reservoir] = {}
-        # Tenants with a staged refresh mid-rebuild: the cache-identity
-        # check at commit cannot see a *second* refresh of the same
-        # model object, so overlapping refreshes are refused up front.
+        # tenant_id -> resident record, most-recently-used last.
+        self._tenants: "OrderedDict[str, _Tenant]" = OrderedDict()
+        # Tenants with a staged refresh mid-rebuild, resident or not: the
+        # model-identity check at commit cannot see a *second* refresh of
+        # the same model, so overlapping refreshes are refused up front.
         self._refreshing: set[str] = set()
         # The batch data plane: routes each tenant's observe_many group
         # into the model's observe_many (standalone models: per record)
@@ -302,6 +326,9 @@ class GeofenceFleet:
         otherwise the fleet's ``model_factory`` decides.  Mixed-arm
         fleets are fully supported — the arm travels inside the tenant's
         checkpoint, so later reloads rebuild the right pipeline.
+
+        All or nothing: the new record enters the LRU only once its save
+        has committed; a failed save leaves the prior state untouched.
         """
         validate_tenant_id(tenant_id)
         if spec is not None:
@@ -310,26 +337,28 @@ class GeofenceFleet:
         model = build_pipeline(spec) if spec is not None else self.model_factory()
         model.fit(records)
         with self._lock:
-            self._metadata[tenant_id] = dict(metadata or {})
+            previous = self._tenants.get(tenant_id)
             # Training records are inliers by definition (semi-supervised
             # setup): they become the pinned anchor, so the very first
-            # refresh already refits on the full training breadth.
-            self._reset_reservoir(tenant_id, [r for r in records if r.readings])
-            # A fresh provision starts with a clean slate of evidence:
+            # refresh already refits on the full training breadth.  A
+            # fresh provision starts with a clean slate of evidence:
             # whatever a previous incarnation quarantined described a
             # model that no longer exists.
-            self._quarantine.pop(tenant_id, None)
-            self._save(tenant_id, model)
-            self._cache[tenant_id] = model
-            self._cache.move_to_end(tenant_id)
-            self._dirty.discard(tenant_id)
+            tenant = _Tenant(model, dict(metadata or {}),
+                             _Reservoir(self.reservoir_size, [r for r in records if r.readings]),
+                             baseline=previous.baseline if previous is not None else None)
+            self._save(tenant_id, tenant)
+            self._tenants[tenant_id] = tenant
+            self._tenants.move_to_end(tenant_id)
+            if previous is not None and previous.quarantine is not None:
+                self._sync_quarantine_gauge()
             self._shrink()
         return model
 
     def evict(self, tenant_id: str) -> bool:
         """Drop a tenant from memory (write-back first if dirty)."""
         with self._lock:
-            if tenant_id not in self._cache:
+            if tenant_id not in self._tenants:
                 return False
             self._drop(tenant_id)
             return True
@@ -341,25 +370,20 @@ class GeofenceFleet:
         dirty resident tenant.  Models stay resident.
         """
         with self._lock:
-            targets = [tenant_id] if tenant_id is not None else list(self._cache)
+            targets = [tenant_id] if tenant_id is not None else list(self._tenants)
             written = 0
             for tid in targets:
-                model = self._cache.get(tid)
-                if model is not None and tid in self._dirty:
-                    self._write_back(tid, model)
+                tenant = self._tenants.get(tid)
+                if tenant is not None and tenant.dirty:
+                    self._write_back(tid, tenant)
                     written += 1
             return written
 
     def close(self) -> None:
-        """Write back everything dirty and drop all resident models."""
+        """Write back everything dirty and drop all resident tenants."""
         with self._lock:
             self.flush()
-            self._cache.clear()
-            self._dirty.clear()
-            self._metadata.clear()
-            self._reservoirs.clear()
-            self._quarantine.clear()
-            self._baselines.clear()
+            self._tenants.clear()
 
     def __enter__(self) -> "GeofenceFleet":
         return self
@@ -395,16 +419,16 @@ class GeofenceFleet:
         with maybe_span(self.tracer, "observe", items=len(items), tenants=len(by_tenant)):
             with self._lock:
                 for tenant_id in by_tenant:
-                    if tenant_id not in self._cache and not self.registry.exists(tenant_id):
+                    if tenant_id not in self._tenants and not self.registry.exists(tenant_id):
                         raise CheckpointError(f"tenant {tenant_id!r} has no checkpoint under "
                                               f"{self.registry.root}; batch rejected untouched")
             decisions: list[GeofenceDecision | None] = [None] * len(items)
             for tenant_id, positions in by_tenant.items():
                 with self._lock:
-                    model = self._acquire(tenant_id)
+                    tenant = self._acquire(tenant_id)
                     start = time.perf_counter()
                     batch, _ = self.batchplane.observe_batch(
-                        model, [items[p][1] for p in positions])
+                        tenant.model, [items[p][1] for p in positions])
                     elapsed = time.perf_counter() - start
                     for position, decision in zip(positions, batch):
                         decisions[position] = decision
@@ -413,16 +437,16 @@ class GeofenceFleet:
                         # update buffer, the reservoir or the quarantine;
                         # an empty one touches nothing.
                         if record.readings:
-                            self._dirty.add(tenant_id)
-                            self._remember_inlier(tenant_id, record, decision)
-                            self._consider_quarantine(tenant_id, model, record, decision)
+                            tenant.dirty = True
+                            self._remember_inlier(tenant, record, decision)
+                            self._consider_quarantine(tenant_id, tenant, record, decision)
                 self.telemetry.record_observations(tenant_id, batch, seconds=elapsed)
         return decisions
 
     def score(self, tenant_id: str, record: SignalRecord) -> float:
         """Stateless outlier score against one tenant's model."""
         with self._lock:
-            return self._acquire(tenant_id).score(record)
+            return self._acquire(tenant_id).model.score(record)
 
     # ------------------------------------------------------------------
     # Maintenance mechanics (driven by the control plane)
@@ -449,14 +473,15 @@ class GeofenceFleet:
         """
         with maybe_span(self.tracer, "refresh", tenant=tenant_id):
             with self._lock:
-                model = self._acquire(tenant_id)
+                tenant = self._acquire(tenant_id)
+                model = tenant.model
                 if not hasattr(model, "begin_refresh"):
                     raise TypeError(f"tenant {tenant_id!r} runs {type(model).__name__}, "
                                     "which has no coordinated refresh capability")
-                records = self._reservoir_records(tenant_id)
+                records = tenant.reservoir.records()
                 if not records:
                     raise ValueError(f"tenant {tenant_id!r} has an empty inlier reservoir "
-                                     "(reservoir_size=0, or no inliers observed yet); "
+                                     "(no inliers observed yet); "
                                      "nothing to refit the detector on")
                 start = time.perf_counter()
                 if tenant_id in self._refreshing:
@@ -471,12 +496,13 @@ class GeofenceFleet:
                     absorbed = job.build()
                 with maybe_span(self.tracer, "refresh.commit", tenant=tenant_id):
                     with self._lock:
-                        if self._cache.get(tenant_id) is not model:
+                        current = self._tenants.get(tenant_id)
+                        if current is None or current.model is not model:
                             raise ValueError(
                                 f"tenant {tenant_id!r} was evicted or replaced while its "
                                 "refresh was rebuilding; the result was discarded")
                         model.commit_refresh(job)
-                        self._dirty.add(tenant_id)
+                        current.dirty = True
             finally:
                 with self._lock:
                     self._refreshing.discard(tenant_id)
@@ -496,33 +522,22 @@ class GeofenceFleet:
         records just refitted on.
         """
         with self._lock, maybe_span(self.tracer, "reprovision", tenant=tenant_id):
-            model = self._acquire(tenant_id)
-            records = self._reservoir_records(tenant_id)
+            tenant = self._acquire(tenant_id)
+            records = tenant.reservoir.records()
             if not records:
                 raise ValueError(f"tenant {tenant_id!r} has an empty inlier reservoir "
-                                 "(reservoir_size=0, or no inliers observed yet); "
+                                 "(no inliers observed yet); "
                                  "cannot refit from scratch")
             start = time.perf_counter()
-            fresh = build_pipeline(infer_spec(model))
+            fresh = build_pipeline(infer_spec(tenant.model))
             fresh.fit(records)
             elapsed = time.perf_counter() - start
-            # Commit point: the fitted replacement takes the LRU slot and
-            # its training set becomes the new anchor.  The old baseline
-            # no longer describes anything worth diffing against (every
-            # array changed), so the next write-back compacts to a full
-            # save rather than computing a delta that cannot win.
-            self._cache[tenant_id] = fresh
-            self._cache.move_to_end(tenant_id)
-            self._reset_reservoir(tenant_id, records)
-            # The anchor just moved; quarantined evidence keeps its place
-            # (same world, newer refit) but the home-AP anchor set must
-            # follow the new anchor records.
-            buffer = self._quarantine.get(tenant_id)
-            if buffer is not None:
-                buffer.set_home(home_anchor_macs(self._anchor_records(tenant_id),
-                                                 buffer.min_anchor_fraction))
-            self._dirty.add(tenant_id)
-            self._baselines.pop(tenant_id, None)
+            # Commit point: the fitted replacement takes the record and
+            # its training set becomes the new anchor.  Quarantined
+            # evidence keeps its place (same world, newer refit) but the
+            # home-AP anchor set follows the new anchor records.
+            tenant.refit(fresh, records, self.reservoir_size)
+            tenant.rehome(tenant.reservoir.anchor())
         self.telemetry.record_reprovision(tenant_id, seconds=elapsed)
         return fresh
 
@@ -558,15 +573,15 @@ class GeofenceFleet:
                 raise ValueError(
                     f"cannot recover tenant {tenant_id!r}: this fleet runs with "
                     "quarantine_size=0 (quarantine disabled)")
-            model = self._acquire(tenant_id)
-            buffer = self._quarantine.get(tenant_id)
+            tenant = self._acquire(tenant_id)
+            buffer = tenant.quarantine
             records = list(buffer.records) if buffer is not None else []
             if not records:
                 raise ValueError(
                     f"tenant {tenant_id!r} has an empty quarantine buffer; "
                     "no recovery evidence to refit from")
             start = time.perf_counter()
-            fresh = build_pipeline(infer_spec(model))
+            fresh = build_pipeline(infer_spec(tenant.model))
             fresh.fit(records)
             if max_fpr is not None and hasattr(fresh, "predict"):
                 rejected = len(records) - int(predict_records(fresh, records).sum())
@@ -578,29 +593,24 @@ class GeofenceFleet:
                         f"{len(records)}-record anchor set (max_fpr "
                         f"{max_fpr:g}); the pre-recovery model keeps serving")
             elapsed = time.perf_counter() - start
-            self._cache[tenant_id] = fresh
-            self._cache.move_to_end(tenant_id)
-            self._reset_reservoir(tenant_id, records)
+            # The home-AP set follows the whole evidence set the anchor
+            # was pinned from.
+            tenant.refit(fresh, records, self.reservoir_size)
             buffer.clear()
-            buffer.set_home(home_anchor_macs(records,
-                                             buffer.min_anchor_fraction))
+            tenant.rehome(records)
             self._sync_quarantine_gauge()
-            self._dirty.add(tenant_id)
-            self._baselines.pop(tenant_id, None)
         self.telemetry.record_reprovision(tenant_id, seconds=elapsed)
         return fresh
 
     def reservoir(self, tenant_id: str) -> list[SignalRecord]:
         """Copy of one tenant's inlier reservoir (anchor then recent)."""
         with self._lock:
-            self._acquire(tenant_id)
-            return self._reservoir_records(tenant_id)
+            return self._acquire(tenant_id).reservoir.records()
 
     def quarantine(self, tenant_id: str) -> list[SignalRecord]:
         """Copy of one tenant's quarantined recovery evidence."""
         with self._lock:
-            self._acquire(tenant_id)
-            buffer = self._quarantine.get(tenant_id)
+            buffer = self._acquire(tenant_id).quarantine
             return list(buffer.records) if buffer is not None else []
 
     def quarantine_depth(self, tenant_id: str) -> int:
@@ -610,40 +620,25 @@ class GeofenceFleet:
         decision path, where a checkpoint read would be a regression.
         """
         with self._lock:
-            buffer = self._quarantine.get(tenant_id)
-            return buffer.depth if buffer is not None else 0
+            tenant = self._tenants.get(tenant_id)
+            if tenant is None or tenant.quarantine is None:
+                return 0
+            return tenant.quarantine.depth
 
     def quarantine_depths(self) -> dict[str, int]:
         """``{tenant_id: depth}`` across resident, non-empty buffers."""
         with self._lock:
-            return {tenant_id: buffer.depth
-                    for tenant_id, buffer in self._quarantine.items()
-                    if buffer.depth}
+            return {tenant_id: tenant.quarantine.depth
+                    for tenant_id, tenant in self._tenants.items()
+                    if tenant.quarantine is not None and tenant.quarantine.depth}
 
     def resident(self, tenant_id: str) -> GeofenceModel | None:
         """The tenant's model if resident, else None — no load, no LRU touch."""
         with self._lock:
-            return self._cache.get(tenant_id)
+            tenant = self._tenants.get(tenant_id)
+            return tenant.model if tenant is not None else None
 
-    def _reservoir_records(self, tenant_id: str) -> list[SignalRecord]:
-        """Anchor + recent, the refit set.  Call with the lock held."""
-        reservoir = self._reservoirs.get(tenant_id)
-        return reservoir.records() if reservoir is not None else []
-
-    def _anchor_records(self, tenant_id: str) -> list[SignalRecord]:
-        """The pinned anchor records.  Call with the lock held."""
-        reservoir = self._reservoirs.get(tenant_id)
-        return reservoir.anchor() if reservoir is not None else []
-
-    def _reset_reservoir(self, tenant_id: str, anchor: Sequence[SignalRecord]) -> None:
-        """Pin a new anchor (its last ``reservoir_size`` records) and
-        restart the recent window.  Call with the lock held."""
-        if self.reservoir_size:
-            self._reservoirs[tenant_id] = _Reservoir(self.reservoir_size, anchor)
-        else:
-            self._reservoirs.pop(tenant_id, None)
-
-    def _remember_inlier(self, tenant_id: str, record: SignalRecord,
+    def _remember_inlier(self, tenant: _Tenant, record: SignalRecord,
                          decision: GeofenceDecision) -> None:
         """Reservoir policy: keep records behind finite in-premises decisions.
 
@@ -653,13 +648,10 @@ class GeofenceFleet:
         enter: refreshing a detector on suspected outliers would teach
         it the breach.  Call with the lock held.
         """
-        if self.reservoir_size and decision.inside and math.isfinite(decision.score):
-            reservoir = self._reservoirs.get(tenant_id)
-            if reservoir is None:
-                reservoir = self._reservoirs[tenant_id] = _Reservoir(self.reservoir_size)
-            reservoir.pending.append(record)
+        if decision.inside and math.isfinite(decision.score):
+            tenant.reservoir.pending.append(record)
 
-    def _consider_quarantine(self, tenant_id: str, model,
+    def _consider_quarantine(self, tenant_id: str, tenant: _Tenant,
                              record: SignalRecord,
                              decision: GeofenceDecision) -> None:
         """Quarantine feed: offer *rejected* records as recovery evidence.
@@ -674,14 +666,11 @@ class GeofenceFleet:
         """
         if not self.quarantine_size or decision.inside:
             return
-        buffer = self._quarantine.get(tenant_id)
-        if buffer is None:
-            buffer = QuarantineBuffer(self.quarantine_size, tenant_key=tenant_id,
-                                      gate=_QUARANTINE_GATE)
-            buffer.set_home(home_anchor_macs(self._anchor_records(tenant_id),
-                                             buffer.min_anchor_fraction))
-            self._quarantine[tenant_id] = buffer
-        outcome = buffer.consider(model, record)
+        if tenant.quarantine is None:
+            tenant.quarantine = QuarantineBuffer(self.quarantine_size, tenant_key=tenant_id,
+                                                 gate=_QUARANTINE_GATE)
+            tenant.rehome(tenant.reservoir.anchor())
+        outcome = tenant.quarantine.consider(tenant.model, record)
         self.telemetry.record_quarantine(outcome)
         if outcome == "admitted":
             self._sync_quarantine_gauge()
@@ -689,7 +678,8 @@ class GeofenceFleet:
     def _sync_quarantine_gauge(self) -> None:
         """Mirror total resident quarantine depth.  Lock held."""
         self.telemetry.record_quarantine_depth(
-            sum(buffer.depth for buffer in self._quarantine.values()))
+            sum(tenant.quarantine.depth for tenant in self._tenants.values()
+                if tenant.quarantine is not None))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -698,127 +688,112 @@ class GeofenceFleet:
     def resident_tenants(self) -> list[str]:
         """Tenants currently in memory, least-recently-used first."""
         with self._lock:
-            return list(self._cache)
+            return list(self._tenants)
 
     def is_dirty(self, tenant_id: str) -> bool:
         with self._lock:
-            return tenant_id in self._dirty
+            tenant = self._tenants.get(tenant_id)
+            return tenant is not None and tenant.dirty
 
     # ------------------------------------------------------------------
     # Internals (call with the lock held)
     # ------------------------------------------------------------------
-    def _acquire(self, tenant_id: str) -> GeofenceModel:
-        model = self._cache.get(tenant_id)
-        if model is None:
+    def _acquire(self, tenant_id: str) -> _Tenant:
+        """The tenant's resident record, loaded on first touch; marks it
+        most recently used."""
+        tenant = self._tenants.get(tenant_id)
+        if tenant is None:
             start = time.perf_counter()
-            # One read yields both, so model and metadata always belong
-            # to the same save even with a concurrent writer process.
-            if self.incremental:
-                model, manifest, baseline = self.registry.load_with_baseline(tenant_id)
-                self._baselines[tenant_id] = baseline
-            else:
-                model, manifest = self.registry.load_with_manifest(tenant_id)
-            metadata = dict(manifest.get("metadata", {}))
-            # With reservoirs disabled, the persisted reservoir stays
-            # inside the cached metadata so write-backs carry it forward
-            # untouched — a reservoir_size=0 fleet must not destroy the
-            # anchor a future maintaining fleet will refresh from.
-            serialized = metadata.pop(RESERVOIR_METADATA_KEY, None) \
-                if self.reservoir_size else None
-            # Same carry-forward contract for the quarantine: a
-            # quarantine-off fleet leaves the persisted buffer inside the
-            # cached metadata, untouched, for a future recovering fleet.
-            serialized_quarantine = metadata.pop(QUARANTINE_METADATA_KEY, None) \
-                if self.quarantine_size else None
-            # Validate before touching any fleet state, so a corrupt
-            # reservoir or quarantine fails the load cleanly.  The
-            # reservoir stays columnar until something reads its records.
-            try:
-                if serialized_quarantine is not None and tenant_id not in self._quarantine:
-                    buffer = QuarantineBuffer.from_state(
-                        serialized_quarantine, capacity=self.quarantine_size,
-                        tenant_key=tenant_id, gate=_QUARANTINE_GATE)
-                else:
-                    buffer = None
-                if serialized is not None and tenant_id not in self._reservoirs:
-                    reservoir = _Reservoir.from_state(self.reservoir_size, serialized)
-                else:
-                    reservoir = None
-            except (AttributeError, KeyError, TypeError, ValueError) as error:
-                raise CheckpointError(f"tenant {tenant_id!r} has a corrupt persisted "
-                                      f"reservoir or quarantine: {error}") from error
-            self._metadata.setdefault(tenant_id, metadata)
-            if buffer is not None:
-                self._quarantine[tenant_id] = buffer
+            tenant = self._load(tenant_id)
+            self._tenants[tenant_id] = tenant
+            if tenant.quarantine is not None:
                 self._sync_quarantine_gauge()
-            if reservoir is not None:
-                self._reservoirs[tenant_id] = reservoir
             self.telemetry.record_load(tenant_id, seconds=time.perf_counter() - start)
-            self._cache[tenant_id] = model
             self._shrink(keep=tenant_id)
-        self._cache.move_to_end(tenant_id)
-        return model
+        self._tenants.move_to_end(tenant_id)
+        return tenant
+
+    def _load(self, tenant_id: str) -> _Tenant:
+        """Read one tenant's checkpoint into a whole record, touching no
+        fleet state: a corrupt persisted reservoir or quarantine
+        (:class:`CheckpointError`) leaves no trace."""
+        # One read yields model, metadata and baseline, so they always
+        # belong to the same save even with a concurrent writer process.
+        baseline = None
+        if self.incremental:
+            model, manifest, baseline = self.registry.load_with_baseline(tenant_id)
+        else:
+            model, manifest = self.registry.load_with_manifest(tenant_id)
+        metadata = dict(manifest.get("metadata", {}))
+        serialized = metadata.pop(RESERVOIR_METADATA_KEY, None)
+        # A quarantine-off fleet leaves the persisted buffer inside the
+        # cached metadata, untouched, so its write-backs carry it
+        # forward for a future recovering fleet.
+        serialized_quarantine = metadata.pop(QUARANTINE_METADATA_KEY, None) \
+            if self.quarantine_size else None
+        try:
+            quarantine = QuarantineBuffer.from_state(
+                serialized_quarantine, capacity=self.quarantine_size,
+                tenant_key=tenant_id, gate=_QUARANTINE_GATE) \
+                if serialized_quarantine is not None else None
+            reservoir = _Reservoir.from_state(self.reservoir_size, serialized) \
+                if serialized is not None else _Reservoir(self.reservoir_size)
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(f"tenant {tenant_id!r} has a corrupt persisted "
+                                  f"reservoir or quarantine: {error}") from error
+        return _Tenant(model, metadata, reservoir, quarantine, baseline)
 
     def _shrink(self, keep: str | None = None) -> None:
-        while len(self._cache) > self.capacity:
-            victim = next(iter(self._cache))
+        while len(self._tenants) > self.capacity:
+            victim = next(iter(self._tenants))
             if victim == keep:
-                self._cache.move_to_end(victim)
-                victim = next(iter(self._cache))
+                self._tenants.move_to_end(victim)
+                victim = next(iter(self._tenants))
             self._drop(victim)
 
     def _drop(self, tenant_id: str) -> None:
-        """Evict one resident tenant: write back, then forget.
+        """Evict one resident tenant: write back, then forget its record.
 
-        Write-back happens *before* the pops: if the save fails, the
-        tenant stays resident and dirty instead of losing its absorbed
-        self-updates.  Metadata leaves memory with the model; otherwise
-        a long-lived fleet grows one entry per tenant ever touched.
+        Write-back happens *before* the record leaves: if the save
+        fails, the tenant stays resident and dirty instead of losing its
+        absorbed self-updates.  The next load rebuilds the whole record
+        from the committed checkpoint.
         """
-        self._write_back(tenant_id, self._cache[tenant_id])
-        self._cache.pop(tenant_id)
-        self._metadata.pop(tenant_id, None)
-        # The reservoir was persisted with the write-back (or was never
-        # dirtied); the next load restores it from the manifest.  The
-        # baseline leaves with the model: a reload rebuilds it from the
-        # committed chain, which is exactly what it would describe.
-        self._reservoirs.pop(tenant_id, None)
-        if self._quarantine.pop(tenant_id, None) is not None:
+        tenant = self._tenants[tenant_id]
+        self._write_back(tenant_id, tenant)
+        del self._tenants[tenant_id]
+        if tenant.quarantine is not None:
             self._sync_quarantine_gauge()
-        self._baselines.pop(tenant_id, None)
         self.telemetry.record_eviction(tenant_id)
 
-    def _write_back(self, tenant_id: str, model) -> None:
-        if tenant_id not in self._dirty:
+    def _write_back(self, tenant_id: str, tenant: _Tenant) -> None:
+        if not tenant.dirty:
             return
         # The partial self-update buffer is checkpointed as-is (not
         # flushed), so a reloaded model resumes with zero decision drift.
-        self._save(tenant_id, model)
-        self._dirty.discard(tenant_id)
+        self._save(tenant_id, tenant)
+        tenant.dirty = False
 
-    def _save(self, tenant_id: str, model) -> None:
+    def _save(self, tenant_id: str, tenant: _Tenant) -> None:
         with maybe_span(self.tracer, "write_back", tenant=tenant_id) as span:
             start = time.perf_counter()
-            metadata = dict(self._metadata.get(tenant_id, {}))
-            reservoir = self._reservoirs.get(tenant_id)
-            columns = reservoir.columns() if reservoir is not None else None
+            metadata = dict(tenant.metadata)
+            columns = tenant.reservoir.columns()
             if columns is not None:
                 metadata[RESERVOIR_METADATA_KEY] = columns
-            buffer = self._quarantine.get(tenant_id)
+            buffer = tenant.quarantine
             if buffer is not None and not buffer.dormant:
                 metadata[QUARANTINE_METADATA_KEY] = buffer.state_dict()
             if self.incremental:
-                kind, baseline = self.registry.save_incremental(
-                    tenant_id, model, self._baselines.get(tenant_id),
-                    metadata=metadata)
-                self._baselines[tenant_id] = baseline
+                kind, tenant.baseline = self.registry.save_incremental(
+                    tenant_id, tenant.model, tenant.baseline, metadata=metadata)
                 elapsed = time.perf_counter() - start
                 if kind == "delta":
                     self.telemetry.record_delta_save(tenant_id, seconds=elapsed)
                 else:
                     self.telemetry.record_save(tenant_id, seconds=elapsed)
             else:
-                self.registry.save(tenant_id, model, metadata=metadata)
+                self.registry.save(tenant_id, tenant.model, metadata=metadata)
                 self.telemetry.record_save(tenant_id, seconds=time.perf_counter() - start)
             # Byte-level accounting comes from the checkpoint layer (the
             # save just ran on this thread); kind lands on the span so a

@@ -216,7 +216,7 @@ def test_fleet_observe_is_a_batch_of_one(arm, quarantine_size, tmp_path):
             if record.readings and not decision.inside:
                 buffer.consider(reference, record)
         assert buffer.records, "stream admitted no quarantine evidence"
-        assert_trees_identical(single._quarantine["t"].state_dict(),
+        assert_trees_identical(single._tenants["t"].quarantine.state_dict(),
                                buffer.state_dict())
     untimed = [f.name for f in fields(TenantStats) if not f.name.endswith("_seconds")]
     assert ({name: getattr(whole.telemetry.totals(), name) for name in untimed}

@@ -104,15 +104,15 @@ class TestKernelCache:
         mixed = synthetic_records(4, seed=9)
         mixed[1].readings["brand-new-mac"] = -70.0
         fleet.observe_many([("t", r) for r in mixed])
-        model = fleet._cache["t"]
+        model = fleet.resident("t")
         kernel = kernel_of(model)
         fleet.refresh("t")
         fleet.observe_many([("t", r) for r in synthetic_records(4, seed=10)])
-        assert fleet._cache["t"] is model
+        assert fleet.resident("t") is model
         assert kernel_of(model) is kernel
         fleet.reprovision("t")
         fleet.observe_many([("t", r) for r in synthetic_records(4, seed=11)])
-        fresh = fleet._cache["t"]
+        fresh = fleet.resident("t")
         assert fresh is not model
         assert kernel_of(fresh) is not None and kernel_of(fresh) is not kernel
         fleet.close()
@@ -122,15 +122,15 @@ class TestKernelCache:
                               reservoir_size=16)
         fleet.provision("t", synthetic_records(30, seed=0))
         fleet.observe_many([("t", r) for r in synthetic_records(6, seed=5)])
-        kernel = kernel_of(fleet._cache["t"])
+        kernel = kernel_of(fleet.resident("t"))
         fleet.evict("t")
-        assert "t" not in fleet._cache
+        assert fleet.resident("t") is None
         # The reloaded model gets a fresh kernel and identical decisions.
         reloaded_ref = copy.deepcopy(fleet.registry.load("t"))
         probe = synthetic_records(6, seed=11)
         decisions = fleet.observe_many([("t", r) for r in probe])
         assert decisions == [reloaded_ref.observe(r) for r in probe]
-        reloaded = kernel_of(fleet._cache["t"])
+        reloaded = kernel_of(fleet.resident("t"))
         assert reloaded is not None and reloaded is not kernel
         fleet.close()
 
@@ -140,7 +140,7 @@ class TestKernelCache:
         fleet.provision("t", synthetic_records(30, seed=0))
         fleet.observe_many([("t", r) for r in synthetic_records(6, seed=5)])
         fleet.reprovision("t")
-        reference = copy.deepcopy(fleet._cache["t"])
+        reference = copy.deepcopy(fleet.resident("t"))
         probe = synthetic_records(6, seed=12)
         decisions = fleet.observe_many([("t", r) for r in probe])
         assert decisions == [reference.observe(r) for r in probe]
@@ -239,6 +239,24 @@ class TestScoreBatchContract:
     def test_score_batch_requires_fit(self):
         with pytest.raises(RuntimeError, match="not been fitted"):
             HistogramDetector().score_batch(np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("name", ["lof", "iforest", "feature-bagging"])
+    def test_row_wise_hook_scores_each_row_once(self, name, rng, monkeypatch):
+        detector = get_component("detector", name).factory()
+        detector.fit(rng.normal(size=(60, 6)))
+        queries = np.vstack([rng.normal(size=(12, 6)),
+                             rng.normal(loc=8.0, size=(4, 6))])
+        expected = [(np.float64(detector.decision_scores(row[None, :].copy())[0]).tobytes(),
+                     bool(detector.is_outlier(row[None, :].copy())[0]))
+                    for row in queries]
+        calls = []
+        scorer = type(detector).decision_scores
+        monkeypatch.setattr(type(detector), "decision_scores",
+                            lambda self, x: calls.append(len(x)) or scorer(self, x))
+        scores, outliers, confident = detector.score_batch(queries)
+        assert calls == [1] * len(queries)
+        assert [(np.float64(s).tobytes(), bool(o)) for s, o in zip(scores, outliers)] == expected
+        assert outliers.any() and not confident.any()
 
 
 class TestBatchedTelemetry:

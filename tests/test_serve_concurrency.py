@@ -149,7 +149,7 @@ class TestSwapOnCommitRefresh:
             [("t", r) for r in tenant_records(0, n=8, seed_offset=9)])
         assert len(mid) == 8 and all(d is not None for d in mid)
         assert fleet.batchplane.engaged_total() >= 1
-        model = fleet._cache["t"]
+        model = fleet.resident("t")
         kernel = model.embedder.model._kernel
         assert kernel is not None
         gate.release.set()
@@ -158,7 +158,7 @@ class TestSwapOnCommitRefresh:
         assert result["absorbed"] > 0
         # Post-commit: same model object, same embedder — the kernel is
         # reused and still reproduces the scalar loop.
-        assert fleet._cache["t"] is model
+        assert fleet.resident("t") is model
         reference = copy.deepcopy(model)
         probe = tenant_records(0, n=8, seed_offset=11)
         decisions = fleet.observe_many([("t", r) for r in probe])

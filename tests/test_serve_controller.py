@@ -424,7 +424,7 @@ class TestFleetMaintenance:
                 fleet.observe("a", record)
             resident = [r.readings for r in fleet.reservoir("a")]
             fleet.evict("a")
-            assert "a" not in fleet._reservoirs
+            assert fleet.resident("a") is None
             # Reload restores the reservoir from the checkpoint.
             reloaded = [r.readings for r in fleet.reservoir("a")]
             assert reloaded == resident
@@ -462,24 +462,22 @@ class TestFleetMaintenance:
             assert fleet.score("a", record) == fresh.score(record)
 
     def test_refresh_without_reservoir_raises(self, tmp_path, train_records):
-        with GeofenceFleet(tmp_path / "reg", capacity=2, reservoir_size=0) as fleet:
-            fleet.provision("a", train_records, spec=small_gem_spec())
-            with pytest.raises(ValueError, match="reservoir"):
-                fleet.refresh("a")
-
-    def test_reservoirless_fleet_preserves_persisted_reservoir(
-            self, tmp_path, train_records):
-        """A reservoir_size=0 fleet's write-backs must carry the persisted
-        anchor forward, not destroy it for future maintaining fleets."""
+        # A checkpoint saved outside a fleet carries no reservoir, so the
+        # tenant loads with an empty one until it observes an inlier.
         registry = ModelRegistry(tmp_path / "reg")
+        model = build_pipeline(small_gem_spec())
+        model.fit(train_records)
+        registry.save("a", model)
         with GeofenceFleet(registry, capacity=2, reservoir_size=16) as fleet:
-            fleet.provision("a", train_records, spec=small_gem_spec())
-        with GeofenceFleet(registry, capacity=2, reservoir_size=0) as fleet:
-            fleet.observe("a", synthetic_records(1, seed=2, center=2.0)[0])
-        # dirty write-back happened with reservoirs disabled...
-        with GeofenceFleet(registry, capacity=2, reservoir_size=16) as fleet:
-            assert len(fleet.reservoir("a")) == 16
-            assert fleet.refresh("a") == 16
+            assert fleet.reservoir("a") == []
+            with pytest.raises(ValueError, match="empty inlier reservoir"):
+                fleet.refresh("a")
+            with pytest.raises(ValueError, match="empty inlier reservoir"):
+                fleet.reprovision("a")
+
+    def test_reservoir_size_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="reservoir_size must be >= 1"):
+            GeofenceFleet(tmp_path / "reg", reservoir_size=0)
 
     def test_controller_uses_spec_maintenance_block(self, tmp_path, train_records):
         spec = PipelineSpec(

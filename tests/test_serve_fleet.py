@@ -11,7 +11,7 @@ from repro.core import GEM, GEMConfig, SignalRecord
 from repro.core.io import records_from_columns, records_to_columns
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import CheckpointError, GeofenceFleet, ModelRegistry, validate_tenant_id
-from repro.serve.checkpoint import flatten_state, load_state
+from repro.serve.checkpoint import flatten_state, load_state, read_manifest
 from repro.serve.fleet import RESERVOIR_METADATA_KEY
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
@@ -195,7 +195,7 @@ class TestFleetServing:
         fleet.provision("a", tenant_records(0))
         fleet.observe("a", tenant_records(0, n=1, seed_offset=2)[0])
         assert fleet.is_dirty("a")
-        model = fleet._cache["a"]
+        model = fleet.resident("a")
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
@@ -205,18 +205,19 @@ class TestFleetServing:
         # Still resident, still dirty — nothing was lost.
         assert fleet.resident_tenants == ["a"]
         assert fleet.is_dirty("a")
-        assert fleet._cache["a"] is model
+        assert fleet.resident("a") is model
         monkeypatch.undo()
         assert fleet.flush() == 1
         assert not fleet.is_dirty("a")
 
     def test_metadata_cache_evicted_with_model(self, registry):
-        # The metadata cache must not outlive the model (unbounded growth).
+        # The metadata cache must not outlive the model (unbounded growth):
+        # it lives in the tenant record, which leaves as one unit.
         fleet = GeofenceFleet(registry, capacity=1, model_factory=make_gem)
         fleet.provision("a", tenant_records(0), metadata={"k": 1})
         fleet.provision("b", tenant_records(1))   # evicts a
-        assert "a" not in fleet._metadata
-        assert len(fleet._metadata) <= fleet.capacity
+        assert "a" not in fleet._tenants
+        assert len(fleet._tenants) <= fleet.capacity
         # ...and is repopulated from disk on reload.
         fleet.observe("a", tenant_records(0, n=1, seed_offset=4)[0])
         fleet.evict("a")
@@ -373,3 +374,87 @@ class TestColumnarReservoir:
         committed = committed_reservoir(tmp_path / "churned" / "t")
         assert_columns_identical(committed["anchor"], records_to_columns(anchor[-3:]))
         assert_columns_identical(committed["recent"], records_to_columns(list(recent)[-3:]))
+
+
+def fleet_traces(fleet, tenant_id):
+    """Names of the fleet's tenant-keyed containers that still hold
+    ``tenant_id`` (whatever the fleet names them)."""
+    return sorted(name for name, value in vars(fleet).items()
+                  if isinstance(value, (dict, set)) and tenant_id in value)
+
+
+def failing_saves(monkeypatch, fleet):
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+    monkeypatch.setattr(fleet.registry, "save", boom)
+    monkeypatch.setattr(fleet.registry, "save_incremental", boom)
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["full", "delta"])
+class TestAllOrNothingLifecycle:
+    """A tenant enters the fleet whole or not at all: a load that fails
+    validation and a provision whose save raises leave no trace."""
+
+    def test_corrupt_reservoir_load_leaves_nothing(self, tmp_path, incremental):
+        fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,
+                              reservoir_size=8, incremental=incremental)
+        fleet.provision("t", tenant_records(0))
+        fleet.evict("t")
+        directory = tmp_path / "m" / "t"
+        path = directory / read_manifest(directory)["arrays_file"]
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["__metadata__/fleet_reservoir/anchor/edges"]["rss"][0] = np.nan
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="corrupt persisted reservoir"):
+            fleet.observe("t", tenant_records(0, n=1, seed_offset=5)[0])
+        assert fleet.resident("t") is None
+        assert fleet_traces(fleet, "t") == []
+        assert fleet.telemetry.totals().loads == 0
+
+    def test_failed_provision_of_an_evicted_tenant_leaves_disk_state(
+            self, tmp_path, monkeypatch, incremental):
+        fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,
+                              reservoir_size=8, incremental=incremental)
+        train = tenant_records(0)
+        old = fleet.provision("t", train, metadata={"v": 1})
+        fleet.evict("t")
+        failing_saves(monkeypatch, fleet)
+        with pytest.raises(OSError, match="disk full"):
+            fleet.provision("t", tenant_records(1), metadata={"v": 2})
+        monkeypatch.undo()
+        assert fleet.resident("t") is None
+        assert fleet_traces(fleet, "t") == []
+        # The next load serves the on-disk model, metadata and anchor...
+        probe = tenant_records(0, n=1, seed_offset=9)[0]
+        assert fleet.score("t", probe) == old.score(probe)
+        assert fleet.reservoir("t") == train[-8:]
+        # ...and its write-back persists them, not the failed provision's.
+        fleet.observe("t", SignalRecord({"unheard": -60.0}))
+        fleet.close()
+        assert ModelRegistry(tmp_path / "m").metadata("t") == {"v": 1}
+        with GeofenceFleet(tmp_path / "m", capacity=2, reservoir_size=8) as reloaded:
+            assert reloaded.reservoir("t") == train[-8:]
+            assert reloaded.score("t", probe) == old.score(probe)
+
+    def test_failed_provision_of_a_resident_tenant_keeps_its_record(
+            self, tmp_path, monkeypatch, incremental):
+        fleet = GeofenceFleet(tmp_path / "m", capacity=2, model_factory=make_gem,
+                              reservoir_size=8, incremental=incremental)
+        train = tenant_records(0)
+        old = fleet.provision("t", train, metadata={"v": 1})
+        fleet.observe_many(("t", record) for record in tenant_records(0, n=4, seed_offset=3))
+        before = fleet.reservoir("t")
+        assert fleet.is_dirty("t")
+        failing_saves(monkeypatch, fleet)
+        with pytest.raises(OSError, match="disk full"):
+            fleet.provision("t", tenant_records(1), metadata={"v": 2})
+        monkeypatch.undo()
+        assert fleet.resident("t") is old
+        assert fleet.is_dirty("t")
+        assert fleet.reservoir("t") == before
+        fleet.evict("t")
+        assert ModelRegistry(tmp_path / "m").metadata("t") == {"v": 1}
+        assert fleet.reservoir("t") == before
+        probe = tenant_records(0, n=1, seed_offset=9)[0]
+        assert fleet.score("t", probe) == old.score(probe)

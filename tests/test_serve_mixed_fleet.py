@@ -78,9 +78,9 @@ class TestMixedFleet:
 
     def test_each_tenant_serves_its_own_arm(self, tmp_path):
         fleet = self.provision(tmp_path, capacity=len(self.ARMS))
-        assert isinstance(fleet._cache["tenant-0"], GEM)
-        assert fleet._cache["tenant-1"].spec.detector.name == "lof"
-        assert fleet._cache["tenant-2"].spec.embedder.name == "imputed-matrix"
+        assert isinstance(fleet.resident("tenant-0"), GEM)
+        assert fleet.resident("tenant-1").spec.detector.name == "lof"
+        assert fleet.resident("tenant-2").spec.embedder.name == "imputed-matrix"
 
     def test_eviction_churn_matches_all_resident(self, tmp_path):
         stream = [(f"tenant-{i}", record)
@@ -100,8 +100,8 @@ class TestMixedFleet:
         assert fleet.evict("tenant-1")
         assert "tenant-1" not in fleet.resident_tenants
         decision = fleet.observe("tenant-1", PROBE[0])
-        assert fleet._cache["tenant-1"].spec.detector.name == "lof"
-        assert decision.score == fleet._cache["tenant-1"].score(PROBE[0])
+        assert fleet.resident("tenant-1").spec.detector.name == "lof"
+        assert decision.score == fleet.resident("tenant-1").score(PROBE[0])
 
 
 class TestFormatMigration:

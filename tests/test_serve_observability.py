@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from conftest import synthetic_records
+from repro.baselines import SignatureHome
 from repro.core import GEM, GEMConfig
 from repro.core.protocols import GeofenceDecision
 from repro.embedding.bisage import BiSAGEConfig
@@ -324,11 +325,11 @@ class TestFailedRefreshStreaks:
         assert family is not None
 
     def test_stuck_refresh_probe_escalates_on_a_real_runtime(self, tmp_path):
-        # reservoir_size=0 makes every coordinated refresh fail with the
-        # empty-reservoir ValueError — the real-world stuck tenant.
+        # An arm without refresh capability makes every coordinated
+        # refresh fail with a TypeError — the real-world stuck tenant.
         policy = MaintenancePolicy(check_every=5, refresh_every=5)
         with ServingRuntime(tmp_path / "reg", capacity=8,
-                            model_factory=make_gem, reservoir_size=0,
+                            model_factory=SignatureHome,
                             policy=policy,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)

@@ -372,6 +372,18 @@ class TestFleetQuarantine:
         assert fleet.quarantine_depth("t") == depth
         fleet.close()
 
+    def test_provision_over_a_resident_tenant_drops_its_evidence(self, registry):
+        """Provisioning replaces the whole resident record, quarantine
+        included, and the fleet-wide depth gauge follows."""
+        fleet = provisioned_fleet(registry, quarantine_size=32)
+        drive_new_world(fleet, "t", home_anchor_macs(train_records()), n=40)
+        assert fleet.quarantine_depth("t") > 0
+        fleet.provision("t", train_records())
+        assert fleet.quarantine_depths() == {}
+        gauge = fleet.telemetry.metrics.snapshot()["repro_quarantine_depth"]
+        assert gauge["series"][0]["value"] == 0
+        fleet.close()
+
     def test_reload_continues_the_same_sample(self, tmp_path):
         """A fleet evicted mid-stream retains exactly the records an
         uninterrupted fleet would have."""
@@ -514,15 +526,18 @@ class TestJSONFormCheckpoints:
 
     @pytest.mark.parametrize("form", ["columns", "json"])
     def test_disabled_fleets_carry_both_forms_forward(self, tmp_path, form):
+        """A quarantine-off fleet's write-backs carry the persisted buffer
+        forward in whichever form it was saved."""
         directory = self._saved_tenant(tmp_path / "m", incremental=True)
         if form == "json":
             write_json_form(directory)
         with GeofenceFleet(tmp_path / "m", **self.FLEET) as fleet:
             before = fleet.reservoir("t"), fleet.quarantine("t")
-        with GeofenceFleet(tmp_path / "m", capacity=1, model_factory=make_gem,
-                           reservoir_size=0, quarantine_size=0, incremental=True) as plain:
-            for record in train_records(5):
-                plain.observe("t", record)
+        plain_config = dict(self.FLEET, quarantine_size=0)
+        with GeofenceFleet(tmp_path / "m", incremental=True, **plain_config) as plain:
+            for _ in range(5):
+                # Unembeddable: dirties the tenant, never an inlier.
+                plain.observe("t", SignalRecord({"unheard": -60.0}))
         assert read_manifest(directory).get("deltas"), "the disabled fleet wrote back"
         assert holds_record_dicts(directory) == (form == "json")
         with GeofenceFleet(tmp_path / "m", **self.FLEET) as fleet:
