@@ -192,6 +192,29 @@ class TestQuarantineBuffer:
         assert run(seed=5) == run(seed=5)
         assert run(seed=5) != run(seed=6)
 
+    def test_slot_choice_is_frozen(self):
+        """Exact admissions of a fixed stream, pinned: the slot hash and
+        the gate's per-candidate generator must keep their input bytes,
+        or persisted buffers continue a different sample after reload."""
+        buffer = QuarantineBuffer(4, tenant_key="t", gate=None)
+        buffer.set_home({"home"})
+        outcomes = []
+        for i in range(24):
+            record = (SignalRecord({"home": -90.0, "amb": -40.0},
+                                   timestamp=float(i))
+                      if i % 5 == 3 else anchored_record(i))
+            outcomes.append(buffer.consider(RejectAll(), record))
+        A, N, S = "admitted", "no-anchor", "sampled-out"
+        assert outcomes == [A, A, A, N, A, A, A, A, N, S, S, A,
+                            S, N, S, S, A, S, N, S, S, S, S, N]
+        assert [r.timestamp for r in buffer.records] == [6.0, 7.0, 16.0, 11.0]
+        assert [r.readings for r in buffer.records] == [
+            {"home": -50.0, "amb6": -60.0}, {"home": -50.0, "amb0": -60.0},
+            {"home": -50.0, "amb2": -60.0}, {"home": -50.0, "amb4": -60.0}]
+        assert (buffer.seen, buffer.offered) == (19, 19)
+        assert [buffer._candidate_rng(i).random() for i in range(3)] == [
+            0.7895547020280439, 0.32095789549131415, 0.34118585872591745]
+
     def test_round_trip_mid_stream_matches_uninterrupted(self):
         """Evict/reload anywhere in the stream must not change the sample."""
         def uninterrupted():
