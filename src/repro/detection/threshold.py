@@ -46,9 +46,6 @@ class MinMaxNormalizer:
             out = np.clip(out, 0.0, 1.0)
         return out
 
-    def fit_transform(self, scores) -> np.ndarray:
-        return self.fit(scores).transform(scores)
-
     def state_dict(self) -> dict:
         """Checkpointable state: the clip flag and the fitted range."""
         if self.low is None or self.high is None:

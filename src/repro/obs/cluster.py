@@ -35,7 +35,7 @@ from __future__ import annotations
 import copy
 from typing import Mapping, Sequence
 
-from repro.obs.health import ProbeResult, STATUS_LEVELS, grade
+from repro.obs.health import PROBE_THRESHOLDS, ProbeResult, STATUS_LEVELS, grade
 from repro.obs.metrics import merged_family
 
 __all__ = [
@@ -180,16 +180,14 @@ class ClusterHealthMonitor:
     Stateless between checks: every :meth:`check` folds the probe
     dicts the workers shipped (``ProbeResult.as_dict()`` form), the
     per-worker liveness the router observed, and the standby's
-    replication lag.  Results mirror into ``repro_health_value`` /
+    replication lag (graded by ``PROBE_THRESHOLDS["replication_lag"]``
+    from :mod:`repro.obs.health`).  Results mirror into ``repro_health_value`` /
     ``repro_health_status`` gauges labeled ``(probe, worker)`` —
     ``worker="cluster"`` for folded grades, ``worker="router"`` for the
     replication probe, ``worker="<i>"`` for raw per-worker readings.
     """
 
-    def __init__(self, metrics=None,
-                 replication_lag: tuple[float, float] = (5.0, 30.0)):
-        self.replication_thresholds = (float(replication_lag[0]),
-                                       float(replication_lag[1]))
+    def __init__(self, metrics=None):
         self._metrics = metrics
         if metrics is not None:
             self._value_gauge = metrics.gauge(
@@ -259,7 +257,7 @@ class ClusterHealthMonitor:
                 warn_at=worst.warn_at, critical_at=worst.critical_at,
                 detail=detail)
         lag = float(replication_lag)
-        warn_at, critical_at = self.replication_thresholds
+        warn_at, critical_at = PROBE_THRESHOLDS["replication_lag"]
         folded["replication_lag"] = ProbeResult(
             probe="replication_lag", value=lag,
             status=grade(lag, warn_at, critical_at),

@@ -29,28 +29,25 @@ instead of rediscovering the postmortems:
   the recovery proposal is waiting on an operator, or the arming
   thresholds never fired — either way, look before the evidence ages.
 * ``replication_lag`` — seconds between a primary's committed
-  checkpoint write and its apply on the warm standby (cluster routers
-  only: the target exposes ``replication_lag()``).  A growing lag means
-  a failover would lose recent write-backs; the thresholds (5 s warn /
-  30 s critical by default) are the alert the README's failover
-  runbook wires up.
+  checkpoint write and its apply on the warm standby.  A growing lag
+  means a failover would lose recent write-backs.  The router grades it
+  in :class:`~repro.obs.cluster.ClusterHealthMonitor`; it is the alert
+  the README's failover runbook wires up.
 
-:class:`HealthMonitor` evaluates every probe its target supports — the
-four runtime probes need ``controller``, ``fleet``,
-``pending_decisions`` and ``telemetry_totals()`` (a
-:class:`ServingRuntime`); the replication probe needs
-``replication_lag()`` (a cluster :class:`Router`) — and mirrors each
-result into two gauges (``repro_health_value`` / ``repro_health_status``;
-status 0=ok, 1=warn, 2=critical) so the same thresholds drive the
-Prometheus alert and the JSON snapshot.
+Every probe is graded against one fixed table, :data:`PROBE_THRESHOLDS`,
+which both monitors read.  :class:`HealthMonitor` evaluates the runtime
+probes against a :class:`~repro.serve.runtime.ServingRuntime` and
+mirrors each result into two gauges (``repro_health_value`` /
+``repro_health_status``; status 0=ok, 1=warn, 2=critical) so the same
+thresholds drive the Prometheus alert and the JSON snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DEFAULT_STARVATION_WINDOW", "HealthMonitor", "ProbeResult",
-           "STATUS_LEVELS", "grade"]
+__all__ = ["DEFAULT_STARVATION_WINDOW", "HealthMonitor", "PROBE_THRESHOLDS",
+           "ProbeResult", "STATUS_LEVELS", "grade"]
 
 STATUS_LEVELS = {"ok": 0, "warn": 1, "critical": 2}
 
@@ -59,6 +56,17 @@ STATUS_LEVELS = {"ok": 0, "warn": 1, "critical": 2}
 # RecoveryPolicy.starvation_window so the controller arms recovery with
 # the same arithmetic that turns the probe yellow.
 DEFAULT_STARVATION_WINDOW = 200
+
+# (warn, critical) per probe.
+PROBE_THRESHOLDS = {
+    "stuck_refresh": (2.0, 4.0),
+    "reservoir_starvation": (float(DEFAULT_STARVATION_WINDOW),
+                             float(2 * DEFAULT_STARVATION_WINDOW)),
+    "scheduler_staleness": (5.0, 30.0),
+    "decision_bus_depth": (1_000.0, 10_000.0),
+    "quarantine_saturation": (0.8, 1.0),
+    "replication_lag": (5.0, 30.0),
+}
 
 
 @dataclass(frozen=True)
@@ -102,37 +110,14 @@ def grade(value: float, warn_at: float, critical_at: float) -> str:
     return "ok"
 
 
-_grade = grade
-
-
 class HealthMonitor:
-    """Evaluates the four serving probes against a runtime.
+    """Evaluates the runtime probes against :data:`PROBE_THRESHOLDS`.
 
-    Parameters are (warn, critical) thresholds per probe;
-    ``starvation_window`` is the warn threshold in observations (the
-    critical threshold is twice it).  ``metrics`` is an optional
-    :class:`~repro.obs.metrics.MetricsRegistry` to mirror results into.
+    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
+    to mirror results into.
     """
 
-    def __init__(self, metrics=None,
-                 stuck_refresh: tuple[int, int] = (2, 4),
-                 starvation_window: int = DEFAULT_STARVATION_WINDOW,
-                 scheduler_staleness: tuple[float, float] = (5.0, 30.0),
-                 bus_depth: tuple[int, int] = (1_000, 10_000),
-                 replication_lag: tuple[float, float] = (5.0, 30.0),
-                 quarantine_saturation: tuple[float, float] = (0.8, 1.0)):
-        self.thresholds = {
-            "stuck_refresh": (float(stuck_refresh[0]), float(stuck_refresh[1])),
-            "reservoir_starvation": (float(starvation_window),
-                                     float(2 * starvation_window)),
-            "scheduler_staleness": (float(scheduler_staleness[0]),
-                                    float(scheduler_staleness[1])),
-            "decision_bus_depth": (float(bus_depth[0]), float(bus_depth[1])),
-            "replication_lag": (float(replication_lag[0]),
-                                float(replication_lag[1])),
-            "quarantine_saturation": (float(quarantine_saturation[0]),
-                                      float(quarantine_saturation[1])),
-        }
+    def __init__(self, metrics=None):
         self._metrics = metrics
         if metrics is not None:
             self._value_gauge = metrics.gauge(
@@ -150,28 +135,22 @@ class HealthMonitor:
     # Probe evaluation
     # ------------------------------------------------------------------
     def check(self, runtime) -> dict[str, ProbeResult]:
-        """Evaluate every supported probe; returns ``{probe name: result}``.
+        """Evaluate every runtime probe; returns ``{probe name: result}``.
 
-        ``runtime`` is duck-typed: the four runtime probes run when it
-        has a ``controller`` (plus ``fleet``, ``pending_decisions``, an
-        optional ``scheduler`` and ``telemetry_totals()`` — a
-        :class:`ServingRuntime`); the replication probe runs when it has
-        ``replication_lag()`` (a cluster router with a warm standby).
+        ``runtime`` is duck-typed: it needs ``controller``, ``fleet``,
+        ``pending_decisions``, an optional ``scheduler`` and
+        ``telemetry_totals()`` (a :class:`ServingRuntime`).
         """
-        results: dict[str, ProbeResult] = {}
-        if hasattr(runtime, "controller"):
-            results.update({
-                "stuck_refresh": self._check_stuck_refresh(runtime),
-                "reservoir_starvation": self._check_starvation(runtime),
-                "scheduler_staleness": self._check_staleness(runtime),
-                "decision_bus_depth": self._check_bus_depth(runtime),
-            })
-            # Like the replication probe, capability-gated: only fleets
-            # that run a quarantine report its saturation.
-            if runtime.fleet.quarantine_size:
-                results["quarantine_saturation"] = self._check_quarantine(runtime)
-        if hasattr(runtime, "replication_lag"):
-            results["replication_lag"] = self._check_replication(runtime)
+        results = {
+            "stuck_refresh": self._check_stuck_refresh(runtime),
+            "reservoir_starvation": self._check_starvation(runtime),
+            "scheduler_staleness": self._check_staleness(runtime),
+            "decision_bus_depth": self._check_bus_depth(runtime),
+        }
+        # Capability-gated: only fleets that run a quarantine report its
+        # saturation.
+        if runtime.fleet.quarantine_size:
+            results["quarantine_saturation"] = self._check_quarantine(runtime)
         if self._metrics is not None:
             for name, result in results.items():
                 self._value_gauge.labels(probe=name).set(result.value)
@@ -179,9 +158,9 @@ class HealthMonitor:
         return results
 
     def _result(self, probe: str, value: float, detail: str = "") -> ProbeResult:
-        warn_at, critical_at = self.thresholds[probe]
+        warn_at, critical_at = PROBE_THRESHOLDS[probe]
         return ProbeResult(probe=probe, value=float(value),
-                           status=_grade(value, warn_at, critical_at),
+                           status=grade(value, warn_at, critical_at),
                            warn_at=warn_at, critical_at=critical_at,
                            detail=detail)
 
@@ -241,9 +220,3 @@ class HealthMonitor:
                   "only rotates evidence — approve or deny its recovery"
                   if worst else "")
         return self._result("quarantine_saturation", worst, detail)
-
-    def _check_replication(self, runtime) -> ProbeResult:
-        lag = float(runtime.replication_lag())
-        detail = f"newest standby apply ran {lag:.2f}s after its commit" \
-            if lag else ""
-        return self._result("replication_lag", lag, detail)

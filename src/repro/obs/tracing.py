@@ -36,11 +36,14 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import Mapping
 
-__all__ = ["Span", "Tracer", "maybe_span"]
+__all__ = ["SLOW_TRACE_RING", "Span", "Tracer", "maybe_span"]
 
 # Shared no-op context for un-instrumented call sites: nullcontext is
 # stateless, so one instance serves every thread and nesting depth.
 _NULL_SPAN = nullcontext(None)
+
+# Bound on retained slow traces (oldest evicted first).
+SLOW_TRACE_RING = 64
 
 
 def maybe_span(tracer: "Tracer | None", name: str,
@@ -86,25 +89,21 @@ class Tracer:
     Parameters
     ----------
     slow_threshold:
-        Root spans at least this many seconds long enter the ring.
-    ring_size:
-        Bound on retained slow traces (oldest evicted first).
+        Root spans at least this many seconds long enter the ring of
+        the :data:`SLOW_TRACE_RING` most recent slow traces.
     trace_prefix:
         Prepended to generated span ids so ids minted by different
         processes (router vs worker N) never collide after stitching.
     """
 
-    def __init__(self, slow_threshold: float = 0.1, ring_size: int = 64,
-                 trace_prefix: str = ""):
+    def __init__(self, slow_threshold: float = 0.1, trace_prefix: str = ""):
         if slow_threshold < 0:
             raise ValueError(f"slow_threshold must be >= 0, got {slow_threshold}")
-        if ring_size < 1:
-            raise ValueError(f"ring_size must be >= 1, got {ring_size}")
         self.slow_threshold = slow_threshold
         self.trace_prefix = trace_prefix
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._ring: "deque[dict]" = deque(maxlen=ring_size)
+        self._ring: "deque[dict]" = deque(maxlen=SLOW_TRACE_RING)
         self._aggregate: dict[str, list[float]] = {}   # name -> [count, seconds]
         # itertools.count.__next__ is atomic under the GIL, so id
         # generation needs no lock even with concurrent injectors.

@@ -95,8 +95,8 @@ __all__ = [
     "ARRAYS_SUFFIX",
     "DELTA_PREFIX",
     "DELTA_SUFFIX",
-    "DEFAULT_MAX_DELTA_CHAIN",
-    "DEFAULT_DELTA_MAX_FRACTION",
+    "MAX_DELTA_CHAIN",
+    "MAX_DELTA_FRACTION",
     "CheckpointError",
     "CommitInfo",
     "StateBaseline",
@@ -131,11 +131,11 @@ DELTA_SUFFIX = ".npz"
 
 # Compaction cadence: after this many chained deltas the next write is a
 # full save, bounding both replay work on load and chain-validation cost.
-DEFAULT_MAX_DELTA_CHAIN = 4
+MAX_DELTA_CHAIN = 4
 # A delta whose stored arrays exceed this fraction of the full state's
 # bytes is not worth the chain bookkeeping (e.g. a re-provisioned model
 # where everything changed): write a compacting full save instead.
-DEFAULT_DELTA_MAX_FRACTION = 0.9
+MAX_DELTA_FRACTION = 0.9
 
 _SEP = "/"
 # Reserved npz entry holding the save nonce (also recorded in the
@@ -501,7 +501,9 @@ def _write_full(model, directory: Path, arrays: dict[str, np.ndarray],
         "model_class": type(model).__name__,
         "pipeline_spec": spec.to_dict(),
         "repro_version": __version__,
-        "saved_at": time.time(),
+        # Integer nanoseconds: fixed width (unlike a float's repr), so
+        # identical runs write identical byte counts.
+        "saved_at": time.time_ns(),
         "save_id": save_id,
         "arrays_file": arrays_name,
         "array_keys": sorted(arrays),
@@ -555,9 +557,7 @@ def save_checkpoint(model, directory: str | Path, metadata: dict | None = None,
 
 
 def save_incremental(model, directory: str | Path, baseline: StateBaseline | None,
-                     metadata: dict | None = None, spec: PipelineSpec | None = None,
-                     max_chain: int = DEFAULT_MAX_DELTA_CHAIN,
-                     max_fraction: float = DEFAULT_DELTA_MAX_FRACTION,
+                     metadata: dict | None = None, spec: PipelineSpec | None = None
                      ) -> tuple[str, StateBaseline]:
     """Write the cheapest sufficient save: a delta when possible.
 
@@ -567,10 +567,10 @@ def save_incremental(model, directory: str | Path, baseline: StateBaseline | Non
     ``delta-<id>.npz`` + manifest entry when the change is small —
     append-tails for arrays that only grew, replacements for the few
     that didn't.  Falls back to a full compacting save when there is no
-    usable baseline, the chain has reached ``max_chain``, the on-disk
-    tip no longer matches the baseline (an out-of-band writer), or the
-    delta would store more than ``max_fraction`` of the full state's
-    array bytes (e.g. after a re-provision).
+    usable baseline, the chain has reached :data:`MAX_DELTA_CHAIN`, the
+    on-disk tip no longer matches the baseline (an out-of-band writer),
+    or the delta would store more than :data:`MAX_DELTA_FRACTION` of the
+    full state's array bytes (e.g. after a re-provision).
 
     Returns ``("delta" | "full", new_baseline)``.  Either way the
     caller's next diff is against exactly what this call committed.
@@ -583,7 +583,7 @@ def save_incremental(model, directory: str | Path, baseline: StateBaseline | Non
         save_id = _write_full(model, directory, arrays, leaves, spec, metadata)
         return "full", StateBaseline.capture(save_id, save_id, 0, arrays, leaves)
 
-    if baseline is None or baseline.chain_length >= max_chain:
+    if baseline is None or baseline.chain_length >= MAX_DELTA_CHAIN:
         return full()
     try:
         manifest = read_manifest(directory)
@@ -604,14 +604,14 @@ def save_incremental(model, directory: str | Path, baseline: StateBaseline | Non
     stored, entry = _diff_state(baseline, arrays, leaves)
     full_bytes = sum(value.nbytes for value in arrays.values())
     delta_bytes = sum(value.nbytes for value in stored.values())
-    if full_bytes and delta_bytes > max_fraction * full_bytes:
+    if full_bytes and delta_bytes > MAX_DELTA_FRACTION * full_bytes:
         return full()
     delta_id = uuid.uuid4().hex
     delta_name = f"{DELTA_PREFIX}{delta_id}{DELTA_SUFFIX}"
     stored = dict(stored)
     stored[_DELTA_ID_KEY] = np.frombuffer(delta_id.encode("ascii"), dtype=np.uint8).copy()
     entry.update({"delta_id": delta_id, "parent": tip, "file": delta_name,
-                  "saved_at": time.time()})
+                  "saved_at": time.time_ns()})
     manifest["deltas"] = deltas + [entry]
     manifest["format_version"] = INCREMENTAL_VERSION
     manifest["metadata"] = metadata

@@ -23,8 +23,7 @@ of the decision stream — deterministic replay produces deterministic
 maintenance, which is what makes refresh policies *measurable* in the
 drift harness.
 
-Per-tenant policy resolution, most specific wins: an explicit
-``policies[tenant_id]`` entry, else the ``maintenance`` block of the
+Per-tenant policy resolution: the ``maintenance`` block of the
 resident model's :class:`~repro.pipeline.spec.PipelineSpec`, else the
 controller's default policy (a no-op unless configured otherwise).
 """
@@ -75,10 +74,9 @@ class FleetController:
     fleet:
         The :class:`~repro.serve.fleet.GeofenceFleet` to maintain.
     policy:
-        Default policy for tenants without a more specific one; the
-        default default is the no-op :class:`MaintenancePolicy()`.
-    policies:
-        Per-tenant overrides (tenant_id -> policy).
+        Default policy for tenants whose spec carries no ``maintenance``
+        block (a per-tenant policy travels in that block); the default
+        default is the no-op :class:`MaintenancePolicy()`.
     metrics / tracer:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` to count
         maintenance actions into
@@ -88,11 +86,9 @@ class FleetController:
     """
 
     def __init__(self, fleet: GeofenceFleet, policy: MaintenancePolicy | None = None,
-                 policies: dict[str, MaintenancePolicy] | None = None,
                  metrics=None, tracer=None):
         self.fleet = fleet
         self.policy = policy if policy is not None else MaintenancePolicy()
-        self.policies = dict(policies or {})
         self.tracer = tracer
         self._actions_family = metrics.counter(
             "repro_maintenance_actions_total",
@@ -113,16 +109,10 @@ class FleetController:
     # Policy resolution
     # ------------------------------------------------------------------
     def policy_for(self, tenant_id: str) -> MaintenancePolicy:
-        """Most specific policy: explicit > tenant spec block > default."""
-        explicit = self.policies.get(tenant_id)
-        if explicit is not None:
-            return explicit
-        model = self.fleet.resident(tenant_id)
-        spec = getattr(model, "spec", None)
+        """The tenant spec's ``maintenance`` block, else the default."""
+        spec = getattr(self.fleet.resident(tenant_id), "spec", None)
         block = getattr(spec, "maintenance", None)
-        if block is not None:
-            return block
-        return self.policy
+        return block if block is not None else self.policy
 
     def state(self, tenant_id: str) -> TenantControlState:
         return self._states.setdefault(tenant_id, TenantControlState())

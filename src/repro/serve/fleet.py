@@ -225,8 +225,7 @@ class _Tenant:
     def rehome(self, anchor: Sequence[SignalRecord]) -> None:
         """Point the quarantine's home-AP set at ``anchor`` (no buffer: no-op)."""
         if self.quarantine is not None:
-            self.quarantine.set_home(home_anchor_macs(
-                anchor, self.quarantine.min_anchor_fraction))
+            self.quarantine.set_home(home_anchor_macs(anchor))
 
 
 class GeofenceFleet:
@@ -262,8 +261,8 @@ class GeofenceFleet:
         releases byte-for-byte in structure; the *reconstructed state*
         is identical either way.  A delta chain is compacted by a full
         save at the checkpoint layer's fixed cadence
-        (:data:`~repro.serve.checkpoint.DEFAULT_MAX_DELTA_CHAIN`,
-        :data:`~repro.serve.checkpoint.DEFAULT_DELTA_MAX_FRACTION`).
+        (:data:`~repro.serve.checkpoint.MAX_DELTA_CHAIN`,
+        :data:`~repro.serve.checkpoint.MAX_DELTA_FRACTION`).
     quarantine_size:
         Bound on the per-tenant quarantine buffer of
         rejected-but-home-anchored records (recovery evidence — see

@@ -24,9 +24,9 @@ Admission is defended in depth, in the spirit of consistency-regularized
 semi-supervised RF fingerprinting (arxiv 2304.14795):
 
 1. **Home-AP anchor** — some home MAC's RSS must be within
-   ``anchor_margin_db`` of the scan's strongest reading.  Home MACs are
-   derived from the tenant's pinned anchor records (the training set):
-   MACs present in at least ``min_anchor_fraction`` of them.
+   :data:`ANCHOR_MARGIN_DB` of the scan's strongest reading.  Home MACs
+   are derived from the tenant's pinned anchor records (the training
+   set): MACs present in at least :data:`HOME_ANCHOR_FRACTION` of them.
 2. **Consistency gate** — the rejection must be *stable under RSS
    augmentation*: a :class:`ConsistencyGate` re-scores ``passes``
    augmented copies (AP dropout + one clamped global gain offset per
@@ -35,9 +35,9 @@ semi-supervised RF fingerprinting (arxiv 2304.14795):
    flips on any copy sits on the decision boundary and is discarded —
    only confident, augmentation-stable model-world mismatches qualify
    as recovery evidence.
-3. **Seed-deterministic reservoir sampling** — a bounded buffer over an
+3. **Deterministic reservoir sampling** — a bounded buffer over an
    unbounded rejection stream.  Instead of serialising RNG state, slot
-   choices hash ``(seed, tenant, admission index)``, so the retained
+   choices hash ``(tenant, admission index)``, so the retained
    set is a pure function of the admitted sequence: bit-identical
    across evict/reload, delta-checkpoint round trips and process
    restarts.
@@ -64,8 +64,10 @@ from repro.core.io import records_from_columns, records_to_columns
 from repro.core.records import SignalRecord
 
 __all__ = [
+    "ANCHOR_MARGIN_DB",
     "ConsistencyGate",
     "DEFAULT_QUARANTINE_SIZE",
+    "HOME_ANCHOR_FRACTION",
     "QuarantineBuffer",
     "home_anchor_macs",
     "predict_records",
@@ -77,10 +79,20 @@ __all__ = [
 # matters is the refit, which is explicit.
 DEFAULT_QUARANTINE_SIZE = 256
 
+# Admission anchor: a home MAC must read within this many dB of the
+# scan's strongest reading.
+ANCHOR_MARGIN_DB = 12.0
+# Home MACs are those heard in at least this fraction of anchor records.
+HOME_ANCHOR_FRACTION = 0.6
+# Hashed into every slot choice and gate generator.  Persisted buffers
+# continue their sample from these exact bytes; changing it would
+# reshuffle every tenant's evidence after a reload.
+_SAMPLING_SEED = 0
 
-def home_anchor_macs(records: Sequence[SignalRecord],
-                     min_fraction: float = 0.6) -> frozenset[str]:
-    """MACs present in at least ``min_fraction`` of the anchor records.
+
+def home_anchor_macs(records: Sequence[SignalRecord]) -> frozenset[str]:
+    """MACs present in at least :data:`HOME_ANCHOR_FRACTION` of the
+    anchor records.
 
     The anchor is the provision-time training set: scans taken inside
     the premises.  A MAC heard in most of them is (with overwhelming
@@ -92,13 +104,11 @@ def home_anchor_macs(records: Sequence[SignalRecord],
     """
     if not records:
         return frozenset()
-    if not 0.0 < min_fraction <= 1.0:
-        raise ValueError(f"min_fraction must be in (0, 1], got {min_fraction}")
     counts: dict[str, int] = {}
     for record in records:
         for mac in record.readings:
             counts[mac] = counts.get(mac, 0) + 1
-    floor = min_fraction * len(records)
+    floor = HOME_ANCHOR_FRACTION * len(records)
     return frozenset(mac for mac, n in counts.items() if n >= floor)
 
 
@@ -180,7 +190,11 @@ class ConsistencyGate:
 
 
 class QuarantineBuffer:
-    """Bounded, seed-deterministic evidence buffer for one tenant.
+    """Bounded, deterministic evidence buffer for one tenant.
+
+    The anchor margin and the sampling seed are module constants, so
+    the retained set depends only on ``tenant_key`` and the admitted
+    sequence.
 
     Not thread-safe on its own: the owning
     :class:`~repro.serve.fleet.GeofenceFleet` mutates it under the
@@ -193,20 +207,13 @@ class QuarantineBuffer:
     sample the resident one would have taken.
     """
 
-    def __init__(self, capacity: int, seed: int = 0, tenant_key: str = "",
-                 gate: ConsistencyGate | None = None,
-                 anchor_margin_db: float = 12.0,
-                 min_anchor_fraction: float = 0.6):
+    def __init__(self, capacity: int, tenant_key: str = "",
+                 gate: ConsistencyGate | None = None):
         if capacity < 1:
             raise ValueError(f"quarantine capacity must be >= 1, got {capacity}")
-        if anchor_margin_db < 0:
-            raise ValueError(f"anchor_margin_db must be >= 0, got {anchor_margin_db}")
         self.capacity = capacity
-        self.seed = int(seed)
         self.tenant_key = str(tenant_key)
         self.gate = gate
-        self.anchor_margin_db = float(anchor_margin_db)
-        self.min_anchor_fraction = float(min_anchor_fraction)
         self.home_macs: frozenset[str] = frozenset()
         self.records: list[SignalRecord] = []
         self.seen = 0
@@ -220,11 +227,11 @@ class QuarantineBuffer:
         self.home_macs = frozenset(macs)
 
     def anchored(self, record: SignalRecord) -> bool:
-        """Does some home MAC sit within ``anchor_margin_db`` of the top?"""
+        """Does some home MAC sit within :data:`ANCHOR_MARGIN_DB` of the top?"""
         if not self.home_macs or not record.readings:
             return False
         strongest = max(record.readings.values())
-        floor = strongest - self.anchor_margin_db
+        floor = strongest - ANCHOR_MARGIN_DB
         return any(record.readings.get(mac, -float("inf")) >= floor
                    for mac in self.home_macs)
 
@@ -261,12 +268,12 @@ class QuarantineBuffer:
         return "sampled-out"
 
     def _slot_hash(self, index: int) -> int:
-        return zlib.crc32(f"{self.seed}:{self.tenant_key}:{index}".encode())
+        return zlib.crc32(f"{_SAMPLING_SEED}:{self.tenant_key}:{index}".encode())
 
     def _candidate_rng(self, index: int) -> np.random.Generator:
         key = zlib.crc32(self.tenant_key.encode())
         return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(key, index)))
+            np.random.SeedSequence(entropy=_SAMPLING_SEED, spawn_key=(key, index)))
 
     # ------------------------------------------------------------------
     # Introspection / consumption
@@ -305,20 +312,16 @@ class QuarantineBuffer:
         }
 
     @classmethod
-    def from_state(cls, state: Mapping, capacity: int, seed: int = 0,
-                   tenant_key: str = "", gate: ConsistencyGate | None = None,
-                   anchor_margin_db: float = 12.0,
-                   min_anchor_fraction: float = 0.6) -> "QuarantineBuffer":
+    def from_state(cls, state: Mapping, capacity: int, tenant_key: str = "",
+                   gate: ConsistencyGate | None = None) -> "QuarantineBuffer":
         """Rebuild from :meth:`state_dict` output.
 
         Records in the JSON form earlier releases persisted load too.
-        The *fleet's* capacity/seed/gate win over whatever wrote the
+        The *fleet's* capacity and gate win over whatever wrote the
         state (config is not data); a shrunk capacity keeps the first
         ``capacity`` persisted records deterministically.
         """
-        buffer = cls(capacity, seed=seed, tenant_key=tenant_key, gate=gate,
-                     anchor_margin_db=anchor_margin_db,
-                     min_anchor_fraction=min_anchor_fraction)
+        buffer = cls(capacity, tenant_key=tenant_key, gate=gate)
         buffer.records = records_from_columns(state.get("records", ()))[:capacity]
         buffer.seen = int(state.get("seen", len(buffer.records)))
         buffer.offered = int(state.get("offered", buffer.seen))

@@ -65,9 +65,10 @@ class ServingRuntime:
         Checkpoint store (or a path to root one at).
     capacity:
         LRU budget: at most this many resident models.
-    policy / policies:
-        Default and per-tenant maintenance policies, executed by the
-        controller as decisions are pumped off the bus.
+    policy:
+        Default maintenance policy, executed by the controller as
+        decisions are pumped off the bus.  A tenant whose spec carries a
+        ``maintenance`` block runs that block instead.
     scheduler_interval:
         Seconds between background maintenance ticks; ``None`` disables
         the worker entirely (serial mode — call :meth:`maintain` to pump
@@ -114,7 +115,6 @@ class ServingRuntime:
                  reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
                  incremental: bool = True,
                  policy: MaintenancePolicy | None = None,
-                 policies: dict[str, MaintenancePolicy] | None = None,
                  scheduler_interval: float | None = 0.05,
                  sweep_every: int = 20,
                  quarantine_size: int = 0,
@@ -147,7 +147,7 @@ class ServingRuntime:
                                    incremental=incremental,
                                    quarantine_size=quarantine_size,
                                    tracer=self.tracer)
-        self.controller = FleetController(self.fleet, policy, policies,
+        self.controller = FleetController(self.fleet, policy,
                                           metrics=self.metrics_registry,
                                           tracer=self.tracer)
         background = scheduler_interval is not None
@@ -156,8 +156,8 @@ class ServingRuntime:
         # background runtime always starts disarmed and arms in start(),
         # so a constructed-but-never-started daemon cannot accumulate
         # decisions nothing will ever pump.
-        self.track_decisions = not background and (
-            (policy is not None and not policy.is_noop()) or bool(policies))
+        self.track_decisions = (not background and policy is not None
+                                and not policy.is_noop())
         # The decision bus.  collections.deque appends/poplefts are
         # atomic under the GIL, so the observe path pays one append and
         # no lock; only the pump caller removes.

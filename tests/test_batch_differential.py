@@ -210,7 +210,7 @@ def test_fleet_observe_is_a_batch_of_one(arm, quarantine_size, tmp_path):
         reference = build_arm(arm).fit(train)
         buffer = QuarantineBuffer(quarantine_size, tenant_key="t",
                                   gate=ConsistencyGate())
-        buffer.set_home(home_anchor_macs(train, buffer.min_anchor_fraction))
+        buffer.set_home(home_anchor_macs(train))
         for record in stream:
             decision = reference.observe(record)
             if record.readings and not decision.inside:
@@ -341,8 +341,10 @@ def test_consistency_gate_on_shocked_stream_matches_scalar(arm):
     model.fit(train)
     state = copy.deepcopy(model.state_dict()) if hasattr(model, "state_dict") else None
     home = home_anchor_macs(train)
-    scalar = QuarantineBuffer(4, seed=5, tenant_key="t", gate=ScalarGate(passes=3))
-    batched = QuarantineBuffer(4, seed=5, tenant_key="t", gate=ConsistencyGate(passes=3))
+    # The tenant key is the buffer's only hash input: "tenant" gives
+    # every arm all three outcomes below on this stream.
+    scalar = QuarantineBuffer(4, tenant_key="tenant", gate=ScalarGate(passes=3))
+    batched = QuarantineBuffer(4, tenant_key="tenant", gate=ConsistencyGate(passes=3))
     scalar.set_home(home)
     batched.set_home(home)
     stream = shocked_stream(train)

@@ -23,6 +23,8 @@ from repro.obs import (
     snapshot_from_json,
     snapshot_to_json,
 )
+from repro.obs.health import DEFAULT_STARVATION_WINDOW, PROBE_THRESHOLDS
+from repro.obs.tracing import SLOW_TRACE_RING
 
 
 # ----------------------------------------------------------------------
@@ -209,13 +211,15 @@ class TestTracer:
         assert tracer.snapshot()["spans"]["observe"]["count"] == 1
 
     def test_ring_is_bounded(self):
-        tracer = Tracer(slow_threshold=0.0, ring_size=3)
-        for i in range(10):
+        tracer = Tracer(slow_threshold=0.0)
+        for i in range(SLOW_TRACE_RING + 1):
             with tracer.span("op", i=i):
                 pass
         traces = tracer.slow_traces()
-        assert len(traces) == 3
-        assert [t["attrs"]["i"] for t in traces] == ["7", "8", "9"]
+        assert len(traces) == SLOW_TRACE_RING == 64
+        # The oldest root fell out; the rest are kept in arrival order.
+        assert [t["attrs"]["i"] for t in traces] \
+            == [str(i) for i in range(1, SLOW_TRACE_RING + 1)]
 
     def test_exception_is_annotated_and_reraised(self):
         tracer = Tracer(slow_threshold=0.0)
@@ -261,8 +265,6 @@ class TestTracer:
     def test_validation(self):
         with pytest.raises(ValueError, match="slow_threshold"):
             Tracer(slow_threshold=-1)
-        with pytest.raises(ValueError, match="ring_size"):
-            Tracer(ring_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -392,47 +394,59 @@ class TestHealthMonitor:
 
     def test_threshold_grading(self):
         assert ProbeResult("p", 1.0, "ok", 2.0, 4.0).level == 0
-        monitor = HealthMonitor(stuck_refresh=(2, 4))
+        monitor = HealthMonitor()
+        assert PROBE_THRESHOLDS["stuck_refresh"] == (2.0, 4.0)
+        quiet = FakeRuntime(FakeTotals(0, 0), streaks={"t": 1})
         warn = FakeRuntime(FakeTotals(0, 0), streaks={"t": 2})
+        edge = FakeRuntime(FakeTotals(0, 0), streaks={"t": 4})
         critical = FakeRuntime(FakeTotals(0, 0), streaks={"t": 9})
+        assert monitor.check(quiet)["stuck_refresh"].status == "ok"
         assert monitor.check(warn)["stuck_refresh"].status == "warn"
+        assert monitor.check(edge)["stuck_refresh"].status == "critical"
         result = monitor.check(critical)["stuck_refresh"]
         assert result.status == "critical"
         assert "'t'" in result.detail and "9" in result.detail
 
     def test_starvation_counts_since_last_inside(self):
-        monitor = HealthMonitor(starvation_window=100)
+        monitor = HealthMonitor()
+        window = DEFAULT_STARVATION_WINDOW
+        assert PROBE_THRESHOLDS["reservoir_starvation"] == (window, 2 * window)
         assert monitor.check(
             FakeRuntime(FakeTotals(50, 5)))["reservoir_starvation"].value == 0
-        # 150 more observations, no new inside decision: warn.
+        # Just under a window since the last inside decision: still ok.
+        assert monitor.check(FakeRuntime(FakeTotals(
+            50 + window - 1, 5)))["reservoir_starvation"].status == "ok"
+        # A full window more observations, no new inside decision: warn.
         result = monitor.check(
-            FakeRuntime(FakeTotals(200, 5)))["reservoir_starvation"]
-        assert result.value == 150
+            FakeRuntime(FakeTotals(50 + window, 5)))["reservoir_starvation"]
+        assert result.value == window
         assert result.status == "warn"
         # Critical at twice the window.
-        assert monitor.check(
-            FakeRuntime(FakeTotals(450, 5)))["reservoir_starvation"] \
-            .status == "critical"
+        assert monitor.check(FakeRuntime(FakeTotals(
+            50 + 2 * window, 5)))["reservoir_starvation"].status == "critical"
         # One inside decision resets the window.
-        assert monitor.check(
-            FakeRuntime(FakeTotals(460, 6)))["reservoir_starvation"] \
-            .status == "ok"
+        assert monitor.check(FakeRuntime(FakeTotals(
+            60 + 2 * window, 6)))["reservoir_starvation"].status == "ok"
 
     def test_bus_depth_reports_pending_decisions(self):
-        monitor = HealthMonitor(bus_depth=(10, 100))
-        runtime = FakeRuntime(FakeTotals(0, 0), pending=40)
+        monitor = HealthMonitor()
+        assert PROBE_THRESHOLDS["decision_bus_depth"] == (1_000, 10_000)
+        runtime = FakeRuntime(FakeTotals(0, 0), pending=1500)
         result = monitor.check(runtime)["decision_bus_depth"]
-        assert result.value == 40
+        assert result.value == 1500
         assert result.status == "warn"
-        assert "40 pending decisions" in result.detail
+        assert "1500 pending decisions" in result.detail
+        for pending, status in ((999, "ok"), (10_000, "critical")):
+            runtime = FakeRuntime(FakeTotals(0, 0), pending=pending)
+            assert monitor.check(runtime)["decision_bus_depth"].status == status
 
     def test_results_mirror_into_gauges(self):
         reg = MetricsRegistry()
-        monitor = HealthMonitor(metrics=reg, bus_depth=(10, 100))
-        monitor.check(FakeRuntime(FakeTotals(0, 0), pending=25))
+        monitor = HealthMonitor(metrics=reg)
+        monitor.check(FakeRuntime(FakeTotals(0, 0), pending=1500))
         value = reg.get("repro_health_value").labels(probe="decision_bus_depth")
         status = reg.get("repro_health_status").labels(probe="decision_bus_depth")
-        assert value.value == 25
+        assert value.value == 1500
         assert status.value == 1  # warn
 
     def test_as_dict_round_trips_through_json(self):

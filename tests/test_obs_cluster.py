@@ -23,6 +23,7 @@ from repro.obs.cluster import (
     merge_worker_snapshots,
     stitch_traces,
 )
+from repro.obs.health import PROBE_THRESHOLDS
 from repro.serve import ServingRuntime
 from repro.serve.cluster import Router, spawn_local_worker
 
@@ -358,10 +359,16 @@ class TestClusterHealthMonitor:
         assert folded["p"].detail == "worker 0: queue deep"
 
     def test_replication_lag_graded_by_thresholds(self):
-        monitor = ClusterHealthMonitor(replication_lag=(1.0, 10.0))
+        monitor = ClusterHealthMonitor()
+        assert PROBE_THRESHOLDS["replication_lag"] == (5.0, 30.0)
         assert monitor.check({0: True})["replication_lag"].status == "ok"
+        assert monitor.check(
+            {0: True}, replication_lag=4.9)["replication_lag"].status == "ok"
         lagging = monitor.check({0: True}, replication_lag=5.0)
         assert lagging["replication_lag"].status == "warn"
+        assert lagging["replication_lag"].warn_at == 5.0
+        assert monitor.check(
+            {0: True}, replication_lag=30.0)["replication_lag"].status == "critical"
         assert monitor.check(
             {0: True}, replication_lag=60.0)["replication_lag"].status == "critical"
 

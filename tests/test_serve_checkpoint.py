@@ -212,6 +212,18 @@ class TestGEMCheckpoint:
         assert manifest["model_class"] == "GEM"
         assert manifest["metadata"] == {"note": "x"}
         assert manifest["array_keys"]
+        assert isinstance(manifest["saved_at"], int)   # nanoseconds
+
+    def test_float_saved_at_from_earlier_releases_loads(self, tmp_path):
+        gem = fitted_gem()
+        save_checkpoint(gem, tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["saved_at"] = 1760860000.1234567
+        path.write_text(json.dumps(manifest))
+        held = synthetic_records(5, num_macs=10, seed=9, center=2.0)
+        clone = load_checkpoint(tmp_path / "ckpt")
+        assert [gem.score(r) for r in held] == [clone.score(r) for r in held]
 
     def test_unfitted_model_rejected(self, tmp_path):
         with pytest.raises(RuntimeError, match="unfitted"):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import synthetic_records
+from conftest import spec_resident, synthetic_records
 from repro.core.config import GEMConfig
 from repro.core.protocols import GeofenceDecision
 from repro.core.records import SignalRecord
@@ -38,11 +38,14 @@ def unembeddable() -> GeofenceDecision:
 class StubFleet:
     """Records control-plane calls without any models behind them."""
 
-    def __init__(self, refresh_error: Exception | None = None):
+    def __init__(self, refresh_error: Exception | None = None,
+                 maintenance: dict[str, MaintenancePolicy] | None = None):
         self.calls: list[tuple] = []
         self.refresh_error = refresh_error
         self._dirty: set[str] = set()
         self.resident_tenants: list[str] = []
+        # tenant_id -> the maintenance block of its resident model's spec
+        self.maintenance = dict(maintenance or {})
 
     def refresh(self, tenant_id):
         if self.refresh_error is not None:
@@ -67,7 +70,8 @@ class StubFleet:
         return tenant_id in self._dirty
 
     def resident(self, tenant_id):
-        return None
+        policy = self.maintenance.get(tenant_id)
+        return spec_resident(policy) if policy is not None else None
 
     def of(self, kind: str) -> list[str]:
         return [tid for action, tid in self.calls if action == kind]
@@ -306,10 +310,9 @@ class TestControllerTriggers:
         assert flushed_at == [20, 40]
 
     def test_per_tenant_policy_overrides_default(self):
-        fleet = StubFleet()
-        controller = FleetController(
-            fleet, MaintenancePolicy(),  # default: no-op
-            policies={"busy": MaintenancePolicy(check_every=5, refresh_every=5)})
+        fleet = StubFleet(maintenance={
+            "busy": MaintenancePolicy(check_every=5, refresh_every=5)})
+        controller = FleetController(fleet, MaintenancePolicy())  # default: no-op
         for _ in range(10):
             controller.step("quiet", inside())
             controller.step("busy", inside())

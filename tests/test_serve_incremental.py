@@ -12,9 +12,10 @@ from repro.serve import (CheckpointError, GeofenceFleet, ModelRegistry,
                          load_checkpoint, load_checkpoint_with_baseline,
                          load_checkpoint_with_manifest, read_manifest,
                          save_checkpoint, save_incremental)
-from repro.serve.checkpoint import (CHECKPOINT_VERSION, DEFAULT_MAX_DELTA_CHAIN,
-                                    INCREMENTAL_VERSION, MANIFEST_NAME,
-                                    flatten_state, load_state)
+from repro.serve.checkpoint import (CHECKPOINT_VERSION, INCREMENTAL_VERSION,
+                                    MANIFEST_NAME, MAX_DELTA_CHAIN,
+                                    MAX_DELTA_FRACTION, flatten_state,
+                                    load_state)
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 
@@ -91,21 +92,22 @@ class TestDeltaSaves:
     def test_max_chain_forces_compaction(self, fitted):
         gem, directory, baseline = fitted
         kinds = []
-        for step in range(3):
+        for step in range(MAX_DELTA_CHAIN + 1):
             for record in records(20 + step, n=3):
                 gem.observe(record)
-            kind, baseline = save_incremental(gem, directory, baseline,
-                                              max_chain=2)
+            kind, baseline = save_incremental(gem, directory, baseline)
             kinds.append(kind)
-        assert kinds == ["delta", "delta", "full"]
+        assert kinds == ["delta"] * MAX_DELTA_CHAIN + ["full"]
         assert "deltas" not in read_manifest(directory)
 
     def test_wholesale_change_falls_back_to_full(self, fitted):
         gem, directory, baseline = fitted
-        # A freshly fitted model shares no arrays with the baseline: the
-        # delta would be ~100% of the state, over any sane threshold.
-        gem.fit(records(42, n=30))
-        kind, _ = save_incremental(gem, directory, baseline, max_fraction=0.5)
+        # A model refit on a new, larger world shares no array with the
+        # baseline but its empty update buffer: the delta would be ~95 %
+        # of the state, past MAX_DELTA_FRACTION (0.9).
+        assert MAX_DELTA_FRACTION == 0.9
+        gem.fit(records(42, n=90))
+        kind, _ = save_incremental(gem, directory, baseline)
         assert kind == "full"
         assert_states_equal(gem, load_checkpoint(directory))
 
@@ -378,7 +380,7 @@ class TestIncrementalFleet:
                               reservoir_size=8, incremental=True)
         fleet.provision("t", records(0))
         # One write-back more than a chain holds forces a compaction.
-        steps = DEFAULT_MAX_DELTA_CHAIN + 1
+        steps = MAX_DELTA_CHAIN + 1
         for step in range(steps):
             for record in records(step + 1, n=3):
                 fleet.observe("t", record)

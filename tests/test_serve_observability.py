@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from conftest import synthetic_records
+from conftest import spec_resident, synthetic_records
 from repro.baselines import SignatureHome
 from repro.core import GEM, GEMConfig
 from repro.core.protocols import GeofenceDecision
@@ -118,6 +118,29 @@ class TestRuntimeMetrics:
         assert kinds["delta"] > 0
         chain = families["repro_delta_chain_length"]["series"][0]["value"]
         assert chain >= 1
+
+    def test_identical_runs_write_identical_bytes(self, tmp_path):
+        """Every per-save manifest field is fixed-width, so two identical
+        runs write the same byte counts, full saves and deltas alike."""
+        def run(root):
+            with ServingRuntime(root, capacity=8, model_factory=make_gem,
+                                incremental=True,
+                                scheduler_interval=None) as runtime:
+                provision_all(runtime)     # full saves
+                stream(runtime)
+                runtime.flush()            # delta saves on top
+                families = runtime.metrics()["families"]
+            written = {s["labels"]["kind"]: s["value"] for s in
+                       families["repro_checkpoint_bytes_total"]["series"]}
+            # File names carry save nonces; sizes per tenant must match.
+            on_disk = sorted((path.parent.name, path.name.split("-")[0],
+                              path.stat().st_size)
+                             for path in root.rglob("*") if path.is_file())
+            return written, on_disk
+
+        first, second = run(tmp_path / "a"), run(tmp_path / "b")
+        assert set(first[0]) == {"full", "delta"}
+        assert first == second
 
     def test_observability_off_raises_and_costs_nothing(self, tmp_path):
         runtime = ServingRuntime(tmp_path / "reg", model_factory=make_gem, observability=False,
@@ -229,7 +252,7 @@ class TestSchedulerErrorLog:
     def runtime(self, tmp_path):
         with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem,
-                            policies={t: SweepBombPolicy() for t in TENANTS},
+                            policy=SweepBombPolicy(),
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
             yield runtime
@@ -273,11 +296,16 @@ class TestSchedulerErrorLog:
 # Satellite: failed-refresh streaks and the stuck_refresh probe
 # ----------------------------------------------------------------------
 class FlakyFleet:
-    """Refresh fails ``failures`` times, then succeeds forever."""
+    """Refresh fails ``failures`` times, then succeeds forever; tenant
+    ``t1``'s spec carries ``policy`` as its maintenance block."""
 
-    def __init__(self, failures: int):
+    def __init__(self, failures: int, policy: MaintenancePolicy):
         self.failures = failures
+        self.policy = policy
         self.resident_tenants: list[str] = []
+
+    def resident(self, tenant_id):
+        return spec_resident(self.policy) if tenant_id == "t1" else None
 
     def refresh(self, tenant_id):
         if self.failures > 0:
@@ -297,8 +325,7 @@ class TestFailedRefreshStreaks:
 
     def test_streak_grows_then_resets_on_success(self):
         policy = MaintenancePolicy(check_every=4, refresh_every=4)
-        controller = FleetController(FlakyFleet(failures=3),
-                                     policies={"t1": policy})
+        controller = FleetController(FlakyFleet(failures=3, policy=policy))
         self.drive(controller, "t1", rounds=2)
         assert controller.stuck_streaks() == {"t1": 2}
         self.drive(controller, "t1", rounds=1)
@@ -312,8 +339,7 @@ class TestFailedRefreshStreaks:
     def test_failed_actions_reach_the_metrics_counter(self):
         registry = MetricsRegistry()
         policy = MaintenancePolicy(check_every=4, refresh_every=4)
-        controller = FleetController(FlakyFleet(failures=2),
-                                     policies={"t1": policy},
+        controller = FleetController(FlakyFleet(failures=2, policy=policy),
                                      metrics=registry)
         self.drive(controller, "t1", rounds=3)
         family = registry.get("repro_maintenance_actions_total")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import synthetic_records, write_json_form
+from conftest import spec_resident, synthetic_records, write_json_form
 from repro.core import GEM, GEMConfig
 from repro.core.io import record_to_dict
 from repro.core.protocols import GeofenceDecision
@@ -28,6 +28,7 @@ from repro.serve import (
     home_anchor_macs,
 )
 from repro.serve.checkpoint import load_state, read_manifest
+from repro.serve.quarantine import ANCHOR_MARGIN_DB, HOME_ANCHOR_FRACTION
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 
@@ -76,21 +77,17 @@ class TestHomeAnchorMacs:
         assert home_anchor_macs(records) == {"home"}
 
     def test_threshold_is_inclusive(self):
-        records = [SignalRecord({"a": -50.0, "b": -60.0}),
-                   SignalRecord({"a": -50.0, "b": -60.0}),
-                   SignalRecord({"a": -50.0, "c": -60.0}),
-                   SignalRecord({"a": -50.0, "c": -60.0}),
-                   SignalRecord({"a": -50.0, "d": -60.0})]
-        # a: 5/5; b, c: 2/5; with min_fraction 0.4 b and c qualify.
-        assert home_anchor_macs(records, min_fraction=0.4) == {"a", "b", "c"}
+        records = [SignalRecord({"a": -50.0, "b": -60.0, "c": -60.0}),
+                   SignalRecord({"a": -50.0, "b": -60.0, "c": -60.0}),
+                   SignalRecord({"a": -50.0, "b": -60.0, "d": -60.0}),
+                   SignalRecord({"a": -50.0, "e": -60.0}),
+                   SignalRecord({"a": -50.0, "e": -60.0})]
+        # a: 5/5; b: 3/5 sits exactly on the 0.6 floor; c, e: 2/5 miss it.
+        assert HOME_ANCHOR_FRACTION == 0.6
+        assert home_anchor_macs(records) == {"a", "b"}
 
     def test_empty_records(self):
         assert home_anchor_macs([]) == frozenset()
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
-    def test_bad_fraction(self, bad):
-        with pytest.raises(ValueError, match="min_fraction"):
-            home_anchor_macs([SignalRecord({"a": -50.0})], min_fraction=bad)
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +156,8 @@ class TestQuarantineBuffer:
         assert buffer.offered == 0 and buffer.seen == 0
 
     def test_anchor_margin(self):
-        buffer = QuarantineBuffer(4, anchor_margin_db=12.0)
+        assert ANCHOR_MARGIN_DB == 12.0
+        buffer = QuarantineBuffer(4)
         buffer.set_home({"home"})
         assert buffer.anchored(SignalRecord({"home": -61.9, "amb": -50.0}))
         assert not buffer.anchored(SignalRecord({"home": -62.1, "amb": -50.0}))
@@ -171,7 +169,7 @@ class TestQuarantineBuffer:
         assert buffer.offered == 1 and buffer.seen == 0 and buffer.depth == 0
 
     def test_bounded_with_reservoir_turnover(self):
-        buffer = QuarantineBuffer(8, seed=1, tenant_key="t")
+        buffer = QuarantineBuffer(8, tenant_key="t")
         buffer.set_home({"home"})
         outcomes = [buffer.consider(RejectAll(), anchored_record(i))
                     for i in range(100)]
@@ -182,15 +180,15 @@ class TestQuarantineBuffer:
         assert "sampled-out" in tail and "admitted" in tail
 
     def test_retained_set_is_seed_deterministic(self):
-        def run(seed):
-            buffer = QuarantineBuffer(8, seed=seed, tenant_key="t")
+        def run(tenant_key):
+            buffer = QuarantineBuffer(8, tenant_key=tenant_key)
             buffer.set_home({"home"})
             for i in range(200):
                 buffer.consider(RejectAll(), anchored_record(i))
             return [r.timestamp for r in buffer.records]
 
-        assert run(seed=5) == run(seed=5)
-        assert run(seed=5) != run(seed=6)
+        assert run("a") == run("a")
+        assert run("a") != run("b")
 
     def test_slot_choice_is_frozen(self):
         """Exact admissions of a fixed stream, pinned: the slot hash and
@@ -218,19 +216,19 @@ class TestQuarantineBuffer:
     def test_round_trip_mid_stream_matches_uninterrupted(self):
         """Evict/reload anywhere in the stream must not change the sample."""
         def uninterrupted():
-            buffer = QuarantineBuffer(8, seed=3, tenant_key="t")
+            buffer = QuarantineBuffer(8, tenant_key="t")
             buffer.set_home({"home"})
             for i in range(150):
                 buffer.consider(RejectAll(), anchored_record(i))
             return buffer
 
         for cut in (0, 7, 8, 80, 149):
-            buffer = QuarantineBuffer(8, seed=3, tenant_key="t")
+            buffer = QuarantineBuffer(8, tenant_key="t")
             buffer.set_home({"home"})
             for i in range(cut):
                 buffer.consider(RejectAll(), anchored_record(i))
             reloaded = QuarantineBuffer.from_state(
-                buffer.state_dict(), capacity=8, seed=3, tenant_key="t")
+                buffer.state_dict(), capacity=8, tenant_key="t")
             for i in range(cut, 150):
                 reloaded.consider(RejectAll(), anchored_record(i))
             want = uninterrupted()
@@ -242,11 +240,11 @@ class TestQuarantineBuffer:
         """The gate's per-candidate randomness keys on ``offered``, so a
         reloaded buffer grades the next candidate identically."""
         gate = ConsistencyGate()
-        a = QuarantineBuffer(4, seed=2, tenant_key="t", gate=gate)
+        a = QuarantineBuffer(4, tenant_key="t", gate=gate)
         a.set_home({"home"})
         for i in range(10):
             a.consider(RejectAll(), anchored_record(i))
-        b = QuarantineBuffer.from_state(a.state_dict(), capacity=4, seed=2,
+        b = QuarantineBuffer.from_state(a.state_dict(), capacity=4,
                                         tenant_key="t", gate=gate)
         probe = anchored_record(999)
         assert a._candidate_rng(a.offered).random() \
@@ -254,7 +252,7 @@ class TestQuarantineBuffer:
         assert a.consider(RejectAll(), probe) == b.consider(RejectAll(), probe)
 
     def test_state_dict_round_trip_and_shrunk_capacity(self):
-        buffer = QuarantineBuffer(8, seed=1, tenant_key="t")
+        buffer = QuarantineBuffer(8, tenant_key="t")
         buffer.set_home({"home", "other"})
         for i in range(20):
             buffer.consider(RejectAll(), anchored_record(i))
@@ -264,12 +262,12 @@ class TestQuarantineBuffer:
         legacy = json.loads(json.dumps({**state, "records": [
             record_to_dict(record) for record in buffer.records]}))
         for persisted in (state, legacy):
-            same = QuarantineBuffer.from_state(persisted, capacity=8, seed=1,
+            same = QuarantineBuffer.from_state(persisted, capacity=8,
                                                tenant_key="t")
             assert same.records == buffer.records
             assert same.home_macs == buffer.home_macs
             assert (same.seen, same.offered) == (buffer.seen, buffer.offered)
-        smaller = QuarantineBuffer.from_state(state, capacity=3, seed=1,
+        smaller = QuarantineBuffer.from_state(state, capacity=3,
                                               tenant_key="t")
         assert smaller.depth == 3
         assert [r.timestamp for r in smaller.records] \
@@ -642,9 +640,10 @@ class TestJSONFormCheckpoints:
 class StarvedFleet:
     """Refreshes always fail; quarantine is pre-filled; recovery succeeds."""
 
-    def __init__(self, depth=32, recover_error=None):
+    def __init__(self, depth=32, recover_error=None, policy=None):
         self.depth = depth
         self.recover_error = recover_error
+        self.policy = policy
         self.recoveries: list[str] = []
         self.resident_tenants: list[str] = []
 
@@ -661,7 +660,8 @@ class StarvedFleet:
         return object()
 
     def resident(self, tenant_id):
-        return None
+        """Tenant ``"t"`` runs ``policy`` from its spec's maintenance block."""
+        return spec_resident(self.policy) if tenant_id == "t" else None
 
     def is_dirty(self, tenant_id):
         return False
@@ -681,9 +681,8 @@ def drive_outside(controller, tenant: str, rounds: int):
 
 class TestControllerRecovery:
     def test_auto_recovery_fires_once_armed(self):
-        fleet = StarvedFleet()
-        controller = FleetController(fleet,
-                                     policies={"t": starving_policy(auto=True)})
+        fleet = StarvedFleet(policy=starving_policy(auto=True))
+        controller = FleetController(fleet)
         drive_outside(controller, "t", rounds=3)
         assert fleet.recoveries == ["t"]
         actions = [a for _, a in controller.actions]
@@ -695,17 +694,15 @@ class TestControllerRecovery:
     def test_arming_needs_all_three_signals(self):
         # Deep quarantine + stuck refreshes, but inside decisions keep
         # arriving: not starving, so no recovery.
-        fleet = StarvedFleet()
-        controller = FleetController(fleet,
-                                     policies={"t": starving_policy(auto=True)})
+        fleet = StarvedFleet(policy=starving_policy(auto=True))
+        controller = FleetController(fleet)
         inside = GeofenceDecision(inside=True, score=0.1)
         for _ in range(12):
             controller.step("t", inside)
         assert fleet.recoveries == []
         # Starving + stuck, but the quarantine is too shallow.
-        shallow = StarvedFleet(depth=2)
-        controller = FleetController(shallow,
-                                     policies={"t": starving_policy(auto=True)})
+        shallow = StarvedFleet(depth=2, policy=starving_policy(auto=True))
+        controller = FleetController(shallow)
         drive_outside(controller, "t", rounds=4)
         assert shallow.recoveries == []
 
@@ -717,18 +714,17 @@ class TestControllerRecovery:
             def refresh(self, tenant_id):
                 return 1                      # succeeds, fixes nothing
 
-        fleet = PlaceboFleet()
         policy = MaintenancePolicy(check_every=4, min_update_rate=0.9,
                                    min_window=4)
-        controller = FleetController(fleet, policies={"t": policy})
+        fleet = PlaceboFleet(policy=policy)
+        controller = FleetController(fleet)
         drive_outside(controller, "t", rounds=3)
         assert controller.state("t").failed_refresh_streak == 0
         assert controller.stuck_streaks().get("t", 0) >= 2
 
     def test_proposal_path_and_approval(self):
-        fleet = StarvedFleet()
-        controller = FleetController(fleet,
-                                     policies={"t": starving_policy(auto=False)})
+        fleet = StarvedFleet(policy=starving_policy(auto=False))
+        controller = FleetController(fleet)
         drive_outside(controller, "t", rounds=3)
         assert fleet.recoveries == []                   # nothing executed
         proposals = controller.pending_recoveries()
@@ -745,9 +741,8 @@ class TestControllerRecovery:
         assert controller.stuck_streaks() == {}
 
     def test_deny_recovery(self):
-        fleet = StarvedFleet()
-        controller = FleetController(fleet,
-                                     policies={"t": starving_policy(auto=False)})
+        fleet = StarvedFleet(policy=starving_policy(auto=False))
+        controller = FleetController(fleet)
         drive_outside(controller, "t", rounds=3)
         assert controller.deny_recovery("t")
         assert not controller.deny_recovery("t")
@@ -756,9 +751,9 @@ class TestControllerRecovery:
             controller.approve_recovery("t")
 
     def test_failed_auto_recovery_is_operational(self):
-        fleet = StarvedFleet(recover_error=ValueError("rolled back"))
-        controller = FleetController(fleet,
-                                     policies={"t": starving_policy(auto=True)})
+        fleet = StarvedFleet(recover_error=ValueError("rolled back"),
+                             policy=starving_policy(auto=True))
+        controller = FleetController(fleet)
         drive_outside(controller, "t", rounds=3)
         failed = [a for _, a in controller.actions
                   if a.startswith("recover-failed")]
