@@ -181,10 +181,11 @@ class ClusterHealthMonitor:
     dicts the workers shipped (``ProbeResult.as_dict()`` form), the
     per-worker liveness the router observed, and the standby's
     replication lag (graded by ``PROBE_THRESHOLDS["replication_lag"]``
-    from :mod:`repro.obs.health`).  Results mirror into ``repro_health_value`` /
-    ``repro_health_status`` gauges labeled ``(probe, worker)`` —
-    ``worker="cluster"`` for folded grades, ``worker="router"`` for the
-    replication probe, ``worker="<i>"`` for raw per-worker readings.
+    from :mod:`repro.obs.health`).  Results mirror into
+    ``repro_health_value`` / ``repro_health_status`` gauges labeled
+    ``(probe, worker)`` — ``worker="cluster"`` for folded grades,
+    ``worker="router"`` for the replication probe, ``worker="<i>"`` for
+    raw per-worker readings.
     """
 
     def __init__(self, metrics=None):
