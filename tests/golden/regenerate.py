@@ -5,8 +5,8 @@ Run from the repository root::
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Each fixture is a seed-pinned JSONL of the decisions the **scalar**
-reference path (``model.observe`` per record) produces for one arm on
-the lab world.  ``tests/test_golden_decisions.py`` then asserts the
+reference (``tests/reference.py``: Algorithm 2 written out, record by
+record) produces for one arm on the lab world.  ``tests/test_golden_decisions.py`` then asserts the
 *vectorized* path reproduces the files byte-for-byte — so these files
 are the frozen ground truth of the batch data plane, regenerated only
 when the underlying model maths deliberately changes.
@@ -120,7 +120,6 @@ def fit_fingerprint(model) -> dict:
 
 def fit_fingerprints() -> dict:
     """``{case id: {"bisage": ..., "graphsage": ...}}`` over ``FIT_CASES``."""
-    sys.path.insert(0, str(GOLDEN_DIR.parent))
     from test_fit_differential import FIT_CASES, GRAPHS, case_id, fit_configs
 
     from repro.embedding.bisage import BiSAGE
@@ -139,6 +138,9 @@ def fit_fingerprints() -> dict:
 
 
 def main() -> None:
+    sys.path.insert(0, str(GOLDEN_DIR.parent))
+    import reference
+
     path = GOLDEN_DIR / FINGERPRINT_FILE
     path.write_text(json.dumps(fit_fingerprints(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
@@ -146,7 +148,7 @@ def main() -> None:
     for filename, arm in FIXTURES:
         model = build_model(arm)
         model.fit(train)
-        decisions = [model.observe(record) for record in stream]
+        decisions = [reference.observe(model, record) for record in stream]
         path = GOLDEN_DIR / filename
         path.write_text(decision_lines(decisions))
         inside = sum(d.inside for d in decisions)

