@@ -308,11 +308,10 @@ def _cmd_components(args) -> int:
     from repro.pipeline import known_components
     rows = [[e.kind, e.name, "yes" if e.supports_update else "no",
              "yes" if e.supports_state_dict else "no",
-             "yes" if e.supports_refresh else "no",
-             "yes" if e.supports_batch_score else "no", e.description]
+             "yes" if e.supports_refresh else "no", e.description]
             for e in known_components()]
     print(format_table(["kind", "name", "update", "state_dict", "refresh",
-                        "batch_score", "description"],
+                        "description"],
                        rows, title="Registered pipeline components"))
     return 0
 

@@ -68,33 +68,29 @@ class _GraphEmbedderBase:
         training cache: the detector's histograms must describe the same
         distribution its inference-time queries come from, otherwise the
         per-node random initial embeddings of training nodes shift the
-        score scale.  Every row goes through the hoisted inference
-        kernel, bit-identical to ``model.embed_record_node`` (see
-        :mod:`repro.nn.batch`); a record without edges keeps the scalar
-        path, which returns the shared initial row.
+        score scale.  Every row goes through the model's inference
+        kernel (see :mod:`repro.nn.batch`), which gives a record without
+        edges the shared initial row.
         """
         self._require_fitted()
         kernel = self.batched_inference()
-        rows = []
-        for i in range(self.graph.num_records):
-            neighbors, weights = self.graph.neighbors(RECORD, i)
-            rows.append(kernel.embed(neighbors, weights) if len(neighbors)
-                        else self.model.embed_record_node(i))
-        return np.vstack(rows)
+        return np.vstack([kernel.embed(*self.graph.neighbors(RECORD, i))
+                          for i in range(self.graph.num_records)])
 
     def embed(self, record: SignalRecord) -> np.ndarray | None:
-        """Embed a streamed record (Sec. IV-A), leaving the graph as it is.
+        """Embed a streamed record (Sec. IV-A), leaving the graph as it is:
+        :meth:`prepare` then the model's inference kernel.
 
         Returns None when no sensed MAC is in the training graph — the
         footnote-3 case the caller must treat as an outlier.
         """
-        self._require_fitted()
-        return self.model.embed_readings(record.readings)
+        prepared = self.prepare(record)
+        return None if prepared is None else self.batched_inference().embed(*prepared)
 
     def prepare(self, record: SignalRecord) -> tuple[np.ndarray, np.ndarray] | None:
-        """The batch kernel's input: the record's ``(neighbors, weights)``.
+        """The inference kernel's input: the record's ``(neighbors, weights)``.
 
-        The same read-only lookup :meth:`embed` makes
+        A read-only lookup
         (:meth:`~repro.graph.bipartite.WeightedBipartiteGraph.edges_of`):
         every reading's RSS validated, MACs outside the training graph
         skipped.  None in the footnote-3 case.

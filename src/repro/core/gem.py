@@ -19,7 +19,6 @@ from repro.core.config import GEMConfig
 from repro.core.embedders import BiSAGEEmbedder
 from repro.core.protocols import Detector, GeofenceDecision, RecordEmbedder
 from repro.core.records import SignalRecord
-from repro.detection.batch import BatchScores
 from repro.detection.histogram import HistogramDetector
 
 __all__ = ["EmbeddingGeofencer", "GEM", "RefreshJob", "embed_records"]
@@ -69,9 +68,9 @@ def embed_records(embedder, records: Sequence[SignalRecord]) -> list[np.ndarray 
     """Embedding row per record; None where a record is not embeddable.
 
     Graph embedders run every record through their fitted model's
-    hoisted inference kernel, which is bit-identical to their scalar
-    ``embed`` (see :mod:`repro.nn.batch`); any other embedder embeds
-    record by record.
+    inference kernel (see :mod:`repro.nn.batch`), fetched once for the
+    batch — their ``embed`` is the same ``prepare`` plus kernel for one
+    record; any other embedder embeds record by record.
     """
     if not hasattr(embedder, "batched_inference"):
         return [embedder.embed(record) if record.readings else None
@@ -93,8 +92,9 @@ class EmbeddingGeofencer:
         Maps records to embeddings (and owns any dynamic state such as
         the bipartite graph).
     detector:
-        One-class detector fitted on the training embeddings.  If it
-        exposes ``is_confident_inlier``/``update`` (the enhanced
+        One-class detector fitted on the training embeddings, scored
+        through its ``score_batch`` (see :mod:`repro.detection.batch`).
+        If it exposes ``is_confident_inlier``/``update`` (the enhanced
         histogram detector does), the Sec. IV-C online self-update is
         available.
     self_update:
@@ -108,6 +108,9 @@ class EmbeddingGeofencer:
                  self_update: bool = True, batch_update_size: int = 1):
         if batch_update_size < 1:
             raise ValueError("batch_update_size must be >= 1")
+        if not hasattr(detector, "score_batch"):
+            raise TypeError(f"{type(detector).__name__} has no score_batch; bind "
+                            "repro.detection.batch.row_wise_score_batch")
         self.embedder = embedder
         self.detector = detector
         self.self_update = self_update
@@ -137,10 +140,11 @@ class EmbeddingGeofencer:
     # ------------------------------------------------------------------
     def score(self, record: SignalRecord) -> float:
         """Outlier score of a record; +inf when it cannot be embedded."""
-        embedding = self._embed(record)
-        if embedding is None:
+        self._require_fitted()
+        row = embed_records(self.embedder, [record])[0]
+        if row is None:
             return math.inf
-        return float(self.detector.decision_scores(embedding[None, :])[0])
+        return float(self.detector.score_batch(row[None, :]).scores[0])
 
     def predict(self, record: SignalRecord) -> bool:
         """True iff the record is predicted in-premises (no state change)."""
@@ -151,35 +155,24 @@ class EmbeddingGeofencer:
 
         No state changes.  The records are embedded through
         :func:`embed_records` and the embedded rows are scored in one
-        :meth:`_score_rows` call; both are bit-identical to the
-        per-record path.
+        ``score_batch`` call, which gives each row the verdict it would
+        get alone.
         """
         records = list(records)
         inside = np.zeros(len(records), dtype=bool)
         if not records:
             return inside
-        if not self._fitted:
-            raise RuntimeError("pipeline has not been fitted; call fit first")
+        self._require_fitted()
         rows = embed_records(self.embedder, records)
         embedded = [i for i, row in enumerate(rows) if row is not None]
         if embedded:
-            outliers = self._score_rows(np.vstack([rows[i] for i in embedded])).outliers
-            inside[embedded] = np.logical_not(outliers)
+            matrix = np.vstack([rows[i] for i in embedded])
+            inside[embedded] = np.logical_not(self.detector.score_batch(matrix).outliers)
         return inside
 
     def observe(self, record: SignalRecord) -> GeofenceDecision:
-        """Algorithm 2: embed, decide, maybe self-update.
-
-        Line 1 ("connect r into G") is left out: the embedding reads only
-        the record's edges and the frozen caches, so connecting it would
-        change no decision (see :mod:`repro.core.embedders`).
-        """
-        embedding = self._embed(record)
-        if embedding is None:
-            # Footnote 3: nothing recognisable — treat as an outlier.
-            return GeofenceDecision(inside=False, score=math.inf)
-        scores, outliers, confident = self._score_rows(embedding[None, :])
-        return self._decide(embedding, scores[0], outliers[0], confident[0])
+        """Algorithm 2 on one record: :meth:`observe_many` of a batch of one."""
+        return self.observe_many([record])[0]
 
     def _decide(self, row: np.ndarray, score, outlier, confident) -> GeofenceDecision:
         """Algorithm 2 lines 3–7 for one embedded row and its verdict:
@@ -198,32 +191,6 @@ class EmbeddingGeofencer:
         return GeofenceDecision(inside=True, score=score, confident=confident,
                                 buffered=buffered, updated=updated)
 
-    def _score_rows(self, matrix: np.ndarray) -> BatchScores:
-        """``(scores, outliers, confident)`` per row of a ``(B, d)`` matrix.
-
-        One ``score_batch`` pass when the detector has one (bit-identical
-        per row to the three scalar calls, see
-        :mod:`repro.detection.batch`); otherwise the scalar calls, row by
-        row.  Each row is scored as its own fresh ``(1, d)`` array, the
-        operand a one-record call would pass, because a detector's dense
-        kernels need not give the same bits on a row view at another
-        offset.
-        """
-        detector = self.detector
-        if hasattr(detector, "score_batch"):
-            return detector.score_batch(matrix)
-        scores = np.empty(len(matrix), dtype=np.float64)
-        outliers = np.zeros(len(matrix), dtype=bool)
-        confident = np.zeros(len(matrix), dtype=bool)
-        can_confide = hasattr(detector, "is_confident_inlier")
-        for i in range(len(matrix)):
-            row = matrix[i:i + 1].copy()
-            scores[i] = detector.decision_scores(row)[0]
-            outliers[i] = detector.is_outlier(row)[0]
-            if can_confide and not outliers[i]:
-                confident[i] = detector.is_confident_inlier(row)[0]
-        return BatchScores(scores=scores, outliers=outliers, confident=confident)
-
     # ------------------------------------------------------------------
     # Batch observation (the one served path)
     # ------------------------------------------------------------------
@@ -234,27 +201,32 @@ class EmbeddingGeofencer:
     _SCORE_CHUNK = 64
 
     def observe_many(self, records: Sequence[SignalRecord]) -> list[GeofenceDecision]:
-        """Observe a batch: the served path of every embedder × detector.
+        """Algorithm 2 over a batch: the one inference path of every
+        embedder × detector.
 
-        Semantically ``[self.observe(r) for r in records]`` — decisions,
-        self-update behaviour and post-batch state are bit-identical to
-        that scalar loop (the differential harness enforces it) — but
-        the per-record pipeline is restructured: :func:`embed_records`
-        embeds every record (a graph embedder through its model's
-        hoisted inference kernel), and :meth:`_score_rows` scores the
-        embedded rows in chunks (one ``score_batch`` call per chunk when
-        the detector has it).  A mid-batch detector update (confident
-        inliers filling ``batch_update_size``) discards the unconsumed
-        chunk, so later records are always scored by the detector state
-        the scalar loop would have shown them.
+        Decisions, self-update behaviour and post-batch state are
+        bit-identical to observing the records one at a time (the
+        differential harness checks them against a per-record scalar
+        reference), and every split of a stream into batches gives the
+        same result.  :func:`embed_records` embeds every record (a
+        graph embedder through its model's inference kernel), and the
+        detector's ``score_batch`` scores the embedded rows in chunks.
+        A mid-batch detector update (confident inliers filling
+        ``batch_update_size``) discards the unconsumed chunk, so later
+        records are always scored by the detector state a record-by-
+        record walk would have shown them.
+
+        Line 1 of Algorithm 2 ("connect r into G") is left out: the
+        embedding reads only the record's edges and the frozen caches,
+        so connecting it would change no decision (see
+        :mod:`repro.core.embedders`).
         """
         records = list(records)
         if not records:
             return []
-        if not self._fitted:
-            raise RuntimeError("pipeline has not been fitted; call fit first")
+        self._require_fitted()
 
-        # Phase 1: embed, through the scalar path's read-only lookup.
+        # Phase 1: embed, through the embedder's read-only lookup.
         n = len(records)
         rows = embed_records(self.embedder, records)
         embedded = [i for i, row in enumerate(rows) if row is not None]
@@ -275,7 +247,7 @@ class EmbeddingGeofencer:
                 seg_start = k
                 seg_end = min(k + self._SCORE_CHUNK, len(embedded))
                 matrix = np.vstack([rows[j] for j in embedded[seg_start:seg_end]])
-                scores, outliers, confident = self._score_rows(matrix)
+                scores, outliers, confident = self.detector.score_batch(matrix)
             p = k - seg_start
             k += 1
             decisions[i] = self._decide(rows[i], scores[p], outliers[p], confident[p])
@@ -358,8 +330,7 @@ class EmbeddingGeofencer:
         :class:`RefreshJob` whose :meth:`~RefreshJob.build` may then run
         without that lock.
         """
-        if not self._fitted:
-            raise RuntimeError("pipeline has not been fitted; call fit first")
+        self._require_fitted()
         if not self.supports_refresh():
             part = (self.detector if getattr(self.embedder, "refreshable", False)
                     else self.embedder)
@@ -460,12 +431,9 @@ class EmbeddingGeofencer:
         self._fitted = True
         return self
 
-    def _embed(self, record: SignalRecord) -> np.ndarray | None:
+    def _require_fitted(self) -> None:
         if not self._fitted:
             raise RuntimeError("pipeline has not been fitted; call fit first")
-        if not record.readings:
-            return None
-        return self.embedder.embed(record)
 
 
 class GEM(EmbeddingGeofencer):

@@ -8,6 +8,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.core.records import SignalRecord
+from repro.detection.batch import BatchScores
 
 __all__ = ["GeofenceDecision", "GeofenceModel", "RecordEmbedder", "Detector"]
 
@@ -45,13 +46,20 @@ class RecordEmbedder(Protocol):
 
 @runtime_checkable
 class Detector(Protocol):
-    """One-class detector over embeddings (higher score = more outlying)."""
+    """One-class detector over embeddings (higher score = more outlying).
+
+    A pipeline scores through ``score_batch`` alone (see
+    :mod:`repro.detection.batch`); a detector without a vector kernel
+    binds :func:`~repro.detection.batch.row_wise_score_batch`.
+    """
 
     def fit(self, embeddings: np.ndarray) -> "Detector": ...
 
     def decision_scores(self, embeddings: np.ndarray) -> np.ndarray: ...
 
     def is_outlier(self, embeddings: np.ndarray) -> np.ndarray: ...
+
+    def score_batch(self, embeddings: np.ndarray) -> BatchScores: ...
 
 
 @runtime_checkable

@@ -1,26 +1,26 @@
-"""Batch-scoring contract for detectors on the batch data plane.
+"""Batch-scoring contract every pipeline detector keeps.
 
-A detector may expose::
+A detector exposes::
 
     def score_batch(self, embeddings: np.ndarray) -> BatchScores: ...
 
 ``score_batch`` receives a C-contiguous ``(B, d)`` float64 matrix of
-embedding rows and must return, per row, exactly what one scalar
-``observe`` would have derived from the same row against the detector's
-*current* state:
+embedding rows and must return, per row, exactly what the detector's
+three scalar calls give for that row alone against its *current*
+state:
 
 * ``scores[i]``   — ``float(decision_scores(row_i[None, :])[0])``
 * ``outliers[i]`` — ``bool(is_outlier(row_i[None, :])[0])``
 * ``confident[i]``— ``bool(is_confident_inlier(row_i[None, :])[0])``
 
-bit for bit.  Every detector is served through the same batch path,
-``EmbeddingGeofencer._score_rows``, which calls the hook when it exists
-and otherwise makes those three scalar calls row by row.  Detectors
-whose dense kernels depend on the batch size (pairwise or ensemble
-scorers: LOF, iForest, feature bagging) cannot score the matrix in one
-call; they bind :func:`row_wise_score_batch`, which scores each row on
-its own, once.  The registry's ``supports_batch_score`` flag records
-which detectors have a hook.
+bit for bit (``confident`` is False for a detector without
+``is_confident_inlier``).  It is the one scoring call of
+:class:`~repro.core.gem.EmbeddingGeofencer`: ``observe``, ``observe_many``,
+``predict_many`` and ``score`` all go through it.  Detectors whose dense
+kernels depend on the batch size (pairwise or ensemble scorers: LOF,
+iForest, feature bagging) cannot score the matrix in one call; they
+bind :func:`row_wise_score_batch`, which scores each row on its own,
+once.
 
 The caller owns update semantics: ``score_batch`` must not mutate the
 detector, and scores it returned become stale the moment the caller

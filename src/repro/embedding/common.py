@@ -402,64 +402,24 @@ class SAGE:
         self._require_fitted()
         return self._cache(next(iter(self.streams)), "v")[-1]
 
-    def embed_record_node(self, index: int) -> np.ndarray:
-        """Inductive embedding of record node ``index`` (Sec. IV-A).
-
-        Runs K aggregation rounds for this single node against the cached
-        per-layer MAC embeddings, leaving neighbours untouched.  All
-        inference-time nodes share one fixed initial embedding (see
-        ``_INFERENCE_KEY``) so the prediction is a deterministic function
-        of the record's readings; per-node random initialisation would
-        inject irreducible score noise into every streamed decision.
-        """
-        graph = self._require_fitted()
-        return self._embed_from_neighbors(*graph.neighbors(RECORD, index))
-
-    def embed_readings(self, readings: dict[str, float]) -> np.ndarray | None:
-        """Embed a streamed record without touching the graph.
-
-        Only MACs of the training graph contribute (see
-        :meth:`~repro.graph.bipartite.WeightedBipartiteGraph.edges_of`);
-        returns None when no sensed MAC is one of them (footnote 3: such
-        records are treated as outliers by the caller).  MACs first seen
-        after training join at re-provision, when the weights retrain
-        against them.
-        """
-        graph = self._require_fitted()
-        neighbors, weights = graph.edges_of(readings)
-        if not len(neighbors):
-            return None
-        return self._embed_from_neighbors(neighbors, weights)
-
-    def _embed_from_neighbors(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """The scalar reference of :class:`~repro.nn.batch.SageInferenceKernel`.
-
-        Computes the served stream only: no stream reads a record's own
-        row of another stream, so the others could not change it.
-        """
-        name, stack, neighbor_caches = self._served()
-        z = self._initial_row(RECORD, _INFERENCE_KEY, name)
-        if len(neighbors) == 0:
-            return z
-        act = _ACTIVATIONS[self.config.activation][1]
-        probabilities = weights / weights.sum()
-        for k, w in enumerate(stack):
-            agg = probabilities @ neighbor_caches[k][neighbors]     # Eq. 3 + Eq. 8
-            z = l2_rows(act(np.concatenate([z, agg]) @ w.data))
-        return z
-
     # ------------------------------------------------------------------
-    # Batched inference (vectorized data plane)
+    # Inductive record embedding (Sec. IV-A)
     # ------------------------------------------------------------------
     def batched_inference(self) -> SageInferenceKernel:
-        """The model's hoisted record-inference kernel (see nn/batch.py).
+        """The model's record-inference kernel (see nn/batch.py).
 
-        Captures exactly what :meth:`embed_record_node` reads: the shared
-        ``_INFERENCE_KEY`` initial row of the served stream, its weight
-        stack and the MAC caches it aggregates.  Built on first use and
-        kept until :meth:`fit` or :meth:`load_state_dict` rebuilds those,
-        the only two places they change.  Two threads that race to build
-        it each get a valid kernel.
+        A record node runs K aggregation rounds against the cached
+        per-layer MAC embeddings, leaving its neighbours untouched.  All
+        inference-time records share one fixed initial embedding (the
+        ``_INFERENCE_KEY`` row) so the prediction is a deterministic
+        function of the record's readings; per-node random
+        initialisation would inject irreducible score noise into every
+        streamed decision.  The kernel captures that shared initial row
+        of the served stream, its weight stack and the MAC caches it
+        aggregates.  Built on first use and kept until :meth:`fit` or
+        :meth:`load_state_dict` rebuilds those, the only two places they
+        change.  Two threads that race to build it each get a valid
+        kernel.
         """
         kernel = self._kernel
         if kernel is None:

@@ -1,50 +1,53 @@
-"""Fused inference kernels for the vectorized batch data plane.
+"""The record-inference kernel of the SAGE models.
 
-A :class:`SageInferenceKernel` is the hoisted, allocation-lean form of
-the per-record inductive embedding step BiSAGE and GraphSAGE share
-(:meth:`repro.embedding.common.SAGE._embed_from_neighbors`, written
-once for both): the constant inference-node initial row of the served
-stream, its per-layer weight matrices and the MAC cache lists it
-aggregates are captured once instead of being re-derived record by
-record.  The fitted model owns one kernel
+A :class:`SageInferenceKernel` is the one implementation of the
+inductive record embedding BiSAGE and GraphSAGE share (Sec. IV-A,
+Algorithm 1 for a single record node): the record's edge weights are
+normalised into neighbour probabilities (Eq. 8) and K layers aggregate
+the frozen per-layer MAC caches (Eq. 3), concatenate, transform and
+normalise (Eq. 4 / Eq. 7).  It captures what that embedding reads once
+instead of record by record: the constant inference-node initial row of
+the served stream, its per-layer weight matrices and the MAC cache
+lists it aggregates.  The fitted model owns one kernel
 (:meth:`repro.embedding.common.SAGE.batched_inference`), built on first
 use and dropped when ``fit`` or ``load_state_dict`` rebuilds what it
 captured.
 
 Callers
 -------
-Every graph-embedder path that embeds more than a one-off record runs
-through the model's kernel (all but the last via
-:func:`repro.core.gem.embed_records`):
+Every graph-embedder path embeds through the model's kernel (all but
+the last two via :func:`repro.core.gem.embed_records`, which fetches
+the kernel once per batch):
 
-* ``EmbeddingGeofencer.observe_many`` — the one served path, which every
-  serving layer above the model (batch plane, fleet, runtime, router,
-  worker) also uses for a single observation, as a batch of one;
+* ``EmbeddingGeofencer.observe_many`` — the one inference path, which
+  ``observe`` and every serving layer above the model (batch plane,
+  fleet, runtime, router, worker) use for a single observation, as a
+  batch of one;
 * ``EmbeddingGeofencer.predict_many`` (and ``predict``, which delegates
   to it) — the quarantine's consistency gate and the recovery
   ``max_fpr`` check;
+* ``EmbeddingGeofencer.score`` — the per-record eval path;
 * ``RefreshJob.build`` — the coordinated refresh's re-embed, which runs
   with the fleet lock released;
+* ``_GraphEmbedderBase.embed`` — one record, ``prepare`` plus kernel;
 * ``_GraphEmbedderBase.training_embeddings`` — the detector's fit rows.
 
-Only ``EmbeddingGeofencer.observe`` and ``score`` — the scalar
-reference the differential harness compares against, and the
-per-record eval path — still embed through the model's
-``embed_readings``.
+The per-record scalar reference the differential harness
+(``tests/test_batch_differential.py``) and the golden fixtures compare
+against lives with the tests (``tests/reference.py``).
 
 Bit-identity contract
 ---------------------
-Every operation here must reproduce the scalar path's floats **bit for
-bit** — the differential harness (``tests/test_batch_differential.py``)
-enforces it.  Two consequences shape the implementation:
+A record's embedding must not depend on the batch it arrives in, and
+must equal the reference's floats **bit for bit**.  Two consequences
+shape the implementation:
 
 * The K aggregation layers stay *per record*.  Batched dense matmuls
   are not an option: on this substrate the rows of a GEMM ``X @ W``
   differ in the last ulp from the per-row GEMV ``x @ W`` (and differ
   again across batch sizes), so one fused ``(B, 2d) @ W`` would break
-  both scalar-vs-vectorized identity and batch-size-1-vs-N identity.
-  The gathers, weighted means and GEMVs below are exactly the scalar
-  ops on exactly the scalar operands.
+  batch-size-1-vs-N identity.  The gathers, weighted means and GEMVs
+  below are exactly the reference's ops on exactly its operands.
 * The concat buffer is a layout trick only: filling a ``(2d,)`` buffer
   with the same values ``np.concatenate`` would produce feeds the
   identical contiguous operand to the identical GEMV, so the result is
@@ -52,21 +55,17 @@ enforces it.  Two consequences shape the implementation:
   allocated once per :meth:`~SageInferenceKernel.embed` call, never
   kept on the kernel.
 
-What the kernel *does* save per record: the ``initial_embedding_row``
-recomputation (the inference key is constant, so the row is too),
-attribute-chain lookups, and all but one of the K concat allocations.  The big batch win — scoring the whole batch through the
-detector once — lives in
-:meth:`repro.detection.histogram.HistogramDetector.score_batch`.
-Neither form computes BiSAGE's auxiliary ``l`` stream for the record:
-no layer of the served ``h`` reads the record's own ``l``.
+The big batch win — scoring the whole batch through the detector once —
+lives in :meth:`repro.detection.histogram.HistogramDetector.score_batch`.
+The kernel does not compute BiSAGE's auxiliary ``l`` stream for the
+record: no layer of the served ``h`` reads the record's own ``l``.
 
 Thread safety: the kernel holds no mutable state of its own, so several
 threads may embed through one kernel at once (a serving batch and a
 refresh re-embed do).  It holds the neighbour cache *lists* by
 reference, and nothing writes them while the model serves: a streamed
 record is embedded against the training graph without being connected
-into it, and its ``(neighbors, weights)`` come from the same read-only
-lookup the scalar path uses
+into it, and its ``(neighbors, weights)`` come from a read-only lookup
 (:meth:`repro.graph.bipartite.WeightedBipartiteGraph.edges_of`), so
 every neighbour index has a cache row.  Only a re-fit or a load
 rebuilds the caches, and both drop the model's kernel with them.
@@ -80,7 +79,7 @@ __all__ = ["SageInferenceKernel", "l2_rows"]
 
 
 class SageInferenceKernel:
-    """One record-side inference step, prepared for batch replay.
+    """The inductive record embedding of a fitted SAGE model.
 
     Parameters
     ----------
@@ -91,12 +90,13 @@ class SageInferenceKernel:
         Per-layer dense weight matrices ``(2d, d)`` (raw arrays, not
         Parameters).
     neighbor_caches:
-        The live list of per-layer MAC cache arrays the scalar path
-        gathers from — those of the stream the served one reads
-        (BiSAGE: the auxiliary ``_cache_lv``; GraphSAGE: ``_cache_v``) —
-        held by reference.
+        The live list of per-layer MAC cache arrays a record aggregates
+        — those of the stream the served one reads (BiSAGE: the
+        auxiliary ``_cache_lv``; GraphSAGE: ``_cache_v``) — held by
+        reference.
     act:
-        The numpy activation function (the scalar path's exact one).
+        The numpy activation function (the one the caches were built
+        with).
     """
 
     def __init__(self, initial: np.ndarray, weights: list[np.ndarray],
@@ -110,8 +110,10 @@ class SageInferenceKernel:
         self._dim = self.initial.shape[0]
 
     def embed(self, neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Embedding row for one record's (non-empty) edges — the scalar
-        math, hoisted."""
+        """Embedding row for one record's edges; a record without edges
+        keeps the shared initial row."""
+        if not len(neighbors):
+            return self.initial.copy()
         probabilities = weights / weights.sum()
         act = self.act
         caches = self.neighbor_caches
@@ -129,9 +131,8 @@ class SageInferenceKernel:
 def l2_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Eq. 7 on a vector or on each row of a matrix.
 
-    The one numpy form of the normalisation: the SAGE caches, the scalar
-    inductive embed and this kernel all call it, which is part of the
-    bit-identity contract.
+    The one numpy form of the normalisation: the SAGE caches and this
+    kernel both call it, which is part of the bit-identity contract.
     """
     if x.ndim == 1:
         return x / np.sqrt((x * x).sum() + eps)

@@ -77,13 +77,8 @@ class ComponentEntry:
     ``supports_refresh`` marks components that can take part in a
     coordinated refresh — ``refreshable`` (graph) embedders,
     detectors exposing ``refit``, and standalone models exposing
-    ``refresh(records)``.  ``supports_batch_score`` describes detectors
-    (and models built on them) with a ``score_batch`` hook that scores a
-    whole matrix, bit-identically per row (see
-    :mod:`repro.detection.batch`; LOF, iForest and feature bagging bind
-    the row-wise hook, which scores each row once).  It is a
-    description for ``repro components``: the served path asks the
-    detector itself, and scores detectors without the hook row by row.
+    ``refresh(records)``.  Every detector scores through ``score_batch``
+    (see :mod:`repro.detection.batch`), so that needs no flag.
     """
 
     name: str
@@ -93,7 +88,6 @@ class ComponentEntry:
     supports_update: bool = False
     supports_state_dict: bool = True
     supports_refresh: bool = False
-    supports_batch_score: bool = False
     description: str = ""
 
 
@@ -104,7 +98,6 @@ def register_component(kind: str, name: str, factory: Callable[..., Any],
                        params: Iterable[str], *, supports_update: bool = False,
                        supports_state_dict: bool = True,
                        supports_refresh: bool = False,
-                       supports_batch_score: bool = False,
                        description: str = "",
                        replace: bool = False) -> ComponentEntry:
     """Register a component; returns the new :class:`ComponentEntry`.
@@ -125,7 +118,6 @@ def register_component(kind: str, name: str, factory: Callable[..., Any],
                            params=tuple(params), supports_update=supports_update,
                            supports_state_dict=supports_state_dict,
                            supports_refresh=supports_refresh,
-                           supports_batch_score=supports_batch_score,
                            description=description)
     _REGISTRY[key] = entry
     return entry
@@ -203,21 +195,21 @@ def _make_histogram(**params):
 
 register_component(
     "detector", "histogram", _make_histogram, _config_params(HistogramConfig),
-    supports_update=True, supports_refresh=True, supports_batch_score=True,
+    supports_update=True, supports_refresh=True,
     description="Enhanced histogram OD (HBOS + softmax enhancement + update)")
 register_component(
     "detector", "lof", LocalOutlierFactor, ("n_neighbors", "contamination"),
-    supports_refresh=True, supports_batch_score=True,
+    supports_refresh=True,
     description="Local outlier factor with out-of-sample queries")
 register_component(
     "detector", "iforest", IsolationForest,
     ("n_trees", "subsample_size", "contamination", "seed"),
-    supports_refresh=True, supports_batch_score=True,
+    supports_refresh=True,
     description="Isolation forest over embedding vectors")
 register_component(
     "detector", "feature-bagging", FeatureBagging,
     ("n_estimators", "n_neighbors", "contamination", "seed"),
-    supports_refresh=True, supports_batch_score=True,
+    supports_refresh=True,
     description="Cumulative-sum feature-bagged LOF ensemble")
 
 
@@ -230,7 +222,7 @@ def _make_gem(**params):
 
 register_component(
     "model", "gem", _make_gem, _config_params(GEMConfig),
-    supports_update=True, supports_refresh=True, supports_batch_score=True,
+    supports_update=True, supports_refresh=True,
     description="The paper's tuned system: BiSAGE + enhanced histogram + self-update")
 register_component(
     "model", "signature-home", SignatureHome,

@@ -3,11 +3,11 @@
 Every observation the fleet serves goes through :class:`BatchPlane`:
 ``GeofenceFleet.observe_many`` hands it each tenant's group, and
 ``GeofenceFleet.observe`` is a batch of one.  The plane routes the
-group through ``EmbeddingGeofencer.observe_many``, the one served path
-of every embedder × detector arm: a graph embedder embeds through its
-fitted model's inference kernel (:mod:`repro.nn.batch`), and the
-detector scores the embedded rows in chunks (``score_batch`` where the
-detector has it, row by row otherwise; see :mod:`repro.detection.batch`).
+group through ``EmbeddingGeofencer.observe_many``, the one inference
+path of every embedder × detector arm: a graph embedder embeds through
+its fitted model's inference kernel (:mod:`repro.nn.batch`), and the
+detector's ``score_batch`` scores the embedded rows in chunks (see
+:mod:`repro.detection.batch`).
 
 Outcomes
 --------
@@ -21,7 +21,7 @@ outcome             when
 ==================  =======================================================
 
 Either way the decisions and the model's post-batch state are exactly
-what the scalar per-record loop would have produced.
+what observing the records one at a time would have produced.
 
 The plane caches nothing.  The inference kernel belongs to the fitted
 model: built on first use, and dropped when a re-``fit`` or

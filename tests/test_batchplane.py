@@ -23,7 +23,7 @@ from repro.core.protocols import GeofenceDecision
 from repro.detection.histogram import HistogramConfig, HistogramDetector
 from repro.embedding.bisage import BiSAGEConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import get_component
+from repro.pipeline import get_component, known_components
 from repro.serve import GeofenceFleet
 from repro.serve.batchplane import BatchPlane, arm_label
 from repro.serve.telemetry import FleetTelemetry
@@ -180,11 +180,16 @@ class TestKernelCache:
 
 class TestFallbackMatrix:
     def test_registry_flag_matches_live_capability(self):
-        assert get_component("model", "gem").supports_batch_score
-        for name in ("histogram", "lof", "iforest", "feature-bagging"):
-            entry = get_component("detector", name)
-            assert entry.supports_batch_score == hasattr(entry.factory(), "score_batch")
-        assert get_component("detector", "histogram").supports_batch_score
+        """Every registered detector has the one scoring call pipelines
+        make, and its capability flags describe the live detector."""
+        detectors = known_components("detector")
+        assert {entry.name for entry in detectors} == {
+            "histogram", "lof", "iforest", "feature-bagging"}
+        for entry in detectors:
+            detector = entry.factory()
+            assert hasattr(detector, "score_batch")
+            assert entry.supports_update == hasattr(detector, "update")
+            assert entry.supports_refresh == hasattr(detector, "refit")
 
     def test_arm_label_without_spec_uses_type_name(self):
         assert arm_label(fitted_gem()) == "gem"

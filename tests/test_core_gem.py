@@ -280,3 +280,11 @@ class TestComposedPipelines:
         with pytest.raises(ValueError):
             EmbeddingGeofencer(ImputedMatrixEmbedder(), HistogramDetector(),
                                batch_update_size=0)
+
+    def test_detector_without_score_batch_rejected(self):
+        class ScalarOnly:
+            def decision_scores(self, embeddings):
+                return np.zeros(len(embeddings))
+
+        with pytest.raises(TypeError, match="row_wise_score_batch"):
+            EmbeddingGeofencer(ImputedMatrixEmbedder(), ScalarOnly())

@@ -9,6 +9,7 @@ from repro.baselines.inoa import INOA
 from repro.baselines.signature_home import SignatureHome
 from repro.core.config import GEMConfig
 from repro.core.gem import GEM, EmbeddingGeofencer
+from repro.detection.batch import row_wise_score_batch
 from repro.detection.lof import LocalOutlierFactor
 from repro.embedding.bisage import BiSAGEConfig
 from repro.eval.algorithms import ALGORITHM_NAMES, ALGORITHM_SPECS, arm_spec, make_algorithm
@@ -208,6 +209,8 @@ class TestRegistry:
         class MeanDetector:
             """Toy detector: distance from the training mean."""
 
+            threshold_ = 1e9
+
             def __init__(self, scale=1.0):
                 self.scale = scale
                 self._mean = None
@@ -220,7 +223,9 @@ class TestRegistry:
                 return self.scale * ((embeddings - self._mean) ** 2).sum(axis=1)
 
             def is_outlier(self, embeddings):
-                return self.decision_scores(embeddings) > 1e9
+                return self.decision_scores(embeddings) > self.threshold_
+
+            score_batch = row_wise_score_batch
 
         register_component("detector", "mean-toy", MeanDetector, ("scale",),
                            description="test-only")
