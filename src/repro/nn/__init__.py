@@ -10,14 +10,10 @@ from repro.nn.layers import (
     Linear,
     Module,
     Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
     export_parameters,
     load_parameters,
 )
-from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.optim import Adam, Optimizer
 from repro.nn.sparse import row_normalized_csr, spmm
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
 
@@ -28,11 +24,6 @@ __all__ = [
     "Module",
     "Optimizer",
     "Parameter",
-    "ReLU",
-    "SGD",
-    "Sequential",
-    "Sigmoid",
-    "Tanh",
     "Tensor",
     "as_tensor",
     "export_parameters",

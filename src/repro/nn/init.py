@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.utils.rng import as_rng
 
-__all__ = ["xavier_uniform", "he_uniform", "normal"]
+__all__ = ["xavier_uniform", "he_uniform"]
 
 
 def xavier_uniform(shape: tuple[int, ...], rng=None, gain: float = 1.0) -> np.ndarray:
@@ -23,12 +23,6 @@ def he_uniform(shape: tuple[int, ...], rng=None) -> np.ndarray:
     fan_in, _ = _fans(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def normal(shape: tuple[int, ...], rng=None, std: float = 0.01) -> np.ndarray:
-    """Zero-mean Gaussian initialisation."""
-    rng = as_rng(rng)
-    return rng.normal(0.0, std, size=shape)
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

@@ -15,8 +15,7 @@ from repro.nn.tensor import Tensor, as_tensor
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive_int
 
-__all__ = ["Module", "Parameter", "Linear", "Conv1d", "Sequential", "ReLU", "Sigmoid", "Tanh",
-           "export_parameters", "load_parameters"]
+__all__ = ["Module", "Parameter", "Linear", "Conv1d", "export_parameters", "load_parameters"]
 
 
 class Parameter(Tensor):
@@ -68,9 +67,6 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -208,30 +204,3 @@ def _gather_cols(x: Tensor, indices: np.ndarray) -> Tensor:
             x._accumulate(full)
 
     return Tensor._make(out_data, (x,), backward)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.relu(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.tanh(x)
-
-
-class Sequential(Module):
-    """Chain modules; also accepts bare callables (e.g. ops functions)."""
-
-    def __init__(self, *modules):
-        self.modules = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x

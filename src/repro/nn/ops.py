@@ -22,7 +22,6 @@ __all__ = [
     "row_dot",
     "sigmoid",
     "softplus",
-    "stack_rows",
     "tanh",
     "mse_loss",
 ]
@@ -121,19 +120,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
                 index = [slice(None)] * grad.ndim
                 index[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(index)])
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack_rows(tensors) -> Tensor:
-    """Stack equal-shape tensors as rows of a new matrix."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=0)
-
-    def backward(grad):
-        for i, tensor in enumerate(tensors):
-            if tensor.requires_grad:
-                tensor._accumulate(grad[i])
 
     return Tensor._make(out_data, tuple(tensors), backward)
 

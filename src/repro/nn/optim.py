@@ -1,4 +1,4 @@
-"""First-order optimisers (SGD with momentum, Adam).
+"""First-order optimisers: the base class and Adam.
 
 The paper trains BiSAGE with a learning rate of 0.003 (Sec. V); Adam is
 the conventional choice for GraphSAGE-family models and is the default
@@ -12,7 +12,7 @@ import numpy as np
 from repro.nn.layers import Parameter
 from repro.utils.validation import check_positive
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -29,33 +29,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(parameters)
-        self.lr = check_positive(lr, "lr")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data = param.data - self.lr * grad
 
 
 class Adam(Optimizer):

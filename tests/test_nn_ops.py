@@ -94,17 +94,6 @@ class TestConcatGatherStack:
         ops.gather_rows(x, [1, 1, 2]).sum().backward()
         np.testing.assert_allclose(x.grad, [[0, 0], [2, 2], [1, 1]])
 
-    def test_stack_rows(self):
-        rows = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0])]
-        np.testing.assert_allclose(ops.stack_rows(rows).numpy(), [[1, 2], [3, 4]])
-
-    def test_stack_rows_grad(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        (ops.stack_rows([a, b]) * np.array([[1.0, 2], [3, 4]])).sum().backward()
-        np.testing.assert_allclose(a.grad, [1, 2])
-        np.testing.assert_allclose(b.grad, [3, 4])
-
 
 class TestRowOps:
     def test_row_dot(self):
