@@ -24,8 +24,9 @@ maintenance, which is what makes refresh policies *measurable* in the
 drift harness.
 
 Per-tenant policy resolution: the ``maintenance`` block of the
-resident model's :class:`~repro.pipeline.spec.PipelineSpec`, else the
-controller's default policy (a no-op unless configured otherwise).
+tenant's :class:`~repro.pipeline.spec.PipelineSpec` (which the fleet
+keeps whether or not the tenant is resident), else the controller's
+default policy (a no-op unless configured otherwise).
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ class FleetController:
     # ------------------------------------------------------------------
     def policy_for(self, tenant_id: str) -> MaintenancePolicy:
         """The tenant spec's ``maintenance`` block, else the default."""
-        spec = getattr(self.fleet.resident(tenant_id), "spec", None)
-        block = getattr(spec, "maintenance", None)
+        block = self.fleet.maintenance_policy(tenant_id)
         return block if block is not None else self.policy
 
     def state(self, tenant_id: str) -> TenantControlState:

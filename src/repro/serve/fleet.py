@@ -85,6 +85,7 @@ from repro.obs.tracing import maybe_span
 from repro.pipeline import PipelineSpec, build_pipeline
 from repro.pipeline.build import infer_spec
 from repro.serve.checkpoint import CheckpointError, last_write
+from repro.serve.policy import MaintenancePolicy
 from repro.serve.batchplane import BatchPlane
 from repro.serve.quarantine import (
     ConsistencyGate,
@@ -302,6 +303,11 @@ class GeofenceFleet:
         self.quarantine_size = quarantine_size
         # tenant_id -> resident record, most-recently-used last.
         self._tenants: "OrderedDict[str, _Tenant]" = OrderedDict()
+        # tenant_id -> the maintenance block of its spec, for tenants
+        # whose spec has one: recorded at provision and load and kept
+        # across evictions (a refit keeps the spec), so a tenant's
+        # policy does not depend on residency.
+        self._maintenance: dict[str, MaintenancePolicy] = {}
         # Tenants with a staged refresh mid-rebuild, resident or not: the
         # model-identity check at commit cannot see a *second* refresh of
         # the same model, so overlapping refreshes are refused up front.
@@ -349,6 +355,7 @@ class GeofenceFleet:
             self._save(tenant_id, tenant)
             self._tenants[tenant_id] = tenant
             self._tenants.move_to_end(tenant_id)
+            self._note_maintenance(tenant_id, model)
             if previous is not None and previous.quarantine is not None:
                 self._sync_quarantine_gauge()
             self._shrink()
@@ -637,6 +644,20 @@ class GeofenceFleet:
             tenant = self._tenants.get(tenant_id)
             return tenant.model if tenant is not None else None
 
+    def maintenance_policy(self, tenant_id: str) -> MaintenancePolicy | None:
+        """The ``maintenance`` block of the tenant's spec, resident or not;
+        None when the spec has none or this fleet never held the tenant.
+        No load, no LRU touch."""
+        with self._lock:
+            return self._maintenance.get(tenant_id)
+
+    def _note_maintenance(self, tenant_id: str, model: GeofenceModel) -> None:
+        block = getattr(getattr(model, "spec", None), "maintenance", None)
+        if block is None:
+            self._maintenance.pop(tenant_id, None)
+        else:
+            self._maintenance[tenant_id] = block
+
     def _remember_inlier(self, tenant: _Tenant, record: SignalRecord,
                          decision: GeofenceDecision) -> None:
         """Reservoir policy: keep records behind finite in-premises decisions.
@@ -705,6 +726,7 @@ class GeofenceFleet:
             start = time.perf_counter()
             tenant = self._load(tenant_id)
             self._tenants[tenant_id] = tenant
+            self._note_maintenance(tenant_id, tenant.model)
             if tenant.quarantine is not None:
                 self._sync_quarantine_gauge()
             self.telemetry.record_load(tenant_id, seconds=time.perf_counter() - start)

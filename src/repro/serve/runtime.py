@@ -13,6 +13,8 @@ were added, so the process is the only partition unit.
 * **Decision bus** — the data plane appends each (tenant, decision)
   pair to a lock-free queue instead of stepping the controller inline,
   and :meth:`ServingRuntime.pump` drains the queue into the controller.
+  A decision joins the bus only when something will pump it (serial
+  mode, or a started scheduler) and its tenant's policy can act.
   The controller's bookkeeping — and any refresh it decides to run —
   stays off the observe path, while the controller itself stays
   single-threaded (only the pump caller ever touches it).
@@ -68,7 +70,7 @@ class ServingRuntime:
     policy:
         Default maintenance policy, executed by the controller as
         decisions are pumped off the bus.  A tenant whose spec carries a
-        ``maintenance`` block runs that block instead.
+        ``maintenance`` block runs that block instead, resident or not.
     scheduler_interval:
         Seconds between background maintenance ticks; ``None`` disables
         the worker entirely (serial mode — call :meth:`maintain` to pump
@@ -151,13 +153,6 @@ class ServingRuntime:
                                           metrics=self.metrics_registry,
                                           tracer=self.tracer)
         background = scheduler_interval is not None
-        # Serial mode arms the decision bus at construction when a
-        # configured policy could act (maintain() is the pump there); a
-        # background runtime always starts disarmed and arms in start(),
-        # so a constructed-but-never-started daemon cannot accumulate
-        # decisions nothing will ever pump.
-        self.track_decisions = (not background and policy is not None
-                                and not policy.is_noop())
         # The decision bus.  collections.deque appends/poplefts are
         # atomic under the GIL, so the observe path pays one append and
         # no lock; only the pump caller removes.
@@ -192,13 +187,12 @@ class ServingRuntime:
     def start(self) -> "ServingRuntime":
         """Launch background maintenance (no-op in serial mode).
 
-        Also arms the decision bus: per-tenant policies can arrive via a
-        tenant spec's ``maintenance`` block, which only the controller
-        can see, so a running daemon tracks everything.  Observations
-        served before ``start()`` are not tracked.
+        A background runtime's decisions join the bus from here on:
+        observations served before ``start()`` are not tracked, so a
+        constructed-but-never-started daemon cannot accumulate decisions
+        nothing will ever pump.
         """
         if self.scheduler is not None:
-            self.track_decisions = True
             self.scheduler.start()
         return self
 
@@ -226,13 +220,22 @@ class ServingRuntime:
         return self.observe_many([(tenant_id, record)])[0]
 
     def observe_many(self, items: Iterable[tuple[str, SignalRecord]]) -> list[GeofenceDecision]:
-        """Batched dispatch: exactly ``GeofenceFleet.observe_many``; each
-        decision also joins the bus."""
+        """Batched dispatch: exactly ``GeofenceFleet.observe_many``.
+
+        A decision also joins the bus when a pump exists (serial mode,
+        or a started scheduler) and its tenant's policy is not a no-op.
+        """
         items = list(items)
         decisions = self.fleet.observe_many(items)
-        if self.track_decisions:
+        if self.scheduler is None or self.scheduler.started_at is not None:
+            tracked: dict[str, bool] = {}
             for (tenant_id, _), decision in zip(items, decisions):
-                self._pending.append((tenant_id, decision))
+                track = tracked.get(tenant_id)
+                if track is None:
+                    track = tracked[tenant_id] = \
+                        not self.controller.policy_for(tenant_id).is_noop()
+                if track:
+                    self._pending.append((tenant_id, decision))
         return decisions
 
     def score(self, tenant_id: str, record: SignalRecord) -> float:

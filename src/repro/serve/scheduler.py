@@ -84,7 +84,8 @@ class MaintenanceScheduler:
         self.errors: list[str] = []   # traceback tails, oldest first
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
-        self._started_at: float | None = None
+        # Monotonic time of the last start() (None: never started).
+        self.started_at: float | None = None
         # Monotonic time of the last completed pump (None: never).
         self._last_pump: float | None = None
         if metrics is None:
@@ -110,7 +111,7 @@ class MaintenanceScheduler:
         if self.running:
             return self
         self._stop.clear()
-        self._started_at = time.monotonic()
+        self.started_at = time.monotonic()
         self._thread = threading.Thread(target=self._run,
                                         name="repro-maintenance", daemon=True)
         self._thread.start()
@@ -179,8 +180,8 @@ class MaintenanceScheduler:
             "decisions_drained": _count(self._drained_counter),
             "pending": self.runtime.pending_decisions,
             "errors": len(self.errors),
-            "uptime_seconds": (time.monotonic() - self._started_at
-                               if self._started_at is not None else 0.0),
+            "uptime_seconds": (time.monotonic() - self.started_at
+                               if self.started_at is not None else 0.0),
         }
 
     def last_pump_age(self) -> float | None:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.io import record_to_dict, records_from_columns
 from repro.core.records import SignalRecord
-from repro.pipeline import ComponentSpec, PipelineSpec
 from repro.serve.checkpoint import MANIFEST_NAME, load_state
 
 
@@ -58,15 +56,6 @@ def totals_from_families(families: dict) -> dict:
         "save_seconds": seconds("save", "delta_save"),
         "refresh_seconds": seconds("refresh", "reprovision"),
     }
-
-
-def spec_resident(policy):
-    """A resident-model stand-in whose spec carries ``policy`` as its
-    ``maintenance`` block: what a stub fleet's ``resident()`` returns so
-    a controller resolves a per-tenant policy the way it does for a
-    provisioned tenant."""
-    return SimpleNamespace(spec=PipelineSpec(model=ComponentSpec("gem"),
-                                             maintenance=policy))
 
 
 def make_record(macs_rss: dict[str, float] | None = None, t: float = 0.0) -> SignalRecord:

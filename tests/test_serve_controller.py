@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import spec_resident, synthetic_records
+from conftest import synthetic_records
 from repro.core.config import GEMConfig
 from repro.core.protocols import GeofenceDecision
 from repro.core.records import SignalRecord
@@ -44,7 +44,7 @@ class StubFleet:
         self.refresh_error = refresh_error
         self._dirty: set[str] = set()
         self.resident_tenants: list[str] = []
-        # tenant_id -> the maintenance block of its resident model's spec
+        # tenant_id -> the maintenance block of its spec
         self.maintenance = dict(maintenance or {})
 
     def refresh(self, tenant_id):
@@ -69,9 +69,8 @@ class StubFleet:
     def is_dirty(self, tenant_id):
         return tenant_id in self._dirty
 
-    def resident(self, tenant_id):
-        policy = self.maintenance.get(tenant_id)
-        return spec_resident(policy) if policy is not None else None
+    def maintenance_policy(self, tenant_id):
+        return self.maintenance.get(tenant_id)
 
     def of(self, kind: str) -> list[str]:
         return [tid for action, tid in self.calls if action == kind]

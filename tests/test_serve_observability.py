@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from conftest import spec_resident, synthetic_records
+from conftest import synthetic_records
 from repro.baselines import SignatureHome
 from repro.core import GEM, GEMConfig
 from repro.core.protocols import GeofenceDecision
@@ -304,8 +304,8 @@ class FlakyFleet:
         self.policy = policy
         self.resident_tenants: list[str] = []
 
-    def resident(self, tenant_id):
-        return spec_resident(self.policy) if tenant_id == "t1" else None
+    def maintenance_policy(self, tenant_id):
+        return self.policy if tenant_id == "t1" else None
 
     def refresh(self, tenant_id):
         if self.failures > 0:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import spec_resident, synthetic_records, write_json_form
+from conftest import synthetic_records, write_json_form
 from repro.core import GEM, GEMConfig
 from repro.core.io import record_to_dict
 from repro.core.protocols import GeofenceDecision
@@ -659,9 +659,9 @@ class StarvedFleet:
         self.recoveries.append(tenant_id)
         return object()
 
-    def resident(self, tenant_id):
+    def maintenance_policy(self, tenant_id):
         """Tenant ``"t"`` runs ``policy`` from its spec's maintenance block."""
-        return spec_resident(self.policy) if tenant_id == "t" else None
+        return self.policy if tenant_id == "t" else None
 
     def is_dirty(self, tenant_id):
         return False
@@ -801,7 +801,6 @@ class TestRuntimeQuarantine:
         policy = MaintenancePolicy(check_every=10, min_update_rate=0.05,
                                    min_window=10, recovery=recovery)
         runtime = self.build(tmp_path, quarantine_size=64, policy=policy)
-        runtime.track_decisions = True
         home = home_anchor_macs(train_records())
         rng = np.random.default_rng(7)
         recovered = False
@@ -821,7 +820,6 @@ class TestRuntimeQuarantine:
         policy = MaintenancePolicy(check_every=10, min_update_rate=0.05,
                                    min_window=10, recovery=recovery)
         runtime = self.build(tmp_path, quarantine_size=64, policy=policy)
-        runtime.track_decisions = True
         home = home_anchor_macs(train_records())
         rng = np.random.default_rng(7)
         for i in range(200):

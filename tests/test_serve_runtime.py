@@ -1,6 +1,7 @@
 """ServingRuntime: bit-identity, decision bus, scheduler-driven maintenance."""
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from conftest import synthetic_records, totals_from_families
 from repro.core import GEM, GEMConfig
 from repro.embedding.bisage import BiSAGEConfig
+from repro.pipeline import ComponentSpec, PipelineSpec
 from repro.serve import (FleetController, GeofenceFleet, MaintenancePolicy,
                          MaintenanceScheduler, ServingRuntime)
 from repro.serve.checkpoint import flatten_state, load_state
+from repro.serve.cluster import Router, spawn_local_worker
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
 
@@ -195,19 +198,24 @@ class TestMaintenance:
 
     def test_unstarted_background_runtime_does_not_queue(self, tmp_path):
         """Constructing a daemon without start()ing it must not leak
-        decisions into queues nothing will ever pump; start() arms the
-        bus (spec-block policies need it even without a default policy)."""
+        decisions into queues nothing will ever pump; after start() a
+        tenant whose spec carries a maintenance block queues its
+        decisions even without a default policy."""
         runtime = ServingRuntime(tmp_path / "m", capacity=8,
-                                 model_factory=make_gem,
-                                 scheduler_interval=0.05)
-        provision_all(runtime)
-        for tenant, record in interleaved_stream(20):
-            runtime.observe(tenant, record)
+                                 scheduler_interval=60.0)
+        spec = PipelineSpec(model=ComponentSpec("gem", FAST_CONFIG.to_dict()),
+                            maintenance=MaintenancePolicy(check_every=1000))
+        runtime.provision("t", tenant_records(0), spec=spec)
+        stream = synthetic_records(10, num_macs=10, seed=321)
+        for record in stream:
+            runtime.observe("t", record)
         assert runtime.pending_decisions == 0
-        assert not runtime.track_decisions
-        runtime.start()
-        assert runtime.track_decisions
+        runtime.start()     # the worker's first tick is 60 s away
+        for record in stream:
+            runtime.observe("t", record)
+        assert runtime.pending_decisions == len(stream)
         runtime.close()
+        assert runtime.pending_decisions == 0
 
 
 class TestScheduler:
@@ -271,7 +279,7 @@ class TestScheduler:
         runtime.controller = RaisingController(runtime.fleet,
                                                runtime.controller.policy)
         provision_all(runtime)
-        runtime.track_decisions = True
+        runtime.start()     # the worker's first tick is 60 s away
         for tenant, record in interleaved_stream(10):
             runtime.observe(tenant, record)
         assert runtime.scheduler.tick(sweep=False) == 3
@@ -312,3 +320,79 @@ class TestScheduler:
             assert drained_total(runtime) == 4
             assert runtime.pump() == 6
             assert drained_total(runtime) == 10
+
+
+# ----------------------------------------------------------------------
+# Per-tenant maintenance blocks, served serially and behind a router
+# ----------------------------------------------------------------------
+def spec_with(policy: MaintenancePolicy | None) -> PipelineSpec:
+    return PipelineSpec(model=ComponentSpec("gem", FAST_CONFIG.to_dict()),
+                        maintenance=policy)
+
+
+@contextmanager
+def serving_front(front: str, root, capacity: int):
+    """A serial runtime, or a router over one in-process worker (which
+    runs a serial runtime); neither has a default policy."""
+    if front == "runtime":
+        with ServingRuntime(root, capacity=capacity,
+                            scheduler_interval=None) as runtime:
+            yield runtime
+    else:
+        with Router(root, num_workers=1, capacity=capacity,
+                    launcher=spawn_local_worker) as router:
+            yield router
+
+
+def serve_in_chunks(server, tenants, n: int = 40, size: int = 4) -> None:
+    """``n`` records per tenant, ``size`` per tenant in each batch,
+    with a maintenance pass after every batch."""
+    stream = synthetic_records(n, num_macs=10, seed=321)
+    for start in range(0, n, size):
+        server.observe_many([(tenant, record) for tenant in tenants
+                             for record in stream[start:start + size]])
+        server.maintain()
+
+
+@pytest.mark.parametrize("front", ["runtime", "router"])
+class TestSpecMaintenance:
+    def test_spec_block_refreshes_without_a_default_policy(self, front, tmp_path):
+        policy = MaintenancePolicy(check_every=4, refresh_every=8)
+        with serving_front(front, tmp_path / "m", capacity=8) as server:
+            server.provision("a", tenant_records(0), spec=spec_with(policy))
+            serve_in_chunks(server, ["a"])
+            assert server.stats()["totals"]["refreshes"] == 5
+
+    def test_idle_eviction_spares_a_tenant_under_traffic(self, front, tmp_path):
+        policy = MaintenancePolicy(evict_idle_sweeps=2)
+        with serving_front(front, tmp_path / "m", capacity=8) as server:
+            server.provision("a", tenant_records(0), spec=spec_with(policy))
+            serve_in_chunks(server, ["a"])
+            assert server.stats()["totals"]["evictions"] == 0
+            server.maintain()
+            server.maintain()
+            assert server.stats()["totals"]["evictions"] == 1
+
+    def test_spec_block_applies_to_evicted_tenants(self, front, tmp_path):
+        """Capacity 1: only the batch's last tenant is resident when the
+        decisions are pumped; both tenants still run their own block."""
+        policy = MaintenancePolicy(check_every=4, refresh_every=8)
+        with serving_front(front, tmp_path / "m", capacity=1) as server:
+            for index, tenant in enumerate(("a", "b")):
+                server.provision(tenant, tenant_records(index), spec=spec_with(policy))
+            serve_in_chunks(server, ["a", "b"])
+            assert server.stats()["totals"]["refreshes"] == 10
+            if front == "runtime":
+                refreshes = [t for t, action in server.maintenance_actions()
+                             if action == "refresh"]
+                assert (refreshes.count("a"), refreshes.count("b")) == (5, 5)
+
+    def test_no_policy_anywhere_queues_nothing(self, front, tmp_path):
+        with serving_front(front, tmp_path / "m", capacity=1) as server:
+            for index, tenant in enumerate(("a", "b", "c")):
+                server.provision(tenant, tenant_records(index), spec=spec_with(None))
+            stream = synthetic_records(12, num_macs=10, seed=321)
+            server.observe_many([(("a", "b", "c")[i % 3], record)
+                                 for i, record in enumerate(stream)])
+            assert server.stats()["pending_decisions"] == 0
+            assert server.maintain() == 0
