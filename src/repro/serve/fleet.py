@@ -85,8 +85,8 @@ from repro.obs.tracing import maybe_span
 from repro.pipeline import PipelineSpec, build_pipeline
 from repro.pipeline.build import infer_spec
 from repro.serve.checkpoint import CheckpointError, last_write
-from repro.serve.policy import MaintenancePolicy
 from repro.serve.batchplane import BatchPlane
+from repro.serve.policy import MaintenancePolicy
 from repro.serve.quarantine import (
     ConsistencyGate,
     QuarantineBuffer,

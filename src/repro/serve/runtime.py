@@ -228,13 +228,8 @@ class ServingRuntime:
         items = list(items)
         decisions = self.fleet.observe_many(items)
         if self.scheduler is None or self.scheduler.started_at is not None:
-            tracked: dict[str, bool] = {}
             for (tenant_id, _), decision in zip(items, decisions):
-                track = tracked.get(tenant_id)
-                if track is None:
-                    track = tracked[tenant_id] = \
-                        not self.controller.policy_for(tenant_id).is_noop()
-                if track:
+                if not self.controller.policy_for(tenant_id).is_noop():
                     self._pending.append((tenant_id, decision))
         return decisions
 
