@@ -23,7 +23,7 @@ Subcommands
     The same replay through the :class:`ServingRuntime` daemon: one
     fleet behind a decision bus, a background maintenance
     worker executing the given :class:`MaintenancePolicy` (coordinated
-    refresh, escalation, flush, idle eviction) off the observe path,
+    refresh, escalation, recovery) off the observe path,
     and incremental (delta) checkpoint write-backs.
 ``cluster``
     The replay through the multi-process cluster: a router
@@ -152,8 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, default=0.05,
                    help="background maintenance tick interval in seconds; "
                         "0 = serial mode (pump once at the end)")
-    p.add_argument("--sweep-every", type=int, default=20,
-                   help="run controller sweeps every N ticks")
     p.add_argument("--no-incremental", action="store_true",
                    help="write full checkpoints instead of deltas")
     p.add_argument("--metrics-out", metavar="PATH",
@@ -618,8 +616,7 @@ def _cmd_runtime(args) -> int:
     try:
         runtime = ServingRuntime(args.registry, capacity=args.capacity, policy=policy,
                                  incremental=not args.no_incremental,
-                                 scheduler_interval=interval,
-                                 sweep_every=args.sweep_every)
+                                 scheduler_interval=interval)
         dumper = None
         if args.metrics_out:
             from repro.obs import MetricsDumper

@@ -36,7 +36,8 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import Mapping
 
-__all__ = ["SLOW_TRACE_RING", "Span", "Tracer", "maybe_span"]
+__all__ = ["SLOW_TRACE_RING", "SLOW_TRACE_THRESHOLD", "Span", "Tracer",
+           "maybe_span"]
 
 # Shared no-op context for un-instrumented call sites: nullcontext is
 # stateless, so one instance serves every thread and nesting depth.
@@ -44,6 +45,10 @@ _NULL_SPAN = nullcontext(None)
 
 # Bound on retained slow traces (oldest evicted first).
 SLOW_TRACE_RING = 64
+
+# Seconds from which a root span counts as slow.  The serving runtime
+# and the cluster router read it when they build their tracers.
+SLOW_TRACE_THRESHOLD = 0.1
 
 
 def maybe_span(tracer: "Tracer | None", name: str,
@@ -96,7 +101,8 @@ class Tracer:
         processes (router vs worker N) never collide after stitching.
     """
 
-    def __init__(self, slow_threshold: float = 0.1, trace_prefix: str = ""):
+    def __init__(self, slow_threshold: float = SLOW_TRACE_THRESHOLD,
+                 trace_prefix: str = ""):
         if slow_threshold < 0:
             raise ValueError(f"slow_threshold must be >= 0, got {slow_threshold}")
         self.slow_threshold = slow_threshold

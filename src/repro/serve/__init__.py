@@ -20,8 +20,8 @@ asset:
   embeddable in a :class:`~repro.pipeline.spec.PipelineSpec`);
 * :mod:`repro.serve.controller` — the **control plane**:
   :class:`~repro.serve.controller.FleetController` executes policies
-  (coordinated refresh, re-provision, flush, idle eviction, quarantine
-  recovery) against a fleet from the decision stream;
+  (coordinated refresh, re-provision, quarantine recovery) against a
+  fleet as decisions are pumped into it;
 * :mod:`repro.serve.quarantine` — the starvation-recovery evidence
   store: a seed-deterministic, admission-gated
   :class:`~repro.serve.quarantine.QuarantineBuffer` of rejected but

@@ -29,7 +29,8 @@ What warm failover guarantees — and what it does not: the standby holds
 every **committed** write the shipper delivered; in-memory state the
 primary had not yet written back (dirty tenants between flushes) is
 lost with the primary, exactly as it would be in a single-node crash.
-Flush cadence is therefore the replication-staleness knob.
+A tenant's state reaches the standby when it is written back: an
+explicit ``flush()``, its eviction, or the close of its fleet.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from repro.serve.checkpoint import (
     DELTA_PREFIX,
     DELTA_SUFFIX,
     MANIFEST_NAME,
+    _DELTA_ID_KEY,
+    _SAVE_ID_KEY,
     CheckpointError,
     CommitInfo,
     _replace_into,
@@ -61,10 +64,6 @@ from repro.serve.registry import ModelRegistry, validate_tenant_id
 
 __all__ = ["DeltaShipper", "Follower", "PromotionReport", "ReplicationError",
            "ShippedWrite"]
-
-# npz nonce keys, shared with the checkpoint writer (same package).
-_SAVE_ID_KEY = "__save_id__"
-_DELTA_ID_KEY = "__delta_id__"
 
 
 class ReplicationError(RuntimeError):

@@ -60,6 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.protocols import GeofenceDecision
 from repro.core.records import SignalRecord
+from repro.obs import tracing
 from repro.obs.cluster import ClusterHealthMonitor, cluster_families, stitch_traces
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -238,9 +239,9 @@ class Router:
         plane is bit-identical on decisions and <5 % on the critical
         path, enforced by ``bench_cluster.py``).  Pass False for the
         bare control arm.
-    slow_trace_threshold:
-        Root spans at least this many seconds long enter the slow-trace
-        rings, router and workers alike.
+
+    The router's and each worker's slow-trace rings take root spans of
+    at least :data:`repro.obs.tracing.SLOW_TRACE_THRESHOLD` seconds.
     """
 
     def __init__(self, registry: ModelRegistry | str | Path,
@@ -251,8 +252,7 @@ class Router:
                  timeout: float = 30.0,
                  launcher: Callable[[WorkerConfig], object] | None = None,
                  quarantine_size: int = 0,
-                 observability: bool = True,
-                 slow_trace_threshold: float = 0.1):
+                 observability: bool = True):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         root = registry.root if isinstance(registry, ModelRegistry) \
@@ -288,7 +288,7 @@ class Router:
             "repro_replication_rejected_total",
             help="Shipped writes the standby refused (torn/divergent)")
         self._observability = observability
-        self.tracer = Tracer(slow_threshold=slow_trace_threshold,
+        self.tracer = Tracer(slow_threshold=tracing.SLOW_TRACE_THRESHOLD,
                              trace_prefix="router") if observability else None
         self.cluster_health = ClusterHealthMonitor(metrics=self.metrics_registry)
         self.last_replication_error: str | None = None
@@ -304,8 +304,7 @@ class Router:
                     replicate=self.follower is not None,
                     policy=policy_dict,
                     quarantine_size=quarantine_size,
-                    observability=observability,
-                    slow_trace_threshold=slow_trace_threshold)
+                    observability=observability)
                 self._links.append(self._connect(index, config))
         except BaseException:
             self.close()
@@ -570,7 +569,7 @@ class Router:
                              else timeout)
 
     def maintain(self) -> int:
-        """One maintenance pump + sweep on every worker; total drained."""
+        """One maintenance pump on every worker; total decisions drained."""
         return sum(self._fan_out("maintain", lambda link: {}))
 
     def flush(self, tenant_id: str | None = None) -> int:

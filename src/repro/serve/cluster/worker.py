@@ -84,7 +84,6 @@ class WorkerConfig:
     policy: dict | None = None    # MaintenancePolicy.to_dict() form
     quarantine_size: int = 0      # per-tenant quarantine capacity (0 = off)
     observability: bool = True    # per-worker registry/tracer/probes
-    slow_trace_threshold: float = 0.1
 
     def to_dict(self) -> dict:
         return {"registry": self.registry, "index": self.index,
@@ -92,8 +91,7 @@ class WorkerConfig:
                 "incremental": self.incremental, "replicate": self.replicate,
                 "policy": self.policy,
                 "quarantine_size": self.quarantine_size,
-                "observability": self.observability,
-                "slow_trace_threshold": self.slow_trace_threshold}
+                "observability": self.observability}
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkerConfig":
@@ -105,9 +103,7 @@ class WorkerConfig:
                        replicate=bool(data.get("replicate", False)),
                        policy=data.get("policy"),
                        quarantine_size=int(data.get("quarantine_size", 0)),
-                       observability=bool(data.get("observability", True)),
-                       slow_trace_threshold=float(
-                           data.get("slow_trace_threshold", 0.1)))
+                       observability=bool(data.get("observability", True)))
         except (KeyError, TypeError, ValueError) as error:
             raise ProtocolError(f"bad worker config: {error}") from error
 
@@ -154,7 +150,6 @@ class ClusterWorker:
             incremental=config.incremental,
             policy=policy, scheduler_interval=None,
             observability=config.observability,
-            slow_trace_threshold=config.slow_trace_threshold,
             quarantine_size=config.quarantine_size)
         if config.replicate:
             self.shipper = DeltaShipper(source=f"worker-{config.index}")

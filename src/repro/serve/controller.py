@@ -3,16 +3,17 @@
 The split: the **data plane** is ``GeofenceFleet.observe``/``score`` —
 the hot path, untouched by this module.  The **control plane** is a
 :class:`FleetController` that taps the decision stream, folds it into
-per-tenant telemetry windows (observation counts, unembeddable rate,
-self-update-buffer rate), and executes the clauses of a declarative
+per-tenant telemetry windows (observation counts, self-update-buffer
+rate), and executes the clauses of a declarative
 :class:`~repro.serve.policy.MaintenancePolicy`: scheduled or
 telemetry-triggered **coordinated refresh** (detector refit on the
 tenant's re-embedded recent-inlier reservoir, one atomic operation),
-escalation to a full **re-provision**, periodic
-**write-back**, **idle eviction** during :meth:`maintain` sweeps, and —
-when the policy carries a :class:`~repro.serve.policy.RecoveryPolicy` —
-quarantine-fed **recovery** from reservoir starvation, executed
-autonomously or surfaced as a pending proposal for operator approval.
+escalation to a full **re-provision**, and — when the policy carries a
+:class:`~repro.serve.policy.RecoveryPolicy` — quarantine-fed
+**recovery** from reservoir starvation, executed autonomously or
+surfaced as a pending proposal for operator approval.  Decisions pumped
+into :meth:`FleetController.step` are the only path on which it acts;
+write-back stays with the fleet (explicit flush, eviction, close).
 
 The controller counts each tenant's decisions itself
 (:class:`TenantControlState`) rather than reading ``fleet.telemetry``:
@@ -31,7 +32,6 @@ default policy (a no-op unless configured otherwise).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.protocols import GeofenceDecision
@@ -52,17 +52,12 @@ class TenantControlState:
     """
 
     observations: int = 0        # decisions folded in
-    unembeddable: int = 0        # of which footnote-3 records (score = +inf)
     buffered: int = 0            # of which entered the self-update buffer
-    window_observations: int = 0  # the three counts at the rate window's start
-    window_unembeddable: int = 0
+    window_observations: int = 0  # the two counts at the rate window's start
     window_buffered: int = 0
     checked_at: int = 0          # observations at the last policy evaluation
     refreshed_at: int = 0        # observations at the last refresh/reprovision
-    flushed_at: int = 0          # observations at the last policy-driven flush
     trigger_streak: int = 0      # consecutive telemetry-triggered refreshes
-    idle_sweeps: int = 0         # consecutive maintain() sweeps with no traffic
-    swept_at: int = 0            # observations at the last maintain() sweep
     failed_refresh_streak: int = 0  # consecutive failed refresh/reprovision attempts
     last_inside_at: int = 0      # observations at the last inside decision
 
@@ -132,8 +127,6 @@ class FleetController:
         """
         state = self.state(tenant_id)
         state.observations += 1
-        if math.isinf(decision.score):
-            state.unembeddable += 1
         if decision.buffered:
             state.buffered += 1
         policy = self.policy_for(tenant_id)
@@ -151,65 +144,27 @@ class FleetController:
         return actions
 
     # ------------------------------------------------------------------
-    # Sweeps (periodic / CLI)
-    # ------------------------------------------------------------------
-    def maintain(self) -> dict[str, list[str]]:
-        """One background sweep over the resident set.
-
-        Applies the flush and idle-eviction clauses of each resident
-        tenant's policy (refresh clauses stay on the decision-stream
-        path, where the rates they consume are defined).  Returns the
-        actions taken per tenant.
-        """
-        out: dict[str, list[str]] = {}
-        for tenant_id in list(self.fleet.resident_tenants):
-            policy = self.policy_for(tenant_id)
-            state = self.state(tenant_id)
-            actions: list[str] = []
-            idle = state.observations == state.swept_at
-            state.idle_sweeps = state.idle_sweeps + 1 if idle else 0
-            state.swept_at = state.observations
-            if policy.evict_idle_sweeps and state.idle_sweeps >= policy.evict_idle_sweeps:
-                if self.fleet.evict(tenant_id):
-                    actions.append("evict-idle")
-                state.idle_sweeps = 0
-            elif policy.flush_every and self.fleet.is_dirty(tenant_id):
-                self.fleet.flush(tenant_id)
-                actions.append("flush")
-            if actions:
-                self._log(tenant_id, actions)
-                out[tenant_id] = actions
-        return out
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _evaluate(self, tenant_id: str, policy: MaintenancePolicy,
                   state: TenantControlState) -> list[str]:
         actions: list[str] = []
-        has_rate_triggers = (policy.max_unembeddable_rate is not None
-                             or policy.min_update_rate is not None)
         window_obs = state.observations - state.window_observations
-        unembeddable_rate = ((state.unembeddable - state.window_unembeddable) / window_obs
-                             if window_obs else 0.0)
         update_rate = ((state.buffered - state.window_buffered) / window_obs
                        if window_obs else 0.0)
         # The window accumulates across evaluations until it is large
-        # enough to trust its rates, then resets — otherwise a
-        # check_every below min_window would make the rate triggers
+        # enough to trust its rate, then resets — otherwise a
+        # check_every below min_window would make the rate trigger
         # silently unreachable (the window could never grow past one
         # check interval).
-        if not has_rate_triggers or window_obs >= policy.min_window:
+        if policy.min_update_rate is None or window_obs >= policy.min_window:
             state.window_observations = state.observations
-            state.window_unembeddable = state.unembeddable
             state.window_buffered = state.buffered
         scheduled = bool(policy.refresh_every) and \
             state.observations - state.refreshed_at >= policy.refresh_every
-        triggered = window_obs >= policy.min_window and (
-            (policy.max_unembeddable_rate is not None
-             and unembeddable_rate > policy.max_unembeddable_rate)
-            or (policy.min_update_rate is not None
-                and update_rate < policy.min_update_rate))
+        triggered = (window_obs >= policy.min_window
+                     and policy.min_update_rate is not None
+                     and update_rate < policy.min_update_rate)
         recovered = self._maybe_recover(tenant_id, policy, state, actions)
         if recovered:
             # A recovery (or its failed attempt) *is* this round's
@@ -252,12 +207,6 @@ class FleetController:
         elif window_obs >= policy.min_window:
             # A clean window clears the escalation streak.
             state.trigger_streak = 0
-        if policy.flush_every and \
-                state.observations - state.flushed_at >= policy.flush_every:
-            if self.fleet.is_dirty(tenant_id):
-                self.fleet.flush(tenant_id)
-                actions.append("flush")
-            state.flushed_at = state.observations
         if actions:
             self._log(tenant_id, actions)
         return actions

@@ -2,8 +2,8 @@
 
 A :class:`MaintenancePolicy` says *when* the control plane should act on
 a tenant — scheduled or telemetry-triggered coordinated refresh,
-escalation to a full re-provision, periodic write-back, idle eviction —
-without saying anything about *how* (that is
+escalation to a full re-provision, quarantine-fed recovery — without
+saying anything about *how* (that is
 :class:`~repro.serve.controller.FleetController`'s job) or touching the
 data plane (``GeofenceFleet.observe``/``score`` never consult a policy).
 
@@ -170,30 +170,19 @@ class MaintenancePolicy:
     refresh_every:
         Scheduled coordinated refresh every N observations since the
         last refresh (or provision); ``0`` disables the schedule.
-    max_unembeddable_rate:
-        Telemetry trigger: refresh when the fraction of footnote-3
-        unembeddable records in the evaluation window exceeds this.
     min_update_rate:
         Telemetry trigger: refresh when the fraction of observations
         entering the self-update buffer (confident inliers) in the
         window falls below this — a drifting world makes the detector
         stop trusting its inliers long before AUC collapses.
     min_window:
-        Observations the evaluation window must hold before rate
-        triggers may fire (rates over a handful of records are noise).
+        Observations the evaluation window must hold before the rate
+        trigger may fire (rates over a handful of records are noise).
     reprovision_after:
         Escalation: after this many *consecutive* telemetry-triggered
         refreshes that failed to clear the trigger, re-provision (full
         refit from the recent-inlier reservoir) instead of refreshing
         again; ``0`` never escalates.
-    flush_every:
-        Write the tenant's dirty state back to the registry every N
-        observations (durability cadence); ``0`` leaves write-back to
-        eviction/close.
-    evict_idle_sweeps:
-        During :meth:`FleetController.maintain` sweeps, evict a resident
-        tenant that saw no observations for this many consecutive
-        sweeps; ``0`` never evicts.
     recovery:
         Optional :class:`RecoveryPolicy` (or its mapping form): arm a
         quarantine-fed recovery when stuck maintenance meets reservoir
@@ -203,19 +192,14 @@ class MaintenancePolicy:
 
     check_every: int = 0
     refresh_every: int = 0
-    max_unembeddable_rate: float | None = None
     min_update_rate: float | None = None
     min_window: int = 16
     reprovision_after: int = 0
-    flush_every: int = 0
-    evict_idle_sweeps: int = 0
     recovery: RecoveryPolicy | None = None
 
     def __post_init__(self):
-        for name in ("check_every", "refresh_every", "reprovision_after",
-                     "flush_every", "evict_idle_sweeps"):
+        for name in ("check_every", "refresh_every", "reprovision_after"):
             _check_count(getattr(self, name), name)
-        _check_rate(self.max_unembeddable_rate, "max_unembeddable_rate")
         _check_rate(self.min_update_rate, "min_update_rate")
         if isinstance(self.min_window, bool) or not isinstance(self.min_window, int) \
                 or self.min_window < 1:
@@ -234,15 +218,13 @@ class MaintenancePolicy:
     # ------------------------------------------------------------------
     def is_noop(self) -> bool:
         """True when a controller running this policy can never act."""
-        return self.check_every == 0 and self.evict_idle_sweeps == 0
+        return self.check_every == 0
 
     def wants_refresh(self) -> bool:
         """True when any clause can demand a coordinated refresh (and the
         pipeline therefore must be refresh-capable)."""
         return bool(self.check_every) and (
-            bool(self.refresh_every)
-            or self.max_unembeddable_rate is not None
-            or self.min_update_rate is not None)
+            bool(self.refresh_every) or self.min_update_rate is not None)
 
     # ------------------------------------------------------------------
     # JSON round trip
@@ -282,17 +264,10 @@ class MaintenancePolicy:
         clauses = []
         if self.refresh_every:
             clauses.append(f"refresh every {self.refresh_every}")
-        if self.max_unembeddable_rate is not None:
-            clauses.append(f"refresh if unembeddable > {self.max_unembeddable_rate:g}")
         if self.min_update_rate is not None:
             clauses.append(f"refresh if update rate < {self.min_update_rate:g}")
         if self.reprovision_after:
             clauses.append(f"reprovision after {self.reprovision_after} stuck refreshes")
-        if self.flush_every:
-            clauses.append(f"flush every {self.flush_every}")
-        if self.evict_idle_sweeps:
-            clauses.append(f"evict after {self.evict_idle_sweeps} idle sweeps")
         if self.recovery is not None:
             clauses.append(self.recovery.describe())
-        head = f"check every {self.check_every}: " if self.check_every else ""
-        return head + ("; ".join(clauses) or "no-op")
+        return f"check every {self.check_every}: " + ("; ".join(clauses) or "no-op")

@@ -20,8 +20,8 @@ were added, so the process is the only partition unit.
   single-threaded (only the pump caller ever touches it).
 * **Background maintenance** — a
   :class:`~repro.serve.scheduler.MaintenanceScheduler` worker pumps the
-  bus and sweeps the controller (coordinated refresh, escalation to
-  re-provision, flush, idle eviction) off the observe path.  Refreshes
+  bus into the controller (coordinated refresh, escalation to
+  re-provision, recovery) off the observe path.  Refreshes
   run swap-on-commit: the fleet lock is held for the model copy and the
   pointer swap, not for the rebuild in between.
 * **Incremental checkpoints** — the runtime defaults to the delta
@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.protocols import GeofenceDecision, GeofenceModel
 from repro.core.records import SignalRecord
+from repro.obs import tracing
 from repro.obs.export import render_prometheus
 from repro.obs.health import HealthMonitor
 from repro.obs.metrics import MetricsRegistry
@@ -75,9 +76,6 @@ class ServingRuntime:
         Seconds between background maintenance ticks; ``None`` disables
         the worker entirely (serial mode — call :meth:`maintain` to pump
         by hand).
-    sweep_every:
-        Run controller sweeps every N ticks (see
-        :class:`~repro.serve.scheduler.MaintenanceScheduler`).
     incremental:
         Use the incremental checkpoint format for write-backs
         (default on — this is the runtime's amplification fix; pass
@@ -105,10 +103,10 @@ class ServingRuntime:
         Optional ``tenant_id -> class label`` mapping for the
         ``tenant_class`` metric label (cardinality control; defaults to
         one ``"all"`` class).
-    slow_trace_threshold:
-        Root spans at least this many seconds long enter the tracer's
-        bounded ring of recent slow traces (see
-        :class:`~repro.obs.tracing.Tracer`).
+
+    Root spans of at least :data:`repro.obs.tracing.SLOW_TRACE_THRESHOLD`
+    seconds, read when the runtime is built, enter the tracer's ring of
+    recent slow traces.
     """
 
     def __init__(self, registry: ModelRegistry | str,
@@ -118,16 +116,14 @@ class ServingRuntime:
                  incremental: bool = True,
                  policy: MaintenancePolicy | None = None,
                  scheduler_interval: float | None = 0.05,
-                 sweep_every: int = 20,
                  quarantine_size: int = 0,
                  observability: bool = True,
-                 tenant_class_of: Callable[[str], str] | None = None,
-                 slow_trace_threshold: float = 0.1):
+                 tenant_class_of: Callable[[str], str] | None = None):
         self.registry = registry if isinstance(registry, ModelRegistry) \
             else ModelRegistry(registry)
         if observability:
             self.metrics_registry = MetricsRegistry()
-            self.tracer = Tracer(slow_threshold=slow_trace_threshold)
+            self.tracer = Tracer(slow_threshold=tracing.SLOW_TRACE_THRESHOLD)
             self.health = HealthMonitor(metrics=self.metrics_registry)
             # Pull-style gauges the runtime refreshes at snapshot time.
             self._queue_gauge = self.metrics_registry.gauge(
@@ -162,7 +158,7 @@ class ServingRuntime:
         counters = self.metrics_registry if observability else MetricsRegistry()
         self._drained = drained_counter(counters)
         self.scheduler = MaintenanceScheduler(
-            self, interval=scheduler_interval, sweep_every=sweep_every,
+            self, interval=scheduler_interval,
             metrics=counters) if background else None
         self._closed = False
 
@@ -311,12 +307,8 @@ class ServingRuntime:
             if drained:
                 self._drained.inc(drained)
 
-    def sweep(self) -> dict[str, list[str]]:
-        """One controller maintain() pass (flush / idle-evict clauses)."""
-        return self.controller.maintain()
-
     def maintain(self) -> int:
-        """One synchronous pump + sweep (serial mode).
+        """One synchronous pump (serial mode).
 
         With a live background scheduler this is unnecessary (and must
         not race it); it exists so a serial runtime — or a test — can
@@ -327,9 +319,7 @@ class ServingRuntime:
             raise RuntimeError("maintain() would race the running background "
                                "scheduler; call it only in serial mode or "
                                "after stop()")
-        drained = self.pump()
-        self.sweep()
-        return drained
+        return self.pump()
 
     # ------------------------------------------------------------------
     # Introspection

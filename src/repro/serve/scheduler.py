@@ -3,9 +3,8 @@
 The :class:`MaintenanceScheduler` is the piece that turns the passive
 fleet library into a daemon: a single worker thread that periodically
 **pumps** the runtime's decision bus into its controller (executing any
-scheduled or telemetry-triggered refreshes there, off the observe path)
-and, less often, runs the controller's **sweep** clauses (flush, idle
-eviction).  The controller is single-threaded by design, and
+scheduled or telemetry-triggered refreshes there, off the observe path).
+The controller is single-threaded by design, and
 maintenance is IO/compute the fleet lock already orders against the
 data plane.
 
@@ -48,20 +47,17 @@ def drained_counter(metrics: MetricsRegistry):
 
 
 class MaintenanceScheduler:
-    """Periodic pump + sweep of a :class:`~repro.serve.runtime.ServingRuntime`.
+    """Periodic pump of a :class:`~repro.serve.runtime.ServingRuntime`.
 
     Parameters
     ----------
     runtime:
-        The runtime to maintain: anything with ``pump()``, ``sweep()``
-        and ``pending_decisions``, whose pump counts into
+        The runtime to maintain: anything with ``pump()`` and
+        ``pending_decisions``, whose pump counts into
         :func:`drained_counter` of the same ``metrics``.
     interval:
         Seconds between ticks.  Each tick drains the decision bus;
         refreshes the controller decides on run inside the tick.
-    sweep_every:
-        Run the controller's ``maintain()`` sweep every N ticks;
-        0 disables sweeps (pump only).
     metrics:
         The :class:`~repro.obs.metrics.MetricsRegistry` holding the
         ticks, drained decisions and errors counters (a private one when
@@ -72,15 +68,11 @@ class MaintenanceScheduler:
         its ``metrics()`` snapshot.
     """
 
-    def __init__(self, runtime, interval: float = 0.05,
-                 sweep_every: int = 20, metrics=None):
+    def __init__(self, runtime, interval: float = 0.05, metrics=None):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        if sweep_every < 0:
-            raise ValueError(f"sweep_every must be >= 0, got {sweep_every}")
         self.runtime = runtime
         self.interval = interval
-        self.sweep_every = sweep_every
         self.errors: list[str] = []   # traceback tails, oldest first
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -133,7 +125,7 @@ class MaintenanceScheduler:
         self._thread = None
         # Final synchronous drain: the worker may have been parked on
         # its interval wait while decisions kept arriving.
-        self.tick(sweep=False)
+        self.tick()
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
@@ -142,24 +134,17 @@ class MaintenanceScheduler:
     # ------------------------------------------------------------------
     # One iteration (public so serial-mode callers can pump by hand)
     # ------------------------------------------------------------------
-    def tick(self, sweep: bool | None = None) -> int:
-        """Pump the runtime once (and maybe sweep); returns decisions drained.
+    def tick(self) -> int:
+        """Pump the runtime once; returns decisions drained.
 
-        ``sweep=None`` follows the ``sweep_every`` cadence; True/False
-        force or suppress the sweep for this tick.  A pump that raises
-        still reports every decision it popped before the error.
+        A pump that raises still reports every decision it popped
+        before the error.
         """
-        runtime = self.runtime
         self._ticks_counter.inc()
-        if sweep is None:
-            sweep = bool(self.sweep_every) and \
-                _count(self._ticks_counter) % self.sweep_every == 0
         before = _count(self._drained_counter)
         try:
-            runtime.pump()
+            self.runtime.pump()
             self._last_pump = time.monotonic()
-            if sweep:
-                runtime.sweep()
         except Exception:
             self._record_error()
         return _count(self._drained_counter) - before

@@ -15,6 +15,7 @@ from repro.obs import (
     merged_family,
     merged_histogram,
     snapshot_to_json,
+    tracing,
 )
 from repro.obs.cluster import (
     ClusterHealthMonitor,
@@ -474,9 +475,10 @@ class TestRouterObservability:
                                         for w in stats["workers"])
 
     def test_slow_traces_stitch_router_to_worker(self, seed_registry,
-                                                 tmp_path):
-        with local_router(fresh_copy(seed_registry, tmp_path, "t"),
-                          slow_trace_threshold=0.0) as router:
+                                                 tmp_path, monkeypatch):
+        # The workers run in-process, so one patch covers every tracer.
+        monkeypatch.setattr(tracing, "SLOW_TRACE_THRESHOLD", 0.0)
+        with local_router(fresh_copy(seed_registry, tmp_path, "t")) as router:
             router.observe(*interleaved_stream(1)[0])
             traces = router.metrics()["traces"]
         # A single observe travels as an observe_many of one item.

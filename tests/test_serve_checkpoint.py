@@ -332,6 +332,61 @@ class TestGEMCheckpoint:
         assert [gem.score(r) for r in held] == before
 
 
+# Maintenance clauses that no longer exist, each switched on as an older
+# release would have persisted it (``to_dict`` omits default values).
+REMOVED_CLAUSES = {"flush_every": 64, "evict_idle_sweeps": 2,
+                   "max_unembeddable_rate": 0.3}
+
+
+@pytest.mark.parametrize("clause", sorted(REMOVED_CLAUSES))
+class TestRemovedMaintenanceClauses:
+    """A spec or policy file that still carries a removed clause is
+    refused with its name, never loaded with the clause silently off."""
+
+    def registry_with_clause(self, root, clause):
+        from repro.pipeline import ComponentSpec, PipelineSpec
+        from repro.serve import GeofenceFleet, MaintenancePolicy
+        spec = PipelineSpec(model=ComponentSpec("gem", FAST_CONFIG.to_dict()),
+                            maintenance=MaintenancePolicy(check_every=4))
+        with GeofenceFleet(root) as fleet:
+            fleet.provision("home", synthetic_records(30, seed=0, center=2.0),
+                            spec=spec)
+        path = root / "home" / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["pipeline_spec"]["maintenance"][clause] = REMOVED_CLAUSES[clause]
+        path.write_text(json.dumps(manifest))
+        return root
+
+    def test_fleet_load_names_the_clause(self, clause, tmp_path):
+        from repro.serve import GeofenceFleet
+        root = self.registry_with_clause(tmp_path / "reg", clause)
+        with GeofenceFleet(root) as fleet:
+            with pytest.raises(CheckpointError, match=clause):
+                fleet.observe("home", synthetic_records(1, seed=5, center=2.0)[0])
+            assert fleet.resident_tenants == []
+
+    def test_maintain_dry_run_exits_two(self, clause, tmp_path, capsys):
+        from repro.cli import main
+        root = self.registry_with_clause(tmp_path / "reg", clause)
+        assert main(["maintain", "--registry", str(root), "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert clause in err
+
+    def test_runtime_policy_file_exits_two(self, clause, tmp_path, capsys):
+        from repro.cli import main
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"check_every": 4,
+                                      clause: REMOVED_CLAUSES[clause]}))
+        events = tmp_path / "events.jsonl"
+        events.write_text("")
+        assert main(["runtime", "--registry", str(tmp_path / "reg"),
+                     "--events", str(events), "--policy", str(policy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert clause in err
+
+
 def npz_bytes(**arrays) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)

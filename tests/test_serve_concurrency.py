@@ -194,7 +194,8 @@ class TestSwapOnCommitRefresh:
 class TestRuntimeStress:
     def test_threaded_observe_under_background_maintenance(self, tmp_path):
         """The tentpole stress test: concurrent observers on one runtime
-        whose scheduler keeps refreshing, flushing and evicting.
+        whose scheduler keeps refreshing while four tenants share three
+        LRU slots, so eviction write-backs race the observes.
 
         Pins the three daemon invariants: no torn decisions (every
         decision is internally consistent), telemetry conservation
@@ -204,12 +205,10 @@ class TestRuntimeStress:
         num_threads = 4
         per_thread = 40
         tenants = [f"tenant-{i}" for i in range(num_threads)]
-        policy = MaintenancePolicy(check_every=6, refresh_every=12,
-                                   flush_every=24)
+        policy = MaintenancePolicy(check_every=6, refresh_every=12)
         runtime = ServingRuntime(tmp_path / "m", capacity=3,
                                  model_factory=make_gem, reservoir_size=16,
-                                 policy=policy, scheduler_interval=0.005,
-                                 sweep_every=4)
+                                 policy=policy, scheduler_interval=0.005)
         with runtime:
             for index, tenant in enumerate(tenants):
                 runtime.provision(tenant, tenant_records(index))

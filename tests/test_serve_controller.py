@@ -1,7 +1,6 @@
 """Control plane: MaintenancePolicy, FleetController, coordinated refresh."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -31,8 +30,9 @@ def inside(score: float = 0.1, buffered: bool = False) -> GeofenceDecision:
     return GeofenceDecision(inside=True, score=score, buffered=buffered)
 
 
-def unembeddable() -> GeofenceDecision:
-    return GeofenceDecision(inside=False, score=math.inf)
+def outside() -> GeofenceDecision:
+    """An outlier: it never enters the self-update buffer."""
+    return GeofenceDecision(inside=False, score=2.0)
 
 
 class StubFleet:
@@ -42,8 +42,6 @@ class StubFleet:
                  maintenance: dict[str, MaintenancePolicy] | None = None):
         self.calls: list[tuple] = []
         self.refresh_error = refresh_error
-        self._dirty: set[str] = set()
-        self.resident_tenants: list[str] = []
         # tenant_id -> the maintenance block of its spec
         self.maintenance = dict(maintenance or {})
 
@@ -55,19 +53,6 @@ class StubFleet:
 
     def reprovision(self, tenant_id):
         self.calls.append(("reprovision", tenant_id))
-
-    def flush(self, tenant_id=None):
-        self.calls.append(("flush", tenant_id))
-        self._dirty.discard(tenant_id)
-        return 1
-
-    def evict(self, tenant_id):
-        self.calls.append(("evict", tenant_id))
-        self.resident_tenants = [t for t in self.resident_tenants if t != tenant_id]
-        return True
-
-    def is_dirty(self, tenant_id):
-        return tenant_id in self._dirty
 
     def maintenance_policy(self, tenant_id):
         return self.maintenance.get(tenant_id)
@@ -89,9 +74,8 @@ class TestPolicy:
 
     def test_json_round_trip(self):
         policy = MaintenancePolicy(check_every=10, refresh_every=100,
-                                   max_unembeddable_rate=0.3, min_update_rate=0.05,
-                                   min_window=20, reprovision_after=2,
-                                   flush_every=50, evict_idle_sweeps=3)
+                                   min_update_rate=0.05, min_window=20,
+                                   reprovision_after=2)
         assert MaintenancePolicy.from_json(policy.to_json()) == policy
         assert MaintenancePolicy.from_dict(json.loads(json.dumps(policy.to_dict()))) == policy
 
@@ -101,9 +85,9 @@ class TestPolicy:
 
     @pytest.mark.parametrize("kwargs", [
         {"check_every": -1}, {"refresh_every": -2}, {"min_window": 0},
-        {"max_unembeddable_rate": 1.5}, {"min_update_rate": -0.1},
+        {"min_update_rate": 1.5}, {"min_update_rate": -0.1},
         {"check_every": 1.5}, {"check_every": True},
-        {"max_unembeddable_rate": True},
+        {"min_update_rate": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -113,8 +97,8 @@ class TestPolicy:
         # Clauses without an evaluation cadence can never fire.
         assert not MaintenancePolicy(refresh_every=10).wants_refresh()
         assert MaintenancePolicy(check_every=5, refresh_every=10).wants_refresh()
-        assert MaintenancePolicy(check_every=5, max_unembeddable_rate=0.5).wants_refresh()
-        assert not MaintenancePolicy(check_every=5, flush_every=10).wants_refresh()
+        assert MaintenancePolicy(check_every=5, min_update_rate=0.5).wants_refresh()
+        assert not MaintenancePolicy(check_every=5, reprovision_after=2).wants_refresh()
 
     def test_describe_mentions_clauses(self):
         text = MaintenancePolicy(check_every=5, refresh_every=10,
@@ -124,7 +108,7 @@ class TestPolicy:
 
 class TestPolicyInPipelineSpec:
     def policy(self) -> MaintenancePolicy:
-        return MaintenancePolicy(check_every=8, refresh_every=64, flush_every=32)
+        return MaintenancePolicy(check_every=8, refresh_every=64)
 
     def test_round_trip_through_spec(self):
         spec = PipelineSpec(model=ComponentSpec("gem"), maintenance=self.policy())
@@ -154,10 +138,10 @@ class TestPolicyInPipelineSpec:
             PipelineSpec(model=ComponentSpec("inoa"),
                          maintenance=self.policy()).validate()
 
-    def test_flush_only_policy_allowed_anywhere(self):
+    def test_policy_without_refresh_clause_allowed_anywhere(self):
         PipelineSpec(model=ComponentSpec("inoa"),
                      maintenance=MaintenancePolicy(check_every=4,
-                                                   flush_every=8)).validate()
+                                                   reprovision_after=2)).validate()
 
     def test_supports_refresh_capability(self):
         assert small_gem_spec().supports_refresh()
@@ -191,21 +175,6 @@ class TestControllerTriggers:
         assert acted_at == [100, 200, 300]
         assert fleet.of("refresh") == ["t", "t", "t"]
 
-    def test_unembeddable_rate_trigger(self):
-        fleet = StubFleet()
-        controller = FleetController(
-            fleet, MaintenancePolicy(check_every=10, min_window=10,
-                                     max_unembeddable_rate=0.4))
-        # Clean traffic: no refresh.
-        for _ in range(100):
-            controller.step("t", inside())
-        assert fleet.of("refresh") == []
-        # A window where most records are footnote-3 unembeddable: refresh.
-        actions = []
-        for _ in range(10):
-            actions += controller.step("t", unembeddable())
-        assert actions == ["refresh"]
-
     def test_update_rate_trigger(self):
         fleet = StubFleet()
         controller = FleetController(
@@ -225,10 +194,10 @@ class TestControllerTriggers:
         fleet = StubFleet()
         controller = FleetController(
             fleet, MaintenancePolicy(check_every=2, min_window=50,
-                                     max_unembeddable_rate=0.1))
+                                     min_update_rate=0.9))
         for _ in range(20):
-            controller.step("t", unembeddable())
-        # Rate is 100% but the window is too small to be trusted.
+            controller.step("t", outside())
+        # The update rate is 0 but the window is too small to be trusted.
         assert fleet.of("refresh") == []
 
     def test_rate_window_accumulates_across_short_checks(self):
@@ -237,10 +206,10 @@ class TestControllerTriggers:
         fleet = StubFleet()
         controller = FleetController(
             fleet, MaintenancePolicy(check_every=2, min_window=50,
-                                     max_unembeddable_rate=0.1))
+                                     min_update_rate=0.9))
         fired_at = []
         for i in range(1, 121):
-            if "refresh" in controller.step("t", unembeddable()):
+            if "refresh" in controller.step("t", outside()):
                 fired_at.append(i)
         assert fired_at[0] == 50          # first trustable window
         assert fired_at[1] == 100         # window resets after firing
@@ -261,11 +230,11 @@ class TestControllerTriggers:
         fleet = StubFleet(refresh_error=TypeError("no coordinated refresh capability"))
         controller = FleetController(
             fleet, MaintenancePolicy(check_every=10, min_window=10,
-                                     max_unembeddable_rate=0.4,
+                                     min_update_rate=0.6,
                                      reprovision_after=2))
         actions = []
         for _ in range(30):
-            actions += controller.step("t", unembeddable())
+            actions += controller.step("t", outside())
         assert actions[0].startswith("refresh-failed")
         assert actions[1].startswith("refresh-failed")
         assert actions[2] == "reprovision"
@@ -275,11 +244,11 @@ class TestControllerTriggers:
         fleet = StubFleet()
         controller = FleetController(
             fleet, MaintenancePolicy(check_every=10, min_window=10,
-                                     max_unembeddable_rate=0.4,
+                                     min_update_rate=0.6,
                                      reprovision_after=2))
         actions = []
         for _ in range(60):
-            actions += controller.step("t", unembeddable())
+            actions += controller.step("t", outside())
         # Two triggered refreshes that didn't clear the trigger, then
         # escalate; the cycle repeats while the trigger stays hot.
         assert actions == ["refresh", "refresh", "reprovision"] * 2
@@ -296,18 +265,6 @@ class TestControllerTriggers:
         # Back-off: one failure per refresh interval, not per observation.
         assert len(actions) == 3
 
-    def test_flush_cadence(self):
-        fleet = StubFleet()
-        fleet._dirty.add("t")
-        controller = FleetController(
-            fleet, MaintenancePolicy(check_every=10, flush_every=20))
-        flushed_at = []
-        for i in range(1, 41):
-            fleet._dirty.add("t")
-            if "flush" in controller.step("t", inside()):
-                flushed_at.append(i)
-        assert flushed_at == [20, 40]
-
     def test_per_tenant_policy_overrides_default(self):
         fleet = StubFleet(maintenance={
             "busy": MaintenancePolicy(check_every=5, refresh_every=5)})
@@ -316,21 +273,6 @@ class TestControllerTriggers:
             controller.step("quiet", inside())
             controller.step("busy", inside())
         assert fleet.of("refresh") == ["busy", "busy"]
-
-    def test_maintain_evicts_idle_tenants(self):
-        fleet = StubFleet()
-        fleet.resident_tenants = ["idle", "busy"]
-        controller = FleetController(
-            fleet, MaintenancePolicy(check_every=1, evict_idle_sweeps=2))
-        controller.step("busy", inside())
-        controller.step("idle", inside())
-        assert controller.maintain() == {}          # both saw traffic
-        controller.step("busy", inside())
-        assert controller.maintain() == {}          # idle: 1 sweep
-        controller.step("busy", inside())
-        out = controller.maintain()                 # idle: 2 sweeps -> evict
-        assert out == {"idle": ["evict-idle"]}
-        assert fleet.of("evict") == ["idle"]
 
 
 # ----------------------------------------------------------------------

@@ -230,18 +230,18 @@ class TestTelemetryConservation:
 # ----------------------------------------------------------------------
 # Satellite: scheduler error log
 # ----------------------------------------------------------------------
-class SweepBombPolicy:
-    """Stands in for a MaintenancePolicy whose sweep clause blows up.
+class PumpBombPolicy:
+    """Stands in for a MaintenancePolicy that blows up when evaluated.
 
-    ``check_every == 0`` keeps the decision-stream path quiet, so only
-    ``maintain()`` (the sweep) ever touches the exploding attribute.
+    ``check_every == 1`` evaluates it at every decision the pump folds
+    in, so each pump pops one decision and raises.
     """
 
-    check_every = 0
+    check_every = 1
 
     @property
-    def evict_idle_sweeps(self):
-        raise RuntimeError("policy exploded mid-sweep")
+    def min_update_rate(self):
+        raise RuntimeError("policy exploded mid-pump")
 
     def is_noop(self) -> bool:
         return False
@@ -252,40 +252,46 @@ class TestSchedulerErrorLog:
     def runtime(self, tmp_path):
         with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=make_gem,
-                            policy=SweepBombPolicy(),
+                            policy=PumpBombPolicy(),
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
             yield runtime
 
-    def test_sweep_errors_are_visible_and_pumps_keep_draining(self, runtime):
+    def test_pump_errors_are_visible_and_the_bus_keeps_draining(self, runtime):
         scheduler = MaintenanceScheduler(runtime, interval=0.01,
                                          metrics=runtime.metrics_registry)
+        stream(runtime, n=3)
         for round_no in range(1, 4):
-            stream(runtime, n=6)
-            drained = scheduler.tick(sweep=True)
-            assert drained == 6            # the pump never stalls
+            drained = scheduler.tick()
+            assert drained == 1            # each failed pump still pops one
             stats = scheduler.stats()
             assert stats["errors"] == round_no       # int, backward compat
-            assert stats["decisions_drained"] == 6 * round_no
-            # The pump completed before the sweep blew up, so the bus
-            # still counts as recently pumped.
-            assert scheduler.last_pump_age() is not None
+            assert stats["decisions_drained"] == round_no
+            assert stats["pending"] == 3 - round_no
+            # No pump completed, so the scheduler reads as stale.
+            assert scheduler.last_pump_age() is None
 
         snapshot = scheduler.snapshot(recent_errors=2)
         assert snapshot["errors"]["count"] == 3      # cumulative
         assert len(snapshot["errors"]["recent"]) == 2  # bounded view
         entry = snapshot["errors"]["recent"][-1]
-        assert "policy exploded mid-sweep" in entry["error"]
+        assert "policy exploded mid-pump" in entry["error"]
         assert "\n" not in entry["error"]            # one line per entry
 
         # The counter mirrors the cumulative total.
         counter = runtime.metrics_registry.get("repro_scheduler_errors_total")
         assert counter.value == 3
 
+        # An empty bus pumps cleanly again.
+        assert scheduler.tick() == 0
+        assert scheduler.last_pump_age() is not None
+        assert scheduler.stats()["errors"] == 3
+
     def test_snapshot_recent_window_tracks_the_tail(self, runtime):
         scheduler = MaintenanceScheduler(runtime, interval=0.01)
+        stream(runtime, n=10)
         for _ in range(10):
-            scheduler.tick(sweep=True)
+            scheduler.tick()
         snapshot = scheduler.snapshot(recent_errors=4)
         assert snapshot["errors"]["count"] == 10
         assert len(snapshot["errors"]["recent"]) == 4

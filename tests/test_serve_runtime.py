@@ -238,8 +238,6 @@ class TestScheduler:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError, match="interval"):
             MaintenanceScheduler(None, interval=0.0)
-        with pytest.raises(ValueError, match="sweep_every"):
-            MaintenanceScheduler(None, interval=0.1, sweep_every=-1)
 
     def test_errors_are_contained_and_bounded(self, tmp_path):
         class ExplodingRuntime:
@@ -247,9 +245,6 @@ class TestScheduler:
 
             def pump(self):
                 raise RuntimeError("boom")
-
-            def sweep(self):  # pragma: no cover - pump already raised
-                return {}
 
         scheduler = MaintenanceScheduler(ExplodingRuntime(), interval=0.01)
         for _ in range(3):
@@ -282,7 +277,7 @@ class TestScheduler:
         runtime.start()     # the worker's first tick is 60 s away
         for tenant, record in interleaved_stream(10):
             runtime.observe(tenant, record)
-        assert runtime.scheduler.tick(sweep=False) == 3
+        assert runtime.scheduler.tick() == 3
         stats = runtime.scheduler.stats()
         assert stats["decisions_drained"] == 3
         assert stats["errors"] == 1
@@ -362,16 +357,6 @@ class TestSpecMaintenance:
             server.provision("a", tenant_records(0), spec=spec_with(policy))
             serve_in_chunks(server, ["a"])
             assert server.stats()["totals"]["refreshes"] == 5
-
-    def test_idle_eviction_spares_a_tenant_under_traffic(self, front, tmp_path):
-        policy = MaintenancePolicy(evict_idle_sweeps=2)
-        with serving_front(front, tmp_path / "m", capacity=8) as server:
-            server.provision("a", tenant_records(0), spec=spec_with(policy))
-            serve_in_chunks(server, ["a"])
-            assert server.stats()["totals"]["evictions"] == 0
-            server.maintain()
-            server.maintain()
-            assert server.stats()["totals"]["evictions"] == 1
 
     def test_spec_block_applies_to_evicted_tenants(self, front, tmp_path):
         """Capacity 1: only the batch's last tenant is resident when the
