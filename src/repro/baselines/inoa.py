@@ -94,10 +94,6 @@ class INOA:
                                                         self.calibration_quantile)) + 0.05)
         return self
 
-    @property
-    def num_learners(self) -> int:
-        return len(self._learners)
-
     def outlier_score(self, record: SignalRecord) -> float:
         """Fraction of out-of-sphere votes over the record's AP pairs.
 

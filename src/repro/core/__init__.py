@@ -10,7 +10,7 @@ from repro.core.embedders import (
 )
 from repro.core.gem import GEM, EmbeddingGeofencer
 from repro.core.protocols import Detector, GeofenceDecision, GeofenceModel, RecordEmbedder
-from repro.core.records import LabeledRecord, SignalRecord, rss_bounds, unique_macs
+from repro.core.records import LabeledRecord, SignalRecord, unique_macs
 
 __all__ = [
     "AutoencoderEmbedder",
@@ -27,6 +27,5 @@ __all__ = [
     "MDSEmbedder",
     "RecordEmbedder",
     "SignalRecord",
-    "rss_bounds",
     "unique_macs",
 ]

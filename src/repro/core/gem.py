@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -253,22 +253,6 @@ class EmbeddingGeofencer:
             decisions[i] = self._decide(rows[i], scores[p], outliers[p], confident[p])
             if decisions[i].updated:
                 seg_end = k  # detector moved: unconsumed verdicts are stale
-        return decisions
-
-    def observe_stream(self, records: Iterable[SignalRecord],
-                       flush: bool = True) -> list[GeofenceDecision]:
-        """Observe a whole stream; by default flush any leftover updates.
-
-        With ``batch_update_size > 1`` the stream can end with confident
-        inliers still sitting in the update buffer; ``flush=True``
-        applies them once the stream is exhausted (decisions already made
-        are unaffected — only the final model state differs).  Pass
-        ``flush=False`` to keep the partial buffer pending, e.g. when the
-        same pipeline will continue on another stream.
-        """
-        decisions = self.observe_many(records)
-        if flush:
-            self.flush_updates()
         return decisions
 
     def flush_updates(self) -> int:

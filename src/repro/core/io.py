@@ -1,13 +1,11 @@
 """Persistence for record streams and datasets (JSON Lines).
 
 Real deployments collect scans on a device and evaluate elsewhere; these
-helpers serialise :class:`SignalRecord` streams and labelled test
-streams to a line-oriented JSON format that is diff-able, append-able
-and language-neutral.
+helpers serialise :class:`SignalRecord` streams to a line-oriented
+JSON format that is diff-able, append-able and language-neutral.
 
-Format: one JSON object per line.
-``{"t": 12.0, "rss": {"aa:bb:..": -61.5}, "pos": [x, y, floor]}`` for
-records; labelled records add ``"inside": true`` and optional ``"meta"``.
+Format: one JSON object per line,
+``{"t": 12.0, "rss": {"aa:bb:..": -61.5}, "pos": [x, y, floor]}``.
 
 Record *sets* kept inside checkpoints (the fleet reservoir, the
 quarantine buffer) use a columnar form instead, see
@@ -31,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.records import LabeledRecord, SignalRecord
+from repro.core.records import SignalRecord
 
 __all__ = [
     "record_to_dict",
@@ -42,8 +40,6 @@ __all__ = [
     "join_record_columns",
     "save_records",
     "load_records",
-    "save_labeled_records",
-    "load_labeled_records",
 ]
 
 
@@ -350,45 +346,3 @@ def load_records(path: str | Path) -> list[SignalRecord]:
                 raise ValueError(f"{path}:{line_number}: bad record line: {error}") from error
     return records
 
-
-def save_labeled_records(items: Sequence[LabeledRecord], path: str | Path) -> int:
-    """Write a labelled test stream as JSONL."""
-    path = Path(path)
-    with path.open("w") as handle:
-        for item in items:
-            data = record_to_dict(item.record)
-            data["inside"] = bool(item.inside)
-            if item.meta:
-                data["meta"] = _json_safe(item.meta)
-            handle.write(json.dumps(data) + "\n")
-    return len(items)
-
-
-def load_labeled_records(path: str | Path) -> list[LabeledRecord]:
-    """Read a labelled stream written by :func:`save_labeled_records`."""
-    path = Path(path)
-    items = []
-    with path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                record = record_from_dict(data)
-                items.append(LabeledRecord(record, inside=bool(data["inside"]),
-                                           meta=data.get("meta", {})))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-                raise ValueError(f"{path}:{line_number}: bad labelled line: {error}") from error
-    return items
-
-
-def _json_safe(meta: dict) -> dict:
-    """Best-effort conversion of metadata values to JSON-safe types."""
-    out = {}
-    for key, value in meta.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            out[str(key)] = value
-        else:
-            out[str(key)] = str(value)
-    return out

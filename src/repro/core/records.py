@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-__all__ = ["SignalRecord", "LabeledRecord", "unique_macs", "rss_bounds"]
+__all__ = ["SignalRecord", "LabeledRecord", "unique_macs"]
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,6 @@ class SignalRecord:
             return None
         return max(self.readings, key=self.readings.get)
 
-    def restricted_to(self, macs: Iterable[str]) -> "SignalRecord":
-        """A copy keeping only readings whose MAC is in ``macs``."""
-        allowed = set(macs)
-        kept = {mac: rss for mac, rss in self.readings.items() if mac in allowed}
-        return SignalRecord(kept, timestamp=self.timestamp, position=self.position)
-
     def without(self, macs: Iterable[str]) -> "SignalRecord":
         """A copy dropping readings whose MAC is in ``macs``."""
         banned = set(macs)
@@ -95,14 +89,3 @@ def unique_macs(records: Iterable[SignalRecord]) -> set[str]:
         macs.update(record.readings)
     return macs
 
-
-def rss_bounds(records: Iterable[SignalRecord]) -> tuple[float, float]:
-    """(min, max) RSS over all readings; raises on an empty collection."""
-    low, high = math.inf, -math.inf
-    for record in records:
-        for rss in record.readings.values():
-            low = min(low, rss)
-            high = max(high, rss)
-    if low is math.inf:
-        raise ValueError("no RSS readings found in records")
-    return low, high

@@ -16,7 +16,6 @@ the device actually was.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.core.records import LabeledRecord, SignalRecord, unique_macs
 from repro.rf.device import Device
@@ -43,10 +42,6 @@ class GeofenceDataset:
         """Distinct MACs across training records (the Table II column)."""
         return len(unique_macs(self.train))
 
-    def test_inside_fraction(self) -> float:
-        if not self.test:
-            return 0.0
-        return sum(1 for item in self.test if item.inside) / len(self.test)
 
 
 def generate_dataset(scenario: SiteScenario, seed: int = 0,

@@ -127,13 +127,6 @@ class ConvAutoencoder(Module):
             embedding, _ = self.forward(Tensor(x))
         return embedding.numpy()
 
-    def reconstruction_error(self, x: np.ndarray) -> np.ndarray:
-        """Per-row MSE reconstruction error."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        with no_grad():
-            _, reconstruction = self.forward(Tensor(x))
-        return ((reconstruction.numpy() - x) ** 2).mean(axis=1)
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

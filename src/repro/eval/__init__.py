@@ -8,7 +8,7 @@ from repro.eval.algorithms import (
     make_algorithm,
 )
 from repro.eval.drift import DriftHarness, DriftResult, EpochMetrics
-from repro.eval.harness import EvaluationResult, evaluate_streaming, score_stream
+from repro.eval.harness import EvaluationResult, evaluate_streaming
 from repro.eval.metrics import (
     ConfusionCounts,
     InOutMetrics,
@@ -16,7 +16,7 @@ from repro.eval.metrics import (
     metrics_from_pairs,
     summarize_metrics,
 )
-from repro.eval.reporting import format_mean_min_max, format_series, format_table, metrics_row
+from repro.eval.reporting import format_mean_min_max, format_series, format_table
 from repro.eval.roc import RocCurve, auc, finite_scores, roc_curve
 from repro.eval.timing import InferenceTiming, measure_batch_update, measure_inference_breakdown
 
@@ -44,8 +44,6 @@ __all__ = [
     "measure_batch_update",
     "measure_inference_breakdown",
     "metrics_from_pairs",
-    "metrics_row",
     "roc_curve",
-    "score_stream",
     "summarize_metrics",
 ]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -83,9 +82,6 @@ class DriftResult:
     train_seconds: float = 0.0
     stream_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
-
-    def aucs(self) -> list[float | None]:
-        return [m.auc for m in self.epochs]
 
     def recovery_after(self, shock_epoch: int, tolerance: float = 0.05) -> int | None:
         """Time-to-recovery (in epochs) from a churn shock.

@@ -18,10 +18,10 @@ import numpy as np
 from repro.core.protocols import GeofenceDecision, GeofenceModel
 from repro.core.records import LabeledRecord
 from repro.datasets.synthetic import GeofenceDataset
-from repro.eval.metrics import InOutMetrics, confusion_from_pairs, metrics_from_pairs
+from repro.eval.metrics import InOutMetrics, metrics_from_pairs
 from repro.eval.roc import RocCurve, finite_scores, roc_curve
 
-__all__ = ["EvaluationResult", "evaluate_streaming", "score_stream"]
+__all__ = ["EvaluationResult", "evaluate_streaming"]
 
 
 @dataclass
@@ -80,13 +80,3 @@ def evaluate_streaming(model: GeofenceModel, dataset: GeofenceDataset,
                             fit_seconds=fit_seconds, stream_seconds=stream_seconds,
                             meta=dict(dataset.meta))
 
-
-def score_stream(model: GeofenceModel, records: Iterable[LabeledRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Observe a labelled stream; returns (scores, outside_labels) for ROC."""
-    scores = []
-    outside = []
-    for item in records:
-        decision = model.observe(item.record)
-        scores.append(decision.score)
-        outside.append(not item.inside)
-    return finite_scores(scores), np.asarray(outside, dtype=bool)

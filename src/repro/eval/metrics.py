@@ -28,8 +28,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / self.total if self.total else 0.0
 
 
 def _precision(tp: int, fp: int) -> float:

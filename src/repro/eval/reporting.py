@@ -4,19 +4,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.eval.metrics import InOutMetrics
-
-__all__ = ["format_table", "format_mean_min_max", "metrics_row", "format_series"]
+__all__ = ["format_table", "format_mean_min_max", "format_series"]
 
 
 def format_mean_min_max(mean: float, low: float, high: float) -> str:
     """The Table I cell format: ``0.98 (0.94, 1.00)``."""
     return f"{mean:.2f} ({low:.2f}, {high:.2f})"
-
-
-def metrics_row(metrics: InOutMetrics, decimals: int = 2) -> list[str]:
-    """One table row of the six P/R/F columns."""
-    return [f"{value:.{decimals}f}" for value in metrics.as_row()]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]],

@@ -16,17 +16,15 @@ order.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["RECORD", "MAC", "NodeRef", "WeightedBipartiteGraph", "edge_weight_of_rss",
+__all__ = ["RECORD", "MAC", "WeightedBipartiteGraph", "edge_weight_of_rss",
            "global_csr"]
 
 RECORD = "U"
 MAC = "V"
-
-NodeRef = tuple  # (side, index)
 
 
 def edge_weight_of_rss(rss: float, weight_offset: float) -> float:
@@ -149,16 +147,6 @@ class WeightedBipartiteGraph:
     def num_edges(self) -> int:
         return len(self._edge_macs)
 
-    def mac_name(self, index: int) -> str:
-        return self._mac_names[index]
-
-    def mac_index(self, mac: str) -> int | None:
-        """Index of a MAC node, or None if never seen."""
-        return self._mac_index.get(mac)
-
-    def known_macs(self) -> set[str]:
-        return set(self._mac_index)
-
     def neighbors(self, side: str, index: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor indices in the other partition, edge weights)."""
         if side == RECORD:
@@ -171,17 +159,6 @@ class WeightedBipartiteGraph:
             raise IndexError(f"no node {index} on side {side!r}")
         lo, hi = indptr[index], indptr[index + 1]
         return targets[lo:hi], weights[lo:hi]
-
-    def degree(self, side: str, index: int) -> int:
-        neighbors, _ = self.neighbors(side, index)
-        return len(neighbors)
-
-    def nodes(self) -> Iterator[NodeRef]:
-        """All nodes, records first then MACs."""
-        for i in range(self.num_records):
-            yield (RECORD, i)
-        for j in range(self.num_macs):
-            yield (MAC, j)
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """(record degrees, MAC degrees) as arrays."""

@@ -15,7 +15,7 @@ from repro.nn.layers import (
 )
 from repro.nn.optim import Adam, Optimizer
 from repro.nn.sparse import row_normalized_csr, spmm
-from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Tensor, as_tensor, no_grad
 
 __all__ = [
     "Adam",
@@ -29,7 +29,6 @@ __all__ = [
     "export_parameters",
     "init",
     "load_parameters",
-    "is_grad_enabled",
     "no_grad",
     "ops",
     "row_normalized_csr",

@@ -13,10 +13,8 @@ from repro.nn.tensor import Tensor, as_tensor, scatter_rows
 
 __all__ = [
     "concat",
-    "exp",
     "gather_rows",
     "l2_normalize_rows",
-    "log",
     "log_sigmoid",
     "relu",
     "row_dot",
@@ -59,28 +57,6 @@ def relu(x: Tensor) -> Tensor:
     def backward(grad):
         if x.requires_grad:
             x._accumulate(grad * (x.data > 0))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.exp(x.data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * out_data)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def log(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    out_data = np.log(x.data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad / x.data)
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "scatter_rows"]
+__all__ = ["Tensor", "as_tensor", "no_grad", "scatter_rows"]
 
 _GRAD_ENABLED = True
 
@@ -33,11 +33,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._previous
         return False
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record gradients."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -312,37 +307,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else np.prod([self.data.shape[a] for a in np.atleast_1d(axis)])
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
-
-    def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis=axis)
-                out = np.expand_dims(out_data, axis=axis)
-            else:
-                out = out_data
-            mask = (self.data == out).astype(np.float64)
-            # Split gradient among ties to keep the sum correct.
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(g * mask / counts)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-        shape = self.data.shape
-
-        def backward(grad):
-            if self.requires_grad:
-                # Flat source position of every selected element.
-                positions = np.arange(self.data.size).reshape(shape)[index]
-                self._accumulate(scatter_rows(positions, grad, (self.data.size,)).reshape(shape))
-
-        return Tensor._make(out_data, (self,), backward)
 
 
 def as_tensor(value) -> Tensor:

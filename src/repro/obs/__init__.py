@@ -33,7 +33,6 @@ from repro.obs.cluster import (
     ClusterHealthMonitor,
     cluster_families,
     gauge_merge_mode,
-    merge_worker_snapshots,
     stitch_traces,
 )
 from repro.obs.export import (
@@ -78,7 +77,6 @@ __all__ = [
     "gauge_merge_mode",
     "histogram_percentiles",
     "maybe_span",
-    "merge_worker_snapshots",
     "merged_family",
     "merged_histogram",
     "render_prometheus",

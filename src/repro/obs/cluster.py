@@ -6,19 +6,19 @@ that makes the router the single observability endpoint for the whole
 cluster, working entirely on the *snapshot* forms that ship over the
 cluster protocol (no live objects cross a process boundary):
 
-* :func:`merge_worker_snapshots` — pure aggregation of per-worker
-  families dicts: counters sum, gauges sum or take the max per family
-  semantics (:func:`gauge_merge_mode`), histograms fold through
-  :func:`~repro.obs.metrics.merged_histogram`.  Merging one worker's
-  snapshot returns it byte-for-byte, so a one-worker cluster exports
-  exactly what that worker would have.
 * :func:`cluster_families` — the export form `Router.metrics()` serves:
   router-local families pass through, every worker family appears both
   aggregated (no ``worker`` label) and per-worker (``worker="0"`` ...),
   because worker-local label values collide across workers (every
   worker reports ``op="observe"``, ``tenant_class="all"``, ...) and the
-  ``worker`` label — the only partition label — keeps them apart.  Worker ``repro_health_*`` gauges are dropped here — the
-  rollup re-expresses health with ``(probe, worker)`` labels.
+  ``worker`` label — the only partition label — keeps them apart.  The
+  aggregated series fold per family semantics: counters sum, gauges sum
+  or take the max (:func:`gauge_merge_mode`), histograms fold through
+  :func:`~repro.obs.metrics.merged_histogram`; one worker's aggregated
+  series equal its own byte-for-byte, so a one-worker cluster exports
+  exactly what that worker would have.  Worker ``repro_health_*``
+  gauges are dropped here — the rollup re-expresses health with
+  ``(probe, worker)`` labels.
 * :func:`stitch_traces` — grafts worker slow traces under the router
   spans that caused them, matching the worker root's ``parent_id``
   against router span ids (:meth:`~repro.obs.tracing.Tracer.inject`),
@@ -33,7 +33,7 @@ cluster protocol (no live objects cross a process boundary):
 from __future__ import annotations
 
 import copy
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.obs.health import PROBE_THRESHOLDS, ProbeResult, STATUS_LEVELS, grade
 from repro.obs.metrics import merged_family
@@ -42,7 +42,6 @@ __all__ = [
     "ClusterHealthMonitor",
     "cluster_families",
     "gauge_merge_mode",
-    "merge_worker_snapshots",
     "stitch_traces",
 ]
 
@@ -61,25 +60,6 @@ def gauge_merge_mode(name: str) -> str:
     if name.endswith(("_age_seconds", "_lag", "_lag_seconds", "_chain_length")):
         return "max"
     return "sum"
-
-
-def merge_worker_snapshots(snapshots: Sequence[Mapping]) -> dict:
-    """Fold per-worker families dicts into one aggregate families dict.
-
-    ``snapshots`` is a sequence of ``{family name: family snapshot}``
-    mappings (one per worker, the registry ``snapshot()`` form shipped
-    by the ``obs_snapshot`` protocol op).  Families missing from some
-    workers merge over the workers that have them.  Raises on an empty
-    worker set — an aggregate of nothing is a bug upstream, not zero.
-    """
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise ValueError("no worker snapshots to merge (empty worker set)")
-    names = sorted({name for families in snapshots for name in families})
-    return {name: merged_family([families[name] for families in snapshots
-                                 if name in families],
-                                gauge_mode=gauge_merge_mode(name))
-            for name in names}
 
 
 def cluster_families(router_families: Mapping,

@@ -103,9 +103,9 @@ def histogram_percentiles(entry: Mapping, quantiles=(0.5, 0.9, 0.99)) -> dict[st
     """p50/p90/p99 estimates from one snapshot-form histogram series.
 
     The snapshot stores cumulative counts (exposition form); this
-    de-cumulates and reuses the same interpolation the live
-    :class:`~repro.obs.metrics.Histogram` applies, so a percentile read
-    from a JSONL dump matches what the runtime would have reported.
+    de-cumulates them and interpolates with
+    :func:`~repro.obs.metrics.bucket_quantile`, so a percentile read
+    from a JSONL dump is the one the live bucket counts give.
     """
     bounds = [bound for bound, _ in entry["buckets"] if bound != "+Inf"]
     cumulative = [count for _, count in entry["buckets"]]

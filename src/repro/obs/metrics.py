@@ -10,11 +10,11 @@ the increment afterwards.
 
 Latency percentiles are streamed, not stored: :class:`Histogram` keeps
 fixed cumulative-style buckets (counts per bucket + sum + count), and
-:meth:`Histogram.quantile` interpolates p50/p90/p99 from the bucket the
+:func:`bucket_quantile` interpolates p50/p90/p99 from the bucket the
 target rank falls in — the same estimate Prometheus's
 ``histogram_quantile`` computes server-side, available here without an
-external scrape.  Per-worker histograms over the same bounds
-:meth:`~Histogram.merge` exactly (bucket counts are additive), so the
+external scrape.  Per-worker histograms over the same bounds merge
+exactly (bucket counts are additive, :func:`merged_histogram`), so the
 cluster's merged export is the histogram of the merged stream.
 
 :meth:`MetricsRegistry.snapshot` is deterministic — families sorted by
@@ -117,10 +117,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -174,32 +170,6 @@ class Histogram:
     @property
     def sum(self) -> float:
         return self._sum
-
-    def quantile(self, q: float) -> float | None:
-        with self._lock:
-            counts = list(self._counts)
-        return bucket_quantile(self.bounds, counts, q)
-
-    def percentiles(self) -> dict[str, float | None]:
-        """The operational trio, one lock acquisition."""
-        with self._lock:
-            counts = list(self._counts)
-        return {f"p{int(q * 100)}": bucket_quantile(self.bounds, counts, q)
-                for q in (0.5, 0.9, 0.99)}
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram over the same bounds into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError(f"cannot merge histograms with different bounds: "
-                             f"{self.bounds} vs {other.bounds}")
-        with other._lock:
-            counts = list(other._counts)
-            total, n = other._sum, other._count
-        with self._lock:
-            for index, count in enumerate(counts):
-                self._counts[index] += count
-            self._sum += total
-            self._count += n
 
     def bucket_counts(self) -> list[int]:
         """Per-bucket (non-cumulative) counts, overflow last."""

@@ -178,11 +178,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
-    def slow_traces(self) -> list[dict]:
-        """Recent slow root traces, oldest first."""
-        with self._lock:
-            return list(self._ring)
-
     def snapshot(self) -> dict:
         """Aggregates + slow ring, JSON-ready and deterministic."""
         with self._lock:

@@ -27,7 +27,7 @@ from repro.rf.materials import BRICK, CONCRETE, DRYWALL, FLOOR_SLAB, GLASS, Mate
 from repro.rf.propagation import BandParams, PropagationConfig, PropagationModel, Wall
 from repro.rf.scanner import Scanner
 from repro.rf.scenarios import SiteScenario, home_scenario, lab_scenario, multi_floor_building
-from repro.rf.trajectory import TimedPosition, linear_walk, perimeter_walk, random_waypoint_walk
+from repro.rf.trajectory import TimedPosition, perimeter_walk, random_waypoint_walk
 
 __all__ = [
     "APChurn",
@@ -67,7 +67,6 @@ __all__ = [
     "home_ap_ids",
     "home_scenario",
     "lab_scenario",
-    "linear_walk",
     "make_mac",
     "markov_entropy_rate",
     "multi_floor_building",

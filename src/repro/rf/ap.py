@@ -9,7 +9,7 @@ AP id so scenario regeneration is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.rf.geometry import Point
 

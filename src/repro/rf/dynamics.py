@@ -289,12 +289,6 @@ class MarkovOnOff:
         _check_fraction(self.q, "q")
         object.__setattr__(self, "protect", tuple(int(i) for i in self.protect))
 
-    def stationary_on_probability(self) -> float:
-        """Long-run fraction of epochs an unprotected AP spends ON."""
-        if self.p + self.q == 0:
-            return 1.0
-        return self.q / (self.p + self.q)
-
     def mutate(self, world: MutableWorld, epoch: int, rng: np.random.Generator,
                store: dict) -> None:
         hidden: dict[int, AccessPoint] = store.setdefault("hidden", {})

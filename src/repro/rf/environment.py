@@ -38,10 +38,3 @@ class Environment:
     @property
     def all_macs(self) -> list[str]:
         return [mac for ap in self.aps for mac in ap.macs]
-
-    def without_aps(self, ap_ids: set[int]) -> "Environment":
-        """A copy with some APs removed (AP-churn experiments)."""
-        remaining = [ap for ap in self.aps if ap.ap_id not in ap_ids]
-        return Environment(walls=self.walls, aps=remaining, geofence=self.geofence,
-                           geofence_floors=self.geofence_floors,
-                           propagation_config=self.propagation_config)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = ["Point", "Segment", "Polygon", "Rect", "segments_intersect", "distance"]
 
@@ -38,10 +38,6 @@ class Segment:
     def midpoint(self) -> Point:
         return ((self.a[0] + self.b[0]) / 2.0, (self.a[1] + self.b[1]) / 2.0)
 
-    def point_at(self, t: float) -> Point:
-        """Linear interpolation; t=0 -> a, t=1 -> b."""
-        return (self.a[0] + t * (self.b[0] - self.a[0]),
-                self.a[1] + t * (self.b[1] - self.a[1]))
 
 
 def _orient(p: Point, q: Point, r: Point) -> float:

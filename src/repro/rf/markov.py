@@ -29,12 +29,6 @@ class OnOffMarkov:
         check_probability(self.p, "p")
         check_probability(self.q, "q")
 
-    def stationary_on_probability(self) -> float:
-        """Long-run fraction of time in ON."""
-        if self.p + self.q == 0:
-            return 1.0  # absorbing in the initial (ON) state
-        return self.q / (self.p + self.q)
-
     def simulate(self, steps: int, rng=None, start_on: bool = True) -> list[bool]:
         """State sequence of length ``steps`` (True = ON)."""
         check_positive_int(steps, "steps")

@@ -9,13 +9,12 @@ of v m/s advances the position v metres between samples (Sec. VI).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.rf.geometry import Point, Polygon, distance
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive
 
-__all__ = ["TimedPosition", "perimeter_walk", "random_waypoint_walk", "linear_walk"]
+__all__ = ["TimedPosition", "perimeter_walk", "random_waypoint_walk"]
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,3 @@ def random_waypoint_walk(region: Polygon, duration: float, speed: float = 0.8,
             out.append(TimedPosition(current, floor, t))
     return out
 
-
-def linear_walk(start: Point, end: Point, speed: float = 0.8,
-                sample_period: float = 1.0, floor: int = 0,
-                start_time: float = 0.0) -> list[TimedPosition]:
-    """A straight walk between two points (e.g. down the corridor)."""
-    check_positive(speed, "speed")
-    return _walk_path([tuple(start), tuple(end)], speed, sample_period, floor, start_time)

@@ -654,18 +654,6 @@ class Router:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def worker_metrics(self) -> dict[int, dict | None]:
-        """Each worker's ``runtime.metrics()`` dict, by worker index.
-
-        ``None`` marks a worker that runs without observability or did
-        not answer (dead, broken pipe, timeout) — the caller decides
-        whether that is a merge gap or a health incident.
-        """
-        results, failed = self._fan_out_tolerant("obs_snapshot")
-        out: dict[int, dict | None] = {index: None for index in failed}
-        out.update(results)
-        return dict(sorted(out.items()))
-
     def metrics(self) -> dict:
         """Cluster-wide observability snapshot.
 

@@ -282,11 +282,6 @@ class QuarantineBuffer:
     def depth(self) -> int:
         return len(self.records)
 
-    @property
-    def saturation(self) -> float:
-        """Fill fraction in [0, 1] — the ``quarantine_saturation`` probe."""
-        return len(self.records) / self.capacity
-
     def clear(self) -> None:
         """Consume the evidence (after a recovery refit): reset everything.
 

@@ -12,7 +12,6 @@ sees either the old or the new complete checkpoint, never a chimera.
 from __future__ import annotations
 
 import re
-import shutil
 from pathlib import Path
 
 from repro.serve.checkpoint import (
@@ -123,14 +122,6 @@ class ModelRegistry:
                                   metadata=metadata)
         self._notify(tenant_id)
         return result
-
-    def delete(self, tenant_id: str) -> bool:
-        """Remove a tenant's checkpoint; True if one existed."""
-        path = self.path_for(tenant_id)
-        if not path.is_dir():
-            return False
-        shutil.rmtree(path)
-        return True
 
     # ------------------------------------------------------------------
     # Reads

@@ -163,21 +163,6 @@ class ServingRuntime:
         self._closed = False
 
     # ------------------------------------------------------------------
-    # Commit events
-    # ------------------------------------------------------------------
-    def on_commit(self, listener) -> Callable[[], None]:
-        """Call ``listener(tenant_id, CommitInfo)`` after every committed
-        checkpoint write the fleet performs (provision, flush, eviction
-        write-back, delta append, compaction).
-
-        This is the replication hook: a
-        :class:`~repro.serve.cluster.replicate.DeltaShipper` subscribes
-        here to stream committed format-3 delta entries (and full saves)
-        to a standby registry; returns an unsubscribe callable.
-        """
-        return self.registry.subscribe(listener)
-
-    # ------------------------------------------------------------------
     # Daemon lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ServingRuntime":

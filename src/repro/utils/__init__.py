@@ -2,8 +2,6 @@
 
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.validation import (
-    check_finite,
-    check_in_range,
     check_positive,
     check_positive_int,
     check_probability,
@@ -12,8 +10,6 @@ from repro.utils.validation import (
 __all__ = [
     "as_rng",
     "spawn_rngs",
-    "check_finite",
-    "check_in_range",
     "check_positive",
     "check_positive_int",
     "check_probability",

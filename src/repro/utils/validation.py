@@ -34,17 +34,3 @@ def check_probability(value: float, name: str) -> float:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
 
-
-def check_in_range(value: float, name: str, low: float, high: float) -> float:
-    """Ensure ``value`` lies in the closed interval [low, high]."""
-    if not math.isfinite(value) or not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return float(value)
-
-
-def check_finite(array, name: str) -> np.ndarray:
-    """Ensure every element of ``array`` is finite; returns an ndarray."""
-    arr = np.asarray(array, dtype=float)
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr

@@ -58,6 +58,11 @@ def totals_from_families(families: dict) -> dict:
     }
 
 
+def mac_names(graph) -> list[str]:
+    """A graph's MAC name table: MAC node ``j`` is ``mac_names(graph)[j]``."""
+    return graph.state_dict()["mac_names"]
+
+
 def make_record(macs_rss: dict[str, float] | None = None, t: float = 0.0) -> SignalRecord:
     """A small deterministic record for unit tests."""
     readings = macs_rss if macs_rss is not None else {"aa": -50.0, "bb": -60.0, "cc": -70.0}

@@ -80,7 +80,7 @@ class TestSignatureHome:
 class TestINOA:
     def test_fit_builds_pair_learners(self):
         model = INOA(min_support=3).fit(home_records())
-        assert model.num_learners > 0
+        assert len(model._learners) > 0
 
     def test_min_support_filters_rare_pairs(self):
         records = home_records(10)

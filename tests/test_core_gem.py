@@ -157,7 +157,8 @@ class TestObserve:
         gem = GEM(FAST_CONFIG)
         gem.fit(synthetic_records(30, seed=1))
         stream = synthetic_records(5, seed=3)
-        decisions = gem.observe_stream(stream)
+        decisions = gem.observe_many(stream)
+        gem.flush_updates()
         assert len(decisions) == 5
 
 
@@ -235,10 +236,11 @@ class TestSelfUpdate:
         gem.fit(synthetic_records(50, seed=0, center=2.0))
         base = gem.detector.num_samples
         stream = synthetic_records(20, seed=7, center=2.0)
-        decisions = gem.observe_stream(stream)
+        decisions = gem.observe_many(stream)
         buffered = sum(d.buffered for d in decisions)
         assert buffered > 0
-        # Default flush=True: leftovers are applied at stream end.
+        # flush_updates applies the leftovers at stream end.
+        assert gem.flush_updates() == buffered
         assert gem.pending_updates == 0
         assert gem.detector.num_samples == base + buffered
 
@@ -247,8 +249,7 @@ class TestSelfUpdate:
         gem = GEM(config)
         gem.fit(synthetic_records(50, seed=0, center=2.0))
         base = gem.detector.num_samples
-        decisions = gem.observe_stream(synthetic_records(20, seed=7, center=2.0),
-                                       flush=False)
+        decisions = gem.observe_many(synthetic_records(20, seed=7, center=2.0))
         buffered = sum(d.buffered for d in decisions)
         assert buffered > 0
         assert gem.pending_updates == buffered

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from repro.core.io import (
     check_record_columns,
     join_record_columns,
-    load_labeled_records,
     load_records,
     record_from_dict,
     record_to_dict,
     records_from_columns,
     records_to_columns,
-    save_labeled_records,
     save_records,
 )
-from repro.core.records import LabeledRecord, SignalRecord
+from repro.core.records import SignalRecord
 
 
 def sample_records():
@@ -273,59 +271,6 @@ class TestRecordFiles:
         path2 = tmp_path / "again.jsonl"
         save_records(loaded, path2)
         assert path.read_text() == path2.read_text()
-
-
-class TestLabeledFiles:
-    def test_roundtrip_with_meta(self, tmp_path):
-        items = [
-            LabeledRecord(sample_records()[0], inside=True, meta={"session": 1}),
-            LabeledRecord(sample_records()[1], inside=False),
-        ]
-        path = tmp_path / "test.jsonl"
-        assert save_labeled_records(items, path) == 2
-        loaded = load_labeled_records(path)
-        assert [item.inside for item in loaded] == [True, False]
-        assert loaded[0].meta["session"] == 1
-
-    def test_nonjson_meta_stringified(self, tmp_path):
-        items = [LabeledRecord(sample_records()[0], inside=True,
-                               meta={"obj": object()})]
-        path = tmp_path / "test.jsonl"
-        save_labeled_records(items, path)
-        assert isinstance(load_labeled_records(path)[0].meta["obj"], str)
-
-    def test_missing_label_rejected(self, tmp_path):
-        path = tmp_path / "test.jsonl"
-        path.write_text('{"t": 1, "rss": {"a": -50}}\n')
-        with pytest.raises(ValueError, match=":1:"):
-            load_labeled_records(path)
-
-    def test_roundtrip_preserves_position_and_meta(self, tmp_path):
-        items = [LabeledRecord(sample_records()[0], inside=True,
-                               meta={"session": 2, "note": "walk"})]
-        path = tmp_path / "test.jsonl"
-        save_labeled_records(items, path)
-        loaded = load_labeled_records(path)
-        assert loaded[0].record.position == (2.0, 3.0, 0)
-        assert loaded[0].record.timestamp == 1.0
-        assert loaded[0].meta == {"session": 2, "note": "walk"}
-
-    def test_blank_lines_skipped_in_labeled_stream(self, tmp_path):
-        path = tmp_path / "test.jsonl"
-        path.write_text('\n{"t": 1, "rss": {"a": -50}, "inside": true}\n\n')
-        assert len(load_labeled_records(path)) == 1
-
-    def test_bad_json_reports_file_line_number(self, tmp_path):
-        path = tmp_path / "test.jsonl"
-        path.write_text('{"t": 1, "rss": {"a": -50}, "inside": true}\n\n}{\n')
-        with pytest.raises(ValueError, match=":3:"):
-            load_labeled_records(path)
-
-    def test_non_mapping_rss_reports_location(self, tmp_path):
-        path = tmp_path / "test.jsonl"
-        path.write_text('{"t": 1, "rss": "oops", "inside": false}\n')
-        with pytest.raises(ValueError, match=":1:"):
-            load_labeled_records(path)
 
     def test_end_to_end_with_gem(self, tmp_path):
         # Saved streams feed the pipeline exactly like fresh ones.

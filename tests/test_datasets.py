@@ -39,7 +39,7 @@ class TestGenerateDataset:
             assert item.inside == env.is_inside((x, y), floor)
 
     def test_both_classes_present(self, small_dataset):
-        fraction = small_dataset.test_inside_fraction()
+        fraction = sum(item.inside for item in small_dataset.test) / len(small_dataset.test)
         assert 0.2 < fraction < 0.8
 
     def test_stream_is_time_ordered(self, small_dataset):

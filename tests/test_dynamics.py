@@ -253,10 +253,6 @@ class TestMarkovOnOff:
         for world in timeline:
             assert len(world.environment.aps) >= 1
 
-    def test_stationary_probability(self):
-        assert MarkovOnOff(p=0.2, q=0.6).stationary_on_probability() == pytest.approx(0.75)
-        assert MarkovOnOff(p=0.0, q=0.0).stationary_on_probability() == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MarkovOnOff(p=1.5)

@@ -109,13 +109,6 @@ class TestConvAutoencoder:
         assert model.embed(x).shape == (10, 6)
         assert model.embed(x[0]).shape == (1, 6)
 
-    def test_reconstruction_error_per_row(self):
-        x = np.random.default_rng(2).random((8, 24))
-        model = ConvAutoencoder(24, AutoencoderConfig(dim=6, epochs=2, seed=0)).fit(x)
-        errors = model.reconstruction_error(x)
-        assert errors.shape == (8,)
-        assert (errors >= 0).all()
-
     def test_wrong_width_rejected(self):
         model = ConvAutoencoder(24, AutoencoderConfig(dim=6, epochs=1, seed=0))
         with pytest.raises(ValueError):

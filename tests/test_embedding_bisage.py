@@ -9,7 +9,7 @@ from repro.embedding import BiSAGE, BiSAGEConfig
 from repro.graph import build_graph
 
 import reference
-from conftest import synthetic_records
+from conftest import mac_names, synthetic_records
 
 FAST = BiSAGEConfig(dim=8, epochs=2, batch_pairs=128, seed=0)
 
@@ -129,7 +129,7 @@ class TestInductiveInference:
         sensed = {**readings, "brand-new-mac": -60.0}
         np.testing.assert_array_equal(reference.embed_readings(model, sensed),
                                       reference.embed_readings(model, readings))
-        assert graph.mac_index("brand-new-mac") is None
+        assert "brand-new-mac" not in mac_names(graph)
         assert graph.num_macs == macs == rows
         assert all(layer.shape[0] == rows for layer in model._cache_hv + model._cache_lv)
 
@@ -162,7 +162,7 @@ class TestInductiveInference:
         for i in range(6):
             gem.observe(SignalRecord({**records[i].readings, "newcomer": -50.0 - i}))
         assert gem.refresh(records[:20]) == 20
-        assert gem.graph.mac_index("newcomer") is None
+        assert "newcomer" not in mac_names(gem.graph)
         for key, layers in caches.items():
             for before, after in zip(layers, getattr(gem.bisage, key)):
                 np.testing.assert_array_equal(before, after)

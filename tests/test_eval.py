@@ -9,7 +9,6 @@ from repro.core.records import LabeledRecord
 from repro.datasets import GeofenceDataset
 from repro.eval import (
     ALGORITHM_NAMES,
-    ConfusionCounts,
     InOutMetrics,
     confusion_from_pairs,
     evaluate_streaming,
@@ -32,10 +31,6 @@ class TestConfusion:
         counts = confusion_from_pairs(pairs)
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (1, 1, 1, 1)
         assert counts.total == 4
-        assert counts.accuracy() == 0.5
-
-    def test_empty_accuracy_zero(self):
-        assert ConfusionCounts().accuracy() == 0.0
 
 
 class TestInOutMetrics:

@@ -9,9 +9,8 @@ import pytest
 from conftest import synthetic_records
 
 from repro.core.records import LabeledRecord
-from repro.eval.harness import evaluate_streaming, score_stream
+from repro.eval.harness import evaluate_streaming
 from repro.eval.metrics import (
-    ConfusionCounts,
     InOutMetrics,
     metrics_from_pairs,
     summarize_metrics,
@@ -36,7 +35,6 @@ class TestMetricsDegenerate:
     def test_empty_stream_is_all_zero(self):
         m = metrics_from_pairs([])
         assert m.as_row() == (0.0,) * 6
-        assert ConfusionCounts().accuracy() == 0.0
 
     def test_summarize_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -160,11 +158,3 @@ class TestHarnessEdges:
         result = evaluate_streaming(_ConstantModel(), dataset)
         assert result.decisions == []
         assert result.metrics.as_row() == (0.0,) * 6
-
-    def test_score_stream_accepts_generator(self):
-        records = synthetic_records(8, seed=4)
-        model = _ConstantModel().fit(records)
-        scores, outside = score_stream(model, (item for item in _labeled(records)))
-        assert scores.shape == (8,)
-        assert np.isfinite(scores).all()
-        assert outside.tolist() == [False] * 8

@@ -9,7 +9,7 @@ from repro.core.records import SignalRecord
 from repro.graph import MAC, RECORD, build_graph, global_csr
 from repro.graph.bipartite import edge_weight_of_rss
 
-from conftest import synthetic_records
+from conftest import mac_names, synthetic_records
 
 
 SMALL = [SignalRecord({"a": -50.0, "b": -60.0}), SignalRecord({"b": -55.0, "c": -70.0})]
@@ -41,19 +41,18 @@ class TestConstruction:
 
     def test_empty_record_is_isolated_node(self):
         graph = build_graph(SMALL + [SignalRecord({})])
-        assert graph.degree(RECORD, 2) == 0
+        assert len(graph.neighbors(RECORD, 2)[0]) == 0
         assert graph.num_records == 3
 
     def test_new_macs_added_dynamically(self):
         # MACs are interned in first-seen order across the records.
         graph = build_graph(SMALL + [SignalRecord({"zz": -40.0, "a": -45.0})])
-        assert [graph.mac_name(j) for j in range(graph.num_macs)] == ["a", "b", "c", "zz"]
-        assert graph.mac_index("zz") == 3
+        assert mac_names(graph) == ["a", "b", "c", "zz"]
 
     def test_mac_reuse(self):
         graph = build_graph(SMALL + [SignalRecord({"a": -45.0})])
         assert graph.num_macs == 3
-        neighbors, _ = graph.neighbors(MAC, graph.mac_index("a"))
+        neighbors, _ = graph.neighbors(MAC, mac_names(graph).index("a"))
         assert neighbors.tolist() == [0, 2]
 
     def test_build_graph_helper(self):
@@ -67,12 +66,12 @@ class TestQueries:
     def test_neighbors_record_side(self):
         graph = small_graph()
         neighbors, weights = graph.neighbors(RECORD, 0)
-        assert set(graph.mac_name(i) for i in neighbors) == {"a", "b"}
+        assert set(mac_names(graph)[i] for i in neighbors) == {"a", "b"}
         assert (weights > 0).all()
 
     def test_neighbors_mac_side(self):
         graph = small_graph()
-        neighbors, weights = graph.neighbors(MAC, graph.mac_index("b"))
+        neighbors, weights = graph.neighbors(MAC, mac_names(graph).index("b"))
         assert set(neighbors.tolist()) == {0, 1}
         np.testing.assert_allclose(sorted(weights), [60.0, 65.0])
 
@@ -85,16 +84,8 @@ class TestQueries:
 
     def test_degree_and_weighted_degree(self):
         graph = small_graph()
-        assert graph.degree(RECORD, 0) == 2
+        assert len(graph.neighbors(RECORD, 0)[0]) == 2
         assert graph.neighbors(RECORD, 0)[1].sum() == pytest.approx(70.0 + 60.0)
-
-    def test_mac_index_unknown_returns_none(self):
-        assert small_graph().mac_index("nope") is None
-
-    def test_nodes_iteration_order(self):
-        nodes = list(small_graph().nodes())
-        assert nodes[:2] == [(RECORD, 0), (RECORD, 1)]
-        assert all(side == MAC for side, _ in nodes[2:])
 
     def test_degrees_arrays(self):
         record_deg, mac_deg = small_graph().degrees()
@@ -180,7 +171,7 @@ def test_property_graph_invariants(reading_dicts):
     num_records = len(reading_dicts)
     assert (graph.num_records, graph.num_macs) == (num_records, len(names))
     assert graph.num_edges == sum(len(r) for r in reading_dicts)
-    assert [graph.mac_name(j) for j in range(graph.num_macs)] == names
+    assert mac_names(graph) == names
     for i in range(num_records):
         assert_same_bits(graph.neighbors(RECORD, i)[0], rec_n[i])
         assert_same_bits(graph.neighbors(RECORD, i)[1], rec_w[i])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mac_names
 from repro.core.records import SignalRecord
 from repro.embedding.common import NeighborSampler
 from repro.graph import (
@@ -95,7 +96,7 @@ class TestWeightedNeighborSampler:
         readings["strong"] = -30.0
         graph = build_graph([SignalRecord(readings)])
         sampler = NeighborSampler(*global_csr(graph), 2)
-        strong = graph.num_records + graph.mac_index("strong")
+        strong = graph.num_records + mac_names(graph).index("strong")
         rng = np.random.default_rng(0)
         hits = 0
         total = 0
@@ -134,7 +135,7 @@ class TestNegativeSampler:
         sampler = NegativeSampler(graph, power=0.75, rng=0)
         macs = sampler.sample_global(6000) - graph.num_records
         counts = np.bincount(macs[macs >= 0], minlength=graph.num_macs)
-        assert counts.argmax() == graph.mac_index("b")
+        assert counts.argmax() == mac_names(graph).index("b")
 
     def test_sample_global_range(self):
         graph = chain_graph()
@@ -175,7 +176,7 @@ class TestRandomWalks:
         graph = build_graph([SignalRecord({"strong": -25.0, "weak": -115.0})])
         walker = RandomWalker(graph, WalkConfig(walk_length=2, walks_per_node=200), rng=0)
         walks = walker.corpus()
-        strong = graph.num_records + graph.mac_index("strong")
+        strong = graph.num_records + mac_names(graph).index("strong")
         from_record = walks[walks[:, 0] == 0]
         assert len(from_record) == 200
         assert (from_record[:, 1] == strong).sum() > 160

@@ -39,16 +39,6 @@ class TestActivations:
     def test_relu_grad(self):
         grad_of(ops.relu, np.array([-1.0, 0.5, 2.0]))
 
-    def test_exp_log_inverse(self):
-        x = np.array([0.5, 1.0, 2.0])
-        np.testing.assert_allclose(ops.log(ops.exp(Tensor(x))).numpy(), x)
-
-    def test_exp_grad(self):
-        grad_of(ops.exp, np.array([-1.0, 0.0, 1.0]))
-
-    def test_log_grad(self):
-        grad_of(ops.log, np.array([0.5, 1.5, 3.0]))
-
     def test_softplus_matches_reference(self):
         x = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
         np.testing.assert_allclose(ops.softplus(Tensor(x)).numpy(),

@@ -27,8 +27,17 @@ from repro.obs.health import DEFAULT_STARVATION_WINDOW, PROBE_THRESHOLDS
 from repro.obs.tracing import SLOW_TRACE_RING
 
 
+def histogram_series(values, buckets=DEFAULT_LATENCY_BUCKETS) -> dict:
+    """The snapshot-form series of one histogram that observed ``values``."""
+    registry = MetricsRegistry()
+    child = registry.histogram("h_seconds", buckets=buckets).labels()
+    for value in values:
+        child.observe(value)
+    return registry.snapshot()["h_seconds"]["series"][0]
+
+
 # ----------------------------------------------------------------------
-# bucket_quantile + Histogram percentile math (satellite: the math tests)
+# bucket_quantile + histogram percentile math
 # ----------------------------------------------------------------------
 class TestBucketQuantile:
     def test_empty_returns_none(self):
@@ -71,14 +80,11 @@ class TestHistogram:
         assert h.sum == pytest.approx(7.0001)
 
     def test_empty_percentiles_are_none(self):
-        h = Histogram()
-        assert h.percentiles() == {"p50": None, "p90": None, "p99": None}
-        assert h.quantile(0.5) is None
+        p = histogram_percentiles(histogram_series([]))
+        assert p == {"p50": None, "p90": None, "p99": None}
 
     def test_single_sample_percentiles_share_a_bucket(self):
-        h = Histogram(buckets=(0.001, 0.01, 0.1))
-        h.observe(0.005)
-        p = h.percentiles()
+        p = histogram_percentiles(histogram_series([0.005], buckets=(0.001, 0.01, 0.1)))
         for value in p.values():
             assert 0.001 <= value <= 0.01
 
@@ -89,25 +95,20 @@ class TestHistogram:
             Histogram(buckets=(1.0, 1.0))
 
     def test_merge_of_per_shard_equals_histogram_of_merged_stream(self):
-        # Satellite invariant: shard-wise histograms fold exactly.
+        # Shard-wise histograms fold exactly.
         stream_a = [0.0005, 0.003, 0.02, 0.3, 7.0]
         stream_b = [0.0001, 0.0008, 0.05, 0.05, 1.5, 20.0]
-        shard_a, shard_b, merged_ref = Histogram(), Histogram(), Histogram()
-        for v in stream_a:
-            shard_a.observe(v)
-            merged_ref.observe(v)
-        for v in stream_b:
-            shard_b.observe(v)
-            merged_ref.observe(v)
-        shard_a.merge(shard_b)
-        assert shard_a.bucket_counts() == merged_ref.bucket_counts()
-        assert shard_a.count == merged_ref.count
-        assert shard_a.sum == pytest.approx(merged_ref.sum)
-        assert shard_a.percentiles() == merged_ref.percentiles()
+        merged = merged_histogram([histogram_series(stream_a), histogram_series(stream_b)])
+        whole = histogram_series(stream_a + stream_b)
+        assert merged["buckets"] == whole["buckets"]
+        assert merged["count"] == whole["count"]
+        assert merged["sum"] == pytest.approx(whole["sum"])
+        assert histogram_percentiles(merged) == histogram_percentiles(whole)
 
     def test_merge_rejects_different_bounds(self):
-        with pytest.raises(ValueError, match="different bounds"):
-            Histogram(buckets=(1.0,)).merge(Histogram(buckets=(2.0,)))
+        with pytest.raises(ValueError, match="different bucket bounds"):
+            merged_histogram([histogram_series([0.5], buckets=(1.0,)),
+                              histogram_series([0.5], buckets=(2.0,))])
 
 
 class TestCounterGauge:
@@ -123,7 +124,7 @@ class TestCounterGauge:
         g = Gauge()
         g.set(5.0)
         g.inc()
-        g.dec(3.0)
+        g.inc(-3.0)
         assert g.value == pytest.approx(3.0)
 
 
@@ -172,12 +173,10 @@ class TestRegistry:
             for v in values:
                 fam.labels(shard=shard).observe(v)
         entry = merged_histogram(reg.snapshot()["lat_seconds"]["series"])
-        reference = Histogram()
-        for v in (0.001, 0.3, 0.02, 0.02, 9.0):
-            reference.observe(v)
-        assert entry["count"] == reference.count
-        assert entry["sum"] == pytest.approx(reference.sum)
-        assert histogram_percentiles(entry) == reference.percentiles()
+        reference = histogram_series([0.001, 0.3, 0.02, 0.02, 9.0])
+        assert entry["count"] == reference["count"]
+        assert entry["sum"] == pytest.approx(reference["sum"])
+        assert histogram_percentiles(entry) == histogram_percentiles(reference)
 
     def test_merged_histogram_empty_raises(self):
         with pytest.raises(ValueError, match="no histogram series"):
@@ -195,7 +194,7 @@ class TestTracer:
                 pass
             with tracer.span("refresh.commit"):
                 pass
-        (trace,) = tracer.slow_traces()
+        (trace,) = tracer.snapshot()["slow_traces"]
         assert trace["name"] == "refresh"
         assert [c["name"] for c in trace["children"]] == ["refresh.build",
                                                           "refresh.commit"]
@@ -207,7 +206,7 @@ class TestTracer:
         tracer = Tracer(slow_threshold=10.0)
         with tracer.span("observe"):
             pass
-        assert tracer.slow_traces() == []
+        assert tracer.snapshot()["slow_traces"] == []
         assert tracer.snapshot()["spans"]["observe"]["count"] == 1
 
     def test_ring_is_bounded(self):
@@ -215,7 +214,7 @@ class TestTracer:
         for i in range(SLOW_TRACE_RING + 1):
             with tracer.span("op", i=i):
                 pass
-        traces = tracer.slow_traces()
+        traces = tracer.snapshot()["slow_traces"]
         assert len(traces) == SLOW_TRACE_RING == 64
         # The oldest root fell out; the rest are kept in arrival order.
         assert [t["attrs"]["i"] for t in traces] \
@@ -226,7 +225,7 @@ class TestTracer:
         with pytest.raises(KeyError):
             with tracer.span("observe"):
                 raise KeyError("boom")
-        (trace,) = tracer.slow_traces()
+        (trace,) = tracer.snapshot()["slow_traces"]
         assert trace["attrs"]["error"] == "KeyError"
 
     def test_current_tracks_the_open_span(self):
@@ -252,7 +251,7 @@ class TestTracer:
             thread.join()
             # The worker's span completed as its own root, not a child.
             assert tracer.current().name == "main"
-        roots = {t["name"] for t in tracer.slow_traces()}
+        roots = {t["name"] for t in tracer.snapshot()["slow_traces"]}
         assert roots == {"worker", "main"}
         assert seen == ["worker"]
 
@@ -319,7 +318,9 @@ class TestPrometheusRender:
         reg = sample_registry()
         entry = reg.snapshot()["lat_seconds"]["series"][0]
         live = reg.get("lat_seconds").labels(op="observe")
-        assert histogram_percentiles(entry) == live.percentiles()
+        assert histogram_percentiles(entry) == {
+            f"p{int(q * 100)}": bucket_quantile(live.bounds, live.bucket_counts(), q)
+            for q in (0.5, 0.9, 0.99)}
 
 
 class TestMetricsDumper:

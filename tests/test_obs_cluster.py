@@ -21,7 +21,6 @@ from repro.obs.cluster import (
     ClusterHealthMonitor,
     cluster_families,
     gauge_merge_mode,
-    merge_worker_snapshots,
     stitch_traces,
 )
 from repro.obs.health import PROBE_THRESHOLDS
@@ -82,6 +81,19 @@ def gauge_family(values: dict[str, float], label: str = "tenant_class") -> dict:
     return family
 
 
+def aggregated(families: dict) -> dict:
+    """The aggregated view of :func:`cluster_families`: the series and
+    label list without the per-worker ``worker`` rows."""
+    out = {}
+    for name, family in families.items():
+        view = dict(family)
+        view["labels"] = [label for label in family["labels"] if label != "worker"]
+        view["series"] = [entry for entry in family["series"]
+                          if "worker" not in entry["labels"]]
+        out[name] = view
+    return out
+
+
 def registry_with_histogram(samples, bounds=(0.01, 0.1, 1.0)):
     registry = MetricsRegistry()
     histogram = registry.histogram("repro_test_seconds", help="t",
@@ -92,14 +104,12 @@ def registry_with_histogram(samples, bounds=(0.01, 0.1, 1.0)):
 
 
 # ----------------------------------------------------------------------
-# merged_family / merge_worker_snapshots edge cases (satellite)
+# merged_family edge cases and the aggregated cluster fold
 # ----------------------------------------------------------------------
 class TestMergedFamily:
     def test_empty_worker_set_raises(self):
         with pytest.raises(ValueError, match="empty worker set"):
             merged_family([])
-        with pytest.raises(ValueError, match="empty worker set"):
-            merge_worker_snapshots([])
 
     def test_bad_gauge_mode_rejected(self):
         with pytest.raises(ValueError, match="gauge_mode"):
@@ -123,7 +133,7 @@ class TestMergedFamily:
                                        labels=("op",))
         histogram.labels(op="observe").observe(0.25)
         snapshot = registry.snapshot()
-        merged = merge_worker_snapshots([snapshot])
+        merged = aggregated(cluster_families({}, {0: snapshot}))
         assert snapshot_to_json(merged) == snapshot_to_json(snapshot)
 
     def test_disjoint_label_children_union(self):
@@ -182,17 +192,6 @@ class TestMergedFamily:
         assert gauge_merge_mode("repro_scheduler_last_cycle_age_seconds") == "max"
         assert gauge_merge_mode("repro_replication_lag_seconds") == "max"
 
-    def test_merge_worker_snapshots_union_of_families(self):
-        merged = merge_worker_snapshots([
-            {"repro_a_total": counter_family({"0": 1.0})},
-            {"repro_a_total": counter_family({"0": 2.0}),
-             "repro_b_total": counter_family({"0": 9.0})},
-        ])
-        assert sorted(merged) == ["repro_a_total", "repro_b_total"]
-        assert merged["repro_a_total"]["series"][0]["value"] == 3.0
-        assert merged["repro_b_total"]["series"][0]["value"] == 9.0
-
-
 class TestClusterFamilies:
     def test_worker_label_added_alongside_aggregate(self):
         out = cluster_families(
@@ -215,6 +214,16 @@ class TestClusterFamilies:
             {}, {0: {"repro_health_value": gauge_family({"x": 1.0},
                                                         label="probe")}})
         assert "repro_health_value" not in out
+
+    def test_aggregate_is_union_of_worker_families(self):
+        merged = aggregated(cluster_families({}, {
+            0: {"repro_a_total": counter_family({"0": 1.0})},
+            1: {"repro_a_total": counter_family({"0": 2.0}),
+                "repro_b_total": counter_family({"0": 9.0})},
+        }))
+        assert sorted(merged) == ["repro_a_total", "repro_b_total"]
+        assert merged["repro_a_total"]["series"][0]["value"] == 3.0
+        assert merged["repro_b_total"]["series"][0]["value"] == 9.0
 
 
 # ----------------------------------------------------------------------
@@ -414,9 +423,9 @@ class TestRouterObservability:
         with local_router(fresh_copy(seed_registry, tmp_path, "r")) as router:
             for tenant, record in interleaved_stream():
                 router.observe(tenant, record)
-            per_worker = router.worker_metrics()
+            per_worker, silent = router._fan_out_tolerant("obs_snapshot")
             families = router.metrics()["families"]
-        assert all(snapshot is not None for snapshot in per_worker.values())
+        assert not silent
         shipped_names = sorted({name for snap in per_worker.values()
                                 for name in snap["families"]})
         checked = 0

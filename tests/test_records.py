@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.records import LabeledRecord, SignalRecord, rss_bounds, unique_macs
+from repro.core.records import LabeledRecord, SignalRecord, unique_macs
 
 
 class TestSignalRecord:
@@ -57,12 +57,6 @@ class TestSignalRecord:
     def test_strongest_mac_empty(self):
         assert SignalRecord({}).strongest_mac() is None
 
-    def test_restricted_to(self):
-        record = SignalRecord({"aa": -50.0, "bb": -60.0}, timestamp=1.0)
-        kept = record.restricted_to(["aa", "zz"])
-        assert kept.macs == frozenset({"aa"})
-        assert kept.timestamp == 1.0
-
     def test_without(self):
         record = SignalRecord({"aa": -50.0, "bb": -60.0})
         assert record.without({"aa"}).macs == frozenset({"bb"})
@@ -79,14 +73,6 @@ class TestHelpers:
 
     def test_unique_macs_empty(self):
         assert unique_macs([]) == set()
-
-    def test_rss_bounds(self):
-        records = [SignalRecord({"aa": -50.0}), SignalRecord({"bb": -90.0})]
-        assert rss_bounds(records) == (-90.0, -50.0)
-
-    def test_rss_bounds_empty_raises(self):
-        with pytest.raises(ValueError):
-            rss_bounds([SignalRecord({})])
 
     def test_labeled_record(self):
         item = LabeledRecord(SignalRecord({"aa": -40.0}), inside=True, meta={"s": 1})

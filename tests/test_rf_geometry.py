@@ -14,10 +14,6 @@ class TestSegments:
         assert seg.length == 5.0
         assert seg.midpoint() == (1.5, 2.0)
 
-    def test_point_at(self):
-        seg = Segment((0, 0), (10, 0))
-        assert seg.point_at(0.3) == (3.0, 0.0)
-
     def test_crossing_segments_intersect(self):
         assert segments_intersect(Segment((0, 0), (2, 2)), Segment((0, 2), (2, 0)))
 

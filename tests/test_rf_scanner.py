@@ -81,12 +81,6 @@ class TestEnvironment:
         env = tiny_environment()
         assert len(env.all_macs) == 6  # 3 APs x 2 bands
 
-    def test_without_aps(self):
-        env = tiny_environment()
-        smaller = env.without_aps({1})
-        assert len(smaller.aps) == 2
-        assert len(env.aps) == 3  # original untouched
-
     def test_requires_aps(self):
         with pytest.raises(ValueError):
             Environment(walls=[], aps=[], geofence=Rect(0, 0, 1, 1))

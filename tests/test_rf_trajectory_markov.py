@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.records import SignalRecord
 from repro.rf.geometry import Rect
 from repro.rf.markov import OnOffMarkov, apply_ap_onoff, markov_entropy_rate
-from repro.rf.trajectory import linear_walk, perimeter_walk, random_waypoint_walk
+from repro.rf.trajectory import perimeter_walk, random_waypoint_walk
 
 
 class TestTrajectories:
@@ -47,25 +47,14 @@ class TestTrajectories:
         positions = {tuple(np.round(p.position, 3)) for p in poses}
         assert len(positions) > 10
 
-    def test_linear_walk_endpoints(self):
-        poses = linear_walk((0, 0), (10, 0), speed=1.0)
-        assert poses[0].position == (0.0, 0.0)
-        assert poses[-1].position[0] <= 10.0
-        assert len(poses) == 11
-
     def test_invalid_speed(self):
         with pytest.raises(ValueError):
             perimeter_walk(Rect(0, 0, 5, 5), speed=0.0)
 
 
 class TestOnOffMarkov:
-    def test_stationary_probability(self):
-        chain = OnOffMarkov(p=0.2, q=0.8)
-        assert chain.stationary_on_probability() == pytest.approx(0.8)
-
     def test_degenerate_chain_stays_on(self):
         chain = OnOffMarkov(p=0.0, q=0.0)
-        assert chain.stationary_on_probability() == 1.0
         assert all(chain.simulate(20, rng=0))
 
     def test_simulation_length(self):
@@ -74,7 +63,8 @@ class TestOnOffMarkov:
     def test_empirical_stationary(self):
         chain = OnOffMarkov(p=0.3, q=0.6)
         states = chain.simulate(20000, rng=0)
-        assert np.mean(states) == pytest.approx(chain.stationary_on_probability(), abs=0.03)
+        # Long-run fraction in ON is q / (p + q).
+        assert np.mean(states) == pytest.approx(0.6 / (0.3 + 0.6), abs=0.03)
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):

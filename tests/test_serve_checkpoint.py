@@ -72,7 +72,7 @@ class TestGraphState:
         assert clone.num_records == graph.num_records
         assert clone.num_macs == graph.num_macs
         assert clone.num_edges == graph.num_edges
-        assert clone.known_macs() == graph.known_macs()
+        assert clone.state_dict()["mac_names"] == graph.state_dict()["mac_names"]
         for ours, theirs in zip(graph.record_adjacency(), clone.record_adjacency()):
             np.testing.assert_array_equal(ours, theirs)
         for j in range(graph.num_macs):
@@ -194,13 +194,14 @@ class TestGEMCheckpoint:
         # Held-out observe stream: decisions (and self-update behaviour)
         # must track the original exactly.
         stream = synthetic_records(10, seed=21, center=2.0)
-        assert gem.observe_stream(stream) == clone.observe_stream(stream)
+        assert gem.observe_many(stream) == clone.observe_many(stream)
+        assert gem.flush_updates() == clone.flush_updates()
         assert gem.detector.num_samples == clone.detector.num_samples
 
     def test_partial_update_buffer_survives(self, tmp_path):
         from dataclasses import replace
         gem = fitted_gem(config=replace(FAST_CONFIG, batch_update_size=50))
-        gem.observe_stream(synthetic_records(10, seed=5, center=2.0), flush=False)
+        gem.observe_many(synthetic_records(10, seed=5, center=2.0))
         assert gem.pending_updates > 0
         save_checkpoint(gem, tmp_path / "ckpt")
         clone = load_checkpoint(tmp_path / "ckpt")

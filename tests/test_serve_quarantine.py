@@ -279,7 +279,7 @@ class TestQuarantineBuffer:
         buffer.set_home({"home"})
         buffer.consider(RejectAll(), anchored_record(0))
         assert not buffer.dormant
-        assert buffer.saturation == 0.25
+        assert buffer.depth == 1
         buffer.clear()
         assert buffer.dormant and buffer.depth == 0
         assert (buffer.seen, buffer.offered) == (0, 0)

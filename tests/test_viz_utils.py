@@ -5,8 +5,6 @@ import pytest
 
 from repro.utils.rng import as_rng, spawn_rngs
 from repro.utils.validation import (
-    check_finite,
-    check_in_range,
     check_positive,
     check_positive_int,
     check_probability,
@@ -102,14 +100,3 @@ class TestValidation:
             check_probability(-0.1, "p")
         with pytest.raises(ValueError):
             check_probability(1.1, "p")
-
-    def test_check_in_range(self):
-        assert check_in_range(5.0, "x", 0, 10) == 5.0
-        with pytest.raises(ValueError):
-            check_in_range(11.0, "x", 0, 10)
-
-    def test_check_finite(self):
-        out = check_finite([1.0, 2.0], "a")
-        assert out.dtype == float
-        with pytest.raises(ValueError):
-            check_finite([np.inf], "a")
