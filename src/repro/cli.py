@@ -16,15 +16,15 @@ Subcommands
 ``eval``
     Run paper arms through the streaming evaluation harness on a
     synthetic user world; print (and optionally dump as JSON) metrics.
-``serve``
-    Replay a JSONL event stream through a multi-tenant fleet rooted at
-    a checkpoint registry; print one decision JSON per line.
-``runtime`` (alias ``serve-daemon``)
-    The same replay through the :class:`ServingRuntime` daemon: one
-    fleet behind a decision bus, a background maintenance
+``runtime``
+    Replay a JSONL event stream through the :class:`ServingRuntime`
+    daemon over a checkpoint registry, printing one decision JSON per
+    line: one fleet behind a decision bus, a background maintenance
     worker executing the given :class:`MaintenancePolicy` (coordinated
     refresh, escalation, recovery) off the observe path,
-    and incremental (delta) checkpoint write-backs.
+    and incremental (delta) checkpoint write-backs.  ``--interval 0
+    --no-incremental`` replays serially with full saves: the decisions
+    and persisted state of a plain :class:`GeofenceFleet`.
 ``cluster``
     The replay through the multi-process cluster: a router
     hash-partitions tenants across N worker processes (each a serial
@@ -133,14 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "recovery is a data-volume effect). No effect with --spec")
     p.add_argument("--json", dest="json_out", help="also write trajectories to this JSON file")
 
-    p = sub.add_parser("serve", help="replay a JSONL event stream through a fleet")
-    p.add_argument("--registry", required=True, help="tenant registry root")
-    p.add_argument("--events", required=True,
-                   help='JSONL events: {"tenant": ..., "rss": {...}, "t": ...}')
-    p.add_argument("--capacity", type=int, default=8)
-    p.add_argument("-o", "--out", help="write decisions to this file instead of stdout")
-
-    p = sub.add_parser("runtime", aliases=["serve-daemon"],
+    p = sub.add_parser("runtime",
                        help="replay a JSONL event stream through the serving "
                             "daemon (one fleet, background maintenance)")
     p.add_argument("--registry", required=True, help="tenant registry root")
@@ -585,23 +578,6 @@ def _replay_events(observe, events_path: Path, out_handle,
     return served
 
 
-def _cmd_serve(args) -> int:
-    from repro.serve import GeofenceFleet
-    events_path = Path(args.events)
-    if not events_path.is_file():
-        print(f"error: no such events file: {events_path}", file=sys.stderr)
-        return 2
-    out_handle = open(args.out, "w") if args.out else sys.stdout
-    try:
-        with GeofenceFleet(args.registry, capacity=args.capacity) as fleet:
-            served = _replay_events(fleet.observe, events_path, out_handle)
-        print(f"served {served} events from {events_path}", file=sys.stderr)
-    finally:
-        if args.out:
-            out_handle.close()
-    return 0
-
-
 def _cmd_runtime(args) -> int:
     from repro.serve import MaintenancePolicy, ServingRuntime
     events_path = Path(args.events)
@@ -1043,9 +1019,7 @@ _COMMANDS = {
     "spec": _cmd_spec,
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "serve": _cmd_serve,
     "runtime": _cmd_runtime,
-    "serve-daemon": _cmd_runtime,
     "cluster": _cmd_cluster,
     "maintain": _cmd_maintain,
     "drift": _cmd_drift,

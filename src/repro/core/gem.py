@@ -436,11 +436,6 @@ class GEM(EmbeddingGeofencer):
         """The underlying weighted bipartite graph (after fit)."""
         return self.embedder.graph
 
-    @property
-    def bisage(self):
-        """The trained BiSAGE model (after fit)."""
-        return self.embedder.model
-
     def state_dict(self) -> dict:
         state = super().state_dict()
         state["config"] = self.config.to_dict()
@@ -467,10 +462,3 @@ class GEM(EmbeddingGeofencer):
         embedder.load_state_dict(state["embedder"])
         detector = HistogramDetector(config.histogram).load_state_dict(state["detector"])
         return self._commit_loaded(embedder, detector, state)
-
-    @classmethod
-    def from_state_dict(cls, state: dict) -> "GEM":
-        """Reconstruct a fitted GEM from :meth:`state_dict` output."""
-        gem = cls(GEMConfig.from_dict(state["config"]))
-        gem.load_state_dict(state)
-        return gem

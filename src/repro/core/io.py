@@ -38,7 +38,6 @@ __all__ = [
     "records_from_columns",
     "check_record_columns",
     "join_record_columns",
-    "save_records",
     "load_records",
 ]
 
@@ -320,19 +319,8 @@ def join_record_columns(parts: Iterable[Mapping[str, np.ndarray]],
     return {"macs": macs, "edges": edges, "records": out}
 
 
-def save_records(records: Iterable[SignalRecord], path: str | Path) -> int:
-    """Write records as JSONL; returns the number written."""
-    path = Path(path)
-    count = 0
-    with path.open("w") as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_dict(record)) + "\n")
-            count += 1
-    return count
-
-
 def load_records(path: str | Path) -> list[SignalRecord]:
-    """Read a JSONL record stream written by :func:`save_records`."""
+    """Read a JSONL record stream, one :func:`record_to_dict` object per line."""
     path = Path(path)
     records = []
     with path.open() as handle:

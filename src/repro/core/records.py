@@ -57,9 +57,6 @@ class SignalRecord:
     def __len__(self) -> int:
         return len(self.readings)
 
-    def rss(self, mac: str) -> float:
-        return self.readings[mac]
-
     def strongest_mac(self) -> str | None:
         """The MAC with the highest RSS (the AP a device would associate to)."""
         if not self.readings:

@@ -26,7 +26,7 @@ draw at all when there are none or ``sample_size`` is None.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,12 +58,10 @@ __all__ = [
 # record's readings.
 _INFERENCE_KEY = -1
 
-# name -> (Tensor op for training, numpy function for caches and inference)
-_ACTIVATIONS = {
-    "tanh": (ops.tanh, np.tanh),
-    "relu": (ops.relu, lambda x: np.maximum(x, 0.0)),
-    "sigmoid": (ops.sigmoid, lambda x: 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))),
-}
+# Every layer's activation is tanh: ``ops.tanh`` in training, ``np.tanh``
+# for the caches and inference.  A persisted config may still carry the
+# former ``"activation": "tanh"`` key, which SAGEConfig.from_dict drops.
+_PERSISTED_ACTIVATION = "tanh"
 
 
 def full_aggregation_matrix(indptr, indices, weights, num_nodes: int) -> sp.csr_matrix:
@@ -174,7 +172,6 @@ class SAGEConfig:
     dim: int = 32
     num_layers: int = 2
     sample_size: int | None = 10
-    activation: str = "tanh"
     learning_rate: float = 0.003
     epochs: int = 5
     batch_pairs: int = 256
@@ -189,8 +186,6 @@ class SAGEConfig:
         check_positive_int(self.num_layers, "num_layers")
         if self.sample_size is not None:
             check_positive_int(self.sample_size, "sample_size")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {sorted(_ACTIVATIONS)}, got {self.activation!r}")
         check_positive(self.learning_rate, "learning_rate")
         check_positive_int(self.epochs, "epochs")
         check_positive_int(self.batch_pairs, "batch_pairs")
@@ -199,9 +194,6 @@ class SAGEConfig:
             raise ValueError("negative_power must be non-negative")
         check_positive_int(self.resample_every, "resample_every")
 
-    def with_dim(self, dim: int) -> "SAGEConfig":
-        return replace(self, dim=dim)
-
     def to_dict(self) -> dict:
         """JSON-safe dict (nested WalkConfig included); see :meth:`from_dict`."""
         return asdict(self)
@@ -209,6 +201,11 @@ class SAGEConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SAGEConfig":
         data = dict(data)
+        activation = data.pop("activation", _PERSISTED_ACTIVATION)
+        if activation != _PERSISTED_ACTIVATION:
+            raise ValueError(f"config key 'activation' must be "
+                             f"{_PERSISTED_ACTIVATION!r} (the only activation), "
+                             f"got {activation!r}")
         walk = data.pop("walk", None)
         if walk is not None:
             data["walk"] = WalkConfig.from_dict(walk)
@@ -304,7 +301,6 @@ class SAGE:
                                            rng=as_rng(cfg.seed + 3))
 
         optimizer = Adam(self.parameters(), lr=cfg.learning_rate)
-        activation = _ACTIVATIONS[cfg.activation][0]
         sample_rng = as_rng(cfg.seed + 4)
         shuffle_rng = as_rng(cfg.seed + 5)
 
@@ -316,7 +312,7 @@ class SAGE:
                 batch = pair_ids[order[start:start + cfg.batch_pairs]]
                 if aggregators is None or step % cfg.resample_every == 0:
                     aggregators = [sampler.matrix(sample_rng) for _ in range(cfg.num_layers)]
-                final = self._forward(initial, aggregators, activation)
+                final = self._forward(initial, aggregators)
                 loss = self._loss(final, batch, negative_sampler)
                 optimizer.zero_grad()
                 loss.backward()
@@ -327,15 +323,15 @@ class SAGE:
         self._build_cache(initial, sampler.full)
         return self
 
-    def _forward(self, initial: dict[str, np.ndarray], aggregators,
-                 activation) -> dict[str, Tensor]:
+    def _forward(self, initial: dict[str, np.ndarray],
+                 aggregators) -> dict[str, Tensor]:
         """K rounds of Algorithm 1 over the whole (snapshot) graph."""
         z = {name: Tensor(rows) for name, rows in initial.items()}
         for k, matrix in enumerate(aggregators):
             agg = {name: spmm(matrix, z[stream.reads])                  # Eq. 3 / 5
                    for name, stream in self.streams.items()}
-            new = {name: activation(ops.concat([z[name], agg[name]], axis=1)
-                                    @ getattr(self, stream.weights)[k])  # Eq. 4 / 6
+            new = {name: ops.tanh(ops.concat([z[name], agg[name]], axis=1)
+                                  @ getattr(self, stream.weights)[k])  # Eq. 4 / 6
                    for name, stream in self.streams.items()}
             z = {name: ops.l2_normalize_rows(rows) for name, rows in new.items()}  # Eq. 7
         return z
@@ -357,14 +353,13 @@ class SAGE:
         """
         graph = self._require_fitted()
         num_u = graph.num_records
-        act = _ACTIVATIONS[self.config.activation][1]
 
         layers = {name: [rows] for name, rows in initial.items()}
         for k in range(self.config.num_layers):
             agg = {name: matrix @ layers[stream.reads][-1]
                    for name, stream in self.streams.items()}
-            new = {name: act(np.hstack([layers[name][-1], agg[name]])
-                             @ getattr(self, stream.weights)[k].data)
+            new = {name: np.tanh(np.hstack([layers[name][-1], agg[name]])
+                                 @ getattr(self, stream.weights)[k].data)
                    for name, stream in self.streams.items()}
             for name, rows in new.items():
                 layers[name].append(l2_rows(rows))
@@ -429,7 +424,7 @@ class SAGE:
                 initial=self._initial_row(RECORD, _INFERENCE_KEY, name),
                 weights=[w.data for w in stack],
                 neighbor_caches=neighbor_caches,
-                act=_ACTIVATIONS[self.config.activation][1],
+                act=np.tanh,
             )
         return kernel
 

@@ -106,7 +106,6 @@ def arm_spec(name: str, seed: int = _DEFAULT_SEED, dim: int = _DEFAULT_DIM,
         sage_cfg = GraphSAGEConfig(dim=dim, seed=seed,
                                    num_layers=bisage_cfg.num_layers,
                                    sample_size=bisage_cfg.sample_size,
-                                   activation=bisage_cfg.activation,
                                    learning_rate=bisage_cfg.learning_rate,
                                    epochs=bisage_cfg.epochs,
                                    batch_pairs=bisage_cfg.batch_pairs,

@@ -39,13 +39,6 @@ class EvaluationResult:
     def scores(self) -> np.ndarray:
         return np.asarray([decision.score for decision in self.decisions])
 
-    @property
-    def num_updates(self) -> int:
-        """Confident-inlier samples absorbed into (or buffered for) the
-        model — one per buffered observation, independent of how the
-        batch size groups them into flushes."""
-        return sum(1 for decision in self.decisions if decision.buffered)
-
     def roc(self) -> RocCurve:
         """ROC over the streamed scores with 'outside' as positive."""
         return roc_curve(finite_scores(self.scores),

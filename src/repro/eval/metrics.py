@@ -24,10 +24,6 @@ class ConfusionCounts:
     fn: int = 0  # inside, predicted outside
     tn: int = 0  # outside, predicted outside
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 
 def _precision(tp: int, fp: int) -> float:

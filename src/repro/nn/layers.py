@@ -64,10 +64,6 @@ class Module:
             params.extend(_collect(value, seen))
         return params
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

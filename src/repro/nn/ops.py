@@ -18,25 +18,10 @@ __all__ = [
     "log_sigmoid",
     "relu",
     "row_dot",
-    "sigmoid",
     "softplus",
     "tanh",
     "mse_loss",
 ]
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function with a numerically stable forward."""
-    x = as_tensor(x)
-    data = x.data
-    out_data = np.where(data >= 0, 1.0 / (1.0 + np.exp(-np.clip(data, 0, None))),
-                        np.exp(np.clip(data, None, 0)) / (1.0 + np.exp(np.clip(data, None, 0))))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:

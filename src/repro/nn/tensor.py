@@ -98,10 +98,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def numpy(self) -> np.ndarray:
         """Return the underlying array (detached view)."""
         return self.data

@@ -40,7 +40,6 @@ from repro.obs.export import (
     diff_snapshots,
     histogram_percentiles,
     render_prometheus,
-    snapshot_from_json,
     snapshot_to_json,
 )
 from repro.obs.health import STATUS_LEVELS, HealthMonitor, ProbeResult
@@ -80,6 +79,5 @@ __all__ = [
     "merged_family",
     "merged_histogram",
     "render_prometheus",
-    "snapshot_from_json",
     "snapshot_to_json",
 ]

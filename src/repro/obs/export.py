@@ -8,9 +8,9 @@ Two serialisations of the same deterministic snapshot dict:
   plus ``_sum`` / ``_count``.  Rendering works from the snapshot, not
   live metric objects, so a scrape handler can serve a consistent
   point-in-time view (and tests can assert on a frozen snapshot).
-* :func:`snapshot_to_json` / :func:`snapshot_from_json` — canonical
-  JSON (sorted keys, no float mangling) that round-trips exactly; the
-  same snapshot state always yields the same bytes.
+* :func:`snapshot_to_json` — canonical JSON (sorted keys, no float
+  mangling) that ``json.loads`` reads back exactly; the same snapshot
+  state always yields the same bytes.
 
 :class:`MetricsDumper` is the opt-in background recorder: a daemon
 thread that appends one ``{"at": ..., ...snapshot...}`` JSONL line per
@@ -34,7 +34,6 @@ __all__ = [
     "diff_snapshots",
     "histogram_percentiles",
     "render_prometheus",
-    "snapshot_from_json",
     "snapshot_to_json",
 ]
 
@@ -181,10 +180,6 @@ def diff_snapshots(earlier: Mapping, later: Mapping) -> dict:
 def snapshot_to_json(snapshot: Mapping) -> str:
     """Canonical JSON: same snapshot state, same bytes."""
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-
-
-def snapshot_from_json(text: str) -> dict:
-    return json.loads(text)
 
 
 class MetricsDumper:

@@ -113,10 +113,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -223,13 +219,6 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self.labels().set(value)
 
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)
-
-    @property
-    def value(self) -> float:
-        return self.labels().value
-
     def series(self) -> list[tuple[dict[str, str], Counter | Gauge | Histogram]]:
         """(labels dict, child) pairs, sorted by label values."""
         with self._lock:
@@ -299,10 +288,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "", labels: Iterable[str] = (),
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> MetricFamily:
         return self._family(name, "histogram", help, labels, buckets=buckets)
-
-    def get(self, name: str) -> MetricFamily | None:
-        with self._lock:
-            return self._families.get(name)
 
     def families(self) -> list[MetricFamily]:
         with self._lock:

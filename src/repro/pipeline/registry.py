@@ -164,14 +164,16 @@ def _make_autoencoder(**params):
     return AutoencoderEmbedder(AutoencoderConfig.from_dict(params), fill_value=fill_value)
 
 
+# "activation" is accepted only as "tanh" (SAGEConfig.from_dict): specs
+# persisted while it was a SAGE option still name it.
 register_component(
     "embedder", "bisage", _make_bisage,
-    _config_params(BiSAGEConfig) + ("weight_offset",),
+    _config_params(BiSAGEConfig) + ("weight_offset", "activation"),
     supports_refresh=True,
     description="Weighted bipartite graph + BiSAGE GNN (the paper's embedder)")
 register_component(
     "embedder", "graphsage", _make_graphsage,
-    _config_params(GraphSAGEConfig) + ("weight_offset",),
+    _config_params(GraphSAGEConfig) + ("weight_offset", "activation"),
     supports_refresh=True,
     description="Homogeneous GraphSAGE over the same bipartite graph")
 register_component(

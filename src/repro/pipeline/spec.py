@@ -121,11 +121,6 @@ class DriftSpec:
             for entry in self.schedules)
         object.__setattr__(self, "schedules", schedules)
 
-    def validate(self) -> "DriftSpec":
-        """Check every schedule name and parameter set; returns self."""
-        self.build_schedules()
-        return self
-
     def build_schedules(self) -> list:
         from repro.rf.dynamics import build_schedule
         return [build_schedule(entry.name, entry.params) for entry in self.schedules]
@@ -218,7 +213,7 @@ class PipelineSpec:
         silently skipped at serving time.
         """
         if self.drift is not None:
-            self.drift.validate()
+            self.drift.build_schedules()      # checks each name and parameter set
         wants_refresh = self.maintenance is not None and self.maintenance.wants_refresh()
         if self.model is not None:
             entry = self.model.resolve("model")

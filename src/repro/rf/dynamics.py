@@ -47,7 +47,6 @@ __all__ = [
     "TxPowerDrift",
     "build_schedule",
     "home_ap_ids",
-    "schedule_to_spec",
 ]
 
 
@@ -406,9 +405,6 @@ SCHEDULES = {
     "device-gain-drift": DeviceGainDrift,
 }
 
-_SCHEDULE_NAMES = {cls: name for name, cls in SCHEDULES.items()}
-
-
 def build_schedule(name: str, params: dict | None = None):
     """Instantiate a registered schedule by name, validating parameters."""
     cls = SCHEDULES.get(name)
@@ -432,15 +428,6 @@ def build_schedule(name: str, params: dict | None = None):
         # Missing required parameters (e.g. churn-shock without "epoch")
         # are an operator input problem, not a programming error.
         raise ValueError(f"schedule {name!r}: {error}") from error
-
-
-def schedule_to_spec(schedule) -> tuple[str, dict]:
-    """``(name, params)`` of a schedule instance, JSON-ready."""
-    name = _SCHEDULE_NAMES.get(type(schedule))
-    if name is None:
-        raise ValueError(f"{type(schedule).__name__} is not a registered schedule")
-    params = dataclasses.asdict(schedule)
-    return name, {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
 
 
 # ----------------------------------------------------------------------
@@ -525,9 +512,6 @@ class DynamicsTimeline:
         while len(self._worlds) <= epoch:
             self._advance()
         return self._worlds[epoch]
-
-    def environment(self, epoch: int) -> Environment:
-        return self.world(epoch).environment
 
     def __len__(self) -> int:
         return self.num_epochs

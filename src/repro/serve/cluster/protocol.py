@@ -41,7 +41,8 @@ Message types
     fan out while requests are in flight.  Version 3 drops the
     single-record ``observe`` op: a single observation travels as an
     ``observe_many`` request with one item, so the worker has one
-    observe path.
+    observe path.  Version 4 drops the read-only ``score`` op, which
+    only tests sent.
 ``replicate``
     Worker -> router, unsolicited: one committed checkpoint write
     (see :class:`~repro.serve.cluster.replicate.ShippedWrite`), the
@@ -77,10 +78,11 @@ __all__ = [
 
 # Version 2: obs_snapshot/health ops + optional request trace context.
 # Version 3: no single-record ``observe`` op (``observe_many`` only).
+# Version 4: no read-only ``score`` op.
 # The handshake requires exact equality (no downgrade), so a mixed
 # router/worker pair fails loudly at hello, not quietly at the first
 # request the other side cannot answer.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 # A header larger than this is garbage (a desynchronised stream, or a
 # peer speaking something else entirely): fail fast instead of trying to

@@ -179,11 +179,6 @@ class DeltaShipper:
             out, self._queue = self._queue, []
             return out
 
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
 
 @dataclass(frozen=True)
 class PromotionReport:

@@ -121,9 +121,6 @@ class SubprocessWorkerHandle:
         self.writer = proc.stdin
         self.pid = proc.pid
 
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
     def close(self) -> None:
         # stdin first: the child sees EOF and exits, which EOFs stdout
         # and releases any thread blocked reading it — only then is
@@ -542,11 +539,6 @@ class Router:
                 self._request_seconds.labels(op="observe_many").observe(
                     time.perf_counter() - started)
             return decisions
-
-    def score(self, tenant_id: str, record: SignalRecord) -> float:
-        return float(self._request(self._link_for(tenant_id), "score",
-                                   {"tenant": tenant_id,
-                                    "record": encode_record(record)}))
 
     # ------------------------------------------------------------------
     # Tenant lifecycle / maintenance

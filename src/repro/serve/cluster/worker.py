@@ -242,9 +242,6 @@ class ClusterWorker:
             items = [(self._check_owner(str(tenant)), decode_record(record))
                      for tenant, record in header["items"]]
             return [encode_decision(d) for d in runtime.observe_many(items)]
-        if op == "score":
-            tenant = self._check_owner(str(header["tenant"]))
-            return runtime.score(tenant, decode_record(header["record"]))
         if op == "provision":
             tenant = self._check_owner(str(header["tenant"]))
             records = [decode_record(r) for r in header["records"]]
@@ -302,8 +299,8 @@ class LocalWorkerHandle:
     """A worker thread over a socketpair, quacking like a subprocess.
 
     Exposes what the router needs from a worker handle: ``reader`` /
-    ``writer`` binary streams, ``alive()``, ``close()``, and ``pid``
-    (None here — no process to signal).
+    ``writer`` binary streams, ``close()``, and ``pid`` (None here — no
+    process to signal).
     """
 
     reader: object
@@ -311,9 +308,6 @@ class LocalWorkerHandle:
     thread: threading.Thread
     sockets: tuple = field(default=())
     pid: int | None = None
-
-    def alive(self) -> bool:
-        return self.thread.is_alive()
 
     def close(self) -> None:
         # Shut the socket down first: a blocked read holds the buffered

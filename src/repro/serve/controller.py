@@ -1,6 +1,6 @@
 """The fleet control plane: policy-driven maintenance over a GeofenceFleet.
 
-The split: the **data plane** is ``GeofenceFleet.observe``/``score`` —
+The split: the **data plane** is ``GeofenceFleet.observe``/``observe_many`` —
 the hot path, untouched by this module.  The **control plane** is a
 :class:`FleetController` that taps the decision stream, folds it into
 per-tenant telemetry windows (observation counts, self-update-buffer
@@ -94,7 +94,7 @@ class FleetController:
         self._states: dict[str, TenantControlState] = {}
         # Pending recovery proposals (tenant_id -> arming evidence) for
         # policies with recovery.auto=False: surfaced to the operator
-        # (runtime.pending_recoveries / `repro maintain`), consumed by
+        # (pending_recoveries / `repro maintain`), consumed by
         # approve_recovery/deny_recovery.
         self._proposals: dict[str, dict] = {}
         # Action log: (tenant_id, action) in execution order, for tests,

@@ -25,7 +25,7 @@ once its provision save has committed, so a failed load
 (:class:`~repro.serve.checkpoint.CheckpointError`) or provision leaves
 the tenant's prior state, resident or on disk, untouched.
 
-Data plane vs control plane: ``observe``/``observe_many``/``score`` are
+Data plane vs control plane: ``observe``/``observe_many`` are
 the hot path and never initiate maintenance.  There is one observe
 path: ``observe`` is ``observe_many`` over a batch of one, so every
 record goes through the :class:`~repro.serve.batchplane.BatchPlane`
@@ -448,11 +448,6 @@ class GeofenceFleet:
                             self._consider_quarantine(tenant_id, tenant, record, decision)
                 self.telemetry.record_observations(tenant_id, batch, seconds=elapsed)
         return decisions
-
-    def score(self, tenant_id: str, record: SignalRecord) -> float:
-        """Stateless outlier score against one tenant's model."""
-        with self._lock:
-            return self._acquire(tenant_id).model.score(record)
 
     # ------------------------------------------------------------------
     # Maintenance mechanics (driven by the control plane)

@@ -5,7 +5,7 @@ a tenant — scheduled or telemetry-triggered coordinated refresh,
 escalation to a full re-provision, quarantine-fed recovery — without
 saying anything about *how* (that is
 :class:`~repro.serve.controller.FleetController`'s job) or touching the
-data plane (``GeofenceFleet.observe``/``score`` never consult a policy).
+data plane (``GeofenceFleet.observe``/``observe_many`` never consult a policy).
 
 Policies are frozen, JSON-round-tripping and validating, like every
 other declarative object in the repo, and may travel as the optional
@@ -149,13 +149,6 @@ class RecoveryPolicy:
                              f"known keys: {', '.join(sorted(known))}")
         return cls(**dict(data))
 
-    def describe(self) -> str:
-        mode = "auto" if self.auto else "propose"
-        guard = f", roll back above FPR {self.max_fpr:g}" \
-            if self.max_fpr is not None else ""
-        return (f"{mode} recovery after {self.after_stuck} stuck + "
-                f"{self.starvation_window} starved obs "
-                f"(>= {self.min_quarantine} quarantined{guard})")
 
 
 @dataclass(frozen=True)
@@ -257,17 +250,3 @@ class MaintenancePolicy:
     def from_json(cls, text: str) -> "MaintenancePolicy":
         return cls.from_dict(json.loads(text))
 
-    def describe(self) -> str:
-        """One-line human summary of the active clauses."""
-        if self.is_noop():
-            return "no-op"
-        clauses = []
-        if self.refresh_every:
-            clauses.append(f"refresh every {self.refresh_every}")
-        if self.min_update_rate is not None:
-            clauses.append(f"refresh if update rate < {self.min_update_rate:g}")
-        if self.reprovision_after:
-            clauses.append(f"reprovision after {self.reprovision_after} stuck refreshes")
-        if self.recovery is not None:
-            clauses.append(self.recovery.describe())
-        return f"check every {self.check_every}: " + ("; ".join(clauses) or "no-op")

@@ -148,24 +148,6 @@ class ModelRegistry:
             raise CheckpointError(f"tenant {tenant_id!r} has no checkpoint under {self.root}")
         return load_checkpoint_with_baseline(path)
 
-    def manifest(self, tenant_id: str) -> dict:
-        """The tenant checkpoint's full manifest (version, metadata, ...)."""
-        return read_manifest(self.path_for(tenant_id))
-
-    def metadata(self, tenant_id: str) -> dict:
-        """Just the *user* metadata stored with the tenant's checkpoint.
-
-        Serve-internal keys (the fleet's inlier reservoir and quarantine
-        buffer) are stripped.  Read from the manifest alone: numpy
-        arrays saved in the metadata (such as the fleet's record sets)
-        live in the npz and are not here; :meth:`load_with_manifest`
-        returns the whole mapping.  :meth:`manifest` exposes the raw JSON.
-        """
-        metadata = dict(self.manifest(tenant_id).get("metadata", {}))
-        metadata.pop(RESERVOIR_METADATA_KEY, None)
-        metadata.pop(QUARANTINE_METADATA_KEY, None)
-        return metadata
-
     def tenants(self) -> list[str]:
         """Sorted ids of every tenant with a complete checkpoint."""
         out = []

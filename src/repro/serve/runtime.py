@@ -214,54 +214,17 @@ class ServingRuntime:
                     self._pending.append((tenant_id, decision))
         return decisions
 
-    def score(self, tenant_id: str, record: SignalRecord) -> float:
-        return self.fleet.score(tenant_id, record)
-
     # ------------------------------------------------------------------
-    # Tenant lifecycle / maintenance mechanics
+    # Tenant lifecycle (maintenance mechanics live on ``self.fleet``,
+    # recovery proposals on ``self.controller``)
     # ------------------------------------------------------------------
     def provision(self, tenant_id: str, records: Sequence[SignalRecord],
                   metadata: dict | None = None,
                   spec: PipelineSpec | None = None) -> GeofenceModel:
         return self.fleet.provision(tenant_id, records, metadata=metadata, spec=spec)
 
-    def refresh(self, tenant_id: str) -> int:
-        return self.fleet.refresh(tenant_id)
-
-    def reprovision(self, tenant_id: str) -> GeofenceModel:
-        return self.fleet.reprovision(tenant_id)
-
-    def reprovision_from_quarantine(self, tenant_id: str,
-                                    max_fpr: float | None = 0.5) -> GeofenceModel:
-        return self.fleet.reprovision_from_quarantine(tenant_id, max_fpr=max_fpr)
-
-    def evict(self, tenant_id: str) -> bool:
-        return self.fleet.evict(tenant_id)
-
     def flush(self, tenant_id: str | None = None) -> int:
         return self.fleet.flush(tenant_id)
-
-    def is_dirty(self, tenant_id: str) -> bool:
-        return self.fleet.is_dirty(tenant_id)
-
-    def reservoir(self, tenant_id: str) -> list[SignalRecord]:
-        return self.fleet.reservoir(tenant_id)
-
-    def quarantine(self, tenant_id: str) -> list[SignalRecord]:
-        return self.fleet.quarantine(tenant_id)
-
-    # ------------------------------------------------------------------
-    # Recovery proposals (operator surface)
-    # ------------------------------------------------------------------
-    def pending_recoveries(self) -> dict[str, dict]:
-        """Pending quarantine-recovery proposals awaiting an operator."""
-        return self.controller.pending_recoveries()
-
-    def approve_recovery(self, tenant_id: str) -> None:
-        self.controller.approve_recovery(tenant_id)
-
-    def deny_recovery(self, tenant_id: str) -> bool:
-        return self.controller.deny_recovery(tenant_id)
 
     # ------------------------------------------------------------------
     # Control plane (the pump caller only)
@@ -312,11 +275,6 @@ class ServingRuntime:
     @property
     def pending_decisions(self) -> int:
         return len(self._pending)
-
-    @property
-    def resident_tenants(self) -> list[str]:
-        """Resident tenants, LRU order."""
-        return self.fleet.resident_tenants
 
     def telemetry_totals(self) -> TenantStats:
         """Fleet-wide counters, a view over the metric families."""

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.io import record_to_dict, records_from_columns
 from repro.core.records import SignalRecord
-from repro.serve.checkpoint import MANIFEST_NAME, load_state
+from repro.serve import QUARANTINE_METADATA_KEY, RESERVOIR_METADATA_KEY
+from repro.serve.checkpoint import MANIFEST_NAME, load_state, read_manifest
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -61,6 +62,21 @@ def totals_from_families(families: dict) -> dict:
 def mac_names(graph) -> list[str]:
     """A graph's MAC name table: MAC node ``j`` is ``mac_names(graph)[j]``."""
     return graph.state_dict()["mac_names"]
+
+
+def user_metadata(registry, tenant_id: str) -> dict:
+    """The metadata a caller stored with a tenant: its manifest's
+    metadata without the fleet's reservoir and quarantine keys."""
+    metadata = read_manifest(registry.path_for(tenant_id))["metadata"]
+    return {key: value for key, value in metadata.items()
+            if key not in (RESERVOIR_METADATA_KEY, QUARANTINE_METADATA_KEY)}
+
+
+def write_records(records, path) -> None:
+    """A JSONL record file as ``repro.core.io.load_records`` reads it."""
+    with open(path, "w") as handle:
+        for record in records:
+            handle.write(json.dumps(record_to_dict(record)) + "\n")
 
 
 def make_record(macs_rss: dict[str, float] | None = None, t: float = 0.0) -> SignalRecord:

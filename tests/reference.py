@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.embedders import BiSAGEEmbedder, GraphSAGEEmbedder
 from repro.core.protocols import GeofenceDecision
-from repro.embedding.common import _ACTIVATIONS, _INFERENCE_KEY
+from repro.embedding.common import _INFERENCE_KEY
 from repro.graph.bipartite import RECORD
 from repro.nn.batch import l2_rows
 
@@ -44,11 +44,10 @@ def embed_from_neighbors(model, neighbors: np.ndarray, weights: np.ndarray) -> n
     z = model._initial_row(RECORD, _INFERENCE_KEY, name)
     if len(neighbors) == 0:
         return z
-    act = _ACTIVATIONS[model.config.activation][1]
     probabilities = weights / weights.sum()
     for k, w in enumerate(stack):
         agg = probabilities @ neighbor_caches[k][neighbors]     # Eq. 3 + Eq. 8
-        z = l2_rows(act(np.concatenate([z, agg]) @ w.data))
+        z = l2_rows(np.tanh(np.concatenate([z, agg]) @ w.data))
     return z
 
 

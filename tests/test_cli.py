@@ -1,13 +1,13 @@
-"""``python -m repro`` CLI: spec emit, train, eval, serve, components."""
+"""``python -m repro`` CLI: spec emit, train, eval, runtime, components."""
 
 import json
 
 import pytest
 
-from conftest import synthetic_records, write_json_form
+from conftest import synthetic_records, write_json_form, write_records
 from repro.cli import main
-from repro.core.io import record_to_dict, save_records
-from repro.serve import ModelRegistry, load_checkpoint
+from repro.core.io import record_to_dict
+from repro.serve import ModelRegistry, load_checkpoint, read_manifest
 
 
 def run(*argv):
@@ -35,7 +35,7 @@ class TestTrainEvalServe:
     @pytest.fixture()
     def records_file(self, tmp_path):
         path = tmp_path / "train.jsonl"
-        save_records(synthetic_records(30, seed=0, center=2.0), path)
+        write_records(synthetic_records(30, seed=0, center=2.0), path)
         return path
 
     def test_train_from_spec_file_to_checkpoint(self, tmp_path, records_file, capsys):
@@ -61,8 +61,9 @@ class TestTrainEvalServe:
                 event["tenant"] = "t1"
                 handle.write(json.dumps(event) + "\n")
         out_path = tmp_path / "decisions.jsonl"
-        assert run("serve", "--registry", str(registry_root),
-                   "--events", str(events), "-o", str(out_path)) == 0
+        assert run("runtime", "--registry", str(registry_root),
+                   "--events", str(events), "--interval", "0",
+                   "-o", str(out_path)) == 0
         decisions = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(decisions) == 4
         assert all(d["tenant"] == "t1" and isinstance(d["inside"], bool)
@@ -86,19 +87,13 @@ class TestTrainEvalServe:
         assert run("eval", "--list") == 0
         assert "SignatureHome" in capsys.readouterr().out
 
-    def test_serve_rejects_bad_event(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
-        events.write_text('{"no_tenant": true}\n')
-        assert run("serve", "--registry", str(tmp_path / "reg"),
-                   "--events", str(events)) == 2
-
 
 class TestMaintain:
     @pytest.fixture()
     def registry_root(self, tmp_path):
         """Two refresh-capable tenants trained through the CLI."""
         records_path = tmp_path / "train.jsonl"
-        save_records(synthetic_records(30, seed=0, center=2.0), records_path)
+        write_records(synthetic_records(30, seed=0, center=2.0), records_path)
         spec_path = tmp_path / "spec.json"
         spec = {"spec_version": 1, "model": {"name": "gem", "params": {
             "bisage": {"dim": 8, "epochs": 1}}}}
@@ -158,10 +153,10 @@ class TestMaintain:
 
     def test_refresh_is_persisted(self, registry_root, capsys):
         from repro.serve import ModelRegistry
-        before = ModelRegistry(registry_root).manifest("t1")["save_id"]
+        before = read_manifest(ModelRegistry(registry_root).path_for("t1"))["save_id"]
         assert run("maintain", "--registry", str(registry_root),
                    "--tenants", "t1") == 0
-        after = ModelRegistry(registry_root).manifest("t1")["save_id"]
+        after = read_manifest(ModelRegistry(registry_root).path_for("t1"))["save_id"]
         assert after != before
 
     def test_reprovision_action(self, registry_root, capsys):
@@ -328,11 +323,18 @@ class TestErrorHandling:
                    str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_serve_unknown_tenant(self, tmp_path, capsys):
+    def test_runtime_rejects_bad_event(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"no_tenant": true}\n')
+        assert run("runtime", "--registry", str(tmp_path / "reg"),
+                   "--events", str(events), "--interval", "0") == 2
+        assert "bad event" in capsys.readouterr().err
+
+    def test_runtime_unknown_tenant(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text('{"tenant": "ghost", "rss": {"aa": -50.0}}\n')
-        assert run("serve", "--registry", str(tmp_path / "reg"),
-                   "--events", str(events)) == 2
+        assert run("runtime", "--registry", str(tmp_path / "reg"),
+                   "--events", str(events), "--interval", "0") == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -341,7 +343,7 @@ class TestRuntimeDaemon:
     def served_world(self, tmp_path):
         """A registry with one GEM tenant plus an event stream for it."""
         records_path = tmp_path / "train.jsonl"
-        save_records(synthetic_records(30, seed=0, center=2.0), records_path)
+        write_records(synthetic_records(30, seed=0, center=2.0), records_path)
         registry_root = tmp_path / "reg"
         assert run("train", "--arm", "GEM", "--quick",
                    "--records", str(records_path),
@@ -370,11 +372,11 @@ class TestRuntimeDaemon:
         assert f"served 24 events from {events}" in err
         assert "scheduler:" in err and "drained" in err
 
-    def test_serve_daemon_alias_serial_mode(self, tmp_path, served_world, capsys):
+    def test_runtime_serial_mode(self, tmp_path, served_world, capsys):
         registry_root, events = served_world
         policy_path = tmp_path / "policy.json"
         policy_path.write_text('{"check_every": 4, "refresh_every": 8}\n')
-        assert run("serve-daemon", "--registry", str(registry_root),
+        assert run("runtime", "--registry", str(registry_root),
                    "--events", str(events), "--interval", "0",
                    "--policy", str(policy_path)) == 0
         err = capsys.readouterr().err
@@ -384,7 +386,15 @@ class TestRuntimeDaemon:
         assert "scheduler:" not in err
 
     def test_runtime_decisions_match_serve(self, tmp_path, served_world, capsys):
+        """Serial, full-save ``runtime`` serves as a plain fleet does:
+        the same decision lines and the same persisted state."""
         import shutil
+
+        import numpy as np
+
+        from repro.cli import _replay_events
+        from repro.serve import GeofenceFleet
+        from repro.serve.checkpoint import flatten_state, load_state
         registry_root, events = served_world
         # Separate registry copies: each replay advances its tenant's
         # checkpoint, so sharing one root would chain the streams.
@@ -392,13 +402,24 @@ class TestRuntimeDaemon:
         shutil.copytree(registry_root, runtime_root)
         serve_out = tmp_path / "serve.jsonl"
         runtime_out = tmp_path / "runtime.jsonl"
-        assert run("serve", "--registry", str(registry_root),
-                   "--events", str(events), "-o", str(serve_out)) == 0
+        with GeofenceFleet(registry_root) as fleet, serve_out.open("w") as out:
+            _replay_events(fleet.observe, events, out)
         assert run("runtime", "--registry", str(runtime_root),
                    "--events", str(events),
                    "--interval", "0", "--no-incremental",
                    "-o", str(runtime_out)) == 0
         assert runtime_out.read_text() == serve_out.read_text()
+
+        def persisted(root):
+            state, manifest = load_state(ModelRegistry(root).path_for("t1"))
+            return flatten_state({"state": state, "metadata": manifest["metadata"]})
+
+        (fleet_arrays, fleet_leaves), (runtime_arrays, runtime_leaves) = \
+            persisted(registry_root), persisted(runtime_root)
+        assert fleet_leaves == runtime_leaves
+        assert fleet_arrays.keys() == runtime_arrays.keys()
+        for key in fleet_arrays:
+            assert np.array_equal(fleet_arrays[key], runtime_arrays[key]), key
 
     def test_runtime_missing_events_file(self, tmp_path, capsys):
         assert run("runtime", "--registry", str(tmp_path / "reg"),
@@ -411,7 +432,7 @@ class TestObservabilityCLI:
     def metrics_file(self, tmp_path, capsys):
         """Run the runtime daemon with --metrics-out; return the JSONL."""
         records_path = tmp_path / "train.jsonl"
-        save_records(synthetic_records(30, seed=0, center=2.0), records_path)
+        write_records(synthetic_records(30, seed=0, center=2.0), records_path)
         registry_root = tmp_path / "reg"
         assert run("train", "--arm", "GEM", "--quick",
                    "--records", str(records_path),

@@ -78,7 +78,7 @@ class TestShipper:
         shipper = DeltaShipper().attach(registry)
         shipper.detach()
         registry.save(TENANT, make_gem().fit(records(0)))
-        assert shipper.pending == 0
+        assert shipper.drain() == []
 
     def test_wire_roundtrip(self, chain):
         _, writes, _ = chain

@@ -14,7 +14,8 @@ from repro.pipeline import ComponentSpec, PipelineSpec
 from repro.serve import CheckpointError, ServingRuntime, shard_index
 from repro.serve.cluster import (Router, WorkerDied, WorkerTimeout,
                                  spawn_local_worker)
-from repro.serve.cluster.protocol import (hello_frame, read_frame, write_frame)
+from repro.serve.cluster.protocol import (ProtocolError, hello_frame, read_frame,
+                                          write_frame)
 from repro.serve.cluster.worker import LocalWorkerHandle
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
@@ -89,9 +90,9 @@ class TestClusterServing:
                                       spec=fast_spec())
             assert result == {"tenant": "tenant-0", "model": "GEM"}
             record = tenant_records(0)[0]
-            assert isinstance(router.score("tenant-0", record), float)
             decision = router.observe("tenant-0", record)
             assert decision.inside in (True, False)
+            assert isinstance(decision.score, float)
             assert router.flush() >= 0
             assert router.maintain() >= 0
 
@@ -303,6 +304,33 @@ class TestFailureModes:
         finally:
             handle.close()
 
+    def test_version_3_hello_is_refused_by_the_worker(self, seed_registry):
+        """A protocol-3 router (which still sends ``score``) is turned away
+        at the handshake, before any request."""
+        from repro.serve.cluster import WorkerConfig
+
+        config = WorkerConfig(registry=str(seed_registry), index=0,
+                              num_workers=1)
+        handle = spawn_local_worker(None)
+        try:
+            hello = hello_frame(config=config.to_dict())
+            hello["version"] = 3
+            write_frame(handle.writer, hello)
+            assert read_frame(handle.reader) is None   # closed, no hello back
+        finally:
+            handle.close()
+
+    def test_version_3_worker_is_refused_by_the_router(self, tmp_path):
+        def protocol_3_worker(reader, writer, config):
+            read_frame(reader)
+            hello = hello_frame(worker=config.index, pid=None)
+            hello["version"] = 3
+            write_frame(writer, hello)
+
+        with pytest.raises(ProtocolError, match="version 3"):
+            Router(tmp_path / "registry", num_workers=1,
+                   launcher=_stub_launcher(protocol_3_worker))
+
 
 class TestObservabilityAndReplication:
     def test_metrics_families_and_health_probe(self, seed_registry, tmp_path):
@@ -324,7 +352,8 @@ class TestObservabilityAndReplication:
             for _ in range(3):
                 router.observe_many(interleaved_stream(10))
             router.observe(*interleaved_stream(1)[0])   # a batch of one
-            family = router.metrics_registry.get("repro_router_request_seconds")
+            family = router.metrics_registry.histogram(
+                "repro_router_request_seconds", labels=("op",))
             counts = {labels["op"]: child.count
                       for labels, child in family.series()}
         assert counts == {"observe_many": 4}

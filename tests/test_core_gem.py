@@ -52,7 +52,7 @@ class TestConfig:
 class TestFit:
     def test_fit_builds_graph_and_detector(self, fitted_gem):
         assert fitted_gem.graph.num_records >= 50
-        assert fitted_gem.bisage is not None
+        assert fitted_gem.embedder.model is not None
         assert fitted_gem.detector.num_samples == 50
 
     def test_fit_empty_rejected(self):

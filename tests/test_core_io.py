@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_records
 from repro.core.io import (
     check_record_columns,
     join_record_columns,
@@ -15,7 +16,6 @@ from repro.core.io import (
     record_to_dict,
     records_from_columns,
     records_to_columns,
-    save_records,
 )
 from repro.core.records import SignalRecord
 
@@ -224,7 +224,7 @@ class TestRecordFiles:
     def test_save_load_roundtrip(self, tmp_path):
         records = sample_records()
         path = tmp_path / "stream.jsonl"
-        assert save_records(records, path) == 3
+        write_records(records, path)
         loaded = load_records(path)
         assert [r.readings for r in loaded] == [r.readings for r in records]
         assert [r.timestamp for r in loaded] == [1.0, 2.0, 3.0]
@@ -264,12 +264,12 @@ class TestRecordFiles:
     def test_roundtrip_preserves_positions_and_order(self, tmp_path):
         records = sample_records()
         path = tmp_path / "stream.jsonl"
-        save_records(records, path)
+        write_records(records, path)
         loaded = load_records(path)
         assert [r.position for r in loaded] == [(2.0, 3.0, 0), None, None]
         # Round-tripping the loaded stream is byte-stable.
         path2 = tmp_path / "again.jsonl"
-        save_records(loaded, path2)
+        write_records(loaded, path2)
         assert path.read_text() == path2.read_text()
 
     def test_end_to_end_with_gem(self, tmp_path):
@@ -280,7 +280,7 @@ class TestRecordFiles:
 
         train = synthetic_records(30, seed=0, center=2.0)
         path = tmp_path / "train.jsonl"
-        save_records(train, path)
+        write_records(train, path)
         gem = GEM(GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0)))
         gem.fit(load_records(path))
         assert gem.graph.num_records == 30

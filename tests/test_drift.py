@@ -202,11 +202,13 @@ class TestDriftSpecBlock:
 
     def test_validate_rejects_unknown_schedule(self):
         with pytest.raises(ValueError, match="unknown dynamics schedule"):
-            DriftSpec(schedules=(ComponentSpec("warp-field"),)).validate()
+            PipelineSpec(model=ComponentSpec("gem"), drift=DriftSpec(
+                schedules=(ComponentSpec("warp-field"),))).validate()
 
     def test_validate_rejects_bad_params(self):
         with pytest.raises(ValueError, match="accepted"):
-            DriftSpec(schedules=(ComponentSpec("ap-churn", {"pace": 1}),)).validate()
+            PipelineSpec(model=ComponentSpec("gem"), drift=DriftSpec(
+                schedules=(ComponentSpec("ap-churn", {"pace": 1}),))).validate()
 
     def test_bad_epochs(self):
         with pytest.raises(ValueError):

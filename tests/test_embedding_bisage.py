@@ -39,15 +39,12 @@ class TestConfig:
         assert config.negative_power == pytest.approx(0.75)
 
     def test_invalid_activation(self):
-        with pytest.raises(ValueError):
-            BiSAGEConfig(activation="swish")
+        with pytest.raises(ValueError, match="'activation'"):
+            BiSAGEConfig.from_dict({"activation": "swish"})
 
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             BiSAGEConfig(dim=0)
-
-    def test_with_dim(self):
-        assert BiSAGEConfig().with_dim(64).dim == 64
 
 
 class TestTraining:
@@ -158,21 +155,21 @@ class TestInductiveInference:
         records = synthetic_records(40, num_macs=10, seed=3)
         gem = GEM(GEMConfig(bisage=FAST)).fit(records)
         caches = {key: [layer.copy() for layer in layers]
-                  for key, layers in vars(gem.bisage).items() if key.startswith("_cache_")}
+                  for key, layers in vars(gem.embedder.model).items() if key.startswith("_cache_")}
         for i in range(6):
             gem.observe(SignalRecord({**records[i].readings, "newcomer": -50.0 - i}))
         assert gem.refresh(records[:20]) == 20
         assert "newcomer" not in mac_names(gem.graph)
         for key, layers in caches.items():
-            for before, after in zip(layers, getattr(gem.bisage, key)):
+            for before, after in zip(layers, getattr(gem.embedder.model, key)):
                 np.testing.assert_array_equal(before, after)
         probe = SignalRecord(dict(records[0].readings))
         sensed = SignalRecord({**records[0].readings, "newcomer": -45.0})
         np.testing.assert_array_equal(gem.embedder.embed(sensed), gem.embedder.embed(probe))
-        clone = GEM.from_state_dict(gem.state_dict())
+        clone = GEM(gem.config).load_state_dict(gem.state_dict())
         np.testing.assert_array_equal(clone.embedder.embed(sensed), gem.embedder.embed(sensed))
         assert clone.score(sensed) == gem.score(sensed)
         # Layer-0 rows of original MACs are the deterministic initials.
         from repro.graph import MAC
-        np.testing.assert_allclose(gem.bisage._cache_hv[0][0],
-                                   gem.bisage._initial_matrix(MAC, 1, "h")[0])
+        np.testing.assert_allclose(gem.embedder.model._cache_hv[0][0],
+                                   gem.embedder.model._initial_matrix(MAC, 1, "h")[0])

@@ -27,7 +27,9 @@ def graphsage_pipeline(**params):
 class TestSAGEConfigValidation:
     """Both models share one config validation, reached from a spec too."""
 
-    BUILDERS = {"bisage": BiSAGEConfig, "graphsage": GraphSAGEConfig,
+    # Through from_dict, as a persisted config is read back.
+    BUILDERS = {"bisage": lambda **params: BiSAGEConfig.from_dict(params),
+                "graphsage": lambda **params: GraphSAGEConfig.from_dict(params),
                 "graphsage-spec": graphsage_pipeline}
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
@@ -41,8 +43,8 @@ class TestSAGEConfigValidation:
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     def test_shared_activations_accepted(self, builder):
-        for activation in ("tanh", "relu", "sigmoid"):
-            self.BUILDERS[builder](activation=activation)
+        """tanh, the one activation both models share, may still be named."""
+        self.BUILDERS[builder](activation="tanh")
 
 
 def small_graph():

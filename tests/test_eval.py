@@ -30,7 +30,6 @@ class TestConfusion:
         pairs = [(True, True), (True, False), (False, True), (False, False)]
         counts = confusion_from_pairs(pairs)
         assert (counts.tp, counts.fn, counts.fp, counts.tn) == (1, 1, 1, 1)
-        assert counts.total == 4
 
 
 class TestInOutMetrics:

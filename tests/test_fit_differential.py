@@ -21,8 +21,7 @@ import pytest
 from conftest import synthetic_records
 from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGE, BiSAGEConfig
-from repro.embedding.common import (_ACTIVATIONS, NeighborSampler,
-                                    full_aggregation_matrix)
+from repro.embedding.common import NeighborSampler, full_aggregation_matrix
 from repro.embedding.graphsage import GraphSAGE, GraphSAGEConfig
 from repro.graph import (MAC, RECORD, RandomWalker, WalkConfig, build_graph,
                          global_csr, walk_pairs)
@@ -162,7 +161,6 @@ def reference_fit(model, graph):
         return model
     negative_sampler = NegativeSampler(graph, power=cfg.negative_power, rng=as_rng(cfg.seed + 3))
     optimizer = Adam([p for stack in stacks for p in stack], lr=cfg.learning_rate)
-    activation = _ACTIVATIONS[cfg.activation][0]
     sample_rng = as_rng(cfg.seed + 4)
     shuffle_rng = as_rng(cfg.seed + 5)
     model.loss_history = []
@@ -175,7 +173,7 @@ def reference_fit(model, graph):
             if aggregators is None or step % cfg.resample_every == 0:
                 aggregators = [reference_matrix(csr, cfg.sample_size, sample_rng)
                                for _ in range(cfg.num_layers)]
-            final = model._forward(initial, aggregators, activation)
+            final = model._forward(initial, aggregators)
             loss = model._loss(final, batch, negative_sampler)
             optimizer.zero_grad()
             loss.backward()

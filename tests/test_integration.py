@@ -35,7 +35,7 @@ class TestEndToEnd:
     def test_update_grows_detector(self, world):
         gem = GEM(FAST_GEM)
         result = evaluate_streaming(gem, world)
-        assert result.num_updates > 0
+        assert any(decision.buffered for decision in result.decisions)
         assert gem.detector.num_samples > len(world.train)
 
     def test_graph_stays_at_training_size(self, world):

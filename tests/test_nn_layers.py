@@ -35,7 +35,7 @@ class TestModule:
         out = layer(Tensor(np.ones((1, 2))))
         out.sum().backward()
         assert layer.weight.grad is not None
-        layer.zero_grad()
+        Adam(layer.parameters(), lr=0.1).zero_grad()
         assert layer.weight.grad is None
 
     def test_state_dict_roundtrip(self):

@@ -19,17 +19,6 @@ def grad_of(op, x, atol=1e-5):
 
 
 class TestActivations:
-    def test_sigmoid_values(self):
-        np.testing.assert_allclose(ops.sigmoid(Tensor([0.0])).numpy(), [0.5])
-
-    def test_sigmoid_extreme_inputs_stable(self):
-        out = ops.sigmoid(Tensor([1000.0, -1000.0])).numpy()
-        assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
-
-    def test_sigmoid_grad(self):
-        grad_of(ops.sigmoid, np.array([-2.0, 0.0, 2.0]))
-
     def test_tanh_grad(self):
         grad_of(ops.tanh, np.array([-1.0, 0.5, 2.0]))
 
@@ -117,13 +106,6 @@ class TestRowOps:
         t = Tensor([2.0], requires_grad=True)
         ops.mse_loss(t, [0.0]).backward()
         np.testing.assert_allclose(t.grad, [4.0])
-
-
-@settings(max_examples=20, deadline=None)
-@given(arrays(np.float64, (4,), elements=st.floats(-10, 10, allow_nan=False)))
-def test_property_sigmoid_in_unit_interval(x):
-    out = ops.sigmoid(Tensor(x)).numpy()
-    assert ((out >= 0) & (out <= 1)).all()
 
 
 @settings(max_examples=20, deadline=None)

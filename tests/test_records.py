@@ -11,7 +11,7 @@ class TestSignalRecord:
     def test_basic_construction(self):
         record = SignalRecord({"aa": -50.0, "bb": -70.0}, timestamp=3.0)
         assert len(record) == 2
-        assert record.rss("aa") == -50.0
+        assert record.readings["aa"] == -50.0
         assert record.timestamp == 3.0
 
     def test_readings_are_copied(self):
@@ -44,7 +44,7 @@ class TestSignalRecord:
         trailing NUL, so such a MAC is refused where records are made."""
         with pytest.raises(ValueError, match="NUL"):
             SignalRecord({"aa": -50.0, "ab\0": -60.0})
-        assert SignalRecord({"a\0b": -50.0}).rss("a\0b") == -50.0
+        assert SignalRecord({"a\0b": -50.0}).readings["a\0b"] == -50.0
 
     def test_macs_frozenset(self):
         record = SignalRecord({"aa": -50.0, "bb": -60.0})

@@ -388,6 +388,49 @@ class TestRemovedMaintenanceClauses:
         assert clause in err
 
 
+class TestPersistedActivation:
+    """Checkpoints written while ``activation`` was a SAGE option name it
+    in the spec and in every persisted SAGE config: ``"tanh"``, the only
+    activation, still loads; any other value is refused by name."""
+
+    def registry_naming(self, root, activation):
+        from repro.pipeline import ComponentSpec, PipelineSpec
+        from repro.serve import GeofenceFleet
+        spec = PipelineSpec(model=ComponentSpec("gem", FAST_CONFIG.to_dict()))
+        with GeofenceFleet(root) as fleet:
+            fleet.provision("home", synthetic_records(30, seed=0, center=2.0),
+                            spec=spec)
+        if activation is not None:
+            path = root / "home" / MANIFEST_NAME
+            manifest = json.loads(path.read_text())
+            manifest["pipeline_spec"]["model"]["params"]["bisage"]["activation"] = activation
+            state = manifest["state"]
+            for key in [key for key in state if key.endswith("/negative_power")]:
+                state[key.replace("/negative_power", "/activation")] = activation
+            path.write_text(json.dumps(manifest))
+        return root
+
+    def test_tanh_loads_with_identical_decisions(self, tmp_path):
+        from repro.serve import GeofenceFleet
+        stream = synthetic_records(40, seed=5, center=2.0)
+        decisions = []
+        for name, activation in (("current", None), ("persisted", "tanh")):
+            root = self.registry_naming(tmp_path / name, activation)
+            with GeofenceFleet(root) as fleet:
+                decisions.append([(d.inside, d.score.hex(), d.confident)
+                                  for d in fleet.observe_many(
+                                      ("home", record) for record in stream)])
+        assert decisions[0] == decisions[1]
+
+    def test_other_values_are_refused_by_name(self, tmp_path):
+        from repro.serve import GeofenceFleet
+        root = self.registry_naming(tmp_path / "reg", "relu")
+        with GeofenceFleet(root) as fleet:
+            with pytest.raises(CheckpointError, match="'activation'"):
+                fleet.observe("home", synthetic_records(1, seed=5, center=2.0)[0])
+            assert fleet.resident_tenants == []
+
+
 def npz_bytes(**arrays) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)

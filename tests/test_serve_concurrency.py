@@ -223,7 +223,6 @@ class TestRuntimeStress:
                     barrier.wait(10.0)
                     for record in streams[tenant]:
                         decisions[tenant].append(runtime.observe(tenant, record))
-                        runtime.score(tenant, record)
                 except BaseException as error:  # noqa: BLE001 - recorded for assert
                     errors.append(error)
 

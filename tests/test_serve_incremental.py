@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import synthetic_records
+from conftest import synthetic_records, user_metadata
 from repro.core import GEM, GEMConfig, SignalRecord
 from repro.embedding.bisage import BiSAGEConfig
 from repro.serve import (CheckpointError, GeofenceFleet, ModelRegistry,
@@ -355,7 +355,7 @@ class TestIncrementalFleet:
         for record in records(1, n=6):
             fleet.observe("t", record)
         fleet.evict("t")
-        assert fleet.registry.metadata("t") == {"home": "lab"}
+        assert user_metadata(fleet.registry, "t") == {"home": "lab"}
         reservoir = fleet.reservoir("t")  # reloads from the delta'd manifest
         assert reservoir, "anchor must survive the delta write-back"
         fleet.close()
@@ -550,6 +550,7 @@ class TestStreamedGraphCheckpoints:
         write_streamed_graph(tmp_path / "bad", streamed_records(),
                              macs_aggregated=gem.graph.num_macs - 1)
         with pytest.raises(ValueError, match="past the"):
-            GEM.from_state_dict(load_state(tmp_path / "bad")[0])
+            state = load_state(tmp_path / "bad")[0]
+            GEM(GEMConfig.from_dict(state["config"])).load_state_dict(state)
         with pytest.raises(CheckpointError, match="past the"):
             load_checkpoint(tmp_path / "bad")

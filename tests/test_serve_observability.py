@@ -279,7 +279,7 @@ class TestSchedulerErrorLog:
         assert "\n" not in entry["error"]            # one line per entry
 
         # The counter mirrors the cumulative total.
-        counter = runtime.metrics_registry.get("repro_scheduler_errors_total")
+        counter = runtime.metrics_registry.counter("repro_scheduler_errors_total").labels()
         assert counter.value == 3
 
         # An empty bus pumps cleanly again.
@@ -348,13 +348,11 @@ class TestFailedRefreshStreaks:
         controller = FleetController(FlakyFleet(failures=2, policy=policy),
                                      metrics=registry)
         self.drive(controller, "t1", rounds=3)
-        family = registry.get("repro_maintenance_actions_total")
         counts = {s["labels"]["action"]: s["value"]
                   for s in registry.snapshot()
                   ["repro_maintenance_actions_total"]["series"]}
         assert counts["refresh-failed"] == 2
         assert counts["refresh"] == 1
-        assert family is not None
 
     def test_stuck_refresh_probe_escalates_on_a_real_runtime(self, tmp_path):
         # An arm without refresh capability makes every coordinated

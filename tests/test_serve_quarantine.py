@@ -311,11 +311,6 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError):
             RecoveryPolicy(**kwargs)
 
-    def test_describe_mentions_mode_and_guard(self):
-        text = RecoveryPolicy(auto=True).describe()
-        assert "auto" in text and "roll back" in text
-        assert "propose" in RecoveryPolicy(max_fpr=None).describe()
-
     def test_maintenance_policy_coerces_mapping(self):
         policy = MaintenancePolicy(check_every=4,
                                    recovery={"after_stuck": 3, "auto": True})
@@ -328,10 +323,6 @@ class TestRecoveryPolicy:
     def test_maintenance_policy_rejects_bad_recovery(self):
         with pytest.raises(ValueError, match="recovery"):
             MaintenancePolicy(recovery="yes please")
-
-    def test_describe_includes_recovery_clause(self):
-        policy = MaintenancePolicy(check_every=4, recovery=RecoveryPolicy())
-        assert "recovery" in policy.describe()
 
 
 # ----------------------------------------------------------------------
@@ -423,15 +414,15 @@ class TestFleetQuarantine:
 
         assert run(tmp_path / "a", evict_at=45) == run(tmp_path / "b", evict_at=-1)
 
-    def test_registry_metadata_is_stripped(self, registry):
+    def test_quarantine_metadata_layout(self, registry):
         fleet = provisioned_fleet(registry, quarantine_size=32)
         home = home_anchor_macs(train_records())
         drive_new_world(fleet, "t", home, n=40)
         fleet.flush("t")
-        assert registry.metadata("t") == {}
         # Counters and home MACs stay in the manifest JSON; the records
         # are columnar arrays in the npz.
         manifest = json.loads((registry.path_for("t") / "manifest.json").read_text())
+        assert set(manifest["metadata"]) == {QUARANTINE_METADATA_KEY}
         assert set(manifest["metadata"][QUARANTINE_METADATA_KEY]) == {"seen", "offered", "home"}
         _, manifest = registry.load_with_manifest("t")
         records = manifest["metadata"][QUARANTINE_METADATA_KEY]["records"]
@@ -474,11 +465,11 @@ class TestFleetQuarantine:
         home = home_anchor_macs(train_records())
         drive_new_world(fleet, "t", home, n=120)
         probe = new_world_record(999, home, np.random.default_rng(1))
-        before = fleet.score("t", probe)
+        before = fleet.resident("t").score(probe)
         with pytest.raises(ValueError, match="rolled back"):
             fleet.reprovision_from_quarantine("t", max_fpr=0.0)
         # Old model keeps serving, evidence intact: that *is* the snapshot.
-        assert fleet.score("t", probe) == before
+        assert fleet.resident("t").score(probe) == before
         assert fleet.quarantine_depth("t") == 32
 
     def test_recovery_requires_quarantine(self, registry):
@@ -590,13 +581,13 @@ class TestJSONFormCheckpoints:
             "recent-empty-mac", "anchor-mac-repeated-in-record", "recent-mac-stored-twice",
             "recent-position-length"])
     def test_corrupt_columns_fail_the_load(self, tmp_path, key, corrupt, match):
-        """At load, not at the first refresh: a stateless score, which never
-        reads the reservoir, already refuses the tenant."""
+        """At load, not at the first refresh: the first observe already
+        refuses the tenant."""
         directory = self._saved_tenant(tmp_path / "m", incremental=False)
         self._rewrite_arrays(directory, lambda arrays: corrupt(arrays["__metadata__/" + key]))
         fleet = GeofenceFleet(tmp_path / "m", **self.FLEET)
         with pytest.raises(CheckpointError, match=match):
-            fleet.score("t", train_records(1)[0])
+            fleet.observe("t", train_records(1)[0])
         with pytest.raises(CheckpointError, match=match):
             fleet.reservoir("t")
         assert fleet.resident_tenants == [] and fleet.quarantine_depths() == {}
@@ -788,7 +779,7 @@ class TestRuntimeQuarantine:
         assert "t" in probe["detail"]
         families = snapshot["families"]
         depth = families["repro_quarantine_depth"]["series"][0]["value"]
-        assert depth == 16 == len(runtime.quarantine("t"))
+        assert depth == 16 == len(runtime.fleet.quarantine("t"))
         admissions = {s["labels"]["outcome"]: s["value"]
                       for s in families["repro_quarantine_admissions_total"]["series"]}
         assert admissions["admitted"] >= 16
@@ -811,7 +802,7 @@ class TestRuntimeQuarantine:
                 recovered = True
                 break
         assert recovered, "auto recovery never fired"
-        assert runtime.pending_recoveries() == {}
+        assert runtime.controller.pending_recoveries() == {}
         runtime.close()
 
     def test_proposal_surfaces_through_runtime(self, tmp_path):
@@ -825,12 +816,12 @@ class TestRuntimeQuarantine:
         for i in range(200):
             runtime.observe("t", new_world_record(i, home, rng))
             runtime.maintain()
-            if runtime.pending_recoveries():
+            if runtime.controller.pending_recoveries():
                 break
-        assert set(runtime.pending_recoveries()) == {"t"}
-        runtime.approve_recovery("t")
-        assert runtime.pending_recoveries() == {}
+        assert set(runtime.controller.pending_recoveries()) == {"t"}
+        runtime.controller.approve_recovery("t")
+        assert runtime.controller.pending_recoveries() == {}
         actions = [a for _, a in runtime.maintenance_actions()]
         assert "recover-proposed" in actions and "recover" in actions
-        assert not runtime.deny_recovery("t")
+        assert not runtime.controller.deny_recovery("t")
         runtime.close()

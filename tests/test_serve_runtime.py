@@ -122,20 +122,16 @@ class TestServingSurface:
             assert totals.as_dict() == totals_from_families(families)
             assert runtime.stats()["totals"] == totals.as_dict()
 
-    def test_score_dirty_flush_and_evict(self, tmp_path):
+    def test_observe_dirties_and_flush_cleans(self, tmp_path):
         with ServingRuntime(tmp_path / "m", capacity=8,
                             model_factory=make_gem,
                             scheduler_interval=None) as runtime:
             provision_all(runtime)
             record = tenant_records(0, n=1, seed_offset=7)[0]
-            assert np.isfinite(runtime.score(TENANTS[0], record)) \
-                or runtime.score(TENANTS[0], record) == float("inf")
             runtime.observe(TENANTS[0], record)
-            assert runtime.is_dirty(TENANTS[0])
+            assert runtime.fleet.is_dirty(TENANTS[0])
             assert runtime.flush() >= 1
-            assert not runtime.is_dirty(TENANTS[0])
-            assert runtime.evict(TENANTS[0])
-            assert TENANTS[0] not in runtime.resident_tenants
+            assert not runtime.fleet.is_dirty(TENANTS[0])
 
 
 class TestMaintenance:
