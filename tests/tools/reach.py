@@ -67,21 +67,21 @@ def main() -> int:
 
     defined = defined_functions()
     unreached = sorted(set(defined) - reached)
-    lines = sum(node.end_lineno - key[1] + 1
-                for key in unreached for node in [defined[key][2]])
+    lines = sum(defined[key][2].end_lineno - key[1] + 1 for key in unreached)
     print(f"defined {len(defined)}  reached {len(defined) - len(unreached)}  "
           f"unreached {len(unreached)} ({lines} lines)")
 
     keep = read_keep_list(KEEP)
     names = {f"{rel}::{qualname}" for rel, qualname, _ in defined.values()}
-    missing = {f"{defined[key][0]}::{defined[key][1]}": key[1] for key in unreached}
-    for entry, line in sorted(missing.items()):
+    unreached_names = {f"{defined[key][0]}::{defined[key][1]}": key[1]
+                       for key in unreached}
+    for entry, line in sorted(unreached_names.items()):
         if entry not in keep:
             print(f"unreached, not on the keep-list: {entry} (line {line})")
-    for entry in sorted(set(keep) - set(missing)):
+    for entry in sorted(set(keep) - set(unreached_names)):
         state = "reached" if entry in names else "gone from src/repro"
         print(f"on the keep-list but {state}: {entry}")
-    return int(set(missing) != set(keep))
+    return int(set(unreached_names) != set(keep))
 
 
 if __name__ == "__main__":
