@@ -127,7 +127,7 @@ def run_scaling(args) -> dict:
 
     with tempfile.TemporaryDirectory() as scratch:
         seed_root = Path(scratch) / "seed"
-        with ServingRuntime(seed_root, scheduler_interval=None) as runtime:
+        with ServingRuntime(seed_root) as runtime:
             for tenant in tenants:
                 runtime.provision(tenant, train[tenant], spec=spec())
 
@@ -149,7 +149,7 @@ def run_scaling(args) -> dict:
             serial_root = fresh_copy(f"serial-{repeat}")
             t0 = time.perf_counter()
             cpu0 = time.process_time()
-            with ServingRuntime(serial_root, scheduler_interval=None) as runtime:
+            with ServingRuntime(serial_root) as runtime:
                 decisions = [d for batch in batches
                              for d in runtime.observe_many(batch)]
             serial_wall_repeats.append(time.perf_counter() - t0)
@@ -245,12 +245,11 @@ def run_obs_overhead(args) -> dict:
 
     with tempfile.TemporaryDirectory() as scratch:
         seed_root = Path(scratch) / "seed"
-        with ServingRuntime(seed_root, scheduler_interval=None) as runtime:
+        with ServingRuntime(seed_root) as runtime:
             for tenant in tenants:
                 runtime.provision(tenant, train[tenant], spec=spec())
         shutil.copytree(seed_root, Path(scratch) / "serial")
-        with ServingRuntime(Path(scratch) / "serial",
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(Path(scratch) / "serial") as runtime:
             reference = [d for batch in batches
                          for d in runtime.observe_many(batch)]
 
@@ -330,9 +329,9 @@ def run_failover(args) -> dict:
         # as the primary it replicated (both read serially, fresh probes).
         probe_items = [(tenant, record) for tenant in tenants
                        for record in probe[tenant]]
-        with ServingRuntime(primary, scheduler_interval=None) as runtime:
+        with ServingRuntime(primary) as runtime:
             from_primary = runtime.observe_many(probe_items)
-        with ServingRuntime(standby, scheduler_interval=None) as runtime:
+        with ServingRuntime(standby) as runtime:
             from_standby = runtime.observe_many(probe_items)
     return {"observations": len(items),
             "flushed_tenants": flushed,

@@ -1,17 +1,9 @@
-"""Serving-runtime benchmark: observe latency under background
-maintenance, incremental write-back accounting, the batch data plane
-and observability overhead.
+"""Serving-runtime benchmark: incremental write-back accounting, the
+batch data plane and observability overhead.
 
 Questions about :class:`repro.serve.runtime.ServingRuntime`, the
 serving daemon:
 
-* **Observe latency during a background refresh** — the swap-on-commit
-  fix's pinned claim.  A victim tenant is observed in a tight loop on
-  the *same fleet* where the maintenance worker keeps refreshing a
-  large tenant.  Because the fleet lock is released for the rebuild
-  (held only for the model copy and the pointer swap), the observer's
-  p99 latency must stay far below the refresh duration — under the old
-  inline refresh it would *equal* it.
 * **Write-back accounting** — full vs delta saves on a thrashing LRU,
   the compact companion to ``bench_fleet_drift``'s amplification run.
 * **Batch data plane** — ``observe_many`` through the vectorized
@@ -58,7 +50,7 @@ from repro.core.records import SignalRecord  # noqa: E402
 from repro.embedding.bisage import BiSAGEConfig  # noqa: E402
 from repro.eval.reporting import format_table  # noqa: E402
 from repro.pipeline import ComponentSpec, PipelineSpec  # noqa: E402
-from repro.serve import GeofenceFleet, MaintenancePolicy, ServingRuntime  # noqa: E402
+from repro.serve import GeofenceFleet, ServingRuntime  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,8 +58,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description="ServingRuntime benchmark")
     parser.add_argument("--quick", action="store_true", help="CI smoke scale")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="wall-clock budget per measured run")
     parser.add_argument("--out", help="also write the JSON payload to this path")
     return parser.parse_args(argv)
 
@@ -99,58 +89,8 @@ def make_records(n: int, num_macs: int, seed: int) -> list[SignalRecord]:
     return records
 
 
-def percentile(samples: list[float], q: float) -> float:
-    return float(np.percentile(np.asarray(samples), q)) if samples else 0.0
-
-
 # ----------------------------------------------------------------------
-# Arm 1: observe latency while the daemon refreshes a neighbour
-# ----------------------------------------------------------------------
-def run_latency_under_refresh(args) -> dict:
-    heavy_train = 120 if args.quick else 600
-    seconds = args.seconds if args.seconds is not None else (1.5 if args.quick else 5.0)
-    victim_train = make_records(40, 12, seed=1)
-    victim_stream = make_records(500, 12, seed=2)
-    heavy_records = make_records(heavy_train, 24, seed=3)
-
-    def measure(policy: MaintenancePolicy | None, interval: float | None) -> dict:
-        latencies: list[float] = []
-        with tempfile.TemporaryDirectory() as root:
-            with ServingRuntime(root, capacity=8,
-                                policy=policy,
-                                scheduler_interval=interval) as runtime:
-                runtime.provision("victim", victim_train, spec=spec())
-                runtime.provision("heavy", heavy_records,
-                                  spec=spec(dim=16 if args.quick else 32))
-                # Feed the heavy tenant so its policy keeps demanding
-                # refreshes for the whole measurement window.
-                stop = time.perf_counter() + seconds
-                position = 0
-                while time.perf_counter() < stop:
-                    runtime.observe("heavy", heavy_records[position % heavy_train])
-                    t0 = time.perf_counter()
-                    runtime.observe("victim", victim_stream[position % 500])
-                    latencies.append(time.perf_counter() - t0)
-                    position += 1
-                totals = runtime.telemetry_totals()
-                refreshes = totals.refreshes
-                refresh_seconds = totals.refresh_seconds
-        return {"observations": len(latencies),
-                "p50_ms": 1e3 * percentile(latencies, 50),
-                "p99_ms": 1e3 * percentile(latencies, 99),
-                "max_ms": 1e3 * max(latencies),
-                "refreshes": refreshes,
-                "mean_refresh_ms": (1e3 * refresh_seconds / refreshes
-                                    if refreshes else 0.0)}
-
-    baseline = measure(policy=None, interval=None)
-    refresh_policy = MaintenancePolicy(check_every=8, refresh_every=16)
-    maintained = measure(policy=refresh_policy, interval=0.01)
-    return {"baseline": baseline, "under_refresh": maintained}
-
-
-# ----------------------------------------------------------------------
-# Arm 2: write-back accounting on a thrashing LRU
+# Arm 1: write-back accounting on a thrashing LRU
 # ----------------------------------------------------------------------
 def run_writeback_accounting(args) -> dict:
     tenants = [f"wb-{i:02d}" for i in range(4 if args.quick else 12)]
@@ -162,8 +102,7 @@ def run_writeback_accounting(args) -> dict:
     for label, incremental in (("full_saves", False), ("incremental", True)):
         with tempfile.TemporaryDirectory() as root:
             with ServingRuntime(root, capacity=2,
-                                incremental=incremental,
-                                scheduler_interval=None) as runtime:
+                                incremental=incremental) as runtime:
                 for tenant in tenants:
                     runtime.provision(tenant, train[tenant], spec=spec())
                 provision_saves = runtime.telemetry_totals().saves
@@ -184,7 +123,7 @@ def run_writeback_accounting(args) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Arm 3: vectorized batch data plane vs the scalar observe loop
+# Arm 2: vectorized batch data plane vs the scalar observe loop
 # ----------------------------------------------------------------------
 def run_batch_throughput(args) -> dict:
     """``observe_many`` (BatchPlane fast path) vs per-record ``observe``.
@@ -245,7 +184,7 @@ def run_batch_throughput(args) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Arm 4: observability overhead on the observe path
+# Arm 3: observability overhead on the observe path
 # ----------------------------------------------------------------------
 def run_observability_overhead(args) -> dict:
     """Instrumented vs bare observe throughput, best-of-repeats.
@@ -262,7 +201,6 @@ def run_observability_overhead(args) -> dict:
     def one_run(observability: bool, dump_to: Path | None = None) -> float:
         with tempfile.TemporaryDirectory() as root:
             with ServingRuntime(root, capacity=4,
-                                scheduler_interval=None,
                                 observability=observability) as runtime:
                 runtime.provision("overhead", train, spec=spec())
                 t0 = time.perf_counter()
@@ -294,21 +232,13 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     payload = {
         "meta": bench_metadata("runtime", args),
-        "latency": run_latency_under_refresh(args),
         "writeback": run_writeback_accounting(args),
         "batchplane": run_batch_throughput(args),
         "observability": run_observability_overhead(args),
         "quick": args.quick,
     }
-    latency = payload["latency"]
-    rows = [["p99 observe (no maintenance)",
-             f"{latency['baseline']['p99_ms']:.2f} ms"]]
-    rows.append(["p99 observe (refresh in background)",
-                 f"{latency['under_refresh']['p99_ms']:.2f} ms"])
-    rows.append(["mean background refresh",
-                 f"{latency['under_refresh']['mean_refresh_ms']:.1f} ms"])
-    rows.append(["full saves/tenant (full mode)",
-                 f"{payload['writeback']['full_saves']['full_saves_per_tenant']:.1f}"])
+    rows = [["full saves/tenant (full mode)",
+             f"{payload['writeback']['full_saves']['full_saves_per_tenant']:.1f}"]]
     rows.append(["full saves/tenant (incremental)",
                  f"{payload['writeback']['incremental']['full_saves_per_tenant']:.1f}"])
     for label, arm in payload["batchplane"].items():
@@ -334,14 +264,7 @@ def main(argv=None) -> int:
         Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         print(f"payload written to {args.out}")
 
-    # Invariants (loose enough for noisy CI boxes, tight enough to catch
-    # a regression to inline refresh):
-    under = latency["under_refresh"]
-    assert under["refreshes"] > 0, "the background policy never fired"
-    if under["mean_refresh_ms"] > 0:
-        # Swap-on-commit: an observe must never wait out a whole rebuild.
-        # Inline refresh would push p99 (and max) to ~mean_refresh_ms.
-        assert under["p99_ms"] < max(0.6 * under["mean_refresh_ms"], 50.0), latency
+    # Invariants (loose enough for noisy CI boxes):
     inc = payload["writeback"]["incremental"]
     full = payload["writeback"]["full_saves"]
     assert inc["streaming_delta_saves"] > 0

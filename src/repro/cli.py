@@ -19,12 +19,12 @@ Subcommands
 ``runtime``
     Replay a JSONL event stream through the :class:`ServingRuntime`
     daemon over a checkpoint registry, printing one decision JSON per
-    line: one fleet behind a decision bus, a background maintenance
-    worker executing the given :class:`MaintenancePolicy` (coordinated
-    refresh, escalation, recovery) off the observe path,
-    and incremental (delta) checkpoint write-backs.  ``--interval 0
-    --no-incremental`` replays serially with full saves: the decisions
-    and persisted state of a plain :class:`GeofenceFleet`.
+    line: one fleet behind a decision bus, the given
+    :class:`MaintenancePolicy` (coordinated refresh, escalation,
+    recovery) run by ``maintain()`` after every event, and incremental
+    (delta) checkpoint write-backs.  The replay is deterministic; with
+    ``--no-incremental`` (full saves) and no policy it gives the
+    decisions and persisted state of a plain :class:`GeofenceFleet`.
 ``cluster``
     The replay through the multi-process cluster: a router
     hash-partitions tenants across N worker processes (each a serial
@@ -135,16 +135,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("runtime",
                        help="replay a JSONL event stream through the serving "
-                            "daemon (one fleet, background maintenance)")
+                            "daemon (one fleet, maintenance after every event)")
     p.add_argument("--registry", required=True, help="tenant registry root")
     p.add_argument("--events", required=True,
                    help='JSONL events: {"tenant": ..., "rss": {...}, "t": ...}')
     p.add_argument("--capacity", type=int, default=8, help="LRU budget")
     p.add_argument("--policy", help="MaintenancePolicy JSON file applied to every "
                                     "tenant (default: no maintenance)")
-    p.add_argument("--interval", type=float, default=0.05,
-                   help="background maintenance tick interval in seconds; "
-                        "0 = serial mode (pump once at the end)")
     p.add_argument("--no-incremental", action="store_true",
                    help="write full checkpoints instead of deltas")
     p.add_argument("--metrics-out", metavar="PATH",
@@ -505,8 +502,8 @@ class _GracefulShutdown:
     """SIGTERM/SIGINT -> a should-stop flag instead of a traceback.
 
     The serving subcommands check the flag between events, so a
-    terminated replay still runs its full teardown: the scheduler stops,
-    dirty tenants flush, and the final metrics snapshot is written.
+    terminated replay still runs its full teardown: dirty tenants flush
+    and the final metrics snapshot is written.
     Calling the instance reads the flag (it is the ``should_stop``
     callable :func:`_replay_events` takes); handlers are restored on
     exit, and a second signal falls through to the previous handler so
@@ -587,12 +584,18 @@ def _cmd_runtime(args) -> int:
     policy = None
     if args.policy:
         policy = MaintenancePolicy.from_json(Path(args.policy).read_text())
-    interval = args.interval if args.interval and args.interval > 0 else None
     out_handle = open(args.out, "w") if args.out else sys.stdout
     try:
         runtime = ServingRuntime(args.registry, capacity=args.capacity, policy=policy,
-                                 incremental=not args.no_incremental,
-                                 scheduler_interval=interval)
+                                 incremental=not args.no_incremental)
+
+        def observe(tenant, record):
+            # Maintain after every event: a policy acts at the decision
+            # that triggered it, whatever the replay's timing.
+            decision = runtime.observe(tenant, record)
+            runtime.maintain()
+            return decision
+
         dumper = None
         if args.metrics_out:
             from repro.obs import MetricsDumper
@@ -602,34 +605,26 @@ def _cmd_runtime(args) -> int:
             if dumper is not None:
                 dumper.start()
             try:
-                served = _replay_events(runtime.observe, events_path,
-                                        out_handle, should_stop=shutdown)
-                if runtime.scheduler is None:
-                    # Serial mode: run the maintenance the daemon would have.
-                    runtime.maintain()
+                served = _replay_events(observe, events_path, out_handle,
+                                        should_stop=shutdown)
             finally:
                 if dumper is not None:
                     # Stop inside the runtime context: the final snapshot
                     # reads the live fleet, then close() can tear it down.
                     dumper.stop()
-        # Report after close(): the final drain and flush write-backs
-        # have happened, so the counters describe the whole replay.
+        # Report after close(): the flush write-backs have happened, so
+        # the counters describe the whole replay.
         stats = runtime.stats()
         actions = runtime.maintenance_actions()
         if shutdown():
             print(f"{shutdown.signal_name}: stopped after {served} event(s); "
-                  "scheduler drained, dirty tenants flushed", file=sys.stderr)
+                  "dirty tenants flushed", file=sys.stderr)
         print(f"served {served} events from {events_path}", file=sys.stderr)
         totals = stats["totals"]
         print(f"maintenance: {len(actions)} action(s); "
               f"refreshes={totals['refreshes']} reprovisions={totals['reprovisions']} "
               f"full saves={totals['saves']} delta saves={totals['delta_saves']}",
               file=sys.stderr)
-        if stats["scheduler"] is not None:
-            sched = stats["scheduler"]
-            print(f"scheduler: {sched['ticks']} tick(s), "
-                  f"{sched['decisions_drained']} decision(s) drained, "
-                  f"{sched['errors']} error(s)", file=sys.stderr)
         if args.metrics_out:
             print(f"metrics snapshots appended to {args.metrics_out}",
                   file=sys.stderr)

@@ -21,47 +21,7 @@ from repro.core.protocols import Detector, GeofenceDecision, RecordEmbedder
 from repro.core.records import SignalRecord
 from repro.detection.histogram import HistogramDetector
 
-__all__ = ["EmbeddingGeofencer", "GEM", "RefreshJob", "embed_records"]
-
-
-class RefreshJob:
-    """A coordinated refresh staged in three phases.
-
-    ``begin_refresh`` (the *copy* phase) deep-copies the detector while
-    the caller holds whatever lock guards the live pipeline;
-    :meth:`build` (the *rebuild* phase) re-embeds the records through
-    the live embedder, which serving never mutates, and refits the
-    detector copy, so the caller may release its lock first;
-    ``commit_refresh`` (the *swap* phase) installs the refit detector
-    with one pointer assignment.  ``EmbeddingGeofencer.refresh`` runs
-    all three back-to-back.
-    """
-
-    def __init__(self, pipeline: "EmbeddingGeofencer", embedder, detector,
-                 records: list[SignalRecord]):
-        self.pipeline = pipeline
-        self.embedder = embedder
-        self.detector = detector
-        self.records = records
-        self.absorbed: int | None = None
-        self.committed = False
-
-    def build(self) -> int:
-        """Re-embed the records and refit the detector copy.
-
-        Only reads the embedder and writes only this job's detector
-        copy, so it is safe to run without holding the pipeline's lock.
-        Returns the number of records the detector was refit on.
-        """
-        rows = [row for row in embed_records(self.embedder, self.records)
-                if row is not None]
-        if not rows:
-            raise ValueError("coordinated refresh aborted: none of the "
-                             f"{len(self.records)} recent-inlier records are embeddable; "
-                             "the pipeline keeps serving its pre-refresh state")
-        self.detector.refit(np.vstack(rows))
-        self.absorbed = len(rows)
-        return self.absorbed
+__all__ = ["EmbeddingGeofencer", "GEM", "embed_records"]
 
 
 def embed_records(embedder, records: Sequence[SignalRecord]) -> list[np.ndarray | None]:
@@ -295,24 +255,6 @@ class EmbeddingGeofencer:
         refit error) leaves the pipeline serving the pre-refresh state.
         The self-update buffer is cleared — its embeddings were meant
         for the replaced detector.
-
-        Concurrency-minded callers can stage the same operation:
-        :meth:`begin_refresh` (copy, under the caller's lock) →
-        :meth:`RefreshJob.build` (heavy rebuild, lock released) →
-        :meth:`commit_refresh` (pointer swap, under the lock again).
-        """
-        job = self.begin_refresh(records)
-        absorbed = job.build()
-        self.commit_refresh(job)
-        return absorbed
-
-    def begin_refresh(self, records: Sequence[SignalRecord]) -> RefreshJob:
-        """Copy phase of a staged refresh: validate and snapshot.
-
-        Deep-copies the detector (call this while holding whatever lock
-        serialises access to the live pipeline) and returns a
-        :class:`RefreshJob` whose :meth:`~RefreshJob.build` may then run
-        without that lock.
         """
         self._require_fitted()
         if not self.supports_refresh():
@@ -324,32 +266,17 @@ class EmbeddingGeofencer:
         if not records:
             raise ValueError("coordinated refresh needs at least one non-empty "
                              "recent-inlier record to refit the detector on")
-        return RefreshJob(self, self.embedder, copy.deepcopy(self.detector), records)
-
-    def commit_refresh(self, job: RefreshJob) -> None:
-        """Swap phase of a staged refresh: install the refit detector.
-
-        One pointer assignment plus the update-buffer clear.  Call under
-        the same lock :meth:`begin_refresh` was called under.
-        Observations served between copy and commit keep their
-        decisions; their detector self-updates live in the pre-refresh
-        detector and are superseded by the swap (bounded staleness, one
-        refresh window deep — the serial path has no such window).  A
-        job built against an embedder the pipeline has since replaced
-        (a load) is refused.
-        """
-        if job.pipeline is not self:
-            raise ValueError("refresh job belongs to a different pipeline")
-        if job.absorbed is None:
-            raise RuntimeError("refresh job has not been built; call build() first")
-        if job.committed:
-            raise RuntimeError("refresh job was already committed")
-        if job.embedder is not self.embedder:
-            raise ValueError("the pipeline's embedder was replaced while the refresh "
-                             "built; its detector no longer matches")
-        job.committed = True
-        self.detector = job.detector
+        detector = copy.deepcopy(self.detector)
+        rows = [row for row in embed_records(self.embedder, records)
+                if row is not None]
+        if not rows:
+            raise ValueError("coordinated refresh aborted: none of the "
+                             f"{len(records)} recent-inlier records are embeddable; "
+                             "the pipeline keeps serving its pre-refresh state")
+        detector.refit(np.vstack(rows))
+        self.detector = detector
         self._update_buffer = []
+        return len(rows)
 
     # ------------------------------------------------------------------
     # Persistence

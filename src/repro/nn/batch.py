@@ -27,8 +27,7 @@ the kernel once per batch):
   to it) — the quarantine's consistency gate and the recovery
   ``max_fpr`` check;
 * ``EmbeddingGeofencer.score`` — the per-record eval path;
-* ``RefreshJob.build`` — the coordinated refresh's re-embed, which runs
-  with the fleet lock released;
+* ``EmbeddingGeofencer.refresh`` — the coordinated refresh's re-embed;
 * ``_GraphEmbedderBase.embed`` — one record, ``prepare`` plus kernel;
 * ``_GraphEmbedderBase.training_embeddings`` — the detector's fit rows.
 

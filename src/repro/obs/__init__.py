@@ -16,7 +16,7 @@ near-free on the observe path and zero-dependency:
   JSON snapshots + the opt-in :class:`MetricsDumper` JSONL recorder;
 * :mod:`repro.obs.health` — :class:`HealthMonitor` probes turning
   measured failure modes (stuck refresh streaks, reservoir starvation,
-  scheduler staleness, decision-bus depth) into thresholded gauges;
+  decision-bus depth) into thresholded gauges;
 * :mod:`repro.obs.cluster` — the cluster fold: merge per-worker
   snapshots (counters sum, gauges sum/max, histograms fold), stitch
   router→worker span trees, and roll worker health + liveness +

@@ -16,10 +16,6 @@ instead of rediscovering the postmortems:
   outside, the inlier reservoir stops filling, and nothing
   reservoir-fed can recover; this probe fires while AUC still looks
   merely bad, not yet flat.
-* ``scheduler_staleness`` — seconds since the maintenance worker last
-  pumped the decision bus.  A wedged or fallen-behind
-  scheduler means refresh storms queue invisibly; in serial mode the
-  probe reports ok (the caller *is* the scheduler).
 * ``decision_bus_depth`` — pending decisions on the runtime's decision
   bus.  Nothing bounds the bus if maintenance falls behind; depth is
   the backpressure signal a router should shed on.
@@ -62,7 +58,6 @@ PROBE_THRESHOLDS = {
     "stuck_refresh": (2.0, 4.0),
     "reservoir_starvation": (float(DEFAULT_STARVATION_WINDOW),
                              float(2 * DEFAULT_STARVATION_WINDOW)),
-    "scheduler_staleness": (5.0, 30.0),
     "decision_bus_depth": (1_000.0, 10_000.0),
     "quarantine_saturation": (0.8, 1.0),
     "replication_lag": (5.0, 30.0),
@@ -138,13 +133,12 @@ class HealthMonitor:
         """Evaluate every runtime probe; returns ``{probe name: result}``.
 
         ``runtime`` is duck-typed: it needs ``controller``, ``fleet``,
-        ``pending_decisions``, an optional ``scheduler`` and
-        ``telemetry_totals()`` (a :class:`ServingRuntime`).
+        ``pending_decisions`` and ``telemetry_totals()`` (a
+        :class:`ServingRuntime`).
         """
         results = {
             "stuck_refresh": self._check_stuck_refresh(runtime),
             "reservoir_starvation": self._check_starvation(runtime),
-            "scheduler_staleness": self._check_staleness(runtime),
             "decision_bus_depth": self._check_bus_depth(runtime),
         }
         # Capability-gated: only fleets that run a quarantine report its
@@ -187,22 +181,6 @@ class HealthMonitor:
         detail = (f"{value} observations since the last inside decision"
                   if value else "")
         return self._result("reservoir_starvation", value, detail)
-
-    def _check_staleness(self, runtime) -> ProbeResult:
-        scheduler = getattr(runtime, "scheduler", None)
-        if scheduler is None:
-            return self._result("scheduler_staleness", 0.0,
-                                "serial mode: caller pumps synchronously")
-        age = scheduler.last_pump_age()
-        if age is None:
-            if scheduler.running:
-                # Started but yet to complete a first pump: age since start.
-                value = scheduler.stats()["uptime_seconds"]
-                return self._result("scheduler_staleness", value,
-                                    "no pump completed yet")
-            return self._result("scheduler_staleness", 0.0, "scheduler not started")
-        return self._result("scheduler_staleness", age,
-                            f"last pumped {age:.2f}s ago")
 
     def _check_bus_depth(self, runtime) -> ProbeResult:
         depth = runtime.pending_decisions

@@ -2,9 +2,8 @@
 
 ``with tracer.span("observe", tenant=...)`` records one timed span;
 spans opened while another is active on the same thread nest under it,
-so an observe that triggers a write-back, or a refresh whose rebuild
-and commit phases are timed separately, yields one tree with the
-breakdown attached.  The cost stays low enough to leave on in
+so an observe that triggers a write-back, or a maintenance step that
+runs a refresh, yields one tree with the breakdown attached.  The cost stays low enough to leave on in
 production (two clock reads and a few attribute writes per span).
 
 Cross-process propagation is opt-in and minimal: a caller that wants a

@@ -28,12 +28,11 @@ asset:
   home-anchored observations, from which
   :meth:`~repro.serve.fleet.GeofenceFleet.reprovision_from_quarantine`
   can re-anchor a tenant whose inlier reservoir has starved;
-* :mod:`repro.serve.runtime` / :mod:`repro.serve.scheduler` — the
-  **serving daemon**: :class:`~repro.serve.runtime.ServingRuntime`
-  serves one fleet through a decision bus and runs policy maintenance
-  on a :class:`~repro.serve.scheduler.MaintenanceScheduler` background
-  worker, off the observe path, with incremental (delta) checkpoint
-  write-backs;
+* :mod:`repro.serve.runtime` — the **serving daemon**:
+  :class:`~repro.serve.runtime.ServingRuntime` serves one fleet through
+  a decision bus and runs policy maintenance only when its caller calls
+  ``maintain()``, off the observe path, with incremental (delta)
+  checkpoint write-backs;
 * :mod:`repro.serve.cluster` — the **scale-out layer** and the only
   tenant partition: a :class:`~repro.serve.cluster.router.Router`
   hash-partitions tenants (:func:`shard_index`, CRC-32) across worker
@@ -83,7 +82,6 @@ from repro.serve.quarantine import (
 )
 from repro.serve.registry import ModelRegistry, validate_tenant_id
 from repro.serve.runtime import ServingRuntime
-from repro.serve.scheduler import MaintenanceScheduler
 from repro.serve.telemetry import FleetTelemetry, TenantStats
 # The cluster package imports the modules above; import it last.
 from repro.serve.cluster.worker import shard_index
@@ -100,7 +98,6 @@ __all__ = [
     "GeofenceFleet",
     "INCREMENTAL_VERSION",
     "MaintenancePolicy",
-    "MaintenanceScheduler",
     "ModelRegistry",
     "QUARANTINE_METADATA_KEY",
     "QuarantineBuffer",

@@ -141,14 +141,12 @@ class ClusterWorker:
         self.config = config = WorkerConfig.from_dict(header.get("config", {}))
         policy = MaintenancePolicy.from_dict(config.policy) \
             if config.policy else None
-        # Serial mode (scheduler_interval=None): the router fans explicit
-        # `maintain` requests instead, so maintenance interleaves with
-        # requests identically to a serial runtime — a background ticker
-        # would reintroduce timing nondeterminism per worker.
+        # Maintenance runs only on the router's `maintain` requests, so
+        # it interleaves with requests as in a serial runtime.
         self.runtime = ServingRuntime(
             config.registry, capacity=config.capacity,
             incremental=config.incremental,
-            policy=policy, scheduler_interval=None,
+            policy=policy,
             observability=config.observability,
             quarantine_size=config.quarantine_size)
         if config.replicate:

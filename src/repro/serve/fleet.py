@@ -308,10 +308,6 @@ class GeofenceFleet:
         # across evictions (a refit keeps the spec), so a tenant's
         # policy does not depend on residency.
         self._maintenance: dict[str, MaintenancePolicy] = {}
-        # Tenants with a staged refresh mid-rebuild, resident or not: the
-        # model-identity check at commit cannot see a *second* refresh of
-        # the same model, so overlapping refreshes are refused up front.
-        self._refreshing: set[str] = set()
         # The batch data plane: routes each tenant's observe_many group
         # into the model's observe_many (standalone models: per record)
         # and counts engaged/fallback outcomes.  Shares the fleet lock.
@@ -462,51 +458,24 @@ class GeofenceFleet:
         the attempt.  Returns the number of records the detector was
         refit on.
 
-        The fleet lock is **not** held during the heavy rebuild: the
-        copy phase (``begin_refresh``) copies the detector under the
-        lock, re-embedding and refit run with the lock released
-        (observes on other — and this — tenant keep flowing), and the
-        commit (``commit_refresh``) re-takes the lock only for the
-        pointer swap.  If the tenant was evicted, reloaded or
-        re-provisioned while the rebuild ran — or a second refresh of
-        the same tenant overlapped this one — the commit is refused
-        (ValueError) rather than clobbering the newer model.
+        The fleet lock is held for the whole refresh, as for
+        :meth:`reprovision`: an observe of any tenant waits for it, so
+        no self-update lands between the detector copy and the swap.
         """
-        with maybe_span(self.tracer, "refresh", tenant=tenant_id):
-            with self._lock:
-                tenant = self._acquire(tenant_id)
-                model = tenant.model
-                if not hasattr(model, "begin_refresh"):
-                    raise TypeError(f"tenant {tenant_id!r} runs {type(model).__name__}, "
-                                    "which has no coordinated refresh capability")
-                records = tenant.reservoir.records()
-                if not records:
-                    raise ValueError(f"tenant {tenant_id!r} has an empty inlier reservoir "
-                                     "(no inliers observed yet); "
-                                     "nothing to refit the detector on")
-                start = time.perf_counter()
-                if tenant_id in self._refreshing:
-                    raise ValueError(
-                        f"tenant {tenant_id!r} already has a refresh rebuilding; "
-                        "overlapping refreshes would silently revert each other")
-                job = model.begin_refresh(records)
-                self._refreshing.add(tenant_id)
-            try:
-                # Re-embed and refit the detector copy, fleet lock released.
-                with maybe_span(self.tracer, "refresh.build", tenant=tenant_id):
-                    absorbed = job.build()
-                with maybe_span(self.tracer, "refresh.commit", tenant=tenant_id):
-                    with self._lock:
-                        current = self._tenants.get(tenant_id)
-                        if current is None or current.model is not model:
-                            raise ValueError(
-                                f"tenant {tenant_id!r} was evicted or replaced while its "
-                                "refresh was rebuilding; the result was discarded")
-                        model.commit_refresh(job)
-                        current.dirty = True
-            finally:
-                with self._lock:
-                    self._refreshing.discard(tenant_id)
+        with self._lock, maybe_span(self.tracer, "refresh", tenant=tenant_id):
+            tenant = self._acquire(tenant_id)
+            model = tenant.model
+            if not hasattr(model, "refresh"):
+                raise TypeError(f"tenant {tenant_id!r} runs {type(model).__name__}, "
+                                "which has no coordinated refresh capability")
+            records = tenant.reservoir.records()
+            if not records:
+                raise ValueError(f"tenant {tenant_id!r} has an empty inlier reservoir "
+                                 "(no inliers observed yet); "
+                                 "nothing to refit the detector on")
+            start = time.perf_counter()
+            absorbed = model.refresh(records)
+            tenant.dirty = True
             self.telemetry.record_refresh(tenant_id, seconds=time.perf_counter() - start)
         return absorbed
 

@@ -62,7 +62,7 @@ class TestTrainEvalServe:
                 handle.write(json.dumps(event) + "\n")
         out_path = tmp_path / "decisions.jsonl"
         assert run("runtime", "--registry", str(registry_root),
-                   "--events", str(events), "--interval", "0",
+                   "--events", str(events),
                    "-o", str(out_path)) == 0
         decisions = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(decisions) == 4
@@ -327,14 +327,14 @@ class TestErrorHandling:
         events = tmp_path / "events.jsonl"
         events.write_text('{"no_tenant": true}\n')
         assert run("runtime", "--registry", str(tmp_path / "reg"),
-                   "--events", str(events), "--interval", "0") == 2
+                   "--events", str(events)) == 2
         assert "bad event" in capsys.readouterr().err
 
     def test_runtime_unknown_tenant(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text('{"tenant": "ghost", "rss": {"aa": -50.0}}\n')
         assert run("runtime", "--registry", str(tmp_path / "reg"),
-                   "--events", str(events), "--interval", "0") == 2
+                   "--events", str(events)) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -356,32 +356,43 @@ class TestRuntimeDaemon:
                 handle.write(json.dumps(event) + "\n")
         return registry_root, events
 
-    def test_runtime_replays_with_background_maintenance(self, tmp_path,
+    def test_runtime_replay_with_policy_is_deterministic(self, tmp_path,
                                                          served_world, capsys):
+        """Maintenance runs after every event, so two replays of the same
+        events into two copies of the registry agree byte for byte."""
+        import shutil
+
         registry_root, events = served_world
         policy_path = tmp_path / "policy.json"
         policy_path.write_text('{"check_every": 4, "refresh_every": 8}\n')
-        out_path = tmp_path / "decisions.jsonl"
-        assert run("runtime", "--registry", str(registry_root),
-                   "--events", str(events),
-                   "--policy", str(policy_path), "--interval", "0.01",
-                   "-o", str(out_path)) == 0
-        decisions = [json.loads(line) for line in out_path.read_text().splitlines()]
-        assert len(decisions) == 24
-        err = capsys.readouterr().err
-        assert f"served 24 events from {events}" in err
-        assert "scheduler:" in err and "drained" in err
+        summaries = []
+        for name in ("a", "b"):
+            root = tmp_path / f"reg-{name}"
+            shutil.copytree(registry_root, root)
+            assert run("runtime", "--registry", str(root),
+                       "--events", str(events), "--policy", str(policy_path),
+                       "-o", str(tmp_path / f"{name}.jsonl")) == 0
+            err = capsys.readouterr().err
+            assert f"served 24 events from {events}" in err
+            summaries.append([line for line in err.splitlines()
+                              if line.startswith("maintenance:")])
+        decisions = (tmp_path / "a.jsonl").read_bytes()
+        assert len(decisions.splitlines()) == 24
+        assert decisions == (tmp_path / "b.jsonl").read_bytes()
+        assert summaries[0] == summaries[1] and len(summaries[0]) == 1
+        refreshes = int(summaries[0][0].split("refreshes=")[1].split()[0])
+        assert refreshes > 0
 
     def test_runtime_serial_mode(self, tmp_path, served_world, capsys):
         registry_root, events = served_world
         policy_path = tmp_path / "policy.json"
         policy_path.write_text('{"check_every": 4, "refresh_every": 8}\n')
         assert run("runtime", "--registry", str(registry_root),
-                   "--events", str(events), "--interval", "0",
+                   "--events", str(events),
                    "--policy", str(policy_path)) == 0
         err = capsys.readouterr().err
-        # Serial mode: maintenance ran synchronously at the end, and no
-        # background scheduler line was printed.
+        # Maintenance ran on the replay's thread; there is no scheduler
+        # line to print.
         assert "refreshes=" in err
         assert "scheduler:" not in err
 
@@ -405,8 +416,7 @@ class TestRuntimeDaemon:
         with GeofenceFleet(registry_root) as fleet, serve_out.open("w") as out:
             _replay_events(fleet.observe, events, out)
         assert run("runtime", "--registry", str(runtime_root),
-                   "--events", str(events),
-                   "--interval", "0", "--no-incremental",
+                   "--events", str(events), "--no-incremental",
                    "-o", str(runtime_out)) == 0
         assert runtime_out.read_text() == serve_out.read_text()
 
@@ -445,7 +455,7 @@ class TestObservabilityCLI:
                 handle.write(json.dumps(event) + "\n")
         metrics_path = tmp_path / "metrics.jsonl"
         assert run("runtime", "--registry", str(registry_root),
-                   "--events", str(events), "--interval", "0",
+                   "--events", str(events),
                    "--metrics-out", str(metrics_path)) == 0
         assert "metrics snapshots appended to" in capsys.readouterr().err
         return metrics_path
@@ -587,8 +597,7 @@ class TestClusterCLI:
         fast = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
         registry_root = tmp_path / "reg"
         tenants = ["smoke-a", "smoke-d"]    # shard_index(t, 2) = 0 and 1
-        with ServingRuntime(registry_root, model_factory=lambda: GEM(fast),
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(registry_root, model_factory=lambda: GEM(fast)) as runtime:
             for index, tenant in enumerate(tenants):
                 runtime.provision(tenant, synthetic_records(
                     25, num_macs=10, seed=index, center=2.0 + index))

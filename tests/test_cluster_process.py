@@ -22,8 +22,7 @@ TENANTS = ["smoke-a", "smoke-d"]
 
 def test_subprocess_cluster_serves_replicates_and_shuts_down(tmp_path):
     root = tmp_path / "registry"
-    with ServingRuntime(root, model_factory=lambda: GEM(FAST_CONFIG),
-                        scheduler_interval=None) as runtime:
+    with ServingRuntime(root, model_factory=lambda: GEM(FAST_CONFIG)) as runtime:
         for index, tenant in enumerate(TENANTS):
             runtime.provision(tenant, synthetic_records(
                 25, num_macs=10, seed=index, center=2.0 + index))

@@ -43,8 +43,7 @@ def interleaved_stream(n: int = 40):
 def seed_registry(tmp_path_factory):
     """Five provisioned tenants, built once and copied per test."""
     root = tmp_path_factory.mktemp("cluster-seed") / "registry"
-    with ServingRuntime(root, model_factory=make_gem,
-                        scheduler_interval=None) as runtime:
+    with ServingRuntime(root, model_factory=make_gem) as runtime:
         for index, tenant in enumerate(TENANTS):
             runtime.provision(tenant, tenant_records(index))
     return root
@@ -67,8 +66,7 @@ class TestClusterServing:
         # The headline contract: hash-partitioned multi-worker serving
         # produces exactly the serial runtime's decisions.
         stream = interleaved_stream()
-        with ServingRuntime(fresh_copy(seed_registry, tmp_path, "serial"),
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(fresh_copy(seed_registry, tmp_path, "serial")) as runtime:
             expected = [runtime.observe(t, r) for t, r in stream]
         with local_router(fresh_copy(seed_registry, tmp_path, "cluster")) as router:
             got = [router.observe(t, r) for t, r in stream]
@@ -377,9 +375,9 @@ class TestObservabilityAndReplication:
             assert report.tenants == len(TENANTS)
             assert report.seconds > 0
         probe = interleaved_stream(15)
-        with ServingRuntime(primary, scheduler_interval=None) as runtime:
+        with ServingRuntime(primary) as runtime:
             expected = [runtime.observe(t, r) for t, r in probe]
-        with ServingRuntime(standby, scheduler_interval=None) as runtime:
+        with ServingRuntime(standby) as runtime:
             got = [runtime.observe(t, r) for t, r in probe]
         assert got == expected
 

@@ -371,12 +371,11 @@ class FakeTotals:
 
 
 class FakeRuntime:
-    def __init__(self, totals, pending=0, streaks=(), scheduler=None):
+    def __init__(self, totals, pending=0, streaks=()):
         self.controller = FakeController(dict(streaks))
         self.fleet = FakeFleet()
         self.pending_decisions = pending
         self._totals = totals
-        self.scheduler = scheduler
 
     def telemetry_totals(self):
         return self._totals
@@ -388,10 +387,8 @@ class TestHealthMonitor:
         runtime = FakeRuntime(FakeTotals(10, 5))
         results = monitor.check(runtime)
         assert set(results) == {"stuck_refresh", "reservoir_starvation",
-                                "scheduler_staleness", "decision_bus_depth"}
+                                "decision_bus_depth"}
         assert all(r.status == "ok" for r in results.values())
-        # Serial mode: the caller is the scheduler.
-        assert results["scheduler_staleness"].detail.startswith("serial mode")
 
     def test_threshold_grading(self):
         assert ProbeResult("p", 1.0, "ok", 2.0, 4.0).level == 0

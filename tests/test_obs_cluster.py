@@ -47,8 +47,7 @@ def interleaved_stream(n: int = 40):
 @pytest.fixture(scope="module")
 def seed_registry(tmp_path_factory):
     root = tmp_path_factory.mktemp("obs-cluster-seed") / "registry"
-    with ServingRuntime(root, model_factory=make_gem,
-                        scheduler_interval=None) as runtime:
+    with ServingRuntime(root, model_factory=make_gem) as runtime:
         for index, tenant in enumerate(TENANTS):
             runtime.provision(tenant, tenant_records(index))
     return root

@@ -2,8 +2,8 @@
 
 Covers the runtime's ``metrics()`` / ``export_prometheus()`` surface,
 the bit-identity contract (instrumentation never changes decisions),
-the telemetry conservation invariant under concurrency, the
-scheduler's bounded error log, and the stuck-refresh health signal.
+the telemetry conservation invariant under concurrency, and the
+stuck-refresh health signal.
 """
 
 import sys
@@ -17,8 +17,7 @@ from repro.core import GEM, GEMConfig
 from repro.core.protocols import GeofenceDecision
 from repro.embedding.bisage import BiSAGEConfig
 from repro.obs import MetricsRegistry
-from repro.serve import (FleetController, MaintenancePolicy,
-                         MaintenanceScheduler, ServingRuntime)
+from repro.serve import FleetController, MaintenancePolicy, ServingRuntime
 from repro.serve.telemetry import FleetTelemetry
 
 FAST_CONFIG = GEMConfig(bisage=BiSAGEConfig(dim=8, epochs=1, seed=0))
@@ -49,8 +48,7 @@ def stream(target, n: int = 45) -> list:
 class TestRuntimeMetrics:
     def test_export_covers_the_acceptance_surface(self, tmp_path):
         with ServingRuntime(tmp_path / "reg", capacity=8,
-                            model_factory=make_gem,
-                            scheduler_interval=None) as runtime:
+                            model_factory=make_gem) as runtime:
             provision_all(runtime)
             stream(runtime)
             runtime.flush()
@@ -66,17 +64,13 @@ class TestRuntimeMetrics:
         assert families["repro_decision_bus_depth"]["labels"] == []
         assert families["repro_decision_bus_depth"]["series"] == [
             {"labels": {}, "value": 0.0}]
-        # Serial mode: no scheduler pumps, so the pump-age gauge has no
-        # series — staleness is the health probe's job here.
-        assert families["repro_scheduler_last_pump_age_seconds"]["series"] == []
         # Health gauges mirror the probe set.
         probes = {s["labels"]["probe"]
                   for s in families["repro_health_status"]["series"]}
         assert probes == {"stuck_refresh", "reservoir_starvation",
-                          "scheduler_staleness", "decision_bus_depth"}
+                          "decision_bus_depth"}
         assert set(snapshot["health"]) == probes
-        # Serial mode has no scheduler to snapshot.
-        assert snapshot["scheduler"] is None
+        assert set(snapshot) == {"families", "health", "traces"}
 
         # The exposition text renders all of it.
         assert "# TYPE repro_op_seconds histogram" in text
@@ -84,12 +78,11 @@ class TestRuntimeMetrics:
         assert 'op="observe"' in text and 'le="+Inf"' in text
         assert "# TYPE repro_decisions_total counter" in text
         assert "repro_decision_bus_depth 0" in text
-        assert 'repro_health_status{probe="scheduler_staleness"} 0' in text
+        assert 'repro_health_status{probe="decision_bus_depth"} 0' in text
 
     def test_decision_counters_add_up(self, tmp_path):
         with ServingRuntime(tmp_path / "reg", capacity=8,
-                            model_factory=make_gem,
-                            scheduler_interval=None) as runtime:
+                            model_factory=make_gem) as runtime:
             decisions = stream(provision_all(runtime) or runtime)
             families = runtime.metrics()["families"]
         by_result = {"inside": 0.0, "outside": 0.0}
@@ -105,8 +98,7 @@ class TestRuntimeMetrics:
 
     def test_checkpoint_bytes_and_chain_metrics_flow(self, tmp_path):
         with ServingRuntime(tmp_path / "reg", capacity=8,
-                            model_factory=make_gem, incremental=True,
-                            scheduler_interval=None) as runtime:
+                            model_factory=make_gem, incremental=True) as runtime:
             provision_all(runtime)
             runtime.flush()            # full saves
             stream(runtime)
@@ -124,8 +116,7 @@ class TestRuntimeMetrics:
         runs write the same byte counts, full saves and deltas alike."""
         def run(root):
             with ServingRuntime(root, capacity=8, model_factory=make_gem,
-                                incremental=True,
-                                scheduler_interval=None) as runtime:
+                                incremental=True) as runtime:
                 provision_all(runtime)     # full saves
                 stream(runtime)
                 runtime.flush()            # delta saves on top
@@ -143,8 +134,7 @@ class TestRuntimeMetrics:
         assert first == second
 
     def test_observability_off_raises_and_costs_nothing(self, tmp_path):
-        runtime = ServingRuntime(tmp_path / "reg", model_factory=make_gem, observability=False,
-                                 scheduler_interval=None)
+        runtime = ServingRuntime(tmp_path / "reg", model_factory=make_gem, observability=False)
         assert runtime.metrics_registry is None
         assert runtime.tracer is None
         with pytest.raises(RuntimeError, match="observability=False"):
@@ -152,28 +142,6 @@ class TestRuntimeMetrics:
         with pytest.raises(RuntimeError, match="observability=False"):
             runtime.export_prometheus()
         runtime.close()
-
-    def test_background_mode_reports_scheduler_and_pump_age(self, tmp_path):
-        with ServingRuntime(tmp_path / "reg", capacity=8,
-                            model_factory=make_gem,
-                            policy=MaintenancePolicy(check_every=8,
-                                                     refresh_every=16),
-                            scheduler_interval=0.01) as runtime:
-            provision_all(runtime)
-            stream(runtime, n=30)
-            deadline = [runtime.scheduler.stats()["ticks"] for _ in range(1)]
-            for _ in range(200):
-                if runtime.scheduler.stats()["ticks"] >= deadline[0] + 2:
-                    break
-                threading.Event().wait(0.01)
-            snapshot = runtime.metrics()
-        scheduler = snapshot["scheduler"]
-        assert scheduler["ticks"] >= 2
-        assert isinstance(scheduler["errors"], dict)
-        assert 0.0 <= scheduler["last_pump_age"] < 60.0
-        age = snapshot["families"]["repro_scheduler_last_pump_age_seconds"]
-        assert age["labels"] == []
-        assert len(age["series"]) == 1
 
 
 class TestBitIdentity:
@@ -185,8 +153,7 @@ class TestBitIdentity:
         for name, observability in (("on", True), ("off", False)):
             with ServingRuntime(tmp_path / name, capacity=2,
                                 model_factory=make_gem, policy=policy,
-                                observability=observability,
-                                scheduler_interval=None) as runtime:
+                                observability=observability) as runtime:
                 provision_all(runtime)
                 decisions[name] = stream(runtime, n=60)
                 runtime.maintain()
@@ -225,77 +192,6 @@ class TestTelemetryConservation:
         totals = telemetry.totals()
         assert totals.observations == totals.inside == threads * per_thread
         assert totals.buffered == threads * per_thread
-
-
-# ----------------------------------------------------------------------
-# Satellite: scheduler error log
-# ----------------------------------------------------------------------
-class PumpBombPolicy:
-    """Stands in for a MaintenancePolicy that blows up when evaluated.
-
-    ``check_every == 1`` evaluates it at every decision the pump folds
-    in, so each pump pops one decision and raises.
-    """
-
-    check_every = 1
-
-    @property
-    def min_update_rate(self):
-        raise RuntimeError("policy exploded mid-pump")
-
-    def is_noop(self) -> bool:
-        return False
-
-
-class TestSchedulerErrorLog:
-    @pytest.fixture()
-    def runtime(self, tmp_path):
-        with ServingRuntime(tmp_path / "reg", capacity=8,
-                            model_factory=make_gem,
-                            policy=PumpBombPolicy(),
-                            scheduler_interval=None) as runtime:
-            provision_all(runtime)
-            yield runtime
-
-    def test_pump_errors_are_visible_and_the_bus_keeps_draining(self, runtime):
-        scheduler = MaintenanceScheduler(runtime, interval=0.01,
-                                         metrics=runtime.metrics_registry)
-        stream(runtime, n=3)
-        for round_no in range(1, 4):
-            drained = scheduler.tick()
-            assert drained == 1            # each failed pump still pops one
-            stats = scheduler.stats()
-            assert stats["errors"] == round_no       # int, backward compat
-            assert stats["decisions_drained"] == round_no
-            assert stats["pending"] == 3 - round_no
-            # No pump completed, so the scheduler reads as stale.
-            assert scheduler.last_pump_age() is None
-
-        snapshot = scheduler.snapshot(recent_errors=2)
-        assert snapshot["errors"]["count"] == 3      # cumulative
-        assert len(snapshot["errors"]["recent"]) == 2  # bounded view
-        entry = snapshot["errors"]["recent"][-1]
-        assert "policy exploded mid-pump" in entry["error"]
-        assert "\n" not in entry["error"]            # one line per entry
-
-        # The counter mirrors the cumulative total.
-        counter = runtime.metrics_registry.counter("repro_scheduler_errors_total").labels()
-        assert counter.value == 3
-
-        # An empty bus pumps cleanly again.
-        assert scheduler.tick() == 0
-        assert scheduler.last_pump_age() is not None
-        assert scheduler.stats()["errors"] == 3
-
-    def test_snapshot_recent_window_tracks_the_tail(self, runtime):
-        scheduler = MaintenanceScheduler(runtime, interval=0.01)
-        stream(runtime, n=10)
-        for _ in range(10):
-            scheduler.tick()
-        snapshot = scheduler.snapshot(recent_errors=4)
-        assert snapshot["errors"]["count"] == 10
-        assert len(snapshot["errors"]["recent"]) == 4
-        assert snapshot["errors"]["count"] >= len(scheduler.errors)
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +256,7 @@ class TestFailedRefreshStreaks:
         policy = MaintenancePolicy(check_every=5, refresh_every=5)
         with ServingRuntime(tmp_path / "reg", capacity=8,
                             model_factory=SignatureHome,
-                            policy=policy,
-                            scheduler_interval=None) as runtime:
+                            policy=policy) as runtime:
             provision_all(runtime)
 
             def probe():

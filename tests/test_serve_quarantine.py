@@ -757,8 +757,7 @@ class TestControllerRecovery:
 # ----------------------------------------------------------------------
 class TestRuntimeQuarantine:
     def build(self, tmp_path, quarantine_size, policy=None):
-        runtime = ServingRuntime(str(tmp_path / "reg"), model_factory=make_gem,
-                                 scheduler_interval=None, policy=policy,
+        runtime = ServingRuntime(str(tmp_path / "reg"), model_factory=make_gem, policy=policy,
                                  quarantine_size=quarantine_size)
         runtime.provision("t", train_records())
         return runtime

@@ -1,6 +1,5 @@
-"""ServingRuntime: bit-identity, decision bus, scheduler-driven maintenance."""
+"""ServingRuntime: bit-identity, decision bus, serial maintenance."""
 
-import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -11,7 +10,7 @@ from repro.core import GEM, GEMConfig
 from repro.embedding.bisage import BiSAGEConfig
 from repro.pipeline import ComponentSpec, PipelineSpec
 from repro.serve import (FleetController, GeofenceFleet, MaintenancePolicy,
-                         MaintenanceScheduler, ServingRuntime)
+                         ServingRuntime)
 from repro.serve.checkpoint import flatten_state, load_state
 from repro.serve.cluster import Router, spawn_local_worker
 
@@ -53,8 +52,7 @@ class TestSerialBitIdentity:
         fleet = GeofenceFleet(tmp_path / "fleet", capacity=2,
                               model_factory=make_gem)
         runtime = ServingRuntime(tmp_path / "runtime", capacity=2,
-                                 model_factory=make_gem, incremental=False,
-                                 scheduler_interval=None)
+                                 model_factory=make_gem, incremental=False)
         provision_all(fleet)
         provision_all(runtime)
         stream = interleaved_stream()
@@ -74,11 +72,9 @@ class TestSerialBitIdentity:
 
     def test_incremental_layout_reconstructs_identical_state(self, tmp_path):
         plain = ServingRuntime(tmp_path / "plain", capacity=2,
-                               model_factory=make_gem, incremental=False,
-                               scheduler_interval=None)
+                               model_factory=make_gem, incremental=False)
         delta = ServingRuntime(tmp_path / "delta", capacity=2,
-                               model_factory=make_gem, incremental=True,
-                               scheduler_interval=None)
+                               model_factory=make_gem, incremental=True)
         provision_all(plain)
         provision_all(delta)
         for tenant, record in interleaved_stream():
@@ -96,8 +92,7 @@ class TestSerialBitIdentity:
         fleet = GeofenceFleet(tmp_path / "fleet", capacity=2,
                               model_factory=make_gem)
         runtime = ServingRuntime(tmp_path / "runtime", capacity=2,
-                                 model_factory=make_gem, incremental=False,
-                                 scheduler_interval=None)
+                                 model_factory=make_gem, incremental=False)
         provision_all(fleet)
         provision_all(runtime)
         batch = interleaved_stream(30)
@@ -109,8 +104,7 @@ class TestSerialBitIdentity:
 class TestServingSurface:
     def test_telemetry_totals_and_snapshot(self, tmp_path):
         with ServingRuntime(tmp_path / "m", capacity=8,
-                            model_factory=make_gem,
-                            scheduler_interval=None) as runtime:
+                            model_factory=make_gem) as runtime:
             provision_all(runtime)
             stream = interleaved_stream(45)
             for tenant, record in stream:
@@ -124,8 +118,7 @@ class TestServingSurface:
 
     def test_observe_dirties_and_flush_cleans(self, tmp_path):
         with ServingRuntime(tmp_path / "m", capacity=8,
-                            model_factory=make_gem,
-                            scheduler_interval=None) as runtime:
+                            model_factory=make_gem) as runtime:
             provision_all(runtime)
             record = tenant_records(0, n=1, seed_offset=7)[0]
             runtime.observe(TENANTS[0], record)
@@ -138,8 +131,7 @@ class TestMaintenance:
     def test_serial_maintain_pumps_controller(self, tmp_path):
         policy = MaintenancePolicy(check_every=5, refresh_every=10)
         with ServingRuntime(tmp_path / "m", capacity=8,
-                            model_factory=make_gem, policy=policy,
-                            scheduler_interval=None) as runtime:
+                            model_factory=make_gem, policy=policy) as runtime:
             provision_all(runtime)
             for tenant, record in interleaved_stream(80):
                 runtime.observe(tenant, record)
@@ -149,145 +141,43 @@ class TestMaintenance:
             assert any(action == "refresh"
                        for _, action in runtime.maintenance_actions())
             assert runtime.telemetry_totals().refreshes > 0
-            # Serial mode has no scheduler; the pump exports the count.
-            assert runtime.scheduler is None
             assert drained_total(runtime) == 80
-
-    def test_background_scheduler_refreshes_off_the_observe_path(self, tmp_path):
-        policy = MaintenancePolicy(check_every=5, refresh_every=10)
-        with ServingRuntime(tmp_path / "m", capacity=8,
-                            model_factory=make_gem, policy=policy,
-                            scheduler_interval=0.01) as runtime:
-            provision_all(runtime)
-            for tenant, record in interleaved_stream(80):
-                runtime.observe(tenant, record)
-            deadline = time.monotonic() + 10.0
-            while (runtime.telemetry_totals().refreshes == 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            assert runtime.telemetry_totals().refreshes > 0
-            assert runtime.scheduler.running
-        # close() stopped the worker and drained the queues.
-        assert not runtime.scheduler.running
-        assert runtime.pending_decisions == 0
-        stats = runtime.scheduler.stats()
-        assert stats["decisions_drained"] == 80
-        assert stats["errors"] == 0
-
-    def test_maintain_refuses_to_race_the_scheduler(self, tmp_path):
-        with ServingRuntime(tmp_path / "m",
-                            model_factory=make_gem,
-                            policy=MaintenancePolicy(check_every=4),
-                            scheduler_interval=0.05) as runtime:
-            with pytest.raises(RuntimeError, match="race"):
-                runtime.maintain()
 
     def test_noop_runtime_does_not_accumulate_decisions(self, tmp_path):
         with ServingRuntime(tmp_path / "m", capacity=8,
-                            model_factory=make_gem,
-                            scheduler_interval=None) as runtime:
+                            model_factory=make_gem) as runtime:
             provision_all(runtime)
             for tenant, record in interleaved_stream(30):
                 runtime.observe(tenant, record)
-            # No policy, no scheduler: tracking is off, nothing queues.
+            # No policy anywhere: tracking is off, nothing queues.
             assert runtime.pending_decisions == 0
 
-    def test_unstarted_background_runtime_does_not_queue(self, tmp_path):
-        """Constructing a daemon without start()ing it must not leak
-        decisions into queues nothing will ever pump; after start() a
-        tenant whose spec carries a maintenance block queues its
-        decisions even without a default policy."""
-        runtime = ServingRuntime(tmp_path / "m", capacity=8,
-                                 scheduler_interval=60.0)
-        spec = PipelineSpec(model=ComponentSpec("gem", FAST_CONFIG.to_dict()),
-                            maintenance=MaintenancePolicy(check_every=1000))
-        runtime.provision("t", tenant_records(0), spec=spec)
-        stream = synthetic_records(10, num_macs=10, seed=321)
-        for record in stream:
-            runtime.observe("t", record)
-        assert runtime.pending_decisions == 0
-        runtime.start()     # the worker's first tick is 60 s away
-        for record in stream:
-            runtime.observe("t", record)
-        assert runtime.pending_decisions == len(stream)
-        runtime.close()
-        assert runtime.pending_decisions == 0
+    def test_spec_block_queues_without_a_default_policy(self, tmp_path):
+        """A tenant whose spec carries a maintenance block queues its
+        decisions even without a default policy, and maintain() drains
+        them; nothing runs until it is called."""
+        with ServingRuntime(tmp_path / "m", capacity=8) as runtime:
+            spec = PipelineSpec(model=ComponentSpec("gem", FAST_CONFIG.to_dict()),
+                                maintenance=MaintenancePolicy(check_every=4,
+                                                              refresh_every=8))
+            runtime.provision("t", tenant_records(0), spec=spec)
+            stream = synthetic_records(10, num_macs=10, seed=321)
+            for record in stream:
+                runtime.observe("t", record)
+            assert runtime.pending_decisions == len(stream)
+            assert runtime.telemetry_totals().refreshes == 0
+            assert runtime.maintain() == len(stream)
+            assert runtime.pending_decisions == 0
+            assert runtime.telemetry_totals().refreshes == 1
 
+    def test_scheduler_interval_other_than_none_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="maintenance was removed"):
+            ServingRuntime(tmp_path / "m", scheduler_interval=0.05)
+        assert not (tmp_path / "m").exists()
 
-class TestScheduler:
-    def test_start_stop_idempotent_and_stats(self, tmp_path):
-        runtime = ServingRuntime(tmp_path / "m",
-                                 model_factory=make_gem,
-                                 policy=MaintenancePolicy(check_every=4),
-                                 scheduler_interval=0.01)
-        scheduler = runtime.scheduler
-        assert isinstance(scheduler, MaintenanceScheduler)
-        scheduler.start()
-        scheduler.start()  # idempotent
-        assert scheduler.running
-        scheduler.stop()
-        assert not scheduler.running
-        stats = scheduler.stats()
-        assert stats["ticks"] >= 1
-        runtime.close()
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError, match="interval"):
-            MaintenanceScheduler(None, interval=0.0)
-
-    def test_errors_are_contained_and_bounded(self, tmp_path):
-        class ExplodingRuntime:
-            pending_decisions = 0
-
-            def pump(self):
-                raise RuntimeError("boom")
-
-        scheduler = MaintenanceScheduler(ExplodingRuntime(), interval=0.01)
-        for _ in range(3):
-            scheduler.tick()
-        assert len(scheduler.errors) == 3
-        assert "boom" in scheduler.errors[0]
-        assert scheduler.stats()["errors"] == 3
-
-    def test_failed_pump_still_counts_drained_decisions(self, tmp_path):
-        """A controller step that raises mid-pump must not lose the count
-        of decisions already popped: decisions_drained stays equal to
-        what left the bus, in stats() and in the metrics counter."""
-
-        class RaisingController(FleetController):
-            calls = 0
-
-            def step(self, tenant_id, decision):
-                RaisingController.calls += 1
-                if RaisingController.calls == 3:
-                    raise RuntimeError("step failed")
-                return super().step(tenant_id, decision)
-
-        runtime = ServingRuntime(tmp_path / "m", capacity=8,
-                                 model_factory=make_gem,
-                                 policy=MaintenancePolicy(check_every=1000),
-                                 scheduler_interval=60.0)
-        runtime.controller = RaisingController(runtime.fleet,
-                                               runtime.controller.policy)
-        provision_all(runtime)
-        runtime.start()     # the worker's first tick is 60 s away
-        for tenant, record in interleaved_stream(10):
-            runtime.observe(tenant, record)
-        assert runtime.scheduler.tick() == 3
-        stats = runtime.scheduler.stats()
-        assert stats["decisions_drained"] == 3
-        assert stats["errors"] == 1
-        assert runtime.pending_decisions == 7
-        drained = runtime.metrics()["families"][
-            "repro_scheduler_decisions_drained_total"]["series"][0]["value"]
-        assert drained == 3
-        runtime.close()
-        # close() drained the rest: every decision is counted exactly once.
-        assert runtime.scheduler.stats()["decisions_drained"] == 10
-
-    def test_pump_whose_step_raises_counts_every_popped_decision(self, tmp_path):
-        """Serial mode: the pump itself books what it popped, even when
-        the controller raises mid-drain."""
+    def test_maintain_whose_step_raises_counts_every_popped_decision(self, tmp_path):
+        """maintain() books what it popped, even when the controller
+        raises mid-drain; the next call drains the rest."""
 
         class RaisingController(FleetController):
             calls = 0
@@ -299,17 +189,16 @@ class TestScheduler:
                 return super().step(tenant_id, decision)
 
         with ServingRuntime(tmp_path / "m", capacity=8, model_factory=make_gem,
-                            policy=MaintenancePolicy(check_every=1000),
-                            scheduler_interval=None) as runtime:
+                            policy=MaintenancePolicy(check_every=1000)) as runtime:
             runtime.controller = RaisingController(runtime.fleet,
                                                    runtime.controller.policy)
             provision_all(runtime)
             runtime.observe_many(interleaved_stream(10))
             with pytest.raises(RuntimeError, match="step failed"):
-                runtime.pump()
+                runtime.maintain()
             assert runtime.pending_decisions == 6
             assert drained_total(runtime) == 4
-            assert runtime.pump() == 6
+            assert runtime.maintain() == 6
             assert drained_total(runtime) == 10
 
 
@@ -326,8 +215,7 @@ def serving_front(front: str, root, capacity: int):
     """A serial runtime, or a router over one in-process worker (which
     runs a serial runtime); neither has a default policy."""
     if front == "runtime":
-        with ServingRuntime(root, capacity=capacity,
-                            scheduler_interval=None) as runtime:
+        with ServingRuntime(root, capacity=capacity) as runtime:
             yield runtime
     else:
         with Router(root, num_workers=1, capacity=capacity,

@@ -88,7 +88,7 @@ EOF
         --capacity 1 --policy "$WORK/policy.json" \
         --metrics-out "$WORK/runtime.jsonl" --metrics-interval 0.05
     repro runtime --registry "$registry" --events "$WORK/events.jsonl" \
-        --capacity 1 --interval 0 --no-incremental
+        --capacity 1 --no-incremental
     repro obs render "$WORK/runtime.jsonl" --diff
     repro obs render "$WORK/runtime.jsonl" "$WORK/runtime.jsonl" --diff --format json
     repro maintain --registry "$registry" --dry-run
