@@ -1,7 +1,9 @@
 """From-scratch autograd and neural-network substrate.
 
-Implements the reverse-mode autodiff engine, layers and optimisers that
-BiSAGE, GraphSAGE and the convolutional autoencoder baseline train on.
+Implements the reverse-mode autodiff engine and layers the convolutional
+autoencoder baseline trains on, the Adam optimiser it shares with BiSAGE
+and GraphSAGE (whose training step is written out by hand in
+``repro.embedding.common``), and the SAGE inference kernel.
 """
 
 from repro.nn import init, ops
@@ -14,7 +16,6 @@ from repro.nn.layers import (
     load_parameters,
 )
 from repro.nn.optim import Adam, Optimizer
-from repro.nn.sparse import row_normalized_csr, spmm
 from repro.nn.tensor import Tensor, as_tensor, no_grad
 
 __all__ = [
@@ -31,6 +32,4 @@ __all__ = [
     "load_parameters",
     "no_grad",
     "ops",
-    "row_normalized_csr",
-    "spmm",
 ]

@@ -2,20 +2,22 @@
 
 The paper trains three small neural models (BiSAGE, GraphSAGE and a
 1-D convolutional autoencoder).  Rather than depending on a deep-learning
-framework, this module implements the required subset of reverse-mode
-autodiff from scratch: a :class:`Tensor` records the operations applied
-to it and :meth:`Tensor.backward` walks the tape in reverse topological
-order accumulating gradients.
+framework, this module implements a subset of reverse-mode autodiff from
+scratch: a :class:`Tensor` records the operations applied to it and
+:meth:`Tensor.backward` walks the tape in reverse topological order
+accumulating gradients.  The autoencoder trains on it; BiSAGE and
+GraphSAGE, whose shape never changes, run a hand-written step
+(``repro.embedding.common.SAGE``) that takes this tape's gradients bit
+for bit.
 
-Only differentiable float tensors are modelled.  Integer index arrays
-(for gather/scatter) are passed as plain numpy arrays.
+Only differentiable float tensors are modelled.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "scatter_rows"]
+__all__ = ["Tensor", "as_tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -47,24 +49,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
-
-
-def scatter_rows(index, grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Adjoint of ``x[index]`` for an integer ``index`` into the first axis.
-
-    Returns an array of ``shape`` with each row of ``grad`` added into
-    the row it was read from.  One weighted ``bincount`` over the flat
-    target positions adds every element's contributions to 0.0 in index
-    order, which is the order ``np.add.at(zeros, index, grad)`` uses, so
-    the result equals it bit for bit, signed zeros included.
-    """
-    index = np.asarray(index, dtype=np.int64).ravel()
-    num_rows = shape[0]
-    row_size = int(np.prod(shape[1:], dtype=np.int64))
-    index = np.where(index < 0, index + num_rows, index)
-    targets = index[:, None] * row_size + np.arange(row_size)
-    out = np.bincount(targets.ravel(), weights=np.ravel(grad), minlength=num_rows * row_size)
-    return out.reshape(shape)
 
 
 class Tensor:

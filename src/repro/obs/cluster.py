@@ -51,13 +51,13 @@ def gauge_merge_mode(name: str) -> str:
 
     Additive gauges (queue depths, quarantine depths, resident counts)
     sum — the cluster total is the operational number.  Level-style
-    gauges (ages, lags, chain lengths, probe grades) take the max:
+    gauges (lags, chain lengths, probe grades) take the max:
     adding one worker's staleness to another's is meaningless, the
     worst worker is the signal.
     """
     if name.startswith("repro_health_"):
         return "max"
-    if name.endswith(("_age_seconds", "_lag", "_lag_seconds", "_chain_length")):
+    if name.endswith(("_lag", "_lag_seconds", "_chain_length")):
         return "max"
     return "sum"
 

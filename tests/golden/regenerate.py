@@ -18,10 +18,10 @@ repr-precision ambiguity.
 of ``loss_history``, every parameter, every inference-cache layer and
 the flattened ``state_dict`` of BiSAGE and GraphSAGE fitted over each
 ``FIT_CASES`` entry of ``tests/test_fit_differential.py``
-(``tests/test_fit_fingerprint.py`` checks it).  The per-step references
-in ``test_fit_differential.py`` call the models' own forward, loss and
-cache code, so only a frozen fixture catches a change in code the two
-models share.
+(``tests/test_fit_fingerprint.py`` checks it).  The per-step reference
+in ``test_fit_differential.py`` trains on the tape (``sage_tape.py``)
+but still calls the models' own cache build and persistence, so only a
+frozen fixture catches a change in code the two models share there.
 """
 
 from __future__ import annotations

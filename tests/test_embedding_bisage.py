@@ -172,4 +172,4 @@ class TestInductiveInference:
         # Layer-0 rows of original MACs are the deterministic initials.
         from repro.graph import MAC
         np.testing.assert_allclose(gem.embedder.model._cache_hv[0][0],
-                                   gem.embedder.model._initial_matrix(MAC, 1, "h")[0])
+                                   gem.embedder.model._initial_row(MAC, 0, "h"))

@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import SignalRecord
-from repro.embedding.bisage import BiSAGEConfig
-from repro.embedding.common import (
-    NeighborSampler,
-    full_aggregation_matrix,
-    initial_embedding_row,
-)
+from repro.embedding.bisage import BiSAGE, BiSAGEConfig
+from repro.embedding.common import NeighborSampler, _initial_table, initial_embedding_row
 from repro.embedding.graphsage import GraphSAGEConfig
 from repro.graph import build_graph, global_csr
 from repro.pipeline import ComponentSpec, PipelineSpec, build_pipeline
@@ -94,7 +90,8 @@ class TestAggregationMatrices:
         graph = build_graph(synthetic_records(8, seed=1))
         indptr, indices, weights = global_csr(graph)
         n = graph.num_records + graph.num_macs
-        matrix = full_aggregation_matrix(indptr, indices, weights, n)
+        matrix = NeighborSampler(indptr, indices, weights, None).full
+        assert matrix.shape == (n, n)
         sums = np.asarray(matrix.sum(axis=1)).ravel()
         degrees = np.diff(indptr)
         np.testing.assert_allclose(sums[degrees > 0], 1.0)
@@ -114,7 +111,8 @@ class TestAggregationMatrices:
         n = graph.num_records + graph.num_macs
         rng = np.random.default_rng(0)
         a = NeighborSampler(indptr, indices, weights, None).matrix(rng)
-        b = full_aggregation_matrix(indptr, indices, weights, n)
+        b = NeighborSampler(indptr, indices, weights, 10**6).matrix(rng)
+        assert a.shape == (n, n)
         assert (a != b).nnz == 0
         # Full neighbourhoods draw nothing from the stream.
         assert rng.random() == np.random.default_rng(0).random()
@@ -173,3 +171,25 @@ class TestInitialEmbeddings:
     def test_negative_identity_supported(self):
         row = initial_embedding_row(8, 0, 1, -1)
         assert np.isfinite(row).all()
+
+    def test_table_rows_are_the_definition(self):
+        # A (dim, seed, salt) no other test uses, so the table starts empty.
+        short = _initial_table(5, 91, 3, 4)
+        grown = _initial_table(5, 91, 3, 11)
+        assert len(short) >= 4 and len(grown) >= 11
+        assert not grown.flags.writeable
+        np.testing.assert_array_equal(grown[:4], short[:4])
+        for node_id in range(11):
+            assert grown[node_id].tobytes() == initial_embedding_row(5, 91, 3, node_id).tobytes()
+        assert _initial_table(5, 91, 3, 2) is grown
+
+    def test_fit_layer_zero_is_the_definition(self):
+        graph = build_graph(synthetic_records(7, num_macs=9, seed=3))
+        model = BiSAGE(BiSAGEConfig(dim=6, epochs=1, seed=4)).fit(graph)
+        for name, stream in model.streams.items():
+            for side, count, key in (("u", graph.num_records, lambda i: 2 * i),
+                                     ("v", graph.num_macs, lambda j: 2 * j + 1)):
+                layer0 = model._cache(name, side)[0]
+                expected = np.vstack([initial_embedding_row(6, 4, stream.salt, key(i))
+                                      for i in range(count)])
+                assert layer0.tobytes() == expected.tobytes()

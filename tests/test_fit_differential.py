@@ -1,16 +1,20 @@
 """Differential bit-identity harness for BiSAGE / GraphSAGE training.
 
 Training builds its sampling tables once per fit, advances every walk
-in lock-step and scatters gradients with a weighted ``bincount``.  This
+in lock-step, builds each aggregation matrix straight from the
+sampler's arrays and runs a hand-written forward and backward.  This
 file keeps the per-call formulations those replaced as in-test
 references and asserts that the two agree bit for bit:
 
 * the walk corpus and its training pairs (a per-walk loop of
   ``Generator.choice`` calls, one uniform per step);
 * every per-step aggregation matrix (``sample_neighbors_batch``, which
-  rebuilt its CDF tables on every call);
-* the ``gather_rows`` gradient (``np.add.at``);
-* whole fits: weights, all inference caches and ``loss_history``.
+  rebuilt its CDF tables on every call, then scipy's COO to CSR and
+  ``diags @ matrix`` in ``sage_tape.row_normalized_csr``);
+* the tape's ``gather_rows`` gradient (``np.add.at``);
+* whole fits: weights, all inference caches and ``loss_history``, against
+  the model run on the autodiff tape (``sage_tape``), with initial rows
+  drawn one ``initial_embedding_row`` call per node.
 """
 
 from __future__ import annotations
@@ -21,14 +25,16 @@ import pytest
 from conftest import synthetic_records
 from repro.core.records import SignalRecord
 from repro.embedding.bisage import BiSAGE, BiSAGEConfig
-from repro.embedding.common import NeighborSampler, full_aggregation_matrix
+from repro.embedding.common import NeighborSampler, initial_embedding_row
 from repro.embedding.graphsage import GraphSAGE, GraphSAGEConfig
 from repro.graph import (MAC, RECORD, RandomWalker, WalkConfig, build_graph,
                          global_csr, walk_pairs)
 from repro.graph.sampling import NegativeSampler
 from repro.graph.walks import _search_right, _transition_cdf
-from repro.nn import Adam, Parameter, Tensor, init, ops, row_normalized_csr
+from repro.nn import Adam, Parameter, Tensor, init
+from repro.nn.tensor import as_tensor
 from repro.utils.rng import as_rng
+from sage_tape import gather_rows, row_normalized_csr, tape_forward, tape_loss
 
 
 # ----------------------------------------------------------------------
@@ -118,16 +124,27 @@ def sample_neighbors_batch(indptr, indices, weights, sample_size, rng):
 
 
 def reference_matrix(csr, sample_size, rng):
-    num_nodes = len(csr[0]) - 1
+    indptr, indices, weights = csr
+    num_nodes = len(indptr) - 1
     if sample_size is None:
-        return full_aggregation_matrix(*csr, num_nodes)
-    rows, cols, weights = sample_neighbors_batch(*csr, sample_size, rng)
-    return row_normalized_csr(rows, cols, weights, shape=(num_nodes, num_nodes))
+        rows = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    else:
+        rows, indices, weights = sample_neighbors_batch(*csr, sample_size, rng)
+    return row_normalized_csr(rows, indices, weights, shape=(num_nodes, num_nodes))
+
+
+def reference_initial(model, graph):
+    """Layer 0 of every stream, one ``initial_embedding_row`` call per node."""
+    cfg = model.config
+    keys = [2 * i for i in range(graph.num_records)] + [2 * j + 1 for j in range(graph.num_macs)]
+    return {name: np.vstack([initial_embedding_row(cfg.dim, cfg.seed, stream.salt, key)
+                             for key in keys])
+            for name, stream in model.streams.items()}
 
 
 def add_at_gather_rows(x, indices):
     """``gather_rows`` with the ``np.add.at`` scatter in its backward."""
-    x = ops.as_tensor(x)
+    x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
 
     def backward(grad):
@@ -140,13 +157,10 @@ def add_at_gather_rows(x, indices):
 
 
 def reference_fit(model, graph):
-    """``fit`` as a per-step loop over the references above."""
+    """``fit`` as a per-step loop over the references above, on the tape."""
     cfg = model.config
     model.graph = graph
-    num_u, num_v = graph.num_records, graph.num_macs
-    initial = {name: np.vstack([model._initial_matrix(RECORD, num_u, name),
-                                model._initial_matrix(MAC, num_v, name)])
-               for name in model.streams}
+    initial = reference_initial(model, graph)
     param_rng = as_rng(cfg.seed + 1)
     stacks = [[Parameter(init.xavier_uniform((2 * cfg.dim, cfg.dim), param_rng))
                for _ in range(cfg.num_layers)] for _ in initial]
@@ -173,8 +187,8 @@ def reference_fit(model, graph):
             if aggregators is None or step % cfg.resample_every == 0:
                 aggregators = [reference_matrix(csr, cfg.sample_size, sample_rng)
                                for _ in range(cfg.num_layers)]
-            final = model._forward(initial, aggregators)
-            loss = model._loss(final, batch, negative_sampler)
+            final = tape_forward(model, initial, aggregators)
+            loss = tape_loss(model, final, batch, negative_sampler, gather=add_at_gather_rows)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
@@ -283,6 +297,39 @@ def test_every_step_matrix_matches_per_call_sampling(graph_name, seed, sample_si
     assert ours_rng.random() == reference_rng.random()
 
 
+def weighted_graph(seed: int):
+    """Edge weights spread over ten decades, some exactly zero, plus an
+    isolated record: rows that scale entries to zero, rows that sum
+    inexactly, and an empty row."""
+    graph = isolated_graph(seed)
+    indptr, indices, weights = global_csr(graph)
+    rng = np.random.default_rng(seed)
+    weights = rng.random(len(weights)) * 10.0 ** rng.integers(-5, 5, len(weights))
+    weights[rng.random(len(weights)) < 0.1] = 0.0
+    return indptr, indices, weights
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("sample_size", [None, 1, 3, 10, 1000])
+def test_direct_matrix_equals_scipy_construction(seed, sample_size):
+    csr = weighted_graph(seed)
+    degrees = np.diff(csr[0])
+    assert (degrees == 0).any()
+    sampler = NeighborSampler(*csr, sample_size)
+    ours_rng, reference_rng = as_rng(seed), as_rng(seed)
+    repeated = 0
+    for _ in range(60):
+        reference_rng_state = reference_rng.bit_generator.state
+        draw = sample_neighbors_batch(*csr, sample_size, reference_rng) if sample_size else None
+        reference_rng.bit_generator.state = reference_rng_state
+        if draw is not None:
+            pairs = draw[0] * len(degrees) + draw[1]
+            repeated += len(pairs) - len(np.unique(pairs))
+        assert_same_matrix(sampler.matrix(ours_rng), reference_matrix(csr, sample_size, reference_rng))
+    # Several draws per row pick some neighbour more than once.
+    assert repeated > 0 or sample_size in (None, 1, 1000)
+
+
 # ----------------------------------------------------------------------
 # Gradient scatter
 # ----------------------------------------------------------------------
@@ -300,7 +347,7 @@ def test_gather_rows_grad_matches_add_at(indices):
     grad[..., 0] = -0.0      # a column of negative zeros only
     grad.flat[::4] = -0.0
     grad.flat[1::5] = 1e300
-    assert_same_bits(scatter_grad(indices, grad, ops.gather_rows),
+    assert_same_bits(scatter_grad(indices, grad, gather_rows),
                      scatter_grad(indices, grad, add_at_gather_rows))
 
 
@@ -332,15 +379,13 @@ def case_id(case) -> str:
 
 
 @pytest.mark.parametrize("case", FIT_CASES, ids=case_id)
-def test_fits_match_per_step_reference(case, monkeypatch):
+def test_fits_match_per_step_reference(case):
     graph_name, seed, *params = case
     bisage_config, graphsage_config = fit_configs(seed, *params)
     for config, model_cls, caches in ((bisage_config, BiSAGE, ("hu", "lu", "hv", "lv")),
                                       (graphsage_config, GraphSAGE, ("u", "v"))):
         ours = model_cls(config).fit(GRAPHS[graph_name](seed))
-        with monkeypatch.context() as patch:
-            patch.setattr(ops, "gather_rows", add_at_gather_rows)
-            reference = reference_fit(model_cls(config), GRAPHS[graph_name](seed))
+        reference = reference_fit(model_cls(config), GRAPHS[graph_name](seed))
         assert len(ours.loss_history) > 1
         assert_same_bits(np.asarray(ours.loss_history), np.asarray(reference.loss_history))
         for mine, theirs in zip(ours.parameters(), reference.parameters(), strict=True):

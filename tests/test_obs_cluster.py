@@ -188,7 +188,6 @@ class TestMergedFamily:
     def test_gauge_merge_mode_rules(self):
         assert gauge_merge_mode("repro_tenants_resident") == "sum"
         assert gauge_merge_mode("repro_health_value") == "max"
-        assert gauge_merge_mode("repro_scheduler_last_cycle_age_seconds") == "max"
         assert gauge_merge_mode("repro_replication_lag_seconds") == "max"
 
 class TestClusterFamilies:
